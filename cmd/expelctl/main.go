@@ -8,7 +8,9 @@
 // locally, streamed up as wire envelopes, and retrievals stream back as
 // verified byte streams. Repository-side options (-no-dedup,
 // -no-base-selection, -load) belong to whoever owns the repository and
-// are rejected in remote mode.
+// are rejected in remote mode. Either way the subcommands run through one
+// loop over the repository interface below, so local and remote sessions
+// print the same lines.
 //
 // Usage:
 //
@@ -17,8 +19,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 	"strings"
@@ -26,7 +30,89 @@ import (
 
 	"expelliarmus"
 	"expelliarmus/internal/catalog"
+	"expelliarmus/internal/wire"
 )
+
+// repository is what a session drives: the in-process System (local) or
+// a live expelserverd through the HTTP client (remote).
+type repository interface {
+	publish(img *expelliarmus.Image, opts expelliarmus.PublishOptions) (*expelliarmus.PublishResult, error)
+	// retrieve and assemble also report the image bytes verified off the
+	// wire — zero in process, where no stream is involved.
+	retrieve(name string) (int64, *expelliarmus.RetrieveResult, error)
+	assemble(name string, primaries []string) (int64, *expelliarmus.RetrieveResult, error)
+	remove(name string) error
+	// sync and compact return errMemoryBacked when nothing is on disk.
+	sync() (*expelliarmus.SyncStats, error)
+	compact() (*expelliarmus.SyncStats, error)
+	vacuum() (*expelliarmus.VacuumStats, error)
+	stats() (repoStats, error)
+	dot() (string, error)
+	snapshot(w io.Writer) error
+}
+
+// repoStats is one stats report: the catalog and its footprint, the
+// per-tenant charges, and — from a daemon that ships or follows a WAL —
+// the replication state.
+type repoStats struct {
+	expelliarmus.RepoStats
+	Tenants map[string]int64
+	Repl    *wire.ReplicationStats
+}
+
+var errMemoryBacked = errors.New("repository is memory-backed")
+
+// local adapts the in-process System.
+type local struct{ *expelliarmus.System }
+
+func (l local) publish(img *expelliarmus.Image, opts expelliarmus.PublishOptions) (*expelliarmus.PublishResult, error) {
+	return l.PublishWith(img, opts)
+}
+
+func (l local) retrieve(name string) (int64, *expelliarmus.RetrieveResult, error) {
+	_, ret, err := l.Retrieve(name)
+	return 0, ret, err
+}
+
+func (l local) assemble(name string, primaries []string) (int64, *expelliarmus.RetrieveResult, error) {
+	_, ret, err := l.Assemble(name, primaries, "")
+	return 0, ret, err
+}
+
+func (l local) remove(name string) error { return l.Remove(name) }
+
+func (l local) sync() (*expelliarmus.SyncStats, error) { return l.durable(l.Sync) }
+
+func (l local) compact() (*expelliarmus.SyncStats, error) { return l.durable(l.Compact) }
+
+// durable runs a Sync-shaped operation if there is a disk to run it on.
+func (l local) durable(op func() (expelliarmus.SyncStats, error)) (*expelliarmus.SyncStats, error) {
+	if !l.Persistent() {
+		return nil, errMemoryBacked
+	}
+	st, err := op()
+	return &st, err
+}
+
+func (l local) vacuum() (*expelliarmus.VacuumStats, error) {
+	st, err := l.Vacuum()
+	return &st, err
+}
+
+func (l local) stats() (repoStats, error) {
+	return repoStats{RepoStats: l.RepoStats(), Tenants: l.TenantStats()}, nil
+}
+
+func (l local) dot() (string, error) { return l.MasterGraphDOT() }
+
+func (l local) snapshot(w io.Writer) error {
+	snap, err := l.Save()
+	if err != nil {
+		return err
+	}
+	_, err = w.Write(snap)
+	return err
+}
 
 // gb converts a store-scaled byte count to paper-scale gigabytes, the
 // same presentation RepoStats uses for its GB fields.
@@ -53,55 +139,36 @@ func main() {
 	flag.Parse()
 
 	expiry, err := resolveExpiry(*ttl, *expiresAt)
-	if err != nil {
-		fail(err)
-	}
+	check(err)
 	pubOpts := expelliarmus.PublishOptions{Tenant: *tenant, ExpiresAt: expiry}
 
-	if *serverAddr != "" {
-		runRemote(remoteArgs{
-			addr:     *serverAddr,
-			publish:  *publish,
-			retrieve: *retrieve,
-			assemble: *assemble,
-			remove:   *remove,
-			sync:     *syncFlag,
-			compact:  *compact,
-			vacuum:   *vacuum,
-			saveFile: *saveFile,
-			loadFile: *loadFile,
-			dotFile:   *dotFile,
-			noDedup:   *noDedup,
-			noBaseSel: *noBaseSel,
-			verbose:   *verbose,
-			pubOpts:   pubOpts,
-		})
-		return
-	}
-
-	if *publish == "" && *loadFile == "" {
+	// builder builds the catalog images; in remote mode that is all the
+	// in-process System is for — the synthetic catalog is deterministic,
+	// so the client and server agree on content.
+	var builder *expelliarmus.System
+	var repo repository
+	switch {
+	case *serverAddr != "":
+		check(refuseRepositoryFlags(*loadFile, *noDedup, *noBaseSel))
+		rem := dialRemote(*serverAddr)
+		defer rem.cl.Close()
+		builder, repo = expelliarmus.New(), rem
+	case *publish == "" && *loadFile == "":
 		fmt.Fprintln(os.Stderr, "expelctl: -publish is required; templates:")
 		fmt.Fprintf(os.Stderr, "  %s\n", strings.Join(expelliarmus.Templates(), ", "))
 		os.Exit(2)
-	}
-
-	opts := expelliarmus.Options{
-		NoSemanticDedup: *noDedup,
-		NoBaseSelection: *noBaseSel,
-	}
-	var sys *expelliarmus.System
-	if *loadFile != "" {
-		snap, err := os.ReadFile(*loadFile)
-		if err != nil {
-			fail(err)
+	default:
+		opts := expelliarmus.Options{NoSemanticDedup: *noDedup, NoBaseSelection: *noBaseSel}
+		if *loadFile != "" {
+			snap, err := os.ReadFile(*loadFile)
+			check(err)
+			builder, err = expelliarmus.Restore(snap, opts)
+			check(err)
+			fmt.Printf("restored repository from %s\n", *loadFile)
+		} else {
+			builder = expelliarmus.NewWithOptions(opts)
 		}
-		sys, err = expelliarmus.Restore(snap, opts)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Printf("restored repository from %s\n", *loadFile)
-	} else {
-		sys = expelliarmus.NewWithOptions(opts)
+		repo = local{builder}
 	}
 
 	var names []string
@@ -113,143 +180,134 @@ func main() {
 	}
 	for _, name := range names {
 		name = strings.TrimSpace(name)
-		img, err := sys.BuildImage(name)
-		if err != nil {
-			fail(err)
-		}
+		img, err := builder.BuildImage(name)
+		check(err)
 		st, err := img.Stats()
-		if err != nil {
-			fail(err)
-		}
-		pub, err := sys.PublishWith(img, pubOpts)
-		if err != nil {
-			fail(err)
-		}
+		check(err)
+		pub, err := repo.publish(img, pubOpts)
+		check(err)
 		fmt.Printf("published %-14s mounted %.3f GB, %6d files, SimG %.2f, %5.1fs, exported %d pkgs (skipped %d)\n",
 			name, st.MountedGB, st.Files, pub.Similarity, pub.Seconds, len(pub.Exported), pub.Skipped)
-		if *verbose {
-			printPhases(pub.Phases)
-		}
+		printPhases(*verbose, pub.Phases)
 	}
 
-	printRepoStats(sys, "repository")
+	printStats(repo, "repository")
 
 	if *retrieve != "" {
-		img, ret, err := sys.Retrieve(*retrieve)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Printf("retrieved %s in %.1fs (%d packages imported)\n",
-			img.Name(), ret.Seconds, len(ret.Imported))
-		if *verbose {
-			printPhases(ret.Phases)
-		}
+		n, ret, err := repo.retrieve(*retrieve)
+		check(err)
+		fmt.Printf("retrieved %s in %.1fs (%d packages imported%s)\n",
+			*retrieve, ret.Seconds, len(ret.Imported), verified(n))
+		printPhases(*verbose, ret.Phases)
 	}
 
 	if *remove != "" {
-		if err := sys.Remove(*remove); err != nil {
-			fail(err)
-		}
+		check(repo.remove(*remove))
 		fmt.Printf("removed %s\n", *remove)
-		printRepoStats(sys, "repository now")
+		printStats(repo, "repository now")
 	}
 
 	if *assemble != "" {
 		name, spec, ok := strings.Cut(*assemble, "=")
 		if !ok {
-			fail(fmt.Errorf("bad -assemble %q, want name=pkg1+pkg2", *assemble))
+			check(fmt.Errorf("bad -assemble %q, want name=pkg1+pkg2", *assemble))
 		}
 		primaries := strings.Split(spec, "+")
-		img, ret, err := sys.Assemble(name, primaries, "")
-		if err != nil {
-			fail(err)
-		}
-		fmt.Printf("assembled %s with %v in %.1fs (%d packages imported)\n",
-			img.Name(), primaries, ret.Seconds, len(ret.Imported))
-		if *verbose {
-			printPhases(ret.Phases)
-		}
+		n, ret, err := repo.assemble(name, primaries)
+		check(err)
+		fmt.Printf("assembled %s with %v in %.1fs (%d packages imported%s)\n",
+			name, primaries, ret.Seconds, len(ret.Imported), verified(n))
+		printPhases(*verbose, ret.Phases)
 	}
 
 	if *syncFlag {
-		if !sys.Persistent() {
+		st, err := repo.sync()
+		if errors.Is(err, errMemoryBacked) {
 			fmt.Println("sync: repository is memory-backed, nothing durable to sync (use -server against a disk-backed daemon)")
 		} else {
-			st, err := sys.Sync()
-			if err != nil {
-				fail(err)
-			}
+			check(err)
 			fmt.Printf("synced: %d metadata ops committed (%d metadata bytes, %d segment bytes)\n", st.MetaOps, st.MetaBytes, st.SegmentBytes)
 		}
 	}
 
 	if *compact {
-		if !sys.Persistent() {
+		st, err := repo.compact()
+		if errors.Is(err, errMemoryBacked) {
 			// The local CLI runs memory-backed (Save/Load snapshots), where
 			// released blobs free immediately — nothing durable to compact.
 			fmt.Println("compact: repository is memory-backed, nothing on disk to reclaim (use -server against a disk-backed daemon)")
 		} else {
-			cst, err := sys.Compact()
-			if err != nil {
-				fail(err)
-			}
+			check(err)
 			fmt.Printf("compacted: %d blob segment(s) rewritten, %.3f GB reclaimed, %.3f GB dead remaining\n",
-				cst.SegmentsCompacted, gb(cst.BytesReclaimed), gb(cst.DeadBytes))
-			printRepoStats(sys, "repository now")
+				st.SegmentsCompacted, gb(st.BytesReclaimed), gb(st.DeadBytes))
+			printStats(repo, "repository now")
 		}
 	}
 
 	if *vacuum {
-		vst, err := sys.Vacuum()
-		if err != nil {
-			fail(err)
-		}
+		st, err := repo.vacuum()
+		check(err)
 		fmt.Printf("vacuumed: %d package(s), %d user-data archive(s), %d lifecycle record(s), %d orphan blob(s) removed, %.3f GB reclaimed\n",
-			vst.PackagesRemoved, vst.UserDataRemoved, vst.MetaRemoved, vst.BlobsReleased, gb(vst.BytesReclaimed))
-		printRepoStats(sys, "repository now")
+			st.PackagesRemoved, st.UserDataRemoved, st.MetaRemoved, st.BlobsReleased, gb(st.BytesReclaimed))
+		printStats(repo, "repository now")
 	}
 
 	if *dotFile != "" {
-		dot, err := sys.MasterGraphDOT()
-		if err != nil {
-			fail(err)
-		}
-		if err := os.WriteFile(*dotFile, []byte(dot), 0o644); err != nil {
-			fail(err)
-		}
+		dot, err := repo.dot()
+		check(err)
+		check(os.WriteFile(*dotFile, []byte(dot), 0o644))
 		fmt.Printf("master graphs written to %s\n", *dotFile)
 	}
 
-	saveIfRequested(sys, *saveFile)
+	if *saveFile != "" {
+		f, err := os.Create(*saveFile)
+		check(err)
+		if err := repo.snapshot(f); err != nil {
+			f.Close()
+			check(err)
+		}
+		check(f.Close())
+		fmt.Printf("repository snapshot written to %s\n", *saveFile)
+	}
 }
 
-// printRepoStats reports the catalog plus its storage footprint, keeping
-// the live (deduplicated) size and the physical on-disk size apart: a
+// verified renders the byte count of a stream checked against the
+// server's integrity trailers; local operations verify nothing.
+func verified(n int64) string {
+	if n == 0 {
+		return ""
+	}
+	return fmt.Sprintf(", %d image bytes verified", n)
+}
+
+// printStats reports the catalog plus its storage footprint, keeping the
+// live (deduplicated) size and the physical on-disk size apart: a
 // disk-backed repository can hold garbage awaiting compaction, and
 // conflating the two is exactly how dead bytes go unnoticed.
-func printRepoStats(sys *expelliarmus.System, label string) {
-	rs := sys.RepoStats()
+func printStats(repo repository, label string) {
+	st, err := repo.stats()
+	check(err)
 	line := fmt.Sprintf("%s: %d VMIs, %d base image(s), %d packages, %.2f GB live",
-		label, rs.VMIs, rs.BaseImages, rs.Packages, rs.TotalGB)
-	if rs.DiskGB > 0 {
-		line += fmt.Sprintf(" (%.2f GB on disk, %.2f GB dead)", rs.DiskGB, rs.DeadGB)
+		label, st.VMIs, st.BaseImages, st.Packages, st.TotalGB)
+	if st.DiskGB > 0 {
+		line += fmt.Sprintf(" (%.2f GB on disk, %.2f GB dead)", st.DiskGB, st.DeadGB)
 	}
 	fmt.Println(line)
-	printTenants(sys.TenantStats())
-}
-
-// printTenants lists per-tenant charged bytes, sorted by name.
-func printTenants(ts map[string]int64) {
-	if len(ts) == 0 {
-		return
-	}
-	tenants := make([]string, 0, len(ts))
-	for t := range ts {
+	tenants := make([]string, 0, len(st.Tenants))
+	for t := range st.Tenants {
 		tenants = append(tenants, t)
 	}
 	sort.Strings(tenants)
 	for _, t := range tenants {
-		fmt.Printf("    tenant %-14s %.3f GB charged\n", t, gb(ts[t]))
+		fmt.Printf("    tenant %-14s %.3f GB charged\n", t, gb(st.Tenants[t]))
+	}
+	switch r := st.Repl; {
+	case r == nil:
+	case r.Role == "follower":
+		fmt.Printf("replication: follower of %s, epoch %d, applied %d bytes, lag %d bytes (%d batches / %d ops applied)\n",
+			r.WriterURL, r.Epoch, r.AppliedBytes, r.LagBytes, r.Batches, r.Ops)
+	default:
+		fmt.Printf("replication: writer, epoch %d, %d durable WAL bytes\n", r.Epoch, r.DurableBytes)
 	}
 }
 
@@ -273,21 +331,11 @@ func resolveExpiry(ttl time.Duration, expiresAt string) (int64, error) {
 	return 0, nil
 }
 
-func saveIfRequested(sys *expelliarmus.System, file string) {
-	if file == "" {
+// printPhases lists an operation's modeled phase breakdown under -v.
+func printPhases(verbose bool, phases map[string]float64) {
+	if !verbose {
 		return
 	}
-	snap, err := sys.Save()
-	if err != nil {
-		fail(err)
-	}
-	if err := os.WriteFile(file, snap, 0o644); err != nil {
-		fail(err)
-	}
-	fmt.Printf("repository snapshot written to %s\n", file)
-}
-
-func printPhases(phases map[string]float64) {
 	keys := make([]string, 0, len(phases))
 	for k := range phases {
 		keys = append(keys, k)
@@ -298,7 +346,10 @@ func printPhases(phases map[string]float64) {
 	}
 }
 
-func fail(err error) {
-	fmt.Fprintf(os.Stderr, "expelctl: %v\n", err)
-	os.Exit(1)
+// check ends the session on the first failed step.
+func check(err error) {
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "expelctl: %v\n", err)
+		os.Exit(1)
+	}
 }

@@ -1,205 +1,88 @@
 package main
 
-// Remote mode: every subcommand runs against a live expelserverd through
-// the thin HTTP client. Images are still built locally — the synthetic
-// catalog is deterministic, so the client and server agree on content —
-// and publishes stream up as wire envelopes while retrievals stream back
-// with end-to-end verification.
+// Remote mode: the repository is a live expelserverd reached through the
+// thin HTTP client. Publishes stream up as wire envelopes and retrievals
+// stream back with end-to-end verification.
 
 import (
 	"context"
 	"fmt"
 	"io"
-	"os"
-	"strings"
 	"time"
 
 	"expelliarmus"
-	"expelliarmus/internal/catalog"
 	"expelliarmus/internal/client"
 	"expelliarmus/internal/wire"
 )
 
-type remoteArgs struct {
-	addr      string
-	publish   string
-	retrieve  string
-	assemble  string
-	remove    string
-	sync      bool
-	compact   bool
-	vacuum    bool
-	saveFile  string
-	loadFile  string
-	dotFile   string
-	noDedup   bool
-	noBaseSel bool
-	verbose   bool
-	pubOpts   expelliarmus.PublishOptions
+// refuseRepositoryFlags rejects repository-side configuration in remote
+// mode: it belongs to the server's operator, and a client silently
+// publishing into a differently-configured repository than it asked for
+// would be worse than an error.
+func refuseRepositoryFlags(loadFile string, noDedup, noBaseSel bool) error {
+	switch {
+	case loadFile != "":
+		return fmt.Errorf("-load restores an in-process repository; it cannot be used with -server (start expelserverd with -store instead)")
+	case noDedup:
+		return fmt.Errorf("-no-dedup configures the repository; set it where expelserverd runs, not with -server")
+	case noBaseSel:
+		return fmt.Errorf("-no-base-selection configures the repository; set it where expelserverd runs, not with -server")
+	}
+	return nil
 }
 
-func runRemote(a remoteArgs) {
-	// Repository-side configuration belongs to the server's operator; a
-	// client silently publishing into a differently-configured repository
-	// than it asked for would be worse than an error.
-	switch {
-	case a.loadFile != "":
-		fail(fmt.Errorf("-load restores an in-process repository; it cannot be used with -server (start expelserverd with -store instead)"))
-	case a.noDedup:
-		fail(fmt.Errorf("-no-dedup configures the repository; set it where expelserverd runs, not with -server"))
-	case a.noBaseSel:
-		fail(fmt.Errorf("-no-base-selection configures the repository; set it where expelserverd runs, not with -server"))
-	}
-
-	ctx := context.Background()
-	cl := client.New(a.addr, client.Options{Timeout: 10 * time.Minute, Retries: 2})
-	defer cl.Close()
-	sys := expelliarmus.New() // local builder only; nothing is published in-process
-
-	var names []string
-	switch {
-	case a.publish == "all":
-		names = expelliarmus.Templates()
-	case a.publish != "":
-		names = strings.Split(a.publish, ",")
-	}
-	for _, name := range names {
-		name = strings.TrimSpace(name)
-		img, err := sys.BuildImage(name)
-		if err != nil {
-			fail(err)
-		}
-		st, err := img.Stats()
-		if err != nil {
-			fail(err)
-		}
-		pub, err := cl.Publish(ctx, img.EncodeWireWith(a.pubOpts))
-		if err != nil {
-			fail(err)
-		}
-		fmt.Printf("published %-14s mounted %.3f GB, %6d files, SimG %.2f, %5.1fs, exported %d pkgs (skipped %d)\n",
-			name, st.MountedGB, st.Files, pub.Similarity, pub.Seconds, len(pub.Exported), pub.Skipped)
-		if a.verbose {
-			printPhases(pub.Phases)
-		}
-	}
-
-	printRemoteStats(ctx, cl, "repository")
-
-	if a.retrieve != "" {
-		n, ret, err := cl.Retrieve(ctx, a.retrieve, io.Discard)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Printf("retrieved %s in %.1fs (%d packages imported, %d image bytes verified)\n",
-			a.retrieve, ret.Seconds, len(ret.Imported), n)
-		if a.verbose {
-			printPhases(ret.Phases)
-		}
-	}
-
-	if a.remove != "" {
-		if err := cl.Remove(ctx, a.remove); err != nil {
-			fail(err)
-		}
-		fmt.Printf("removed %s\n", a.remove)
-		printRemoteStats(ctx, cl, "repository now")
-	}
-
-	if a.assemble != "" {
-		name, spec, ok := strings.Cut(a.assemble, "=")
-		if !ok {
-			fail(fmt.Errorf("bad -assemble %q, want name=pkg1+pkg2", a.assemble))
-		}
-		primaries := strings.Split(spec, "+")
-		n, ret, err := cl.Assemble(ctx, wire.AssembleRequest{Name: name, Primaries: primaries}, io.Discard)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Printf("assembled %s with %v in %.1fs (%d packages imported, %d image bytes verified)\n",
-			name, primaries, ret.Seconds, len(ret.Imported), n)
-		if a.verbose {
-			printPhases(ret.Phases)
-		}
-	}
-
-	if a.sync {
-		st, err := cl.Sync(ctx)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Printf("synced: %d metadata ops committed (%d metadata bytes, %d segment bytes)\n", st.MetaOps, st.MetaBytes, st.SegmentBytes)
-	}
-
-	if a.compact {
-		cst, err := cl.Compact(ctx)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Printf("compacted: %d blob segment(s) rewritten, %.3f GB reclaimed, %.3f GB dead remaining\n",
-			cst.SegmentsCompacted, gb(cst.BytesReclaimed), gb(cst.DeadBytes))
-		printRemoteStats(ctx, cl, "repository now")
-	}
-
-	if a.vacuum {
-		vst, err := cl.Vacuum(ctx)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Printf("vacuumed: %d package(s), %d user-data archive(s), %d lifecycle record(s), %d orphan blob(s) removed, %.3f GB reclaimed\n",
-			vst.PackagesRemoved, vst.UserDataRemoved, vst.MetaRemoved, vst.BlobsReleased, gb(vst.BytesReclaimed))
-		printRemoteStats(ctx, cl, "repository now")
-	}
-
-	if a.dotFile != "" {
-		dot, err := cl.GraphDOT(ctx)
-		if err != nil {
-			fail(err)
-		}
-		if err := os.WriteFile(a.dotFile, []byte(dot), 0o644); err != nil {
-			fail(err)
-		}
-		fmt.Printf("master graphs written to %s\n", a.dotFile)
-	}
-
-	if a.saveFile != "" {
-		f, err := os.Create(a.saveFile)
-		if err != nil {
-			fail(err)
-		}
-		if _, err := cl.Snapshot(ctx, f); err != nil {
-			f.Close()
-			fail(err)
-		}
-		if err := f.Close(); err != nil {
-			fail(err)
-		}
-		fmt.Printf("repository snapshot written to %s\n", a.saveFile)
-	}
+// remote adapts the HTTP client.
+type remote struct {
+	ctx context.Context
+	cl  *client.Client
 }
 
-// printRemoteStats mirrors the local printRepoStats split between live
-// and physical size: a disk-backed server reports its on-disk footprint
-// and dead (reclaimable) share alongside the deduplicated live bytes.
-func printRemoteStats(ctx context.Context, cl *client.Client, label string) {
-	st, err := cl.Stats(ctx)
+func dialRemote(addr string) remote {
+	return remote{context.Background(), client.New(addr, client.Options{Timeout: 10 * time.Minute, Retries: 2})}
+}
+
+func (r remote) publish(img *expelliarmus.Image, opts expelliarmus.PublishOptions) (*expelliarmus.PublishResult, error) {
+	return r.cl.Publish(r.ctx, img.EncodeWireWith(opts))
+}
+
+func (r remote) retrieve(name string) (int64, *expelliarmus.RetrieveResult, error) {
+	return r.cl.Retrieve(r.ctx, name, io.Discard)
+}
+
+func (r remote) assemble(name string, primaries []string) (int64, *expelliarmus.RetrieveResult, error) {
+	return r.cl.Assemble(r.ctx, wire.AssembleRequest{Name: name, Primaries: primaries}, io.Discard)
+}
+
+func (r remote) remove(name string) error { return r.cl.Remove(r.ctx, name) }
+
+func (r remote) sync() (*expelliarmus.SyncStats, error) { return r.cl.Sync(r.ctx) }
+
+func (r remote) compact() (*expelliarmus.SyncStats, error) { return r.cl.Compact(r.ctx) }
+
+func (r remote) vacuum() (*expelliarmus.VacuumStats, error) { return r.cl.Vacuum(r.ctx) }
+
+func (r remote) stats() (repoStats, error) {
+	st, err := r.cl.Stats(r.ctx)
 	if err != nil {
-		fail(err)
+		return repoStats{}, err
 	}
-	line := fmt.Sprintf("%s: %d VMIs, %d base image(s), %d packages, %.2f GB live",
-		label, st.VMIs, st.Bases, st.Packages, float64(catalog.Paper(st.TotalBytes))/1e9)
-	if st.DiskBytes > 0 {
-		line += fmt.Sprintf(" (%.2f GB on disk, %.2f GB dead)", gb(st.DiskBytes), gb(st.DeadBytes))
-	}
-	fmt.Println(line)
-	printTenants(st.Tenants)
-	if r := st.Repl; r != nil {
-		switch r.Role {
-		case "follower":
-			fmt.Printf("replication: follower of %s, epoch %d, applied %d bytes, lag %d bytes (%d batches / %d ops applied)\n",
-				r.WriterURL, r.Epoch, r.AppliedBytes, r.LagBytes, r.Batches, r.Ops)
-		default:
-			fmt.Printf("replication: writer, epoch %d, %d durable WAL bytes\n", r.Epoch, r.DurableBytes)
-		}
-	}
+	return repoStats{
+		RepoStats: expelliarmus.RepoStats{
+			Packages:   st.Packages,
+			BaseImages: st.Bases,
+			VMIs:       st.VMIs,
+			TotalGB:    gb(st.TotalBytes),
+			DiskGB:     gb(st.DiskBytes),
+			DeadGB:     gb(st.DeadBytes),
+		},
+		Tenants: st.Tenants,
+		Repl:    st.Repl,
+	}, nil
+}
+
+func (r remote) dot() (string, error) { return r.cl.GraphDOT(r.ctx) }
+
+func (r remote) snapshot(w io.Writer) error {
+	_, err := r.cl.Snapshot(r.ctx, w)
+	return err
 }

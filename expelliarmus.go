@@ -148,9 +148,8 @@ func NewWithOptions(o Options) *System {
 // OpenAt creates or reopens a disk-backed System rooted at path. Unlike
 // New, the repository's blobs live in append-only segment files under
 // path/blobs and its metadata in a snapshot + write-ahead-log pair under
-// path (see internal/metawal; a legacy path/meta.db layout is migrated
-// on first open), so the catalog can outgrow RAM and survives the
-// process: reopening the same path (after a clean Close, a plain exit,
+// path (see internal/metawal), so the catalog can outgrow RAM and survives
+// the process: reopening the same path (after a clean Close, a plain exit,
 // or a crash — torn log tails are recovered and reported, see
 // internal/blobstore/diskstore and internal/metawal) yields the
 // repository as of everything published, plus whatever later operations
@@ -172,52 +171,37 @@ func OpenAt(path string, o Options) (*System, error) {
 	}, nil
 }
 
-// SyncStats reports one durable save of a disk-backed System.
-type SyncStats struct {
-	// Segments and SegmentBytes describe the incremental blob flush: only
-	// bytes appended since the previous Sync are written, so a Sync after
-	// publishing one image costs that image, not the whole store. Segments
-	// counts segment flushes — a file flushed in both phases of the
-	// repository sync (new blobs, then release records) counts twice,
-	// while SegmentBytes never double-counts a byte.
-	Segments     int
-	SegmentBytes int64
-	// IndexBytes is the blob index image committed atomically alongside.
-	// MetaBytes is the metadata bytes this sync committed: the WAL delta
-	// (framed mutation records plus one commit marker) on the hot path,
-	// or the fresh full snapshot on a compacting sync — never a full
-	// metadata rewrite for an incremental delta.
-	IndexBytes int64
-	MetaBytes  int64
-	// MetaOps counts the metadata mutations committed; Compacted reports
-	// that the metadata WAL was rewritten into a fresh snapshot of
-	// MetaSnapshotBytes (zero otherwise).
-	MetaOps           int
-	Compacted         bool
-	MetaSnapshotBytes int64
-	// SegmentsCompacted and BytesReclaimed report blob segment compaction
-	// this sync performed (automatically past the dead-ratio threshold, or
-	// because Compact forced it): segments evacuated and the file bytes
-	// their retirement freed. DeadBytes is the garbage still on disk after
-	// — record bytes of released blobs whose segments have not yet crossed
-	// the threshold.
-	SegmentsCompacted int
-	BytesReclaimed    int64
-	DeadBytes         int64
-}
+// The result types below are declared once, at the layer that produces
+// them; the facade re-exports them under its own names as aliases, so the
+// in-process API, the server's JSON bodies and the CLI all speak one
+// vocabulary with the same field names.
+type (
+	// SyncStats reports one durable save of a disk-backed System: the
+	// incremental blob flush (Segments, SegmentBytes, IndexBytes — only
+	// bytes appended since the previous Sync are written), the metadata
+	// commit (MetaBytes, MetaOps; Compacted and MetaSnapshotBytes when the
+	// WAL was rewritten into a fresh snapshot) and the blob segment
+	// compaction the sync performed (SegmentsCompacted, BytesReclaimed,
+	// and the DeadBytes of garbage still on disk after).
+	SyncStats = vmirepo.SyncStats
+	// VacuumStats reports what one Vacuum pass reclaimed.
+	VacuumStats = core.VacuumStats
+	// CacheStats reports the retrieval cache's effectiveness. Enabled is
+	// false (and every counter zero) when the System runs without a cache
+	// (Options.CacheBytes == 0).
+	CacheStats = core.CacheStats
+	// PublishResult reports a publish operation.
+	PublishResult = wire.PublishResult
+	// RetrieveResult reports a retrieval or assembly.
+	RetrieveResult = wire.RetrieveResult
+)
 
 // Sync makes a disk-backed System durable up to all completed operations.
 // It may be called while traffic is in flight (it waits out any metadata
 // commit in progress, exactly like Save) and is incremental. Systems
 // created by New/NewWithOptions are memory-backed and return an error;
 // use Save for those.
-func (s *System) Sync() (SyncStats, error) {
-	st, err := s.sys.Sync()
-	if err != nil {
-		return SyncStats{}, err
-	}
-	return newSyncStats(st), nil
-}
+func (s *System) Sync() (SyncStats, error) { return s.sys.Sync() }
 
 // Compact is Sync with forced compaction of both stores: the metadata
 // write-ahead log is rewritten as a fresh full snapshot with an empty
@@ -226,28 +210,7 @@ func (s *System) Sync() (SyncStats, error) {
 // Size-, period- and dead-ratio-triggered compactions run automatically
 // inside Sync; Compact exists for operators who want to pick the moment.
 // Safe under concurrent traffic, like Sync.
-func (s *System) Compact() (SyncStats, error) {
-	st, err := s.sys.Compact()
-	if err != nil {
-		return SyncStats{}, err
-	}
-	return newSyncStats(st), nil
-}
-
-func newSyncStats(st vmirepo.SyncStats) SyncStats {
-	return SyncStats{
-		Segments:          st.Blobs.Segments,
-		SegmentBytes:      st.Blobs.SegmentBytes,
-		IndexBytes:        st.Blobs.IndexBytes,
-		MetaBytes:         st.MetaBytes,
-		MetaOps:           st.MetaOps,
-		Compacted:         st.Compacted,
-		MetaSnapshotBytes: st.MetaSnapshotBytes,
-		SegmentsCompacted: st.Blobs.SegmentsCompacted,
-		BytesReclaimed:    st.Blobs.BytesReclaimed,
-		DeadBytes:         st.Blobs.DeadBytes,
-	}
-}
+func (s *System) Compact() (SyncStats, error) { return s.sys.Compact() }
 
 // Persistent reports whether the System is disk-backed (OpenAt): Sync
 // and Compact commit to durable storage. Memory-backed Systems (New)
@@ -408,21 +371,6 @@ func (s *System) BuildIDESeries(n int) ([]*Image, error) {
 	return out, nil
 }
 
-// PublishResult reports a publish operation.
-type PublishResult struct {
-	// Similarity is SimG against the best-matching master graph.
-	Similarity float64
-	// Exported lists the packages stored by this publish.
-	Exported []string
-	// Skipped counts packages already in the repository.
-	Skipped int
-	// BaseStored reports whether a new base image was stored.
-	BaseStored bool
-	// Seconds is the modeled publish time; Phases decomposes it.
-	Seconds float64
-	Phases  map[string]float64
-}
-
 // Publish decomposes and stores an image. The caller's Image remains
 // usable (publishing operates on an internal clone).
 func (s *System) Publish(img *Image) (*PublishResult, error) {
@@ -452,18 +400,7 @@ func (s *System) PublishWith(img *Image, opts PublishOptions) (*PublishResult, e
 	if err != nil {
 		return nil, err
 	}
-	return newPublishResult(rep), nil
-}
-
-func newPublishResult(rep *core.PublishReport) *PublishResult {
-	return &PublishResult{
-		Similarity: rep.Similarity,
-		Exported:   append([]string(nil), rep.Exported...),
-		Skipped:    rep.Skipped,
-		BaseStored: rep.BaseStored,
-		Seconds:    rep.Seconds(),
-		Phases:     phaseMap(rep.Meter),
-	}
+	return wire.NewPublishResult(rep), nil
 }
 
 // PublishAll publishes a batch of images concurrently, bounded by
@@ -487,19 +424,9 @@ func (s *System) PublishAll(imgs []*Image) ([]*PublishResult, error) {
 		if rep == nil {
 			continue
 		}
-		out[i] = newPublishResult(rep)
+		out[i] = wire.NewPublishResult(rep)
 	}
 	return out, err
-}
-
-// RetrieveResult reports a retrieval operation.
-type RetrieveResult struct {
-	// Imported lists the packages installed during assembly.
-	Imported []string
-	// Seconds is the modeled retrieval time; Phases decomposes it into the
-	// paper's Fig. 5a components (copy, launch, reset, import, ...).
-	Seconds float64
-	Phases  map[string]float64
 }
 
 // Retrieve reassembles a published VMI by name.
@@ -508,7 +435,7 @@ func (s *System) Retrieve(name string) (*Image, *RetrieveResult, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	return &Image{inner: img}, newRetrieveResult(rep), nil
+	return &Image{inner: img}, wire.NewRetrieveResult(rep), nil
 }
 
 // RetrieveTo reassembles a published VMI and streams its serialized
@@ -522,15 +449,7 @@ func (s *System) RetrieveTo(w io.Writer, name string) (int64, *RetrieveResult, e
 	if err != nil {
 		return n, nil, err
 	}
-	return n, newRetrieveResult(rep), nil
-}
-
-func newRetrieveResult(rep *core.RetrieveReport) *RetrieveResult {
-	return &RetrieveResult{
-		Imported: append([]string(nil), rep.Imported...),
-		Seconds:  rep.Seconds(),
-		Phases:   phaseMap(rep.Meter),
-	}
+	return n, wire.NewRetrieveResult(rep), nil
 }
 
 // RetrieveAll reassembles a batch of published VMIs concurrently, bounded
@@ -558,7 +477,7 @@ func mapRetrieveResults(n int, imgs []*vmi.Image, reps []*core.RetrieveReport) (
 			continue
 		}
 		outImgs[i] = &Image{inner: imgs[i]}
-		outReps[i] = newRetrieveResult(reps[i])
+		outReps[i] = wire.NewRetrieveResult(reps[i])
 	}
 	return outImgs, outReps
 }
@@ -571,15 +490,7 @@ func (s *System) Assemble(name string, primaries []string, userDataFrom string) 
 	if err != nil {
 		return nil, nil, err
 	}
-	return &Image{inner: img}, newRetrieveResult(rep), nil
-}
-
-func phaseMap(m *simio.Meter) map[string]float64 {
-	out := map[string]float64{}
-	for ph, d := range m.Snapshot() {
-		out[string(ph)] = d.Seconds()
-	}
-	return out
+	return &Image{inner: img}, wire.NewRetrieveResult(rep), nil
 }
 
 // RepoStats summarises the repository at paper scale.
@@ -631,22 +542,6 @@ func (s *System) Remove(name string) error { return s.sys.Remove(name) }
 // (see cmd/expelserverd's -expire-interval).
 func (s *System) ExpireAt(now int64) ([]string, error) { return s.sys.ExpireAt(now) }
 
-// VacuumStats reports what one Vacuum pass reclaimed.
-type VacuumStats struct {
-	// PackagesRemoved counts package records no VMI referenced.
-	PackagesRemoved int
-	// UserDataRemoved counts user-data archives whose VMI is gone.
-	UserDataRemoved int
-	// MetaRemoved counts lifecycle records whose VMI is gone.
-	MetaRemoved int
-	// BlobsReleased counts blobs no metadata record referenced (crash
-	// orphans and the leftovers of abandoned or quota-rejected publishes).
-	BlobsReleased int
-	// BytesReclaimed is the payload bytes of the removed packages and
-	// released blobs.
-	BytesReclaimed int64
-}
-
 // Vacuum reclaims everything dangling in the repository: packages no VMI
 // references, user-data archives and lifecycle records of VMIs that no
 // longer exist, stale tenant accounting, and blobs no metadata record
@@ -654,19 +549,7 @@ type VacuumStats struct {
 // the leftovers of abandoned publishes. On a disk-backed System it then
 // compacts both stores so the reclaimed bytes leave the disk. Safe under
 // concurrent traffic (it runs as one repository transaction).
-func (s *System) Vacuum() (VacuumStats, error) {
-	st, err := s.sys.Vacuum()
-	if err != nil {
-		return VacuumStats{}, err
-	}
-	return VacuumStats{
-		PackagesRemoved: st.PackagesRemoved,
-		UserDataRemoved: st.UserDataRemoved,
-		MetaRemoved:     st.MetaRemoved,
-		BlobsReleased:   st.BlobsReleased,
-		BytesReclaimed:  st.BytesReclaimed,
-	}, nil
-}
+func (s *System) Vacuum() (VacuumStats, error) { return s.sys.Vacuum() }
 
 // TenantStats returns each tenant's recorded live bytes — what publishes
 // charged (stored package, base and user-data bytes) minus what removals
@@ -696,70 +579,10 @@ func Restore(snapshot []byte, o Options) (*System, error) {
 	}, nil
 }
 
-// CacheStats reports the retrieval cache's effectiveness. Enabled is
-// false (and every counter zero) when the System runs without a cache
-// (Options.CacheBytes == 0).
-type CacheStats struct {
-	Enabled bool
-	// Hits and Misses count Retrieve/RetrieveAll lookups; Puts counts
-	// assemblies inserted.
-	Hits, Misses, Puts int64
-	// Coalesced counts misses served by waiting on a concurrent assembly
-	// of the same image (the miss singleflight) instead of assembling it
-	// again — under a retrieval storm on one cold image, expect 1 miss
-	// that assembles and the rest split between Coalesced and Hits.
-	Coalesced int64
-	// Evictions counts entries dropped to honour CacheBytes; Rejected
-	// counts images too large to cache at all; Poisoned counts hits that
-	// failed content verification (each surfaced as a retrieval error).
-	Evictions, Rejected, Poisoned int64
-	// StripeHits and StripeInvalidations break hits and stood-down
-	// inserts (an assembly raced a mutation and was not cached) down by
-	// the generation stripe of the retrieval's base image. Invalidation
-	// is striped per base, so steady publish traffic shows up on its own
-	// bases' stripes while a hot image's stripe keeps collecting hits.
-	StripeHits, StripeInvalidations []int64
-	// Entries and Bytes describe current occupancy; MaxBytes echoes
-	// Options.CacheBytes.
-	Entries  int
-	Bytes    int64
-	MaxBytes int64
-	// FlightsLed counts assemblies started as the leader of a miss
-	// singleflight; FlightsActive and FlightWaiters are gauges of flights
-	// currently assembling and retrievals currently queued behind one;
-	// FlightPeakDepth is the deepest follower queue any single flight has
-	// built up — together the queue-depth meter of retrieval pressure.
-	FlightsLed      int64
-	FlightsActive   int64
-	FlightWaiters   int64
-	FlightPeakDepth int64
-}
-
 // CacheStats returns current retrieval-cache counters.
 func (s *System) CacheStats() CacheStats {
-	st, ok := s.sys.CacheStats()
-	if !ok {
-		return CacheStats{}
-	}
-	return CacheStats{
-		Enabled:             true,
-		Hits:                st.Hits,
-		Misses:              st.Misses,
-		Puts:                st.Puts,
-		Coalesced:           st.Coalesced,
-		Evictions:           st.Evictions,
-		Rejected:            st.Rejected,
-		Poisoned:            st.Poisoned,
-		StripeHits:          st.StripeHits,
-		StripeInvalidations: st.StripeInvalidations,
-		Entries:             st.Entries,
-		Bytes:               st.Bytes,
-		MaxBytes:            st.MaxBytes,
-		FlightsLed:          st.Flights.Led,
-		FlightsActive:       st.Flights.Active,
-		FlightWaiters:       st.Flights.Waiting,
-		FlightPeakDepth:     st.Flights.PeakDepth,
-	}
+	st, _ := s.sys.CacheStats()
+	return st
 }
 
 // ContainerLayer describes one layer of an exported container image.

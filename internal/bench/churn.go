@@ -184,8 +184,8 @@ func (r *Runner) Churn(rounds int) (*ChurnResult, error) {
 				return nil, fmt.Errorf("bench: churn round %d sync (%s): %w", round, key, err)
 			}
 			if key == "on" {
-				res.SegmentsCompacted += st.Blobs.SegmentsCompacted
-				res.BytesReclaimed += st.Blobs.BytesReclaimed
+				res.SegmentsCompacted += st.SegmentsCompacted
+				res.BytesReclaimed += st.BytesReclaimed
 			}
 		}
 

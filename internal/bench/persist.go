@@ -45,22 +45,22 @@ func (p *PersistResult) String() string {
 	}
 	tbl.AddRow("full sync",
 		fmt.Sprintf("%.1f", p.FullWall.Seconds()*1e3),
-		fmt.Sprintf("%d", p.FullSync.Blobs.Segments),
-		fmt.Sprintf("%d", p.FullSync.Blobs.SegmentBytes),
-		fmt.Sprintf("%d", p.FullSync.Blobs.IndexBytes+p.FullSync.MetaBytes))
+		fmt.Sprintf("%d", p.FullSync.Segments),
+		fmt.Sprintf("%d", p.FullSync.SegmentBytes),
+		fmt.Sprintf("%d", p.FullSync.IndexBytes+p.FullSync.MetaBytes))
 	tbl.AddRow("incremental sync (+1 image)",
 		fmt.Sprintf("%.1f", p.IncrementalWall.Seconds()*1e3),
-		fmt.Sprintf("%d", p.IncrementalSync.Blobs.Segments),
-		fmt.Sprintf("%d", p.IncrementalSync.Blobs.SegmentBytes),
-		fmt.Sprintf("%d", p.IncrementalSync.Blobs.IndexBytes+p.IncrementalSync.MetaBytes))
+		fmt.Sprintf("%d", p.IncrementalSync.Segments),
+		fmt.Sprintf("%d", p.IncrementalSync.SegmentBytes),
+		fmt.Sprintf("%d", p.IncrementalSync.IndexBytes+p.IncrementalSync.MetaBytes))
 	verified := "retrieval FAILED"
 	if p.RetrievedAll {
 		verified = "all VMIs retrieved"
 	}
 	tbl.AddRow("reopen", fmt.Sprintf("%.1f", p.ReopenWall.Seconds()*1e3), "", "", verified)
 	ratio := 0.0
-	if p.FullSync.Blobs.SegmentBytes > 0 {
-		ratio = float64(p.IncrementalSync.Blobs.SegmentBytes) / float64(p.FullSync.Blobs.SegmentBytes)
+	if p.FullSync.SegmentBytes > 0 {
+		ratio = float64(p.IncrementalSync.SegmentBytes) / float64(p.FullSync.SegmentBytes)
 	}
 	tbl.AddRow("incremental/full bytes", fmt.Sprintf("%.3f", ratio), "", "", "")
 	return tbl.String()

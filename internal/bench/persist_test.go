@@ -21,15 +21,15 @@ func TestPersistenceScenario(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Persistence: %v", err)
 	}
-	if res.FullSync.Blobs.SegmentBytes == 0 || res.FullSync.MetaBytes == 0 {
+	if res.FullSync.SegmentBytes == 0 || res.FullSync.MetaBytes == 0 {
 		t.Fatalf("full sync wrote nothing: %+v", res.FullSync)
 	}
-	if res.IncrementalSync.Blobs.SegmentBytes == 0 {
+	if res.IncrementalSync.SegmentBytes == 0 {
 		t.Fatalf("incremental sync wrote no blob bytes for a new image: %+v", res.IncrementalSync)
 	}
-	if res.IncrementalSync.Blobs.SegmentBytes >= res.FullSync.Blobs.SegmentBytes {
+	if res.IncrementalSync.SegmentBytes >= res.FullSync.SegmentBytes {
 		t.Fatalf("incremental sync (%d bytes) not smaller than full sync (%d bytes)",
-			res.IncrementalSync.Blobs.SegmentBytes, res.FullSync.Blobs.SegmentBytes)
+			res.IncrementalSync.SegmentBytes, res.FullSync.SegmentBytes)
 	}
 	if !res.RetrievedAll {
 		t.Fatalf("not all VMIs retrievable after reopen")

@@ -107,26 +107,27 @@ func TestConcurrentTotalBytes(t *testing.T) {
 }
 
 // TestSnapshotUnderConcurrentTraffic snapshots while writers run; every
-// snapshot must load cleanly with content-verified IDs.
+// snapshot must load cleanly with content-verified IDs. The writers spend
+// tokens handed out before each pass, so a pass's cost is bounded however
+// fast they are relative to the verifier.
 func TestSnapshotUnderConcurrentTraffic(t *testing.T) {
 	s := New()
-	stop := make(chan struct{})
+	const writers, passes, opsPerPass = 4, 20, 400
+	tokens := make(chan struct{}, opsPerPass)
 	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
+	for w := 0; w < writers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			for i := 0; ; i++ {
-				select {
-				case <-stop:
-					return
-				default:
-				}
+			i := 0
+			for range tokens {
 				s.Put([]byte(fmt.Sprintf("traffic-%d-%d", w, i)))
+				i++
 			}
 		}(w)
 	}
-	for i := 0; i < 20; i++ {
+	for i := 0; i < passes; i++ {
+		refill(tokens)
 		snap, err := s.Snapshot()
 		if err != nil {
 			t.Fatalf("snapshot %d: %v", i, err)
@@ -139,6 +140,17 @@ func TestSnapshotUnderConcurrentTraffic(t *testing.T) {
 			t.Fatalf("snapshot %d: negative byte accounting", i)
 		}
 	}
-	close(stop)
+	close(tokens)
 	wg.Wait()
+}
+
+// refill tops a token channel up to its capacity without blocking.
+func refill(tokens chan struct{}) {
+	for {
+		select {
+		case tokens <- struct{}{}:
+		default:
+			return
+		}
+	}
 }

@@ -20,12 +20,14 @@
 package client
 
 import (
+	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash"
 	"io"
 	"net/http"
 	"net/url"
@@ -33,10 +35,6 @@ import (
 	"strings"
 	"time"
 
-	"expelliarmus/internal/blobstore"
-	"expelliarmus/internal/metawal"
-	"expelliarmus/internal/server"
-	"expelliarmus/internal/vmirepo"
 	"expelliarmus/internal/wire"
 )
 
@@ -99,25 +97,16 @@ func (c *Client) ctx(parent context.Context) (context.Context, context.CancelFun
 var ErrTruncated = errors.New("image stream truncated before trailers")
 
 // apiError reconstructs the operation error from a non-2xx reply,
-// resurfacing the server's absence/corruption distinction as the same
-// sentinels the in-process API uses.
+// resurfacing the server's error kind as the sentinel the in-process API
+// uses for it (the wire.ErrorKinds table).
 func apiError(resp *http.Response) error {
 	msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
 	text := strings.TrimSpace(string(msg))
 	if text == "" {
 		text = resp.Status
 	}
-	switch resp.Header.Get(server.HeaderErrorKind) {
-	case server.KindNotFound:
-		return fmt.Errorf("client: %s: %w", text, vmirepo.ErrNotFound)
-	case server.KindCorrupt:
-		return fmt.Errorf("client: %s: %w", text, blobstore.ErrCorrupt)
-	case server.KindReadOnly:
-		return fmt.Errorf("client: %s: %w", text, vmirepo.ErrReadOnly)
-	case server.KindEpochGone:
-		return fmt.Errorf("client: %s: %w", text, metawal.ErrEpochGone)
-	case server.KindQuotaExceeded:
-		return fmt.Errorf("client: %s: %w", text, vmirepo.ErrQuotaExceeded)
+	if row, ok := wire.KindNamed(resp.Header.Get(wire.HeaderErrorKind)); ok {
+		return fmt.Errorf("client: %s: %w", text, row.Err)
 	}
 	return fmt.Errorf("client: server returned %s: %s", resp.Status, text)
 }
@@ -146,6 +135,58 @@ func (c *Client) doIdempotent(attempt func() (wrote bool, err error)) error {
 	}
 }
 
+// do issues one request under the client's per-request deadline. A reply
+// carrying the wanted status is returned together with a done func that
+// closes its body and releases the deadline; any other status becomes
+// the operation error it encodes.
+func (c *Client) do(parent context.Context, method, u, contentType string, body io.Reader, want int) (*http.Response, func(), error) {
+	ctx, cancel := c.ctx(parent)
+	req, err := http.NewRequestWithContext(ctx, method, u, body)
+	if err != nil {
+		cancel()
+		return nil, nil, err
+	}
+	if contentType != "" {
+		req.Header.Set("Content-Type", contentType)
+	}
+	resp, err := c.hc.Do(req)
+	if err != nil {
+		cancel()
+		return nil, nil, err
+	}
+	done := func() { resp.Body.Close(); cancel() }
+	if resp.StatusCode != want {
+		defer done()
+		return nil, nil, apiError(resp)
+	}
+	return resp, done, nil
+}
+
+// get is do for a body-less GET expecting 200.
+func (c *Client) get(parent context.Context, u string) (*http.Response, func(), error) {
+	return c.do(parent, http.MethodGet, u, "", nil, http.StatusOK)
+}
+
+// callJSON issues one request and decodes its 200 reply into out.
+func (c *Client) callJSON(parent context.Context, method, path, contentType string, body io.Reader, out any) error {
+	resp, done, err := c.do(parent, method, c.base+path, contentType, body, http.StatusOK)
+	if err != nil {
+		return err
+	}
+	defer done()
+	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+		return fmt.Errorf("client: decode %s reply: %w", path, err)
+	}
+	return nil
+}
+
+// getJSON is callJSON for an idempotent (retried) GET.
+func (c *Client) getJSON(parent context.Context, path string, out any) error {
+	return c.doIdempotent(func() (bool, error) {
+		return false, c.callJSON(parent, http.MethodGet, path, "", nil, out)
+	})
+}
+
 // Retrieve streams the named VMI's serialized image into w, verifying
 // length and SHA-256 against the response trailers. It returns the byte
 // count and the server's retrieval report.
@@ -153,54 +194,57 @@ func (c *Client) Retrieve(ctx context.Context, name string, w io.Writer) (int64,
 	var n int64
 	var res *wire.RetrieveResult
 	err := c.doIdempotent(func() (bool, error) {
-		var err error
-		n, res, err = c.streamGet(ctx, c.base+"/v1/images/"+url.PathEscape(name), w)
+		resp, done, err := c.get(ctx, c.base+"/v1/images/"+url.PathEscape(name))
+		if err != nil {
+			return false, err
+		}
+		defer done()
+		n, res, err = verifyStream(resp, w)
 		return n > 0, err
 	})
 	return n, res, err
 }
 
-// streamGet fetches one trailer-verified image stream into w.
-func (c *Client) streamGet(parent context.Context, u string, w io.Writer) (int64, *wire.RetrieveResult, error) {
-	ctx, cancel := c.ctx(parent)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
-	if err != nil {
-		return 0, nil, err
-	}
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return 0, nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return 0, nil, apiError(resp)
-	}
-	return verifyStream(resp, w)
-}
-
-// verifyStream drains a streamed image body into w and checks it against
-// the trailers. A server abort mid-stream surfaces as ErrTruncated —
-// whether it manifests as a body read error (chunked framing cut off)
-// or as a body that ended cleanly but never delivered its trailers —
-// so callers are never handed a generic EOF for an incomplete image.
-func verifyStream(resp *http.Response, w io.Writer) (int64, *wire.RetrieveResult, error) {
+// verifyRaw drains a trailer-verified byte stream into w. A server abort
+// mid-stream surfaces as ErrTruncated — whether it manifests as a body
+// read error (chunked framing cut off) or as a body that ended cleanly
+// but never delivered its trailers — so callers are never handed a
+// generic EOF for an incomplete stream.
+func verifyRaw(resp *http.Response, w io.Writer) (int64, error) {
 	h := sha256.New()
 	n, err := io.Copy(io.MultiWriter(w, h), resp.Body)
 	if err != nil {
-		return n, nil, fmt.Errorf("client: image stream aborted after %d bytes (%v): %w", n, err, ErrTruncated)
+		return n, fmt.Errorf("client: stream aborted after %d bytes (%w): %w", n, err, ErrTruncated)
 	}
-	wantSha := resp.Trailer.Get(server.HeaderSha256)
-	wantBytes := resp.Trailer.Get(server.HeaderBytes)
-	resJSON := resp.Trailer.Get(server.HeaderResult)
-	if wantSha == "" || wantBytes == "" || resJSON == "" {
-		return n, nil, fmt.Errorf("client: stream ended without integrity trailers: %w", ErrTruncated)
+	return n, checkTrailers(resp.Trailer, n, h)
+}
+
+// checkTrailers settles a fully read stream of n bytes hashed into h
+// against the server's digest/length trailers.
+func checkTrailers(trailer http.Header, n int64, h hash.Hash) error {
+	wantSha, wantBytes := trailer.Get(wire.HeaderSha256), trailer.Get(wire.HeaderBytes)
+	if wantSha == "" || wantBytes == "" {
+		return fmt.Errorf("client: stream ended without integrity trailers: %w", ErrTruncated)
 	}
 	if want, err := strconv.ParseInt(wantBytes, 10, 64); err != nil || want != n {
-		return n, nil, fmt.Errorf("client: streamed %d bytes, server reported %q", n, wantBytes)
+		return fmt.Errorf("client: streamed %d bytes, server reported %q", n, wantBytes)
 	}
 	if got := hex.EncodeToString(h.Sum(nil)); got != wantSha {
-		return n, nil, fmt.Errorf("client: image digest %s does not match server's %s", got, wantSha)
+		return fmt.Errorf("client: stream digest %s does not match server's %s", got, wantSha)
+	}
+	return nil
+}
+
+// verifyStream is verifyRaw for an image stream, whose trailers also
+// carry the operation's result.
+func verifyStream(resp *http.Response, w io.Writer) (int64, *wire.RetrieveResult, error) {
+	n, err := verifyRaw(resp, w)
+	if err != nil {
+		return n, nil, err
+	}
+	resJSON := resp.Trailer.Get(wire.HeaderResult)
+	if resJSON == "" {
+		return n, nil, fmt.Errorf("client: stream ended without its result trailer: %w", ErrTruncated)
 	}
 	var res wire.RetrieveResult
 	if err := json.Unmarshal([]byte(resJSON), &res); err != nil {
@@ -213,30 +257,14 @@ func verifyStream(resp *http.Response, w io.Writer) (int64, *wire.RetrieveResult
 // Image.EncodeWire or wire.WriteImage) to the server and returns its
 // publish report. Publish is not idempotent and never retried.
 func (c *Client) Publish(parent context.Context, encode func(io.Writer) error) (*wire.PublishResult, error) {
-	ctx, cancel := c.ctx(parent)
-	defer cancel()
 	pr, pw := io.Pipe()
 	go func() { pw.CloseWithError(encode(pw)) }()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+"/v1/images", pr)
-	if err != nil {
-		pr.Close()
-		return nil, err
-	}
-	req.Header.Set("Content-Type", "application/octet-stream")
-	resp, err := c.hc.Do(req)
 	// Unblock the encoder goroutine on any early exit (send error, or a
 	// server that replied without draining the body).
 	defer pr.Close()
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, apiError(resp)
-	}
 	var res wire.PublishResult
-	if err := json.NewDecoder(resp.Body).Decode(&res); err != nil {
-		return nil, fmt.Errorf("client: decode publish result: %w", err)
+	if err := c.callJSON(parent, http.MethodPost, "/v1/images", "application/octet-stream", pr, &res); err != nil {
+		return nil, err
 	}
 	return &res, nil
 }
@@ -246,45 +274,26 @@ func (c *Client) Publish(parent context.Context, encode func(io.Writer) error) (
 // has no repository side effects, but the response is a one-shot stream,
 // so it is not retried.
 func (c *Client) Assemble(parent context.Context, req wire.AssembleRequest, w io.Writer) (int64, *wire.RetrieveResult, error) {
-	ctx, cancel := c.ctx(parent)
-	defer cancel()
 	body, err := json.Marshal(req)
 	if err != nil {
 		return 0, nil, err
 	}
-	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+"/v1/assemble", strings.NewReader(string(body)))
+	resp, done, err := c.do(parent, http.MethodPost, c.base+"/v1/assemble", "application/json", bytes.NewReader(body), http.StatusOK)
 	if err != nil {
 		return 0, nil, err
 	}
-	hreq.Header.Set("Content-Type", "application/json")
-	resp, err := c.hc.Do(hreq)
-	if err != nil {
-		return 0, nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return 0, nil, apiError(resp)
-	}
+	defer done()
 	return verifyStream(resp, w)
 }
 
 // Remove deletes a published VMI (with server-side garbage collection).
 func (c *Client) Remove(parent context.Context, name string) error {
 	return c.doIdempotent(func() (bool, error) {
-		ctx, cancel := c.ctx(parent)
-		defer cancel()
-		req, err := http.NewRequestWithContext(ctx, http.MethodDelete, c.base+"/v1/images/"+url.PathEscape(name), nil)
+		_, done, err := c.do(parent, http.MethodDelete, c.base+"/v1/images/"+url.PathEscape(name), "", nil, http.StatusNoContent)
 		if err != nil {
 			return false, err
 		}
-		resp, err := c.hc.Do(req)
-		if err != nil {
-			return false, err
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusNoContent {
-			return false, apiError(resp)
-		}
+		done()
 		return false, nil
 	})
 }
@@ -292,10 +301,17 @@ func (c *Client) Remove(parent context.Context, name string) error {
 // Stats returns the server's repository and cache statistics.
 func (c *Client) Stats(parent context.Context) (*wire.Stats, error) {
 	var out wire.Stats
-	err := c.doIdempotent(func() (bool, error) {
-		return false, c.getJSON(parent, c.base+"/v1/stats", &out)
-	})
-	if err != nil {
+	if err := c.getJSON(parent, "/v1/stats", &out); err != nil {
+		return nil, err
+	}
+	return &out, nil
+}
+
+// post issues one maintenance verb and decodes its reply. The verbs
+// mutate on-disk state, so none of them is ever retried.
+func post[T any](c *Client, parent context.Context, path string) (*T, error) {
+	var out T
+	if err := c.callJSON(parent, http.MethodPost, path, "", nil, &out); err != nil {
 		return nil, err
 	}
 	return &out, nil
@@ -303,85 +319,32 @@ func (c *Client) Stats(parent context.Context) (*wire.Stats, error) {
 
 // Sync forces a durable save on a disk-backed server.
 func (c *Client) Sync(parent context.Context) (*wire.SyncStats, error) {
-	return c.postSyncStats(parent, "/v1/sync")
+	return post[wire.SyncStats](c, parent, "/v1/sync")
 }
 
 // Compact forces compaction of the server's stores — metadata WAL
 // snapshot rewrite plus blob segment reclamation — and returns the same
-// durable-save breakdown a sync does. Compaction mutates on-disk layout,
-// so like Sync it is never retried.
+// durable-save breakdown a sync does.
 func (c *Client) Compact(parent context.Context) (*wire.SyncStats, error) {
-	return c.postSyncStats(parent, "/v1/compact")
+	return post[wire.SyncStats](c, parent, "/v1/compact")
 }
 
 // Vacuum reclaims dangling server-side state — unreferenced packages,
 // orphaned archives and lifecycle records, blob orphans — and compacts
-// the stores. Like Sync and Compact it mutates the repository, so it is
-// never retried.
+// the stores.
 func (c *Client) Vacuum(parent context.Context) (*wire.VacuumStats, error) {
-	ctx, cancel := c.ctx(parent)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+"/v1/vacuum", nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, apiError(resp)
-	}
-	var out wire.VacuumStats
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return nil, fmt.Errorf("client: decode vacuum stats: %w", err)
-	}
-	return &out, nil
-}
-
-// postSyncStats POSTs one maintenance endpoint and decodes its
-// wire.SyncStats reply.
-func (c *Client) postSyncStats(parent context.Context, path string) (*wire.SyncStats, error) {
-	ctx, cancel := c.ctx(parent)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+path, nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, apiError(resp)
-	}
-	var out wire.SyncStats
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return nil, fmt.Errorf("client: decode %s stats: %w", path, err)
-	}
-	return &out, nil
+	return post[wire.VacuumStats](c, parent, "/v1/vacuum")
 }
 
 // Snapshot streams the server's repository snapshot into w.
 func (c *Client) Snapshot(parent context.Context, w io.Writer) (int64, error) {
 	var n int64
 	err := c.doIdempotent(func() (bool, error) {
-		ctx, cancel := c.ctx(parent)
-		defer cancel()
-		req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/v1/snapshot", nil)
+		resp, done, err := c.get(parent, c.base+"/v1/snapshot")
 		if err != nil {
 			return false, err
 		}
-		resp, err := c.hc.Do(req)
-		if err != nil {
-			return false, err
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			return false, apiError(resp)
-		}
+		defer done()
 		n, err = io.Copy(w, resp.Body)
 		return n > 0, err
 	})
@@ -392,45 +355,14 @@ func (c *Client) Snapshot(parent context.Context, w io.Writer) (int64, error) {
 func (c *Client) GraphDOT(parent context.Context) (string, error) {
 	var out string
 	err := c.doIdempotent(func() (bool, error) {
-		ctx, cancel := c.ctx(parent)
-		defer cancel()
-		req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/v1/graphs/dot", nil)
+		resp, done, err := c.get(parent, c.base+"/v1/graphs/dot")
 		if err != nil {
 			return false, err
 		}
-		resp, err := c.hc.Do(req)
-		if err != nil {
-			return false, err
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			return false, apiError(resp)
-		}
+		defer done()
 		b, err := io.ReadAll(resp.Body)
 		out = string(b)
 		return false, err
 	})
 	return out, err
-}
-
-// getJSON fetches u and decodes the JSON reply into v.
-func (c *Client) getJSON(parent context.Context, u string, v any) error {
-	ctx, cancel := c.ctx(parent)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
-	if err != nil {
-		return err
-	}
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return apiError(resp)
-	}
-	if err := json.NewDecoder(resp.Body).Decode(v); err != nil {
-		return fmt.Errorf("client: decode %s: %w", u, err)
-	}
-	return nil
 }

@@ -161,20 +161,20 @@ func TestRetryRebuildsRequestFromScratch(t *testing.T) {
 
 // TestCompactDecodesSyncStats pins the maintenance verb: POST
 // /v1/compact, reply decoded as the full wire.SyncStats including the
-// reclamation fields.
+// reclamation fields. The body is spelled out as the flat JSON object the
+// protocol has always carried, so the blob half of the stats must keep
+// decoding from top-level keys.
 func TestCompactDecodesSyncStats(t *testing.T) {
-	want := wire.SyncStats{
-		Segments:          3,
-		SegmentBytes:      1 << 20,
-		SegmentsCompacted: 2,
-		BytesReclaimed:    512 << 10,
-		DeadBytes:         64,
-	}
+	const body = `{"Segments":3,"SegmentBytes":1048576,"IndexBytes":0,"MetaBytes":7,"MetaOps":1,` +
+		`"Compacted":true,"MetaSnapshotBytes":9,"SegmentsCompacted":2,"BytesReclaimed":524288,"DeadBytes":64}`
+	want := wire.SyncStats{MetaBytes: 7, MetaOps: 1, Compacted: true, MetaSnapshotBytes: 9}
+	want.Segments, want.SegmentBytes = 3, 1<<20
+	want.SegmentsCompacted, want.BytesReclaimed, want.DeadBytes = 2, 512<<10, 64
 	cl := newTestClient(t, func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodPost || r.URL.Path != "/v1/compact" {
 			t.Errorf("compact sent %s %s", r.Method, r.URL.Path)
 		}
-		json.NewEncoder(w).Encode(want)
+		io.WriteString(w, body)
 	}, 0)
 
 	got, err := cl.Compact(context.Background())

@@ -11,14 +11,12 @@ import (
 	"bytes"
 	"context"
 	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
 	"hash"
 	"io"
 	"net/http"
 	"strconv"
 
-	"expelliarmus/internal/server"
 	"expelliarmus/internal/wire"
 )
 
@@ -26,76 +24,53 @@ import (
 // its live snapshot/WAL pair and the commit-marker-covered WAL length.
 func (c *Client) ReplCommit(parent context.Context) (wire.ReplCommit, error) {
 	var out wire.ReplCommit
-	err := c.doIdempotent(func() (bool, error) {
-		return false, c.getJSON(parent, c.base+"/v1/repl/commit", &out)
-	})
+	err := c.getJSON(parent, "/v1/repl/commit", &out)
 	return out, err
-}
-
-// ReplSnapshot fetches the writer's full metadata snapshot, returning
-// its epoch and verified bytes. Snapshots are metadata-sized (not image-
-// sized), so buffering one is the natural unit — it is handed whole to
-// the follower's ResetToSnapshot.
-func (c *Client) ReplSnapshot(parent context.Context) (uint64, []byte, error) {
-	var epoch uint64
-	var data []byte
-	err := c.doIdempotent(func() (bool, error) {
-		var err error
-		epoch, data, err = c.replFetch(parent, c.base+"/v1/repl/snapshot")
-		return false, err
-	})
-	return epoch, data, err
 }
 
 // ReplSnapshotReader fetches the writer's full metadata snapshot as a
 // verified stream: the returned reader delivers exactly size bytes and
 // fails at EOF — never silently — if the body was truncated or does not
-// match the server's digest/length trailers. Unlike ReplSnapshot it
-// never buffers the snapshot client-side, so a follower restart holds
-// one copy of the metadata, not two. The caller must Close the reader;
-// establishment failures are not retried (the catch-up loop re-polls).
+// match the server's digest/length trailers. It never buffers the
+// snapshot client-side, so a follower restart holds one copy of the
+// metadata, not two. The caller must Close the reader; establishment
+// failures are not retried (the catch-up loop re-polls).
 func (c *Client) ReplSnapshotReader(parent context.Context) (uint64, io.ReadCloser, int64, error) {
-	ctx, cancel := c.ctx(parent)
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/v1/repl/snapshot", nil)
+	resp, done, err := c.get(parent, c.base+"/v1/repl/snapshot")
 	if err != nil {
-		cancel()
 		return 0, nil, 0, err
 	}
-	resp, err := c.hc.Do(req)
+	epoch, err := replEpoch(resp)
 	if err != nil {
-		cancel()
+		done()
 		return 0, nil, 0, err
 	}
-	if resp.StatusCode != http.StatusOK {
-		err := apiError(resp)
-		resp.Body.Close()
-		cancel()
-		return 0, nil, 0, err
-	}
-	epoch, err := strconv.ParseUint(resp.Header.Get(server.HeaderEpoch), 10, 64)
-	if err != nil {
-		resp.Body.Close()
-		cancel()
-		return 0, nil, 0, fmt.Errorf("client: bad %s header: %v", server.HeaderEpoch, err)
-	}
-	size, err := strconv.ParseInt(resp.Header.Get(server.HeaderSize), 10, 64)
+	size, err := strconv.ParseInt(resp.Header.Get(wire.HeaderSize), 10, 64)
 	if err != nil || size < 0 {
-		resp.Body.Close()
-		cancel()
-		return 0, nil, 0, fmt.Errorf("client: bad %s header %q", server.HeaderSize, resp.Header.Get(server.HeaderSize))
+		done()
+		return 0, nil, 0, fmt.Errorf("client: bad %s header %q", wire.HeaderSize, resp.Header.Get(wire.HeaderSize))
 	}
-	return epoch, &verifiedReader{resp: resp, h: sha256.New(), cancel: cancel}, size, nil
+	return epoch, &verifiedReader{resp: resp, h: sha256.New(), done: done}, size, nil
+}
+
+// replEpoch parses a replication reply's epoch header.
+func replEpoch(resp *http.Response) (uint64, error) {
+	epoch, err := strconv.ParseUint(resp.Header.Get(wire.HeaderEpoch), 10, 64)
+	if err != nil {
+		return 0, fmt.Errorf("client: bad %s header: %v", wire.HeaderEpoch, err)
+	}
+	return epoch, nil
 }
 
 // verifiedReader streams one replication body, hashing as it goes and
 // settling the digest/length trailers when the body ends. Its Read never
 // returns a clean io.EOF for a stream that failed verification.
 type verifiedReader struct {
-	resp   *http.Response
-	h      hash.Hash
-	n      int64
-	cancel context.CancelFunc
-	err    error
+	resp *http.Response
+	h    hash.Hash
+	n    int64
+	done func()
+	err  error
 }
 
 func (vr *verifiedReader) Read(p []byte) (int, error) {
@@ -107,37 +82,18 @@ func (vr *verifiedReader) Read(p []byte) (int, error) {
 	vr.n += int64(n)
 	switch {
 	case err == io.EOF:
-		vr.err = vr.verify()
-		if vr.err != nil {
-			return n, vr.err
+		if vr.err = checkTrailers(vr.resp.Trailer, vr.n, vr.h); vr.err == nil {
+			vr.err = io.EOF
 		}
-		vr.err = io.EOF
 	case err != nil:
-		vr.err = fmt.Errorf("client: stream aborted after %d bytes (%v): %w", vr.n, err, ErrTruncated)
+		vr.err = fmt.Errorf("client: stream aborted after %d bytes (%w): %w", vr.n, err, ErrTruncated)
 	}
 	return n, vr.err
 }
 
-// verify settles the trailers once the body has ended cleanly.
-func (vr *verifiedReader) verify() error {
-	wantSha := vr.resp.Trailer.Get(server.HeaderSha256)
-	wantBytes := vr.resp.Trailer.Get(server.HeaderBytes)
-	if wantSha == "" || wantBytes == "" {
-		return fmt.Errorf("client: stream ended without integrity trailers: %w", ErrTruncated)
-	}
-	if want, err := strconv.ParseInt(wantBytes, 10, 64); err != nil || want != vr.n {
-		return fmt.Errorf("client: streamed %d bytes, server reported %q", vr.n, wantBytes)
-	}
-	if got := hex.EncodeToString(vr.h.Sum(nil)); got != wantSha {
-		return fmt.Errorf("client: stream digest %s does not match server's %s", got, wantSha)
-	}
-	return nil
-}
-
 func (vr *verifiedReader) Close() error {
-	err := vr.resp.Body.Close()
-	vr.cancel()
-	return err
+	vr.done()
+	return nil
 }
 
 // ReplWAL fetches the writer's durable WAL tail [from, durable) of the
@@ -145,19 +101,28 @@ func (vr *verifiedReader) Close() error {
 // epoch unwraps to metawal.ErrEpochGone.
 func (c *Client) ReplWAL(parent context.Context, epoch uint64, from int64) ([]byte, error) {
 	u := fmt.Sprintf("%s/v1/repl/wal?epoch=%d&from=%d", c.base, epoch, from)
-	var data []byte
+	var buf bytes.Buffer
 	err := c.doIdempotent(func() (bool, error) {
-		gotEpoch, b, err := c.replFetch(parent, u)
+		resp, done, err := c.get(parent, u)
+		if err != nil {
+			return false, err
+		}
+		defer done()
+		gotEpoch, err := replEpoch(resp)
 		if err != nil {
 			return false, err
 		}
 		if gotEpoch != epoch {
 			return false, fmt.Errorf("client: WAL reply epoch %d, requested %d", gotEpoch, epoch)
 		}
-		data = b
-		return false, nil
+		buf.Reset()
+		_, err = verifyRaw(resp, &buf)
+		return false, err
 	})
-	return data, err
+	if err != nil {
+		return nil, err
+	}
+	return buf.Bytes(), nil
 }
 
 // ReplBlob streams one raw blob by content ID into w, verifying the
@@ -167,72 +132,13 @@ func (c *Client) ReplWAL(parent context.Context, epoch uint64, from int64) ([]by
 func (c *Client) ReplBlob(parent context.Context, id string, w io.Writer) (int64, error) {
 	var n int64
 	err := c.doIdempotent(func() (bool, error) {
-		ctx, cancel := c.ctx(parent)
-		defer cancel()
-		req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/v1/repl/blob/"+id, nil)
+		resp, done, err := c.get(parent, c.base+"/v1/repl/blob/"+id)
 		if err != nil {
 			return false, err
 		}
-		resp, err := c.hc.Do(req)
-		if err != nil {
-			return false, err
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			return false, apiError(resp)
-		}
+		defer done()
 		n, err = verifyRaw(resp, w)
 		return n > 0, err
 	})
 	return n, err
-}
-
-// replFetch GETs one replication byte stream, returning the epoch header
-// and the verified body.
-func (c *Client) replFetch(parent context.Context, u string) (uint64, []byte, error) {
-	ctx, cancel := c.ctx(parent)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
-	if err != nil {
-		return 0, nil, err
-	}
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return 0, nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return 0, nil, apiError(resp)
-	}
-	epoch, err := strconv.ParseUint(resp.Header.Get(server.HeaderEpoch), 10, 64)
-	if err != nil {
-		return 0, nil, fmt.Errorf("client: bad %s header: %v", server.HeaderEpoch, err)
-	}
-	var buf bytes.Buffer
-	if _, err := verifyRaw(resp, &buf); err != nil {
-		return 0, nil, err
-	}
-	return epoch, buf.Bytes(), nil
-}
-
-// verifyRaw drains a trailer-verified byte stream (no result trailer —
-// the replication framing) into w.
-func verifyRaw(resp *http.Response, w io.Writer) (int64, error) {
-	h := sha256.New()
-	n, err := io.Copy(io.MultiWriter(w, h), resp.Body)
-	if err != nil {
-		return n, fmt.Errorf("client: stream aborted after %d bytes (%v): %w", n, err, ErrTruncated)
-	}
-	wantSha := resp.Trailer.Get(server.HeaderSha256)
-	wantBytes := resp.Trailer.Get(server.HeaderBytes)
-	if wantSha == "" || wantBytes == "" {
-		return n, fmt.Errorf("client: stream ended without integrity trailers: %w", ErrTruncated)
-	}
-	if want, err := strconv.ParseInt(wantBytes, 10, 64); err != nil || want != n {
-		return n, fmt.Errorf("client: streamed %d bytes, server reported %q", n, wantBytes)
-	}
-	if got := hex.EncodeToString(h.Sum(nil)); got != wantSha {
-		return n, fmt.Errorf("client: stream digest %s does not match server's %s", got, wantSha)
-	}
-	return n, nil
 }

@@ -46,7 +46,10 @@ func (s *System) RetrieveAll(names []string) ([]*vmi.Image, []*RetrieveReport, e
 	imgs := make([]*vmi.Image, len(names))
 	reps := make([]*RetrieveReport, len(names))
 	err := pool.Map(s.parallelism(), len(names), func(i int) error {
-		img, rep, err := s.retrieve(names[i], 1)
+		img, rep, base, err := s.retrieve(names[i], 1)
+		if err == nil {
+			err = detach(img, base)
+		}
 		if err != nil {
 			return fmt.Errorf("core: retrieve all [%d] %s: %w", i, names[i], err)
 		}

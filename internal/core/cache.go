@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"sync/atomic"
 
 	"expelliarmus/internal/retrievecache"
@@ -31,13 +32,19 @@ type cacheCounters struct {
 	invalidations [vmirepo.GenStripes]atomic.Int64
 }
 
-// CacheStats bundles the retrieval cache's own counters with the
-// core-level singleflight and generation-striping counters.
+// CacheStats reports the retrieval cache's effectiveness: the cache's own
+// counters (embedded) plus the core-level singleflight and generation-
+// striping counters. It is the one declaration of these counters; the
+// facade aliases it. Enabled is false, and every counter zero, when the
+// system runs without a cache (Options.CacheBytes == 0).
 type CacheStats struct {
+	Enabled bool
 	retrievecache.Stats
 	// Coalesced counts misses served by waiting on a concurrent assembly
 	// of the same key (the miss singleflight) instead of assembling the
-	// image again themselves.
+	// image again themselves — under a retrieval storm on one cold image,
+	// expect 1 miss that assembles and the rest split between Coalesced
+	// and Hits.
 	Coalesced int64
 	// StripeHits and StripeInvalidations break cache hits and stood-down
 	// inserts (the generation moved while the assembly ran, so the result
@@ -47,18 +54,23 @@ type CacheStats struct {
 	// the hot image's stripe keeps accumulating hits.
 	StripeHits          []int64
 	StripeInvalidations []int64
-	// Flights is the queue-depth meter of the miss singleflight: how many
-	// assemblies are in the air right now, how many retrievals are queued
-	// behind them, and the deepest queue any single flight has built up.
-	Flights FlightStats
+	// The queue-depth meter of the miss singleflight (see FlightStats):
+	// assemblies started as a flight's leader, flights in the air right
+	// now, retrievals queued behind them, and the deepest queue any single
+	// flight has built up.
+	FlightsLed      int64
+	FlightsActive   int64
+	FlightWaiters   int64
+	FlightPeakDepth int64
 }
 
-// CacheStats returns the retrieval cache's counters; ok is false when the
-// system runs without a cache.
+// CacheStats returns the retrieval cache's counters; ok (and
+// st.Enabled) is false when the system runs without a cache.
 func (s *System) CacheStats() (st CacheStats, ok bool) {
 	if s.cache == nil {
 		return CacheStats{}, false
 	}
+	st.Enabled = true
 	st.Stats = s.cache.Stats()
 	st.Coalesced = s.cctr.coalesced.Load()
 	st.StripeHits = make([]int64, vmirepo.GenStripes)
@@ -67,7 +79,8 @@ func (s *System) CacheStats() (st CacheStats, ok bool) {
 		st.StripeHits[i] = s.cctr.hits[i].Load()
 		st.StripeInvalidations[i] = s.cctr.invalidations[i].Load()
 	}
-	st.Flights = s.flights.stats()
+	fl := s.flights.stats()
+	st.FlightsLed, st.FlightsActive, st.FlightWaiters, st.FlightPeakDepth = fl.Led, fl.Active, fl.Waiting, fl.PeakDepth
 	return st, true
 }
 
@@ -80,13 +93,15 @@ func (s *System) CacheStats() (st CacheStats, ok bool) {
 // retrieval. The report replays the cold retrieval's per-phase charges
 // into a fresh meter, so a hit's report is byte-identical to the miss
 // that seeded it. Singleflight followers go through the same path, so a
-// coalesced miss is indistinguishable from a hit to the caller.
-func (s *System) materializeCached(name string, rec vmirepo.VMIRecord, ent *retrievecache.Entry) (*vmi.Image, *RetrieveReport, error) {
+// coalesced miss is indistinguishable from a hit to the caller. The
+// result has retrieve's shape; the pin is always nil — an image served
+// from the cache holds nothing in the blob store.
+func (s *System) materializeCached(name string, rec vmirepo.VMIRecord, ent *retrievecache.Entry) (*vmi.Image, *RetrieveReport, io.Closer, error) {
 	disk, err := vdisk.DeserializeLazy(name, bytes.NewReader(ent.Image), int64(len(ent.Image)))
 	if err != nil {
 		// The bytes hashed correctly, so this is an insertion-side bug,
 		// not bit rot — surface it rather than fall back silently.
-		return nil, nil, fmt.Errorf("core: retrieve %s: decode cached image: %w", name, err)
+		return nil, nil, nil, fmt.Errorf("core: retrieve %s: decode cached image: %w", name, err)
 	}
 	rep := &RetrieveReport{
 		Image:         name,
@@ -102,7 +117,7 @@ func (s *System) materializeCached(name string, rec vmirepo.VMIRecord, ent *retr
 		Base:      ent.Base,
 		Primaries: append([]string(nil), rec.Primaries...),
 		Disk:      disk,
-	}, rep, nil
+	}, rep, nil, nil
 }
 
 // cacheAssembled turns a completed assembly into a cache insert and — for

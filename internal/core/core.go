@@ -894,7 +894,45 @@ func (r *RetrieveReport) Seconds() float64 { return r.Meter.Seconds() }
 // that window by re-reading the record and retrying; each attempt starts
 // a fresh meter, so the report reflects exactly one assembly.
 func (s *System) Retrieve(name string) (*vmi.Image, *RetrieveReport, error) {
-	return s.retrieve(name, s.parallelism())
+	img, rep, base, err := s.retrieve(name, s.parallelism())
+	if err != nil {
+		return nil, nil, err
+	}
+	if err := detach(img, base); err != nil {
+		return nil, nil, err
+	}
+	return img, rep, nil
+}
+
+// detach makes a freshly assembled image independent of the blob store
+// and drops its pin on the base blob: the assembly's disk reads base
+// clusters lazily through the store's reader, which is valid only while
+// that reader is open (on the disk backend it pins a segment compaction
+// may otherwise retire), so an image handed to a caller is flattened
+// first. base is nil for an image served from the retrieval cache — its
+// disk reads an immutable in-memory entry and needs nothing from the store.
+func detach(img *vmi.Image, base io.Closer) error {
+	if base == nil {
+		return nil
+	}
+	defer base.Close()
+	if err := img.Disk.Flatten(); err != nil {
+		return fmt.Errorf("core: retrieve %s: materialize image: %w", img.Name, err)
+	}
+	return nil
+}
+
+// streamOut writes an assembled image's serialized form to w, holding
+// the base pin for exactly as long as the lazy disk is being read.
+func streamOut(w io.Writer, img *vmi.Image, base io.Closer) (int64, error) {
+	if base != nil {
+		defer base.Close()
+	}
+	n, err := img.Disk.WriteTo(w)
+	if err != nil {
+		return n, fmt.Errorf("core: retrieve %s: stream image: %w", img.Name, err)
+	}
+	return n, nil
 }
 
 // retrieve is Retrieve with an explicit worker bound for the per-group
@@ -913,14 +951,14 @@ func (s *System) Retrieve(name string) (*vmi.Image, *RetrieveReport, error) {
 // packages and user data named by its key — all covered by the captured
 // stripes — never on the record itself, which only selects which key a
 // retrieval builds.
-func (s *System) retrieve(name string, workers int) (*vmi.Image, *RetrieveReport, error) {
+func (s *System) retrieve(name string, workers int) (*vmi.Image, *RetrieveReport, io.Closer, error) {
 	const maxAttempts = 3
 	var lastErr error
 	for attempt := 0; attempt < maxAttempts; attempt++ {
 		rep := &RetrieveReport{Image: name, Meter: &simio.Meter{}}
 		rec, err := s.repo.GetVMI(name, rep.Meter)
 		if err != nil {
-			return nil, nil, err
+			return nil, nil, nil, err
 		}
 		var gen uint64
 		var key retrievecache.Key
@@ -929,7 +967,7 @@ func (s *System) retrieve(name string, workers int) (*vmi.Image, *RetrieveReport
 			key = retrievecache.NewKey(rec.BaseID, rec.Primaries, name, gen)
 			ent, err := s.cache.Get(key)
 			if err != nil {
-				return nil, nil, fmt.Errorf("core: retrieve %s: %w", name, err)
+				return nil, nil, nil, fmt.Errorf("core: retrieve %s: %w", name, err)
 			}
 			if ent != nil {
 				s.cctr.hits[vmirepo.StripeFor(rec.BaseID)].Add(1)
@@ -950,7 +988,7 @@ func (s *System) retrieve(name string, workers int) (*vmi.Image, *RetrieveReport
 					// surface it like a solo assembly would, instead of
 					// re-amplifying assembly load on a failing backend.
 					if fl.err != nil && !errors.Is(fl.err, vmirepo.ErrNotFound) {
-						return nil, nil, fl.err
+						return nil, nil, nil, fl.err
 					}
 					// The leader hit the transient not-found window, or
 					// its assembly raced a mutation on this stripe: retry
@@ -960,12 +998,12 @@ func (s *System) retrieve(name string, workers int) (*vmi.Image, *RetrieveReport
 					lastErr = fl.err
 					continue
 				} else {
-					img, lrep, err := s.leadAssembly(key, gen, rec, rep, workers, fl)
+					img, lrep, base, err := s.leadAssembly(key, gen, rec, rep, workers, fl)
 					if err == nil {
-						return img, lrep, nil
+						return img, lrep, base, nil
 					}
 					if !errors.Is(err, vmirepo.ErrNotFound) {
-						return nil, nil, err
+						return nil, nil, nil, err
 					}
 					lastErr = err
 					continue
@@ -974,19 +1012,19 @@ func (s *System) retrieve(name string, workers int) (*vmi.Image, *RetrieveReport
 		}
 		// Solo assembly: no cache, or the final attempt of a cached
 		// retrieval.
-		img, err := s.assemble(name, rec.BaseID, rec.Primaries, name, rep, workers)
+		img, base, err := s.assemble(name, rec.BaseID, rec.Primaries, name, rep, workers)
 		if err == nil {
 			if s.cache != nil {
 				s.cacheAssembled(key, gen, img, rep)
 			}
-			return img, rep, nil
+			return img, rep, base, nil
 		}
 		if !errors.Is(err, vmirepo.ErrNotFound) {
-			return nil, nil, err
+			return nil, nil, nil, err
 		}
 		lastErr = err
 	}
-	return nil, nil, fmt.Errorf("core: retrieve %s: %w", name, lastErr)
+	return nil, nil, nil, fmt.Errorf("core: retrieve %s: %w", name, lastErr)
 }
 
 // leadAssembly runs one assembly as the singleflight leader for key: it
@@ -1001,7 +1039,7 @@ func (s *System) retrieve(name string, workers int) (*vmi.Image, *RetrieveReport
 // instead of assembling again is what keeps the herd at one assembly per
 // generation even across flight boundaries. The re-check is a Peek, so
 // the caller's already-counted miss is not double-counted.
-func (s *System) leadAssembly(key retrievecache.Key, gen uint64, rec vmirepo.VMIRecord, rep *RetrieveReport, workers int, fl *flight) (*vmi.Image, *RetrieveReport, error) {
+func (s *System) leadAssembly(key retrievecache.Key, gen uint64, rec vmirepo.VMIRecord, rep *RetrieveReport, workers int, fl *flight) (*vmi.Image, *RetrieveReport, io.Closer, error) {
 	var shared *retrievecache.Entry
 	var sharedBuild func() *retrievecache.Entry
 	var aerr error
@@ -1009,24 +1047,24 @@ func (s *System) leadAssembly(key retrievecache.Key, gen uint64, rec vmirepo.VMI
 	ent, err := s.cache.Peek(key)
 	if err != nil {
 		aerr = err
-		return nil, nil, fmt.Errorf("core: retrieve %s: %w", rec.Name, err)
+		return nil, nil, nil, fmt.Errorf("core: retrieve %s: %w", rec.Name, err)
 	}
 	if ent != nil {
 		s.cctr.hits[vmirepo.StripeFor(rec.BaseID)].Add(1)
 		shared = ent
-		img, crep, err := s.materializeCached(rec.Name, rec, ent)
+		img, crep, _, err := s.materializeCached(rec.Name, rec, ent)
 		if err != nil {
 			shared, aerr = nil, err
 		}
-		return img, crep, err
+		return img, crep, nil, err
 	}
-	img, err := s.assemble(rec.Name, rec.BaseID, rec.Primaries, rec.Name, rep, workers)
+	img, base, err := s.assemble(rec.Name, rec.BaseID, rec.Primaries, rec.Name, rep, workers)
 	if err != nil {
 		aerr = err
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 	shared, sharedBuild = s.cacheAssembled(key, gen, img, rep)
-	return img, rep, nil
+	return img, rep, base, nil
 }
 
 // Assemble builds a VMI that was never uploaded in this exact form: any
@@ -1035,6 +1073,31 @@ func (s *System) leadAssembly(key retrievecache.Key, gen uint64, rec vmirepo.VMI
 // functionality", Sec. IV-D). userDataFrom optionally names a published
 // VMI whose user data to import.
 func (s *System) Assemble(name string, primaries []string, userDataFrom string) (*vmi.Image, *RetrieveReport, error) {
+	img, rep, base, err := s.assembleCustom(name, primaries, userDataFrom)
+	if err != nil {
+		return nil, nil, err
+	}
+	if err := detach(img, base); err != nil {
+		return nil, nil, err
+	}
+	return img, rep, nil
+}
+
+// AssembleTo is Assemble streaming the serialized image straight to w,
+// like RetrieveTo: no in-memory image is handed back and peak memory does
+// not grow with image size.
+func (s *System) AssembleTo(w io.Writer, name string, primaries []string, userDataFrom string) (int64, *RetrieveReport, error) {
+	img, rep, base, err := s.assembleCustom(name, primaries, userDataFrom)
+	if err != nil {
+		return 0, nil, err
+	}
+	n, err := streamOut(w, img, base)
+	return n, rep, err
+}
+
+// assembleCustom is the shared body of Assemble and AssembleTo; the image
+// it returns still reads through the returned pin on its base blob.
+func (s *System) assembleCustom(name string, primaries []string, userDataFrom string) (*vmi.Image, *RetrieveReport, io.Closer, error) {
 	// Like Retrieve, Assemble retries when a candidate base disappears
 	// under it mid-assembly because a concurrent publish commit replaced
 	// it (the rescan then finds the surviving, merged master).
@@ -1044,7 +1107,7 @@ func (s *System) Assemble(name string, primaries []string, userDataFrom string) 
 		rep := &RetrieveReport{Image: name, Meter: &simio.Meter{}}
 		masters, err := s.repo.Masters()
 		if err != nil {
-			return nil, nil, err
+			return nil, nil, nil, err
 		}
 		sort.Slice(masters, func(i, j int) bool { return masters[i].BaseID < masters[j].BaseID })
 		found := false
@@ -1053,21 +1116,21 @@ func (s *System) Assemble(name string, primaries []string, userDataFrom string) 
 				continue
 			}
 			found = true
-			img, err := s.assemble(name, mg.BaseID, primaries, userDataFrom, rep, s.parallelism())
+			img, base, err := s.assemble(name, mg.BaseID, primaries, userDataFrom, rep, s.parallelism())
 			if err == nil {
-				return img, rep, nil
+				return img, rep, base, nil
 			}
 			if !errors.Is(err, vmirepo.ErrNotFound) {
-				return nil, nil, err
+				return nil, nil, nil, err
 			}
 			lastErr = err
 			break
 		}
 		if !found {
-			return nil, nil, fmt.Errorf("core: no stored base provides packages %v", primaries)
+			return nil, nil, nil, fmt.Errorf("core: no stored base provides packages %v", primaries)
 		}
 	}
-	return nil, nil, fmt.Errorf("core: assemble %s: %w", name, lastErr)
+	return nil, nil, nil, fmt.Errorf("core: assemble %s: %w", name, lastErr)
 }
 
 func hasAll(have []string, want []string) bool {
@@ -1088,25 +1151,28 @@ func hasAll(have []string, want []string) bool {
 const localRepoDir = "/var/local-repo"
 
 // assemble implements Algorithm 3 against a specific base image, fetching
-// each dependency group's packages with up to `workers` goroutines.
-func (s *System) assemble(name, baseID string, primaries []string, userDataFrom string, rep *RetrieveReport, workers int) (*vmi.Image, error) {
+// each dependency group's packages with up to `workers` goroutines. The
+// returned image's disk reads untouched base clusters lazily through the
+// base blob's reader, returned alongside: the caller closes it once it is
+// done reading the disk (detach, streamOut).
+func (s *System) assemble(name, baseID string, primaries []string, userDataFrom string, rep *RetrieveReport, workers int) (_ *vmi.Image, base io.Closer, err error) {
 	// Line 1: subgraphs from the repository.
 	mg, err := s.repo.GetMaster(baseID, rep.Meter)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	baseSub := mg.BaseSubgraph()
 	psUnion := semgraph.New(mg.Attrs())
 	for _, p := range primaries {
 		sub, err := mg.PrimarySubgraph(p)
 		if err != nil {
-			return nil, fmt.Errorf("core: assemble %s: %w", name, err)
+			return nil, nil, fmt.Errorf("core: assemble %s: %w", name, err)
 		}
 		psUnion.Union(sub)
 	}
 	// Line 2: compatibility check.
 	if !similarity.Compatible(baseSub, psUnion) {
-		return nil, fmt.Errorf("core: assemble %s: primary packages incompatible with base %s", name, baseID)
+		return nil, nil, fmt.Errorf("core: assemble %s: primary packages incompatible with base %s", name, baseID)
 	}
 
 	// Lines 6–10, hoisted: packages in the primary subgraph missing from
@@ -1122,7 +1188,7 @@ func (s *System) assemble(name, baseID string, primaries []string, userDataFrom 
 	}
 	order, err := pkgmgr.InstallOrder(graphUniverse{psUnion}, missing)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	var flat []string
 	for _, group := range order {
@@ -1168,18 +1234,27 @@ func (s *System) assemble(name, baseID string, primaries []string, userDataFrom 
 	// base clusters the assembly never touches are never materialized.
 	rc, size, err := s.repo.OpenBase(baseID, simio.PhaseCopy, rep.Meter)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	disk, err := deserializeBase(name, rc, size)
+	defer func() {
+		if err != nil {
+			rc.Close()
+		}
+	}()
+	ra, ok := rc.(io.ReaderAt)
+	if !ok {
+		return nil, nil, fmt.Errorf("core: assemble %s: base reader %T is not an io.ReaderAt", name, rc)
+	}
+	disk, err := vdisk.DeserializeLazy(name, ra, size)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	h := guestfs.New(disk, s.dev, rep.Meter)
 	if err := h.Launch(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if err := h.Sysprep(nil); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	fs, _ := h.FS()
 
@@ -1187,19 +1262,19 @@ func (s *System) assemble(name, baseID string, primaries []string, userDataFrom 
 	if userDataFrom != "" {
 		archive, err := s.repo.GetUserData(userDataFrom, simio.PhaseImport, rep.Meter)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		if archive != nil {
 			files, err := pkgfmt.UnpackTar(archive)
 			if err != nil {
-				return nil, err
+				return nil, nil, err
 			}
 			for _, f := range files {
 				if err := fs.MkdirAll(path.Dir(f.Path)); err != nil {
-					return nil, err
+					return nil, nil, err
 				}
 				if err := fs.WriteFile(f.Path, f.Data); err != nil {
-					return nil, err
+					return nil, nil, err
 				}
 			}
 		}
@@ -1209,23 +1284,23 @@ func (s *System) assemble(name, baseID string, primaries []string, userDataFrom 
 	// from a temporary local repository.
 	mgr, err := h.PackageManager()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if err := fs.MkdirAll(localRepoDir); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if err := fs.MkdirAll("/etc/apt/sources.list.d"); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if err := fs.WriteFile("/etc/apt/sources.list.d/local.list",
 		[]byte("deb [trusted=yes] file:"+localRepoDir+" ./\n")); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	// Join the prefetch started above; from here every payload is in hand
 	// (the guest-side installs below mutate the image filesystem and stay
 	// sequential, preserving dependency order and determinism).
 	if err := fetchDone(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	for _, group := range order {
 		for _, pkgName := range group {
@@ -1233,7 +1308,7 @@ func (s *System) assemble(name, baseID string, primaries []string, userDataFrom 
 			v, _ := psUnion.Vertex(pkgName)
 			local := path.Join(localRepoDir, pkgName+".deb")
 			if err := fs.WriteFile(local, blob); err != nil {
-				return nil, err
+				return nil, nil, err
 			}
 			if mgr.IsInstalled(pkgName) {
 				// Already present (e.g. imported by an earlier group).
@@ -1241,23 +1316,23 @@ func (s *System) assemble(name, baseID string, primaries []string, userDataFrom 
 				continue
 			}
 			if err := mgr.Install(blob); err != nil {
-				return nil, err
+				return nil, nil, err
 			}
 			rep.Meter.Charge(simio.PhaseImport,
 				s.dev.InstallCost(catalog.Real(v.Pkg.InstalledSize), 1))
 			rep.Imported = append(rep.Imported, pkgName)
 			rep.ImportedBytes += v.Pkg.InstalledSize
 			if err := fs.Remove(local); err != nil {
-				return nil, err
+				return nil, nil, err
 			}
 		}
 	}
 	// Restore the default repository configuration (Sec. V-4).
 	if err := fs.RemoveAll(localRepoDir); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if err := fs.Remove("/etc/apt/sources.list.d/local.list"); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	h.Close()
 
@@ -1267,25 +1342,7 @@ func (s *System) assemble(name, baseID string, primaries []string, userDataFrom 
 		Base:      mg.Attrs(),
 		Primaries: append([]string(nil), primaries...),
 		Disk:      disk,
-	}, nil
-}
-
-// deserializeBase builds the assembly's working disk over a just-opened
-// base image reader. Both built-in backends hand out io.ReaderAt views
-// that stay valid for the life of the store (their Close is a no-op), so
-// the disk reads base clusters straight from the store on demand; a
-// backend whose reader lacks ReaderAt falls back to materializing the
-// blob once.
-func deserializeBase(name string, rc io.ReadCloser, size int64) (*vdisk.Disk, error) {
-	defer rc.Close()
-	if ra, ok := rc.(io.ReaderAt); ok {
-		return vdisk.DeserializeLazy(name, ra, size)
-	}
-	blob, err := io.ReadAll(rc)
-	if err != nil {
-		return nil, err
-	}
-	return vdisk.Deserialize(name, blob)
+	}, rc, nil
 }
 
 // RetrieveTo assembles a published VMI like Retrieve and streams its
@@ -1294,15 +1351,12 @@ func deserializeBase(name string, rc io.ReadCloser, size int64) (*vdisk.Disk, er
 // so peak memory stays bounded by the clusters the assembly actually
 // touched plus the streaming chunk — it does not grow with image size.
 func (s *System) RetrieveTo(w io.Writer, name string) (int64, *RetrieveReport, error) {
-	img, rep, err := s.retrieve(name, s.parallelism())
+	img, rep, base, err := s.retrieve(name, s.parallelism())
 	if err != nil {
 		return 0, nil, err
 	}
-	n, err := img.Disk.WriteTo(w)
-	if err != nil {
-		return n, rep, fmt.Errorf("core: retrieve %s: stream image: %w", name, err)
-	}
-	return n, rep, nil
+	n, err := streamOut(w, img, base)
+	return n, rep, err
 }
 
 // graphUniverse adapts a semantic graph to the resolver's Universe.

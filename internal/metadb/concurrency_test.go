@@ -130,27 +130,28 @@ func TestPutIfAbsentSequential(t *testing.T) {
 }
 
 // TestSnapshotUnderTraffic takes snapshots while writers are active; every
-// snapshot must load into a structurally valid database.
+// snapshot must load into a structurally valid database. The writers spend
+// tokens handed out before each pass, so a pass's cost is bounded however
+// fast they are relative to the verifier.
 func TestSnapshotUnderTraffic(t *testing.T) {
 	db := New()
 	b := db.CreateBucket("traffic")
-	stop := make(chan struct{})
+	const writers, passes, opsPerPass = 4, 20, 400
+	tokens := make(chan struct{}, opsPerPass)
 	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
+	for w := 0; w < writers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			for i := 0; ; i++ {
-				select {
-				case <-stop:
-					return
-				default:
-				}
+			i := 0
+			for range tokens {
 				b.Put([]byte(fmt.Sprintf("w%d-%06d", w, i)), []byte("payload"))
+				i++
 			}
 		}(w)
 	}
-	for i := 0; i < 20; i++ {
+	for i := 0; i < passes; i++ {
+		refill(tokens)
 		snap := db.Snapshot()
 		restored, err := Load(snap)
 		if err != nil {
@@ -161,6 +162,17 @@ func TestSnapshotUnderTraffic(t *testing.T) {
 			t.Fatalf("snapshot %d lost bucket", i)
 		}
 	}
-	close(stop)
+	close(tokens)
 	wg.Wait()
+}
+
+// refill tops a token channel up to its capacity without blocking.
+func refill(tokens chan struct{}) {
+	for {
+		select {
+		case tokens <- struct{}{}:
+		default:
+			return
+		}
+	}
 }

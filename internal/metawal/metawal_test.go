@@ -378,6 +378,28 @@ func TestMissingCommitWithEpochFilesRefused(t *testing.T) {
 			t.Fatalf("lost commit after compaction not refused: %v", err)
 		}
 	})
+	// A stray meta.db (the long-gone pre-WAL layout's file name) is just
+	// a foreign file: it neither vouches for the orphaned epoch files nor
+	// offers anything to initialise from, so the lost commit is refused.
+	t.Run("stray-meta.db-changes-nothing", func(t *testing.T) {
+		dir := t.TempDir()
+		l, db := openLog(t, dir, Options{})
+		wire(db, l)
+		putN(db, "b", 0, 3)
+		mustSync(t, l)
+		l.Close()
+		stray := metadb.New()
+		stray.CreateBucket("ancient").Put([]byte("k"), []byte("v"))
+		if err := os.WriteFile(filepath.Join(dir, "meta.db"), stray.Snapshot(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.Remove(filepath.Join(dir, "meta.commit")); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := Open(dir, Options{}); err == nil || !strings.Contains(err.Error(), "root of trust") {
+			t.Fatalf("lost commit next to a stray meta.db not refused: %v", err)
+		}
+	})
 }
 
 // TestCrashedFirstInitSweptAndReinitialised pins the benign side of the
@@ -473,77 +495,6 @@ func TestCorruptCommitRefused(t *testing.T) {
 	}
 	if _, _, err := Open(dir, Options{}); err == nil || !strings.Contains(err.Error(), "meta.commit") {
 		t.Fatalf("corrupt commit not refused: %v", err)
-	}
-}
-
-// TestLegacyMetaDBMigrated opens a directory holding only a pre-WAL
-// meta.db image: contents load, the epoch layout is created, and the
-// legacy file is gone.
-func TestLegacyMetaDBMigrated(t *testing.T) {
-	dir := t.TempDir()
-	legacy := metadb.New()
-	legacy.CreateBucket("pkgs").Put([]byte("k"), []byte("v"))
-	want := legacy.Snapshot()
-	if err := os.WriteFile(filepath.Join(dir, "meta.db"), want, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	l, db := openLog(t, dir, Options{})
-	if !l.Recovery().LegacyMigrated {
-		t.Fatalf("migration not reported: %+v", l.Recovery())
-	}
-	if got := db.Snapshot(); !bytes.Equal(got, want) {
-		t.Fatalf("legacy contents lost in migration")
-	}
-	if _, err := os.Stat(filepath.Join(dir, "meta.db")); !os.IsNotExist(err) {
-		t.Fatalf("legacy meta.db still present after migration")
-	}
-	l.Close()
-	// Reopen goes through the epoch layout, not the legacy path.
-	got, rec := reopenSnap(t, dir)
-	if rec.LegacyMigrated {
-		t.Fatalf("second open re-migrated")
-	}
-	if !bytes.Equal(got, want) {
-		t.Fatalf("migrated contents lost on reopen")
-	}
-}
-
-// TestLeftoverLegacyMetaDBSwept simulates a migration that crashed
-// between the commit and the best-effort meta.db removal: the next
-// successful open must sweep the stale legacy file — otherwise a later
-// loss of meta.commit would silently re-migrate months-stale metadata
-// through the legacy path instead of being refused.
-func TestLeftoverLegacyMetaDBSwept(t *testing.T) {
-	dir := t.TempDir()
-	l, db := openLog(t, dir, Options{})
-	wire(db, l)
-	putN(db, "b", 0, 3)
-	mustSync(t, l)
-	want := db.Snapshot()
-	l.Close()
-	stale := metadb.New()
-	stale.CreateBucket("ancient").Put([]byte("k"), []byte("v"))
-	if err := os.WriteFile(filepath.Join(dir, "meta.db"), stale.Snapshot(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	l2, db2 := openLog(t, dir, Options{})
-	if got := db2.Snapshot(); !bytes.Equal(got, want) {
-		t.Fatalf("committed state displaced by a stale legacy file")
-	}
-	if _, err := os.Stat(filepath.Join(dir, "meta.db")); !os.IsNotExist(err) {
-		t.Fatalf("stale legacy meta.db not swept on commit-path open")
-	}
-	l2.Abandon()
-
-	// With the debris gone, a lost commit is now correctly refused (the
-	// WAL holds records) instead of re-migrating the stale file.
-	if err := os.Remove(filepath.Join(dir, "meta.commit")); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := Open(dir, Options{}); err == nil || !strings.Contains(err.Error(), "root of trust") {
-		t.Fatalf("lost commit after legacy debris sweep not refused: %v", err)
 	}
 }
 

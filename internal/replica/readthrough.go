@@ -2,6 +2,7 @@ package replica
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"sync"
@@ -95,7 +96,7 @@ func (t *ReadThrough) fetch(id blobstore.ID) error {
 // first on a miss.
 func (t *ReadThrough) Open(id blobstore.ID) (io.ReadCloser, int64, error) {
 	rc, size, err := t.local.Open(id)
-	if err == nil || !isNotFound(err) {
+	if err == nil || !errors.Is(err, blobstore.ErrNotFound) {
 		return rc, size, err
 	}
 	if ferr := t.fetch(id); ferr != nil {
@@ -113,21 +114,6 @@ func (t *ReadThrough) Get(id blobstore.ID) ([]byte, bool) {
 		return nil, false
 	}
 	return t.local.Get(id)
-}
-
-func isNotFound(err error) bool {
-	type causer interface{ Unwrap() error }
-	for err != nil {
-		if err == blobstore.ErrNotFound {
-			return true
-		}
-		c, ok := err.(causer)
-		if !ok {
-			return false
-		}
-		err = c.Unwrap()
-	}
-	return false
 }
 
 // --- local delegation (the rest of the Backend contract) ---

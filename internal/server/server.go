@@ -22,54 +22,39 @@
 // X-Expel-Error-Kind "not-found", while a blob the store cannot serve
 // faithfully is 500 with kind "corrupt" — the client resurfaces these as
 // vmirepo.ErrNotFound and blobstore.ErrCorrupt respectively, so remote
-// callers route the two cases exactly like in-process ones.
+// callers route the two cases exactly like in-process ones. The whole
+// kind ↔ sentinel ↔ status vocabulary is the wire.ErrorKinds table.
 package server
 
 import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"strconv"
 
-	"expelliarmus/internal/blobstore"
 	"expelliarmus/internal/core"
-	"expelliarmus/internal/metawal"
-	"expelliarmus/internal/vmirepo"
 	"expelliarmus/internal/wire"
 )
 
-// Header and trailer names of the streaming protocol.
+// Header names and error kinds of the streaming protocol. They are
+// declared in wire (which the client shares); the server re-exports them
+// under the names its handlers and tests have always used.
 const (
-	HeaderSha256    = "X-Expel-Sha256"
-	HeaderBytes     = "X-Expel-Bytes"
-	HeaderResult    = "X-Expel-Result"
-	HeaderErrorKind = "X-Expel-Error-Kind"
-	// HeaderEpoch carries the snapshot/WAL epoch of a replication stream.
-	HeaderEpoch = "X-Expel-Epoch"
-	// HeaderSize declares a replication stream's exact byte length up
-	// front (HeaderBytes arrives only in the trailers, after the body), so
-	// a follower can size its buffer once and consume the stream without
-	// growing an intermediate copy.
-	HeaderSize = "X-Expel-Size"
-)
+	HeaderSha256    = wire.HeaderSha256
+	HeaderBytes     = wire.HeaderBytes
+	HeaderResult    = wire.HeaderResult
+	HeaderErrorKind = wire.HeaderErrorKind
+	HeaderEpoch     = wire.HeaderEpoch
+	HeaderSize      = wire.HeaderSize
 
-// Error kinds carried in HeaderErrorKind.
-const (
-	KindNotFound = "not-found"
-	KindCorrupt  = "corrupt"
-	// KindReadOnly marks a mutating request refused by a follower daemon.
-	KindReadOnly = "read-only"
-	// KindEpochGone marks a WAL tail request for an epoch the writer's
-	// compaction has retired — the follower must restart from the current
-	// snapshot.
-	KindEpochGone = "epoch-gone"
-	// KindQuotaExceeded marks a publish rejected because it would push its
-	// tenant past the configured quota.
-	KindQuotaExceeded = "quota-exceeded"
+	KindNotFound      = wire.KindNotFound
+	KindCorrupt       = wire.KindCorrupt
+	KindReadOnly      = wire.KindReadOnly
+	KindEpochGone     = wire.KindEpochGone
+	KindQuotaExceeded = wire.KindQuotaExceeded
 )
 
 // Server is an http.Handler serving one shared Expelliarmus system.
@@ -114,25 +99,15 @@ func New(sys *core.System) *Server {
 
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
 
-// writeError maps an operation error onto a status and error-kind
-// header. It must only be called before any body bytes were written.
+// writeError maps an operation error onto the status and error-kind
+// header of its row in wire.ErrorKinds (a plain 500 for an error outside
+// the vocabulary). It must only be called before any body bytes were
+// written.
 func writeError(w http.ResponseWriter, err error) {
 	status := http.StatusInternalServerError
-	switch {
-	case errors.Is(err, vmirepo.ErrNotFound), errors.Is(err, blobstore.ErrNotFound):
-		w.Header().Set(HeaderErrorKind, KindNotFound)
-		status = http.StatusNotFound
-	case errors.Is(err, blobstore.ErrCorrupt):
-		w.Header().Set(HeaderErrorKind, KindCorrupt)
-	case errors.Is(err, vmirepo.ErrReadOnly):
-		w.Header().Set(HeaderErrorKind, KindReadOnly)
-		status = http.StatusForbidden
-	case errors.Is(err, metawal.ErrEpochGone):
-		w.Header().Set(HeaderErrorKind, KindEpochGone)
-		status = http.StatusGone
-	case errors.Is(err, vmirepo.ErrQuotaExceeded):
-		w.Header().Set(HeaderErrorKind, KindQuotaExceeded)
-		status = http.StatusRequestEntityTooLarge
+	if row, ok := wire.KindOf(err); ok {
+		w.Header().Set(HeaderErrorKind, row.Kind)
+		status = row.Status
 	}
 	http.Error(w, err.Error(), status)
 }
@@ -141,6 +116,15 @@ func writeJSON(w http.ResponseWriter, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	enc := json.NewEncoder(w)
 	enc.Encode(v)
+}
+
+// reply settles an operation whose whole answer is one JSON body.
+func reply(w http.ResponseWriter, v any, err error) {
+	if err != nil {
+		writeError(w, err)
+		return
+	}
+	writeJSON(w, v)
 }
 
 // hashCountWriter tees the streamed body into a digest and a byte count
@@ -162,12 +146,12 @@ func (hw *hashCountWriter) Write(p []byte) (int, error) {
 // the streaming contract: trailers on success, a clean status when the
 // operation failed before its first byte, a connection abort when it
 // failed with bytes already on the wire.
-func streamImage(w http.ResponseWriter, produce func(io.Writer) (*wire.RetrieveResult, error)) {
+func streamImage(w http.ResponseWriter, produce func(io.Writer) (*core.RetrieveReport, error)) {
 	w.Header().Set("Trailer", HeaderSha256+", "+HeaderBytes+", "+HeaderResult)
 	w.Header().Set("Content-Type", "application/octet-stream")
 	h := sha256.New()
 	hw := &hashCountWriter{w: w, h: h}
-	res, err := produce(hw)
+	rep, err := produce(hw)
 	if err != nil {
 		if hw.n == 0 {
 			// Nothing sent yet: undo the trailer declaration and fail clean.
@@ -180,7 +164,7 @@ func streamImage(w http.ResponseWriter, produce func(io.Writer) (*wire.RetrieveR
 		// unmistakable truncation on the client side.
 		panic(http.ErrAbortHandler)
 	}
-	rb, merr := json.Marshal(res)
+	rb, merr := json.Marshal(wire.NewRetrieveResult(rep))
 	if merr != nil {
 		panic(http.ErrAbortHandler)
 	}
@@ -191,12 +175,9 @@ func streamImage(w http.ResponseWriter, produce func(io.Writer) (*wire.RetrieveR
 
 func (s *Server) handleRetrieve(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
-	streamImage(w, func(sink io.Writer) (*wire.RetrieveResult, error) {
+	streamImage(w, func(sink io.Writer) (*core.RetrieveReport, error) {
 		_, rep, err := s.sys.RetrieveTo(sink, name)
-		if err != nil {
-			return nil, err
-		}
-		return wire.NewRetrieveResult(rep), nil
+		return rep, err
 	})
 }
 
@@ -231,15 +212,9 @@ func (s *Server) handleAssemble(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, fmt.Sprintf("decode request: %v", err), http.StatusBadRequest)
 		return
 	}
-	streamImage(w, func(sink io.Writer) (*wire.RetrieveResult, error) {
-		img, rep, err := s.sys.Assemble(req.Name, req.Primaries, req.UserDataFrom)
-		if err != nil {
-			return nil, err
-		}
-		if _, err := img.Disk.WriteTo(sink); err != nil {
-			return nil, err
-		}
-		return wire.NewRetrieveResult(rep), nil
+	streamImage(w, func(sink io.Writer) (*core.RetrieveReport, error) {
+		_, rep, err := s.sys.AssembleTo(sink, req.Name, req.Primaries, req.UserDataFrom)
+		return rep, err
 	})
 }
 
@@ -278,11 +253,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleSync(w http.ResponseWriter, r *http.Request) {
 	st, err := s.sys.Sync()
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	writeSyncStats(w, st)
+	reply(w, st, err)
 }
 
 // handleCompact forces compaction of both stores (metadata WAL snapshot
@@ -290,11 +261,7 @@ func (s *Server) handleSync(w http.ResponseWriter, r *http.Request) {
 // save breakdown a sync does.
 func (s *Server) handleCompact(w http.ResponseWriter, r *http.Request) {
 	st, err := s.sys.Compact()
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	writeSyncStats(w, st)
+	reply(w, st, err)
 }
 
 // handleVacuum reclaims dangling repository state (unreferenced
@@ -302,32 +269,7 @@ func (s *Server) handleCompact(w http.ResponseWriter, r *http.Request) {
 // compacts the stores, replying with what the pass removed.
 func (s *Server) handleVacuum(w http.ResponseWriter, r *http.Request) {
 	st, err := s.sys.Vacuum()
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	writeJSON(w, wire.VacuumStats{
-		PackagesRemoved: st.PackagesRemoved,
-		UserDataRemoved: st.UserDataRemoved,
-		MetaRemoved:     st.MetaRemoved,
-		BlobsReleased:   st.BlobsReleased,
-		BytesReclaimed:  st.BytesReclaimed,
-	})
-}
-
-func writeSyncStats(w http.ResponseWriter, st vmirepo.SyncStats) {
-	writeJSON(w, wire.SyncStats{
-		Segments:          st.Blobs.Segments,
-		SegmentBytes:      st.Blobs.SegmentBytes,
-		IndexBytes:        st.Blobs.IndexBytes,
-		MetaBytes:         st.MetaBytes,
-		MetaOps:           st.MetaOps,
-		Compacted:         st.Compacted,
-		MetaSnapshotBytes: st.MetaSnapshotBytes,
-		SegmentsCompacted: st.Blobs.SegmentsCompacted,
-		BytesReclaimed:    st.Blobs.BytesReclaimed,
-		DeadBytes:         st.Blobs.DeadBytes,
-	})
+	reply(w, st, err)
 }
 
 func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {

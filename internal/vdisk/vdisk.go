@@ -16,6 +16,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 )
 
@@ -354,11 +355,18 @@ type layout struct {
 	total          int64
 }
 
+// l2Tables is the number of L2 tables (each one cluster of 8-byte
+// entries) that map a disk of the given virtual size.
+func l2Tables(virtualSize, cs int64) int64 {
+	entriesPerL2 := cs / 8
+	numClusters := (virtualSize + cs - 1) / cs
+	return (numClusters + entriesPerL2 - 1) / entriesPerL2
+}
+
 func (d *Disk) layoutFor(indices []int64) layout {
 	cs := int64(d.clusterSize)
 	entriesPerL2 := cs / 8
-	numClusters := (d.virtualSize + cs - 1) / cs
-	numL2 := (numClusters + entriesPerL2 - 1) / entriesPerL2
+	numL2 := l2Tables(d.virtualSize, cs)
 
 	// Which L2 tables are needed?
 	l2Needed := make(map[int64]bool)
@@ -538,25 +546,27 @@ func DeserializeLazy(name string, ra io.ReaderAt, size int64) (*Disk, error) {
 	if version != 1 {
 		return nil, fmt.Errorf("vdisk: unsupported version %d", version)
 	}
-	clusterSize := int(binary.BigEndian.Uint32(hdr[4:]))
-	if clusterSize <= 0 || clusterSize&(clusterSize-1) != 0 {
-		return nil, fmt.Errorf("vdisk: corrupt cluster size %d", clusterSize)
+	// The image may come straight off the network, so every count the
+	// header declares is checked against the bytes actually present
+	// before anything is sized by it: a cluster holds at least one table
+	// entry and at most the whole image (the header alone occupies one),
+	// the L2 count is the one the virtual size implies (what WriteTo
+	// would emit), and the L1 table it sizes fits in the image.
+	cs := int64(binary.BigEndian.Uint32(hdr[4:]))
+	if cs < 8 || cs&(cs-1) != 0 || cs > size {
+		return nil, fmt.Errorf("vdisk: corrupt cluster size %d", cs)
 	}
 	virtualSize := int64(binary.BigEndian.Uint64(hdr[8:]))
 	numL2 := int64(binary.BigEndian.Uint64(hdr[16:]))
-
-	cs := int64(clusterSize)
 	entriesPerL2 := cs / 8
-	headerClusters := (int64(headerSize) + cs - 1) / cs
-	if headerClusters < 1 {
-		headerClusters = 1
+	if virtualSize < 0 || virtualSize > math.MaxInt64-cs || numL2 != l2Tables(virtualSize, cs) {
+		return nil, fmt.Errorf("vdisk: corrupt header: %d L2 tables for virtual size %d", numL2, virtualSize)
 	}
-	l1Start := headerClusters * cs
-	l1End := l1Start + numL2*8
-	if size < l1End {
+	l1Start := (int64(headerSize) + cs - 1) / cs * cs
+	if numL2 > (size-l1Start)/8 {
 		return nil, fmt.Errorf("vdisk: truncated L1 table")
 	}
-	d := New(name, virtualSize, clusterSize)
+	d := New(name, virtualSize, int(cs))
 	l1 := make([]byte, numL2*8)
 	if numL2 > 0 {
 		if _, err := ra.ReadAt(l1, l1Start); err != nil {
@@ -570,7 +580,7 @@ func DeserializeLazy(name string, ra io.ReaderAt, size int64) (*Disk, error) {
 		if l2Off == 0 {
 			continue
 		}
-		if l2Off+cs > size {
+		if l2Off < 0 || l2Off > size-cs {
 			return nil, fmt.Errorf("vdisk: L2 table %d out of bounds", t)
 		}
 		if _, err := ra.ReadAt(l2, l2Off); err != nil {
@@ -581,7 +591,7 @@ func DeserializeLazy(name string, ra io.ReaderAt, size int64) (*Disk, error) {
 			if dataOff == 0 {
 				continue
 			}
-			if dataOff+cs > size {
+			if dataOff < 0 || dataOff > size-cs {
 				return nil, fmt.Errorf("vdisk: cluster %d out of bounds", t*entriesPerL2+e)
 			}
 			offsets[t*entriesPerL2+e] = dataOff

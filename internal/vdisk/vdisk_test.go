@@ -2,6 +2,7 @@ package vdisk
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -301,6 +302,23 @@ func TestDeserializeRejectsCorrupt(t *testing.T) {
 	bad[0] = 'X'
 	if _, err := Deserialize("x", bad); err == nil {
 		t.Fatal("accepted bad magic")
+	}
+	// Header counts that lie about the bytes behind them (an image can
+	// arrive off the network): each must be an error — not a panic, and
+	// not an allocation sized by the lie.
+	for name, edit := range map[string]func(h []byte){
+		"cluster size 1":       func(h []byte) { binary.BigEndian.PutUint32(h[8:], 1) },
+		"cluster size 2 GiB":   func(h []byte) { binary.BigEndian.PutUint32(h[8:], 1<<31) },
+		"negative virtual":     func(h []byte) { binary.BigEndian.PutUint64(h[12:], 1<<63) },
+		"huge virtual size":    func(h []byte) { binary.BigEndian.PutUint64(h[12:], 1<<62) },
+		"negative L2 count":    func(h []byte) { binary.BigEndian.PutUint64(h[20:], ^uint64(0)) },
+		"L2 count beyond file": func(h []byte) { binary.BigEndian.PutUint64(h[20:], 1<<40) },
+	} {
+		bad := append([]byte{}, img...)
+		edit(bad)
+		if _, err := Deserialize("x", bad); err == nil {
+			t.Fatalf("accepted header with %s", name)
+		}
 	}
 }
 

@@ -131,31 +131,34 @@ func TestConcurrentDistinctPackages(t *testing.T) {
 // TestSnapshotConsistentUnderTraffic takes snapshots while packages are
 // being stored; every snapshot must Load and every loaded package record
 // must have its blob (the blob/db sections are mutually consistent).
+//
+// The writers spend tokens the verifier hands out before each pass, so the
+// records a pass has to check are bounded by construction (at most passes x
+// tokens) however fast the writers are relative to the verifier.
 func TestSnapshotConsistentUnderTraffic(t *testing.T) {
 	r := testRepo()
-	stop := make(chan struct{})
+	const writers, passes, opsPerPass = 4, 15, 400
+	tokens := make(chan struct{}, opsPerPass)
 	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
+	for w := 0; w < writers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			for i := 0; ; i++ {
-				select {
-				case <-stop:
-					return
-				default:
-				}
+			i := 0
+			for range tokens {
 				p := testPkg(fmt.Sprintf("traffic-%d-%d", w, i))
 				blob := []byte(fmt.Sprintf("blob %d %d", w, i))
 				if _, err := r.EnsurePackage(p, blob, nil); err != nil {
 					t.Error(err)
 					return
 				}
+				i++
 			}
 		}(w)
 	}
 	dev := simio.NewDevice(simio.PaperProfile())
-	for i := 0; i < 15; i++ {
+	for i := 0; i < passes; i++ {
+		refill(tokens)
 		snap, err := r.Snapshot()
 		if err != nil {
 			t.Fatalf("snapshot %d: %v", i, err)
@@ -174,8 +177,19 @@ func TestSnapshotConsistentUnderTraffic(t *testing.T) {
 			}
 		}
 	}
-	close(stop)
+	close(tokens)
 	wg.Wait()
+}
+
+// refill tops a token channel up to its capacity without blocking.
+func refill(tokens chan struct{}) {
+	for {
+		select {
+		case tokens <- struct{}{}:
+		default:
+			return
+		}
+	}
 }
 
 // TestPutUserDataReplaceReclaims republishes user data under one name and

@@ -21,9 +21,11 @@ import (
 )
 
 // OpenBase returns a streaming reader over a stored base image blob and
-// its size. The returned reader also implements io.ReaderAt (both
-// backends guarantee it) and stays readable until the repository is
-// closed — releasing the base does not invalidate it.
+// its size. The returned reader also implements io.ReaderAt (every
+// backend guarantees it) and stays readable until it is closed, even if
+// the base is released meanwhile: on the disk backend an open reader pins
+// its segment against compaction, so callers reading lazily must keep it
+// open for as long as they read and close it after.
 func (r *Repo) OpenBase(id string, ph simio.Phase, m *simio.Meter) (io.ReadCloser, int64, error) {
 	val, ok := r.meta().Bucket(bucketBases).Get([]byte(id))
 	r.chargeDB(m, 0)

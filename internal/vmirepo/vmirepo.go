@@ -291,9 +291,8 @@ type OpenOptions struct {
 // OpenAt creates or reopens a disk-backed repository rooted at dir with
 // default options: blobs live in dir/blobs (append-only segments + index,
 // see diskstore), the metadata database in the dir's snapshot + WAL pair
-// (see metawal; a legacy meta.db layout is migrated on first open).
-// Reopening runs blob crash recovery and metadata WAL replay; call Sync
-// to make later work durable.
+// (see metawal). Reopening runs blob crash recovery and metadata WAL
+// replay; call Sync to make later work durable.
 func OpenAt(dir string, dev *simio.Device) (*Repo, error) {
 	return OpenAtOpts(dir, dev, OpenOptions{})
 }
@@ -373,11 +372,14 @@ func (r *Repo) BlobRecovery() (diskstore.RecoveryReport, bool) {
 	return diskstore.RecoveryReport{}, false
 }
 
-// SyncStats reports one durable repository sync.
+// SyncStats reports one durable repository sync. It is the one
+// declaration every layer above shares: the facade and the wire protocol
+// alias it, and the embedded blob half flattens into the same JSON object.
 type SyncStats struct {
-	// Blobs is the blob backend's incremental flush: only segments
-	// appended since the previous sync are written.
-	Blobs blobstore.SyncStats
+	// The blob backend's incremental flush (only segments appended since
+	// the previous sync are written) and the segment compaction the sync
+	// performed, automatically or because Compact forced it.
+	blobstore.SyncStats
 	// MetaBytes is the metadata bytes committed this sync: the WAL delta
 	// (framed op records plus the commit marker) or, on a compacting
 	// sync, the fresh full snapshot. On the hot path it is O(delta) — no
@@ -496,7 +498,7 @@ func (r *Repo) syncOrCompact(forceCompact bool) (SyncStats, error) {
 		return st, fmt.Errorf("vmirepo: blob backend is not durable")
 	}
 	var err error
-	if st.Blobs, err = d.SyncData(); err != nil {
+	if st.SyncStats, err = d.SyncData(); err != nil {
 		return st, err
 	}
 	var ws metawal.SyncStats
@@ -516,12 +518,12 @@ func (r *Repo) syncOrCompact(forceCompact bool) (SyncStats, error) {
 	if err != nil {
 		return st, err
 	}
-	st.Blobs.Segments += rel.Segments
-	st.Blobs.SegmentBytes += rel.SegmentBytes
-	st.Blobs.IndexBytes = rel.IndexBytes
-	st.Blobs.SegmentsCompacted += rel.SegmentsCompacted
-	st.Blobs.BytesReclaimed += rel.BytesReclaimed
-	st.Blobs.DeadBytes = rel.DeadBytes
+	st.Segments += rel.Segments
+	st.SegmentBytes += rel.SegmentBytes
+	st.IndexBytes = rel.IndexBytes
+	st.SegmentsCompacted += rel.SegmentsCompacted
+	st.BytesReclaimed += rel.BytesReclaimed
+	st.DeadBytes = rel.DeadBytes
 	if forceCompact {
 		// The forced path reclaims blob garbage too, even when the
 		// dead-ratio trigger would not have fired — the operator asked for
@@ -531,11 +533,11 @@ func (r *Repo) syncOrCompact(forceCompact bool) (SyncStats, error) {
 			if cerr != nil {
 				return st, cerr
 			}
-			st.Blobs.SegmentsCompacted += cst.SegmentsCompacted
-			st.Blobs.BytesReclaimed += cst.BytesReclaimed
+			st.SegmentsCompacted += cst.SegmentsCompacted
+			st.BytesReclaimed += cst.BytesReclaimed
 		}
 		if ds, ok := r.blobs.(*diskstore.Store); ok {
-			st.Blobs.DeadBytes = ds.DiskStats().DeadBytes
+			st.DeadBytes = ds.DiskStats().DeadBytes
 		}
 	}
 	return st, nil

@@ -34,6 +34,7 @@ import (
 	"expelliarmus/internal/simio"
 	"expelliarmus/internal/vdisk"
 	"expelliarmus/internal/vmi"
+	"expelliarmus/internal/vmirepo"
 )
 
 // Magic opens every image envelope.
@@ -42,6 +43,10 @@ const Magic = "EXPWIR1\n"
 // maxHeaderBytes bounds the JSON header so a corrupt or hostile length
 // prefix cannot ask the receiver to allocate gigabytes.
 const maxHeaderBytes = 1 << 20
+
+// maxDiskPrealloc is the most a header's DiskBytes claim may allocate
+// before the body bytes backing it have arrived.
+const maxDiskPrealloc = 64 << 20
 
 // ImageHeader is the metadata section of an image envelope.
 type ImageHeader struct {
@@ -146,8 +151,8 @@ func ReadImageMeta(r io.Reader) (*vmi.Image, PublishMeta, error) {
 	if hdr.ExpiresAt < 0 {
 		return nil, PublishMeta{}, fmt.Errorf("wire: negative expiry timestamp %d", hdr.ExpiresAt)
 	}
-	buf := make([]byte, hdr.DiskBytes)
-	if _, err := io.ReadFull(r, buf); err != nil {
+	buf, err := readDisk(r, hdr.DiskBytes)
+	if err != nil {
 		return nil, PublishMeta{}, fmt.Errorf("wire: read disk (%d bytes): %w", hdr.DiskBytes, err)
 	}
 	disk, err := vdisk.DeserializeLazy(hdr.Name, bytes.NewReader(buf), hdr.DiskBytes)
@@ -163,17 +168,45 @@ func ReadImageMeta(r io.Reader) (*vmi.Image, PublishMeta, error) {
 	return img, PublishMeta{Tenant: hdr.Tenant, ExpiresAt: hdr.ExpiresAt}, nil
 }
 
-// PublishResult is the server's reply to a publish.
-type PublishResult struct {
-	Similarity float64
-	Exported   []string
-	Skipped    int
-	BaseStored bool
-	Seconds    float64
-	Phases     map[string]float64
+// readDisk reads the n-byte disk section into one owned buffer. n comes
+// from the sender's header, so it is believed only up to maxDiskPrealloc:
+// an honest image below the cap gets its single exact-sized allocation,
+// while a larger claim grows the buffer by doubling as body bytes actually
+// arrive — a lying header costs its sender real bytes, not the receiver
+// its memory.
+func readDisk(r io.Reader, n int64) ([]byte, error) {
+	buf := make([]byte, min(n, maxDiskPrealloc))
+	for filled := 0; ; {
+		m, err := io.ReadFull(r, buf[filled:])
+		if err != nil {
+			return nil, err
+		}
+		if filled += m; int64(filled) == n {
+			return buf, nil
+		}
+		buf = append(make([]byte, 0, min(n, 2*int64(filled))), buf...)
+		buf = buf[:cap(buf)]
+	}
 }
 
-// NewPublishResult flattens a core publish report for the wire.
+// PublishResult reports a publish operation: the server's reply to a
+// publish, and (aliased) the facade's. It is declared once, here, as the
+// flattened form of a core publish report.
+type PublishResult struct {
+	// Similarity is SimG against the best-matching master graph.
+	Similarity float64
+	// Exported lists the packages stored by this publish.
+	Exported []string
+	// Skipped counts packages already in the repository.
+	Skipped int
+	// BaseStored reports whether a new base image was stored.
+	BaseStored bool
+	// Seconds is the modeled publish time; Phases decomposes it.
+	Seconds float64
+	Phases  map[string]float64
+}
+
+// NewPublishResult flattens a core publish report.
 func NewPublishResult(rep *core.PublishReport) *PublishResult {
 	return &PublishResult{
 		Similarity: rep.Similarity,
@@ -185,16 +218,19 @@ func NewPublishResult(rep *core.PublishReport) *PublishResult {
 	}
 }
 
-// RetrieveResult is the server's reply to a retrieval or assembly. For
-// streamed responses it rides in the X-Expel-Result trailer, after the
-// image bytes.
+// RetrieveResult reports a retrieval or assembly (aliased by the facade).
+// For streamed responses it rides in the X-Expel-Result trailer, after
+// the image bytes.
 type RetrieveResult struct {
+	// Imported lists the packages installed during assembly.
 	Imported []string
-	Seconds  float64
-	Phases   map[string]float64
+	// Seconds is the modeled retrieval time; Phases decomposes it into the
+	// paper's Fig. 5a components (copy, launch, reset, import, ...).
+	Seconds float64
+	Phases  map[string]float64
 }
 
-// NewRetrieveResult flattens a core retrieve report for the wire.
+// NewRetrieveResult flattens a core retrieve report.
 func NewRetrieveResult(rep *core.RetrieveReport) *RetrieveResult {
 	return &RetrieveResult{
 		Imported: append([]string(nil), rep.Imported...),
@@ -277,31 +313,13 @@ type ReplicationStats struct {
 	WriterURL string
 }
 
-// SyncStats is the server's reply to a sync or compact: the durable-save
-// breakdown of a disk-backed repository (see the facade's SyncStats for
-// field semantics).
-type SyncStats struct {
-	Segments          int
-	SegmentBytes      int64
-	IndexBytes        int64
-	MetaBytes         int64
-	MetaOps           int
-	Compacted         bool
-	MetaSnapshotBytes int64
-	SegmentsCompacted int
-	BytesReclaimed    int64
-	DeadBytes         int64
-}
-
-// VacuumStats is the server's reply to a vacuum: what the pass reclaimed
-// (see core.VacuumStats for field semantics).
-type VacuumStats struct {
-	PackagesRemoved int
-	UserDataRemoved int
-	MetaRemoved     int
-	BlobsReleased   int
-	BytesReclaimed  int64
-}
+// SyncStats is the server's reply to a sync or compact and VacuumStats its
+// reply to a vacuum: the repository's and the core's own result types,
+// whose JSON encodings are the wire bodies.
+type (
+	SyncStats   = vmirepo.SyncStats
+	VacuumStats = core.VacuumStats
+)
 
 // AssembleRequest asks the server to build a VMI from stored packages
 // (Algorithm 3 without a prior upload of this exact image).
