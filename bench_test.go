@@ -1,11 +1,12 @@
 package expelliarmus
 
 // Root-level benchmark harness: one testing.B benchmark per table and
-// figure of the paper's evaluation (Sec. VI), plus the ablations from
-// DESIGN.md. Each benchmark regenerates its experiment and reports the
-// headline quantities as custom metrics so `go test -bench=. -benchmem`
-// prints the reproduced results alongside runtime cost. cmd/expelbench
-// renders the same experiments as full tables.
+// figure of the paper's evaluation (Sec. VI of PAPER.md), plus the
+// ablations A1–A3 (README, "Benchmarks and examples"). Each benchmark
+// regenerates its experiment and reports the headline quantities as
+// custom metrics so `go test -bench=. -benchmem` prints the reproduced
+// results alongside runtime cost. cmd/expelbench renders the same
+// experiments as full tables.
 
 import (
 	"testing"

@@ -1,106 +1,101 @@
-// Command expelbench regenerates the paper's evaluation: Table II, the
-// repository-growth figures (3a–3c), the publish-time figures (4a–4b), the
-// retrieval figures (5a–5b) and the ablation studies, printing each as an
-// aligned text table with the paper's reference values where available.
+// Command expelbench regenerates the paper's evaluation — modeled numbers
+// only — printing each experiment as an aligned text table with the
+// paper's reference values where available:
+//
+//	table2          Table II: per-VMI characteristics, publish and retrieve times
+//	fig3a fig3b     repository growth over 4 / 19 VMIs, five storage schemes
+//	fig3c           repository growth over -ide-builds successive IDE builds
+//	fig4a fig4b     publish times, 4 / 19 VMIs
+//	fig5a fig5b     retrieval time decomposition / comparison, 19 VMIs
+//	abl1 … abl4     ablations: chunking, master graph, base selection, upload order
 //
 // Usage:
 //
-//	expelbench [-exp all|table2,fig3a,fig3b,fig3c,fig4a,fig4b,fig5a,fig5b,abl1,abl2,abl3,abl4,conc,persist,cachehit,storm,sync,stream,remote,churn,replica,lifecycle] [-ide-builds 40] [-clients 8] [-backend memory|disk] [-store-root DIR] [-cache BYTES] [-wal-compact BYTES] [-warm-iters 3] [-storm-publishes 120] [-storm-bursts 3] [-storm-burst-clients 32] [-sync-deltas 5] [-stream-bulk MIB] [-remote-clients 16] [-remote-bulk MIB] [-churn-rounds 6] [-replica-rounds 4] [-lifecycle-tenants 3]
+//	expelbench [-exp all|NAME,NAME,...] [-ide-builds 40] [-backend memory|disk] [-store-root DIR] [-cache BYTES] [-wal-compact BYTES]
 //
 // Every experiment runs against the blob backend named by -backend: the
 // in-memory sharded store (the default) or the durable on-disk segment
 // store, in which case each benchmarked system gets a fresh repository
-// directory under -store-root (OS temp dir when unset). The persist
-// experiment always uses the disk backend — it measures full vs
-// incremental sync and reopen. -cache gives every benchmarked system a
-// retrieval cache of that many bytes (modeled results are unchanged; the
-// cache is cost-transparent); the cachehit experiment measures cold vs
-// warm retrieval of the Table II catalog and enables a 256 MiB cache for
-// itself when -cache is unset. The storm experiment (also cache-enabled
-// by default) races hot-image retrievals against publishes on unrelated
-// bases and fires concurrent-miss bursts, verifying the generation
-// striping and miss-singleflight contracts. The sync experiment (always
-// on the disk backend) measures Sync cost against delta size: per-image
-// incremental syncs must come in at least 5x cheaper than the full
-// metadata rewrite a compaction performs, or the experiment errors.
-// -wal-compact tunes the metadata-WAL compaction threshold of every
-// disk-backed repository (the sync experiment pins its own). The stream
-// experiment retrieves images whose bulk payload grows 100x (up to
-// -stream-bulk MiB) through both the streaming and the materializing
-// retrieval paths and errors unless streamed memory stays flat under a
-// constant ceiling, the materializing path allocates at least 5x more at
-// the largest scale, and both paths produce byte-identical images; it
-// pins the cache off for itself. The remote experiment serves each scale
-// over a real loopback HTTP server (cmd/expelserverd's handler) and
-// drives -remote-clients concurrent network retrievals of images whose
-// bulk grows 100x (up to -remote-bulk MiB), erroring unless every remote
-// stream is byte-identical to an in-process retrieval and total
-// allocation stays under a flat per-client ceiling; like stream, it pins
-// the cache off. The churn experiment (always on the disk backend) drives
-// an identical publish/remove loop against two repositories — dead-ratio
-// blob compaction enabled vs disabled — and errors unless the enabled
-// one keeps steady-state disk usage within 2x the live bytes while the
-// disabled one demonstrably grows past it, with every surviving image
-// byte-identical across the two. The replica experiment (writer always on
-// the disk backend — replication ships the metadata WAL) serves a writer
-// daemon over loopback HTTP while an in-process follower tails its
-// snapshot + WAL endpoints across -replica-rounds publish rounds
-// (compacting on alternate rounds so the follower crosses epoch
-// switches); it errors unless the follower's metadata matches the writer
-// byte-for-byte after every catch-up, every image streams from the
-// follower byte-identical to the writer's own retrieval, a warm second
-// pass causes zero read-through blob fetches, the follower rejects
-// mutation, and a brand-new follower's snapshot bootstrap stays within
-// the streaming allocation bound. The lifecycle experiment publishes one
-// keeper and two TTL'd images per tenant (-lifecycle-tenants), runs the
-// TTL sweep and a vacuum, and errors unless expired images answer
-// not-found, per-tenant accounting returns exactly to its keeper-only
-// value, the disk backend's footprint lands within 1.1x the surviving
-// live bytes, keepers stream byte-identically to their pre-expiry
-// reference, a second vacuum reclaims nothing, and a loopback quota leg
-// rejects an over-quota publish with the typed quota-exceeded error.
+// directory under -store-root (OS temp dir when unset), left behind for
+// inspection. -cache gives every benchmarked system a retrieval cache of
+// that many bytes and -wal-compact tunes the metadata-WAL compaction
+// threshold of every disk-backed repository; modeled results are
+// unchanged by both, by contract. Wall-clock measurement is not this
+// command's job: see benchmarks/ (expelload).
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
 	"expelliarmus/internal/bench"
 )
 
+type runFunc func(r *bench.Runner, ideBuilds int) (fmt.Stringer, error)
+
+// experiments is the registry, in print order.
+var experiments = []struct {
+	name string
+	run  runFunc
+}{
+	{"table2", exp((*bench.Runner).TableII)},
+	{"fig3a", exp((*bench.Runner).Fig3a)},
+	{"fig3b", exp((*bench.Runner).Fig3b)},
+	{"fig3c", func(r *bench.Runner, ideBuilds int) (fmt.Stringer, error) { return out(r.Fig3c(ideBuilds)) }},
+	{"fig4a", exp((*bench.Runner).Fig4a)},
+	{"fig4b", exp((*bench.Runner).Fig4b)},
+	{"fig5a", exp((*bench.Runner).Fig5a)},
+	{"fig5b", exp((*bench.Runner).Fig5b)},
+	{"abl1", exp((*bench.Runner).AblationChunking)},
+	{"abl2", exp(func(r *bench.Runner) (*bench.Table, error) { return r.AblationMasterGraph([]int{1, 5, 10, 19}) })},
+	{"abl3", exp((*bench.Runner).AblationBaseSelection)},
+	{"abl4", exp((*bench.Runner).AblationUploadOrder)},
+}
+
+// exp adapts a Runner method that takes no parameters to the registry's
+// signature.
+func exp[T fmt.Stringer](f func(*bench.Runner) (T, error)) runFunc {
+	return func(r *bench.Runner, _ int) (fmt.Stringer, error) { return out(f(r)) }
+}
+
+// out turns a (*Table | *Figure, error) result into a Stringer without
+// wrapping a nil pointer in a non-nil interface.
+func out[T fmt.Stringer](v T, err error) (fmt.Stringer, error) {
+	if err != nil {
+		return nil, err
+	}
+	return v, nil
+}
+
 func main() {
-	exps := flag.String("exp", "all", "comma-separated experiments to run, or 'all'")
+	all := make([]string, len(experiments))
+	for i, e := range experiments {
+		all[i] = e.name
+	}
+	valid := strings.Join(all, ",")
+	exps := flag.String("exp", "all", "comma-separated experiments to run, or 'all': "+valid)
 	ideBuilds := flag.Int("ide-builds", 40, "number of successive IDE builds for fig3c")
-	clients := flag.Int("clients", 8, "worker-pool bound for the concurrent-publish scenario")
 	backend := flag.String("backend", "", "blob backend for every benchmarked system: memory (default) or disk")
 	storeRoot := flag.String("store-root", "", "directory for disk-backed repositories (default: OS temp dir)")
-	cacheBytes := flag.Int64("cache", 0, "retrieval-cache bytes for every benchmarked system (0 disables; cachehit defaults to 256 MiB for itself)")
-	warmIters := flag.Int("warm-iters", 3, "warm retrievals per image in the cachehit experiment")
-	stormPublishes := flag.Int("storm-publishes", 120, "unrelated-base publishes in the storm experiment")
-	stormBursts := flag.Int("storm-bursts", 3, "concurrent-miss bursts in the storm experiment")
-	stormBurstClients := flag.Int("storm-burst-clients", 32, "concurrent retrievals per storm burst")
+	cacheBytes := flag.Int64("cache", 0, "retrieval-cache bytes for every benchmarked system (0 disables)")
 	walCompact := flag.Int64("wal-compact", 0, "metadata-WAL compaction threshold bytes for disk-backed repositories (0 keeps the default)")
-	syncDeltas := flag.Int("sync-deltas", 5, "single-image publish+Sync rounds in the sync experiment")
-	streamBulk := flag.Int64("stream-bulk", 200, "largest bulk payload in MiB for the stream experiment (scales 1x/10x/100x up to this)")
-	remoteClients := flag.Int("remote-clients", 16, "concurrent network clients in the remote experiment")
-	remoteBulk := flag.Int64("remote-bulk", 64, "largest bulk payload in MiB for the remote experiment (scales 1x/10x/100x up to this)")
-	churnRounds := flag.Int("churn-rounds", 6, "publish/remove rounds in the churn experiment")
-	replicaRounds := flag.Int("replica-rounds", 4, "publish/catch-up rounds in the replica experiment (capped at the 19-image catalog)")
-	lifecycleTenants := flag.Int("lifecycle-tenants", 3, "tenants in the lifecycle experiment (each publishes one keeper and two TTL'd images)")
 	flag.Parse()
 
+	chosen := all
+	if *exps != "all" {
+		chosen = strings.Split(*exps, ",")
+	}
 	selected := map[string]bool{}
-	if *exps == "all" {
-		for _, e := range []string{"table2", "fig3a", "fig3b", "fig3c", "fig4a", "fig4b", "fig5a", "fig5b", "abl1", "abl2", "abl3", "abl4", "conc", "persist", "cachehit", "storm", "sync", "stream", "remote", "churn", "replica", "lifecycle"} {
-			selected[e] = true
+	for _, name := range chosen {
+		name = strings.TrimSpace(name)
+		if !slices.Contains(all, name) {
+			fail("unknown experiment %q (valid: all,%s)", name, valid)
 		}
-	} else {
-		for _, e := range strings.Split(*exps, ",") {
-			selected[strings.TrimSpace(e)] = true
-		}
+		selected[name] = true
 	}
 
 	r := bench.NewRunner()
@@ -116,50 +111,24 @@ func main() {
 	if *walCompact != 0 {
 		r.WALCompactBytes = *walCompact
 	}
-	run := func(name string, fn func() (fmt.Stringer, error)) {
-		if !selected[name] {
-			return
+
+	for _, e := range experiments {
+		if !selected[e.name] {
+			continue
 		}
 		start := time.Now()
-		out, err := fn()
+		tbl, err := e.run(r, *ideBuilds)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "expelbench: %s: %v\n", name, err)
-			os.Exit(1)
+			fail("%s: %v", e.name, err)
 		}
-		fmt.Printf("=== %s (generated in %.1fs wall clock) ===\n%s\n", name, time.Since(start).Seconds(), out)
+		fmt.Printf("=== %s (generated in %.1fs wall clock) ===\n%s\n", e.name, time.Since(start).Seconds(), tbl)
 	}
-
-	run("table2", func() (fmt.Stringer, error) { return r.TableII() })
-	run("fig3a", func() (fmt.Stringer, error) { return fig(r.Fig3a()) })
-	run("fig3b", func() (fmt.Stringer, error) { return fig(r.Fig3b()) })
-	run("fig3c", func() (fmt.Stringer, error) { return fig(r.Fig3c(*ideBuilds)) })
-	run("fig4a", func() (fmt.Stringer, error) { return fig(r.Fig4a()) })
-	run("fig4b", func() (fmt.Stringer, error) { return fig(r.Fig4b()) })
-	run("fig5a", func() (fmt.Stringer, error) { return fig(r.Fig5a()) })
-	run("fig5b", func() (fmt.Stringer, error) { return fig(r.Fig5b()) })
-	run("abl1", func() (fmt.Stringer, error) { return r.AblationChunking() })
-	run("abl2", func() (fmt.Stringer, error) { return r.AblationMasterGraph([]int{1, 5, 10, 19}) })
-	run("abl3", func() (fmt.Stringer, error) { return r.AblationBaseSelection() })
-	run("abl4", func() (fmt.Stringer, error) { return r.AblationUploadOrder() })
-	run("conc", func() (fmt.Stringer, error) { return r.ConcurrentPublish(*clients) })
-	run("persist", func() (fmt.Stringer, error) { return r.Persistence() })
-	run("cachehit", func() (fmt.Stringer, error) { return r.CacheHit(*warmIters) })
-	run("storm", func() (fmt.Stringer, error) {
-		return r.Storm(*stormPublishes, *clients, *stormBursts, *stormBurstClients)
-	})
-	run("sync", func() (fmt.Stringer, error) { return r.SyncDelta(*syncDeltas) })
-	run("stream", func() (fmt.Stringer, error) { return r.StreamFlatRSS(*streamBulk << 20) })
-	run("remote", func() (fmt.Stringer, error) { return r.RemoteFlatRSS(*remoteBulk<<20, *remoteClients) })
-	run("churn", func() (fmt.Stringer, error) { return r.Churn(*churnRounds) })
-	run("replica", func() (fmt.Stringer, error) { return r.ReplicaConvergence(*replicaRounds) })
-	run("lifecycle", func() (fmt.Stringer, error) { return r.Lifecycle(*lifecycleTenants) })
 
 	// Closing disk-backed systems is where a sticky store failure (e.g. a
 	// full filesystem mid-run) surfaces; results printed above would
 	// silently reflect a partial store otherwise.
 	if err := r.CloseAll(); err != nil {
-		fmt.Fprintf(os.Stderr, "expelbench: closing disk-backed systems: %v\n", err)
-		os.Exit(1)
+		fail("closing disk-backed systems: %v", err)
 	}
 
 	if selected["fig3a"] || selected["fig3b"] || selected["fig3c"] {
@@ -172,9 +141,7 @@ func main() {
 	}
 }
 
-func fig(f *bench.Figure, err error) (fmt.Stringer, error) {
-	if err != nil {
-		return nil, err
-	}
-	return f, nil
+func fail(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, "expelbench: "+format+"\n", args...)
+	os.Exit(1)
 }

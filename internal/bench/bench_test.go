@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -310,14 +311,16 @@ func TestAblationMasterGraph(t *testing.T) {
 	if len(tbl.Rows) != 4 {
 		t.Fatalf("rows = %d", len(tbl.Rows))
 	}
-	// At 19 stored VMIs the master-graph comparison must be decisively
-	// cheaper than pairwise (the design motivation of Sec. III-H).
-	var speedup float64
-	if _, err := fmtSscanf(strings.TrimSuffix(tbl.Rows[3][3], "x"), &speedup); err != nil {
-		t.Fatal(err)
+	// At 19 stored VMIs the master-graph comparison must walk decisively
+	// fewer vertices than the pairwise scan (the design motivation of
+	// Sec. III-H). The millisecond columns are a stopwatch and are not
+	// asserted.
+	var pairwise, master int
+	if _, err := fmt.Sscanf(tbl.Rows[3][4], "%d/%d", &pairwise, &master); err != nil {
+		t.Fatalf("bad cell %q: %v", tbl.Rows[3][4], err)
 	}
-	if speedup < 2 {
-		t.Errorf("master-graph speedup at 19 VMIs = %.1fx, want > 2x", speedup)
+	if master == 0 || pairwise < 2*master {
+		t.Errorf("pairwise walks %d vertices vs master graph %d at 19 VMIs, want >= 2x", pairwise, master)
 	}
 }
 

@@ -10,8 +10,8 @@ type PaperRow struct {
 	RetrieveS float64
 }
 
-// PaperTableII reproduces Table II of the paper verbatim, used as the
-// reference column in the regenerated table and in EXPERIMENTS.md.
+// PaperTableII reproduces Table II of the paper (PAPER.md) verbatim, used
+// as the reference columns of the regenerated table.
 var PaperTableII = []PaperRow{
 	{"Mini", 1.913, 75749, 0.00, 39.52, 24.64},
 	{"Redis", 1.914, 75796, 0.97, 10.28, 22.05},

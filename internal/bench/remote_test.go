@@ -1,39 +1,109 @@
 package bench
 
 import (
+	"context"
+	"fmt"
+	"io"
+	"sync"
 	"testing"
+	"time"
+
+	"expelliarmus/internal/client"
+	"expelliarmus/internal/core"
+	"expelliarmus/internal/wire"
 )
 
-// TestRemoteExperiment runs the remote experiment on the configured
-// backend at a 16 MiB top scale with 8 concurrent network clients. The
-// experiment self-enforces byte identity against in-process retrieval
-// and the flat per-client allocation ceiling; flatness is additionally
-// asserted across the scales, like the stream experiment — if total
-// allocation under the same client count grows with image bulk, the
-// serving path has started materializing somewhere between the assembly
-// and the socket.
+// remoteCeilingBytes is the per-client flat-memory gate of the remote
+// scenario: one remote retrieval may cost the process at most the
+// streamed assembly working set (streamCeilingBytes) plus HTTP chunking
+// and the client's verifying copy, no matter how large the image is.
+const remoteCeilingBytes = streamCeilingBytes + 8<<20
+
+// TestRemoteExperiment is the network half of the streaming story. Per
+// scale (bulk growing 100x to a 16 MiB top), a fresh system on the
+// configured backend is served by cmd/expelserverd's handler on a
+// loopback listener; the bulk image is published THROUGH the wire
+// (exercising the streaming upload and PutBaseReader path), then 8
+// concurrent remote retrievals stream it back simultaneously. Gates:
+// every remote stream matches an in-process RetrieveTo in length and
+// SHA-256; total allocation (server and client side, both in this
+// process) stays under clients x remoteCeilingBytes at every scale, and
+// at 100x bulk within 4x of the smallest scale's — growth there means
+// the serving path materializes somewhere between assembly and socket.
+// Fresh system per scale and cache off for the same reasons as
+// TestStreamExperiment.
 func TestRemoteExperiment(t *testing.T) {
 	if testing.Short() {
 		t.Skip("remote experiment skipped in -short mode")
 	}
-	r := NewRunner()
-	res, err := r.RemoteFlatRSS(16<<20, 8)
+	r := newTestRunner(t)
+	const topBulk, clients = 16 << 20, 8
+	var total []int64
+	for _, bulk := range []int64{topBulk / 100, topBulk / 10, topBulk} {
+		alloc := remoteScale(t, r, bulk, clients)
+		if ceiling := int64(clients * remoteCeilingBytes); alloc > ceiling {
+			t.Fatalf("%d MiB bulk: %d concurrent retrievals allocated %d bytes, ceiling %d", bulk>>20, clients, alloc, ceiling)
+		}
+		total = append(total, alloc)
+	}
+	if total[2] > 4*total[0] {
+		t.Fatalf("remote allocation grew %.1fx across 100x bulk growth (%d -> %d bytes)",
+			float64(total[2])/float64(total[0]), total[0], total[2])
+	}
+}
+
+// remoteScale runs one scale of TestRemoteExperiment and returns the
+// bytes the concurrent, byte-verified remote retrievals allocated.
+func remoteScale(t *testing.T, r *Runner, bulk int64, clients int) int64 {
+	ctx := context.Background()
+	sys, err := r.NewCoreSystem(core.Options{CacheBytes: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer func() {
-		if err := r.CloseAll(); err != nil {
-			t.Errorf("CloseAll: %v", err)
+	cl := client.New(serveLoopback(t, sys), client.Options{Timeout: 10 * time.Minute, Retries: 1})
+	defer cl.Close()
+
+	name := fmt.Sprintf("remote-bulk-%dM", bulk>>20)
+	img, err := buildBulkImage(name, bulk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cl.Publish(ctx, func(w io.Writer) error { return wire.WriteImage(w, img) }); err != nil {
+		t.Fatalf("remote publish %s: %v", name, err)
+	}
+	refLen, refSum := streamSum(t, sys, name)
+	// Warm-up: one remote retrieval populates connection pools, chunk
+	// pools and every code path, so the measured burst sees steady state.
+	if _, _, err := cl.Retrieve(ctx, name, io.Discard); err != nil {
+		t.Fatalf("remote warmup %s: %v", name, err)
+	}
+
+	alloc, err := measureAlloc(func() error {
+		var wg sync.WaitGroup
+		errs := make([]error, clients)
+		for i := range errs {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				sink := newShaCountWriter()
+				n, _, err := cl.Retrieve(ctx, name, sink)
+				if err == nil && (n != refLen || sink.sum() != refSum) {
+					err = fmt.Errorf("client %d: remote stream differs from in-process retrieval (%d vs %d bytes)", i, n, refLen)
+				}
+				errs[i] = err
+			}(i)
 		}
-	}()
-	if len(res.Scales) != 3 {
-		t.Fatalf("got %d scales, want 3\n%s", len(res.Scales), res)
+		wg.Wait()
+		for _, err := range errs {
+			if err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatalf("remote retrieve %s: %v", name, err)
 	}
-	first, last := res.Scales[0], res.Scales[len(res.Scales)-1]
-	if last.TotalAlloc > 4*first.TotalAlloc {
-		t.Fatalf("remote allocation grew %.1fx across 100x bulk growth (%d -> %d bytes)\n%s",
-			float64(last.TotalAlloc)/float64(first.TotalAlloc),
-			first.TotalAlloc, last.TotalAlloc, res)
-	}
-	t.Logf("\n%s", res)
+	t.Logf("%s: image %d bytes, %d clients allocated %d bytes", name, refLen, clients, alloc)
+	return alloc
 }

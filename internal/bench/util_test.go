@@ -1,15 +1,36 @@
 package bench
 
 import (
+	"crypto/sha256"
 	"fmt"
+	"hash"
+	"net"
+	"net/http"
 	"os"
+	"runtime"
 	"testing"
+
+	"expelliarmus/internal/catalog"
+	"expelliarmus/internal/core"
+	"expelliarmus/internal/fstree"
+	"expelliarmus/internal/pkgmgr"
+	"expelliarmus/internal/server"
+	"expelliarmus/internal/vdisk"
+	"expelliarmus/internal/vmi"
+	"expelliarmus/internal/vmirepo"
 )
 
-// TestMain closes every disk-backed system the shared runner created (a
-// no-op on the default memory backend) so a sticky disk-store failure
-// fails the suite instead of vanishing with the process.
+// TestMain roots the shared runner's disk-backed repositories (none on
+// the default memory backend) under one temp directory, closes every
+// system it created — so a sticky disk-store failure fails the suite
+// instead of vanishing with the process — and removes the directory.
 func TestMain(m *testing.M) {
+	root, err := os.MkdirTemp("", "bench-test-")
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "bench: %v\n", err)
+		os.Exit(1)
+	}
+	sharedRunner.StoreRoot = root
 	code := m.Run()
 	if err := sharedRunner.CloseAll(); err != nil {
 		fmt.Fprintf(os.Stderr, "bench: closing disk-backed systems: %v\n", err)
@@ -17,7 +38,76 @@ func TestMain(m *testing.M) {
 			code = 1
 		}
 	}
+	os.RemoveAll(root)
 	os.Exit(code)
+}
+
+// newTestRunner returns a runner on the environment's backend matrix
+// (EXPELBENCH_BACKEND / _CACHE / _WAL_COMPACT) whose repositories live
+// under t.TempDir() and are closed, failing the test on a sticky store
+// error, before that directory is removed.
+func newTestRunner(t *testing.T) *Runner {
+	r := NewRunner()
+	r.StoreRoot = t.TempDir()
+	t.Cleanup(func() {
+		if err := r.CloseAll(); err != nil {
+			t.Errorf("CloseAll: %v", err)
+		}
+	})
+	return r
+}
+
+// openDiskSystem opens a system over the disk repository at dir with
+// explicit repository options — for scenarios that must pin a setting
+// whatever the environment says — and hands it to r.CloseAll.
+func openDiskSystem(t *testing.T, r *Runner, dir string, ro vmirepo.OpenOptions, co core.Options) *core.System {
+	t.Helper()
+	repo, err := vmirepo.OpenAtOpts(dir, r.Dev, ro)
+	if err != nil {
+		t.Fatalf("open %s: %v", dir, err)
+	}
+	return r.track(core.NewSystemWithRepo(repo, r.Dev, co))
+}
+
+// serveLoopback serves sys through cmd/expelserverd's handler on a
+// loopback listener until the test ends, and returns its address.
+func serveLoopback(t *testing.T, sys *core.System) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := &http.Server{Handler: server.New(sys)}
+	go srv.Serve(ln)
+	t.Cleanup(func() { srv.Close() })
+	return ln.Addr().String()
+}
+
+// publishCatalog publishes the templates, in order, into every system.
+func publishCatalog(t *testing.T, r *Runner, tpls []catalog.Template, systems ...*core.System) {
+	t.Helper()
+	for _, tpl := range tpls {
+		for _, sys := range systems {
+			img, err := r.WL.Image(tpl)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := sys.Publish(img); err != nil {
+				t.Fatalf("publish %s: %v", tpl.Name, err)
+			}
+		}
+	}
+}
+
+// streamSum retrieves name through the streaming path into an O(1)
+// hashing sink and returns the stream's length and SHA-256.
+func streamSum(t *testing.T, sys *core.System, name string) (int64, string) {
+	t.Helper()
+	sink := newShaCountWriter()
+	if _, _, err := sys.RetrieveTo(sink, name); err != nil {
+		t.Fatalf("retrieve %s: %v", name, err)
+	}
+	return sink.n, sink.sum()
 }
 
 // fmtSscanf and fmtSscanfInt are tiny wrappers so test assertions read
@@ -25,3 +115,101 @@ func TestMain(m *testing.M) {
 func fmtSscanf(s string, f *float64) (int, error) { return fmt.Sscanf(s, "%f", f) }
 
 func fmtSscanfInt(s string, i *int) (int, error) { return fmt.Sscanf(s, "%d", i) }
+
+// shaCountWriter consumes a stream without retaining it: the sink of a
+// streamed retrieval, costing O(1) memory regardless of stream length.
+type shaCountWriter struct {
+	h hash.Hash
+	n int64
+}
+
+func newShaCountWriter() *shaCountWriter { return &shaCountWriter{h: sha256.New()} }
+
+func (w *shaCountWriter) Write(p []byte) (int, error) {
+	w.h.Write(p)
+	w.n += int64(len(p))
+	return len(p), nil
+}
+
+func (w *shaCountWriter) sum() string { return fmt.Sprintf("%x", w.h.Sum(nil)) }
+
+// measureAlloc runs fn and returns the bytes it allocated (the
+// TotalAlloc delta — cumulative allocation, unaffected by when GC
+// happens to run, so the measurement is deterministic for a
+// deterministic fn). A GC cycle runs first so leftover garbage from
+// earlier phases cannot be attributed to fn.
+func measureAlloc(fn func() error) (int64, error) {
+	runtime.GC()
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	err := fn()
+	runtime.ReadMemStats(&m1)
+	return int64(m1.TotalAlloc - m0.TotalAlloc), err
+}
+
+// buildBulkImage constructs a minimal publishable image — the essential
+// base OS only, no primaries — carrying `bulk` bytes of opaque payload
+// under /opt/bulk. That path is outside package management, outside the
+// user-data roots and outside the sysprep reset set, so the payload
+// lands in the decomposed base image at publish and flows through the
+// base-copy path of every subsequent retrieval: exactly the traffic the
+// streaming plumbing is supposed to carry at O(1) memory.
+func buildBulkImage(name string, bulk int64) (*vmi.Image, error) {
+	uni := catalog.NewUniverse()
+	names, err := pkgmgr.Closure(uni, uni.EssentialNames())
+	if err != nil {
+		return nil, fmt.Errorf("bench: stream closure: %w", err)
+	}
+	var contentReal int64
+	realFiles := 0
+	for _, n := range names {
+		spec, _ := uni.Spec(n)
+		contentReal += catalog.Real(spec.InstalledSize)
+		realFiles += catalog.RealFiles(spec.FileCount) + 1
+	}
+	// The workload's tiny paper-scale cluster size (256 B) would make the
+	// per-cluster directory of a lazily opened image cost ~20% of the
+	// image itself; bulk images use 4 KiB clusters (the vdisk default,
+	// carried in the image header) so directory overhead is ~0.1%.
+	const clusterSize = vdisk.DefaultClusterSize
+	maxInodes := uint32(realFiles+realFiles/4+128) + 512
+	virtualSize := contentReal*3 + bulk + bulk/8 + int64(maxInodes)*64*2 + 8<<20
+	virtualSize = (virtualSize + clusterSize - 1) / clusterSize * clusterSize
+
+	disk := vdisk.New(name, virtualSize, clusterSize)
+	fs, err := fstree.Format(disk, maxInodes)
+	if err != nil {
+		return nil, fmt.Errorf("bench: stream format: %w", err)
+	}
+	mgr, err := pkgmgr.New(fs)
+	if err != nil {
+		return nil, err
+	}
+	order, err := pkgmgr.InstallOrder(uni, names)
+	if err != nil {
+		return nil, err
+	}
+	for _, group := range order {
+		for _, n := range group {
+			spec, _ := uni.Spec(n)
+			files, err := uni.FilesFor(n)
+			if err != nil {
+				return nil, err
+			}
+			if err := mgr.InstallPackage(spec.Package, files); err != nil {
+				return nil, fmt.Errorf("bench: stream install %s: %w", n, err)
+			}
+		}
+	}
+	if err := fs.MkdirAll("/opt/bulk"); err != nil {
+		return nil, err
+	}
+	if err := fs.WriteFile("/opt/bulk/payload.bin", catalog.GenContent(0xB07B+uint64(bulk), int(bulk))); err != nil {
+		return nil, fmt.Errorf("bench: stream payload: %w", err)
+	}
+	return &vmi.Image{
+		Name: name,
+		Base: uni.Release().Base,
+		Disk: disk,
+	}, nil
+}

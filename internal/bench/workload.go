@@ -1,8 +1,11 @@
-// Package bench drives the paper's evaluation: it rebuilds every table and
-// figure of Sec. VI (Table II, Figs. 3a–3c, 4a–4b, 5a–5b) against the
-// synthetic workload, plus the ablation studies listed in DESIGN.md.
-// Results carry the paper's reference numbers alongside the measured ones
-// so EXPERIMENTS.md can be generated mechanically.
+// Package bench drives the paper's evaluation (PAPER.md): it rebuilds
+// every table and figure of Sec. VI (Table II, Figs. 3a–3c, 4a–4b, 5a–5b)
+// against the synthetic workload, plus the ablation studies A1–A4
+// (README, "Benchmarks and examples"). Results are modeled numbers and
+// carry the paper's reference values alongside; wall-clock questions
+// belong to benchmarks/ (expelload). The package's tests additionally
+// hold the service-era acceptance scenarios (sync, stream, remote, churn,
+// replica, lifecycle), which share the Runner's backend matrix.
 package bench
 
 import (
@@ -66,8 +69,9 @@ type Runner struct {
 	// rerun against either backend with nothing else changed.
 	Backend string
 	// StoreRoot is where disk-backed repositories are created (one fresh
-	// subdirectory per system); empty means the OS temp dir. Directories
-	// are left behind for inspection — benchmarks, not production.
+	// subdirectory per system); empty means the OS temp dir. The runner
+	// never removes them: expelbench leaves them for inspection, tests
+	// point StoreRoot at a t.TempDir().
 	StoreRoot string
 	// CacheBytes enables the retrieval cache on every benchmarked
 	// Expelliarmus system (zero, the default, leaves it off). Because the
@@ -129,34 +133,22 @@ func NewRunner() *Runner {
 	return r
 }
 
-// NewDiskRepo creates a fresh disk-backed repository in its own directory
-// under StoreRoot (or the OS temp dir) and returns the directory. The
-// repository honours the runner's WALCompactBytes.
-func (r *Runner) NewDiskRepo(prefix string) (string, *vmirepo.Repo, error) {
-	return r.NewDiskRepoOpts(prefix, vmirepo.OpenOptions{WALCompactBytes: r.WALCompactBytes})
-}
-
-// NewDiskRepoOpts is NewDiskRepo with explicit repository options,
-// overriding the runner's defaults — for experiments that must pin a
-// setting regardless of the environment (the sync experiment pins the
-// compaction threshold out of reach so its delta measurements stay pure).
-func (r *Runner) NewDiskRepoOpts(prefix string, o vmirepo.OpenOptions) (string, *vmirepo.Repo, error) {
+// newDiskRepo creates a fresh disk-backed repository in its own
+// directory under StoreRoot (or the OS temp dir), honouring the runner's
+// WALCompactBytes.
+func (r *Runner) newDiskRepo() (*vmirepo.Repo, error) {
 	root := r.StoreRoot
 	if root == "" {
 		root = os.TempDir()
 	}
 	if err := os.MkdirAll(root, 0o755); err != nil {
-		return "", nil, err
+		return nil, err
 	}
-	dir, err := os.MkdirTemp(root, prefix)
+	dir, err := os.MkdirTemp(root, "expelbench-repo-")
 	if err != nil {
-		return "", nil, err
+		return nil, err
 	}
-	repo, err := vmirepo.OpenAtOpts(dir, r.Dev, o)
-	if err != nil {
-		return "", nil, err
-	}
-	return dir, repo, nil
+	return vmirepo.OpenAtOpts(dir, r.Dev, vmirepo.OpenOptions{WALCompactBytes: r.WALCompactBytes})
 }
 
 // NewCoreSystem creates a fresh Expelliarmus core system over the
@@ -175,18 +167,22 @@ func (r *Runner) NewCoreSystem(opts core.Options) (*core.System, error) {
 	case "", "memory":
 		return core.NewSystem(r.Dev, opts), nil
 	case "disk":
-		_, repo, err := r.NewDiskRepo("expelbench-repo-")
+		repo, err := r.newDiskRepo()
 		if err != nil {
 			return nil, err
 		}
-		sys := core.NewSystemWithRepo(repo, r.Dev, opts)
-		r.mu.Lock()
-		r.opened = append(r.opened, sys)
-		r.mu.Unlock()
-		return sys, nil
+		return r.track(core.NewSystemWithRepo(repo, r.Dev, opts)), nil
 	default:
 		return nil, fmt.Errorf("bench: unknown backend %q (memory|disk)", r.Backend)
 	}
+}
+
+// track registers a disk-backed system for CloseAll.
+func (r *Runner) track(sys *core.System) *core.System {
+	r.mu.Lock()
+	r.opened = append(r.opened, sys)
+	r.mu.Unlock()
+	return sys
 }
 
 // CloseAll syncs and closes every disk-backed system the runner created,

@@ -68,8 +68,8 @@ func TestCacheHitMatchesColdRetrieval(t *testing.T) {
 	if !ok {
 		t.Fatal("cache enabled but CacheStats reports disabled")
 	}
-	if st.Hits != 1 || st.Misses != 1 || st.Puts != 1 {
-		t.Fatalf("stats = %+v, want 1 hit / 1 miss / 1 put", st)
+	if st.Hits != 1 || st.Misses != 1 || st.Puts != 1 || st.Poisoned != 0 || st.Evictions != 0 {
+		t.Fatalf("stats = %+v, want 1 hit / 1 miss / 1 put and no poisoning or eviction", st)
 	}
 }
 

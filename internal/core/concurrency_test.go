@@ -119,6 +119,15 @@ func TestRetrieveDeterministicAcrossParallelism(t *testing.T) {
 func TestConcurrentPublishSharedRepo(t *testing.T) {
 	names := templateNames(12)
 	imgs := buildCatalog(t, names)
+	seq := NewSystem(testDev, Options{})
+	var seqModeled float64
+	for _, img := range imgs {
+		rep, err := seq.Publish(img.Clone())
+		if err != nil {
+			t.Fatal(err)
+		}
+		seqModeled += rep.Seconds()
+	}
 	s := NewSystem(testDev, Options{Parallelism: 4})
 
 	reps, err := s.PublishAll(imgs)
@@ -128,10 +137,26 @@ func TestConcurrentPublishSharedRepo(t *testing.T) {
 	if len(reps) != len(imgs) {
 		t.Fatalf("got %d reports, want %d", len(reps), len(imgs))
 	}
+	var parModeled float64
 	for i, rep := range reps {
 		if rep == nil || rep.Image != names[i] {
 			t.Fatalf("report %d out of order: %+v", i, rep)
 		}
+		parModeled += rep.Seconds()
+	}
+
+	// Semantic dedup must hold under concurrency: the batch repository
+	// ends within a few percent of the sequential one (base-image
+	// selection may resolve replacement chains slightly differently
+	// depending on commit order), and concurrency may add duplicate
+	// repack work (two publishes racing on one package) but never removes
+	// modeled work wholesale.
+	if ratio := float64(s.Repo().SizeBytes()) / float64(seq.Repo().SizeBytes()); ratio < 0.9 || ratio > 1.1 {
+		t.Errorf("batch repository %d bytes vs sequential %d (ratio %.3f), dedup degraded",
+			s.Repo().SizeBytes(), seq.Repo().SizeBytes(), ratio)
+	}
+	if ratio := parModeled / seqModeled; ratio < 0.95 || ratio > 1.5 {
+		t.Errorf("batch modeled %.1fs vs sequential %.1fs (ratio %.3f)", parModeled, seqModeled, ratio)
 	}
 
 	// Cross-publish dedup must hold under concurrency: no package ref may

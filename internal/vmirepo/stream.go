@@ -15,7 +15,6 @@ import (
 	"io"
 
 	"expelliarmus/internal/blobstore"
-	"expelliarmus/internal/chunkpool"
 	"expelliarmus/internal/pkgmeta"
 	"expelliarmus/internal/simio"
 )
@@ -90,25 +89,6 @@ func (r *Repo) OpenUserData(name string, ph simio.Phase, m *simio.Meter) (io.Rea
 		m.Charge(ph, r.dev.ReadCost(size))
 	}
 	return rc, size, nil
-}
-
-// RetrieveBaseTo streams a stored base image straight to w in pooled
-// chunks, returning the byte count — the repository-level building block
-// of the end-to-end streaming retrieval (and the future wire protocol).
-func (r *Repo) RetrieveBaseTo(w io.Writer, id string, ph simio.Phase, m *simio.Meter) (int64, error) {
-	rc, size, err := r.OpenBase(id, ph, m)
-	if err != nil {
-		return 0, err
-	}
-	defer rc.Close()
-	n, err := chunkpool.Copy(w, rc)
-	if err != nil {
-		return n, fmt.Errorf("vmirepo: stream base %s: %w", id, err)
-	}
-	if n != size {
-		return n, fmt.Errorf("vmirepo: stream base %s: wrote %d of %d bytes", id, n, size)
-	}
-	return n, nil
 }
 
 // readAll drains a just-opened blob reader into an owned buffer; the

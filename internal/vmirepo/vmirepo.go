@@ -695,27 +695,15 @@ func (r *Repo) EnsurePackage(p pkgmeta.Package, blob []byte, m *simio.Meter) (bo
 // GetPackage returns the stored package metadata and blob, charging the
 // blob read to the given phase.
 func (r *Repo) GetPackage(ref string, ph simio.Phase, m *simio.Meter) (pkgmeta.Package, []byte, error) {
-	val, ok := r.meta().Bucket(bucketPackages).Get([]byte(ref))
-	r.chargeDB(m, 0)
-	if !ok {
-		return pkgmeta.Package{}, nil, fmt.Errorf("vmirepo: package %s %w", ref, ErrNotFound)
-	}
-	rec, err := decodePackageRecord(val)
+	pkg, rc, size, err := r.OpenPackage(ref, ph, m)
 	if err != nil {
 		return pkgmeta.Package{}, nil, err
-	}
-	rc, size, err := r.blobs.Open(rec.BlobID)
-	if err != nil {
-		return pkgmeta.Package{}, nil, fmt.Errorf("vmirepo: package %s: %w", ref, err)
-	}
-	if m != nil {
-		m.Charge(ph, r.dev.ReadCost(size))
 	}
 	blob, err := readAll(rc, size, "package blob")
 	if err != nil {
 		return pkgmeta.Package{}, nil, err
 	}
-	return rec.Pkg, blob, nil
+	return pkg, blob, nil
 }
 
 // Packages lists all stored package records sorted by Ref.
@@ -826,21 +814,9 @@ func (r *Repo) PutBaseReader(id string, attrs pkgmeta.BaseAttrs, src io.Reader, 
 // GetBase returns the serialized base image, charging the read to the
 // given phase (PhaseCopy during retrieval).
 func (r *Repo) GetBase(id string, ph simio.Phase, m *simio.Meter) ([]byte, error) {
-	val, ok := r.meta().Bucket(bucketBases).Get([]byte(id))
-	r.chargeDB(m, 0)
-	if !ok {
-		return nil, fmt.Errorf("vmirepo: base %s %w", id, ErrNotFound)
-	}
-	rec, err := decodeBaseRecord(id, val)
+	rc, size, err := r.OpenBase(id, ph, m)
 	if err != nil {
 		return nil, err
-	}
-	rc, size, err := r.blobs.Open(rec.BlobID)
-	if err != nil {
-		return nil, fmt.Errorf("vmirepo: base %s: %w", id, err)
-	}
-	if m != nil {
-		m.Charge(ph, r.dev.ReadCost(size))
 	}
 	return readAll(rc, size, "base blob")
 }
@@ -1121,19 +1097,9 @@ func (r *Repo) PutUserData(name string, archive []byte, m *simio.Meter) error {
 
 // GetUserData returns the archive, or nil when the VMI stored none.
 func (r *Repo) GetUserData(name string, ph simio.Phase, m *simio.Meter) ([]byte, error) {
-	val, ok := r.meta().Bucket(bucketUserData).Get([]byte(name))
-	r.chargeDB(m, 0)
-	if !ok {
-		return nil, nil
-	}
-	var id blobstore.ID
-	copy(id[:], val)
-	rc, size, err := r.blobs.Open(id)
-	if err != nil {
-		return nil, fmt.Errorf("vmirepo: user data for %q: %w", name, err)
-	}
-	if m != nil {
-		m.Charge(ph, r.dev.ReadCost(size))
+	rc, size, err := r.OpenUserData(name, ph, m)
+	if rc == nil {
+		return nil, err
 	}
 	return readAll(rc, size, fmt.Sprintf("user data for %q", name))
 }

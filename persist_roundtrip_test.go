@@ -3,6 +3,8 @@ package expelliarmus
 import (
 	"bytes"
 	"fmt"
+	"os"
+	"path/filepath"
 	"testing"
 )
 
@@ -170,6 +172,19 @@ func TestOpenAtDurabilityAcrossSessions(t *testing.T) {
 	}
 	if err := sys.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
+	}
+	// The closed repository holds the commit record, exactly one metadata
+	// snapshot + WAL pair, and blob files.
+	if _, err := os.Stat(filepath.Join(dir, "meta.commit")); err != nil {
+		t.Fatalf("meta.commit missing: %v", err)
+	}
+	for _, pat := range []string{"meta.snap-*", "meta.wal-*"} {
+		if m, _ := filepath.Glob(filepath.Join(dir, pat)); len(m) != 1 {
+			t.Fatalf("want exactly one %s file, got %v", pat, m)
+		}
+	}
+	if segs, _ := filepath.Glob(filepath.Join(dir, "blobs", "*")); len(segs) == 0 {
+		t.Fatalf("no blob files under %s/blobs", dir)
 	}
 
 	re, err := OpenAt(dir, Options{})
