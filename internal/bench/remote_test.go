@@ -28,8 +28,9 @@ const remoteCeilingBytes = streamCeilingBytes + 8<<20
 // every remote stream matches an in-process RetrieveTo in length and
 // SHA-256; total allocation (server and client side, both in this
 // process) stays under clients x remoteCeilingBytes at every scale, and
-// at 100x bulk within 4x of the smallest scale's — growth there means
-// the serving path materializes somewhere between assembly and socket.
+// from the smallest scale to 100x bulk grows by at most streamMarginalMax
+// bytes per client per additional image byte — more means the serving
+// path materializes somewhere between assembly and socket.
 // Fresh system per scale and cache off for the same reasons as
 // TestStreamExperiment.
 func TestRemoteExperiment(t *testing.T) {
@@ -38,23 +39,24 @@ func TestRemoteExperiment(t *testing.T) {
 	}
 	r := newTestRunner(t)
 	const topBulk, clients = 16 << 20, 8
-	var total []int64
+	var total, images []int64
 	for _, bulk := range []int64{topBulk / 100, topBulk / 10, topBulk} {
-		alloc := remoteScale(t, r, bulk, clients)
+		alloc, image := remoteScale(t, r, bulk, clients)
 		if ceiling := int64(clients * remoteCeilingBytes); alloc > ceiling {
 			t.Fatalf("%d MiB bulk: %d concurrent retrievals allocated %d bytes, ceiling %d", bulk>>20, clients, alloc, ceiling)
 		}
-		total = append(total, alloc)
+		total, images = append(total, alloc), append(images, image)
 	}
-	if total[2] > 4*total[0] {
-		t.Fatalf("remote allocation grew %.1fx across 100x bulk growth (%d -> %d bytes)",
-			float64(total[2])/float64(total[0]), total[0], total[2])
+	if m := marginalAlloc(total[0], total[2], images[0], images[2]) / clients; m > streamMarginalMax {
+		t.Fatalf("remote allocation grew %.3f bytes per client per image byte across 100x bulk growth (%d -> %d bytes), want <= %.2f",
+			m, total[0], total[2], streamMarginalMax)
 	}
 }
 
 // remoteScale runs one scale of TestRemoteExperiment and returns the
-// bytes the concurrent, byte-verified remote retrievals allocated.
-func remoteScale(t *testing.T, r *Runner, bulk int64, clients int) int64 {
+// bytes the concurrent, byte-verified remote retrievals allocated and the
+// image's size.
+func remoteScale(t *testing.T, r *Runner, bulk int64, clients int) (int64, int64) {
 	ctx := context.Background()
 	sys, err := r.NewCoreSystem(core.Options{CacheBytes: -1})
 	if err != nil {
@@ -105,5 +107,5 @@ func remoteScale(t *testing.T, r *Runner, bulk int64, clients int) int64 {
 		t.Fatalf("remote retrieve %s: %v", name, err)
 	}
 	t.Logf("%s: image %d bytes, %d clients allocated %d bytes", name, refLen, clients, alloc)
-	return alloc
+	return alloc, refLen
 }

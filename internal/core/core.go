@@ -936,9 +936,10 @@ func streamOut(w io.Writer, img *vmi.Image, base io.Closer) (int64, error) {
 }
 
 // retrieve is Retrieve with an explicit worker bound for the per-group
-// package fetches (1 when called from RetrieveAll). When the retrieval
-// cache is enabled, the striped repository generation of the VMI's base
-// image and name is captured right after the record read: a hit under
+// package fetches (1 when called from RetrieveAll). The striped
+// repository generation of the VMI's base image and name is captured
+// right after the record read; an assembly that fails after it moved is
+// retried, not reported. When the retrieval cache is enabled, a hit under
 // that generation is served from the cache (hash-verified, modeled
 // charges replayed), concurrent misses of the same key coalesce behind
 // one assembly (the miss singleflight), and a completed assembly is
@@ -960,10 +961,17 @@ func (s *System) retrieve(name string, workers int) (*vmi.Image, *RetrieveReport
 		if err != nil {
 			return nil, nil, nil, err
 		}
-		var gen uint64
+		gen := s.repo.GenerationFor(rec.BaseID, name)
+		// An assembly takes no commit lock, so one that overlaps a removal
+		// or republish can fail on a state between that mutation's writes:
+		// a blob released before its record is deleted, a master graph
+		// rebuilt without the image's primaries. The mutation moved the
+		// generation; the next attempt reads what it left.
+		transient := func(err error) bool {
+			return errors.Is(err, vmirepo.ErrNotFound) || s.repo.GenerationFor(rec.BaseID, name) != gen
+		}
 		var key retrievecache.Key
 		if s.cache != nil {
-			gen = s.repo.GenerationFor(rec.BaseID, name)
 			key = retrievecache.NewKey(rec.BaseID, rec.Primaries, name, gen)
 			ent, err := s.cache.Get(key)
 			if err != nil {
@@ -987,7 +995,7 @@ func (s *System) retrieve(name string, workers int) (*vmi.Image, *RetrieveReport
 					// A hard leader failure hits every follower too:
 					// surface it like a solo assembly would, instead of
 					// re-amplifying assembly load on a failing backend.
-					if fl.err != nil && !errors.Is(fl.err, vmirepo.ErrNotFound) {
+					if fl.err != nil && !transient(fl.err) {
 						return nil, nil, nil, fl.err
 					}
 					// The leader hit the transient not-found window, or
@@ -1002,7 +1010,7 @@ func (s *System) retrieve(name string, workers int) (*vmi.Image, *RetrieveReport
 					if err == nil {
 						return img, lrep, base, nil
 					}
-					if !errors.Is(err, vmirepo.ErrNotFound) {
+					if !transient(err) {
 						return nil, nil, nil, err
 					}
 					lastErr = err
@@ -1019,7 +1027,7 @@ func (s *System) retrieve(name string, workers int) (*vmi.Image, *RetrieveReport
 			}
 			return img, rep, base, nil
 		}
-		if !errors.Is(err, vmirepo.ErrNotFound) {
+		if !transient(err) {
 			return nil, nil, nil, err
 		}
 		lastErr = err
@@ -1312,7 +1320,9 @@ func (s *System) assemble(name, baseID string, primaries []string, userDataFrom 
 			}
 			if mgr.IsInstalled(pkgName) {
 				// Already present (e.g. imported by an earlier group).
-				fs.Remove(local)
+				if err := fs.Remove(local); err != nil {
+					return nil, nil, err
+				}
 				continue
 			}
 			if err := mgr.Install(blob); err != nil {

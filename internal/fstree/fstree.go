@@ -14,6 +14,14 @@
 //
 // Directories store their entries as ordinary file data (inode number,
 // type, name records). The root directory is inode 0.
+//
+// Allocation state is mirrored in memory: the block bitmap and one mode
+// byte per inode, each with a cursor below which nothing is free. Both
+// mirrors are filled by Mount, written through — updated only after the
+// disk write they describe succeeded, so never ahead of the disk — and
+// changed by nothing but setBlocks and writeInode. Allocation therefore
+// reads no disk, and read-only operations touch neither mirror, which is
+// what lets many goroutines read one FS at once.
 package fstree
 
 import (
@@ -61,7 +69,8 @@ type FileInfo struct {
 	IsDir bool
 }
 
-// FS is a mounted filesystem. It is not safe for concurrent use.
+// FS is a mounted filesystem. Mutations need exclusive access; read-only
+// operations may run concurrently with each other.
 type FS struct {
 	disk       *vdisk.Disk
 	blockSize  int
@@ -71,9 +80,22 @@ type FS struct {
 	maxInodes  uint32
 	dataStart  uint32
 	bitmap     []byte // in-memory mirror, written through
+	modes      []byte // mode byte of every inode, written through
+	freeBlock  uint32 // no data block below it is free
+	freeInode  uint32 // no inode below it is free
 	usedBlocks uint32
 	files      int
 	dirs       int
+}
+
+// geometry returns the bitmap and inode-table block counts Format gives a
+// filesystem of total blocks and maxInodes inodes. The arithmetic is 64-bit
+// because Mount feeds it counts from an untrusted superblock.
+func geometry(total, maxInodes uint32, bs int) (bitmapBlk, inodeBlk uint64) {
+	bitmapBytes := (uint64(total) + 7) / 8
+	bitmapBlk = (bitmapBytes + uint64(bs) - 1) / uint64(bs)
+	inodeBlk = (uint64(maxInodes)*inodeSize + uint64(bs) - 1) / uint64(bs)
+	return bitmapBlk, inodeBlk
 }
 
 // Format creates a fresh filesystem on the disk, sized for maxInodes files
@@ -84,27 +106,28 @@ func Format(d *vdisk.Disk, maxInodes uint32) (*FS, error) {
 	if total < 8 {
 		return nil, fmt.Errorf("fstree: disk too small (%d blocks)", total)
 	}
-	bitmapBlk := (total/8 + uint32(bs) - 1) / uint32(bs)
-	inodeBlk := (maxInodes*inodeSize + uint32(bs) - 1) / uint32(bs)
+	bitmapBlk, inodeBlk := geometry(total, maxInodes, bs)
 	dataStart := 1 + bitmapBlk + inodeBlk
-	if dataStart >= total {
+	if dataStart >= uint64(total) {
 		return nil, fmt.Errorf("fstree: metadata (%d blocks) exceeds disk (%d blocks)", dataStart, total)
 	}
 	fs := &FS{
 		disk:      d,
 		blockSize: bs,
 		total:     total,
-		bitmapBlk: bitmapBlk,
-		inodeBlk:  inodeBlk,
+		bitmapBlk: uint32(bitmapBlk),
+		inodeBlk:  uint32(inodeBlk),
 		maxInodes: maxInodes,
-		dataStart: dataStart,
+		dataStart: uint32(dataStart),
 		bitmap:    make([]byte, int(bitmapBlk)*bs),
+		modes:     make([]byte, maxInodes),
+		freeBlock: uint32(dataStart),
 	}
 	// Reserve metadata blocks.
-	for b := uint32(0); b < dataStart; b++ {
+	for b := uint32(0); b < fs.dataStart; b++ {
 		fs.bitmap[b/8] |= 1 << (b % 8)
 	}
-	if err := fs.flushBitmap(0, dataStart); err != nil {
+	if err := fs.flushBitmap(0, fs.dataStart); err != nil {
 		return nil, err
 	}
 	// Superblock.
@@ -112,8 +135,8 @@ func Format(d *vdisk.Disk, maxInodes uint32) (*FS, error) {
 	copy(sb, Magic)
 	binary.BigEndian.PutUint32(sb[4:], uint32(bs))
 	binary.BigEndian.PutUint32(sb[8:], total)
-	binary.BigEndian.PutUint32(sb[12:], bitmapBlk)
-	binary.BigEndian.PutUint32(sb[16:], inodeBlk)
+	binary.BigEndian.PutUint32(sb[12:], fs.bitmapBlk)
+	binary.BigEndian.PutUint32(sb[16:], fs.inodeBlk)
 	binary.BigEndian.PutUint32(sb[20:], maxInodes)
 	if _, err := d.WriteAt(sb, 0); err != nil {
 		return nil, err
@@ -124,7 +147,7 @@ func Format(d *vdisk.Disk, maxInodes uint32) (*FS, error) {
 		return nil, err
 	}
 	fs.dirs = 1
-	fs.usedBlocks = dataStart
+	fs.usedBlocks = fs.dataStart
 	return fs, nil
 }
 
@@ -150,23 +173,43 @@ func Mount(d *vdisk.Disk) (*FS, error) {
 		inodeBlk:  binary.BigEndian.Uint32(sb[16:]),
 		maxInodes: binary.BigEndian.Uint32(sb[20:]),
 	}
-	fs.dataStart = 1 + fs.bitmapBlk + fs.inodeBlk
+	// The image may come straight off the network, so the geometry is
+	// checked against the disk before anything is sized or indexed by it:
+	// the blocks exist, the bitmap is the one Format lays out for them, the
+	// inode table holds the inodes it claims, and data blocks remain.
+	wantBitmap, minInode := geometry(fs.total, fs.maxInodes, bs)
+	dataStart := 1 + uint64(fs.bitmapBlk) + uint64(fs.inodeBlk)
+	switch {
+	case uint64(fs.total)*uint64(bs) > uint64(d.VirtualSize()):
+		return nil, fmt.Errorf("fstree: superblock claims %d blocks of %d bytes on a %d-byte disk", fs.total, bs, d.VirtualSize())
+	case uint64(fs.bitmapBlk) != wantBitmap:
+		return nil, fmt.Errorf("fstree: superblock claims %d bitmap blocks, %d blocks need %d", fs.bitmapBlk, fs.total, wantBitmap)
+	case uint64(fs.inodeBlk) < minInode:
+		return nil, fmt.Errorf("fstree: superblock claims %d inodes in %d inode-table blocks", fs.maxInodes, fs.inodeBlk)
+	case dataStart >= uint64(fs.total):
+		return nil, fmt.Errorf("fstree: metadata (%d blocks) exceeds disk (%d blocks)", dataStart, fs.total)
+	}
+	fs.dataStart = uint32(dataStart)
+	fs.freeBlock = fs.dataStart
 	fs.bitmap = make([]byte, int(fs.bitmapBlk)*bs)
 	if _, err := d.ReadAt(fs.bitmap, int64(bs)); err != nil {
 		return nil, fmt.Errorf("fstree: read bitmap: %w", err)
 	}
 	for b := uint32(0); b < fs.total; b++ {
-		if fs.bitmap[b/8]&(1<<(b%8)) != 0 {
+		if fs.blockUsed(b) {
 			fs.usedBlocks++
 		}
 	}
-	// Count files and directories.
-	for i := uint32(0); i < fs.maxInodes; i++ {
-		ino, err := fs.readInode(i)
-		if err != nil {
-			return nil, err
-		}
-		switch ino.mode {
+	// Fill the mode mirror from one read of the inode table, counting files
+	// and directories on the way.
+	table := make([]byte, int64(fs.maxInodes)*inodeSize)
+	if _, err := d.ReadAt(table, fs.inodeOffset(0)); err != nil {
+		return nil, fmt.Errorf("fstree: read inode table: %w", err)
+	}
+	fs.modes = make([]byte, fs.maxInodes)
+	for i := range fs.modes {
+		fs.modes[i] = table[i*inodeSize]
+		switch fs.modes[i] {
 		case modeFile:
 			fs.files++
 		case modeDir:
@@ -207,8 +250,8 @@ func (fs *FS) readInode(num uint32) (*inode, error) {
 	if num >= fs.maxInodes {
 		return nil, fmt.Errorf("fstree: inode %d out of range", num)
 	}
-	raw := make([]byte, inodeSize)
-	if _, err := fs.disk.ReadAt(raw, fs.inodeOffset(num)); err != nil {
+	var raw [inodeSize]byte
+	if _, err := fs.disk.ReadAt(raw[:], fs.inodeOffset(num)); err != nil {
 		return nil, err
 	}
 	ino := &inode{mode: raw[0], size: int64(binary.BigEndian.Uint64(raw[2:]))}
@@ -216,12 +259,24 @@ func (fs *FS) readInode(num uint32) (*inode, error) {
 	if n > maxExtents {
 		return nil, fmt.Errorf("fstree: inode %d corrupt extent count %d", num, n)
 	}
+	// Extents index the bitmap when freed and size a buffer when read, so
+	// an inode off the wire must keep them inside the data area and its
+	// size inside them.
+	var covered int64
 	for i := 0; i < n; i++ {
 		base := 10 + i*8
-		ino.extents = append(ino.extents, extent{
+		e := extent{
 			start:  binary.BigEndian.Uint32(raw[base:]),
 			blocks: binary.BigEndian.Uint32(raw[base+4:]),
-		})
+		}
+		if e.start < fs.dataStart || uint64(e.start)+uint64(e.blocks) > uint64(fs.total) {
+			return nil, fmt.Errorf("fstree: inode %d corrupt extent [%d,+%d)", num, e.start, e.blocks)
+		}
+		ino.extents = append(ino.extents, e)
+		covered += int64(e.blocks) * int64(fs.blockSize)
+	}
+	if ino.size < 0 || ino.size > covered {
+		return nil, fmt.Errorf("fstree: inode %d corrupt size %d over %d bytes of extents", num, ino.size, covered)
 	}
 	return ino, nil
 }
@@ -233,7 +288,7 @@ func (fs *FS) writeInode(num uint32, ino *inode) error {
 	if len(ino.extents) > maxExtents {
 		return fmt.Errorf("fstree: inode %d has %d extents, max %d", num, len(ino.extents), maxExtents)
 	}
-	raw := make([]byte, inodeSize)
+	var raw [inodeSize]byte
 	raw[0] = ino.mode
 	raw[1] = byte(len(ino.extents))
 	binary.BigEndian.PutUint64(raw[2:], uint64(ino.size))
@@ -242,18 +297,22 @@ func (fs *FS) writeInode(num uint32, ino *inode) error {
 		binary.BigEndian.PutUint32(raw[base:], e.start)
 		binary.BigEndian.PutUint32(raw[base+4:], e.blocks)
 	}
-	_, err := fs.disk.WriteAt(raw, fs.inodeOffset(num))
-	return err
+	if _, err := fs.disk.WriteAt(raw[:], fs.inodeOffset(num)); err != nil {
+		return err
+	}
+	fs.modes[num] = ino.mode
+	if ino.mode == modeFree && num < fs.freeInode {
+		fs.freeInode = num
+	}
+	return nil
 }
 
+// allocInode returns the lowest free inode. It does not claim it: the
+// inode stays free until the caller's writeInode.
 func (fs *FS) allocInode() (uint32, error) {
-	for i := uint32(0); i < fs.maxInodes; i++ {
-		ino, err := fs.readInode(i)
-		if err != nil {
-			return 0, err
-		}
-		if ino.mode == modeFree {
-			return i, nil
+	for ; fs.freeInode < fs.maxInodes; fs.freeInode++ {
+		if fs.modes[fs.freeInode] == modeFree {
+			return fs.freeInode, nil
 		}
 	}
 	return 0, fmt.Errorf("fstree: out of inodes (%d)", fs.maxInodes)
@@ -275,6 +334,9 @@ func (fs *FS) setBlocks(start, n uint32, used bool) error {
 		fs.usedBlocks += n
 	} else {
 		fs.usedBlocks -= n
+		if start < fs.freeBlock {
+			fs.freeBlock = start
+		}
 	}
 	return fs.flushBitmap(start, n)
 }
@@ -296,66 +358,84 @@ func (fs *FS) flushBitmap(start, n uint32) error {
 	return nil
 }
 
-// allocExtents finds free space for n blocks: the first contiguous run
-// that fits if one exists, otherwise the largest free runs (so files stay
-// within the inode's maxExtents even when small holes litter the bitmap).
-func (fs *FS) allocExtents(n uint32) ([]extent, error) {
+// nextFree returns the first free block at or after b, fs.total if none.
+func (fs *FS) nextFree(b uint32) uint32 {
+	for b < fs.total && fs.blockUsed(b) {
+		b++
+	}
+	return b
+}
+
+// runLen measures the free run starting at block b, up to limit blocks.
+func (fs *FS) runLen(b, limit uint32) uint32 {
+	n := uint32(0)
+	for n < limit && b+n < fs.total && !fs.blockUsed(b+n) {
+		n++
+	}
+	return n
+}
+
+// findExtents chooses free space for n blocks without claiming it: the
+// first contiguous run that fits if one exists, otherwise the largest free
+// runs (so files stay within the inode's maxExtents even when small holes
+// litter the bitmap).
+func (fs *FS) findExtents(n uint32) ([]extent, error) {
 	if n == 0 {
 		return nil, nil
 	}
-	// Collect all free runs.
+	// First fit, from the lowest block that can be free; a run is measured
+	// no further than the n blocks that decide it.
+	fs.freeBlock = fs.nextFree(fs.freeBlock)
+	for b := fs.freeBlock; b < fs.total; {
+		l := fs.runLen(b, n)
+		if l == n {
+			return []extent{{start: b, blocks: n}}, nil
+		}
+		b = fs.nextFree(b + l)
+	}
+	// Fragmented: no run fits, so measuring to n measures each one whole.
+	// Take the largest first (ties: lowest start) to minimise extent count.
 	var runs []extent
-	b := fs.dataStart
-	for b < fs.total {
-		for b < fs.total && fs.blockUsed(b) {
-			b++
-		}
-		if b >= fs.total {
-			break
-		}
-		start := b
-		for b < fs.total && !fs.blockUsed(b) {
-			b++
-		}
-		runs = append(runs, extent{start: start, blocks: b - start})
+	for b := fs.freeBlock; b < fs.total; {
+		l := fs.runLen(b, n)
+		runs = append(runs, extent{start: b, blocks: l})
+		b = fs.nextFree(b + l)
 	}
+	sort.Slice(runs, func(i, j int) bool {
+		if runs[i].blocks != runs[j].blocks {
+			return runs[i].blocks > runs[j].blocks
+		}
+		return runs[i].start < runs[j].start
+	})
 	var out []extent
-	contiguous := false
+	remaining := n
 	for _, r := range runs {
-		if r.blocks >= n {
-			out = []extent{{start: r.start, blocks: n}}
-			contiguous = true
+		if remaining == 0 {
 			break
 		}
+		take := r.blocks
+		if take > remaining {
+			take = remaining
+		}
+		out = append(out, extent{start: r.start, blocks: take})
+		remaining -= take
+		if len(out) > maxExtents {
+			return nil, fmt.Errorf("fstree: file too fragmented (> %d extents for %d blocks)", maxExtents, n)
+		}
 	}
-	if !contiguous {
-		// Largest runs first (ties: lowest start) to minimise extent count.
-		sort.Slice(runs, func(i, j int) bool {
-			if runs[i].blocks != runs[j].blocks {
-				return runs[i].blocks > runs[j].blocks
-			}
-			return runs[i].start < runs[j].start
-		})
-		remaining := n
-		for _, r := range runs {
-			if remaining == 0 {
-				break
-			}
-			take := r.blocks
-			if take > remaining {
-				take = remaining
-			}
-			out = append(out, extent{start: r.start, blocks: take})
-			remaining -= take
-			if len(out) > maxExtents {
-				return nil, fmt.Errorf("fstree: file too fragmented (> %d extents for %d blocks)", maxExtents, n)
-			}
-		}
-		if remaining > 0 {
-			return nil, fmt.Errorf("fstree: no space (%d blocks short of %d)", remaining, n)
-		}
-		// Keep extents in disk order for readability and determinism.
-		sort.Slice(out, func(i, j int) bool { return out[i].start < out[j].start })
+	if remaining > 0 {
+		return nil, fmt.Errorf("fstree: no space (%d blocks short of %d)", remaining, n)
+	}
+	// Keep extents in disk order for readability and determinism.
+	sort.Slice(out, func(i, j int) bool { return out[i].start < out[j].start })
+	return out, nil
+}
+
+// allocExtents claims the blocks findExtents chooses.
+func (fs *FS) allocExtents(n uint32) ([]extent, error) {
+	out, err := fs.findExtents(n)
+	if err != nil {
+		return nil, err
 	}
 	for _, e := range out {
 		if err := fs.setBlocks(e.start, e.blocks, true); err != nil {
@@ -379,22 +459,20 @@ func (fs *FS) freeExtents(extents []extent) error {
 // --- data I/O ---
 
 func (fs *FS) readData(ino *inode) ([]byte, error) {
-	out := make([]byte, 0, ino.size)
-	remaining := ino.size
+	out := make([]byte, ino.size)
+	var off int64
 	for _, e := range ino.extents {
 		span := int64(e.blocks) * int64(fs.blockSize)
-		if span > remaining {
-			span = remaining
+		if span > ino.size-off {
+			span = ino.size - off
 		}
-		buf := make([]byte, span)
-		if _, err := fs.disk.ReadAt(buf, int64(e.start)*int64(fs.blockSize)); err != nil {
+		if _, err := fs.disk.ReadAt(out[off:off+span], int64(e.start)*int64(fs.blockSize)); err != nil {
 			return nil, err
 		}
-		out = append(out, buf...)
-		remaining -= span
+		off += span
 	}
-	if remaining != 0 {
-		return nil, fmt.Errorf("fstree: inode extents cover %d bytes short of size %d", remaining, ino.size)
+	if off != ino.size {
+		return nil, fmt.Errorf("fstree: inode extents cover %d bytes short of size %d", ino.size-off, ino.size)
 	}
 	return out, nil
 }
@@ -439,30 +517,24 @@ type dirent struct {
 
 func parseDir(data []byte) ([]dirent, error) {
 	var out []dirent
-	r := bytes.NewReader(data)
-	for r.Len() > 0 {
-		var hdr [5]byte
-		if _, err := io.ReadFull(r, hdr[:]); err != nil {
-			return nil, err
+	for len(data) > 0 {
+		if len(data) < 5 {
+			return nil, io.ErrUnexpectedEOF
 		}
-		nameLen, err := binary.ReadUvarint(r)
-		if err != nil {
-			return nil, err
+		nameLen, n := binary.Uvarint(data[5:])
+		if n <= 0 {
+			return nil, fmt.Errorf("corrupt entry name length")
 		}
-		if nameLen > uint64(r.Len()) {
-			return nil, fmt.Errorf("entry name length %d exceeds remaining %d", nameLen, r.Len())
-		}
-		name := make([]byte, nameLen)
-		if nameLen > 0 {
-			if _, err := io.ReadFull(r, name); err != nil {
-				return nil, err
-			}
+		name := data[5+n:]
+		if nameLen > uint64(len(name)) {
+			return nil, fmt.Errorf("entry name length %d exceeds remaining %d", nameLen, len(name))
 		}
 		out = append(out, dirent{
-			ino:  binary.BigEndian.Uint32(hdr[:4]),
-			mode: hdr[4],
-			name: string(name),
+			ino:  binary.BigEndian.Uint32(data),
+			mode: data[4],
+			name: string(name[:nameLen]),
 		})
+		data = name[nameLen:]
 	}
 	return out, nil
 }

@@ -38,6 +38,7 @@ type Handle struct {
 	dev      *simio.Device
 	meter    *simio.Meter
 	fs       *fstree.FS
+	mgr      *pkgmgr.Manager // the guest's one package index, built on first use
 	launched bool
 }
 
@@ -78,13 +79,23 @@ func (h *Handle) FS() (*fstree.FS, error) {
 	return h.fs, nil
 }
 
-// PackageManager returns a package manager operating on the guest.
+// PackageManager returns the handle's package manager, the same one on
+// every call: two indexes over one status database would drift apart. It
+// is constructed on the first call, not by Launch, because constructing it
+// creates missing database directories and when that happens places them.
 func (h *Handle) PackageManager() (*pkgmgr.Manager, error) {
 	fs, err := h.FS()
 	if err != nil {
 		return nil, err
 	}
-	return pkgmgr.New(fs)
+	if h.mgr == nil {
+		mgr, err := pkgmgr.New(fs)
+		if err != nil {
+			return nil, err
+		}
+		h.mgr = mgr
+	}
+	return h.mgr, nil
 }
 
 // Sysprep resets the guest to a pristine state by removing the given paths
@@ -113,4 +124,5 @@ func (h *Handle) Sysprep(paths []string) error {
 func (h *Handle) Close() {
 	h.launched = false
 	h.fs = nil
+	h.mgr = nil
 }

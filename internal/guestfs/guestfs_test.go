@@ -5,6 +5,7 @@ import (
 
 	"expelliarmus/internal/catalog"
 	"expelliarmus/internal/fstree"
+	"expelliarmus/internal/pkgmeta"
 	"expelliarmus/internal/simio"
 	"expelliarmus/internal/vdisk"
 )
@@ -144,6 +145,45 @@ func TestPackageManagerAccess(t *testing.T) {
 	pkgs, err := mgr.Installed()
 	if err != nil || len(pkgs) != 0 {
 		t.Fatalf("Installed = %v, %v", pkgs, err)
+	}
+}
+
+// TestPackageManagerIsShared: a handle has one package manager — one
+// index over the guest's status database — so an install through one
+// accessor call is visible through the next, and Close retires it with
+// the mount.
+func TestPackageManagerIsShared(t *testing.T) {
+	h := New(newDisk(t), testDevice(), &simio.Meter{})
+	h.Launch()
+	a, err := h.PackageManager()
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := h.PackageManager()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a != b {
+		t.Fatal("two PackageManager calls returned two managers")
+	}
+	p := pkgmeta.Package{Name: "redis", Version: "1.0", Arch: "amd64", Distro: "ubuntu"}
+	if err := a.InstallPackage(p, nil); err != nil {
+		t.Fatal(err)
+	}
+	if !b.IsInstalled("redis") {
+		t.Fatal("install through one accessor call is invisible through the other")
+	}
+	h.Close()
+	h.Launch()
+	c, err := h.PackageManager()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c == a {
+		t.Fatal("relaunched handle reuses the closed mount's manager")
+	}
+	if !c.IsInstalled("redis") {
+		t.Fatal("relaunched handle lost the installed package")
 	}
 }
 

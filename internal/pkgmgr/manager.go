@@ -6,6 +6,16 @@
 // required (Algorithm 1 line 10), and resolves dependency closures and
 // installation order with full support for dependency cycles (the paper's
 // libc6/perl-base/dpkg example).
+//
+// A Manager keeps the parsed status database in memory, sorted by name.
+// The index is complete before New returns and is replaced only by
+// writeStatus, after the same packages reached StatusPath: it is written
+// through, never ahead of the disk, and the file is written at the moments
+// it always was (a write moves blocks, so when it happens is part of the
+// image). Get, IsInstalled, Installed, OwnedFiles and Repack never write
+// the index and may run concurrently; methods that change the guest need
+// exclusive access. The status file is not re-read, so a filesystem has
+// one Manager.
 package pkgmgr
 
 import (
@@ -27,11 +37,12 @@ const InfoDir = "/var/lib/dpkg/info"
 
 // Manager operates the package database of one guest filesystem.
 type Manager struct {
-	fs *fstree.FS
+	fs    *fstree.FS
+	index []pkgmeta.Package // the status database, sorted by name
 }
 
 // New returns a manager for the guest filesystem, initialising the package
-// database directories if missing.
+// database directories if missing and loading the status database.
 func New(fs *fstree.FS) (*Manager, error) {
 	m := &Manager{fs: fs}
 	if err := fs.MkdirAll(InfoDir); err != nil {
@@ -41,46 +52,55 @@ func New(fs *fstree.FS) (*Manager, error) {
 		if err := fs.WriteFile(StatusPath, nil); err != nil {
 			return nil, fmt.Errorf("pkgmgr: init status: %w", err)
 		}
+		return m, nil
 	}
-	return m, nil
-}
-
-// Installed returns the installed packages sorted by name.
-func (m *Manager) Installed() ([]pkgmeta.Package, error) {
-	data, err := m.fs.ReadFile(StatusPath)
+	data, err := fs.ReadFile(StatusPath)
 	if err != nil {
 		return nil, fmt.Errorf("pkgmgr: read status: %w", err)
 	}
-	pkgs, err := pkgmeta.ParseStatus(string(data))
+	m.index, err = pkgmeta.ParseStatus(string(data))
 	if err != nil {
 		return nil, fmt.Errorf("pkgmgr: parse status: %w", err)
 	}
-	sort.Slice(pkgs, func(i, j int) bool { return pkgs[i].Name < pkgs[j].Name })
-	return pkgs, nil
+	sort.Slice(m.index, func(i, j int) bool { return m.index[i].Name < m.index[j].Name })
+	return m, nil
+}
+
+// Installed returns the installed packages sorted by name. The slice is
+// the caller's; the packages' Depends are shared and must not be modified.
+func (m *Manager) Installed() ([]pkgmeta.Package, error) {
+	return append([]pkgmeta.Package(nil), m.index...), nil
+}
+
+// find returns the index position of the named package, or where it
+// would be inserted.
+func (m *Manager) find(name string) (int, bool) {
+	i := sort.Search(len(m.index), func(i int) bool { return m.index[i].Name >= name })
+	return i, i < len(m.index) && m.index[i].Name == name
 }
 
 // Get returns the installed package with the given name.
 func (m *Manager) Get(name string) (pkgmeta.Package, bool, error) {
-	pkgs, err := m.Installed()
-	if err != nil {
-		return pkgmeta.Package{}, false, err
-	}
-	for _, p := range pkgs {
-		if p.Name == name {
-			return p, true, nil
-		}
+	if i, ok := m.find(name); ok {
+		return m.index[i], true, nil
 	}
 	return pkgmeta.Package{}, false, nil
 }
 
 // IsInstalled reports whether the named package is installed.
 func (m *Manager) IsInstalled(name string) bool {
-	_, ok, err := m.Get(name)
-	return err == nil && ok
+	_, ok := m.find(name)
+	return ok
 }
 
+// writeStatus writes pkgs, sorted by name, as the status file and then
+// makes them the index.
 func (m *Manager) writeStatus(pkgs []pkgmeta.Package) error {
-	return m.fs.WriteFile(StatusPath, []byte(pkgmeta.FormatStatus(pkgs)))
+	if err := m.fs.WriteFile(StatusPath, []byte(pkgmeta.FormatStatus(pkgs))); err != nil {
+		return err
+	}
+	m.index = pkgs
+	return nil
 }
 
 func listPath(name string) string { return path.Join(InfoDir, name+".list") }
@@ -103,14 +123,9 @@ func (m *Manager) OwnedFiles(name string) ([]string, error) {
 // InstallPackage installs metadata and files directly (the builder's fast
 // path, equivalent to unpacking a binary package).
 func (m *Manager) InstallPackage(p pkgmeta.Package, files []pkgfmt.File) error {
-	pkgs, err := m.Installed()
-	if err != nil {
-		return err
-	}
-	for _, q := range pkgs {
-		if q.Name == p.Name {
-			return fmt.Errorf("pkgmgr: %s already installed (version %s)", p.Name, q.Version)
-		}
+	at, ok := m.find(p.Name)
+	if ok {
+		return fmt.Errorf("pkgmgr: %s already installed (version %s)", p.Name, m.index[at].Version)
 	}
 	paths := make([]string, 0, len(files))
 	for _, f := range files {
@@ -127,8 +142,9 @@ func (m *Manager) InstallPackage(p pkgmeta.Package, files []pkgfmt.File) error {
 	if err := m.fs.WriteFile(listPath(p.Name), []byte(strings.Join(paths, "\n"))); err != nil {
 		return err
 	}
-	pkgs = append(pkgs, p)
-	return m.writeStatus(pkgs)
+	pkgs := make([]pkgmeta.Package, 0, len(m.index)+1)
+	pkgs = append(append(pkgs, m.index[:at]...), p.Clone())
+	return m.writeStatus(append(pkgs, m.index[at:]...))
 }
 
 // Install unpacks and registers a binary package blob.
@@ -143,18 +159,8 @@ func (m *Manager) Install(blob []byte) error {
 // Remove uninstalls the named package: its files are deleted (empty parent
 // directories are pruned) and its database records dropped.
 func (m *Manager) Remove(name string) error {
-	pkgs, err := m.Installed()
-	if err != nil {
-		return err
-	}
-	idx := -1
-	for i, p := range pkgs {
-		if p.Name == name {
-			idx = i
-			break
-		}
-	}
-	if idx < 0 {
+	idx, ok := m.find(name)
+	if !ok {
 		return fmt.Errorf("pkgmgr: %s is not installed", name)
 	}
 	files, err := m.OwnedFiles(name)
@@ -174,8 +180,9 @@ func (m *Manager) Remove(name string) error {
 	if err := m.fs.Remove(listPath(name)); err != nil {
 		return err
 	}
-	pkgs = append(pkgs[:idx], pkgs[idx+1:]...)
-	return m.writeStatus(pkgs)
+	pkgs := make([]pkgmeta.Package, 0, len(m.index)-1)
+	pkgs = append(pkgs, m.index[:idx]...)
+	return m.writeStatus(append(pkgs, m.index[idx+1:]...))
 }
 
 // pruneEmptyDirs removes now-empty directories bottom-up.
@@ -240,10 +247,7 @@ func (u installedUniverse) Lookup(name string) (pkgmeta.Package, bool) {
 // Algorithm 1's removeUnusedDependencies. It returns the removed package
 // names in sorted order.
 func (m *Manager) Autoremove(keep []string) ([]string, error) {
-	pkgs, err := m.Installed()
-	if err != nil {
-		return nil, err
-	}
+	pkgs := m.index // Remove replaces the index, it never edits this one
 	u := make(installedUniverse, len(pkgs))
 	for _, p := range pkgs {
 		u[p.Name] = p
@@ -286,12 +290,8 @@ func (m *Manager) Autoremove(keep []string) ([]string, error) {
 
 // InstalledBytes returns the sum of InstalledSize over installed packages.
 func (m *Manager) InstalledBytes() (int64, error) {
-	pkgs, err := m.Installed()
-	if err != nil {
-		return 0, err
-	}
 	var total int64
-	for _, p := range pkgs {
+	for _, p := range m.index {
 		total += p.InstalledSize
 	}
 	return total, nil

@@ -37,12 +37,8 @@ func (m *Manager) Upgrade(blob []byte) error {
 // Outdated compares the installed set against a universe and returns the
 // packages whose universe version differs, sorted by name.
 func (m *Manager) Outdated(u Universe) ([]pkgmeta.Package, error) {
-	installed, err := m.Installed()
-	if err != nil {
-		return nil, err
-	}
 	var out []pkgmeta.Package
-	for _, p := range installed {
+	for _, p := range m.index {
 		if cur, ok := u.Lookup(p.Name); ok && cur.Version != p.Version {
 			out = append(out, cur)
 		}

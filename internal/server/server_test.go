@@ -214,6 +214,45 @@ func TestRemoteNoUserData(t *testing.T) {
 	}
 }
 
+// TestRemotePublishCorruptSuperblock: a published image whose guest
+// superblock claims a geometry its disk cannot back — the first took the
+// process down with an out-of-memory fault, the second panicked on a
+// bitmap index — is answered with an error, and the server keeps serving.
+func TestRemotePublishCorruptSuperblock(t *testing.T) {
+	sys := core.NewSystem(testDevice(), core.Options{})
+	addr, _ := startServer(t, sys)
+	cl := client.New(addr, client.Options{Timeout: 2 * time.Minute})
+	defer cl.Close()
+	ctx := context.Background()
+
+	for _, tc := range []struct {
+		name  string
+		field int64 // superblock offset
+		value uint32
+	}{
+		{"bitmap-blocks", 12, 0xFFFFFFFF},
+		{"total-blocks", 8, 1 << 30},
+	} {
+		img := buildTestImage(t, "corrupt-"+tc.name, false, 0)
+		var v [4]byte
+		binary.BigEndian.PutUint32(v[:], tc.value)
+		if _, err := img.Disk.WriteAt(v[:], tc.field); err != nil {
+			t.Fatal(err)
+		}
+		_, err := cl.Publish(ctx, func(w io.Writer) error { return wire.WriteImage(w, img) })
+		if err == nil || !strings.Contains(err.Error(), "superblock claims") {
+			t.Fatalf("%s: remote publish = %v, want the mount's geometry error", tc.name, err)
+		}
+	}
+	if st, err := cl.Stats(ctx); err != nil || st.VMIs != 0 {
+		t.Fatalf("stats after refused publishes = %+v, %v", st, err)
+	}
+	good := buildTestImage(t, "after-corrupt", false, 0)
+	if _, err := cl.Publish(ctx, func(w io.Writer) error { return wire.WriteImage(w, good) }); err != nil {
+		t.Fatalf("publish after refused publishes: %v", err)
+	}
+}
+
 // TestRemoteNotFound pins the error mapping for absence.
 func TestRemoteNotFound(t *testing.T) {
 	sys := core.NewSystem(testDevice(), core.Options{})

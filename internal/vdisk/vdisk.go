@@ -17,7 +17,10 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sort"
+
+	"expelliarmus/internal/chunkpool"
 )
 
 // DefaultClusterSize is the default cluster size. Real qcow2 defaults to
@@ -148,30 +151,41 @@ func (d *Disk) ReadAt(p []byte, off int64) (int, error) {
 	return n, nil
 }
 
-// readSpan fills dst with the bytes of cluster ci starting at in-cluster
-// offset co, walking the layers: local clusters, then the disk's lazy
-// source (unless the cluster was discarded), then the backing chain, then
-// zeros. Lazy clusters are read straight into dst — no cluster buffer is
-// materialized or retained.
-func (d *Disk) readSpan(dst []byte, ci int64, co int) error {
+// resolve finds the layer that holds cluster ci, walking local clusters,
+// then the disk's lazy source (unless the cluster was discarded), then the
+// backing chain: it returns the cluster's data if some layer holds it in
+// memory, or the lazy source and the cluster's byte offset in it, or
+// neither for a cluster nothing ever wrote.
+func (d *Disk) resolve(ci int64) (local []byte, src *lazySource, off int64) {
 	for disk := d; disk != nil; disk = disk.backing {
 		if c, ok := disk.clusters[ci]; ok {
-			copy(dst, c[co:co+len(dst)])
-			return nil
+			return c, nil, 0
 		}
 		if disk.lazy != nil {
 			if _, gone := disk.dropped[ci]; !gone {
 				if off, ok := disk.lazy.offsets[ci]; ok {
-					if _, err := disk.lazy.ra.ReadAt(dst, off+int64(co)); err != nil {
-						return fmt.Errorf("vdisk %s: lazy read of cluster %d: %w", disk.name, ci, err)
-					}
-					return nil
+					return nil, disk.lazy, off
 				}
 			}
 		}
 	}
-	for i := range dst {
-		dst[i] = 0
+	return nil, nil, 0
+}
+
+// readSpan fills dst with the bytes of cluster ci starting at in-cluster
+// offset co, zeros where no layer holds the cluster. Lazy clusters are
+// read straight into dst — no cluster buffer is materialized or retained.
+func (d *Disk) readSpan(dst []byte, ci int64, co int) error {
+	local, src, off := d.resolve(ci)
+	switch {
+	case local != nil:
+		copy(dst, local[co:co+len(dst)])
+	case src != nil:
+		if _, err := src.ra.ReadAt(dst, off+int64(co)); err != nil {
+			return fmt.Errorf("vdisk %s: lazy read of cluster %d: %w", d.name, ci, err)
+		}
+	default:
+		clear(dst)
 	}
 	return nil
 }
@@ -318,25 +332,21 @@ func (d *Disk) Flatten() error {
 // across all layers: local clusters, the lazy source minus its discard
 // mask, and the backing chain — the cluster set Serialize encodes.
 func (d *Disk) effectiveIndices() []int64 {
-	set := make(map[int64]struct{})
+	var idx []int64
 	for disk := d; disk != nil; disk = disk.backing {
 		for ci := range disk.clusters {
-			set[ci] = struct{}{}
+			idx = append(idx, ci)
 		}
 		if disk.lazy != nil {
 			for ci := range disk.lazy.offsets {
 				if _, gone := disk.dropped[ci]; !gone {
-					set[ci] = struct{}{}
+					idx = append(idx, ci)
 				}
 			}
 		}
 	}
-	idx := make([]int64, 0, len(set))
-	for ci := range set {
-		idx = append(idx, ci)
-	}
-	sort.Slice(idx, func(i, j int) bool { return idx[i] < idx[j] })
-	return idx
+	slices.Sort(idx)
+	return slices.Compact(idx)
 }
 
 // layout captures where each section of the serialized image lands. It is
@@ -408,10 +418,10 @@ func (d *Disk) layoutFor(indices []int64) layout {
 
 // WriteTo streams the serialized image (identical bytes to Serialize) to
 // w, one section buffer at a time: header and L1 up front, then each L2
-// table through a single reused cluster buffer, then each data cluster
-// through another. Peak memory is a few cluster buffers plus the offset
-// bookkeeping — independent of image size — so a retrieval can serve a
-// gigabyte image straight to a sink without ever holding it.
+// table through a single reused cluster buffer, then the data clusters a
+// pooled chunk at a time. Peak memory is a few cluster buffers, one chunk
+// and the offset bookkeeping — independent of image size — so a retrieval
+// can serve a gigabyte image straight to a sink without ever holding it.
 func (d *Disk) WriteTo(w io.Writer) (int64, error) {
 	lo := d.layoutFor(d.effectiveIndices())
 	var written int64
@@ -471,13 +481,58 @@ func (d *Disk) WriteTo(w io.Writer) (int64, error) {
 		}
 	}
 
-	// Data clusters, each streamed through one reused buffer.
-	buf := make([]byte, lo.cs)
-	for _, ci := range lo.indices {
-		if err := d.readSpan(buf, ci, 0); err != nil {
+	// Data clusters, a pooled chunk of them per Write. Each cluster's layer
+	// is resolved once; clusters that sit back to back in one lazy source
+	// accumulate into a run that a single ReadAt fills.
+	chunk := chunkpool.Get()
+	defer chunkpool.Put(chunk)
+	buf := *chunk
+	if lo.cs > int64(len(buf)) {
+		buf = make([]byte, lo.cs)
+	}
+	perChunk := len(buf) / d.clusterSize
+	var run struct {
+		src        *lazySource
+		first      int64 // the run's first cluster
+		off        int64 // where the run starts in src
+		start, end int   // the bytes of buf it fills
+	}
+	readRun := func() error {
+		if run.src == nil {
+			return nil
+		}
+		if _, err := run.src.ra.ReadAt(buf[run.start:run.end], run.off); err != nil {
+			return fmt.Errorf("vdisk %s: lazy read of %d bytes from cluster %d: %w", d.name, run.end-run.start, run.first, err)
+		}
+		run.src = nil
+		return nil
+	}
+	for rest := lo.indices; len(rest) > 0; {
+		batch := rest[:min(perChunk, len(rest))]
+		rest = rest[len(batch):]
+		for i, ci := range batch {
+			at := i * d.clusterSize
+			local, src, off := d.resolve(ci)
+			if src != nil && src == run.src && off == run.off+int64(run.end-run.start) {
+				run.end += d.clusterSize
+				continue
+			}
+			if err := readRun(); err != nil {
+				return written, err
+			}
+			switch {
+			case local != nil:
+				copy(buf[at:], local)
+			case src != nil:
+				run.src, run.first, run.off, run.start, run.end = src, ci, off, at, at+d.clusterSize
+			default:
+				clear(buf[at : at+d.clusterSize])
+			}
+		}
+		if err := readRun(); err != nil {
 			return written, err
 		}
-		if err := emit(buf); err != nil {
+		if err := emit(buf[:len(batch)*d.clusterSize]); err != nil {
 			return written, err
 		}
 	}
