@@ -11,17 +11,13 @@
 //
 // Usage:
 //
-//	expelbench [-exp all|NAME,NAME,...] [-ide-builds 40] [-backend memory|disk] [-store-root DIR] [-cache BYTES] [-wal-compact BYTES]
+//	expelbench [-exp all|NAME,NAME,...] [-ide-builds 40]
 //
-// Every experiment runs against the blob backend named by -backend: the
-// in-memory sharded store (the default) or the durable on-disk segment
-// store, in which case each benchmarked system gets a fresh repository
-// directory under -store-root (OS temp dir when unset), left behind for
-// inspection. -cache gives every benchmarked system a retrieval cache of
-// that many bytes and -wal-compact tunes the metadata-WAL compaction
-// threshold of every disk-backed repository; modeled results are
-// unchanged by both, by contract. Wall-clock measurement is not this
-// command's job: see benchmarks/ (expelload).
+// Every experiment runs on the in-memory blob backend: the modeled
+// numbers are identical on the disk store, with the retrieval cache on
+// and under aggressive WAL compaction (internal/bench holds them to
+// that). Wall-clock measurement is not this command's job: see
+// benchmarks/ (expelload).
 package main
 
 import (
@@ -79,10 +75,6 @@ func main() {
 	valid := strings.Join(all, ",")
 	exps := flag.String("exp", "all", "comma-separated experiments to run, or 'all': "+valid)
 	ideBuilds := flag.Int("ide-builds", 40, "number of successive IDE builds for fig3c")
-	backend := flag.String("backend", "", "blob backend for every benchmarked system: memory (default) or disk")
-	storeRoot := flag.String("store-root", "", "directory for disk-backed repositories (default: OS temp dir)")
-	cacheBytes := flag.Int64("cache", 0, "retrieval-cache bytes for every benchmarked system (0 disables)")
-	walCompact := flag.Int64("wal-compact", 0, "metadata-WAL compaction threshold bytes for disk-backed repositories (0 keeps the default)")
 	flag.Parse()
 
 	chosen := all
@@ -99,19 +91,6 @@ func main() {
 	}
 
 	r := bench.NewRunner()
-	if *backend != "" {
-		r.Backend = *backend
-	}
-	if *storeRoot != "" {
-		r.StoreRoot = *storeRoot
-	}
-	if *cacheBytes != 0 {
-		r.CacheBytes = *cacheBytes
-	}
-	if *walCompact != 0 {
-		r.WALCompactBytes = *walCompact
-	}
-
 	for _, e := range experiments {
 		if !selected[e.name] {
 			continue
@@ -122,13 +101,6 @@ func main() {
 			fail("%s: %v", e.name, err)
 		}
 		fmt.Printf("=== %s (generated in %.1fs wall clock) ===\n%s\n", e.name, time.Since(start).Seconds(), tbl)
-	}
-
-	// Closing disk-backed systems is where a sticky store failure (e.g. a
-	// full filesystem mid-run) surfaces; results printed above would
-	// silently reflect a partial store otherwise.
-	if err := r.CloseAll(); err != nil {
-		fail("closing disk-backed systems: %v", err)
 	}
 
 	if selected["fig3a"] || selected["fig3b"] || selected["fig3c"] {

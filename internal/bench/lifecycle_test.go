@@ -22,10 +22,9 @@ import (
 // the dead images' bytes back to the disk, not just hid their names.
 const lifecycleDiskBound = 1.1
 
-// TestLifecycleScenario runs the image-lifecycle gate on the
-// environment's backend (memory by default; CI's disk leg sets
-// EXPELBENCH_BACKEND), then the quota-exceeded rejection over a real
-// loopback connection.
+// TestLifecycleScenario runs the image-lifecycle gate on the memory
+// backend, then the quota-exceeded rejection over a real loopback
+// connection.
 func TestLifecycleScenario(t *testing.T) {
 	if testing.Short() {
 		t.Skip("lifecycle scenario skipped in -short mode")
@@ -35,8 +34,7 @@ func TestLifecycleScenario(t *testing.T) {
 	lifecycleWireQuota(t, r)
 }
 
-// TestLifecycleScenarioDisk pins the physical reclamation bound
-// regardless of the environment.
+// TestLifecycleScenarioDisk pins the physical reclamation bound.
 func TestLifecycleScenarioDisk(t *testing.T) {
 	if testing.Short() {
 		t.Skip("lifecycle disk scenario skipped in -short mode")

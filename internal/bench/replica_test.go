@@ -15,10 +15,9 @@ import (
 )
 
 // TestReplicaExperiment is the replication gate: a disk-backed writer
-// (the WAL is what gets shipped, so the writer is on disk regardless of
-// EXPELBENCH_BACKEND) serves the replication endpoints over a loopback
-// listener while an in-process follower tails it. Per round the writer
-// publishes the next Table II catalog image and syncs — compacting
+// (the WAL is what gets shipped) serves the replication endpoints over a
+// loopback listener while an in-process follower tails it. Per round the
+// writer publishes the next Table II catalog image and syncs — compacting
 // instead on alternate rounds, so the follower must cross epoch switches
 // — then the follower catches up. Catalog images (not bulk images) on
 // purpose: their package sets differ, so each round decomposes to fresh

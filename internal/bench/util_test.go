@@ -6,7 +6,6 @@ import (
 	"hash"
 	"net"
 	"net/http"
-	"os"
 	"runtime"
 	"testing"
 
@@ -20,32 +19,10 @@ import (
 	"expelliarmus/internal/vmirepo"
 )
 
-// TestMain roots the shared runner's disk-backed repositories (none on
-// the default memory backend) under one temp directory, closes every
-// system it created — so a sticky disk-store failure fails the suite
-// instead of vanishing with the process — and removes the directory.
-func TestMain(m *testing.M) {
-	root, err := os.MkdirTemp("", "bench-test-")
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "bench: %v\n", err)
-		os.Exit(1)
-	}
-	sharedRunner.StoreRoot = root
-	code := m.Run()
-	if err := sharedRunner.CloseAll(); err != nil {
-		fmt.Fprintf(os.Stderr, "bench: closing disk-backed systems: %v\n", err)
-		if code == 0 {
-			code = 1
-		}
-	}
-	os.RemoveAll(root)
-	os.Exit(code)
-}
-
-// newTestRunner returns a runner on the environment's backend matrix
-// (EXPELBENCH_BACKEND / _CACHE / _WAL_COMPACT) whose repositories live
-// under t.TempDir() and are closed, failing the test on a sticky store
-// error, before that directory is removed.
+// newTestRunner returns a memory-backend runner whose disk repositories
+// (for scenarios that switch Backend or open their own) live under
+// t.TempDir() and are closed, failing the test on a sticky store error,
+// before that directory is removed.
 func newTestRunner(t *testing.T) *Runner {
 	r := NewRunner()
 	r.StoreRoot = t.TempDir()
@@ -57,9 +34,48 @@ func newTestRunner(t *testing.T) *Runner {
 	return r
 }
 
+// TestBackendsRenderIdentically is why expelbench has no backend switch:
+// Table II (publish and retrieve of all 19 images) and Fig. 3a (repository
+// growth under five schemes) render to the same string on the in-memory
+// store, on the disk store, on the disk store with a retrieval cache, and
+// on the disk store with a metadata-WAL threshold small enough that nearly
+// every sync compacts. The cost model prices logical operations, so where
+// the bytes live and how often they are reorganised must not move a digit.
+func TestBackendsRenderIdentically(t *testing.T) {
+	if testing.Short() {
+		t.Skip("backend identity skipped in -short mode")
+	}
+	render := func(name string, configure func(*Runner)) string {
+		r := newTestRunner(t)
+		r.WL = sharedRunner.WL // built images are backend-independent
+		configure(r)
+		tbl, err := r.TableII()
+		if err != nil {
+			t.Fatalf("%s: Table II: %v", name, err)
+		}
+		fig, err := r.Fig3a()
+		if err != nil {
+			t.Fatalf("%s: Fig. 3a: %v", name, err)
+		}
+		return tbl.String() + "\n" + fig.String()
+	}
+	want := render("memory", func(*Runner) {})
+	for _, tc := range []struct {
+		name      string
+		configure func(*Runner)
+	}{
+		{"disk", func(r *Runner) { r.Backend = "disk" }},
+		{"disk + cache", func(r *Runner) { r.Backend, r.CacheBytes = "disk", 256<<20 }},
+		{"disk + 4 KiB WAL threshold", func(r *Runner) { r.Backend, r.WALCompactBytes = "disk", 4096 }},
+	} {
+		if got := render(tc.name, tc.configure); got != want {
+			t.Errorf("%s renders differently from memory:\n%s\nwant:\n%s", tc.name, got, want)
+		}
+	}
+}
+
 // openDiskSystem opens a system over the disk repository at dir with
-// explicit repository options — for scenarios that must pin a setting
-// whatever the environment says — and hands it to r.CloseAll.
+// explicit repository options and hands it to r.CloseAll.
 func openDiskSystem(t *testing.T, r *Runner, dir string, ro vmirepo.OpenOptions, co core.Options) *core.System {
 	t.Helper()
 	repo, err := vmirepo.OpenAtOpts(dir, r.Dev, ro)

@@ -5,13 +5,12 @@
 // carry the paper's reference values alongside; wall-clock questions
 // belong to benchmarks/ (expelload). The package's tests additionally
 // hold the service-era acceptance scenarios (sync, stream, remote, churn,
-// replica, lifecycle), which share the Runner's backend matrix.
+// replica, lifecycle), which build their systems through the Runner.
 package bench
 
 import (
 	"fmt"
 	"os"
-	"strconv"
 	"sync"
 
 	"expelliarmus/internal/builder"
@@ -70,67 +69,35 @@ type Runner struct {
 	Backend string
 	// StoreRoot is where disk-backed repositories are created (one fresh
 	// subdirectory per system); empty means the OS temp dir. The runner
-	// never removes them: expelbench leaves them for inspection, tests
-	// point StoreRoot at a t.TempDir().
+	// never removes them: tests point StoreRoot at a t.TempDir().
 	StoreRoot string
 	// CacheBytes enables the retrieval cache on every benchmarked
-	// Expelliarmus system (zero, the default, leaves it off). Because the
-	// cache is transparent at the cost-model level, every experiment's
-	// modeled numbers are identical with it on or off — which the
-	// cache-enabled CI leg verifies by rerunning this whole suite.
+	// Expelliarmus system (zero, the default, leaves it off). The cache is
+	// transparent at the cost-model level, so every experiment's modeled
+	// numbers are identical with it on or off.
 	CacheBytes int64
 	// WALCompactBytes tunes disk-backed systems' metadata-WAL compaction
-	// threshold (zero keeps the default). CI's compaction leg sets it to
-	// a few KiB so the whole bench suite runs with compactions firing on
-	// nearly every sync — results must be identical, since compaction
-	// only reorganises durable state.
+	// threshold (zero keeps the default). A few KiB makes nearly every
+	// sync compact — results must be identical, since compaction only
+	// reorganises durable state.
 	WALCompactBytes int64
 
 	mu     sync.Mutex
 	opened []*core.System // disk-backed systems to close via CloseAll
-
-	// envErr records a malformed EXPELBENCH_* value from NewRunner; it is
-	// surfaced by NewCoreSystem so a typo'd environment fails the run
-	// loudly instead of silently benchmarking a different configuration.
-	envErr error
 }
 
-// NewRunner returns a runner using the paper-calibrated device profile
-// scaled to the generated workload. The backend defaults to in-memory but
-// honours the EXPELBENCH_BACKEND, EXPELBENCH_STORE_ROOT, EXPELBENCH_CACHE
-// (retrieval-cache bytes) and EXPELBENCH_WAL_COMPACT (metadata-WAL
-// compaction threshold bytes) environment variables, so the identical
-// benchmark (and test) suite can be pointed at the disk store, run
-// cache-enabled, or run with aggressive WAL compaction with nothing
-// recompiled — CI's disk-backend, cache and compaction legs do exactly
-// that.
+// NewRunner returns a runner on the in-memory backend using the
+// paper-calibrated device profile scaled to the generated workload. The
+// modeled numbers are the same on every backend — the package's
+// TestBackendsRenderIdentically holds the disk store, the retrieval cache
+// and aggressive WAL compaction to that — so expelbench has no switch for
+// them; the Backend, CacheBytes and WALCompactBytes fields are that
+// test's.
 func NewRunner() *Runner {
-	r := &Runner{
-		Backend:   os.Getenv("EXPELBENCH_BACKEND"),
-		StoreRoot: os.Getenv("EXPELBENCH_STORE_ROOT"),
-		Dev:       simio.NewDevice(simio.PaperProfile().Scaled(catalog.ByteScale, catalog.FileScale)),
-		WL:        NewWorkload(),
+	return &Runner{
+		Dev: simio.NewDevice(simio.PaperProfile().Scaled(catalog.ByteScale, catalog.FileScale)),
+		WL:  NewWorkload(),
 	}
-	if v := os.Getenv("EXPELBENCH_CACHE"); v != "" {
-		n, err := strconv.ParseInt(v, 10, 64)
-		if err != nil {
-			// Do not run cacheless and report green: the cache-enabled CI
-			// leg exists to verify cost transparency, so a malformed value
-			// must fail the run (via NewCoreSystem), not disable the cache.
-			r.envErr = fmt.Errorf("bench: EXPELBENCH_CACHE=%q: %w", v, err)
-		}
-		r.CacheBytes = n
-	}
-	if v := os.Getenv("EXPELBENCH_WAL_COMPACT"); v != "" {
-		n, err := strconv.ParseInt(v, 10, 64)
-		if err != nil {
-			// Same loud-failure rule as above: the compaction leg exists to
-			// exercise compaction, so a typo must not silently disable it.
-			r.envErr = fmt.Errorf("bench: EXPELBENCH_WAL_COMPACT=%q: %w", v, err)
-		}
-		r.WALCompactBytes = n
-	}
-	return r
 }
 
 // newDiskRepo creates a fresh disk-backed repository in its own
@@ -157,9 +124,6 @@ func (r *Runner) newDiskRepo() (*vmirepo.Repo, error) {
 // call CloseAll when the experiments are done so sticky I/O failures
 // surface and file handles are released.
 func (r *Runner) NewCoreSystem(opts core.Options) (*core.System, error) {
-	if r.envErr != nil {
-		return nil, r.envErr
-	}
 	if opts.CacheBytes == 0 {
 		opts.CacheBytes = r.CacheBytes
 	}

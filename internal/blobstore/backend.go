@@ -90,6 +90,29 @@ type Backend interface {
 	// live blob faithfully (e.g. post-hoc disk damage) must return an
 	// error rather than serialise wrong or partial content.
 	Snapshot() ([]byte, error)
+
+	// The durability half of the contract is two-phase so a repository can
+	// order blob durability around its own metadata commit: SyncData makes
+	// all preceding Put/AddRef operations durable (new blobs may then be
+	// referenced by committed metadata), Sync additionally makes Release
+	// operations and the backend's own catalog durable (releases must
+	// become durable only after the metadata that stopped referencing the
+	// blobs — see the diskstore package comment). Close syncs and releases
+	// file handles. The in-memory store has nothing outside process memory
+	// and answers all of these trivially.
+	SyncData() (SyncStats, error)
+	Sync() (SyncStats, error)
+	Close() error
+	// Err returns the backend's sticky I/O failure. Mutations cannot report
+	// I/O failure through their own signatures, so a backend keeps the
+	// first one and callers check here after writing blobs and before
+	// committing metadata that references them.
+	Err() error
+	// Compact reclaims the space of released blobs on demand (a no-op where
+	// a release frees the bytes immediately).
+	Compact() (CompactStats, error)
+	// DiskStats returns the physical-footprint accounting.
+	DiskStats() DiskStats
 }
 
 // SyncStats reports what one durable sync wrote. For the disk backend a
@@ -133,36 +156,24 @@ type CompactStats struct {
 	BlobsMoved int
 }
 
-// Compactor is implemented by backends that can reclaim the space of
-// released blobs on demand. Callers feature-test with a type assertion;
-// the in-memory store implements it as a no-op (it holds no garbage — a
-// release frees the bytes immediately).
-type Compactor interface {
-	Compact() (CompactStats, error)
-}
-
-// Durable is implemented by backends whose state lives outside process
-// memory. The in-memory Store is not Durable; callers feature-test with a
-// type assertion.
-//
-// The interface is two-phase so a repository can order blob durability
-// around its own metadata commit: SyncData makes all preceding Put/AddRef
-// operations durable (new blobs may then be referenced by committed
-// metadata), Sync additionally makes Release operations and the backend's
-// own catalog durable (releases must become durable only after the
-// metadata that stopped referencing the blobs — see the diskstore package
-// comment). Close syncs and releases file handles.
-//
-// Mutations cannot report I/O failure through the Backend interface, so a
-// Durable backend keeps the first failure sticky and exposes it via Err;
-// callers check it after writing blobs and before committing metadata
-// that references them.
-type Durable interface {
-	Backend
-	SyncData() (SyncStats, error)
-	Sync() (SyncStats, error)
-	Close() error
-	Err() error
+// DiskStats reports a backend's physical footprint next to its live bytes.
+// The in-memory store reports live bytes only: it has no files, and a
+// released blob's bytes are freed at once.
+type DiskStats struct {
+	// LiveBytes is the payload bytes of live blobs (what TotalBytes reports).
+	LiveBytes int64
+	// DiskBytes is the segment bytes actually on disk: every open segment
+	// plus evacuated files still pinned by readers. The index file is not
+	// included.
+	DiskBytes int64
+	// DeadBytes is the record bytes no live blob accounts for — what
+	// compaction can eventually reclaim.
+	DeadBytes int64
+	// Segments is the number of open (non-retired) segment files.
+	Segments int
+	// SegmentsCompacted and BytesReclaimed are cumulative since Open.
+	SegmentsCompacted int64
+	BytesReclaimed    int64
 }
 
 // Backend conformance of the in-memory store.

@@ -254,14 +254,17 @@ func (s *Store) Stats() (puts, hits int64) {
 	return s.puts.Load(), s.hits.Load()
 }
 
-// Compact is a no-op: the in-memory store frees a blob's bytes the moment
-// its last reference is released, so there is never garbage to reclaim.
-// It exists so callers can drive Compact through the Compactor interface
-// without special-casing the backend.
-func (s *Store) Compact() (CompactStats, error) { return CompactStats{}, nil }
+// The in-memory store holds nothing outside process memory and frees a
+// blob's bytes the moment its last reference is released, so the
+// durability and reclamation half of the Backend contract is trivial:
+// there is never anything to flush, close, report or compact.
 
-// The in-memory store satisfies the on-demand compaction contract.
-var _ Compactor = (*Store)(nil)
+func (s *Store) SyncData() (SyncStats, error)   { return SyncStats{}, nil }
+func (s *Store) Sync() (SyncStats, error)       { return SyncStats{}, nil }
+func (s *Store) Close() error                   { return nil }
+func (s *Store) Err() error                     { return nil }
+func (s *Store) Compact() (CompactStats, error) { return CompactStats{}, nil }
+func (s *Store) DiskStats() DiskStats           { return DiskStats{LiveBytes: s.TotalBytes()} }
 
 // IDs returns all blob IDs in lexicographic order (deterministic).
 func (s *Store) IDs() []ID {

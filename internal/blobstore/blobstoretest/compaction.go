@@ -18,10 +18,6 @@ import (
 // exercise real retirement; the memory backend's Compact is a no-op); the
 // semantics must hold either way.
 func testReleaseCompactGet(t *testing.T, b blobstore.Backend) {
-	c, ok := b.(blobstore.Compactor)
-	if !ok {
-		t.Skip("backend does not implement Compactor")
-	}
 	var keep []blobstore.ID
 	var keepData [][]byte
 	var drop []blobstore.ID
@@ -48,14 +44,12 @@ func testReleaseCompactGet(t *testing.T, b blobstore.Backend) {
 			t.Fatalf("release: %v", err)
 		}
 	}
-	if d, ok := b.(blobstore.Durable); ok {
-		// Deferred-release backends queue releases until a sync; flush so
-		// the compactor sees the garbage.
-		if _, err := d.Sync(); err != nil {
-			t.Fatalf("sync before compact: %v", err)
-		}
+	// Deferred-release backends queue releases until a sync; flush so the
+	// compactor sees the garbage.
+	if _, err := b.Sync(); err != nil {
+		t.Fatalf("sync before compact: %v", err)
 	}
-	if _, err := c.Compact(); err != nil {
+	if _, err := b.Compact(); err != nil {
 		t.Fatalf("compact: %v", err)
 	}
 	for i, id := range keep {
@@ -85,7 +79,7 @@ func testReleaseCompactGet(t *testing.T, b blobstore.Backend) {
 		t.Fatalf("close pre-compaction reader: %v", err)
 	}
 	// With the garbage gone, a second compaction finds nothing to do.
-	if _, err := c.Compact(); err != nil {
+	if _, err := b.Compact(); err != nil {
 		t.Fatalf("idempotent compact: %v", err)
 	}
 	for i, id := range keep {

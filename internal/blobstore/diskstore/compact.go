@@ -346,29 +346,11 @@ func (s *Store) commitCatalog() error {
 	return nil
 }
 
-// DiskStats reports the store's physical footprint next to its live bytes.
-type DiskStats struct {
-	// LiveBytes is the payload bytes of live blobs (what TotalBytes reports).
-	LiveBytes int64
-	// DiskBytes is the segment bytes actually on disk: every open segment
-	// plus evacuated files still pinned by readers. The index file is not
-	// included.
-	DiskBytes int64
-	// DeadBytes is the record bytes no live blob accounts for — what
-	// compaction can eventually reclaim.
-	DeadBytes int64
-	// Segments is the number of open (non-retired) segment files.
-	Segments int
-	// SegmentsCompacted and BytesReclaimed are cumulative since Open.
-	SegmentsCompacted int64
-	BytesReclaimed    int64
-}
-
 // DiskStats returns the store's physical-footprint accounting.
-func (s *Store) DiskStats() DiskStats {
+func (s *Store) DiskStats() blobstore.DiskStats {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	d := DiskStats{
+	d := blobstore.DiskStats{
 		LiveBytes:         s.bytes,
 		DeadBytes:         s.deadBytesLocked(),
 		Segments:          len(s.segs),

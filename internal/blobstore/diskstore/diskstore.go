@@ -209,8 +209,8 @@ type bufferedRelease struct {
 	off int64
 }
 
-// Store implements the full durable backend contract.
-var _ blobstore.Durable = (*Store)(nil)
+// Store implements the backend contract.
+var _ blobstore.Backend = (*Store)(nil)
 
 // Open creates or reopens a store rooted at dir, running crash recovery:
 // the committed index is loaded, the log tail beyond its watermark is

@@ -42,7 +42,11 @@ func TestUniverseCycleExists(t *testing.T) {
 
 func TestBaseSizeMatchesMini(t *testing.T) {
 	u := NewUniverse()
-	base := u.BaseInstalledBytes()
+	var base int64
+	for _, n := range u.EssentialNames() {
+		s, _ := u.Spec(n)
+		base += s.InstalledSize
+	}
 	// The Mini image is ~1.9 GB mounted; base content sits near 1.3 GB,
 	// leaving room for churn, block fragmentation and filesystem metadata.
 	if base < 1200*mb || base > 1500*mb {

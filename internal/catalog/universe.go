@@ -190,16 +190,6 @@ func (u *Universe) EssentialNames() []string {
 	return out
 }
 
-// BaseInstalledBytes returns the paper-scale installed size of the
-// essential base set.
-func (u *Universe) BaseInstalledBytes() int64 {
-	var total int64
-	for _, n := range u.EssentialNames() {
-		total += u.specs[n].InstalledSize
-	}
-	return total
-}
-
 // FilesFor generates the deterministic file contents of a package at real
 // (generated) scale. The same name and version always produce identical
 // bytes, which is what makes package payloads dedupable across images.

@@ -135,11 +135,11 @@ func TestRabinChunkBounds(t *testing.T) {
 		t.Fatalf("expected multiple chunks, got %d", len(chunks))
 	}
 	for i, c := range chunks {
-		if len(c.Data) > r.MaxSize() {
-			t.Fatalf("chunk %d len %d exceeds max %d", i, len(c.Data), r.MaxSize())
+		if len(c.Data) > r.maxSize {
+			t.Fatalf("chunk %d len %d exceeds max %d", i, len(c.Data), r.maxSize)
 		}
-		if i < len(chunks)-1 && len(c.Data) <= r.MinSize()-1 {
-			t.Fatalf("non-final chunk %d len %d below min %d", i, len(c.Data), r.MinSize())
+		if i < len(chunks)-1 && len(c.Data) <= r.minSize-1 {
+			t.Fatalf("non-final chunk %d len %d below min %d", i, len(c.Data), r.minSize)
 		}
 	}
 }

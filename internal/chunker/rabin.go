@@ -109,12 +109,6 @@ func (r *Rabin) buildTables() {
 // Name implements Chunker.
 func (r *Rabin) Name() string { return fmt.Sprintf("rabin-%d", r.avgSize) }
 
-// MinSize returns the minimum chunk size.
-func (r *Rabin) MinSize() int { return r.minSize }
-
-// MaxSize returns the maximum chunk size.
-func (r *Rabin) MaxSize() int { return r.maxSize }
-
 // Split implements Chunker.
 func (r *Rabin) Split(data []byte) []Chunk {
 	if len(data) == 0 {

@@ -12,17 +12,13 @@ package containerize
 import (
 	"encoding/json"
 	"fmt"
-	"path"
-	"sort"
+	"io"
 
 	"expelliarmus/internal/blobstore"
-	"expelliarmus/internal/pkgfmt"
 	"expelliarmus/internal/pkgmeta"
 	"expelliarmus/internal/pkgmgr"
 	"expelliarmus/internal/semgraph"
 	"expelliarmus/internal/simio"
-	"expelliarmus/internal/vdisk"
-	"expelliarmus/internal/vmi"
 	"expelliarmus/internal/vmirepo"
 )
 
@@ -60,15 +56,6 @@ func (m *Manifest) TotalSize() int64 {
 // MarshalJSON output is deterministic; Encode renders the manifest.
 func (m *Manifest) Encode() ([]byte, error) {
 	return json.MarshalIndent(m, "", "  ")
-}
-
-// DecodeManifest parses an encoded manifest.
-func DecodeManifest(data []byte) (*Manifest, error) {
-	var m Manifest
-	if err := json.Unmarshal(data, &m); err != nil {
-		return nil, fmt.Errorf("containerize: decode manifest: %w", err)
-	}
-	return &m, nil
 }
 
 // Exporter converts published VMIs into container images over a shared,
@@ -117,9 +104,15 @@ func (e *Exporter) Export(vmiName string) (*Manifest, error) {
 	if err != nil {
 		return nil, err
 	}
-	baseBlob, err := e.repo.GetBase(rec.BaseID, simio.PhaseFetch, nil)
+	rc, size, err := e.repo.OpenBase(rec.BaseID, simio.PhaseFetch, nil)
 	if err != nil {
 		return nil, err
+	}
+	baseBlob := make([]byte, size)
+	_, err = io.ReadFull(rc, baseBlob)
+	rc.Close()
+	if err != nil {
+		return nil, fmt.Errorf("containerize: read base %s: %w", rec.BaseID, err)
 	}
 	m := &Manifest{Name: vmiName, Base: mg.Attrs().String()}
 	m.Layers = append(m.Layers, e.addLayer(MediaTypeBase, "base "+rec.BaseID, baseBlob))
@@ -163,69 +156,6 @@ func (e *Exporter) Export(vmiName string) (*Manifest, error) {
 		m.Layers = append(m.Layers, e.addLayer(MediaTypeUserData, "userdata "+vmiName, archive))
 	}
 	return m, nil
-}
-
-// Materialize applies a manifest's layers bottom-up into a runnable image:
-// the container-runtime side of the export.
-func (e *Exporter) Materialize(m *Manifest) (*vmi.Image, error) {
-	if len(m.Layers) == 0 || m.Layers[0].MediaType != MediaTypeBase {
-		return nil, fmt.Errorf("containerize: manifest %s has no base layer", m.Name)
-	}
-	baseBlob, ok := e.LayerBlob(m.Layers[0].Digest)
-	if !ok {
-		return nil, fmt.Errorf("containerize: base layer %s missing", m.Layers[0].Digest)
-	}
-	disk, err := vdisk.Deserialize(m.Name, baseBlob)
-	if err != nil {
-		return nil, err
-	}
-	img := &vmi.Image{Name: m.Name, Disk: disk}
-	fs, err := img.Mount()
-	if err != nil {
-		return nil, err
-	}
-	mgr, err := pkgmgr.New(fs)
-	if err != nil {
-		return nil, err
-	}
-	var primaries []string
-	for _, l := range m.Layers[1:] {
-		blob, ok := e.LayerBlob(l.Digest)
-		if !ok {
-			return nil, fmt.Errorf("containerize: layer %s missing", l.Digest)
-		}
-		switch l.MediaType {
-		case MediaTypePackage:
-			p, err := pkgfmt.Peek(blob)
-			if err != nil {
-				return nil, err
-			}
-			if !mgr.IsInstalled(p.Name) {
-				if err := mgr.Install(blob); err != nil {
-					return nil, fmt.Errorf("containerize: apply %s: %w", l.CreatedBy, err)
-				}
-			}
-			primaries = append(primaries, p.Name)
-		case MediaTypeUserData:
-			files, err := pkgfmt.UnpackTar(blob)
-			if err != nil {
-				return nil, err
-			}
-			for _, f := range files {
-				if err := fs.MkdirAll(path.Dir(f.Path)); err != nil {
-					return nil, err
-				}
-				if err := fs.WriteFile(f.Path, f.Data); err != nil {
-					return nil, err
-				}
-			}
-		default:
-			return nil, fmt.Errorf("containerize: unknown layer type %q", l.MediaType)
-		}
-	}
-	sort.Strings(primaries)
-	img.Primaries = primaries
-	return img, nil
 }
 
 // graphUniverse adapts a semantic graph to the resolver interface.

@@ -1390,11 +1390,3 @@ func (s *System) MasterDOT() (string, error) {
 	}
 	return out, nil
 }
-
-// DescribeRepo returns a human-readable repository summary.
-func (s *System) DescribeRepo() string {
-	st := s.repo.Stats()
-	return fmt.Sprintf("packages=%d bases=%d vmis=%d blob=%.2fMB db=%.2fMB total=%.2fMB",
-		st.Packages, st.Bases, st.VMIs,
-		float64(st.BlobBytes)/1e6, float64(st.DBBytes)/1e6, float64(st.TotalBytes)/1e6)
-}

@@ -386,14 +386,3 @@ func TestRepoSizeMonotoneAndBounded(t *testing.T) {
 		prev = size
 	}
 }
-
-func TestDescribeRepo(t *testing.T) {
-	s, b := newSystem(t, Options{})
-	if _, err := s.Publish(buildImage(t, b, "Mini")); err != nil {
-		t.Fatal(err)
-	}
-	desc := s.DescribeRepo()
-	if desc == "" || !bytes.Contains([]byte(desc), []byte("bases=1")) {
-		t.Fatalf("DescribeRepo = %q", desc)
-	}
-}

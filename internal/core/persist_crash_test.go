@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"io"
 	"testing"
 
 	"expelliarmus/internal/builder"
@@ -88,7 +89,12 @@ func checkNoDanglingMetadata(t *testing.T, sys *System) {
 		t.Fatalf("recovered base records unreadable: %v", err)
 	}
 	for _, b := range bases {
-		if _, err := repo.GetBase(b.ID, "store", nil); err != nil {
+		rc, _, err := repo.OpenBase(b.ID, "store", nil)
+		if err == nil {
+			_, err = io.Copy(io.Discard, rc)
+			rc.Close()
+		}
+		if err != nil {
 			t.Fatalf("recovered base %s dangling: %v", b.ID, err)
 		}
 	}

@@ -10,29 +10,9 @@ import (
 )
 
 // NewSystemWithRepo creates a system over an existing repository (e.g. one
-// restored from a snapshot). Repositories created before per-class
-// package refcounts existed get their counts rebuilt from a survey here.
+// restored from a snapshot).
 func NewSystemWithRepo(repo *vmirepo.Repo, dev *simio.Device, opts Options) *System {
-	s := &System{repo: repo, dev: dev, opts: opts, cache: newCache(opts), pinned: make(map[string]int), udPinned: make(map[string]int)}
-	s.migratePackageRefs()
-	return s
-}
-
-// migratePackageRefs rebuilds the per-class package refcounts for a
-// repository that predates the refcount bucket (empty counts alongside
-// live VMI records). The rebuild is journaled like any mutation, so a
-// follower replaying this writer's WAL converges on the same counts.
-// Best-effort: a survey failure leaves the bucket empty, which degrades
-// removal GC to vacuum-only reclamation instead of failing open.
-func (s *System) migratePackageRefs() {
-	if s.repo.ReadOnly() || !s.repo.PackageRefsEmpty() || len(s.repo.VMIs()) == 0 {
-		return
-	}
-	counts, err := s.surveyPackageRefs()
-	if err != nil {
-		return
-	}
-	s.repo.ReplacePackageRefs(counts, nil)
+	return &System{repo: repo, dev: dev, opts: opts, cache: newCache(opts), pinned: make(map[string]int), udPinned: make(map[string]int)}
 }
 
 // surveyPackageRefs computes, from the committed VMI records, how many

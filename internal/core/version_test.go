@@ -32,7 +32,10 @@ func upgradeRedisInImage(t *testing.T, img *vmi.Image) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := mgr.Upgrade(blob); err != nil {
+	if err := mgr.Remove("redis-server"); err != nil {
+		t.Fatal(err)
+	}
+	if err := mgr.Install(blob); err != nil {
 		t.Fatal(err)
 	}
 }

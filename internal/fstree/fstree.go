@@ -225,20 +225,9 @@ func (fs *FS) Disk() *vdisk.Disk { return fs.disk }
 // NumFiles returns the number of regular files.
 func (fs *FS) NumFiles() int { return fs.files }
 
-// NumDirs returns the number of directories (including the root).
-func (fs *FS) NumDirs() int { return fs.dirs }
-
-// BlockSize returns the filesystem block size.
-func (fs *FS) BlockSize() int { return fs.blockSize }
-
 // UsedBytes returns the bytes consumed by allocated blocks (metadata and
 // data) — the "mounted size" of Table II.
 func (fs *FS) UsedBytes() int64 { return int64(fs.usedBlocks) * int64(fs.blockSize) }
-
-// FreeBytes returns the unallocated capacity.
-func (fs *FS) FreeBytes() int64 {
-	return int64(fs.total-fs.usedBlocks) * int64(fs.blockSize)
-}
 
 // --- inode table ---
 
@@ -828,20 +817,36 @@ func (fs *FS) Remove(p string) error {
 	return fmt.Errorf("fstree: %s: no such file or directory", p)
 }
 
+// errTooDeep refuses a descent past depth directories. A legal tree is
+// never deeper than its directory count, so getting there means an entry
+// points back at one of its ancestors — an image off the wire can say
+// that, and following it would recurse until the stack ran out.
+func (fs *FS) errTooDeep(p string, depth int) error {
+	if depth < fs.dirs {
+		return nil
+	}
+	return fmt.Errorf("fstree: %s: nested deeper than the filesystem's %d directories (an entry points at its ancestor)", p, fs.dirs)
+}
+
 // RemoveAll deletes p and, if it is a directory, everything below it.
 // Removing a non-existent path is not an error.
-func (fs *FS) RemoveAll(p string) error {
+func (fs *FS) RemoveAll(p string) error { return fs.removeAll(p, 0) }
+
+func (fs *FS) removeAll(p string, depth int) error {
 	_, ino, err := fs.lookup(p)
 	if err != nil {
 		return nil
 	}
 	if ino.mode == modeDir {
+		if err := fs.errTooDeep(p, depth); err != nil {
+			return err
+		}
 		infos, err := fs.ReadDir(p)
 		if err != nil {
 			return err
 		}
 		for _, fi := range infos {
-			if err := fs.RemoveAll(fi.Path); err != nil {
+			if err := fs.removeAll(fi.Path, depth+1); err != nil {
 				return err
 			}
 		}
@@ -857,6 +862,10 @@ func (fs *FS) RemoveAll(p string) error {
 // (sorted) order, calling fn for each. Returning a non-nil error from fn
 // aborts the walk.
 func (fs *FS) Walk(root string, fn func(info FileInfo) error) error {
+	return fs.walk(root, 0, fn)
+}
+
+func (fs *FS) walk(root string, depth int, fn func(info FileInfo) error) error {
 	num, ino, err := fs.lookup(root)
 	if err != nil {
 		return err
@@ -864,6 +873,9 @@ func (fs *FS) Walk(root string, fn func(info FileInfo) error) error {
 	base := path.Clean("/" + root)
 	if ino.mode != modeDir {
 		return fn(FileInfo{Path: base, Size: ino.size, IsDir: false})
+	}
+	if err := fs.errTooDeep(base, depth); err != nil {
+		return err
 	}
 	entries, _, err := fs.readDirents(num)
 	if err != nil {
@@ -879,7 +891,7 @@ func (fs *FS) Walk(root string, fn func(info FileInfo) error) error {
 			if err := fn(FileInfo{Path: child, Size: ci.size, IsDir: true}); err != nil {
 				return err
 			}
-			if err := fs.Walk(child, fn); err != nil {
+			if err := fs.walk(child, depth+1, fn); err != nil {
 				return err
 			}
 		} else {

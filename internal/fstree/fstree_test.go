@@ -98,8 +98,8 @@ func TestMkdirAllIdempotentAndNested(t *testing.T) {
 	if err := fs.MkdirAll("/a/b"); err != nil {
 		t.Fatal(err)
 	}
-	if fs.NumDirs() != 5 { // root + a,b,c,d
-		t.Fatalf("NumDirs = %d, want 5", fs.NumDirs())
+	if fs.dirs != 5 { // root + a,b,c,d
+		t.Fatalf("NumDirs = %d, want 5", fs.dirs)
 	}
 	fi, err := fs.Stat("/a/b/c")
 	if err != nil || !fi.IsDir {
@@ -160,8 +160,8 @@ func TestRemove(t *testing.T) {
 	if err := fs.Remove("/dir"); err == nil {
 		t.Fatal("double remove succeeded")
 	}
-	if fs.NumFiles() != 0 || fs.NumDirs() != 1 {
-		t.Fatalf("counts = %d files, %d dirs", fs.NumFiles(), fs.NumDirs())
+	if fs.NumFiles() != 0 || fs.dirs != 1 {
+		t.Fatalf("counts = %d files, %d dirs", fs.NumFiles(), fs.dirs)
 	}
 }
 
@@ -278,9 +278,9 @@ func TestMountRoundTrip(t *testing.T) {
 	if got, _ := fs2.ReadFile("/etc/apt/sources.list"); string(got) != "deb http://archive" {
 		t.Fatalf("file content lost: %q", got)
 	}
-	if fs2.NumFiles() != fs.NumFiles() || fs2.NumDirs() != fs.NumDirs() {
+	if fs2.NumFiles() != fs.NumFiles() || fs2.dirs != fs.dirs {
 		t.Fatalf("counts differ after mount: %d/%d vs %d/%d",
-			fs2.NumFiles(), fs2.NumDirs(), fs.NumFiles(), fs.NumDirs())
+			fs2.NumFiles(), fs2.dirs, fs.NumFiles(), fs.dirs)
 	}
 	if fs2.UsedBytes() != fs.UsedBytes() {
 		t.Fatalf("UsedBytes %d != %d", fs2.UsedBytes(), fs.UsedBytes())
@@ -359,7 +359,7 @@ func TestFragmentedAllocation(t *testing.T) {
 	// fragment free space.
 	var small [][]byte
 	for i := 0; i < 40; i++ {
-		data := bytes.Repeat([]byte{byte(i)}, 3*fs.BlockSize())
+		data := bytes.Repeat([]byte{byte(i)}, 3*fs.blockSize)
 		small = append(small, data)
 		if err := fs.WriteFile(fmt.Sprintf("/f%02d", i), data); err != nil {
 			t.Fatal(err)
@@ -370,7 +370,7 @@ func TestFragmentedAllocation(t *testing.T) {
 	}
 	// A file needing several separated runs must still be writable via
 	// multi-extent allocation.
-	data := bytes.Repeat([]byte{0xCC}, 9*fs.BlockSize())
+	data := bytes.Repeat([]byte{0xCC}, 9*fs.blockSize)
 	if err := fs.WriteFile("/frag", data); err != nil {
 		t.Fatal(err)
 	}

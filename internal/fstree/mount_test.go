@@ -137,6 +137,68 @@ func TestCorruptInodeIsAnError(t *testing.T) {
 	}
 }
 
+// cyclicImage is smallImage with one forged entry: /etc/loop names the
+// inode of /etc itself, so every descent into /etc can go on forever.
+func cyclicImage(t testing.TB) *vdisk.Disk {
+	t.Helper()
+	d := smallImage(t)
+	fs, err := Mount(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	etc, _, err := fs.lookup("/etc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	entries, ino, err := fs.readDirents(etc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	entries = append(entries, dirent{ino: etc, mode: modeDir, name: "loop"})
+	if err := fs.writeDirents(etc, ino, entries); err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
+
+// TestCyclicDirectoryBounded: a directory entry pointing back at its
+// ancestor used to send Walk and RemoveAll into unbounded recursion (a
+// fatal stack overflow, not a recoverable panic). Both now stop with an
+// error once the descent is deeper than any legal tree on this
+// filesystem could be.
+func TestCyclicDirectoryBounded(t *testing.T) {
+	fs, err := Mount(cyclicImage(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	visited := 0
+	err = fs.Walk("/", func(FileInfo) error { visited++; return nil })
+	if err == nil || !strings.Contains(err.Error(), "points at its ancestor") {
+		t.Fatalf("Walk over a cyclic tree = %v after %d entries, want the depth error", err, visited)
+	}
+	if err := fs.RemoveAll("/etc"); err == nil || !strings.Contains(err.Error(), "points at its ancestor") {
+		t.Fatalf("RemoveAll over a cyclic tree = %v, want the depth error", err)
+	}
+	// The bound is not in a legal tree's way: a chain as deep as the
+	// directory count walks and removes cleanly.
+	fs, err = Mount(smallImage(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.MkdirAll("/a/b/c/d/e/f"); err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.Walk("/", func(FileInfo) error { return nil }); err != nil {
+		t.Fatalf("Walk over a deep legal tree: %v", err)
+	}
+	if err := fs.RemoveAll("/"); err != nil {
+		t.Fatalf("RemoveAll over a deep legal tree: %v", err)
+	}
+	if fs.dirs != 1 || fs.files != 0 {
+		t.Fatalf("after RemoveAll(/): %d dirs, %d files", fs.dirs, fs.files)
+	}
+}
+
 // FuzzMount writes arbitrary bytes over the first clusters of a small disk
 // — superblock, bitmap, inode table and the first data blocks — and mounts
 // it: Mount returns an error or a filesystem whose operations return, it
@@ -175,5 +237,7 @@ func FuzzMount(f *testing.F) {
 		_ = fs.WriteFile("/etc/hostname", []byte("replaced"))
 		_ = fs.Remove("/etc/hostname")
 		_ = fs.Remove("/fuzz/dir/file")
+		_ = fs.Walk("/", func(FileInfo) error { return nil })
+		_ = fs.RemoveAll("/etc")
 	})
 }

@@ -88,7 +88,7 @@ func runSchedule(t *testing.T, seed int64, check func(fs *FS, step string)) []by
 
 	step("mkdir /fill", fs.MkdirAll("/fill"))
 	var fill []string
-	for i := 0; fs.FreeBytes() > 6*bs; i++ {
+	for i := 0; int64(fs.total-fs.usedBlocks)*int64(fs.blockSize) > 6*bs; i++ {
 		p := fmt.Sprintf("/fill/s%03d", i)
 		fill = append(fill, p)
 		step("fill "+p, fs.WriteFile(p, content(bs)))

@@ -65,9 +65,6 @@ func (h *Handle) Launch() error {
 	return nil
 }
 
-// Launched reports whether the handle has been launched.
-func (h *Handle) Launched() bool { return h.launched }
-
 // Disk returns the underlying disk.
 func (h *Handle) Disk() *vdisk.Disk { return h.disk }
 

@@ -37,7 +37,7 @@ func testDevice() *simio.Device {
 func TestLaunchAndAccess(t *testing.T) {
 	meter := &simio.Meter{}
 	h := New(newDisk(t), testDevice(), meter)
-	if h.Launched() {
+	if h.launched {
 		t.Fatal("handle launched before Launch")
 	}
 	if _, err := h.FS(); err == nil {
@@ -46,8 +46,8 @@ func TestLaunchAndAccess(t *testing.T) {
 	if err := h.Launch(); err != nil {
 		t.Fatal(err)
 	}
-	if !h.Launched() {
-		t.Fatal("Launched() false after Launch")
+	if !h.launched {
+		t.Fatal("not launched after Launch")
 	}
 	if meter.Phase(simio.PhaseLaunch) == 0 {
 		t.Fatal("launch cost not charged")
@@ -191,7 +191,7 @@ func TestClose(t *testing.T) {
 	h := New(newDisk(t), testDevice(), &simio.Meter{})
 	h.Launch()
 	h.Close()
-	if h.Launched() {
+	if h.launched {
 		t.Fatal("handle launched after Close")
 	}
 	if _, err := h.FS(); err == nil {

@@ -1,5 +1,5 @@
 // Package metadb implements a small embedded, ordered key/value storage
-// engine with named buckets, range cursors and snapshot persistence. It
+// engine with named buckets, ordered scans and snapshot persistence. It
 // stands in for the SQLite database the paper uses for VMI metadata
 // (Sec. V: "we used the SQLite database engine, suitable for managing VMI
 // meta-data due to its self-contained, serverless, and zero-configuration
@@ -239,13 +239,6 @@ func (b *Bucket) Len() int {
 	return b.t.size
 }
 
-// PayloadBytes returns the total key+value bytes stored in the bucket.
-func (b *Bucket) PayloadBytes() int64 {
-	b.t.mu.RLock()
-	defer b.t.mu.RUnlock()
-	return b.t.payload
-}
-
 // ForEach calls fn for every key/value pair in ascending key order. If fn
 // returns false, iteration stops. The slices must not be modified, and fn
 // must not write to this bucket (it runs under the bucket's read lock).
@@ -259,70 +252,6 @@ func (b *Bucket) ForEach(fn func(key, value []byte) bool) {
 			}
 		}
 	}
-}
-
-// Cursor returns a cursor positioned before the first key.
-func (b *Bucket) Cursor() *Cursor {
-	return &Cursor{bucket: b}
-}
-
-// Cursor iterates a bucket in ascending key order. The cursor observes a
-// live tree; interleaving writes with iteration is not supported.
-type Cursor struct {
-	bucket *Bucket
-	leaf   *node
-	idx    int
-}
-
-// First positions at the smallest key and returns it, or nil,nil when the
-// bucket is empty.
-func (c *Cursor) First() (key, value []byte) {
-	c.bucket.t.mu.RLock()
-	defer c.bucket.t.mu.RUnlock()
-	c.leaf = c.bucket.t.firstLeaf()
-	c.idx = 0
-	c.skipEmpty()
-	return c.current()
-}
-
-// Seek positions at the first key >= target and returns it, or nil,nil when
-// no such key exists.
-func (c *Cursor) Seek(target []byte) (key, value []byte) {
-	c.bucket.t.mu.RLock()
-	defer c.bucket.t.mu.RUnlock()
-	leaf := c.bucket.t.leafFor(target)
-	idx := sort.Search(len(leaf.keys), func(i int) bool {
-		return bytes.Compare(leaf.keys[i], target) >= 0
-	})
-	c.leaf, c.idx = leaf, idx
-	c.skipEmpty()
-	return c.current()
-}
-
-// Next advances to the next key and returns it, or nil,nil at the end.
-func (c *Cursor) Next() (key, value []byte) {
-	c.bucket.t.mu.RLock()
-	defer c.bucket.t.mu.RUnlock()
-	if c.leaf == nil {
-		return nil, nil
-	}
-	c.idx++
-	c.skipEmpty()
-	return c.current()
-}
-
-func (c *Cursor) skipEmpty() {
-	for c.leaf != nil && c.idx >= len(c.leaf.keys) {
-		c.leaf = c.leaf.next
-		c.idx = 0
-	}
-}
-
-func (c *Cursor) current() (key, value []byte) {
-	if c.leaf == nil {
-		return nil, nil
-	}
-	return c.leaf.keys[c.idx], c.leaf.vals[c.idx]
 }
 
 // --- B+tree internals ---

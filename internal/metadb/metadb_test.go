@@ -156,62 +156,6 @@ func TestForEachEarlyStop(t *testing.T) {
 	}
 }
 
-func TestCursorFirstNext(t *testing.T) {
-	db := New()
-	b := db.CreateBucket("cur")
-	want := fill(b, 3000, 45)
-	keys := make([]string, 0, len(want))
-	for k := range want {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-
-	c := b.Cursor()
-	i := 0
-	for k, _ := c.First(); k != nil; k, _ = c.Next() {
-		if string(k) != keys[i] {
-			t.Fatalf("cursor pos %d: got %q want %q", i, k, keys[i])
-		}
-		i++
-	}
-	if i != len(keys) {
-		t.Fatalf("cursor visited %d, want %d", i, len(keys))
-	}
-}
-
-func TestCursorSeek(t *testing.T) {
-	db := New()
-	b := db.CreateBucket("seek")
-	for i := 0; i < 100; i += 2 { // even keys only
-		b.Put([]byte(fmt.Sprintf("k%03d", i)), []byte("v"))
-	}
-	c := b.Cursor()
-	if k, _ := c.Seek([]byte("k051")); string(k) != "k052" {
-		t.Fatalf("Seek(k051) = %q, want k052", k)
-	}
-	if k, _ := c.Seek([]byte("k052")); string(k) != "k052" {
-		t.Fatalf("Seek(k052) = %q, want exact match", k)
-	}
-	if k, _ := c.Seek([]byte("k000")); string(k) != "k000" {
-		t.Fatalf("Seek(k000) = %q", k)
-	}
-	if k, _ := c.Seek([]byte("zzz")); k != nil {
-		t.Fatalf("Seek past end = %q, want nil", k)
-	}
-}
-
-func TestCursorEmptyBucket(t *testing.T) {
-	db := New()
-	b := db.CreateBucket("empty")
-	c := b.Cursor()
-	if k, v := c.First(); k != nil || v != nil {
-		t.Fatal("First on empty bucket returned a key")
-	}
-	if k, _ := c.Next(); k != nil {
-		t.Fatal("Next on exhausted cursor returned a key")
-	}
-}
-
 func TestDeleteHeavyThenIterate(t *testing.T) {
 	db := New()
 	b := db.CreateBucket("dh")
@@ -220,7 +164,7 @@ func TestDeleteHeavyThenIterate(t *testing.T) {
 		b.Put([]byte(fmt.Sprintf("k%05d", i)), []byte("v"))
 	}
 	// Delete every key not divisible by 7, leaving sparse leaves (lazy
-	// deletion must not confuse cursors).
+	// deletion must not confuse iteration).
 	for i := 0; i < n; i++ {
 		if i%7 != 0 {
 			b.Delete([]byte(fmt.Sprintf("k%05d", i)))
@@ -246,26 +190,21 @@ func TestDeleteHeavyThenIterate(t *testing.T) {
 	if seen != want {
 		t.Fatalf("iterated %d, want %d", seen, want)
 	}
-	// Seek still works across emptied leaves.
-	c := b.Cursor()
-	if k, _ := c.Seek([]byte("k00001")); string(k) != "k00007" {
-		t.Fatalf("Seek over deleted range = %q, want k00007", k)
-	}
 }
 
 func TestPayloadBytesTracking(t *testing.T) {
 	db := New()
 	b := db.CreateBucket("pb")
 	b.Put([]byte("abc"), []byte("12345"))
-	if got := b.PayloadBytes(); got != 8 {
+	if got := b.t.payload; got != 8 {
 		t.Fatalf("PayloadBytes = %d, want 8", got)
 	}
 	b.Put([]byte("abc"), []byte("1")) // replace shrinks
-	if got := b.PayloadBytes(); got != 4 {
+	if got := b.t.payload; got != 4 {
 		t.Fatalf("PayloadBytes after replace = %d, want 4", got)
 	}
 	b.Delete([]byte("abc"))
-	if got := b.PayloadBytes(); got != 0 {
+	if got := b.t.payload; got != 0 {
 		t.Fatalf("PayloadBytes after delete = %d, want 0", got)
 	}
 }

@@ -38,8 +38,11 @@ type ApplyStats struct {
 // Follower is the apply side of the metadata WAL split: it ingests a
 // writer's snapshot at some epoch, then applies the writer's durable WAL
 // tail in commit-marker-bounded batches at strictly advancing offsets.
-// It is the exact machinery Open uses to replay a local WAL, exposed for
-// state that arrives over a wire instead of from the local disk.
+// Open's local replay and Apply read the log through the same batch
+// scanner (scanBatches) and land ops through the same applyOp; they differ
+// only in what they make of a tail that is not a whole batch — Open
+// truncates one past its durable watermark as a crash artifact, Apply
+// refuses the whole chunk so it can be refetched.
 //
 // A Follower validates everything it is fed: a chunk must start at the
 // current applied offset (ErrOutOfOrder), parse completely, and end on a
@@ -91,29 +94,14 @@ func (f *Follower) Restart(epoch uint64, snapshot []byte) (*metadb.DB, error) {
 // stream that ends short, or a read error, is refused without touching
 // the current state.
 func (f *Follower) RestartFrom(epoch uint64, src io.Reader, size int64) (*metadb.DB, error) {
-	if epoch == 0 {
-		return nil, fmt.Errorf("metawal: follower restart at epoch 0")
-	}
 	if size < 0 {
 		return nil, fmt.Errorf("metawal: follower restart: negative snapshot size %d", size)
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if epoch < f.epoch {
-		return nil, fmt.Errorf("%w: snapshot epoch %d behind current %d", ErrOutOfOrder, epoch, f.epoch)
 	}
 	snapshot := make([]byte, size)
 	if _, err := io.ReadFull(src, snapshot); err != nil {
 		return nil, fmt.Errorf("metawal: follower snapshot stream: %w", err)
 	}
-	db, err := metadb.Load(snapshot)
-	if err != nil {
-		return nil, fmt.Errorf("metawal: follower snapshot: %w", err)
-	}
-	f.db = db
-	f.epoch = epoch
-	f.applied = walHeaderLen
-	return db, nil
+	return f.Restart(epoch, snapshot)
 }
 
 // Apply applies one chunk of the writer's durable WAL tail: the bytes
@@ -162,43 +150,22 @@ func (f *Follower) Apply(epoch uint64, from int64, chunk []byte, hook BatchHook)
 }
 
 // parseBatches splits a WAL byte range into its commit batches, refusing
-// anything but whole, marker-closed batches. A record that fails to parse
+// anything but whole, marker-closed batches: a record that fails to frame
 // or a trailing batch missing its marker is ErrTorn (the chunk was cut
-// mid-batch — refetch); a marker whose op count disagrees with the records
-// before it is corruption (a crash cannot forge the CRCs that got us
-// here).
+// mid-batch — refetch).
 func parseBatches(chunk []byte) ([][]metadb.Op, error) {
 	var batches [][]metadb.Op
-	var batch []metadb.Op
-	buf := chunk
-	off := 0
-	for len(buf) > 0 {
-		kind, payload, size, err := parseRecord(buf)
-		if err != nil {
-			return nil, fmt.Errorf("%w: offset %d: %v", ErrTorn, off, err)
-		}
-		if kind == recCommit {
-			count, err := decodeCommitMarker(payload)
-			if err != nil {
-				return nil, fmt.Errorf("metawal: follower chunk offset %d: %w", off, err)
-			}
-			if count != len(batch) {
-				return nil, fmt.Errorf("metawal: follower chunk offset %d: commit marker closes %d ops but %d are buffered", off, count, len(batch))
-			}
-			batches = append(batches, batch)
-			batch = nil
-		} else {
-			op, err := decodeOp(kind, payload)
-			if err != nil {
-				return nil, fmt.Errorf("metawal: follower chunk offset %d: %w", off, err)
-			}
-			batch = append(batch, op)
-		}
-		buf = buf[size:]
-		off += size
+	tail, err := scanBatches(chunk, 0, func(batch []metadb.Op, _ int) {
+		batches = append(batches, batch)
+	})
+	if err != nil {
+		return nil, fmt.Errorf("metawal: follower chunk %w", err)
 	}
-	if len(batch) > 0 {
-		return nil, fmt.Errorf("%w: %d ops past the last commit boundary", ErrTorn, len(batch))
+	if tail.frameErr != nil {
+		return nil, fmt.Errorf("%w: offset %d: %v", ErrTorn, tail.off, tail.frameErr)
+	}
+	if tail.openOps > 0 {
+		return nil, fmt.Errorf("%w: %d ops past the last commit boundary", ErrTorn, tail.openOps)
 	}
 	return batches, nil
 }

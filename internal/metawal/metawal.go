@@ -20,7 +20,7 @@
 // the watermark; the marker makes a Sync batch the unit of atomicity, so
 // recovery always lands between Syncs, never inside one.
 //
-// Compaction — size-triggered, periodic, or forced — rewrites the state
+// Compaction — size-triggered or forced — rewrites the state
 // as a fresh snapshot at the next epoch via internal/atomicfile, creates
 // an empty log, atomically switches meta.commit, and only then removes
 // the old pair (leftovers of a crash mid-compaction are swept on the
@@ -69,11 +69,6 @@ type Options struct {
 	// would grow the WAL beyond this size. Zero means DefaultCompactBytes.
 	// Small values are useful in tests to force compaction churn.
 	CompactBytes int64
-	// CompactEvery, when positive, additionally compacts on every Nth
-	// effective Sync (one that had something to commit) — the periodic
-	// trigger for repositories whose WAL grows too slowly to hit
-	// CompactBytes but whose reopen cost should stay bounded.
-	CompactEvery int
 }
 
 // KillPoint names a crash-injection point inside Sync/Compact. Tests set
@@ -134,16 +129,15 @@ type Log struct {
 	opts Options
 	db   *metadb.DB
 
-	mu           sync.Mutex
-	epoch        uint64
-	f            *os.File // current WAL, O_APPEND
-	length       int64    // current WAL length
-	durable      int64    // watermark: length covered by meta.commit
-	pending      []byte   // framed op records buffered since the last Sync
-	pendingOps   int
-	sinceCompact int // effective Syncs since the last compaction
-	failure      error
-	recovery     RecoveryReport
+	mu         sync.Mutex
+	epoch      uint64
+	f          *os.File // current WAL, O_APPEND
+	length     int64    // current WAL length
+	durable    int64    // watermark: length covered by meta.commit
+	pending    []byte   // framed op records buffered since the last Sync
+	pendingOps int
+	failure    error
+	recovery   RecoveryReport
 
 	// Kill is the crash-injection hook: when non-nil it runs at each
 	// KillPoint, and a returned error aborts the operation exactly as a
@@ -303,70 +297,41 @@ func (l *Log) loadEpoch(walLen int64) error {
 	return l.replay(data, walLen, size)
 }
 
-// replay applies the WAL's committed batches to the database. Op records
-// buffer until their commit marker arrives; any damage at or beyond the
-// durable watermark — torn mid-record, whole records missing their
-// marker, or a partially persisted batch with intact records after the
-// damage — is the signature of a crash mid-Sync and is truncated back to
-// the last commit boundary, while damage below the watermark is refused
-// as corruption of acknowledged history.
+// replay applies the WAL's committed batches to the database. Any damage
+// at or beyond the durable watermark — torn mid-record, whole records
+// missing their marker, or a partially persisted batch with intact
+// records after the damage — is the signature of a crash mid-Sync and is
+// truncated back to the last commit boundary, while damage below the
+// watermark is refused as corruption of acknowledged history.
 func (l *Log) replay(data []byte, walLen, size int64) error {
-	buf := data[walHeaderLen:]
-	off := walHeaderLen
 	lastCommitEnd := walHeaderLen
 	watermarkOnBoundary := walLen == walHeaderLen
-	var batch []metadb.Op
-	for len(buf) > 0 {
-		kind, payload, recSize, err := parseRecord(buf)
-		if err != nil {
-			if off < walLen {
-				// Below the durable watermark every byte was acknowledged to
-				// a Sync caller; ANY damage there — torn-looking or not — is
-				// real corruption of committed history, never a crash
-				// artifact, and must be refused rather than truncated.
-				return fmt.Errorf("metawal: %s offset %d: %w below the durable watermark %d — refusing to truncate committed data",
-					walName(l.epoch), off, err, walLen)
-			}
-			// Damage in the unacknowledged tail is a crash artifact —
-			// including a later record that still parses (a multi-page batch
-			// whose pages were written back out of order before the fsync
-			// completed): nothing at or beyond the watermark was ever
-			// acknowledged, so rolling back to the last commit boundary is
-			// exactly the rollback Sync already promises.
-			break
+	tail, err := scanBatches(data, int(walHeaderLen), func(batch []metadb.Op, end int) {
+		for _, op := range batch {
+			applyOp(l.db, op)
 		}
-		if kind == recCommit {
-			count, err := decodeCommitMarker(payload)
-			if err != nil {
-				return fmt.Errorf("metawal: %s offset %d: %w", walName(l.epoch), off, err)
-			}
-			if count != len(batch) {
-				return fmt.Errorf("metawal: %s offset %d: commit marker closes %d ops but %d are buffered",
-					walName(l.epoch), off, count, len(batch))
-			}
-			for _, op := range batch {
-				applyOp(l.db, op)
-			}
-			l.recovery.ReplayedOps += len(batch)
-			l.recovery.ReplayedBatches++
-			batch = batch[:0]
-			lastCommitEnd = off + int64(recSize)
-			if lastCommitEnd == walLen {
-				watermarkOnBoundary = true
-			}
-		} else {
-			op, err := decodeOp(kind, payload)
-			if err != nil {
-				// The record's CRC passed, so these bytes are not a torn
-				// write (a crash cannot forge a checksum): an undecodable
-				// payload means a foreign or future format, on either side
-				// of the watermark. Refuse rather than guess.
-				return fmt.Errorf("metawal: %s offset %d: %w", walName(l.epoch), off, err)
-			}
-			batch = append(batch, op)
+		l.recovery.ReplayedOps += len(batch)
+		l.recovery.ReplayedBatches++
+		lastCommitEnd = int64(end)
+		if lastCommitEnd == walLen {
+			watermarkOnBoundary = true
 		}
-		buf = buf[recSize:]
-		off += int64(recSize)
+	})
+	if err != nil {
+		return fmt.Errorf("metawal: %s %w", walName(l.epoch), err)
+	}
+	if tail.frameErr != nil && int64(tail.off) < walLen {
+		// Below the durable watermark every byte was acknowledged to a Sync
+		// caller; ANY damage there — torn-looking or not — is real
+		// corruption of committed history, never a crash artifact, and must
+		// be refused rather than truncated. Damage in the unacknowledged
+		// tail is a crash artifact — including a later record that still
+		// parses (a multi-page batch whose pages were written back out of
+		// order before the fsync completed): nothing at or beyond the
+		// watermark was ever acknowledged, so rolling back to the last
+		// commit boundary is exactly the rollback Sync already promises.
+		return fmt.Errorf("metawal: %s offset %d: %w below the durable watermark %d — refusing to truncate committed data",
+			walName(l.epoch), tail.off, tail.frameErr, walLen)
 	}
 	if !watermarkOnBoundary {
 		return fmt.Errorf("metawal: %s durable watermark %d does not land on a commit boundary", walName(l.epoch), walLen)
@@ -380,21 +345,12 @@ func (l *Log) replay(data []byte, walLen, size int64) error {
 		l.recovery.Torn = true
 		l.recovery.TornOffset = lastCommitEnd
 		l.recovery.DroppedBytes = size - lastCommitEnd
-		l.recovery.DroppedOps = len(batch)
+		l.recovery.DroppedOps = tail.openOps
 		size = lastCommitEnd
 	}
 	l.length = size
 	l.durable = walLen
 	return nil
-}
-
-// decodeCommitMarker validates a commit marker's payload.
-func decodeCommitMarker(payload []byte) (int, error) {
-	count, err := decodeUvarintAll(payload)
-	if err != nil {
-		return 0, fmt.Errorf("%w: bad commit marker", errCorrupt)
-	}
-	return int(count), nil
 }
 
 // refuseOrphanedEpochs decides whether epoch files found with no
@@ -502,13 +458,6 @@ func (l *Log) Record(op metadb.Op) {
 	l.pendingOps++
 }
 
-// Pending returns the number of ops buffered for the next Sync.
-func (l *Log) Pending() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.pendingOps
-}
-
 // Epoch returns the current snapshot epoch.
 func (l *Log) Epoch() uint64 {
 	l.mu.Lock()
@@ -562,10 +511,10 @@ func (l *Log) kill(p KillPoint) error {
 
 // Sync durably commits all ops recorded since the previous Sync: append
 // the batch plus its commit marker, fsync, then atomically advance the
-// watermark. When the WAL would outgrow Options.CompactBytes (or the
-// periodic trigger fires), the commit compacts instead. In the
-// repository's two-phase protocol this runs strictly after blob SyncData,
-// so every op the WAL ever holds references durable blob bytes.
+// watermark. When the WAL would outgrow Options.CompactBytes, the commit
+// compacts instead. In the repository's two-phase protocol this runs
+// strictly after blob SyncData, so every op the WAL ever holds references
+// durable blob bytes.
 func (l *Log) Sync() (SyncStats, error) { return l.sync(false) }
 
 // Compact forces the commit to rewrite the state as a fresh snapshot at
@@ -588,15 +537,13 @@ func (l *Log) sync(force bool) (SyncStats, error) {
 		// commit record does not need to be re-written and re-fsynced.
 		return st, nil
 	}
-	l.sinceCompact++
 	compactBytes := l.opts.CompactBytes
 	if compactBytes <= 0 {
 		compactBytes = DefaultCompactBytes
 	}
 	if force ||
 		l.length+int64(len(l.pending)) > compactBytes ||
-		int64(len(l.pending)) > l.db.SizeBytes() ||
-		(l.opts.CompactEvery > 0 && l.sinceCompact >= l.opts.CompactEvery) {
+		int64(len(l.pending)) > l.db.SizeBytes() {
 		return l.compactLocked(st)
 	}
 	var batch []byte
@@ -669,7 +616,6 @@ func (l *Log) compactLocked(st SyncStats) (SyncStats, error) {
 	st.Compacted = true
 	st.SnapshotBytes = int64(len(img))
 	l.pending, l.pendingOps = nil, 0
-	l.sinceCompact = 0
 	return st, nil
 }
 

@@ -109,7 +109,7 @@ func TestUnsyncedOpsLostOnCrash(t *testing.T) {
 	mustSync(t, l)
 	want := db.Snapshot()
 	putN(db, "b", 4, 4) // never synced
-	if l.Pending() == 0 {
+	if l.pendingOps == 0 {
 		t.Fatal("ops not buffered")
 	}
 	l.Abandon() // crash
@@ -549,22 +549,7 @@ func TestSizeTriggeredCompaction(t *testing.T) {
 	l.Close()
 }
 
-// TestPeriodicCompaction pins the CompactEvery trigger.
-func TestPeriodicCompaction(t *testing.T) {
-	dir := t.TempDir()
-	l, db := openLog(t, dir, Options{CompactEvery: 3})
-	wire(db, l)
-	for i := 0; i < 3; i++ {
-		putN(db, "b", i, 1)
-		st := mustSync(t, l)
-		if got, want := st.Compacted, i == 2; got != want {
-			t.Fatalf("sync %d compacted=%v, want %v", i, got, want)
-		}
-	}
-	l.Close()
-}
-
-// TestOversizedDeltaCompacts pins the third trigger: a pending delta
+// TestOversizedDeltaCompacts pins the other trigger: a pending delta
 // bigger than the whole database compacts instead of appending — a bulk
 // load must not write every intermediate record version.
 func TestOversizedDeltaCompacts(t *testing.T) {

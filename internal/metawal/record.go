@@ -134,6 +134,65 @@ func decodeOp(kind byte, payload []byte) (metadb.Op, error) {
 	}
 }
 
+// batchTail is what scanBatches found past the last batch it delivered:
+// the offset where whole-record framing stopped and why (frameErr is nil
+// when the buffer was consumed to its end), and how many op records sit
+// there without a marker. Whether that is a crash artifact to truncate, a
+// torn chunk to refetch or corruption to refuse is the caller's decision.
+type batchTail struct {
+	off      int
+	openOps  int
+	frameErr error
+}
+
+// scanBatches is the one reader of the WAL's batch format: framed op
+// records closed by a commit marker carrying their count. It walks
+// buf[start:], hands each closed batch (which emit then owns) to emit
+// together with the offset just past its marker, and stops at the first
+// record that does not frame. A record whose CRC passes but whose content
+// is wrong — an undecodable op, a malformed marker, a marker whose count
+// disagrees with the records before it — is not a torn write (a crash
+// cannot forge a checksum): it means a foreign or future format, and is
+// returned as an error naming its offset rather than guessed at.
+func scanBatches(buf []byte, start int, emit func(batch []metadb.Op, end int)) (batchTail, error) {
+	off := start
+	var batch []metadb.Op
+	for off < len(buf) {
+		kind, payload, size, err := parseRecord(buf[off:])
+		if err != nil {
+			return batchTail{off: off, openOps: len(batch), frameErr: err}, nil
+		}
+		if kind == recCommit {
+			count, err := decodeCommitMarker(payload)
+			if err != nil {
+				return batchTail{}, fmt.Errorf("offset %d: %w", off, err)
+			}
+			if count != len(batch) {
+				return batchTail{}, fmt.Errorf("offset %d: commit marker closes %d ops but %d are buffered", off, count, len(batch))
+			}
+			emit(batch, off+size)
+			batch = nil
+		} else {
+			op, err := decodeOp(kind, payload)
+			if err != nil {
+				return batchTail{}, fmt.Errorf("offset %d: %w", off, err)
+			}
+			batch = append(batch, op)
+		}
+		off += size
+	}
+	return batchTail{off: off, openOps: len(batch)}, nil
+}
+
+// decodeCommitMarker validates a commit marker's payload.
+func decodeCommitMarker(payload []byte) (int, error) {
+	count, err := decodeUvarintAll(payload)
+	if err != nil {
+		return 0, fmt.Errorf("%w: bad commit marker", errCorrupt)
+	}
+	return int(count), nil
+}
+
 // applyOp replays one decoded op into db. Ops target buckets by name;
 // CreateBucket-on-demand keeps a put/delete applicable even when the
 // snapshot predates the bucket.

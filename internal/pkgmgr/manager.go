@@ -287,12 +287,3 @@ func (m *Manager) Autoremove(keep []string) ([]string, error) {
 	}
 	return removed, nil
 }
-
-// InstalledBytes returns the sum of InstalledSize over installed packages.
-func (m *Manager) InstalledBytes() (int64, error) {
-	var total int64
-	for _, p := range m.index {
-		total += p.InstalledSize
-	}
-	return total, nil
-}

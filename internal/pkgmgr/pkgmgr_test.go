@@ -245,17 +245,47 @@ func TestAutoremoveCycleUnreachable(t *testing.T) {
 	}
 }
 
-func TestInstalledBytes(t *testing.T) {
-	m, _ := newMgr(t)
-	a := pkg("a")
-	a.InstalledSize = 100
-	b := pkg("b")
-	b.InstalledSize = 250
-	m.InstallPackage(a, nil)
-	m.InstallPackage(b, nil)
-	got, err := m.InstalledBytes()
-	if err != nil || got != 350 {
-		t.Fatalf("InstalledBytes = %d, %v", got, err)
+// TestUpgradeReplacesFiles: replacing an installed package with another
+// version — remove, then install the new build — leaves the new version's
+// files and metadata and none of the old version's.
+func TestUpgradeReplacesFiles(t *testing.T) {
+	m, fs := newMgr(t)
+	v1 := pkg("nginx")
+	v1.Version = "1.0"
+	if err := m.InstallPackage(v1, []pkgfmt.File{
+		{Path: "/usr/bin/nginx", Data: []byte("v1 binary")},
+		{Path: "/usr/lib/nginx/old-module", Data: []byte("obsolete")},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	v2 := pkg("nginx")
+	v2.Version = "2.0"
+	blob, err := pkgfmt.Build(v2, []pkgfmt.File{
+		{Path: "/usr/bin/nginx", Data: []byte("v2 binary")},
+		{Path: "/usr/lib/nginx/new-module", Data: []byte("fresh")},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Remove("nginx"); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Install(blob); err != nil {
+		t.Fatal(err)
+	}
+	got, ok, _ := m.Get("nginx")
+	if !ok || got.Version != "2.0" {
+		t.Fatalf("after upgrade: %+v (ok=%v)", got, ok)
+	}
+	data, err := fs.ReadFile("/usr/bin/nginx")
+	if err != nil || string(data) != "v2 binary" {
+		t.Fatalf("binary = %q, %v", data, err)
+	}
+	if fs.Exists("/usr/lib/nginx/old-module") {
+		t.Fatal("old version's file survived upgrade")
+	}
+	if !fs.Exists("/usr/lib/nginx/new-module") {
+		t.Fatal("new version's file missing")
 	}
 }
 

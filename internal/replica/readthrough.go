@@ -23,9 +23,13 @@ import (
 // truncated or damaged stream, and the local store re-derives the
 // content address as it ingests — a blob that hashes to the wrong ID is
 // released and reported corrupt, never served.
+//
+// Everything but Open and Get is the embedded local store's own method: a
+// follower over a disk-backed store flushes and closes it like any other
+// backend.
 type ReadThrough struct {
-	local blobstore.Backend
-	cl    *client.Client
+	blobstore.Backend // the local store
+	cl                *client.Client
 
 	mu       sync.Mutex
 	inflight map[blobstore.ID]chan struct{}
@@ -36,12 +40,8 @@ type ReadThrough struct {
 
 // NewReadThrough wraps local with writer-backed miss handling.
 func NewReadThrough(local blobstore.Backend, cl *client.Client) *ReadThrough {
-	return &ReadThrough{local: local, cl: cl, inflight: make(map[blobstore.ID]chan struct{})}
+	return &ReadThrough{Backend: local, cl: cl, inflight: make(map[blobstore.ID]chan struct{})}
 }
-
-// Unwrap exposes the local store, so stats walks (and tests) can reach
-// the underlying disk backend through the wrapper.
-func (t *ReadThrough) Unwrap() blobstore.Backend { return t.local }
 
 // Fetches reports how many blobs and bytes were pulled from the writer.
 func (t *ReadThrough) Fetches() (blobs, bytes int64) {
@@ -57,7 +57,7 @@ func (t *ReadThrough) fetch(id blobstore.ID) error {
 		if racing, ok := t.inflight[id]; ok {
 			t.mu.Unlock()
 			<-racing
-			if t.local.Has(id) {
+			if t.Backend.Has(id) {
 				return nil
 			}
 			// The racing fetch failed; take our own turn.
@@ -79,12 +79,12 @@ func (t *ReadThrough) fetch(id blobstore.ID) error {
 		_, err := t.cl.ReplBlob(context.Background(), id.String(), pw)
 		pw.CloseWithError(err)
 	}()
-	got, n, _, err := t.local.PutReader(pr)
+	got, n, _, err := t.Backend.PutReader(pr)
 	if err != nil {
 		return fmt.Errorf("replica: fetch blob %s: %w", id, err)
 	}
 	if got != id {
-		t.local.Release(got)
+		t.Backend.Release(got)
 		return fmt.Errorf("replica: blob %s arrived hashing to %s: %w", id, got, blobstore.ErrCorrupt)
 	}
 	t.fetches.Add(1)
@@ -95,81 +95,25 @@ func (t *ReadThrough) fetch(id blobstore.ID) error {
 // Open serves the blob from the local store, fetching it from the writer
 // first on a miss.
 func (t *ReadThrough) Open(id blobstore.ID) (io.ReadCloser, int64, error) {
-	rc, size, err := t.local.Open(id)
+	rc, size, err := t.Backend.Open(id)
 	if err == nil || !errors.Is(err, blobstore.ErrNotFound) {
 		return rc, size, err
 	}
 	if ferr := t.fetch(id); ferr != nil {
 		return nil, 0, ferr
 	}
-	return t.local.Open(id)
+	return t.Backend.Open(id)
 }
 
 // Get mirrors Open's read-through for the materializing getter.
 func (t *ReadThrough) Get(id blobstore.ID) ([]byte, bool) {
-	if b, ok := t.local.Get(id); ok {
+	if b, ok := t.Backend.Get(id); ok {
 		return b, true
 	}
 	if err := t.fetch(id); err != nil {
 		return nil, false
 	}
-	return t.local.Get(id)
+	return t.Backend.Get(id)
 }
 
-// --- local delegation (the rest of the Backend contract) ---
-
-func (t *ReadThrough) Put(data []byte) (blobstore.ID, bool) { return t.local.Put(data) }
-func (t *ReadThrough) PutReader(r io.Reader) (blobstore.ID, int64, bool, error) {
-	return t.local.PutReader(r)
-}
-func (t *ReadThrough) Size(id blobstore.ID) (int64, bool) { return t.local.Size(id) }
-func (t *ReadThrough) Has(id blobstore.ID) bool           { return t.local.Has(id) }
-func (t *ReadThrough) AddRef(id blobstore.ID) error       { return t.local.AddRef(id) }
-func (t *ReadThrough) Refs(id blobstore.ID) int           { return t.local.Refs(id) }
-func (t *ReadThrough) Release(id blobstore.ID) error      { return t.local.Release(id) }
-func (t *ReadThrough) Len() int                           { return t.local.Len() }
-func (t *ReadThrough) TotalBytes() int64                  { return t.local.TotalBytes() }
-func (t *ReadThrough) Stats() (int64, int64)              { return t.local.Stats() }
-func (t *ReadThrough) IDs() []blobstore.ID                { return t.local.IDs() }
-func (t *ReadThrough) Snapshot() ([]byte, error)          { return t.local.Snapshot() }
-
-// --- durability passthrough ---
-//
-// A follower over a disk-backed local store must flush and close it like
-// any durable backend; over the in-memory store these are no-ops. The
-// wrapper therefore always satisfies blobstore.Durable — the repository's
-// read-only gate keeps the sync path unreachable on followers anyway,
-// leaving Close (handle + lock release) as the call that matters.
-
-func (t *ReadThrough) SyncData() (blobstore.SyncStats, error) {
-	if d, ok := t.local.(blobstore.Durable); ok {
-		return d.SyncData()
-	}
-	return blobstore.SyncStats{}, nil
-}
-
-func (t *ReadThrough) Sync() (blobstore.SyncStats, error) {
-	if d, ok := t.local.(blobstore.Durable); ok {
-		return d.Sync()
-	}
-	return blobstore.SyncStats{}, nil
-}
-
-func (t *ReadThrough) Close() error {
-	if d, ok := t.local.(blobstore.Durable); ok {
-		return d.Close()
-	}
-	return nil
-}
-
-func (t *ReadThrough) Err() error {
-	if d, ok := t.local.(blobstore.Durable); ok {
-		return d.Err()
-	}
-	return nil
-}
-
-var (
-	_ blobstore.Backend = (*ReadThrough)(nil)
-	_ blobstore.Durable = (*ReadThrough)(nil)
-)
+var _ blobstore.Backend = (*ReadThrough)(nil)

@@ -253,6 +253,34 @@ func TestRemotePublishCorruptSuperblock(t *testing.T) {
 	}
 }
 
+// TestRemotePublishHostileVirtualSize: a few-kilobyte sparse envelope
+// declaring a terabyte disk gets the 400 of any malformed envelope, and
+// nothing is published.
+func TestRemotePublishHostileVirtualSize(t *testing.T) {
+	sys := core.NewSystem(testDevice(), core.Options{})
+	addr, _ := startServer(t, sys)
+	disk := vdisk.New("huge", 1<<40, vdisk.DefaultClusterSize)
+	if _, err := disk.WriteAt([]byte("x"), 0); err != nil {
+		t.Fatal(err)
+	}
+	var body bytes.Buffer
+	if err := wire.WriteImage(&body, &vmi.Image{Name: "huge", Disk: disk}); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post("http://"+addr+"/v1/images", "application/octet-stream", &body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	msg, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(msg), "virtual size") {
+		t.Fatalf("hostile publish = %d %q, want 400 naming the virtual size", resp.StatusCode, msg)
+	}
+	if n := len(sys.Repo().VMIs()); n != 0 {
+		t.Fatalf("%d VMIs stored after a refused publish", n)
+	}
+}
+
 // TestRemoteNotFound pins the error mapping for absence.
 func TestRemoteNotFound(t *testing.T) {
 	sys := core.NewSystem(testDevice(), core.Options{})

@@ -131,24 +131,6 @@ func TestLazyCloneIndependence(t *testing.T) {
 	}
 }
 
-func TestLazySnapshotRevert(t *testing.T) {
-	_, img := mkLazyFixture(t)
-	lz := lazyOf(t, img)
-	if err := lz.Snapshot("s0"); err != nil {
-		t.Fatalf("Snapshot: %v", err)
-	}
-	if _, err := lz.WriteAt([]byte("scribble"), 0); err != nil {
-		t.Fatal(err)
-	}
-	lz.Discard(1<<20, 8192)
-	if err := lz.Revert("s0"); err != nil {
-		t.Fatalf("Revert: %v", err)
-	}
-	if !bytes.Equal(lz.Serialize(), img) {
-		t.Fatal("revert did not restore the lazily backed contents")
-	}
-}
-
 func TestLazyFlattenMaterializes(t *testing.T) {
 	_, img := mkLazyFixture(t)
 	lz := lazyOf(t, img)

@@ -60,7 +60,6 @@ type Disk struct {
 	lazy        *lazySource
 	dropped     map[int64]struct{} // lazy clusters masked by Discard
 	backing     *Disk
-	snapshots   map[string]map[int64][]byte // named internal snapshots
 }
 
 // New creates an empty sparse disk with the given virtual size in bytes.
@@ -90,9 +89,6 @@ func (d *Disk) VirtualSize() int64 { return d.virtualSize }
 
 // ClusterSize returns the cluster size in bytes.
 func (d *Disk) ClusterSize() int { return d.clusterSize }
-
-// Backing returns the backing disk, or nil.
-func (d *Disk) Backing() *Disk { return d.backing }
 
 // AllocatedClusters returns the number of clusters allocated locally
 // (excluding the backing chain). Lazily backed clusters count: they are
@@ -247,24 +243,6 @@ func (d *Disk) Discard(off, length int64) {
 			}
 		}
 	}
-}
-
-// ZeroFill explicitly writes zeros over [off, off+length). Unlike Discard
-// it masks backing-file contents.
-func (d *Disk) ZeroFill(off, length int64) error {
-	zeros := make([]byte, d.clusterSize)
-	for length > 0 {
-		span := int64(d.clusterSize) - off%int64(d.clusterSize)
-		if span > length {
-			span = length
-		}
-		if _, err := d.WriteAt(zeros[:span], off); err != nil {
-			return err
-		}
-		off += span
-		length -= span
-	}
-	return nil
 }
 
 // NewChild creates a copy-on-write child whose reads fall through to d.

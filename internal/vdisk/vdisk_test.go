@@ -123,15 +123,16 @@ func TestDiscardPartialClustersKept(t *testing.T) {
 	}
 }
 
+// An explicit write of zeros, unlike Discard, masks backing-file contents.
 func TestZeroFillMasksBacking(t *testing.T) {
 	parent := mk(t, 1<<20)
 	parent.WriteAt(bytes.Repeat([]byte{7}, 8192), 0)
 	child := parent.NewChild("child")
-	child.ZeroFill(0, 8192)
+	child.WriteAt(make([]byte, 8192), 0)
 	buf := make([]byte, 8192)
 	child.ReadAt(buf, 0)
 	if !bytes.Equal(buf, make([]byte, 8192)) {
-		t.Fatal("ZeroFill did not mask backing data")
+		t.Fatal("zero write did not mask backing data")
 	}
 }
 
@@ -141,7 +142,7 @@ func TestCOWChildIsolation(t *testing.T) {
 	parent.WriteAt(orig, 0)
 
 	child := parent.NewChild("child")
-	if child.Backing() != parent {
+	if child.backing != parent {
 		t.Fatal("Backing not set")
 	}
 	// Child reads fall through to the parent.
@@ -176,7 +177,7 @@ func TestFlatten(t *testing.T) {
 	top.WriteAt(bytes.Repeat([]byte{3}, 4096), 8192)
 
 	top.Flatten()
-	if top.Backing() != nil {
+	if top.backing != nil {
 		t.Fatal("backing survived Flatten")
 	}
 	if top.AllocatedClusters() != 3 {

@@ -19,7 +19,7 @@ func TestNotFoundSentinel(t *testing.T) {
 	if _, _, err := r.GetPackage("nope", simio.PhaseFetch, nil); !errors.Is(err, ErrNotFound) {
 		t.Errorf("GetPackage error %v does not wrap ErrNotFound", err)
 	}
-	if _, err := r.GetBase("nope", simio.PhaseCopy, nil); !errors.Is(err, ErrNotFound) {
+	if _, err := getBase(r, "nope", simio.PhaseCopy, nil); !errors.Is(err, ErrNotFound) {
 		t.Errorf("GetBase error %v does not wrap ErrNotFound", err)
 	}
 	if _, err := r.GetMaster("nope", nil); !errors.Is(err, ErrNotFound) {

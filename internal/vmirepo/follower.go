@@ -21,7 +21,7 @@ import (
 // OpenFollower returns a read-only follower repository over the given
 // local blob backend (typically a read-through cache that fetches missing
 // blobs from the writer). The metadata starts empty; seed it with
-// ResetToSnapshot and advance it with ApplyWAL — the catch-up loop in
+// ResetToSnapshotReader and advance it with ApplyWAL — the catch-up loop in
 // internal/replica drives both.
 func OpenFollower(dev *simio.Device, blobs blobstore.Backend) *Repo {
 	r := &Repo{blobs: blobs, dev: dev, readOnly: true, fol: metawal.NewFollower()}
@@ -38,43 +38,19 @@ func (r *Repo) ReadOnly() bool { return r.readOnly }
 // on writers) — position and totals for replication observability.
 func (r *Repo) Follower() *metawal.Follower { return r.fol }
 
-// ResetToSnapshot replaces the follower's metadata with a full snapshot
-// at the given epoch — the initial seed, and the restart path when the
-// writer's compaction switches epochs (metawal.ErrEpochGone). The swap is
-// atomic for readers: in-flight retrievals finish against the old
-// database, later ones see the new. Every generation stripe is bumped
-// around the swap, so no cached assembly survives a whole-database
-// replacement.
-func (r *Repo) ResetToSnapshot(epoch uint64, snapshot []byte) error {
-	if !r.readOnly {
-		return fmt.Errorf("vmirepo: ResetToSnapshot on a writer repository")
-	}
-	r.opMu.Lock()
-	defer r.opMu.Unlock()
-	db, err := r.fol.Restart(epoch, snapshot)
-	if err != nil {
-		return err
-	}
-	// The fixed buckets exist on any database a writer snapshots, but an
-	// empty writer's very first snapshot and a defensive reader disagree
-	// cheaply — ensure them like every other constructor does.
-	for _, b := range allBuckets {
-		db.CreateBucket(b)
-	}
-	done := r.mutate() // all stripes: nothing cached may survive the swap
-	r.db.Store(db)
-	done()
-	return nil
-}
-
-// ResetToSnapshotReader is ResetToSnapshot fed from a stream: the
-// snapshot bytes are read into one right-sized buffer (metadb.Load needs
+// ResetToSnapshotReader replaces the follower's metadata with a full
+// snapshot at the given epoch — the initial seed, and the restart path
+// when the writer's compaction switches epochs (metawal.ErrEpochGone).
+// The snapshot is streamed into one right-sized buffer (metadb.Load needs
 // the full image, but nothing upstream should have to materialize a
-// second copy). size must be the exact snapshot length; a short or long
-// stream is refused without touching the current metadata.
+// second copy); size must be its exact length, and a short stream is
+// refused without touching the current metadata. The swap is atomic for
+// readers: in-flight retrievals finish against the old database, later
+// ones see the new. Every generation stripe is bumped around the swap, so
+// no cached assembly survives a whole-database replacement.
 func (r *Repo) ResetToSnapshotReader(epoch uint64, src io.Reader, size int64) error {
 	if !r.readOnly {
-		return fmt.Errorf("vmirepo: ResetToSnapshot on a writer repository")
+		return fmt.Errorf("vmirepo: ResetToSnapshotReader on a writer repository")
 	}
 	r.opMu.Lock()
 	defer r.opMu.Unlock()
@@ -82,6 +58,9 @@ func (r *Repo) ResetToSnapshotReader(epoch uint64, src io.Reader, size int64) er
 	if err != nil {
 		return err
 	}
+	// The fixed buckets exist on any database a writer snapshots, but an
+	// empty writer's very first snapshot and a defensive reader disagree
+	// cheaply — ensure them like every other constructor does.
 	for _, b := range allBuckets {
 		db.CreateBucket(b)
 	}

@@ -36,8 +36,8 @@ func shipMeta(t *testing.T, w *Repo, f *Repo) {
 			if err != nil || int64(len(snap)) != size {
 				t.Fatalf("read snapshot: %v", err)
 			}
-			if err := f.ResetToSnapshot(snapEpoch, snap); err != nil {
-				t.Fatalf("ResetToSnapshot(%d): %v", snapEpoch, err)
+			if err := f.ResetToSnapshotReader(snapEpoch, bytes.NewReader(snap), size); err != nil {
+				t.Fatalf("ResetToSnapshotReader(%d): %v", snapEpoch, err)
 			}
 			continue
 		}
@@ -83,9 +83,10 @@ func TestFollowerReadOnlyGates(t *testing.T) {
 		t.Fatal("follower does not report read-only")
 	}
 	mg := master.New("base-1", baseSubgraph())
+	_, ensureErr := f.EnsurePackage(pkg("redis"), []byte("x"), nil)
 	checks := map[string]error{
-		"PutPackage":  f.PutPackage(pkg("redis"), []byte("x"), nil),
-		"PutBase":     f.PutBase("base-1", attrs, []byte("img"), nil),
+		"EnsurePkg":   ensureErr,
+		"PutBase":     putBase(f, "base-1", []byte("img"), nil),
 		"RemoveBase":  f.RemoveBase("base-1", nil),
 		"PutMaster":   f.PutMaster(mg, nil),
 		"RemoveMast":  f.RemoveMaster("base-1", nil),
@@ -124,10 +125,10 @@ func TestFollowerCatchUp(t *testing.T) {
 	f := newFollower()
 
 	img := bytes.Repeat([]byte{0xAB}, 4096)
-	if err := w.PutBase("base-1", attrs, img, nil); err != nil {
+	if err := putBase(w, "base-1", img, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.PutPackage(pkg("redis"), []byte("redis-bytes"), nil); err != nil {
+	if _, err := w.EnsurePackage(pkg("redis"), []byte("redis-bytes"), nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.PutVMI(VMIRecord{Name: "vm-1", BaseID: "base-1"}, nil); err != nil {
@@ -208,7 +209,7 @@ func TestFollowerGenerationBumps(t *testing.T) {
 	}
 	defer w.Close()
 	f := newFollower()
-	if err := w.PutBase("base-1", attrs, []byte("img"), nil); err != nil {
+	if err := putBase(w, "base-1", []byte("img"), nil); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := w.Sync(); err != nil {
@@ -277,7 +278,7 @@ func TestGroupCommitCoalesces(t *testing.T) {
 		for i := 0; i < callers; i++ {
 			go func(i int) {
 				defer done.Done()
-				if err := w.PutPackage(pkg(fmt.Sprintf("p-%d-%d", round, i)), []byte("x"), nil); err != nil {
+				if _, err := w.EnsurePackage(pkg(fmt.Sprintf("p-%d-%d", round, i)), []byte("x"), nil); err != nil {
 					errs <- err
 					return
 				}
@@ -323,7 +324,7 @@ func TestGroupCommitDurability(t *testing.T) {
 	for i := 0; i < callers; i++ {
 		go func(i int) {
 			defer wg.Done()
-			if err := w.PutPackage(pkg(fmt.Sprintf("q-%d", i)), []byte("y"), nil); err != nil {
+			if _, err := w.EnsurePackage(pkg(fmt.Sprintf("q-%d", i)), []byte("y"), nil); err != nil {
 				t.Errorf("put: %v", err)
 				return
 			}

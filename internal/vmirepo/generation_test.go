@@ -36,7 +36,7 @@ func TestGenerationBumpsOnEveryMutation(t *testing.T) {
 		t.Fatalf("EnsurePackage moved the generation (%d -> %d); package-only inserts must be exempt", last, g)
 	}
 	step("PutBase", func() {
-		if err := r.PutBase("base-1", attrs, []byte("base image"), m); err != nil {
+		if err := putBase(r, "base-1", []byte("base image"), m); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -80,7 +80,7 @@ func TestGenerationStableAcrossReads(t *testing.T) {
 	if _, err := r.EnsurePackage(p, []byte("blob"), m); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.PutBase("base-1", attrs, []byte("base image"), m); err != nil {
+	if err := putBase(r, "base-1", []byte("base image"), m); err != nil {
 		t.Fatal(err)
 	}
 	r.PutVMI(VMIRecord{Name: "vmi-1", BaseID: "base-1"}, m)
@@ -90,7 +90,7 @@ func TestGenerationStableAcrossReads(t *testing.T) {
 		t.Fatal(err)
 	}
 	r.HasBase("base-1", m)
-	if _, err := r.GetBase("base-1", "copy", m); err != nil {
+	if _, err := getBase(r, "base-1", "copy", m); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := r.GetVMI("vmi-1", m); err != nil {
@@ -141,7 +141,7 @@ func TestGenerationStriping(t *testing.T) {
 	hotGen := r.GenerationFor(hotBase, hotName)
 
 	// A full publish-shaped mutation sequence on the unrelated base.
-	if err := r.PutBase(otherBase, attrs, []byte("image"), m); err != nil {
+	if err := putBase(r, otherBase, []byte("image"), m); err != nil {
 		t.Fatal(err)
 	}
 	r.PutMaster(master.New(otherBase, semgraph.New(attrs)), m)
@@ -203,7 +203,7 @@ func TestPackageRemovalBumpsEveryStripe(t *testing.T) {
 // on a key's generation.
 func TestGenerationForIsOrderAndDuplicateIndependent(t *testing.T) {
 	r, m := newRepo()
-	if err := r.PutBase("base-1", attrs, []byte("image"), m); err != nil {
+	if err := putBase(r, "base-1", []byte("image"), m); err != nil {
 		t.Fatal(err)
 	}
 	a := r.GenerationFor("base-1", "vmi-1")

@@ -315,7 +315,7 @@ func (r *Repo) AddPackageRefs(class string, refs []string, m *simio.Meter) error
 // class and returns (sorted) the refs whose total across ALL classes hit
 // zero — the packages now unreferenced by any VMI, which the caller
 // deletes via removePackageUnlessPinned. A ref with no record is skipped
-// (pre-migration state; the caller's survey fallback covers it).
+// (Vacuum's survey reconciles the counts).
 func (r *Repo) DropPackageRefs(class string, refs []string, m *simio.Meter) ([]string, error) {
 	if r.readOnly {
 		return nil, fmt.Errorf("vmirepo: drop package refs: %w", ErrReadOnly)
@@ -348,17 +348,10 @@ func (r *Repo) DropPackageRefs(class string, refs []string, m *simio.Meter) ([]s
 	return dead, nil
 }
 
-// PackageRefsEmpty reports an empty refcount bucket — the signal that a
-// repository created before per-class refcounts needs its counts rebuilt
-// from a survey (see core.NewSystemWithRepo).
-func (r *Repo) PackageRefsEmpty() bool {
-	return r.meta().Bucket(bucketPkgRefs).Len() == 0
-}
-
 // ReplacePackageRefs rewrites the whole refcount bucket from a freshly
-// surveyed per-ref, per-class count — the migration rebuild and vacuum's
-// reconciliation. Existing records not in the survey are deleted;
-// identical records are elided from the journal.
+// surveyed per-ref, per-class count — vacuum's reconciliation. Existing
+// records not in the survey are deleted; identical records are elided
+// from the journal.
 func (r *Repo) ReplacePackageRefs(counts map[string]map[string]int64, m *simio.Meter) error {
 	if r.readOnly {
 		return fmt.Errorf("vmirepo: replace package refs: %w", ErrReadOnly)

@@ -83,7 +83,7 @@ type Repo struct {
 	blobs blobstore.Backend
 	// db is the metadata database, held through an atomic pointer and read
 	// via meta(): a follower repository replaces the whole database on an
-	// epoch switch (ResetToSnapshot) while readers are in flight. Writer
+	// epoch switch (ResetToSnapshotReader) while readers are in flight. Writer
 	// repositories store it once at construction and never again.
 	db  atomic.Pointer[metadb.DB]
 	dev *simio.Device
@@ -112,7 +112,7 @@ type Repo struct {
 	lcMu sync.Mutex
 	// readOnly marks a follower repository (OpenFollower): every mutating
 	// entry point returns ErrReadOnly, and the metadata advances only
-	// through ResetToSnapshot/ApplyWAL.
+	// through ResetToSnapshotReader/ApplyWAL.
 	readOnly bool
 	// fol is the WAL apply machinery of a follower repository (nil on
 	// writers).
@@ -273,9 +273,6 @@ type OpenOptions struct {
 	// metawal.DefaultCompactBytes; small values force compaction churn
 	// for tests and stress legs.
 	WALCompactBytes int64
-	// WALCompactEvery additionally compacts on every Nth effective Sync
-	// (0 disables the periodic trigger).
-	WALCompactEvery int
 	// BlobCompactDeadRatio is the dead-byte fraction at which a sealed
 	// blob segment is compacted (rewritten and retired) by Sync. Zero
 	// means diskstore.DefaultCompactDeadRatio; negative disables the
@@ -306,10 +303,7 @@ func OpenAtOpts(dir string, dev *simio.Device, o OpenOptions) (*Repo, error) {
 	if err != nil {
 		return nil, err
 	}
-	wal, db, err := metawal.Open(dir, metawal.Options{
-		CompactBytes: o.WALCompactBytes,
-		CompactEvery: o.WALCompactEvery,
-	})
+	wal, db, err := metawal.Open(dir, metawal.Options{CompactBytes: o.WALCompactBytes})
 	if err != nil {
 		blobs.Close()
 		return nil, fmt.Errorf("vmirepo: %w", err)
@@ -333,12 +327,20 @@ func (r *Repo) Abandon() error {
 	if r.wal != nil {
 		first = r.wal.Abandon()
 	}
-	if ds, ok := r.blobs.(*diskstore.Store); ok {
+	if ds, ok := r.diskBlobs(); ok {
 		if err := ds.Abandon(); err != nil && first == nil {
 			first = err
 		}
 	}
 	return first
+}
+
+// diskBlobs returns the concrete on-disk blob store of a disk-backed
+// writer repository — the crash-test seams (Abandon, BlobRecovery) are
+// the only callers that need more than the Backend contract.
+func (r *Repo) diskBlobs() (*diskstore.Store, bool) {
+	ds, ok := r.blobs.(*diskstore.Store)
+	return ds, ok
 }
 
 // WAL exposes the metadata write-ahead log of a disk-backed repository
@@ -351,22 +353,17 @@ func (r *Repo) WAL() *metawal.Log { return r.wal }
 // persistence).
 func (r *Repo) Persistent() bool { return r.dir != "" }
 
-// blobErr surfaces a durable backend's sticky I/O failure. Backend.Put
-// cannot report failure (its bool means "newly stored"), so every store
+// blobErr surfaces the backend's sticky I/O failure. Backend.Put cannot
+// report failure (its bool means "newly stored"), so every store
 // operation checks here between writing a blob and committing the
 // metadata record that references it — a record pointing at a blob that
 // never hit the log must not exist even in memory.
-func (r *Repo) blobErr() error {
-	if d, ok := r.blobs.(blobstore.Durable); ok {
-		return d.Err()
-	}
-	return nil
-}
+func (r *Repo) blobErr() error { return r.blobs.Err() }
 
 // BlobRecovery returns the blob store's crash-recovery report when the
 // repository is disk-backed.
 func (r *Repo) BlobRecovery() (diskstore.RecoveryReport, bool) {
-	if ds, ok := r.blobs.(*diskstore.Store); ok {
+	if ds, ok := r.diskBlobs(); ok {
 		return ds.Recovery(), true
 	}
 	return diskstore.RecoveryReport{}, false
@@ -493,12 +490,8 @@ func (r *Repo) syncOrCompact(forceCompact bool) (SyncStats, error) {
 	r.opMu.Lock()
 	defer r.opMu.Unlock()
 	var st SyncStats
-	d, ok := r.blobs.(blobstore.Durable)
-	if !ok {
-		return st, fmt.Errorf("vmirepo: blob backend is not durable")
-	}
 	var err error
-	if st.SyncStats, err = d.SyncData(); err != nil {
+	if st.SyncStats, err = r.blobs.SyncData(); err != nil {
 		return st, err
 	}
 	var ws metawal.SyncStats
@@ -514,7 +507,7 @@ func (r *Repo) syncOrCompact(forceCompact bool) (SyncStats, error) {
 	st.MetaOps = ws.Ops
 	st.Compacted = ws.Compacted
 	st.MetaSnapshotBytes = ws.SnapshotBytes
-	rel, err := d.Sync()
+	rel, err := r.blobs.Sync()
 	if err != nil {
 		return st, err
 	}
@@ -528,34 +521,26 @@ func (r *Repo) syncOrCompact(forceCompact bool) (SyncStats, error) {
 		// The forced path reclaims blob garbage too, even when the
 		// dead-ratio trigger would not have fired — the operator asked for
 		// bounded disk, not a heuristic.
-		if c, ok := r.blobs.(blobstore.Compactor); ok {
-			cst, cerr := c.Compact()
-			if cerr != nil {
-				return st, cerr
-			}
-			st.SegmentsCompacted += cst.SegmentsCompacted
-			st.BytesReclaimed += cst.BytesReclaimed
+		cst, err := r.blobs.Compact()
+		if err != nil {
+			return st, err
 		}
-		if ds, ok := r.blobs.(*diskstore.Store); ok {
-			st.DeadBytes = ds.DiskStats().DeadBytes
-		}
+		st.SegmentsCompacted += cst.SegmentsCompacted
+		st.BytesReclaimed += cst.BytesReclaimed
+		st.DeadBytes = r.blobs.DiskStats().DeadBytes
 	}
 	return st, nil
 }
 
 // Close syncs (when the repository has a directory for its metadata) and
-// releases backend resources — gated on the backend being Durable, not on
-// the directory, so a durable backend injected via NewWithBackend still
-// gets its handles and directory lock released. A closed repository must
-// not be used further.
+// releases backend resources — the backend is closed whether or not there
+// is a directory, so a disk backend injected via NewWithBackend still gets
+// its handles and directory lock released. A closed repository must not be
+// used further.
 func (r *Repo) Close() error {
-	d, ok := r.blobs.(blobstore.Durable)
-	if !ok {
-		return nil
-	}
 	if r.dir != "" {
 		if _, err := r.Sync(); err != nil {
-			// Do NOT d.Close() here: its internal sync would flush the
+			// Do NOT close the backend here: its internal sync would flush the
 			// queued blob releases even though the metadata that stopped
 			// referencing those blobs failed to commit — manufacturing the
 			// dangling-metadata state the two-phase protocol prevents.
@@ -570,7 +555,7 @@ func (r *Repo) Close() error {
 		// the WAL file handle (its internal close-sync is a no-op).
 		first = r.wal.Close()
 	}
-	if err := d.Close(); err != nil && first == nil {
+	if err := r.blobs.Close(); err != nil && first == nil {
 		first = err
 	}
 	return first
@@ -633,21 +618,6 @@ func (r *Repo) HasPackage(ref string, m *simio.Meter) bool {
 	r.chargeDB(m, 0)
 	_, ok := r.meta().Bucket(bucketPackages).Get([]byte(ref))
 	return ok
-}
-
-// PutPackage stores a binary package blob under its metadata Ref. Storing
-// an already-present Ref is an error (callers are expected to check
-// HasPackage; the decomposer's dedup path never stores twice). Concurrent
-// exporters that may race on the same Ref use EnsurePackage instead.
-func (r *Repo) PutPackage(p pkgmeta.Package, blob []byte, m *simio.Meter) error {
-	stored, err := r.EnsurePackage(p, blob, m)
-	if err != nil {
-		return err
-	}
-	if !stored {
-		return fmt.Errorf("vmirepo: package %s already stored", p.Ref())
-	}
-	return nil
 }
 
 // EnsurePackage stores the package if its Ref is not yet present and
@@ -764,12 +734,6 @@ func (r *Repo) HasBase(id string, m *simio.Meter) bool {
 	return ok
 }
 
-// PutBase stores a serialized base image. It is a thin adapter over
-// PutBaseReader, so both entry points share one streaming store path.
-func (r *Repo) PutBase(id string, attrs pkgmeta.BaseAttrs, image []byte, m *simio.Meter) error {
-	return r.PutBaseReader(id, attrs, bytes.NewReader(image), int64(len(image)), m)
-}
-
 // PutBaseReader streams a serialized base image from src into the
 // repository: the bytes flow straight into the blob store (hashed and
 // spooled by the backend in bounded chunks), so storing a gigabyte base
@@ -809,16 +773,6 @@ func (r *Repo) PutBaseReader(id string, attrs pkgmeta.BaseAttrs, src io.Reader, 
 	}
 	r.chargeDB(m, 64)
 	return nil
-}
-
-// GetBase returns the serialized base image, charging the read to the
-// given phase (PhaseCopy during retrieval).
-func (r *Repo) GetBase(id string, ph simio.Phase, m *simio.Meter) ([]byte, error) {
-	rc, size, err := r.OpenBase(id, ph, m)
-	if err != nil {
-		return nil, err
-	}
-	return readAll(rc, size, "base blob")
 }
 
 // RemoveBase deletes a stored base image, reclaiming its blob (Algorithm 1
@@ -1260,20 +1214,8 @@ func (r *Repo) Stats() Stats {
 		DBBytes:    r.meta().SizeBytes(),
 		TotalBytes: r.SizeBytes(),
 	}
-	// Walk through wrapping backends (a follower's read-through cache) to
-	// the disk store underneath, if any — physical bytes live there.
-	for bl := r.blobs; bl != nil; {
-		if ds, ok := bl.(*diskstore.Store); ok {
-			d := ds.DiskStats()
-			st.BlobDiskBytes = d.DiskBytes
-			st.BlobDeadBytes = d.DeadBytes
-			break
-		}
-		u, ok := bl.(interface{ Unwrap() blobstore.Backend })
-		if !ok {
-			break
-		}
-		bl = u.Unwrap()
-	}
+	d := r.blobs.DiskStats()
+	st.BlobDiskBytes = d.DiskBytes
+	st.BlobDeadBytes = d.DeadBytes
 	return st
 }

@@ -23,6 +23,20 @@ func pkg(name string) pkgmeta.Package {
 	}
 }
 
+// putBase and getBase move a whole base image through the streaming
+// entry points.
+func putBase(r *Repo, id string, img []byte, m *simio.Meter) error {
+	return r.PutBaseReader(id, attrs, bytes.NewReader(img), int64(len(img)), m)
+}
+
+func getBase(r *Repo, id string, ph simio.Phase, m *simio.Meter) ([]byte, error) {
+	rc, size, err := r.OpenBase(id, ph, m)
+	if err != nil {
+		return nil, err
+	}
+	return readAll(rc, size, "base blob")
+}
+
 func TestPackageLifecycle(t *testing.T) {
 	r, m := newRepo()
 	p := pkg("redis")
@@ -30,14 +44,14 @@ func TestPackageLifecycle(t *testing.T) {
 	if r.HasPackage(p.Ref(), m) {
 		t.Fatal("empty repo has package")
 	}
-	if err := r.PutPackage(p, blob, m); err != nil {
+	if _, err := r.EnsurePackage(p, blob, m); err != nil {
 		t.Fatal(err)
 	}
 	if !r.HasPackage(p.Ref(), m) {
 		t.Fatal("stored package not found")
 	}
-	if err := r.PutPackage(p, blob, m); err == nil {
-		t.Fatal("duplicate store succeeded")
+	if stored, err := r.EnsurePackage(p, blob, m); err != nil || stored {
+		t.Fatalf("duplicate store: stored=%v, err=%v", stored, err)
 	}
 	got, data, err := r.GetPackage(p.Ref(), simio.PhaseImport, m)
 	if err != nil {
@@ -61,16 +75,16 @@ func TestPackageLifecycle(t *testing.T) {
 func TestBaseLifecycle(t *testing.T) {
 	r, m := newRepo()
 	img := bytes.Repeat([]byte{0xEE}, 5000)
-	if err := r.PutBase("base-1", attrs, img, m); err != nil {
+	if err := putBase(r, "base-1", img, m); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.PutBase("base-1", attrs, img, m); err == nil {
+	if err := putBase(r, "base-1", img, m); err == nil {
 		t.Fatal("duplicate base store succeeded")
 	}
 	if !r.HasBase("base-1", m) {
 		t.Fatal("stored base missing")
 	}
-	got, err := r.GetBase("base-1", simio.PhaseCopy, m)
+	got, err := getBase(r, "base-1", simio.PhaseCopy, m)
 	if err != nil || !bytes.Equal(got, img) {
 		t.Fatalf("GetBase: %v", err)
 	}
@@ -91,7 +105,7 @@ func TestBaseLifecycle(t *testing.T) {
 	if err := r.RemoveBase("base-1", m); err == nil {
 		t.Fatal("double removal succeeded")
 	}
-	if _, err := r.GetBase("base-1", simio.PhaseCopy, m); err == nil {
+	if _, err := getBase(r, "base-1", simio.PhaseCopy, m); err == nil {
 		t.Fatal("removed base retrieved")
 	}
 }
@@ -185,13 +199,13 @@ func TestUserData(t *testing.T) {
 func TestBlobDedupAcrossKinds(t *testing.T) {
 	r, m := newRepo()
 	content := bytes.Repeat([]byte{7}, 4096)
-	if err := r.PutPackage(pkg("a"), content, m); err != nil {
+	if _, err := r.EnsurePackage(pkg("a"), content, m); err != nil {
 		t.Fatal(err)
 	}
 	size1 := r.SizeBytes()
 	// Identical content under a different ref is deduplicated at the blob
 	// level even though the metadata differs.
-	if err := r.PutPackage(pkg("b"), content, m); err != nil {
+	if _, err := r.EnsurePackage(pkg("b"), content, m); err != nil {
 		t.Fatal(err)
 	}
 	if r.SizeBytes()-size1 > 8192 {
@@ -201,8 +215,8 @@ func TestBlobDedupAcrossKinds(t *testing.T) {
 
 func TestStats(t *testing.T) {
 	r, m := newRepo()
-	r.PutPackage(pkg("a"), []byte("x"), m)
-	r.PutBase("b1", attrs, []byte("img"), m)
+	r.EnsurePackage(pkg("a"), []byte("x"), m)
+	putBase(r, "b1", []byte("img"), m)
 	r.PutVMI(VMIRecord{Name: "V", BaseID: "b1"}, m)
 	st := r.Stats()
 	if st.Packages != 1 || st.Bases != 1 || st.VMIs != 1 {
@@ -215,16 +229,16 @@ func TestStats(t *testing.T) {
 
 func TestNilMeterSafe(t *testing.T) {
 	r, _ := newRepo()
-	if err := r.PutPackage(pkg("a"), []byte("x"), nil); err != nil {
+	if _, err := r.EnsurePackage(pkg("a"), []byte("x"), nil); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := r.GetPackage(pkg("a").Ref(), simio.PhaseImport, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.PutBase("b", attrs, []byte("i"), nil); err != nil {
+	if err := putBase(r, "b", []byte("i"), nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.GetBase("b", simio.PhaseCopy, nil); err != nil {
+	if _, err := getBase(r, "b", simio.PhaseCopy, nil); err != nil {
 		t.Fatal(err)
 	}
 	r.PutUserData("v", []byte("d"), nil)

@@ -48,6 +48,14 @@ const maxHeaderBytes = 1 << 20
 // before the body bytes backing it have arrived.
 const maxDiskPrealloc = 64 << 20
 
+// maxVirtualBytes bounds the virtual size an uploaded disk may declare. A
+// sparse image needs only its L1 table present, so a few kilobytes can
+// claim hundreds of thousands of times their length, and everything the
+// guest filesystem mount sizes (block bitmap, inode table) follows the
+// claim, not the bytes sent. The catalog's images are under 10 MB virtual
+// and the benchmark's bulk images about 50 MB.
+const maxVirtualBytes = 1 << 30
+
 // ImageHeader is the metadata section of an image envelope.
 type ImageHeader struct {
 	Name      string
@@ -158,6 +166,9 @@ func ReadImageMeta(r io.Reader) (*vmi.Image, PublishMeta, error) {
 	disk, err := vdisk.DeserializeLazy(hdr.Name, bytes.NewReader(buf), hdr.DiskBytes)
 	if err != nil {
 		return nil, PublishMeta{}, fmt.Errorf("wire: open disk: %w", err)
+	}
+	if disk.VirtualSize() > maxVirtualBytes {
+		return nil, PublishMeta{}, fmt.Errorf("wire: disk declares virtual size %d, limit %d", disk.VirtualSize(), maxVirtualBytes)
 	}
 	img := &vmi.Image{
 		Name:      hdr.Name,

@@ -138,6 +138,41 @@ func TestHostileDiskBytesBounded(t *testing.T) {
 	}
 }
 
+// sparseEnvelope encodes a disk of the given virtual size with one
+// written cluster: a few kilobytes of envelope however large the claim.
+func sparseEnvelope(t testing.TB, virtual int64) []byte {
+	t.Helper()
+	disk := vdisk.New("sparse", virtual, vdisk.DefaultClusterSize)
+	if _, err := disk.WriteAt([]byte("x"), 0); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := WriteImage(&buf, &vmi.Image{Name: "sparse", Disk: disk}); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestHostileVirtualSizeRefused: a sparse image declaring a virtual size
+// hundreds of thousands of times its byte length is refused at the
+// envelope, before a mount could size anything by the claim; the largest
+// allowed claim still decodes.
+func TestHostileVirtualSizeRefused(t *testing.T) {
+	in := sparseEnvelope(t, 1<<40)
+	if ratio := (1 << 40) / len(in); ratio < 100000 {
+		t.Fatalf("fixture is only %dx sparse", ratio)
+	}
+	if _, _, err := ReadImageMeta(bytes.NewReader(in)); err == nil || !strings.Contains(err.Error(), "virtual size") {
+		t.Fatalf("1 TiB claim in %d bytes: error = %v, want a virtual-size refusal", len(in), err)
+	}
+	if _, _, err := ReadImageMeta(bytes.NewReader(sparseEnvelope(t, maxVirtualBytes+vdisk.DefaultClusterSize))); err == nil {
+		t.Fatal("one cluster past the limit was accepted")
+	}
+	if _, _, err := ReadImageMeta(bytes.NewReader(sparseEnvelope(t, maxVirtualBytes))); err != nil {
+		t.Fatalf("claim at the limit: %v", err)
+	}
+}
+
 // TestLargeDiskSectionGrows drives readDisk past its preallocation cap
 // with real bytes behind the claim: the section still arrives whole.
 func TestLargeDiskSectionGrows(t *testing.T) {
