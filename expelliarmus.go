@@ -24,11 +24,12 @@ package expelliarmus
 import (
 	"fmt"
 	"io"
+	"path"
 
+	"expelliarmus/internal/api"
 	"expelliarmus/internal/builder"
 	"expelliarmus/internal/catalog"
 	"expelliarmus/internal/chunker"
-	"expelliarmus/internal/containerize"
 	"expelliarmus/internal/core"
 	"expelliarmus/internal/pkgmgr"
 	"expelliarmus/internal/simio"
@@ -171,7 +172,8 @@ func OpenAt(path string, o Options) (*System, error) {
 	}, nil
 }
 
-// The result types below are declared once, at the layer that produces
+// The result and option types below are declared once, in the leaf the
+// repository's layers share (internal/api) or at the layer that produces
 // them; the facade re-exports them under its own names as aliases, so the
 // in-process API, the server's JSON bodies and the CLI all speak one
 // vocabulary with the same field names.
@@ -183,17 +185,23 @@ type (
 	// WAL was rewritten into a fresh snapshot) and the blob segment
 	// compaction the sync performed (SegmentsCompacted, BytesReclaimed,
 	// and the DeadBytes of garbage still on disk after).
-	SyncStats = vmirepo.SyncStats
+	SyncStats = api.SyncStats
 	// VacuumStats reports what one Vacuum pass reclaimed.
-	VacuumStats = core.VacuumStats
+	VacuumStats = api.VacuumStats
 	// CacheStats reports the retrieval cache's effectiveness. Enabled is
 	// false (and every counter zero) when the System runs without a cache
 	// (Options.CacheBytes == 0).
 	CacheStats = core.CacheStats
 	// PublishResult reports a publish operation.
-	PublishResult = wire.PublishResult
+	PublishResult = api.PublishResult
 	// RetrieveResult reports a retrieval or assembly.
-	RetrieveResult = wire.RetrieveResult
+	RetrieveResult = api.RetrieveResult
+	// PublishOptions carry a publish's lifecycle metadata: the Tenant
+	// charged for the bytes it stores (visible in TenantStats, enforced
+	// against Options.TenantQuotas; empty means unaccounted) and ExpiresAt,
+	// the Unix-seconds timestamp after which ExpireAt may remove the image
+	// (zero means never).
+	PublishOptions = api.PublishOptions
 )
 
 // Sync makes a disk-backed System durable up to all completed operations.
@@ -289,27 +297,15 @@ func (im *Image) HasFile(path string) bool {
 // WriteUserFile writes a file under a user-data root inside the image
 // (e.g. "/home/user/notes.txt"), simulating user activity between
 // publishes.
-func (im *Image) WriteUserFile(path string, data []byte) error {
+func (im *Image) WriteUserFile(name string, data []byte) error {
 	fs, err := im.inner.Mount()
 	if err != nil {
 		return err
 	}
-	if err := fs.MkdirAll(parentDir(path)); err != nil {
+	if err := fs.MkdirAll(path.Dir(name)); err != nil {
 		return err
 	}
-	return fs.WriteFile(path, data)
-}
-
-func parentDir(p string) string {
-	for i := len(p) - 1; i >= 0; i-- {
-		if p[i] == '/' {
-			if i == 0 {
-				return "/"
-			}
-			return p[:i]
-		}
-	}
-	return "/"
+	return fs.WriteFile(name, data)
 }
 
 // EncodeWire writes the image in the Expelliarmus wire envelope — the
@@ -325,12 +321,7 @@ func (im *Image) EncodeWire(w io.Writer) error {
 // header — the form to hand a network client's Publish when uploading
 // with a TTL or against a quota.
 func (im *Image) EncodeWireWith(opts PublishOptions) func(io.Writer) error {
-	return func(w io.Writer) error {
-		return wire.WriteImageMeta(w, im.inner, wire.PublishMeta{
-			Tenant:    opts.Tenant,
-			ExpiresAt: opts.ExpiresAt,
-		})
-	}
+	return func(w io.Writer) error { return wire.WriteImageMeta(w, im.inner, opts) }
 }
 
 // Templates lists the names of the paper's 19 evaluation images in the
@@ -377,30 +368,15 @@ func (s *System) Publish(img *Image) (*PublishResult, error) {
 	return s.PublishWith(img, PublishOptions{})
 }
 
-// PublishOptions carry a publish's lifecycle metadata.
-type PublishOptions struct {
-	// Tenant names the account charged for the bytes this publish stores.
-	// Charged usage is visible in TenantStats and enforced against
-	// Options.TenantQuotas; empty means unaccounted.
-	Tenant string
-	// ExpiresAt is a Unix-seconds timestamp after which the image is
-	// eligible for removal by ExpireAt (the repository's TTL sweep). Zero
-	// means the image never expires.
-	ExpiresAt int64
-}
-
 // PublishWith is Publish with lifecycle options: the tenant to charge
 // and an optional expiry timestamp, both recorded durably with the image
 // (and replicated to followers like every other mutation).
 func (s *System) PublishWith(img *Image, opts PublishOptions) (*PublishResult, error) {
-	rep, err := s.sys.PublishWith(img.inner.Clone(), core.PublishOpts{
-		Tenant:    opts.Tenant,
-		ExpiresAt: opts.ExpiresAt,
-	})
+	rep, err := s.sys.PublishWith(img.inner.Clone(), opts)
 	if err != nil {
 		return nil, err
 	}
-	return wire.NewPublishResult(rep), nil
+	return rep.Result(), nil
 }
 
 // PublishAll publishes a batch of images concurrently, bounded by
@@ -424,7 +400,7 @@ func (s *System) PublishAll(imgs []*Image) ([]*PublishResult, error) {
 		if rep == nil {
 			continue
 		}
-		out[i] = wire.NewPublishResult(rep)
+		out[i] = rep.Result()
 	}
 	return out, err
 }
@@ -435,7 +411,7 @@ func (s *System) Retrieve(name string) (*Image, *RetrieveResult, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	return &Image{inner: img}, wire.NewRetrieveResult(rep), nil
+	return &Image{inner: img}, rep.Result(), nil
 }
 
 // RetrieveTo reassembles a published VMI and streams its serialized
@@ -449,7 +425,7 @@ func (s *System) RetrieveTo(w io.Writer, name string) (int64, *RetrieveResult, e
 	if err != nil {
 		return n, nil, err
 	}
-	return n, wire.NewRetrieveResult(rep), nil
+	return n, rep.Result(), nil
 }
 
 // RetrieveAll reassembles a batch of published VMIs concurrently, bounded
@@ -477,7 +453,7 @@ func mapRetrieveResults(n int, imgs []*vmi.Image, reps []*core.RetrieveReport) (
 			continue
 		}
 		outImgs[i] = &Image{inner: imgs[i]}
-		outReps[i] = wire.NewRetrieveResult(reps[i])
+		outReps[i] = reps[i].Result()
 	}
 	return outImgs, outReps
 }
@@ -490,7 +466,7 @@ func (s *System) Assemble(name string, primaries []string, userDataFrom string) 
 	if err != nil {
 		return nil, nil, err
 	}
-	return &Image{inner: img}, wire.NewRetrieveResult(rep), nil
+	return &Image{inner: img}, rep.Result(), nil
 }
 
 // RepoStats summarises the repository at paper scale.
@@ -583,57 +559,6 @@ func Restore(snapshot []byte, o Options) (*System, error) {
 func (s *System) CacheStats() CacheStats {
 	st, _ := s.sys.CacheStats()
 	return st
-}
-
-// ContainerLayer describes one layer of an exported container image.
-type ContainerLayer struct {
-	MediaType string
-	Digest    string
-	SizeGB    float64
-	CreatedBy string
-}
-
-// ContainerManifest describes an exported container image.
-type ContainerManifest struct {
-	Name   string
-	Base   string
-	Layers []ContainerLayer
-}
-
-// ContainerExporter converts published VMIs into layered container images
-// (the paper's Sec. VII future work). Layers are content-addressed and
-// shared across exports.
-type ContainerExporter struct {
-	e *containerize.Exporter
-}
-
-// NewContainerExporter returns an exporter over this system's repository.
-func (s *System) NewContainerExporter() *ContainerExporter {
-	return &ContainerExporter{e: containerize.NewExporter(s.sys.Repo())}
-}
-
-// Export converts a published VMI into a container image manifest.
-func (c *ContainerExporter) Export(vmiName string) (*ContainerManifest, error) {
-	m, err := c.e.Export(vmiName)
-	if err != nil {
-		return nil, err
-	}
-	out := &ContainerManifest{Name: m.Name, Base: m.Base}
-	for _, l := range m.Layers {
-		out.Layers = append(out.Layers, ContainerLayer{
-			MediaType: l.MediaType,
-			Digest:    l.Digest,
-			SizeGB:    float64(catalog.Paper(l.Size)) / 1e9,
-			CreatedBy: l.CreatedBy,
-		})
-	}
-	return out, nil
-}
-
-// StoreGB is the unique layer bytes held across all exports, at paper
-// scale — shared layers count once.
-func (c *ContainerExporter) StoreGB() float64 {
-	return float64(catalog.Paper(c.e.TotalBytes())) / 1e9
 }
 
 // BaselineKind selects a comparison storage scheme.

@@ -85,17 +85,6 @@ func TestIntegrationLifecycle(t *testing.T) {
 			t.Errorf("assembly missing %s", bin)
 		}
 	}
-
-	// Container export across the published set shares the base layer.
-	exp := sys.NewContainerExporter()
-	for _, name := range names {
-		if _, err := exp.Export(name); err != nil {
-			t.Fatalf("export %s: %v", name, err)
-		}
-	}
-	if exp.StoreGB() > prevSize*1.2 {
-		t.Errorf("container layer store %.2f GB far above repo %.2f GB", exp.StoreGB(), prevSize)
-	}
 }
 
 // TestIntegrationDeterminism: two independent systems fed the same uploads

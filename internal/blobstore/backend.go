@@ -1,14 +1,15 @@
 package blobstore
 
 import (
-	"errors"
 	"io"
+
+	"expelliarmus/internal/api"
 )
 
 // ErrNotFound reports that no live blob with the requested ID exists.
 // Open returns it (wrapped) for absent blobs, so callers can tell a
 // missing blob from one whose stored bytes can no longer be served.
-var ErrNotFound = errors.New("blob not found")
+var ErrNotFound = api.ErrBlobNotFound
 
 // ErrCorrupt reports that a blob exists in the catalog but its stored
 // bytes cannot be served faithfully — on-disk damage, not absence.
@@ -16,7 +17,7 @@ var ErrNotFound = errors.New("blob not found")
 // must never treat it as not-found (the data is there, but broken, and
 // reporting it absent would silently turn durable data into missing
 // data).
-var ErrCorrupt = errors.New("blob corrupt")
+var ErrCorrupt = api.ErrBlobCorrupt
 
 // Backend is the storage contract behind the repository's content-addressed
 // blob layer. Two implementations exist: the in-memory sharded Store in
@@ -115,34 +116,9 @@ type Backend interface {
 	DiskStats() DiskStats
 }
 
-// SyncStats reports what one durable sync wrote. For the disk backend a
-// sync is incremental: only segments with bytes appended since the
-// previous sync are flushed, so after a quiet period Segments and
-// SegmentBytes are zero even when the store holds gigabytes.
-type SyncStats struct {
-	// Segments counts segment flushes (fsync calls on segment files). In a
-	// repository-level sync the two phases (SyncData, then Sync) may each
-	// flush the same file — once for new blob bytes, once for the release
-	// records appended between the phases — so a combined report can count
-	// one file twice; SegmentBytes never double-counts a byte.
-	Segments int
-	// SegmentBytes is the number of newly appended segment bytes made
-	// durable by this sync (not the total store size).
-	SegmentBytes int64
-	// IndexBytes is the size of the index image committed by this sync.
-	IndexBytes int64
-	// SegmentsCompacted and BytesReclaimed report the segment compaction
-	// this sync triggered, if any: segments evacuated and their file bytes
-	// freed (a reclaimed file pinned by an open reader is freed when the
-	// reader closes, but counts here).
-	SegmentsCompacted int
-	BytesReclaimed    int64
-	// DeadBytes is the garbage remaining after this sync: record bytes in
-	// segment files that no live blob accounts for. Nonzero is normal —
-	// compaction runs only when a segment's dead ratio crosses the
-	// threshold.
-	DeadBytes int64
-}
+// SyncStats reports what one durable sync wrote. It is declared in the
+// api leaf because the repository's sync reply embeds it on the wire.
+type SyncStats = api.BlobSyncStats
 
 // CompactStats reports what one on-demand compaction reclaimed.
 type CompactStats struct {

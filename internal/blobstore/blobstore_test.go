@@ -150,8 +150,8 @@ func TestIDStringParseRoundTrip(t *testing.T) {
 	}
 }
 
-// TestQuickRefcountNeverDropsLive is the property from DESIGN.md: a blob
-// with outstanding references survives any interleaving of put/release.
+// TestQuickRefcountNeverDropsLive is the refcount property: a blob with
+// outstanding references survives any interleaving of put/release.
 func TestQuickRefcountNeverDropsLive(t *testing.T) {
 	err := quick.Check(func(content []byte, extraPuts uint8) bool {
 		s := New()

@@ -13,7 +13,7 @@
 //
 // # Content classes
 //
-// Three content classes drive the Fig. 3 storage shape (see DESIGN.md):
+// Three content classes drive the Fig. 3 storage shape (Sec. VI-B):
 // package payload (deterministic per name@version — dedupable), system
 // churn (unique per image instance — only discardable semantically), and
 // user data (preserved verbatim by every system).

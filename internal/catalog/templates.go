@@ -55,7 +55,7 @@ func tpl(name string, churnMB int64, churnFiles int, primaries ...string) Templa
 // Paper19 returns the 19 evaluation images of Table II in upload order.
 // Primary package sets follow the paper's stack descriptions; churn and
 // user-data sizes are calibrated so mounted sizes and file counts land
-// near Table II (see EXPERIMENTS.md for paper-vs-measured).
+// near Table II (`expelbench -exp table2` prints paper next to measured).
 func Paper19() []Template {
 	desktop := []string{
 		"xorg", "desktop-base", "libreoffice", "thunderbird",

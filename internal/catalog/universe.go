@@ -37,8 +37,8 @@ const mb = int64(1e6)
 // release (Ubuntu 16.04): an essential base-OS set (including the paper's
 // libc6/perl-base/dpkg dependency cycle) sized to the Mini image of
 // Table II, plus the application stacks of the 19 evaluation images,
-// calibrated against the paper's publish and retrieval times (see
-// EXPERIMENTS.md).
+// calibrated against the paper's publish and retrieval times (Sec. VI-C,
+// Figs. 4–5).
 func NewUniverse() *Universe { return NewUniverseFor(ReleaseXenial) }
 
 // NewUniverseFor constructs the same package structure for an arbitrary

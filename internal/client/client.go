@@ -10,13 +10,16 @@
 // a complete one.
 //
 // Error mapping. A 404 with error kind "not-found" unwraps to
-// vmirepo.ErrNotFound and a kind "corrupt" reply to blobstore.ErrCorrupt,
-// so code written against the in-process API routes remote absence and
-// remote corruption identically. A stream the server aborted mid-body —
-// or ended without its integrity trailers — unwraps to ErrTruncated,
-// never a bare EOF, so callers can tell "the image is incomplete" from
-// "the image failed verification"; a truncated stream that delivered no
-// bytes to the caller's sink is retried like any transport failure.
+// api.ErrNotFound and a kind "corrupt" reply to api.ErrBlobCorrupt — the
+// very values vmirepo.ErrNotFound and blobstore.ErrCorrupt name in
+// process, declared in the internal/api leaf so that this package links
+// no storage engine — so code written against the in-process API routes
+// remote absence and remote corruption identically. A stream the server
+// aborted mid-body — or ended without its integrity trailers — unwraps to
+// ErrTruncated, never a bare EOF, so callers can tell "the image is
+// incomplete" from "the image failed verification"; a truncated stream
+// that delivered no bytes to the caller's sink is retried like any
+// transport failure.
 package client
 
 import (

@@ -22,20 +22,19 @@ import (
 	"time"
 
 	"expelliarmus/internal/client"
-	"expelliarmus/internal/server"
 	"expelliarmus/internal/wire"
 )
 
 // writeValidStream emits one complete trailer-verified image stream.
 func writeValidStream(w http.ResponseWriter, body []byte) {
-	w.Header().Set("Trailer", server.HeaderSha256+", "+server.HeaderBytes+", "+server.HeaderResult)
+	w.Header().Set("Trailer", wire.HeaderSha256+", "+wire.HeaderBytes+", "+wire.HeaderResult)
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Write(body)
 	sum := sha256.Sum256(body)
 	res, _ := json.Marshal(wire.RetrieveResult{Seconds: 0.01})
-	w.Header().Set(server.HeaderSha256, hex.EncodeToString(sum[:]))
-	w.Header().Set(server.HeaderBytes, strconv.Itoa(len(body)))
-	w.Header().Set(server.HeaderResult, string(res))
+	w.Header().Set(wire.HeaderSha256, hex.EncodeToString(sum[:]))
+	w.Header().Set(wire.HeaderBytes, strconv.Itoa(len(body)))
+	w.Header().Set(wire.HeaderResult, string(res))
 }
 
 func newTestClient(t *testing.T, h http.HandlerFunc, retries int) *client.Client {
@@ -55,7 +54,7 @@ func TestAbortMidBodyIsTruncatedNotEOF(t *testing.T) {
 	var attempts atomic.Int32
 	cl := newTestClient(t, func(w http.ResponseWriter, r *http.Request) {
 		attempts.Add(1)
-		w.Header().Set("Trailer", server.HeaderSha256+", "+server.HeaderBytes+", "+server.HeaderResult)
+		w.Header().Set("Trailer", wire.HeaderSha256+", "+wire.HeaderBytes+", "+wire.HeaderResult)
 		w.Write(bytes.Repeat([]byte("partial-"), 8<<10))
 		w.(http.Flusher).Flush()
 		panic(http.ErrAbortHandler)
@@ -105,7 +104,7 @@ func TestTruncationBeforeFirstByteIsRetried(t *testing.T) {
 	cl := newTestClient(t, func(w http.ResponseWriter, r *http.Request) {
 		if attempts.Add(1) == 1 {
 			// Headers out, zero body bytes, then die.
-			w.Header().Set("Trailer", server.HeaderSha256)
+			w.Header().Set("Trailer", wire.HeaderSha256)
 			w.WriteHeader(http.StatusOK)
 			w.(http.Flusher).Flush()
 			panic(http.ErrAbortHandler)

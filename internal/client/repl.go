@@ -3,8 +3,8 @@
 // X-Expel-Sha256/X-Expel-Bytes trailers before it is trusted — a
 // truncated or damaged snapshot or WAL tail surfaces as an error, never
 // as silently wrong metadata. A WAL request whose epoch the writer has
-// compacted away unwraps to metawal.ErrEpochGone, the follower's signal
-// to restart from the current snapshot.
+// compacted away unwraps to api.ErrEpochGone (metawal.ErrEpochGone in
+// process), the follower's signal to restart from the current snapshot.
 package client
 
 import (

@@ -14,6 +14,7 @@ import (
 	"sort"
 	"sync"
 
+	"expelliarmus/internal/api"
 	"expelliarmus/internal/catalog"
 	"expelliarmus/internal/fstree"
 	"expelliarmus/internal/guestfs"
@@ -33,7 +34,7 @@ import (
 
 // Options configure the system. The zero value enables the full design;
 // the flags exist for the paper's "semantic decomposition" variant
-// (Fig. 4b) and the ablation studies in DESIGN.md.
+// (Fig. 4b) and the ablation studies (`expelbench -exp abl1,...,abl4`).
 type Options struct {
 	// NoSemanticDedup disables the repository-existence check during
 	// export: every required package is repacked and stored, as in the
@@ -320,15 +321,30 @@ type PublishReport struct {
 // Seconds returns the total modeled publish time.
 func (r *PublishReport) Seconds() float64 { return r.Meter.Seconds() }
 
-// PublishOpts carry a publish's lifecycle attributes.
-type PublishOpts struct {
-	// Tenant is the owning namespace charged for the publish's newly
-	// stored bytes; "" publishes unaccounted.
-	Tenant string
-	// ExpiresAt is the Unix-seconds timestamp past which the VMI is
-	// removed by the expiry scanner; 0 means never.
-	ExpiresAt int64
+// Result flattens the report into the body the server replies with and
+// the facade returns.
+func (r *PublishReport) Result() *api.PublishResult {
+	return &api.PublishResult{
+		Similarity: r.Similarity,
+		Exported:   append([]string(nil), r.Exported...),
+		Skipped:    r.Skipped,
+		BaseStored: r.BaseStored,
+		Seconds:    r.Seconds(),
+		Phases:     phaseMap(r.Meter),
+	}
 }
+
+func phaseMap(m *simio.Meter) map[string]float64 {
+	out := map[string]float64{}
+	for ph, d := range m.Snapshot() {
+		out[string(ph)] = d.Seconds()
+	}
+	return out
+}
+
+// PublishOpts carry a publish's lifecycle attributes: the tenant charged
+// for its newly stored bytes and the Unix-seconds expiry timestamp.
+type PublishOpts = api.PublishOptions
 
 // Publish runs the semantic analyzer and the decomposer on the image
 // (Algorithm 1). Publishing consumes the image: its primary packages,
@@ -886,6 +902,16 @@ type RetrieveReport struct {
 // Seconds returns the total modeled retrieval time.
 func (r *RetrieveReport) Seconds() float64 { return r.Meter.Seconds() }
 
+// Result flattens the report into the retrieve trailer's body, which the
+// facade returns too.
+func (r *RetrieveReport) Result() *api.RetrieveResult {
+	return &api.RetrieveResult{
+		Imported: append([]string(nil), r.Imported...),
+		Seconds:  r.Seconds(),
+		Phases:   phaseMap(r.Meter),
+	}
+}
+
 // Retrieve assembles a previously published VMI by name (Algorithm 3).
 //
 // Under concurrent publish traffic, base-image selection may replace the
@@ -1106,9 +1132,13 @@ func (s *System) AssembleTo(w io.Writer, name string, primaries []string, userDa
 // assembleCustom is the shared body of Assemble and AssembleTo; the image
 // it returns still reads through the returned pin on its base blob.
 func (s *System) assembleCustom(name string, primaries []string, userDataFrom string) (*vmi.Image, *RetrieveReport, io.Closer, error) {
-	// Like Retrieve, Assemble retries when a candidate base disappears
-	// under it mid-assembly because a concurrent publish commit replaced
-	// it (the rescan then finds the surviving, merged master).
+	// Like Retrieve, Assemble takes no commit lock and retries when the
+	// candidate base changes under it mid-assembly: a concurrent publish
+	// commit replaced it (the rescan then finds the surviving, merged
+	// master). Such an attempt fails with ErrNotFound once the record is
+	// gone, or — between the replacement's writes — with whatever the
+	// half-removed state produces (the base blob is released before its
+	// record is deleted); either way the base's stripe generation moved.
 	const maxAttempts = 3
 	var lastErr error
 	for attempt := 0; attempt < maxAttempts; attempt++ {
@@ -1124,11 +1154,12 @@ func (s *System) assembleCustom(name string, primaries []string, userDataFrom st
 				continue
 			}
 			found = true
+			gen := s.repo.GenerationFor(mg.BaseID)
 			img, base, err := s.assemble(name, mg.BaseID, primaries, userDataFrom, rep, s.parallelism())
 			if err == nil {
 				return img, rep, base, nil
 			}
-			if !errors.Is(err, vmirepo.ErrNotFound) {
+			if !errors.Is(err, vmirepo.ErrNotFound) && s.repo.GenerationFor(mg.BaseID) == gen {
 				return nil, nil, nil, err
 			}
 			lastErr = err

@@ -14,6 +14,7 @@ import (
 	"errors"
 	"fmt"
 
+	"expelliarmus/internal/api"
 	"expelliarmus/internal/vmirepo"
 )
 
@@ -43,20 +44,7 @@ func (s *System) ExpireAt(now int64) ([]string, error) {
 }
 
 // VacuumStats reports what one Vacuum pass reclaimed.
-type VacuumStats struct {
-	// PackagesRemoved counts package records no VMI referenced.
-	PackagesRemoved int
-	// UserDataRemoved counts user-data archives whose VMI is gone.
-	UserDataRemoved int
-	// MetaRemoved counts lifecycle records whose VMI is gone.
-	MetaRemoved int
-	// BlobsReleased counts blobs no metadata record referenced (crash
-	// orphans and abandoned publishes).
-	BlobsReleased int
-	// BytesReclaimed is the payload bytes of the removed packages and
-	// released blobs.
-	BytesReclaimed int64
-}
+type VacuumStats = api.VacuumStats
 
 // Vacuum walks the metadata graph and reclaims everything dangling:
 // packages no VMI references, user-data archives and lifecycle records of

@@ -42,8 +42,8 @@ func upgradeRedisInImage(t *testing.T, img *vmi.Image) {
 
 // TestVersionConflictRejected: publishing a second VMI that carries a
 // different version of an already-clustered primary on the same base must
-// fail with ErrVersionConflict (the master-graph limitation documented in
-// DESIGN.md §6).
+// fail with ErrVersionConflict (the master-graph limitation documented at
+// master.ErrVersionConflict).
 func TestVersionConflictRejected(t *testing.T) {
 	s, b := newSystem(t, Options{})
 	if _, err := s.Publish(buildImage(t, b, "Redis")); err != nil {

@@ -36,7 +36,8 @@ func (m *Graph) Attrs() pkgmeta.BaseAttrs { return m.G.Base() }
 // build of a package the master already clusters. The paper's master graph
 // keys vertices by the pkg attribute, so it cannot represent two versions
 // of one package on the same base image — a design limitation this
-// reproduction surfaces as an explicit error (see DESIGN.md §6).
+// reproduction surfaces as an explicit error (Sec. III-H keys a master's
+// vertices by package name alone).
 type ErrVersionConflict struct {
 	BaseID   string
 	Pkg      string

@@ -40,7 +40,6 @@
 package metawal
 
 import (
-	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -48,6 +47,7 @@ import (
 	"strings"
 	"sync"
 
+	"expelliarmus/internal/api"
 	"expelliarmus/internal/atomicfile"
 	"expelliarmus/internal/metadb"
 )
@@ -56,7 +56,7 @@ import (
 // current one — a compaction switched the log to a fresh snapshot at a
 // higher epoch, and the old pair is gone. A follower tailing the log must
 // restart from the new epoch's snapshot.
-var ErrEpochGone = errors.New("metawal: epoch no longer current")
+var ErrEpochGone = api.ErrEpochGone
 
 // DefaultCompactBytes is the compaction trigger when Options leave it
 // zero: a Sync that would grow the WAL beyond this rewrites the snapshot

@@ -23,8 +23,8 @@
 // full retrieval report of the assembly that produced it (imported
 // packages and the per-phase meter decomposition), so a hit replays the
 // exact modeled charges a cold retrieval would have accumulated. Hits and
-// misses differ in wall-clock time only — the property the shared
-// conformance suite in cachetest pins down.
+// misses differ in wall-clock time only — the property TestConformance
+// pins down.
 package retrievecache
 
 import (

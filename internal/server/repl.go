@@ -52,15 +52,15 @@ func (s *Server) handleReplCommit(w http.ResponseWriter, r *http.Request) {
 // mid-body (mirroring streamImage's truncation contract).
 func streamVerified(w http.ResponseWriter, rc io.ReadCloser, size int64) {
 	defer rc.Close()
-	w.Header().Set("Trailer", HeaderSha256+", "+HeaderBytes)
+	w.Header().Set("Trailer", wire.HeaderSha256+", "+wire.HeaderBytes)
 	w.Header().Set("Content-Type", "application/octet-stream")
 	h := sha256.New()
 	hw := &hashCountWriter{w: w, h: h}
 	if _, err := io.Copy(hw, rc); err != nil || hw.n != size {
 		panic(http.ErrAbortHandler)
 	}
-	w.Header().Set(HeaderSha256, hex.EncodeToString(h.Sum(nil)))
-	w.Header().Set(HeaderBytes, strconv.FormatInt(hw.n, 10))
+	w.Header().Set(wire.HeaderSha256, hex.EncodeToString(h.Sum(nil)))
+	w.Header().Set(wire.HeaderBytes, strconv.FormatInt(hw.n, 10))
 }
 
 func (s *Server) handleReplSnapshot(w http.ResponseWriter, r *http.Request) {
@@ -74,8 +74,8 @@ func (s *Server) handleReplSnapshot(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	w.Header().Set(HeaderEpoch, strconv.FormatUint(epoch, 10))
-	w.Header().Set(HeaderSize, strconv.FormatInt(size, 10))
+	w.Header().Set(wire.HeaderEpoch, strconv.FormatUint(epoch, 10))
+	w.Header().Set(wire.HeaderSize, strconv.FormatInt(size, 10))
 	streamVerified(w, rc, size)
 }
 
@@ -100,7 +100,7 @@ func (s *Server) handleReplWAL(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	w.Header().Set(HeaderEpoch, strconv.FormatUint(epoch, 10))
+	w.Header().Set(wire.HeaderEpoch, strconv.FormatUint(epoch, 10))
 	streamVerified(w, rc, n)
 }
 

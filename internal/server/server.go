@@ -30,6 +30,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -37,24 +38,6 @@ import (
 
 	"expelliarmus/internal/core"
 	"expelliarmus/internal/wire"
-)
-
-// Header names and error kinds of the streaming protocol. They are
-// declared in wire (which the client shares); the server re-exports them
-// under the names its handlers and tests have always used.
-const (
-	HeaderSha256    = wire.HeaderSha256
-	HeaderBytes     = wire.HeaderBytes
-	HeaderResult    = wire.HeaderResult
-	HeaderErrorKind = wire.HeaderErrorKind
-	HeaderEpoch     = wire.HeaderEpoch
-	HeaderSize      = wire.HeaderSize
-
-	KindNotFound      = wire.KindNotFound
-	KindCorrupt       = wire.KindCorrupt
-	KindReadOnly      = wire.KindReadOnly
-	KindEpochGone     = wire.KindEpochGone
-	KindQuotaExceeded = wire.KindQuotaExceeded
 )
 
 // Server is an http.Handler serving one shared Expelliarmus system.
@@ -67,8 +50,7 @@ type Server struct {
 }
 
 // ReplStatser reports replication state for the stats endpoint — the
-// replica catch-up loop implements it on follower daemons (the server
-// cannot import internal/replica directly: client → server → core).
+// replica catch-up loop implements it on follower daemons.
 type ReplStatser interface {
 	ReplicationStats() wire.ReplicationStats
 }
@@ -106,7 +88,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.Serve
 func writeError(w http.ResponseWriter, err error) {
 	status := http.StatusInternalServerError
 	if row, ok := wire.KindOf(err); ok {
-		w.Header().Set(HeaderErrorKind, row.Kind)
+		w.Header().Set(wire.HeaderErrorKind, row.Kind)
 		status = row.Status
 	}
 	http.Error(w, err.Error(), status)
@@ -147,7 +129,7 @@ func (hw *hashCountWriter) Write(p []byte) (int, error) {
 // operation failed before its first byte, a connection abort when it
 // failed with bytes already on the wire.
 func streamImage(w http.ResponseWriter, produce func(io.Writer) (*core.RetrieveReport, error)) {
-	w.Header().Set("Trailer", HeaderSha256+", "+HeaderBytes+", "+HeaderResult)
+	w.Header().Set("Trailer", wire.HeaderSha256+", "+wire.HeaderBytes+", "+wire.HeaderResult)
 	w.Header().Set("Content-Type", "application/octet-stream")
 	h := sha256.New()
 	hw := &hashCountWriter{w: w, h: h}
@@ -164,13 +146,13 @@ func streamImage(w http.ResponseWriter, produce func(io.Writer) (*core.RetrieveR
 		// unmistakable truncation on the client side.
 		panic(http.ErrAbortHandler)
 	}
-	rb, merr := json.Marshal(wire.NewRetrieveResult(rep))
+	rb, merr := json.Marshal(rep.Result())
 	if merr != nil {
 		panic(http.ErrAbortHandler)
 	}
-	w.Header().Set(HeaderSha256, hex.EncodeToString(h.Sum(nil)))
-	w.Header().Set(HeaderBytes, strconv.FormatInt(hw.n, 10))
-	w.Header().Set(HeaderResult, string(rb))
+	w.Header().Set(wire.HeaderSha256, hex.EncodeToString(h.Sum(nil)))
+	w.Header().Set(wire.HeaderBytes, strconv.FormatInt(hw.n, 10))
+	w.Header().Set(wire.HeaderResult, string(rb))
 }
 
 func (s *Server) handleRetrieve(w http.ResponseWriter, r *http.Request) {
@@ -187,15 +169,12 @@ func (s *Server) handlePublish(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, fmt.Sprintf("decode image: %v", err), http.StatusBadRequest)
 		return
 	}
-	rep, err := s.sys.PublishWith(img, core.PublishOpts{
-		Tenant:    meta.Tenant,
-		ExpiresAt: meta.ExpiresAt,
-	})
+	rep, err := s.sys.PublishWith(img, meta)
 	if err != nil {
 		writeError(w, err)
 		return
 	}
-	writeJSON(w, wire.NewPublishResult(rep))
+	writeJSON(w, rep.Result())
 }
 
 func (s *Server) handleRemove(w http.ResponseWriter, r *http.Request) {
@@ -207,9 +186,16 @@ func (s *Server) handleRemove(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleAssemble(w http.ResponseWriter, r *http.Request) {
+	// The decoder buffers a whole JSON value before anything can validate
+	// it, so the body is capped like the publish envelope's header.
 	var req wire.AssembleRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(w, fmt.Sprintf("decode request: %v", err), http.StatusBadRequest)
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, wire.MaxHeaderBytes)).Decode(&req); err != nil {
+		status := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		http.Error(w, fmt.Sprintf("decode request: %v", err), status)
 		return
 	}
 	streamImage(w, func(sink io.Writer) (*core.RetrieveReport, error) {

@@ -16,6 +16,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
@@ -576,5 +577,45 @@ func TestRemoteRemoveAndSnapshot(t *testing.T) {
 	st, err := cl.Stats(ctx)
 	if err != nil || st.VMIs != 0 {
 		t.Fatalf("stats after remove = %+v, %v", st, err)
+	}
+}
+
+// countingReader counts the bytes a handler pulled out of a request body.
+type countingReader struct {
+	r io.Reader
+	n int64
+}
+
+func (c *countingReader) Read(p []byte) (int, error) {
+	n, err := c.r.Read(p)
+	c.n += int64(n)
+	return n, err
+}
+
+// TestAssembleBodyCapped: an assemble request is one JSON value the
+// decoder buffers whole before anything validates it, so a body past
+// wire.MaxHeaderBytes must be refused with 413 after at most cap+1 bytes
+// were read — not held in memory to the end. A request at the cap's scale
+// but inside it still reaches the assembler (and fails there: the
+// repository is empty).
+func TestAssembleBodyCapped(t *testing.T) {
+	srv := server.New(core.NewSystem(testDevice(), core.Options{}))
+	post := func(nameLen int) (*httptest.ResponseRecorder, int64) {
+		body := &countingReader{r: strings.NewReader(`{"Name":"` + strings.Repeat("a", nameLen) + `"}`)}
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/assemble", body))
+		return rec, body.n
+	}
+
+	rec, read := post(8 * wire.MaxHeaderBytes)
+	if rec.Code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("over-cap body: status %d (%s), want 413", rec.Code, strings.TrimSpace(rec.Body.String()))
+	}
+	if read > wire.MaxHeaderBytes+1 {
+		t.Fatalf("over-cap body: handler read %d bytes, cap is %d", read, wire.MaxHeaderBytes)
+	}
+
+	if rec, _ := post(wire.MaxHeaderBytes / 2); !strings.Contains(rec.Body.String(), "core: no stored base") {
+		t.Fatalf("in-cap body: status %d (%s), want the assembler's own refusal", rec.Code, strings.TrimSpace(rec.Body.String()))
 	}
 }

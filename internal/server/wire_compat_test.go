@@ -14,8 +14,10 @@ import (
 	"testing"
 	"time"
 
+	"expelliarmus/internal/blobstore"
 	"expelliarmus/internal/client"
 	"expelliarmus/internal/core"
+	"expelliarmus/internal/metawal"
 	"expelliarmus/internal/server"
 	"expelliarmus/internal/vmirepo"
 	"expelliarmus/internal/wire"
@@ -27,6 +29,22 @@ import (
 // that unwraps to the sentinel the kind resurfaces as. Both ends walk
 // the one table, so a kind cannot exist on one side only.
 func TestErrorKindTableEndToEnd(t *testing.T) {
+	// What the storage layers return in process, row for row. The table
+	// must hold these very values (identity, not just errors.Is): a second
+	// errors.New at an alias site would still match itself on each side
+	// and silently stop matching across the wire.
+	inProcess := []error{
+		vmirepo.ErrNotFound, blobstore.ErrNotFound, blobstore.ErrCorrupt,
+		vmirepo.ErrReadOnly, metawal.ErrEpochGone, vmirepo.ErrQuotaExceeded,
+	}
+	if len(inProcess) != len(wire.ErrorKinds) {
+		t.Fatalf("table has %d rows, the layers name %d sentinels", len(wire.ErrorKinds), len(inProcess))
+	}
+	for i, row := range wire.ErrorKinds {
+		if row.Err != inProcess[i] {
+			t.Fatalf("row %d (%s): table holds %p %q, the storage layer returns %p %q", i, row.Kind, row.Err, row.Err, inProcess[i], inProcess[i])
+		}
+	}
 	for _, row := range wire.ErrorKinds {
 		t.Run(fmt.Sprintf("%s/%v", row.Kind, row.Err), func(t *testing.T) {
 			ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -50,8 +68,12 @@ func TestErrorKindTableEndToEnd(t *testing.T) {
 			if !ok {
 				t.Fatalf("kind %q has no row to resurface as", row.Kind)
 			}
-			if _, err := cl.Stats(context.Background()); !errors.Is(err, want.Err) {
+			_, err = cl.Stats(context.Background())
+			if !errors.Is(err, want.Err) {
 				t.Fatalf("client error %v does not unwrap to %v", err, want.Err)
+			}
+			if got := errors.Unwrap(err); got != want.Err {
+				t.Fatalf("client resurfaced %p %q, the table's value for the kind is %p %q", got, got, want.Err, want.Err)
 			}
 		})
 	}

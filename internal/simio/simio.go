@@ -96,9 +96,9 @@ type Profile struct {
 }
 
 // PaperProfile returns the cost model calibrated against the testbed numbers
-// reported in Sec. VI of the paper (see EXPERIMENTS.md for the calibration
-// trail: Mini publish 39.5 s, Mini retrieval 24.6 s, Desktop retrieval
-// 102.3 s, Mirage retrieval up to ~500 s, ...).
+// reported in Sec. VI of the paper (the calibration anchors: Mini publish
+// 39.5 s, Mini retrieval 24.6 s, Desktop retrieval 102.3 s, Mirage
+// retrieval up to ~500 s, ...).
 func PaperProfile() Profile {
 	return Profile{
 		SeqReadBps:       250e6,

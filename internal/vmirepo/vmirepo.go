@@ -18,7 +18,6 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
-	"errors"
 	"fmt"
 	"io"
 	"path/filepath"
@@ -27,6 +26,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"expelliarmus/internal/api"
 	"expelliarmus/internal/blobstore"
 	"expelliarmus/internal/blobstore/diskstore"
 	"expelliarmus/internal/master"
@@ -62,18 +62,17 @@ var allBuckets = []string{
 // selection may replace a base (rewiring VMI records to the survivor)
 // between a reader's record fetch and its master/base fetch, so readers
 // that hit it can re-read the record and retry (see core.Retrieve).
-var ErrNotFound = errors.New("not found")
+var ErrNotFound = api.ErrNotFound
 
 // ErrReadOnly marks mutating calls on a follower repository (OpenFollower):
 // a follower's metadata advances only by applying the writer's shipped
 // snapshot + WAL batches, never by local mutation. Callers that need to
 // write must talk to the writer.
-var ErrReadOnly = errors.New("repository is read-only (follower)")
+var ErrReadOnly = api.ErrReadOnly
 
 // ErrQuotaExceeded marks a publish rejected because it would push its
-// tenant's live bytes past the configured quota. It lives here (not in
-// core) so the wire/server layers can map it without an import cycle.
-var ErrQuotaExceeded = errors.New("tenant quota exceeded")
+// tenant's live bytes past the configured quota.
+var ErrQuotaExceeded = api.ErrQuotaExceeded
 
 // Repo is the Expelliarmus repository. Its blob layer is pluggable: New
 // gives the in-memory sharded backend, OpenAt the durable on-disk one;
@@ -369,26 +368,10 @@ func (r *Repo) BlobRecovery() (diskstore.RecoveryReport, bool) {
 	return diskstore.RecoveryReport{}, false
 }
 
-// SyncStats reports one durable repository sync. It is the one
-// declaration every layer above shares: the facade and the wire protocol
-// alias it, and the embedded blob half flattens into the same JSON object.
-type SyncStats struct {
-	// The blob backend's incremental flush (only segments appended since
-	// the previous sync are written) and the segment compaction the sync
-	// performed, automatically or because Compact forced it.
-	blobstore.SyncStats
-	// MetaBytes is the metadata bytes committed this sync: the WAL delta
-	// (framed op records plus the commit marker) or, on a compacting
-	// sync, the fresh full snapshot. On the hot path it is O(delta) — no
-	// full metadata rewrite.
-	MetaBytes int64
-	// MetaOps is the number of metadata mutations this sync committed.
-	MetaOps int
-	// Compacted reports that this sync rewrote the metadata WAL into a
-	// fresh snapshot; MetaSnapshotBytes is that snapshot's size.
-	Compacted         bool
-	MetaSnapshotBytes int64
-}
+// SyncStats reports one durable repository sync: the blob backend's
+// flush plus the metadata commit. Declared in the api leaf, which the wire
+// protocol and the facade alias too.
+type SyncStats = api.SyncStats
 
 // Sync makes the repository durable on disk. It quiesces mutating
 // operations (like Snapshot), then runs the two-phase commit the durable
@@ -491,7 +474,7 @@ func (r *Repo) syncOrCompact(forceCompact bool) (SyncStats, error) {
 	defer r.opMu.Unlock()
 	var st SyncStats
 	var err error
-	if st.SyncStats, err = r.blobs.SyncData(); err != nil {
+	if st.BlobSyncStats, err = r.blobs.SyncData(); err != nil {
 		return st, err
 	}
 	var ws metawal.SyncStats

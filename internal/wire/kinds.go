@@ -4,9 +4,7 @@ import (
 	"errors"
 	"net/http"
 
-	"expelliarmus/internal/blobstore"
-	"expelliarmus/internal/metawal"
-	"expelliarmus/internal/vmirepo"
+	"expelliarmus/internal/api"
 )
 
 // Header and trailer names of the streaming protocol.
@@ -55,12 +53,12 @@ type ErrorKind struct {
 // refusals, retired epochs and quota rejections exactly like in-process
 // ones. A new kind is one new row.
 var ErrorKinds = []ErrorKind{
-	{KindNotFound, vmirepo.ErrNotFound, http.StatusNotFound},
-	{KindNotFound, blobstore.ErrNotFound, http.StatusNotFound},
-	{KindCorrupt, blobstore.ErrCorrupt, http.StatusInternalServerError},
-	{KindReadOnly, vmirepo.ErrReadOnly, http.StatusForbidden},
-	{KindEpochGone, metawal.ErrEpochGone, http.StatusGone},
-	{KindQuotaExceeded, vmirepo.ErrQuotaExceeded, http.StatusRequestEntityTooLarge},
+	{KindNotFound, api.ErrNotFound, http.StatusNotFound},
+	{KindNotFound, api.ErrBlobNotFound, http.StatusNotFound},
+	{KindCorrupt, api.ErrBlobCorrupt, http.StatusInternalServerError},
+	{KindReadOnly, api.ErrReadOnly, http.StatusForbidden},
+	{KindEpochGone, api.ErrEpochGone, http.StatusGone},
+	{KindQuotaExceeded, api.ErrQuotaExceeded, http.StatusRequestEntityTooLarge},
 }
 
 // KindOf returns the row err belongs to; ok is false for an error outside

@@ -1,8 +1,12 @@
 // Package wire defines the Expelliarmus network wire protocol shared by
 // the repository server (internal/server) and its client
 // (internal/client): the streaming image envelope that carries a VMI
-// upload, and the JSON result types the server returns for each
-// operation.
+// upload, the header names and error-kind table of the streaming
+// protocol, and the JSON bodies only the server produces. The result
+// bodies an in-process call returns too (publish, retrieve, sync, vacuum)
+// are declared in internal/api and aliased here. The package is plain
+// data: it imports what an image value needs and nothing of the
+// repository behind the server (TestImportLayers pins that).
 //
 // The image envelope is designed so both sides can stream it:
 //
@@ -29,20 +33,20 @@ import (
 	"fmt"
 	"io"
 
-	"expelliarmus/internal/core"
+	"expelliarmus/internal/api"
 	"expelliarmus/internal/pkgmeta"
-	"expelliarmus/internal/simio"
 	"expelliarmus/internal/vdisk"
 	"expelliarmus/internal/vmi"
-	"expelliarmus/internal/vmirepo"
 )
 
 // Magic opens every image envelope.
 const Magic = "EXPWIR1\n"
 
-// maxHeaderBytes bounds the JSON header so a corrupt or hostile length
-// prefix cannot ask the receiver to allocate gigabytes.
-const maxHeaderBytes = 1 << 20
+// MaxHeaderBytes bounds the JSON header so a corrupt or hostile length
+// prefix cannot ask the receiver to allocate gigabytes. It is the cap on
+// every JSON value a peer sends ahead of validation (the server applies it
+// to an assemble request's body as well).
+const MaxHeaderBytes = 1 << 20
 
 // maxDiskPrealloc is the most a header's DiskBytes claim may allocate
 // before the body bytes backing it have arrived.
@@ -74,10 +78,7 @@ type ImageHeader struct {
 // PublishMeta is the lifecycle metadata riding alongside an image upload:
 // the tenant to charge for the stored bytes and the optional expiry
 // timestamp (Unix seconds; zero = never expires).
-type PublishMeta struct {
-	Tenant    string
-	ExpiresAt int64
-}
+type PublishMeta = api.PublishOptions
 
 // WriteImage encodes img as one image envelope on w, streaming the disk
 // section straight from the virtual disk.
@@ -99,8 +100,8 @@ func WriteImageMeta(w io.Writer, img *vmi.Image, meta PublishMeta) error {
 	if err != nil {
 		return fmt.Errorf("wire: encode header: %w", err)
 	}
-	if len(hb) > maxHeaderBytes {
-		return fmt.Errorf("wire: header %d bytes exceeds limit %d", len(hb), maxHeaderBytes)
+	if len(hb) > MaxHeaderBytes {
+		return fmt.Errorf("wire: header %d bytes exceeds limit %d", len(hb), MaxHeaderBytes)
 	}
 	var pre [12]byte
 	copy(pre[:8], Magic)
@@ -139,7 +140,7 @@ func ReadImageMeta(r io.Reader) (*vmi.Image, PublishMeta, error) {
 		return nil, PublishMeta{}, fmt.Errorf("wire: bad magic %q", pre[:8])
 	}
 	hlen := binary.LittleEndian.Uint32(pre[8:])
-	if hlen == 0 || hlen > maxHeaderBytes {
+	if hlen == 0 || hlen > MaxHeaderBytes {
 		return nil, PublishMeta{}, fmt.Errorf("wire: header length %d out of range", hlen)
 	}
 	hb := make([]byte, hlen)
@@ -200,63 +201,15 @@ func readDisk(r io.Reader, n int64) ([]byte, error) {
 	}
 }
 
-// PublishResult reports a publish operation: the server's reply to a
-// publish, and (aliased) the facade's. It is declared once, here, as the
-// flattened form of a core publish report.
-type PublishResult struct {
-	// Similarity is SimG against the best-matching master graph.
-	Similarity float64
-	// Exported lists the packages stored by this publish.
-	Exported []string
-	// Skipped counts packages already in the repository.
-	Skipped int
-	// BaseStored reports whether a new base image was stored.
-	BaseStored bool
-	// Seconds is the modeled publish time; Phases decomposes it.
-	Seconds float64
-	Phases  map[string]float64
-}
-
-// NewPublishResult flattens a core publish report.
-func NewPublishResult(rep *core.PublishReport) *PublishResult {
-	return &PublishResult{
-		Similarity: rep.Similarity,
-		Exported:   append([]string(nil), rep.Exported...),
-		Skipped:    rep.Skipped,
-		BaseStored: rep.BaseStored,
-		Seconds:    rep.Seconds(),
-		Phases:     phaseMap(rep.Meter),
-	}
-}
-
-// RetrieveResult reports a retrieval or assembly (aliased by the facade).
-// For streamed responses it rides in the X-Expel-Result trailer, after
-// the image bytes.
-type RetrieveResult struct {
-	// Imported lists the packages installed during assembly.
-	Imported []string
-	// Seconds is the modeled retrieval time; Phases decomposes it into the
-	// paper's Fig. 5a components (copy, launch, reset, import, ...).
-	Seconds float64
-	Phases  map[string]float64
-}
-
-// NewRetrieveResult flattens a core retrieve report.
-func NewRetrieveResult(rep *core.RetrieveReport) *RetrieveResult {
-	return &RetrieveResult{
-		Imported: append([]string(nil), rep.Imported...),
-		Seconds:  rep.Seconds(),
-		Phases:   phaseMap(rep.Meter),
-	}
-}
-
-func phaseMap(m *simio.Meter) map[string]float64 {
-	out := map[string]float64{}
-	for ph, d := range m.Snapshot() {
-		out[string(ph)] = d.Seconds()
-	}
-	return out
-}
+// The bodies an in-process call returns as well: the server's reply to a
+// publish, the X-Expel-Result trailer of a retrieval or assembly, the
+// reply to a sync or compact, and the reply to a vacuum.
+type (
+	PublishResult  = api.PublishResult
+	RetrieveResult = api.RetrieveResult
+	SyncStats      = api.SyncStats
+	VacuumStats    = api.VacuumStats
+)
 
 // Stats is the server's repository and cache statistics reply.
 type Stats struct {
@@ -323,14 +276,6 @@ type ReplicationStats struct {
 	// WriterURL is the upstream a follower tails (empty on writers).
 	WriterURL string
 }
-
-// SyncStats is the server's reply to a sync or compact and VacuumStats its
-// reply to a vacuum: the repository's and the core's own result types,
-// whose JSON encodings are the wire bodies.
-type (
-	SyncStats   = vmirepo.SyncStats
-	VacuumStats = core.VacuumStats
-)
 
 // AssembleRequest asks the server to build a VMI from stored packages
 // (Algorithm 3 without a prior upload of this exact image).

@@ -93,7 +93,7 @@ func TestReadImageRejects(t *testing.T) {
 		return header(t, h)
 	}
 	hugeLen := append([]byte(Magic), 0, 0, 0, 0)
-	binary.LittleEndian.PutUint32(hugeLen[8:], maxHeaderBytes+1)
+	binary.LittleEndian.PutUint32(hugeLen[8:], MaxHeaderBytes+1)
 	for _, tc := range []struct {
 		name, want string
 		in         []byte
