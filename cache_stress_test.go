@@ -26,7 +26,7 @@ import (
 // writes became visible would let the mutated assembly be cached and
 // served under the old key.
 func TestCacheNoStaleHitUnderConcurrentPublish(t *testing.T) {
-	sys := NewWithOptions(Options{CacheBytes: 64 << 20, Parallelism: 4})
+	sys := NewWithOptions(Options{CacheBytes: 64 << 20})
 	names := []string{"Mini", "Redis", "Base"}
 
 	built := map[string]*Image{}

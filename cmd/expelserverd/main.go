@@ -7,9 +7,9 @@
 // Usage:
 //
 //	expelserverd [-addr 127.0.0.1:9747] [-store DIR] [-cache BYTES]
-//	             [-parallelism N] [-wal-compact BYTES]
-//	             [-blob-compact-ratio R] [-sync-interval D]
-//	             [-expire-interval D] [-quota tenant=bytes,...]
+//	             [-wal-compact BYTES] [-blob-compact-ratio R]
+//	             [-sync-interval D] [-expire-interval D]
+//	             [-quota tenant=bytes,...]
 //	             [-tls-cert FILE -tls-key FILE]
 //	             [-follow URL [-follow-poll D]]
 //
@@ -69,7 +69,6 @@ func main() {
 	addr := flag.String("addr", "127.0.0.1:9747", "listen address")
 	store := flag.String("store", "", "repository directory for the durable disk backend (empty: in-memory)")
 	cache := flag.Int64("cache", 0, "retrieval-cache bytes (0 disables)")
-	parallelism := flag.Int("parallelism", 0, "worker-goroutine bound per operation (<=1 sequential)")
 	walCompact := flag.Int64("wal-compact", 0, "metadata-WAL compaction threshold bytes (0 keeps the default)")
 	blobRatio := flag.Float64("blob-compact-ratio", 0, "dead-byte fraction at which sealed blob segments compact on sync (0 keeps the default, negative disables the automatic trigger)")
 	syncInterval := flag.Duration("sync-interval", 0, "background sync period for a disk-backed repository: published state becomes durable (and visible to followers) within this bound (0 syncs only on shutdown or explicit request)")
@@ -91,7 +90,7 @@ func main() {
 	}
 
 	dev := simio.NewDevice(simio.PaperProfile().Scaled(catalog.ByteScale, catalog.FileScale))
-	opts := core.Options{Parallelism: *parallelism, CacheBytes: *cache, TenantQuotas: tenantQuotas}
+	opts := core.Options{CacheBytes: *cache, TenantQuotas: tenantQuotas}
 	var sys *core.System
 	var rep *replica.Replica
 	bgCtx, stopBg := context.WithCancel(context.Background())

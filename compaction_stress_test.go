@@ -26,7 +26,7 @@ func TestCompactionUnderTraffic(t *testing.T) {
 		t.Skip("compaction stress test skipped in -short mode")
 	}
 	dir := t.TempDir()
-	sys, err := OpenAt(dir, Options{CacheBytes: 64 << 20, Parallelism: 4, WALCompactBytes: 2048})
+	sys, err := OpenAt(dir, Options{CacheBytes: 64 << 20, WALCompactBytes: 2048})
 	if err != nil {
 		t.Fatalf("OpenAt: %v", err)
 	}

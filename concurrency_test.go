@@ -10,7 +10,7 @@ import (
 // main goroutine takes Save snapshots mid-traffic and verifies each one
 // restores to a repository whose recorded VMIs are all retrievable.
 func TestConcurrentSystemStress(t *testing.T) {
-	sys := NewWithOptions(Options{Parallelism: 2})
+	sys := New()
 	names := Templates()
 	const workers = 8
 	if len(names) < 2*workers {
@@ -90,7 +90,7 @@ func TestConcurrentSystemStress(t *testing.T) {
 				return
 			}
 			// Final round trip on the quiesced system.
-			restored, err := Restore(mustSave(t, sys), Options{Parallelism: 2})
+			restored, err := Restore(mustSave(t, sys), Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -118,10 +118,12 @@ func TestConcurrentSystemStress(t *testing.T) {
 	}
 }
 
-// TestPublishAllRetrieveAll checks the batch APIs: input-order results,
-// batch-wide dedup, and single-image semantics preserved.
-func TestPublishAllRetrieveAll(t *testing.T) {
-	sys := NewWithOptions(Options{Parallelism: 8})
+// TestConcurrentPublishRetrieve publishes six images from concurrent
+// callers: semantic dedup holds across them (apache2, shared by Base and
+// Lapp, is exported exactly once), every image retrieves, and the
+// caller's Image stays usable after its Publish.
+func TestConcurrentPublishRetrieve(t *testing.T) {
+	sys := New()
 	names := []string{"Mini", "Redis", "PostgreSql", "Django", "Base", "Lapp"}
 	imgs := make([]*Image, len(names))
 	for i, n := range names {
@@ -132,21 +134,22 @@ func TestPublishAllRetrieveAll(t *testing.T) {
 		imgs[i] = img
 	}
 
-	pubs, err := sys.PublishAll(imgs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pubs) != len(names) {
-		t.Fatalf("got %d publish results, want %d", len(pubs), len(names))
-	}
-	for i, p := range pubs {
-		if p == nil || p.Seconds <= 0 {
-			t.Fatalf("publish result %d (%s) invalid: %+v", i, names[i], p)
+	pubs := make([]*PublishResult, len(names))
+	eachConcurrently(len(names), func(i int) {
+		p, err := sys.Publish(imgs[i])
+		if err != nil {
+			t.Errorf("publish %s: %v", names[i], err)
+			return
 		}
+		if p.Seconds <= 0 {
+			t.Errorf("publish %s: no modeled cost", names[i])
+		}
+		pubs[i] = p
+	})
+	if t.Failed() {
+		return
 	}
 
-	// Batch-wide dedup: apache2 appears in both Base and Lapp; exactly one
-	// publish may have exported it.
 	exporters := 0
 	for _, p := range pubs {
 		for _, e := range p.Exported {
@@ -159,22 +162,32 @@ func TestPublishAllRetrieveAll(t *testing.T) {
 		t.Fatalf("apache2 exported by %d publishes, want exactly 1", exporters)
 	}
 
-	got, rets, err := sys.RetrieveAll(names)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range names {
-		if got[i].Name() != names[i] {
-			t.Fatalf("retrieved[%d] = %q, want %q", i, got[i].Name(), names[i])
+	eachConcurrently(len(names), func(i int) {
+		got, ret, err := sys.Retrieve(names[i])
+		if err != nil {
+			t.Errorf("retrieve %s: %v", names[i], err)
+			return
 		}
-		if rets[i].Seconds <= 0 {
-			t.Fatalf("retrieve %s: no modeled cost", names[i])
+		if got.Name() != names[i] || ret.Seconds <= 0 {
+			t.Errorf("retrieve %s: got %q (%.1fs)", names[i], got.Name(), ret.Seconds)
 		}
-	}
+	})
 
-	// The caller's images remain usable after PublishAll (clone semantics,
-	// matching Publish).
 	if _, err := imgs[0].Stats(); err != nil {
-		t.Fatalf("input image consumed by PublishAll: %v", err)
+		t.Fatalf("input image consumed by Publish: %v", err)
 	}
+}
+
+// eachConcurrently runs fn(0), ..., fn(n-1), each on its own goroutine,
+// and waits for all of them.
+func eachConcurrently(n int, fn func(i int)) {
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			fn(i)
+		}()
+	}
+	wg.Wait()
 }

@@ -46,20 +46,9 @@ type Options struct {
 	NoSemanticDedup bool
 	// NoBaseSelection disables base-image selection (Algorithm 2).
 	NoBaseSelection bool
-	// Parallelism bounds the total worker goroutines per operation: a solo
-	// Publish/Retrieve fans out per package, while PublishAll/RetrieveAll
-	// fan out across images (with sequential per-image internals), so the
-	// bound never compounds. Values <= 1 mean strictly sequential. For an
-	// operation running alone, Parallelism affects
-	// wall-clock time only — its modeled Seconds() are identical at every
-	// setting. When operations overlap (PublishAll, or explicit concurrent
-	// calls), modeled totals can shift slightly with the interleaving:
-	// e.g. two publishes racing on one shared package may both pay the
-	// repack cost sequential upload would have deduplicated away.
-	Parallelism int
 	// CacheBytes bounds the retrieval cache: a size-bounded LRU of
-	// recently assembled images that serves repeat Retrieve/RetrieveAll
-	// calls without re-running assembly. Zero (the default) disables it.
+	// recently assembled images that serves repeat Retrieve calls without
+	// re-running assembly. Zero (the default) disables it.
 	// The cache changes wall-clock time only — a hit returns the same
 	// image bytes and the same modeled RetrieveResult a fresh assembly
 	// would — and is invalidated by per-base striped repository
@@ -124,7 +113,6 @@ func coreOptions(o Options) core.Options {
 	return core.Options{
 		NoSemanticDedup: o.NoSemanticDedup,
 		NoBaseSelection: o.NoBaseSelection,
-		Parallelism:     o.Parallelism,
 		CacheBytes:      o.CacheBytes,
 		TenantQuotas:    o.TenantQuotas,
 	}
@@ -379,32 +367,6 @@ func (s *System) PublishWith(img *Image, opts PublishOptions) (*PublishResult, e
 	return rep.Result(), nil
 }
 
-// PublishAll publishes a batch of images concurrently, bounded by
-// Options.Parallelism, into the one shared repository. Results are
-// returned in input order. Semantic deduplication applies across the whole
-// batch: a package shared by several images is stored exactly once no
-// matter how the concurrent publishes interleave.
-//
-// The batch is not a transaction: on error, publishes that already
-// committed stay in the repository, and the returned slice reports them
-// (one entry per input image, nil where a publish failed or never
-// started), so callers can tell which images landed.
-func (s *System) PublishAll(imgs []*Image) ([]*PublishResult, error) {
-	inner := make([]*vmi.Image, len(imgs))
-	for i, img := range imgs {
-		inner[i] = img.inner.Clone()
-	}
-	reps, err := s.sys.PublishAll(inner)
-	out := make([]*PublishResult, len(reps))
-	for i, rep := range reps {
-		if rep == nil {
-			continue
-		}
-		out[i] = rep.Result()
-	}
-	return out, err
-}
-
 // Retrieve reassembles a published VMI by name.
 func (s *System) Retrieve(name string) (*Image, *RetrieveResult, error) {
 	img, rep, err := s.sys.Retrieve(name)
@@ -426,36 +388,6 @@ func (s *System) RetrieveTo(w io.Writer, name string) (int64, *RetrieveResult, e
 		return n, nil, err
 	}
 	return n, rep.Result(), nil
-}
-
-// RetrieveAll reassembles a batch of published VMIs concurrently, bounded
-// by Options.Parallelism. Images and results are returned in input order;
-// on error the slices carry the successful entries (nil where a retrieval
-// failed or never started). Retrieval has no repository side effects, so
-// a failed batch can simply be retried.
-func (s *System) RetrieveAll(names []string) ([]*Image, []*RetrieveResult, error) {
-	imgs, reps, err := s.sys.RetrieveAll(names)
-	outImgs, outReps := mapRetrieveResults(len(names), imgs, reps)
-	return outImgs, outReps, err
-}
-
-// mapRetrieveResults converts a core batch's parallel result slices into
-// facade values, always returning one slot per input name. The two core
-// slices normally share the input length, but a partially-failed batch
-// must degrade to the entries that exist — a skewed or short pair maps to
-// nil slots rather than an index panic, keeping RetrieveAll's
-// partial-results promise even when the core misbehaves.
-func mapRetrieveResults(n int, imgs []*vmi.Image, reps []*core.RetrieveReport) ([]*Image, []*RetrieveResult) {
-	outImgs := make([]*Image, n)
-	outReps := make([]*RetrieveResult, n)
-	for i := 0; i < n; i++ {
-		if i >= len(imgs) || i >= len(reps) || imgs[i] == nil || reps[i] == nil {
-			continue
-		}
-		outImgs[i] = &Image{inner: imgs[i]}
-		outReps[i] = reps[i].Result()
-	}
-	return outImgs, outReps
 }
 
 // Assemble builds a VMI that was never uploaded in this exact form from

@@ -42,7 +42,7 @@ func TestChurnScenario(t *testing.T) {
 	// active (never-compacted) segment cannot dominate the bound.
 	open := func(deadRatio float64) *core.System {
 		return openDiskSystem(t, r, t.TempDir(), vmirepo.OpenOptions{
-			WALCompactBytes:      r.WALCompactBytes,
+			WALCompactBytes:      r.walCompactBytes,
 			BlobCompactDeadRatio: deadRatio,
 			BlobMaxSegmentBytes:  256 << 10,
 		}, core.Options{})

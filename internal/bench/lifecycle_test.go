@@ -40,7 +40,7 @@ func TestLifecycleScenarioDisk(t *testing.T) {
 		t.Skip("lifecycle disk scenario skipped in -short mode")
 	}
 	r := newTestRunner(t)
-	r.Backend = "disk"
+	r.backend = "disk"
 	lifecycleScenario(t, r)
 }
 
@@ -61,11 +61,11 @@ func lifecycleScenario(t *testing.T, r *Runner) {
 	tpls := catalog.Paper19()
 	opts := core.Options{TenantQuotas: map[string]int64{"blocked": 1}}
 	var sys *core.System
-	if r.Backend == "disk" {
+	if r.backend == "disk" {
 		// Small segments keep the footprint gate's granularity fine (as
 		// in the churn scenario).
 		sys = openDiskSystem(t, r, t.TempDir(), vmirepo.OpenOptions{
-			WALCompactBytes:     r.WALCompactBytes,
+			WALCompactBytes:     r.walCompactBytes,
 			BlobMaxSegmentBytes: 256 << 10,
 		}, opts)
 	} else {
@@ -169,7 +169,7 @@ func lifecycleScenario(t *testing.T, r *Runner) {
 			t.Fatalf("tenant %s charged %d after expiry, want keeper-only %d", tn.name, got, tn.charge)
 		}
 	}
-	if st := sys.Repo().Stats(); r.Backend == "disk" {
+	if st := sys.Repo().Stats(); r.backend == "disk" {
 		if got := ratio(st.BlobDiskBytes, st.TotalBytes); got <= 0 || got > lifecycleDiskBound {
 			t.Fatalf("disk %d bytes is %.2fx live %d bytes, bound %.1fx", st.BlobDiskBytes, got, st.TotalBytes, lifecycleDiskBound)
 		}

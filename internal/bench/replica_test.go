@@ -49,7 +49,7 @@ func TestReplicaExperiment(t *testing.T) {
 	const rounds = 4
 	r := newTestRunner(t)
 	ctx := context.Background()
-	wsys := openDiskSystem(t, r, t.TempDir(), vmirepo.OpenOptions{WALCompactBytes: r.WALCompactBytes}, core.Options{CacheBytes: -1})
+	wsys := openDiskSystem(t, r, t.TempDir(), vmirepo.OpenOptions{WALCompactBytes: r.walCompactBytes}, core.Options{CacheBytes: -1})
 	wrepo := wsys.Repo()
 	url := "http://" + serveLoopback(t, wsys)
 	follow := func() *replica.Replica {

@@ -20,12 +20,12 @@ import (
 )
 
 // newTestRunner returns a memory-backend runner whose disk repositories
-// (for scenarios that switch Backend or open their own) live under
+// (for scenarios that switch backend or open their own) live under
 // t.TempDir() and are closed, failing the test on a sticky store error,
 // before that directory is removed.
 func newTestRunner(t *testing.T) *Runner {
 	r := NewRunner()
-	r.StoreRoot = t.TempDir()
+	r.storeRoot = t.TempDir()
 	t.Cleanup(func() {
 		if err := r.CloseAll(); err != nil {
 			t.Errorf("CloseAll: %v", err)
@@ -64,9 +64,9 @@ func TestBackendsRenderIdentically(t *testing.T) {
 		name      string
 		configure func(*Runner)
 	}{
-		{"disk", func(r *Runner) { r.Backend = "disk" }},
-		{"disk + cache", func(r *Runner) { r.Backend, r.CacheBytes = "disk", 256<<20 }},
-		{"disk + 4 KiB WAL threshold", func(r *Runner) { r.Backend, r.WALCompactBytes = "disk", 4096 }},
+		{"disk", func(r *Runner) { r.backend = "disk" }},
+		{"disk + cache", func(r *Runner) { r.backend, r.cacheBytes = "disk", 256<<20 }},
+		{"disk + 4 KiB WAL threshold", func(r *Runner) { r.backend, r.walCompactBytes = "disk", 4096 }},
 	} {
 		if got := render(tc.name, tc.configure); got != want {
 			t.Errorf("%s renders differently from memory:\n%s\nwant:\n%s", tc.name, got, want)

@@ -62,37 +62,38 @@ type Runner struct {
 	Dev *simio.Device
 	WL  *Workload
 
-	// Backend selects the blob backend every benchmarked Expelliarmus
+	// The fields below are set only by this package's tests; NewRunner
+	// leaves them zero.
+	//
+	// backend selects the blob backend every benchmarked Expelliarmus
 	// system runs on: "" or "memory" for the in-memory sharded store,
-	// "disk" for the durable segment-file store — so any experiment can be
-	// rerun against either backend with nothing else changed.
-	Backend string
-	// StoreRoot is where disk-backed repositories are created (one fresh
+	// "disk" for the durable segment-file store.
+	backend string
+	// storeRoot is where disk-backed repositories are created (one fresh
 	// subdirectory per system); empty means the OS temp dir. The runner
-	// never removes them: tests point StoreRoot at a t.TempDir().
-	StoreRoot string
-	// CacheBytes enables the retrieval cache on every benchmarked
-	// Expelliarmus system (zero, the default, leaves it off). The cache is
-	// transparent at the cost-model level, so every experiment's modeled
-	// numbers are identical with it on or off.
-	CacheBytes int64
-	// WALCompactBytes tunes disk-backed systems' metadata-WAL compaction
+	// never removes them: tests point storeRoot at a t.TempDir().
+	storeRoot string
+	// cacheBytes enables the retrieval cache on every benchmarked
+	// Expelliarmus system (zero leaves it off). The cache is transparent
+	// at the cost-model level, so every experiment's modeled numbers are
+	// identical with it on or off.
+	cacheBytes int64
+	// walCompactBytes tunes disk-backed systems' metadata-WAL compaction
 	// threshold (zero keeps the default). A few KiB makes nearly every
 	// sync compact — results must be identical, since compaction only
 	// reorganises durable state.
-	WALCompactBytes int64
+	walCompactBytes int64
 
 	mu     sync.Mutex
 	opened []*core.System // disk-backed systems to close via CloseAll
 }
 
-// NewRunner returns a runner on the in-memory backend using the
-// paper-calibrated device profile scaled to the generated workload. The
-// modeled numbers are the same on every backend — the package's
-// TestBackendsRenderIdentically holds the disk store, the retrieval cache
-// and aggressive WAL compaction to that — so expelbench has no switch for
-// them; the Backend, CacheBytes and WALCompactBytes fields are that
-// test's.
+// NewRunner returns a runner on the in-memory backend, without a
+// retrieval cache, using the paper-calibrated device profile scaled to the
+// generated workload. The modeled numbers are the same on every backend —
+// the package's TestBackendsRenderIdentically holds the disk store, the
+// retrieval cache and aggressive WAL compaction to that — so a runner
+// offers no switch for them.
 func NewRunner() *Runner {
 	return &Runner{
 		Dev: simio.NewDevice(simio.PaperProfile().Scaled(catalog.ByteScale, catalog.FileScale)),
@@ -101,10 +102,10 @@ func NewRunner() *Runner {
 }
 
 // newDiskRepo creates a fresh disk-backed repository in its own
-// directory under StoreRoot (or the OS temp dir), honouring the runner's
-// WALCompactBytes.
+// directory under storeRoot (or the OS temp dir), honouring the runner's
+// walCompactBytes.
 func (r *Runner) newDiskRepo() (*vmirepo.Repo, error) {
-	root := r.StoreRoot
+	root := r.storeRoot
 	if root == "" {
 		root = os.TempDir()
 	}
@@ -115,7 +116,7 @@ func (r *Runner) newDiskRepo() (*vmirepo.Repo, error) {
 	if err != nil {
 		return nil, err
 	}
-	return vmirepo.OpenAtOpts(dir, r.Dev, vmirepo.OpenOptions{WALCompactBytes: r.WALCompactBytes})
+	return vmirepo.OpenAtOpts(dir, r.Dev, vmirepo.OpenOptions{WALCompactBytes: r.walCompactBytes})
 }
 
 // NewCoreSystem creates a fresh Expelliarmus core system over the
@@ -125,9 +126,9 @@ func (r *Runner) newDiskRepo() (*vmirepo.Repo, error) {
 // surface and file handles are released.
 func (r *Runner) NewCoreSystem(opts core.Options) (*core.System, error) {
 	if opts.CacheBytes == 0 {
-		opts.CacheBytes = r.CacheBytes
+		opts.CacheBytes = r.cacheBytes
 	}
-	switch r.Backend {
+	switch r.backend {
 	case "", "memory":
 		return core.NewSystem(r.Dev, opts), nil
 	case "disk":
@@ -137,7 +138,7 @@ func (r *Runner) NewCoreSystem(opts core.Options) (*core.System, error) {
 		}
 		return r.track(core.NewSystemWithRepo(repo, r.Dev, opts)), nil
 	default:
-		return nil, fmt.Errorf("bench: unknown backend %q (memory|disk)", r.Backend)
+		return nil, fmt.Errorf("bench: unknown backend %q (memory|disk)", r.backend)
 	}
 }
 

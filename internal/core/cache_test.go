@@ -120,20 +120,22 @@ func TestCacheInvalidatedByAnyMutation(t *testing.T) {
 	}
 }
 
-// TestRetrieveAllUsesCache checks the batch path shares the cache.
-func TestRetrieveAllUsesCache(t *testing.T) {
-	s, b := newSystem(t, Options{CacheBytes: testCacheBytes, Parallelism: 4})
+// TestConcurrentRetrievesShareCache checks concurrent retrievals of the
+// catalog share the cache: the second pass is all hits.
+func TestConcurrentRetrievesShareCache(t *testing.T) {
+	s, b := newSystem(t, Options{CacheBytes: testCacheBytes})
 	names := []string{"Mini", "Redis", "PostgreSql"}
 	for _, n := range names {
 		if _, err := s.Publish(buildImage(t, b, n)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, _, err := s.RetrieveAll(names); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := s.RetrieveAll(names); err != nil {
-		t.Fatal(err)
+	for pass := 0; pass < 2; pass++ {
+		eachConcurrently(len(names), func(i int) {
+			if _, _, err := s.Retrieve(names[i]); err != nil {
+				t.Errorf("pass %d retrieve %s: %v", pass, names[i], err)
+			}
+		})
 	}
 	st, _ := s.CacheStats()
 	if st.Misses != int64(len(names)) || st.Hits != int64(len(names)) {

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"strings"
 	"sync"
 	"testing"
 
@@ -35,81 +34,18 @@ func templateNames(n int) []string {
 	return names
 }
 
-// TestPublishDeterministicAcrossParallelism publishes the same image into
-// fresh repositories at different parallelism settings: the modeled
-// seconds, phase decomposition and export report must be identical — the
-// knob may change wall-clock time only.
-func TestPublishDeterministicAcrossParallelism(t *testing.T) {
-	names := []string{"Mini", "Redis", "Base"}
-	imgs := buildCatalog(t, names)
-
-	type result struct {
-		seconds  float64
-		exported string
-		skipped  int
+// eachConcurrently runs fn(0), ..., fn(n-1), each on its own goroutine,
+// and waits for all of them.
+func eachConcurrently(n int, fn func(i int)) {
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			fn(i)
+		}()
 	}
-	run := func(par int) []result {
-		s := NewSystem(testDev, Options{Parallelism: par})
-		var out []result
-		for _, img := range imgs {
-			rep, err := s.Publish(img.Clone())
-			if err != nil {
-				t.Fatal(err)
-			}
-			out = append(out, result{
-				seconds:  rep.Seconds(),
-				exported: strings.Join(rep.Exported, ","),
-				skipped:  rep.Skipped,
-			})
-		}
-		return out
-	}
-
-	seq := run(0)
-	for _, par := range []int{2, 8} {
-		got := run(par)
-		for i := range seq {
-			if got[i] != seq[i] {
-				t.Errorf("parallelism=%d image %s: %+v != sequential %+v",
-					par, names[i], got[i], seq[i])
-			}
-		}
-	}
-}
-
-// TestRetrieveDeterministicAcrossParallelism does the same for retrieval.
-func TestRetrieveDeterministicAcrossParallelism(t *testing.T) {
-	names := []string{"Mini", "Redis", "Base"}
-	imgs := buildCatalog(t, names)
-
-	run := func(par int) []float64 {
-		s := NewSystem(testDev, Options{Parallelism: par})
-		for _, img := range imgs {
-			if _, err := s.Publish(img.Clone()); err != nil {
-				t.Fatal(err)
-			}
-		}
-		var out []float64
-		for _, n := range names {
-			_, rep, err := s.Retrieve(n)
-			if err != nil {
-				t.Fatal(err)
-			}
-			out = append(out, rep.Seconds())
-		}
-		return out
-	}
-
-	seq := run(0)
-	for _, par := range []int{2, 8} {
-		got := run(par)
-		for i := range seq {
-			if got[i] != seq[i] {
-				t.Errorf("parallelism=%d retrieve %s: %.6fs != sequential %.6fs",
-					par, names[i], got[i], seq[i])
-			}
-		}
-	}
+	wg.Wait()
 }
 
 // TestConcurrentPublishSharedRepo publishes the catalog from many
@@ -128,35 +64,36 @@ func TestConcurrentPublishSharedRepo(t *testing.T) {
 		}
 		seqModeled += rep.Seconds()
 	}
-	s := NewSystem(testDev, Options{Parallelism: 4})
-
-	reps, err := s.PublishAll(imgs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(reps) != len(imgs) {
-		t.Fatalf("got %d reports, want %d", len(reps), len(imgs))
+	s := NewSystem(testDev, Options{})
+	reps := make([]*PublishReport, len(imgs))
+	eachConcurrently(len(imgs), func(i int) {
+		rep, err := s.Publish(imgs[i].Clone())
+		if err != nil {
+			t.Errorf("publish %s: %v", names[i], err)
+			return
+		}
+		reps[i] = rep
+	})
+	if t.Failed() {
+		return
 	}
 	var parModeled float64
-	for i, rep := range reps {
-		if rep == nil || rep.Image != names[i] {
-			t.Fatalf("report %d out of order: %+v", i, rep)
-		}
+	for _, rep := range reps {
 		parModeled += rep.Seconds()
 	}
 
-	// Semantic dedup must hold under concurrency: the batch repository
+	// Semantic dedup must hold under concurrency: the shared repository
 	// ends within a few percent of the sequential one (base-image
 	// selection may resolve replacement chains slightly differently
 	// depending on commit order), and concurrency may add duplicate
 	// repack work (two publishes racing on one package) but never removes
 	// modeled work wholesale.
 	if ratio := float64(s.Repo().SizeBytes()) / float64(seq.Repo().SizeBytes()); ratio < 0.9 || ratio > 1.1 {
-		t.Errorf("batch repository %d bytes vs sequential %d (ratio %.3f), dedup degraded",
+		t.Errorf("concurrent repository %d bytes vs sequential %d (ratio %.3f), dedup degraded",
 			s.Repo().SizeBytes(), seq.Repo().SizeBytes(), ratio)
 	}
 	if ratio := parModeled / seqModeled; ratio < 0.95 || ratio > 1.5 {
-		t.Errorf("batch modeled %.1fs vs sequential %.1fs (ratio %.3f)", parModeled, seqModeled, ratio)
+		t.Errorf("concurrent modeled %.1fs vs sequential %.1fs (ratio %.3f)", parModeled, seqModeled, ratio)
 	}
 
 	// Cross-publish dedup must hold under concurrency: no package ref may
@@ -174,18 +111,19 @@ func TestConcurrentPublishSharedRepo(t *testing.T) {
 	}
 
 	// Every published VMI must assemble correctly afterwards.
-	retrieved, rreps, err := s.RetrieveAll(names)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, img := range retrieved {
+	eachConcurrently(len(names), func(i int) {
+		img, rep, err := s.Retrieve(names[i])
+		if err != nil {
+			t.Errorf("retrieve %s: %v", names[i], err)
+			return
+		}
 		if img.Name != names[i] {
-			t.Fatalf("retrieved[%d] = %s, want %s", i, img.Name, names[i])
+			t.Errorf("retrieved %s, want %s", img.Name, names[i])
 		}
-		if rreps[i].Seconds() <= 0 {
-			t.Fatalf("retrieve %s: no modeled cost", names[i])
+		if rep.Seconds() <= 0 {
+			t.Errorf("retrieve %s: no modeled cost", names[i])
 		}
-	}
+	})
 }
 
 // TestConcurrentPublishRemoveRetrieve mixes publishes, retrievals and
@@ -195,7 +133,7 @@ func TestConcurrentPublishSharedRepo(t *testing.T) {
 func TestConcurrentPublishRemoveRetrieve(t *testing.T) {
 	names := templateNames(16)
 	imgs := buildCatalog(t, names)
-	s := NewSystem(testDev, Options{Parallelism: 2})
+	s := NewSystem(testDev, Options{})
 
 	const workers = 8
 	perWorker := len(names) / workers
@@ -260,7 +198,7 @@ func TestConcurrentPublishRemoveRetrieve(t *testing.T) {
 func TestSnapshotDuringTraffic(t *testing.T) {
 	names := templateNames(8)
 	imgs := buildCatalog(t, names)
-	s := NewSystem(testDev, Options{Parallelism: 2})
+	s := NewSystem(testDev, Options{})
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup

@@ -22,7 +22,6 @@ import (
 	"expelliarmus/internal/pkgfmt"
 	"expelliarmus/internal/pkgmeta"
 	"expelliarmus/internal/pkgmgr"
-	"expelliarmus/internal/pool"
 	"expelliarmus/internal/retrievecache"
 	"expelliarmus/internal/semgraph"
 	"expelliarmus/internal/similarity"
@@ -43,17 +42,6 @@ type Options struct {
 	// NoBaseSelection disables Algorithm 2: every published VMI stores its
 	// own base image (ablation A3).
 	NoBaseSelection bool
-	// Parallelism bounds the total worker goroutines per operation: a solo
-	// publish or retrieval fans out per package (the export loop of
-	// Algorithm 1, the per-group fetches of Algorithm 3), while
-	// PublishAll/RetrieveAll fan out across images with sequential
-	// per-image internals, so the bound never compounds. Values <= 1 run
-	// strictly sequentially. For
-	// an operation running alone the setting changes wall-clock time only
-	// (the Meter accumulates the same charges in any interleaving);
-	// overlapping operations can shift modeled totals slightly, e.g. when
-	// two publishes race to repack one shared package.
-	Parallelism int
 	// CacheBytes bounds the retrieval cache: an LRU of recently assembled
 	// images keyed by (base image, primary set, user-data source, striped
 	// repository generation) that serves repeat retrievals without
@@ -77,9 +65,10 @@ type Options struct {
 
 // System is the Expelliarmus VMI management system. One System may serve
 // many goroutines: publishes, retrievals, assemblies and removals can all
-// run concurrently against the shared repository.
+// run concurrently against the shared repository, while each operation
+// runs sequentially on its caller's goroutine.
 //
-// The concurrency design splits each operation into a parallel data plane
+// The concurrency design splits each operation into a data plane
 // (repacking, hashing and storing package blobs — the dominant cost) and a
 // serialized metadata commit (base-image selection, master-graph update,
 // VMI record). The commit locks serialise only the commits, striped by
@@ -223,9 +212,6 @@ func NewSystem(dev *simio.Device, opts Options) *System {
 	return &System{repo: vmirepo.New(dev), dev: dev, opts: opts, cache: newCache(opts), pinned: make(map[string]int), udPinned: make(map[string]int)}
 }
 
-// parallelism returns the effective worker bound (at least one).
-func (s *System) parallelism() int { return pool.Clamp(s.opts.Parallelism) }
-
 // pinPackage marks ref as required by an in-flight publish so concurrent
 // removals cannot garbage-collect it before the publish commits.
 func (s *System) pinPackage(ref string) {
@@ -351,19 +337,12 @@ type PublishOpts = api.PublishOptions
 // unused dependencies and user data are removed in place. Callers that
 // need the image afterwards must Clone it first.
 func (s *System) Publish(img *vmi.Image) (*PublishReport, error) {
-	return s.publish(img, s.parallelism(), PublishOpts{})
+	return s.PublishWith(img, PublishOpts{})
 }
 
 // PublishWith is Publish with explicit lifecycle attributes (tenant and
 // expiry).
-func (s *System) PublishWith(img *vmi.Image, opts PublishOpts) (*PublishReport, error) {
-	return s.publish(img, s.parallelism(), opts)
-}
-
-// publish is Publish with an explicit worker bound for the package export
-// loop. Batch operations pass 1 so Options.Parallelism bounds the total
-// goroutines across the batch rather than compounding per image.
-func (s *System) publish(img *vmi.Image, workers int, popts PublishOpts) (*PublishReport, error) {
+func (s *System) PublishWith(img *vmi.Image, popts PublishOpts) (*PublishReport, error) {
 	// Refuse up front on followers: publishing does expensive semantic
 	// analysis before its first repository write, and failing at the
 	// commit tail would waste all of it.
@@ -388,88 +367,61 @@ func (s *System) publish(img *vmi.Image, workers int, popts PublishOpts) (*Publi
 	}
 	g := semgraph.Build(img.Base, installed, img.Primaries)
 	rep.Meter.Charge(simio.PhaseSimilarity, s.dev.SimilarityCost(g.Len()))
-	rep.Similarity = s.bestSimilarity(g)
+	if rep.Similarity, err = s.bestSimilarity(g); err != nil {
+		return nil, fmt.Errorf("core: publish %s: %w", img.Name, err)
+	}
 
 	// Algorithm 1 line 1: extract the primary package subgraph.
 	ps := g.PrimarySubgraph()
 
-	// Lines 2–5: store non-redundant primary-subgraph packages. Essential
-	// packages stay with the base image and are never exported. The
-	// pack → hash → store chain per package is independent, so it fans out
-	// over a bounded worker pool; outcomes are collected per vertex index
-	// and merged in vertex order, keeping the report deterministic. Every
-	// required ref is pinned (before its existence check) until the VMI
-	// record commits, so a concurrent Remove cannot collect it in between.
-	verts := ps.Vertices()
-	type outcome struct {
-		exported bool
-		skipped  bool
-		name     string
-		size     int64
-		// blobBytes is the stored blob's length when this call stored it —
-		// the package share of the tenant charge.
-		blobBytes int64
-	}
-	outcomes := make([]outcome, len(verts))
+	// Lines 2–5: store non-redundant primary-subgraph packages, in vertex
+	// order. Essential packages stay with the base image and are never
+	// exported. Every required ref is pinned (before its existence check)
+	// until the VMI record commits, so a concurrent Remove cannot collect
+	// it in between. storedBytes accumulates what this publish newly
+	// stored — the tenant charge recorded in the VMI's lifecycle record at
+	// commit.
 	var (
-		pinRefsMu sync.Mutex
-		pinRefs   []string
+		pinRefs     []string
+		storedBytes int64
 	)
 	defer func() { s.unpinPackages(pinRefs) }()
-	exportErr := pool.Map(workers, len(verts), func(i int) error {
-		v := verts[i]
+	for _, v := range ps.Vertices() {
 		if v.Pkg.Essential {
-			return nil
+			continue
 		}
 		ref := v.Pkg.Ref()
 		s.pinPackage(ref)
-		pinRefsMu.Lock()
 		pinRefs = append(pinRefs, ref)
-		pinRefsMu.Unlock()
 		if !s.opts.NoSemanticDedup && s.repo.HasPackage(ref, rep.Meter) {
-			outcomes[i].skipped = true
-			return nil
+			rep.Skipped++
+			continue
 		}
 		blob, err := mgr.Repack(v.Pkg.Name)
 		if err != nil {
-			return fmt.Errorf("core: publish %s: %w", img.Name, err)
+			return nil, fmt.Errorf("core: publish %s: %w", img.Name, err)
 		}
 		rep.Meter.Charge(simio.PhaseExport,
 			s.dev.RepackCost(catalog.Real(v.Pkg.InstalledSize), 1))
 		if s.opts.NoSemanticDedup && s.repo.HasPackage(ref, rep.Meter) {
 			// The variant still repacks (paying the cost) but cannot store
 			// the same ref twice.
-			outcomes[i].skipped = true
-			return nil
+			rep.Skipped++
+			continue
 		}
 		stored, err := s.repo.EnsurePackage(v.Pkg, blob, rep.Meter)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		if !stored {
 			// A concurrent publish stored the same ref first; equivalent
 			// to having observed it via the dedup check.
-			outcomes[i].skipped = true
-			return nil
-		}
-		outcomes[i] = outcome{exported: true, name: v.Pkg.Name, size: v.Pkg.InstalledSize, blobBytes: int64(len(blob))}
-		return nil
-	})
-	if exportErr != nil {
-		return nil, exportErr
-	}
-	// storedBytes accumulates what this publish newly stored — the tenant
-	// charge recorded in the VMI's lifecycle record at commit.
-	var storedBytes int64
-	for _, o := range outcomes {
-		if o.skipped {
 			rep.Skipped++
+			continue
 		}
-		if o.exported {
-			rep.Exported = append(rep.Exported, o.name)
-			rep.ExportedBytes += o.size
-			storedBytes += o.blobBytes
-		}
+		rep.Exported = append(rep.Exported, v.Pkg.Name)
+		rep.ExportedBytes += v.Pkg.InstalledSize
+		storedBytes += int64(len(blob))
 	}
 
 	// Line 6: store the user data. The archive lands before the commit
@@ -719,22 +671,32 @@ func (s *System) publish(img *vmi.Image, workers int, popts PublishOpts) (*Publi
 }
 
 // bestSimilarity compares the uploaded graph against the master graphs
-// sharing its base attributes and returns the highest SimG.
-func (s *System) bestSimilarity(g *semgraph.Graph) float64 {
-	masters, err := s.repo.Masters()
+// sharing its base attributes and returns the highest SimG. Only those
+// masters are read, and one that fails to decode is an error rather than a
+// similarity of 0. A base without a master — one a concurrent publish is
+// storing or replacing between the listing and the read — is skipped.
+func (s *System) bestSimilarity(g *semgraph.Graph) (float64, error) {
+	bases, err := s.repo.Bases()
 	if err != nil {
-		return 0
+		return 0, err
 	}
 	best := 0.0
-	for _, m := range masters {
-		if m.Attrs() != g.Base() {
+	for _, b := range bases {
+		if b.Attrs != g.Base() {
 			continue
+		}
+		m, err := s.repo.GetMaster(b.ID, nil)
+		if errors.Is(err, vmirepo.ErrNotFound) {
+			continue
+		}
+		if err != nil {
+			return 0, err
 		}
 		if sim := m.Similarity(g); sim > best {
 			best = sim
 		}
 	}
-	return best
+	return best, nil
 }
 
 // baseIdentity derives the identity of a decomposed base image: the hash
@@ -920,7 +882,7 @@ func (r *RetrieveReport) Result() *api.RetrieveResult {
 // that window by re-reading the record and retrying; each attempt starts
 // a fresh meter, so the report reflects exactly one assembly.
 func (s *System) Retrieve(name string) (*vmi.Image, *RetrieveReport, error) {
-	img, rep, base, err := s.retrieve(name, s.parallelism())
+	img, rep, base, err := s.retrieve(name)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -961,9 +923,9 @@ func streamOut(w io.Writer, img *vmi.Image, base io.Closer) (int64, error) {
 	return n, nil
 }
 
-// retrieve is Retrieve with an explicit worker bound for the per-group
-// package fetches (1 when called from RetrieveAll). The striped
-// repository generation of the VMI's base image and name is captured
+// retrieve is the shared body of Retrieve and RetrieveTo; the image it
+// returns still reads through the returned pin on its base blob. The
+// striped repository generation of the VMI's base image and name is captured
 // right after the record read; an assembly that fails after it moved is
 // retried, not reported. When the retrieval cache is enabled, a hit under
 // that generation is served from the cache (hash-verified, modeled
@@ -978,7 +940,7 @@ func streamOut(w io.Writer, img *vmi.Image, base io.Closer) (int64, error) {
 // packages and user data named by its key — all covered by the captured
 // stripes — never on the record itself, which only selects which key a
 // retrieval builds.
-func (s *System) retrieve(name string, workers int) (*vmi.Image, *RetrieveReport, io.Closer, error) {
+func (s *System) retrieve(name string) (*vmi.Image, *RetrieveReport, io.Closer, error) {
 	const maxAttempts = 3
 	var lastErr error
 	for attempt := 0; attempt < maxAttempts; attempt++ {
@@ -1032,7 +994,7 @@ func (s *System) retrieve(name string, workers int) (*vmi.Image, *RetrieveReport
 					lastErr = fl.err
 					continue
 				} else {
-					img, lrep, base, err := s.leadAssembly(key, gen, rec, rep, workers, fl)
+					img, lrep, base, err := s.leadAssembly(key, gen, rec, rep, fl)
 					if err == nil {
 						return img, lrep, base, nil
 					}
@@ -1046,7 +1008,7 @@ func (s *System) retrieve(name string, workers int) (*vmi.Image, *RetrieveReport
 		}
 		// Solo assembly: no cache, or the final attempt of a cached
 		// retrieval.
-		img, base, err := s.assemble(name, rec.BaseID, rec.Primaries, name, rep, workers)
+		img, base, err := s.assemble(name, rec.BaseID, rec.Primaries, name, rep)
 		if err == nil {
 			if s.cache != nil {
 				s.cacheAssembled(key, gen, img, rep)
@@ -1073,7 +1035,7 @@ func (s *System) retrieve(name string, workers int) (*vmi.Image, *RetrieveReport
 // instead of assembling again is what keeps the herd at one assembly per
 // generation even across flight boundaries. The re-check is a Peek, so
 // the caller's already-counted miss is not double-counted.
-func (s *System) leadAssembly(key retrievecache.Key, gen uint64, rec vmirepo.VMIRecord, rep *RetrieveReport, workers int, fl *flight) (*vmi.Image, *RetrieveReport, io.Closer, error) {
+func (s *System) leadAssembly(key retrievecache.Key, gen uint64, rec vmirepo.VMIRecord, rep *RetrieveReport, fl *flight) (*vmi.Image, *RetrieveReport, io.Closer, error) {
 	var shared *retrievecache.Entry
 	var sharedBuild func() *retrievecache.Entry
 	var aerr error
@@ -1092,7 +1054,7 @@ func (s *System) leadAssembly(key retrievecache.Key, gen uint64, rec vmirepo.VMI
 		}
 		return img, crep, nil, err
 	}
-	img, base, err := s.assemble(rec.Name, rec.BaseID, rec.Primaries, rec.Name, rep, workers)
+	img, base, err := s.assemble(rec.Name, rec.BaseID, rec.Primaries, rec.Name, rep)
 	if err != nil {
 		aerr = err
 		return nil, nil, nil, err
@@ -1155,7 +1117,7 @@ func (s *System) assembleCustom(name string, primaries []string, userDataFrom st
 			}
 			found = true
 			gen := s.repo.GenerationFor(mg.BaseID)
-			img, base, err := s.assemble(name, mg.BaseID, primaries, userDataFrom, rep, s.parallelism())
+			img, base, err := s.assemble(name, mg.BaseID, primaries, userDataFrom, rep)
 			if err == nil {
 				return img, rep, base, nil
 			}
@@ -1189,12 +1151,11 @@ func hasAll(have []string, want []string) bool {
 // assembly (Sec. V-4).
 const localRepoDir = "/var/local-repo"
 
-// assemble implements Algorithm 3 against a specific base image, fetching
-// each dependency group's packages with up to `workers` goroutines. The
+// assemble implements Algorithm 3 against a specific base image. The
 // returned image's disk reads untouched base clusters lazily through the
 // base blob's reader, returned alongside: the caller closes it once it is
 // done reading the disk (detach, streamOut).
-func (s *System) assemble(name, baseID string, primaries []string, userDataFrom string, rep *RetrieveReport, workers int) (_ *vmi.Image, base io.Closer, err error) {
+func (s *System) assemble(name, baseID string, primaries []string, userDataFrom string, rep *RetrieveReport) (_ *vmi.Image, base io.Closer, err error) {
 	// Line 1: subgraphs from the repository.
 	mg, err := s.repo.GetMaster(baseID, rep.Meter)
 	if err != nil {
@@ -1212,59 +1173,6 @@ func (s *System) assemble(name, baseID string, primaries []string, userDataFrom 
 	// Line 2: compatibility check.
 	if !similarity.Compatible(baseSub, psUnion) {
 		return nil, nil, fmt.Errorf("core: assemble %s: primary packages incompatible with base %s", name, baseID)
-	}
-
-	// Lines 6–10, hoisted: packages in the primary subgraph missing from
-	// the base, and their install order. Both need only graph data, so
-	// they run before the base image opens — which lets the package
-	// payloads prefetch concurrently with the copy/launch/sysprep window
-	// below instead of serializing behind it.
-	var missing []string
-	for _, v := range psUnion.Vertices() {
-		if !baseSub.HasVertex(v.Pkg.Name) {
-			missing = append(missing, v.Pkg.Name)
-		}
-	}
-	order, err := pkgmgr.InstallOrder(graphUniverse{psUnion}, missing)
-	if err != nil {
-		return nil, nil, err
-	}
-	var flat []string
-	for _, group := range order {
-		flat = append(flat, group...)
-	}
-	blobs := make([][]byte, len(flat))
-	blobAt := make(map[string]int, len(flat))
-	for i, pkgName := range flat {
-		blobAt[pkgName] = i
-	}
-	fetch := func(i int) error {
-		v, _ := psUnion.Vertex(flat[i])
-		_, blob, err := s.repo.GetPackage(v.Pkg.Ref(), simio.PhaseImport, rep.Meter)
-		if err != nil {
-			return err
-		}
-		blobs[i] = blob
-		return nil
-	}
-	fetchDone := func() error { return nil }
-	if len(flat) > 0 {
-		if workers > 1 {
-			ch := make(chan error, 1)
-			go func() { ch <- pool.Map(workers, len(flat), fetch) }()
-			var once sync.Once
-			var ferr error
-			fetchDone = func() error {
-				once.Do(func() { ferr = <-ch })
-				return ferr
-			}
-			// Drain on every exit path: an error return from the guest
-			// phases below must not leave the fetch goroutine charging the
-			// meter after the retrieval has reported.
-			defer fetchDone()
-		} else {
-			fetchDone = func() error { return pool.Map(workers, len(flat), fetch) }
-		}
 	}
 
 	// Lines 3–4: copy the base image and reset it. The copy is lazy: the
@@ -1319,6 +1227,19 @@ func (s *System) assemble(name, baseID string, primaries []string, userDataFrom 
 		}
 	}
 
+	// Lines 6–10: packages in the primary subgraph missing from the base,
+	// and their install order.
+	var missing []string
+	for _, v := range psUnion.Vertices() {
+		if !baseSub.HasVertex(v.Pkg.Name) {
+			missing = append(missing, v.Pkg.Name)
+		}
+	}
+	order, err := pkgmgr.InstallOrder(graphUniverse{psUnion}, missing)
+	if err != nil {
+		return nil, nil, err
+	}
+
 	// Lines 11–13: import and install through the guest package manager
 	// from a temporary local repository.
 	mgr, err := h.PackageManager()
@@ -1335,16 +1256,16 @@ func (s *System) assemble(name, baseID string, primaries []string, userDataFrom 
 		[]byte("deb [trusted=yes] file:"+localRepoDir+" ./\n")); err != nil {
 		return nil, nil, err
 	}
-	// Join the prefetch started above; from here every payload is in hand
-	// (the guest-side installs below mutate the image filesystem and stay
-	// sequential, preserving dependency order and determinism).
-	if err := fetchDone(); err != nil {
-		return nil, nil, err
-	}
 	for _, group := range order {
 		for _, pkgName := range group {
-			blob := blobs[blobAt[pkgName]]
+			// Every package in the install order is fetched and charged,
+			// including one an earlier group already installed: the
+			// modeled import cost counts each fetch.
 			v, _ := psUnion.Vertex(pkgName)
+			_, blob, err := s.repo.GetPackage(v.Pkg.Ref(), simio.PhaseImport, rep.Meter)
+			if err != nil {
+				return nil, nil, err
+			}
 			local := path.Join(localRepoDir, pkgName+".deb")
 			if err := fs.WriteFile(local, blob); err != nil {
 				return nil, nil, err
@@ -1392,7 +1313,7 @@ func (s *System) assemble(name, baseID string, primaries []string, userDataFrom 
 // so peak memory stays bounded by the clusters the assembly actually
 // touched plus the streaming chunk — it does not grow with image size.
 func (s *System) RetrieveTo(w io.Writer, name string) (int64, *RetrieveReport, error) {
-	img, rep, base, err := s.retrieve(name, s.parallelism())
+	img, rep, base, err := s.retrieve(name)
 	if err != nil {
 		return 0, nil, err
 	}

@@ -1,11 +1,16 @@
 package core
 
 import (
+	"strings"
 	"testing"
 
 	"expelliarmus/internal/builder"
 	"expelliarmus/internal/catalog"
+	"expelliarmus/internal/metadb"
+	"expelliarmus/internal/metawal"
 	"expelliarmus/internal/pkgmgr"
+	"expelliarmus/internal/vmi"
+	"expelliarmus/internal/vmirepo"
 )
 
 // TestMultiReleaseSeparateMasters publishes images from two releases of
@@ -116,5 +121,90 @@ func TestCrossDistroIsolation(t *testing.T) {
 	// no primaries here, so any assembly fails.
 	if _, _, err := s.Assemble("x", []string{"redis-server"}, ""); err == nil {
 		t.Fatal("assembled package absent from every master")
+	}
+}
+
+// TestPublishSimilarityReadsOnlyItsClass plants an undecodable master
+// record in a disk repository's metadata log. SimG compares the upload
+// only against masters of its own attribute class, so damage to another
+// class's master must leave a Xenial publish's similarity exactly what an
+// undamaged repository reports; damage to a master of its own class must
+// fail the publish instead of reporting similarity 0.
+func TestPublishSimilarityReadsOnlyItsClass(t *testing.T) {
+	xenial := builder.New(catalog.NewUniverseFor(catalog.ReleaseXenial))
+	bionic := builder.New(catalog.NewUniverseFor(catalog.ReleaseBionic))
+	tpl, _ := catalog.Find("Redis")
+	tpl.Name = "Redis-bionic"
+	imgB, err := bionic.Build(tpl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mini, redis := buildImage(t, xenial, "Mini"), buildImage(t, xenial, "Redis")
+
+	ref := NewSystem(testDev, Options{})
+	for _, img := range []*vmi.Image{mini, imgB} {
+		if _, err := ref.Publish(img.Clone()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := ref.Publish(redis.Clone())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want.Similarity == 0 {
+		t.Fatal("undamaged Redis publish has similarity 0")
+	}
+
+	dir := t.TempDir()
+	open := func() *System {
+		t.Helper()
+		repo, err := vmirepo.OpenAt(dir, testDev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return NewSystemWithRepo(repo, testDev, Options{})
+	}
+	damageMaster := func(baseID string) {
+		t.Helper()
+		wal, _, err := metawal.Open(dir, metawal.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		wal.Record(metadb.Op{Kind: metadb.OpPut, Bucket: "masters", Key: []byte(baseID), Value: []byte("not a master graph")})
+		if err := wal.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	s := open()
+	if _, err := s.Publish(mini.Clone()); err != nil {
+		t.Fatal(err)
+	}
+	repB, err := s.Publish(imgB.Clone())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	damageMaster(repB.BaseID)
+
+	s = open()
+	got, err := s.Publish(redis.Clone())
+	if err != nil {
+		t.Fatalf("publish beside another class's damaged master: %v", err)
+	}
+	if got.Similarity != want.Similarity {
+		t.Fatalf("similarity = %v beside another class's damaged master, want %v", got.Similarity, want.Similarity)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	damageMaster(got.BaseID)
+
+	s = open()
+	defer s.Close()
+	if _, err := s.Publish(buildImage(t, xenial, "PostgreSql")); err == nil || !strings.Contains(err.Error(), "core: publish PostgreSql") {
+		t.Fatalf("publish beside its own class's damaged master: err = %v, want a publish error", err)
 	}
 }

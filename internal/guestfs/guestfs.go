@@ -30,9 +30,8 @@ var DefaultSysprepPaths = []string{
 // nil for uncosted use, e.g. in tests).
 //
 // A Handle itself belongs to one operation and is not safe for concurrent
-// mutation, but the Device and Meter it charges are: the parallel package
-// export of a publish runs read-only repacks against one launched handle
-// from many goroutines, all charging the same meter.
+// mutation, but the Device and Meter it charges are safe for concurrent
+// use.
 type Handle struct {
 	disk     *vdisk.Disk
 	dev      *simio.Device

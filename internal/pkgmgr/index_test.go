@@ -108,8 +108,8 @@ func TestIndexWrittenThrough(t *testing.T) {
 	}
 }
 
-// TestConcurrentRepack is publish's export loop: many workers repack from
-// one Manager at once. The read-only methods write neither the index nor
+// TestConcurrentRepack pins that Repack is safe to call concurrently:
+// many goroutines repack from one Manager at once. The read-only methods write neither the index nor
 // the filesystem's allocation state, so under -race this is silent, and
 // every blob equals the one a lone Repack builds.
 func TestConcurrentRepack(t *testing.T) {

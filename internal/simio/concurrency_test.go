@@ -7,9 +7,7 @@ import (
 )
 
 // TestMeterConcurrentCharge charges one meter from many goroutines and
-// checks the totals equal the sequential sum — the property the parallel
-// publish pipeline relies on to keep modeled times independent of the
-// parallelism setting.
+// checks the totals equal the sequential sum.
 func TestMeterConcurrentCharge(t *testing.T) {
 	var m Meter
 	const workers = 8

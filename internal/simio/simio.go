@@ -248,9 +248,8 @@ type PhaseCost struct {
 
 // Meter accumulates operation costs by phase. The zero value is ready to
 // use. Meters are safe for concurrent use: charges are commutative sums,
-// so a meter shared by the worker pool of a parallel publish or retrieval
-// accumulates exactly the same totals as the sequential loop, regardless
-// of interleaving.
+// so a meter charged from several goroutines accumulates exactly the same
+// totals as a sequential loop, regardless of interleaving.
 type Meter struct {
 	mu     sync.Mutex
 	phases map[Phase]time.Duration
