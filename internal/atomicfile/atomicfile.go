@@ -7,16 +7,18 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+
+	"expelliarmus/internal/fsx"
 )
 
-// Write atomically replaces path with data: the bytes are written to
-// path+".tmp", fsynced, renamed over path, and the parent directory is
+// Write atomically replaces path with data on fsys: the bytes are written
+// to path+".tmp", fsynced, renamed over path, and the parent directory is
 // fsynced so the rename itself is durable. A reader (or a post-crash
 // reopen) sees either the previous content or the new content, never a
 // mixture; a leftover .tmp file after a crash is inert.
-func Write(path string, data []byte) error {
+func Write(fsys fsx.FS, path string, data []byte) error {
 	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	f, err := fsys.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC)
 	if err != nil {
 		return fmt.Errorf("atomicfile: %w", err)
 	}
@@ -31,24 +33,8 @@ func Write(path string, data []byte) error {
 	if err := f.Close(); err != nil {
 		return fmt.Errorf("atomicfile: close %s: %w", tmp, err)
 	}
-	if err := os.Rename(tmp, path); err != nil {
+	if err := fsys.Rename(tmp, path); err != nil {
 		return fmt.Errorf("atomicfile: %w", err)
 	}
-	return SyncDir(filepath.Dir(path))
-}
-
-// SyncDir fsyncs a directory so entries created or renamed in it survive
-// power loss. Errors are returned for the caller to judge: some
-// filesystems refuse directory fsync, and callers that only need
-// best-effort may ignore them.
-func SyncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	if err := d.Sync(); err != nil {
-		d.Close()
-		return err
-	}
-	return d.Close()
+	return fsys.SyncDir(filepath.Dir(path))
 }

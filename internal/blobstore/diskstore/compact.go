@@ -14,13 +14,13 @@
 //     blob's logged reference count and bytes. Each move is one short
 //     critical section; mutations interleave freely between moves.
 //  3. Switch: fsync the moves, then commit an index that references only
-//     the new locations (KillAfterRewrite sits just before this — a crash
-//     there reopens from the old index and replays the moves).
+//     the new locations. A crash before the switch reopens from the old
+//     index and replays whatever moves became durable.
 //  4. Retire: drop the evacuated segments from the store and delete their
 //     files — unless a streamed reader still holds a pin, in which case
 //     the file lingers until the last reader closes (see segReader). A
-//     crash before retirement (KillAfterSwitch) leaves files the next
-//     Open's sweep identifies as unreferenced and deletes.
+//     crash before retirement leaves files the next Open's sweep
+//     identifies as unreferenced and deletes.
 //
 // Orphan drift across these windows is one-directional: a crash can leave
 // extra bytes on disk (unretired sources, replayed-but-superseded moves),
@@ -34,7 +34,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"os"
 	"path/filepath"
 	"sort"
 
@@ -42,35 +41,6 @@ import (
 	"expelliarmus/internal/blobstore"
 	"expelliarmus/internal/chunkpool"
 )
-
-// CompactKillPoint identifies a crash-injection point inside a compaction,
-// one per phase boundary (see the Kill field on Store).
-type CompactKillPoint int
-
-const (
-	// KillMidRewrite fires after the first surviving record has been
-	// rewritten: some moves are in the log, the index still points at the
-	// old locations.
-	KillMidRewrite CompactKillPoint = iota + 1
-	// KillAfterRewrite fires after every move is appended but before the
-	// index switches: the old index is still the committed truth.
-	KillAfterRewrite
-	// KillAfterSwitch fires after the new index commits but before the
-	// evacuated segments are retired: both copies of every moved blob are
-	// on disk, only the new one referenced.
-	KillAfterSwitch
-)
-
-// kill runs the crash-injection hook, if set.
-func (s *Store) kill(p CompactKillPoint) error {
-	if s.Kill == nil {
-		return nil
-	}
-	if err := s.Kill(p); err != nil {
-		return fmt.Errorf("diskstore: compaction killed: %w", err)
-	}
-	return nil
-}
 
 // candidateSegsLocked returns sealed segments whose dead-byte ratio is at
 // least gate, ascending. The active segment is never a candidate — it is
@@ -172,30 +142,17 @@ func (s *Store) compact() (st blobstore.CompactStats, err error) {
 	}
 	sort.Slice(jobs, func(i, j int) bool { return string(jobs[i][:]) < string(jobs[j][:]) })
 
-	moved := false
 	for _, id := range jobs {
 		n, err := s.moveOne(id, candSet)
 		if err != nil {
 			return st, err
 		}
 		st.BlobsMoved += n
-		if n > 0 && !moved {
-			moved = true
-			if err := s.kill(KillMidRewrite); err != nil {
-				return st, err
-			}
-		}
-	}
-	if err := s.kill(KillAfterRewrite); err != nil {
-		return st, err
 	}
 	// The switch: fsync the moves, then commit an index referencing only
 	// the new locations. In that order — the index watermark must never
 	// extend past bytes that exist only in the page cache.
 	if err := s.commitCatalog(); err != nil {
-		return st, err
-	}
-	if err := s.kill(KillAfterSwitch); err != nil {
 		return st, err
 	}
 
@@ -219,7 +176,7 @@ func (s *Store) compact() (st blobstore.CompactStats, err error) {
 		delete(s.liveSeg, n)
 		if s.readers[n].Load() == 0 {
 			f.Close()
-			if rerr := os.Remove(path); rerr != nil {
+			if rerr := s.fsys.Remove(path); rerr != nil {
 				s.fail(rerr)
 				return st, rerr
 			}
@@ -335,7 +292,7 @@ func (s *Store) commitCatalog() error {
 		entries = append(entries, indexEntry{id: id, seg: e.seg, off: e.off, size: e.size, refs: pend[id], kind: e.kind})
 	}
 	img := encodeIndex(s.active, s.lens[s.active], entries)
-	if err := atomicfile.Write(filepath.Join(s.dir, "index"), img); err != nil {
+	if err := atomicfile.Write(s.fsys, filepath.Join(s.dir, "index"), img); err != nil {
 		err = fmt.Errorf("diskstore: commit index: %w", err)
 		s.fail(err)
 		return err

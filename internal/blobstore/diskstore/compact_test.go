@@ -11,6 +11,8 @@ import (
 
 	"expelliarmus/internal/blobstore"
 	"expelliarmus/internal/blobstore/diskstore"
+	"expelliarmus/internal/fsx"
+	"expelliarmus/internal/fsx/fsxtest"
 	"expelliarmus/internal/recframe"
 )
 
@@ -159,64 +161,56 @@ func TestCompactDisabledRatioNeverAuto(t *testing.T) {
 	}
 }
 
-// TestCompactKillMatrix crashes a compaction at each phase boundary and
-// checks reopen lands on exactly one consistent view: every kept blob
-// byte-identical with its exact reference count, every released blob gone,
-// and the only drift being orphaned bytes on disk (never missing data).
+// TestCompactKillMatrix crashes a compaction at each of its calls and
+// checks reopen lands on the one consistent view: every kept blob
+// byte-identical with its exact reference count, every released blob
+// gone, and the only drift being orphaned bytes on disk (never missing
+// data) — across the next full compact-and-reopen cycle too. The windows
+// are the phases: moves appended, index switch, segments retired.
 func TestCompactKillMatrix(t *testing.T) {
-	points := []struct {
-		name  string
-		point diskstore.CompactKillPoint
-	}{
-		{"MidRewrite", diskstore.KillMidRewrite},
-		{"AfterRewrite", diskstore.KillAfterRewrite},
-		{"AfterSwitch", diskstore.KillAfterSwitch},
+	opts := diskstore.Options{MaxSegmentBytes: 512, CompactDeadRatio: -1}
+	windows := []fsxtest.Window{
+		{Name: "MidRewrite"},
+		{Name: "AfterRewrite", From: "index"},
+		{Name: "AfterSwitch", From: "seg-"},
 	}
-	for _, tc := range points {
-		t.Run(tc.name, func(t *testing.T) {
-			dir := t.TempDir()
-			s := open(t, dir, diskstore.Options{MaxSegmentBytes: 512, CompactDeadRatio: -1})
-			keep, keepData := churnStore(t, s)
-			if _, err := s.Sync(); err != nil {
-				t.Fatal(err)
-			}
-			boom := fmt.Errorf("injected crash")
-			s.Kill = func(p diskstore.CompactKillPoint) error {
-				if p == tc.point {
-					return boom
-				}
-				return nil
-			}
-			if _, err := s.Compact(); err == nil {
-				t.Fatal("compact survived its injected crash")
-			}
-			if err := s.Abandon(); err != nil {
-				t.Fatal(err)
-			}
-			s = open(t, dir, diskstore.Options{MaxSegmentBytes: 512, CompactDeadRatio: -1})
-			defer s.Close()
-			rec := s.Recovery()
-			if rec.IndexRebuilt {
-				t.Fatalf("recovery rebuilt the index: %+v", rec)
-			}
-			if tc.point == diskstore.KillAfterSwitch && rec.SegmentsSwept == 0 {
-				t.Fatalf("post-switch crash left no unreferenced segments to sweep: %+v", rec)
-			}
-			verifyKeep(t, s, keep, keepData)
-			// Consistency must survive the next full cycle too: flushing,
-			// compacting and reopening on top of the crash-recovered state.
-			if _, err := s.Compact(); err != nil {
-				t.Fatalf("compact after recovery: %v", err)
-			}
-			verifyKeep(t, s, keep, keepData)
-			if err := s.Close(); err != nil {
-				t.Fatal(err)
-			}
-			s2 := open(t, dir, diskstore.Options{MaxSegmentBytes: 512})
-			defer s2.Close()
-			verifyKeep(t, s2, keep, keepData)
-		})
-	}
+	fsxtest.Sweep(t, []string{"catalog"}, windows, func(t *testing.T, ffs *fsx.Fault, n int) string {
+		dir := t.TempDir()
+		fo := opts
+		fo.FS = ffs
+		s := open(t, dir, fo)
+		keep, keepData := churnStore(t, s)
+		if _, err := s.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		ffs.Inject(fsx.Crash, n, "")
+		if _, err := s.Compact(); err != nil && !ffs.Crashed() {
+			t.Fatalf("Compact: %v", err)
+		}
+		s.Close()
+
+		s = open(t, dir, opts)
+		defer s.Close()
+		rec := s.Recovery()
+		if rec.IndexRebuilt {
+			t.Fatalf("recovery rebuilt the index: %+v", rec)
+		}
+		if tr := ffs.Trace(); ffs.Crashed() && tr[len(tr)-1].Op == "remove" && rec.SegmentsSwept == 0 {
+			t.Fatalf("crash while retiring segments left none to sweep: %+v", rec)
+		}
+		verifyKeep(t, s, keep, keepData)
+		if _, err := s.Compact(); err != nil {
+			t.Fatalf("compact after recovery: %v", err)
+		}
+		verifyKeep(t, s, keep, keepData)
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		s2 := open(t, dir, diskstore.Options{MaxSegmentBytes: 512})
+		defer s2.Close()
+		verifyKeep(t, s2, keep, keepData)
+		return "catalog"
+	})
 }
 
 // TestReaderPinsRetiringSegment opens a streaming reader, compacts the
@@ -264,15 +258,13 @@ func TestReaderPinsRetiringSegment(t *testing.T) {
 // it off the log so no later marker can commit it.
 func TestUnmarkedReleaseTailDropped(t *testing.T) {
 	dir := t.TempDir()
-	s := open(t, dir, diskstore.Options{})
+	s, ffs := openFault(t, dir, diskstore.Options{})
 	data := []byte("marker-discipline")
 	id, _ := s.Put(data)
 	if _, err := s.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Abandon(); err != nil {
-		t.Fatal(err)
-	}
+	crash(t, ffs)
 	// Forge the torn batch: a bare release record with no marker after it.
 	seg := lastSegment(t, dir)
 	before := fileSize(t, seg)

@@ -1,24 +1,52 @@
 package diskstore_test
 
-// Crash-recovery tests: each scenario builds a store, simulates a kill
-// point with Abandon (drop handles and the dir lock without syncing —
-// exactly what a dying process leaves behind) and/or damages the files
-// the way an interrupted write would, then reopens and checks that every
-// fully-committed blob survives and the damage is reported — never
-// panicked on.
+// Crash-recovery tests: each scenario builds a store on an fsx.Fault,
+// cuts the power (every write no fsync covered is lost; handles and the
+// directory lock are released) and/or damages the files the way an
+// interrupted write would, then reopens on the real file system and
+// checks that every fully-committed blob survives and the damage is
+// reported — never panicked on.
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
+	"syscall"
 	"testing"
 
 	"expelliarmus/internal/blobstore"
 	"expelliarmus/internal/blobstore/diskstore"
+	"expelliarmus/internal/fsx"
 )
+
+// openFault opens a store on a fresh fsx.Fault, for tests that crash it.
+func openFault(t *testing.T, dir string, opts diskstore.Options) (*diskstore.Store, *fsx.Fault) {
+	t.Helper()
+	ffs := fsx.NewFault()
+	opts.FS = ffs
+	return open(t, dir, opts), ffs
+}
+
+// crash cuts the power under a store opened by openFault.
+func crash(t *testing.T, ffs *fsx.Fault) {
+	t.Helper()
+	if err := ffs.Crash(); err != nil {
+		t.Fatalf("crash: %v", err)
+	}
+}
+
+// syncData makes a store's log appends durable without an index commit.
+func syncData(t *testing.T, s *diskstore.Store) {
+	t.Helper()
+	if _, err := s.SyncData(); err != nil {
+		t.Fatalf("SyncData: %v", err)
+	}
+}
 
 // lastSegment returns the path of the highest-numbered segment file.
 func lastSegment(t *testing.T, dir string) string {
@@ -49,20 +77,22 @@ func fileSize(t *testing.T, path string) int64 {
 	return fi.Size()
 }
 
-// TestRecoverUnsyncedTail kills the store after appends that were never
-// synced: no index exists, yet replay must recover every whole record.
+// TestRecoverUnsyncedTail crashes the store after appends that SyncData
+// made durable but no index commit covers: no index exists, yet replay
+// must recover every whole record — and only those, since an append no
+// fsync covered dies with the power.
 func TestRecoverUnsyncedTail(t *testing.T) {
 	dir := t.TempDir()
-	s := open(t, dir, diskstore.Options{})
+	s, ffs := openFault(t, dir, diskstore.Options{})
 	var ids []blobstore.ID
 	for i := 0; i < 10; i++ {
 		id, _ := s.Put([]byte(fmt.Sprintf("unsynced-%d", i)))
 		ids = append(ids, id)
 	}
+	syncData(t, s)
+	lost, _ := s.Put([]byte("never fsynced"))
 	// Crash: no Sync, no Close.
-	if err := s.Abandon(); err != nil {
-		t.Fatalf("Abandon: %v", err)
-	}
+	crash(t, ffs)
 
 	r := open(t, dir, diskstore.Options{})
 	defer r.Close()
@@ -78,13 +108,16 @@ func TestRecoverUnsyncedTail(t *testing.T) {
 			t.Fatalf("blob %d lost without a tear", i)
 		}
 	}
+	if r.Has(lost) {
+		t.Fatalf("an append no fsync covered survived the power cut")
+	}
 }
 
 // TestRecoverBeyondSyncWatermark syncs part of the history, appends more,
 // crashes: the synced part loads from the index and the rest replays.
 func TestRecoverBeyondSyncWatermark(t *testing.T) {
 	dir := t.TempDir()
-	s := open(t, dir, diskstore.Options{})
+	s, ffs := openFault(t, dir, diskstore.Options{})
 	idA, _ := s.Put([]byte("committed-by-index"))
 	if _, err := s.Sync(); err != nil {
 		t.Fatalf("Sync: %v", err)
@@ -93,10 +126,8 @@ func TestRecoverBeyondSyncWatermark(t *testing.T) {
 	if err := s.AddRef(idA); err != nil {
 		t.Fatalf("AddRef: %v", err)
 	}
-	// Crash.
-	if err := s.Abandon(); err != nil {
-		t.Fatalf("Abandon: %v", err)
-	}
+	syncData(t, s)
+	crash(t, ffs)
 
 	r := open(t, dir, diskstore.Options{})
 	defer r.Close()
@@ -116,15 +147,14 @@ func TestRecoverBeyondSyncWatermark(t *testing.T) {
 // everything before it, and reports the truncation.
 func TestTornTailTruncated(t *testing.T) {
 	dir := t.TempDir()
-	s := open(t, dir, diskstore.Options{})
+	s, ffs := openFault(t, dir, diskstore.Options{})
 	whole, _ := s.Put([]byte("survives the tear"))
 	before := fileSize(t, lastSegment(t, dir))
 	torn, _ := s.Put([]byte("this record gets cut in half"))
 	after := fileSize(t, lastSegment(t, dir))
+	syncData(t, s)
 	// Crash, then the tail of the last write never reached the platter.
-	if err := s.Abandon(); err != nil {
-		t.Fatalf("Abandon: %v", err)
-	}
+	crash(t, ffs)
 	cut := before + (after-before)/2
 	if err := os.Truncate(lastSegment(t, dir), cut); err != nil {
 		t.Fatal(err)
@@ -168,13 +198,12 @@ func TestTornTailTruncated(t *testing.T) {
 // checksum must catch it and recovery must drop the record like a tear.
 func TestCorruptCRCAtTail(t *testing.T) {
 	dir := t.TempDir()
-	s := open(t, dir, diskstore.Options{})
+	s, ffs := openFault(t, dir, diskstore.Options{})
 	keep, _ := s.Put([]byte("intact record"))
 	before := fileSize(t, lastSegment(t, dir))
 	bad, _ := s.Put([]byte("record whose bits rot"))
-	if err := s.Abandon(); err != nil {
-		t.Fatalf("Abandon: %v", err)
-	}
+	syncData(t, s)
+	crash(t, ffs)
 
 	seg := lastSegment(t, dir)
 	data, err := os.ReadFile(seg)
@@ -207,14 +236,12 @@ func TestCorruptCRCAtTail(t *testing.T) {
 // truncate the intact record away with the damage.
 func TestCorruptionAmidTailRefused(t *testing.T) {
 	dir := t.TempDir()
-	s := open(t, dir, diskstore.Options{})
-	first, _ := s.Put([]byte("first record gets damaged"))
+	s, ffs := openFault(t, dir, diskstore.Options{})
+	s.Put([]byte("first record gets damaged"))
 	mid := fileSize(t, lastSegment(t, dir))
 	s.Put([]byte("second record stays whole"))
-	_ = first
-	if err := s.Abandon(); err != nil {
-		t.Fatalf("Abandon: %v", err)
-	}
+	syncData(t, s)
+	crash(t, ffs)
 
 	seg := lastSegment(t, dir)
 	data, err := os.ReadFile(seg)
@@ -237,14 +264,13 @@ func TestCorruptionAmidTailRefused(t *testing.T) {
 // dropping committed history.
 func TestCorruptionBeforeTailRefused(t *testing.T) {
 	dir := t.TempDir()
-	s := open(t, dir, diskstore.Options{MaxSegmentBytes: 64})
+	s, ffs := openFault(t, dir, diskstore.Options{MaxSegmentBytes: 64})
 	for i := 0; i < 12; i++ {
 		s.Put([]byte(fmt.Sprintf("multi-segment-%03d-%030d", i, i)))
 	}
-	// Crash with several unsynced segments on disk.
-	if err := s.Abandon(); err != nil {
-		t.Fatalf("Abandon: %v", err)
-	}
+	// Crash with several segments on disk and no index.
+	syncData(t, s)
+	crash(t, ffs)
 
 	des, err := os.ReadDir(dir)
 	if err != nil {
@@ -326,14 +352,12 @@ func TestCorruptIndexFallsBackToReplay(t *testing.T) {
 // next sync must still commit cleanly.
 func TestLeftoverIndexTmpIgnored(t *testing.T) {
 	dir := t.TempDir()
-	s := open(t, dir, diskstore.Options{})
+	s, ffs := openFault(t, dir, diskstore.Options{})
 	id, _ := s.Put([]byte("durable"))
 	if _, err := s.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Abandon(); err != nil {
-		t.Fatalf("Abandon: %v", err)
-	}
+	crash(t, ffs)
 	if err := os.WriteFile(filepath.Join(dir, "index.tmp"), []byte("half-written junk"), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -356,7 +380,7 @@ func TestLeftoverIndexTmpIgnored(t *testing.T) {
 // still-durable metadata references) must be impossible.
 func TestReleaseDurableOnlyAtSync(t *testing.T) {
 	dir := t.TempDir()
-	s := open(t, dir, diskstore.Options{})
+	s, ffs := openFault(t, dir, diskstore.Options{})
 	id, _ := s.Put([]byte("released but not synced"))
 	if err := s.AddRef(id); err != nil {
 		t.Fatal(err)
@@ -374,9 +398,7 @@ func TestReleaseDurableOnlyAtSync(t *testing.T) {
 		t.Fatalf("blob live after releasing every reference")
 	}
 	// Crash: releases were applied in memory but never logged.
-	if err := s.Abandon(); err != nil {
-		t.Fatalf("Abandon: %v", err)
-	}
+	crash(t, ffs)
 
 	r := open(t, dir, diskstore.Options{})
 	if !r.Has(id) {
@@ -450,15 +472,13 @@ func TestMissingSegmentRefused(t *testing.T) {
 // working.
 func TestTornBeforeMagic(t *testing.T) {
 	dir := t.TempDir()
-	s := open(t, dir, diskstore.Options{})
+	s, ffs := openFault(t, dir, diskstore.Options{})
 	id, _ := s.Put([]byte("in segment one"))
 	if _, err := s.Sync(); err != nil {
 		t.Fatal(err)
 	}
 	// Fake a crash during the very first write of segment 2.
-	if err := s.Abandon(); err != nil {
-		t.Fatalf("Abandon: %v", err)
-	}
+	crash(t, ffs)
 	if err := os.WriteFile(filepath.Join(dir, "seg-00000002.log"), []byte("EXP"), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -478,5 +498,116 @@ func TestTornBeforeMagic(t *testing.T) {
 	}
 	if _, ok := r.Get(id2); !ok {
 		t.Fatalf("blob written into recovered segment unreadable")
+	}
+}
+
+// refusesAfterFailure checks the sticky-failure contract after an injected
+// I/O error: the store reports the failure, a second Sync refuses without
+// touching the disk (the store never retries and lies), and Close
+// surfaces the error.
+func refusesAfterFailure(t *testing.T, s *diskstore.Store, ffs *fsx.Fault) {
+	t.Helper()
+	if s.Err() == nil {
+		t.Fatal("failure not sticky")
+	}
+	calls := len(ffs.Trace())
+	if _, err := s.Sync(); err == nil || len(ffs.Trace()) != calls {
+		t.Fatalf("Sync after the failure = %v after %d more calls", err, len(ffs.Trace())-calls)
+	}
+	if err := s.Close(); err == nil {
+		t.Fatal("Close did not surface the failure")
+	}
+}
+
+// TestFsyncFailureIsSticky fails one fsync at each place the store issues
+// one — SyncData, the sync of the outgoing segment before a roll, and the
+// index commit — and checks the store goes sticky and that reopening on
+// the real file system lands on the last acknowledged state: a failed
+// fsync loses the writes it was meant to persist.
+func TestFsyncFailureIsSticky(t *testing.T) {
+	blob := func(s string) []byte { return []byte(fmt.Sprintf("%-40s", s)) }
+	cases := []struct {
+		name  string
+		nth   int // which fsync of a file named file* fails
+		file  string
+		run   func(t *testing.T, s *diskstore.Store) error
+		acked []string // blobs the reopened store must hold; others must be gone
+	}{
+		{"SyncData", 1, "seg-", func(t *testing.T, s *diskstore.Store) error {
+			s.Put(blob("B"))
+			_, err := s.SyncData()
+			return err
+		}, []string{"A"}},
+		{"PreRoll", 2, "seg-", func(t *testing.T, s *diskstore.Store) error {
+			s.Put(blob("B")) // rolls to a fresh segment (fsync 1), B unsynced in it
+			s.Put(blob("C")) // rolls again: the outgoing segment's fsync 2 fails
+			return s.Err()
+		}, []string{"A"}},
+		{"IndexCommit", 1, "index", func(t *testing.T, s *diskstore.Store) error {
+			s.Put(blob("B"))
+			syncData(t, s)
+			_, err := s.Sync()
+			return err
+		}, []string{"A", "B"}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			opts := diskstore.Options{MaxSegmentBytes: 64}
+			s, ffs := openFault(t, dir, opts)
+			s.Put(blob("A"))
+			if _, err := s.Sync(); err != nil {
+				t.Fatal(err)
+			}
+			ffs.Inject(fsx.FailSync, tc.nth, tc.file)
+			if err := tc.run(t, s); !errors.Is(err, syscall.EIO) {
+				t.Fatalf("operation with a failing fsync = %v, want EIO", err)
+			}
+			refusesAfterFailure(t, s, ffs)
+
+			r := open(t, dir, opts)
+			defer r.Close()
+			for _, name := range []string{"A", "B", "C"} {
+				if want := slices.Contains(tc.acked, name); r.Has(blobstore.Sum(blob(name))) != want {
+					t.Fatalf("blob %s present = %v after reopen, want %v", name, !want, want)
+				}
+			}
+		})
+	}
+}
+
+// TestShortSegmentWriteIsSticky runs a streamed put past the spill
+// threshold whose segment append comes back short with ENOSPC: the put
+// fails, the store goes sticky, and reopening truncates the torn record
+// while the blob acknowledged before it stays intact.
+func TestShortSegmentWriteIsSticky(t *testing.T) {
+	dir := t.TempDir()
+	s, ffs := openFault(t, dir, diskstore.Options{})
+	acked, _ := s.Put([]byte("acknowledged before the fault"))
+	if _, err := s.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	// The record header is the first segment write; the first payload
+	// chunk, the second, comes back short.
+	ffs.Inject(fsx.ShortWrite, 2, "seg-")
+	big := bytes.Repeat([]byte("spilled|"), 2<<20/8)
+	if _, _, _, err := s.PutReader(bytes.NewReader(big)); !errors.Is(err, syscall.ENOSPC) {
+		t.Fatalf("PutReader with a short segment write = %v, want ENOSPC", err)
+	}
+	if left, _ := filepath.Glob(filepath.Join(dir, "put-*.tmp")); len(left) != 0 {
+		t.Fatalf("failed put left its spool behind: %v", left)
+	}
+	refusesAfterFailure(t, s, ffs)
+
+	r := open(t, dir, diskstore.Options{})
+	defer r.Close()
+	if !r.Recovery().Torn() {
+		t.Fatalf("torn record not truncated: %+v", r.Recovery())
+	}
+	if got, ok := r.Get(acked); !ok || string(got) != "acknowledged before the fault" {
+		t.Fatal("blob acknowledged before the fault lost")
+	}
+	if r.Has(blobstore.Sum(big)) {
+		t.Fatal("half-written blob resurrected")
 	}
 }

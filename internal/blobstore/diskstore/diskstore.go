@@ -51,8 +51,10 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
@@ -61,6 +63,7 @@ import (
 
 	"expelliarmus/internal/atomicfile"
 	"expelliarmus/internal/blobstore"
+	"expelliarmus/internal/fsx"
 	"expelliarmus/internal/recframe"
 )
 
@@ -85,6 +88,9 @@ type Options struct {
 	// DefaultCompactDeadRatio; a negative value disables the automatic
 	// trigger (Compact still works, using the default ratio).
 	CompactDeadRatio float64
+	// FS is the file system the store lives on; nil means the real one.
+	// Tests pass an fsx.Fault to crash the store or fail its I/O.
+	FS fsx.FS
 }
 
 // RecoveryReport describes what Open had to do beyond loading the index.
@@ -139,16 +145,11 @@ func (e *entry) footprint() int64 {
 // Store is the disk-backed blob store. Construct with Open; the zero value
 // is not usable. A Store is safe for concurrent use.
 type Store struct {
+	fsys     fsx.FS
 	dir      string
 	maxSeg   int64
 	deadGate float64      // effective CompactDeadRatio (< 0: auto-compaction off)
-	unlock   func() error // releases the exclusive dir/lock flock
-
-	// Kill is the crash-injection hook for compaction: when non-nil it
-	// runs at each CompactKillPoint, and a returned error aborts the
-	// operation exactly as a crash at that point would. Tests set it, then
-	// Abandon and reopen; production leaves it nil. Set before any use.
-	Kill func(CompactKillPoint) error
+	unlock   func() error // releases the exclusive directory lock
 
 	mu    sync.RWMutex
 	blobs map[blobstore.ID]*entry
@@ -166,7 +167,7 @@ type Store struct {
 	bytes int64 // live payload bytes (garbage in released records excluded)
 	dirty bool  // catalog changed since the last committed index
 
-	segs      map[uint32]*os.File // open handles; active one is also the writer
+	segs      map[uint32]fsx.File // open handles; active one is also the writer
 	lens      map[uint32]int64    // current byte length per segment
 	syncedLen map[uint32]int64    // durable (fsynced + index-covered) length per segment
 	liveSeg   map[uint32]int64    // live record footprint bytes per segment (blobs + limbo)
@@ -196,7 +197,7 @@ type Store struct {
 // whose index references are gone, but which still has open readers
 // streaming from it. The last reader's Close deletes the file.
 type retiredSeg struct {
-	f    *os.File
+	f    fsx.File
 	path string
 	size int64
 }
@@ -217,23 +218,27 @@ var _ blobstore.Backend = (*Store)(nil)
 // replayed, and a torn final record is truncated away. The recovery
 // outcome is readable via Recovery. Open takes an exclusive lock on the
 // directory and fails if another store instance — in this process or any
-// other — already holds it.
+// other — already holds it: two stores appending to the same segments
+// would each track offsets the other invalidates, and persist a corrupt
+// index.
 func Open(dir string, opts Options) (*Store, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	fsys := fsx.Or(opts.FS)
+	if err := fsys.MkdirAll(dir); err != nil {
 		return nil, fmt.Errorf("diskstore: open %s: %w", dir, err)
 	}
-	unlock, err := lockDir(dir)
+	unlock, err := fsys.Lock(dir)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("diskstore: %w", err)
 	}
 	s := &Store{
+		fsys:      fsys,
 		dir:       dir,
 		maxSeg:    opts.MaxSegmentBytes,
 		deadGate:  opts.CompactDeadRatio,
 		unlock:    unlock,
 		blobs:     make(map[blobstore.ID]*entry),
 		limbo:     make(map[blobstore.ID]*entry),
-		segs:      make(map[uint32]*os.File),
+		segs:      make(map[uint32]fsx.File),
 		lens:      make(map[uint32]int64),
 		syncedLen: make(map[uint32]int64),
 		liveSeg:   make(map[uint32]int64),
@@ -298,7 +303,7 @@ func (s *Store) load() error {
 	for _, n := range segNums {
 		// O_APPEND so later appends land at the end regardless of how far
 		// recovery read; reads always go through ReadAt (pread).
-		f, err := os.OpenFile(filepath.Join(s.dir, segmentName(n)), os.O_RDWR|os.O_APPEND, 0o644)
+		f, err := s.fsys.OpenFile(filepath.Join(s.dir, segmentName(n)), os.O_RDWR|os.O_APPEND)
 		if err != nil {
 			return fmt.Errorf("diskstore: open segment %d: %w", n, err)
 		}
@@ -363,7 +368,7 @@ func (s *Store) load() error {
 				continue
 			}
 			s.segs[n].Close()
-			if err := os.Remove(filepath.Join(s.dir, segmentName(n))); err != nil {
+			if err := s.fsys.Remove(filepath.Join(s.dir, segmentName(n))); err != nil {
 				return fmt.Errorf("diskstore: sweep unreferenced segment %d: %w", n, err)
 			}
 			delete(s.segs, n)
@@ -434,8 +439,8 @@ func (s *Store) dropUnmarkedReleases() error {
 // store, reported as zero values with nil error; an unreadable file is
 // reported as an error so load falls back to full replay.
 func (s *Store) loadIndex() (uint32, int64, []indexEntry, error) {
-	img, err := os.ReadFile(filepath.Join(s.dir, "index"))
-	if os.IsNotExist(err) {
+	img, err := s.fsys.ReadFile(filepath.Join(s.dir, "index"))
+	if errors.Is(err, fs.ErrNotExist) {
 		return 0, 0, nil, nil
 	}
 	if err != nil {
@@ -446,7 +451,7 @@ func (s *Store) loadIndex() (uint32, int64, []indexEntry, error) {
 
 // listSegments returns existing segment numbers in ascending order.
 func (s *Store) listSegments() ([]uint32, error) {
-	des, err := os.ReadDir(s.dir)
+	des, err := s.fsys.ReadDir(s.dir)
 	if err != nil {
 		return nil, err
 	}
@@ -662,7 +667,7 @@ func (s *Store) failSticky(err error) {
 // overflow it and restores a truncated-away magic, returning the file the
 // record must land in. It is the one place the roll/magic discipline
 // lives, shared by the buffered and streaming append paths. Caller holds mu.
-func (s *Store) prepareAppendLocked(recSize int64) (*os.File, error) {
+func (s *Store) prepareAppendLocked(recSize int64) (fsx.File, error) {
 	if s.active == 0 || (s.lens[s.active] > int64(len(segmentMagic)) && s.lens[s.active]+recSize > s.maxSeg) {
 		if err := s.rollLocked(); err != nil {
 			return nil, err
@@ -716,7 +721,7 @@ func (s *Store) rollLocked() error {
 		}
 	}
 	n := s.active + 1
-	f, err := os.OpenFile(filepath.Join(s.dir, segmentName(n)), os.O_RDWR|os.O_CREATE|os.O_EXCL|os.O_APPEND, 0o644)
+	f, err := s.fsys.OpenFile(filepath.Join(s.dir, segmentName(n)), os.O_RDWR|os.O_CREATE|os.O_EXCL|os.O_APPEND)
 	if err != nil {
 		return fmt.Errorf("diskstore: create segment %d: %w", n, err)
 	}
@@ -724,7 +729,7 @@ func (s *Store) rollLocked() error {
 		f.Close()
 		return fmt.Errorf("diskstore: write segment %d magic: %w", n, err)
 	}
-	if err := atomicfile.SyncDir(s.dir); err != nil {
+	if err := s.fsys.SyncDir(s.dir); err != nil {
 		f.Close()
 		return fmt.Errorf("diskstore: persist segment %d directory entry: %w", n, err)
 	}
@@ -1046,7 +1051,7 @@ func (s *Store) syncIndex() (blobstore.SyncStats, error) {
 		entries = append(entries, indexEntry{id: id, seg: e.seg, off: e.off, size: e.size, refs: e.refs, kind: e.kind})
 	}
 	img := encodeIndex(s.active, s.lens[s.active], entries)
-	if err := atomicfile.Write(filepath.Join(s.dir, "index"), img); err != nil {
+	if err := atomicfile.Write(s.fsys, filepath.Join(s.dir, "index"), img); err != nil {
 		err = fmt.Errorf("diskstore: commit index: %w", err)
 		s.fail(err)
 		return st, err
@@ -1094,11 +1099,11 @@ func (s *Store) Close() error {
 }
 
 // Abandon releases all file handles and the directory lock WITHOUT
-// syncing anything — the store simply stops, exactly as a crashed process
-// would. It exists so crash-recovery tests can reopen the directory in
-// the same process; production code wants Close. Evacuated segments
-// pending reader drain are closed but left on disk, exactly as a crash
-// would leave them: the next Open's sweep reclaims them.
+// syncing anything. It is the release a repository needs after its
+// metadata commit failed: Close would append the queued releases, making
+// durable the reclamation of blobs that the still-committed metadata
+// references. Evacuated segments pending reader drain are closed but left
+// on disk; the next Open's sweep reclaims them.
 func (s *Store) Abandon() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -1118,7 +1123,7 @@ func (s *Store) closeFiles(removeRetired bool) error {
 			first = err
 		}
 		if removeRetired {
-			if err := os.Remove(r.path); err != nil && first == nil {
+			if err := s.fsys.Remove(r.path); err != nil && first == nil {
 				first = err
 			}
 		}

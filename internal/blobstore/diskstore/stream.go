@@ -15,13 +15,13 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
-	"os"
 	"path/filepath"
 	"strings"
 	"sync/atomic"
 
 	"expelliarmus/internal/blobstore"
 	"expelliarmus/internal/chunkpool"
+	"expelliarmus/internal/fsx"
 )
 
 // spillThreshold is the largest streamed put buffered entirely in memory.
@@ -40,16 +40,18 @@ const spoolPattern = "put-*.tmp"
 // fills. mem holds small payloads; file takes over once spillThreshold is
 // crossed.
 type spool struct {
+	fsys fsx.FS
 	dir  string
 	mem  []byte
-	file *os.File
+	file fsx.File
 	size int64
 	hash hash.Hash
 	crc  uint32 // record CRC, seeded with the recPut kind byte
 }
 
-func newSpool(dir string) *spool {
+func newSpool(fsys fsx.FS, dir string) *spool {
 	return &spool{
+		fsys: fsys,
 		dir:  dir,
 		hash: sha256.New(),
 		crc:  crc32.Checksum([]byte{recPut}, crcTable),
@@ -86,7 +88,7 @@ func (sp *spool) store(chunk []byte) error {
 			sp.mem = append(sp.mem, chunk...)
 			return nil
 		}
-		f, err := os.CreateTemp(sp.dir, spoolPattern)
+		f, err := sp.fsys.CreateTemp(sp.dir, spoolPattern)
 		if err != nil {
 			return err
 		}
@@ -116,7 +118,7 @@ func (sp *spool) discard() {
 	if sp.file != nil {
 		name := sp.file.Name()
 		sp.file.Close()
-		os.Remove(name)
+		sp.fsys.Remove(name)
 		sp.file = nil
 	}
 	sp.mem = nil
@@ -126,14 +128,14 @@ func (sp *spool) discard() {
 // streaming put. Only called from load, where the exclusive directory lock
 // guarantees no live PutReader owns one.
 func (s *Store) removeStraySpools() {
-	des, err := os.ReadDir(s.dir)
+	des, err := s.fsys.ReadDir(s.dir)
 	if err != nil {
 		return
 	}
 	for _, de := range des {
 		name := de.Name()
 		if strings.HasPrefix(name, "put-") && strings.HasSuffix(name, ".tmp") {
-			os.Remove(filepath.Join(s.dir, name))
+			s.fsys.Remove(filepath.Join(s.dir, name))
 		}
 	}
 }
@@ -153,7 +155,7 @@ func (s *Store) PutReader(r io.Reader) (blobstore.ID, int64, bool, error) {
 	if err := s.Err(); err != nil {
 		return blobstore.ID{}, 0, false, err
 	}
-	sp := newSpool(s.dir)
+	sp := newSpool(s.fsys, s.dir)
 	defer sp.discard()
 	if err := sp.fill(r); err != nil {
 		return blobstore.ID{}, sp.size, false, fmt.Errorf("diskstore: put stream: %w", err)
@@ -323,7 +325,7 @@ func (s *Store) unpin(seg uint32, rc *atomic.Int64) {
 		return
 	}
 	ret.f.Close()
-	os.Remove(ret.path)
+	s.fsys.Remove(ret.path)
 	delete(s.retiring, seg)
 	delete(s.readers, seg)
 }
@@ -343,7 +345,7 @@ func (s *Store) Open(id blobstore.ID) (io.ReadCloser, int64, error) {
 	s.mu.RLock()
 	ep, ok := s.blobs[id]
 	var e entry
-	var f *os.File
+	var f fsx.File
 	var rc *atomic.Int64
 	if ok {
 		e = *ep

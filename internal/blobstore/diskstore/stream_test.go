@@ -25,15 +25,14 @@ import (
 // record before the tear still streams end to end.
 func TestTornTailRefusesStreamedRead(t *testing.T) {
 	dir := t.TempDir()
-	s := open(t, dir, diskstore.Options{})
+	s, ffs := openFault(t, dir, diskstore.Options{})
 	intact := bytes.Repeat([]byte("whole "), 4000)
 	intactID, _ := s.Put(intact)
 	before := fileSize(t, lastSegment(t, dir))
 	tornID, _ := s.Put(bytes.Repeat([]byte("torn "), 4000))
 	after := fileSize(t, lastSegment(t, dir))
-	if err := s.Abandon(); err != nil {
-		t.Fatalf("Abandon: %v", err)
-	}
+	syncData(t, s)
+	crash(t, ffs)
 	if err := os.Truncate(lastSegment(t, dir), before+(after-before)/2); err != nil {
 		t.Fatal(err)
 	}
@@ -105,8 +104,8 @@ func TestOpenCorruptHeaderIsNotAbsence(t *testing.T) {
 	if _, _, _, err := s.PutReader(bytes.NewReader([]byte("after rot"))); err == nil {
 		t.Fatalf("PutReader accepted data after a detected corruption")
 	}
-	if err := s.Abandon(); err != nil {
-		t.Fatalf("Abandon: %v", err)
+	if err := s.Close(); !errors.Is(err, blobstore.ErrCorrupt) {
+		t.Fatalf("Close = %v, want the sticky corruption", err)
 	}
 }
 

@@ -6,118 +6,75 @@ import (
 
 	"expelliarmus/internal/builder"
 	"expelliarmus/internal/catalog"
-	"expelliarmus/internal/metawal"
-	"expelliarmus/internal/vmirepo"
+	"expelliarmus/internal/fsx"
+	"expelliarmus/internal/fsx/fsxtest"
 )
 
-// TestLifecycleCrashMatrix extends the WAL kill-point matrix to the
-// lifecycle paths: a TTL sweep (ExpireAt -> Remove) killed while its
-// commit is in flight, and a Vacuum killed inside its internal
-// compaction. Recovery must land on exactly one of the two
-// transactionally consistent states — the last synced state (the expired
-// image back, its tenant still charged) when the kill preceded the
-// effective commit, the new state (image gone, tenant credited) when it
-// followed — never a mix, and never metadata pointing at missing blobs.
-// Orphan blobs are the only permitted drift; Vacuum itself is the tool
-// that reclaims them, so a re-run after recovery must converge.
+// TestLifecycleCrashMatrix extends the WAL crash sweep to the lifecycle
+// paths: a TTL sweep (ExpireAt -> Remove) crashed at every call of its
+// commit, and a Vacuum crashed at every call of its internal compaction.
+// Recovery must land on exactly one of the two transactionally consistent
+// states — the last synced state (the expired image back, its tenant
+// still charged) until the effective commit, the new state (image gone,
+// tenant credited) after it — never a mix, and never metadata pointing at
+// missing blobs. Orphan blobs are the only permitted drift; Vacuum itself
+// is the tool that reclaims them, so a re-run after recovery must
+// converge.
 func TestLifecycleCrashMatrix(t *testing.T) {
-	cases := []struct {
-		name   string
-		point  metawal.KillPoint
-		vacuum bool
-		// newState: the reopened repository reflects the expiry (Mini gone,
-		// alice credited); otherwise the last synced state.
-		newState bool
-	}{
-		{"expire-after-blob-syncdata", metawal.KillBeforeAppend, false, false},
-		{"expire-after-wal-append", metawal.KillAfterAppend, false, true},
-		{"expire-after-watermark", metawal.KillAfterCommit, false, true},
-		{"vacuum-mid-compaction-after-snapshot", metawal.KillAfterSnapshot, true, false},
-		{"vacuum-mid-compaction-after-wal-reset", metawal.KillAfterWALReset, true, false},
-		{"vacuum-after-compaction-commit", metawal.KillAfterCompactCommit, true, true},
+	b := builder.New(catalog.NewUniverse())
+	template := t.TempDir()
+	sys := openRepo(t, template, nil)
+	if _, err := sys.PublishWith(buildImage(t, b, "Mini"), PublishOpts{Tenant: "alice", ExpiresAt: 100}); err != nil {
+		t.Fatalf("publish Mini: %v", err)
 	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			dir := t.TempDir()
-			repo, err := vmirepo.OpenAt(dir, testDev)
-			if err != nil {
-				t.Fatalf("OpenAt: %v", err)
-			}
-			sys := NewSystemWithRepo(repo, testDev, Options{})
-			b := builder.New(catalog.NewUniverse())
-			if _, err := sys.PublishWith(buildImage(t, b, "Mini"), PublishOpts{Tenant: "alice", ExpiresAt: 100}); err != nil {
-				t.Fatalf("publish Mini: %v", err)
-			}
-			if _, err := sys.PublishWith(buildImage(t, b, "Redis"), PublishOpts{Tenant: "bob"}); err != nil {
-				t.Fatalf("publish Redis: %v", err)
-			}
-			aliceCharge := sys.TenantStats()["alice"]
-			bobCharge := sys.TenantStats()["bob"]
-			if aliceCharge <= 0 || bobCharge <= 0 {
-				t.Fatalf("publishes not charged: alice %d, bob %d", aliceCharge, bobCharge)
-			}
-			if _, err := sys.Sync(); err != nil {
-				t.Fatalf("baseline Sync: %v", err)
-			}
+	if _, err := sys.PublishWith(buildImage(t, b, "Redis"), PublishOpts{Tenant: "bob"}); err != nil {
+		t.Fatalf("publish Redis: %v", err)
+	}
+	aliceCharge, bobCharge := sys.TenantStats()["alice"], sys.TenantStats()["bob"]
+	if aliceCharge <= 0 || bobCharge <= 0 {
+		t.Fatalf("publishes not charged: alice %d, bob %d", aliceCharge, bobCharge)
+	}
+	if err := sys.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// Tenant accounting is part of the same transaction, so it names the
+	// state together with the live images.
+	state := func(sys *System) string {
+		return fmt.Sprintf("%s alice=%d bob=%d", liveVMIs(sys), sys.TenantStats()["alice"], sys.TenantStats()["bob"])
+	}
+	states := []string{
+		fmt.Sprintf("Mini,Redis alice=%d bob=%d", aliceCharge, bobCharge),
+		fmt.Sprintf("Redis alice=0 bob=%d", bobCharge),
+	}
 
+	trial := func(vacuum bool) fsxtest.Trial {
+		return func(t *testing.T, ffs *fsx.Fault, n int) string {
+			dir := fsxtest.CopyDir(t, template)
+			sys := openRepo(t, dir, ffs)
 			// The mutation under test: the TTL sweep removes Mini (its
 			// metadata deletes, queued blob releases, and tenant credit all
-			// ride the killed commit).
+			// ride the crashed commit).
 			expired, err := sys.ExpireAt(150)
 			if err != nil || len(expired) != 1 || expired[0] != "Mini" {
 				t.Fatalf("ExpireAt = %v, %v; want [Mini]", expired, err)
 			}
-
-			repo.WAL().Kill = func(p metawal.KillPoint) error {
-				if p == tc.point {
-					return fmt.Errorf("injected crash at %s", tc.name)
-				}
-				return nil
-			}
-			if tc.vacuum {
+			ffs.Inject(fsx.Crash, n, "")
+			if vacuum {
 				_, err = sys.Vacuum()
 			} else {
 				_, err = sys.Sync()
 			}
-			if err == nil {
-				t.Fatalf("killed %s reported success", tc.name)
+			if err != nil && !ffs.Crashed() {
+				t.Fatalf("commit: %v", err)
 			}
-			if err := repo.Abandon(); err != nil {
-				t.Fatalf("Abandon: %v", err)
-			}
-
-			repo2, err := vmirepo.OpenAt(dir, testDev)
-			if err != nil {
-				t.Fatalf("reopen after crash at %s: %v", tc.name, err)
-			}
-			sys2 := NewSystemWithRepo(repo2, testDev, Options{})
-			defer sys2.Close()
-			checkNoDanglingMetadata(t, sys2)
-
-			if _, _, err := sys2.Retrieve("Redis"); err != nil {
-				t.Fatalf("Redis must survive crash at %s: %v", tc.name, err)
-			}
-			_, _, err = sys2.Retrieve("Mini")
-			if tc.newState && err == nil {
-				t.Fatalf("expired Mini resurrected after crash at %s", tc.name)
-			}
-			if !tc.newState && err != nil {
-				t.Fatalf("crash before commit must roll back to last sync; Mini: %v", err)
+			if !ffs.Crashed() {
+				if err := sys.Close(); err != nil {
+					t.Fatal(err)
+				}
 			}
 
-			// Tenant accounting is part of the same transaction: it must
-			// match whichever state recovery landed on, exactly.
-			wantAlice := aliceCharge
-			if tc.newState {
-				wantAlice = 0
-			}
-			if got := sys2.TenantStats()["alice"]; got != wantAlice {
-				t.Fatalf("alice charged %d after crash at %s, want %d", got, tc.name, wantAlice)
-			}
-			if got := sys2.TenantStats()["bob"]; got != bobCharge {
-				t.Fatalf("bob charged %d after crash at %s, want %d", got, tc.name, bobCharge)
-			}
-
+			sys2 := reopen(t, dir)
+			got := state(sys2)
 			// The only drift the protocol allows is orphan blobs; a Vacuum
 			// on the recovered repository reclaims them and converges — a
 			// second pass finds nothing.
@@ -129,11 +86,23 @@ func TestLifecycleCrashMatrix(t *testing.T) {
 				t.Fatalf("second vacuum after recovery: %v", err)
 			}
 			if st.PackagesRemoved != 0 || st.BlobsReleased != 0 || st.MetaRemoved != 0 || st.UserDataRemoved != 0 {
-				t.Fatalf("vacuum did not converge after crash at %s: %+v", tc.name, st)
+				t.Fatalf("vacuum did not converge after a crash at call %d: %+v", n, st)
 			}
 			if _, _, err := sys2.Retrieve("Redis"); err != nil {
 				t.Fatalf("Redis lost to post-recovery vacuum: %v", err)
 			}
-		})
+			return got
+		}
 	}
+	fsxtest.Sweep(t, states, []fsxtest.Window{
+		{Name: "expire-after-blob-syncdata", Want: states[0]},
+		{Name: "expire-after-wal-append", From: "meta.commit", Want: states[1]},
+		{Name: "expire-after-watermark", From: "seg-", Want: states[1]},
+	}, trial(false))
+	fsxtest.Sweep(t, states, []fsxtest.Window{
+		{Name: "vacuum-mid-compaction-writing-snapshot", Want: states[0]},
+		{Name: "vacuum-mid-compaction-after-snapshot", From: "meta.wal-", Want: states[0]},
+		{Name: "vacuum-mid-compaction-after-wal-reset", From: "meta.commit", Want: states[0]},
+		{Name: "vacuum-after-compaction-commit", Op: "syncdir", Want: states[1]},
+	}, trial(true))
 }

@@ -171,6 +171,9 @@ func TestPublishSimilarityReadsOnlyItsClass(t *testing.T) {
 			t.Fatal(err)
 		}
 		wal.Record(metadb.Op{Kind: metadb.OpPut, Bucket: "masters", Key: []byte(baseID), Value: []byte("not a master graph")})
+		if _, err := wal.Sync(); err != nil {
+			t.Fatal(err)
+		}
 		if err := wal.Close(); err != nil {
 			t.Fatal(err)
 		}

@@ -1,13 +1,18 @@
 package core
 
 import (
-	"fmt"
+	"errors"
 	"io"
+	"sort"
+	"strings"
+	"syscall"
 	"testing"
 
 	"expelliarmus/internal/builder"
 	"expelliarmus/internal/catalog"
-	"expelliarmus/internal/metawal"
+	"expelliarmus/internal/fsx"
+	"expelliarmus/internal/fsx/fsxtest"
+	"expelliarmus/internal/vmi"
 	"expelliarmus/internal/vmirepo"
 )
 
@@ -19,7 +24,8 @@ import (
 // only together with the metadata that stopped referencing them.
 func TestCrashAfterRemoveKeepsLastSyncState(t *testing.T) {
 	dir := t.TempDir()
-	repo, err := vmirepo.OpenAt(dir, testDev)
+	ffs := fsx.NewFault()
+	repo, err := vmirepo.OpenAtOpts(dir, testDev, vmirepo.OpenOptions{FS: ffs})
 	if err != nil {
 		t.Fatalf("OpenAt: %v", err)
 	}
@@ -41,21 +47,54 @@ func TestCrashAfterRemoveKeepsLastSyncState(t *testing.T) {
 	}
 	// Crash: the Remove's metadata change and blob releases were never
 	// committed.
-	if err := repo.Abandon(); err != nil {
-		t.Fatalf("Abandon: %v", err)
+	if err := ffs.Crash(); err != nil {
+		t.Fatalf("crash: %v", err)
 	}
 
-	repo2, err := vmirepo.OpenAt(dir, testDev)
-	if err != nil {
-		t.Fatalf("reopen after crash: %v", err)
-	}
-	sys2 := NewSystemWithRepo(repo2, testDev, Options{})
-	defer sys2.Close()
+	sys2 := reopen(t, dir)
 	for _, name := range []string{"Mini", "Redis"} {
 		if _, _, err := sys2.Retrieve(name); err != nil {
 			t.Fatalf("retrieve %s after crash-reopen: %v (metadata referencing missing blobs?)", name, err)
 		}
 	}
+}
+
+// openRepo opens a disk-backed system at dir on fsys (nil: the real file
+// system).
+func openRepo(t *testing.T, dir string, fsys fsx.FS) *System {
+	t.Helper()
+	repo, err := vmirepo.OpenAtOpts(dir, testDev, vmirepo.OpenOptions{FS: fsys})
+	if err != nil {
+		t.Fatalf("open %s: %v", dir, err)
+	}
+	return NewSystemWithRepo(repo, testDev, Options{})
+}
+
+// reopen opens dir on the real file system after a crash, checks that no
+// committed record dangles, and closes the system when the test ends.
+func reopen(t *testing.T, dir string) *System {
+	t.Helper()
+	sys := openRepo(t, dir, nil)
+	t.Cleanup(func() { sys.Close() })
+	checkNoDanglingMetadata(t, sys)
+	return sys
+}
+
+// publishAll publishes clones of imgs, failing the test on error.
+func publishAll(t *testing.T, sys *System, imgs ...*vmi.Image) {
+	t.Helper()
+	for _, img := range imgs {
+		if _, err := sys.Publish(img.Clone()); err != nil {
+			t.Fatalf("publish: %v", err)
+		}
+	}
+}
+
+// liveVMIs names a repository state by its sorted VMI names.
+func liveVMIs(sys *System) string {
+	names := sys.Repo().VMIs()
+	sort.Strings(names)
+	return strings.Join(names, ",")
 }
 
 // checkNoDanglingMetadata asserts the repository-wide crash invariant on
@@ -100,104 +139,90 @@ func checkNoDanglingMetadata(t *testing.T, sys *System) {
 	}
 }
 
-// TestWALCrashMatrix is the kill-point crash matrix for the metadata
-// WAL: a repository is synced at a known state, mutated (a Remove that
-// queues blob releases plus a publish that adds blobs), and then killed
-// at every injection point of the commit protocol — after blob SyncData
-// (= WAL entry), after the WAL batch append+fsync, after the watermark
-// commit, and at each window of a forced compaction. Recovery must land
-// on exactly one of the two transactionally consistent states (the last
-// synced state when the kill preceded the effective commit, the new
-// state when it followed), with orphan blobs as the only permitted
-// drift.
+// TestWALCrashMatrix is the crash sweep of the repository commit: a
+// repository synced at a known state is mutated (a Remove that queues blob
+// releases plus a publish that adds blobs) and then crashed at every
+// mutating call of a Sync, and of a forced Compact. Recovery must land on
+// one of the two transactionally consistent states — the last synced one
+// until the effective commit, the new one after it — with orphan blobs as
+// the only permitted drift. The windows name the protocol step last
+// completed — the blob SyncData, the WAL batch append and fsync, the
+// watermark commit, and the compaction's snapshot, WAL reset and switch —
+// and each pins the one state its crashes must recover.
 func TestWALCrashMatrix(t *testing.T) {
-	cases := []struct {
-		name    string
-		point   metawal.KillPoint
-		compact bool
-		// newState: the reopened repository reflects the mutations (Mini
-		// removed, Base published); otherwise the last synced state (Mini
-		// and Redis present, Base absent).
-		newState bool
-	}{
-		{"after-blob-syncdata", metawal.KillBeforeAppend, false, false},
-		{"after-wal-append", metawal.KillAfterAppend, false, true},
-		{"after-watermark", metawal.KillAfterCommit, false, true},
-		{"mid-compaction-after-snapshot", metawal.KillAfterSnapshot, true, false},
-		{"mid-compaction-after-wal-reset", metawal.KillAfterWALReset, true, false},
-		{"after-compaction-commit", metawal.KillAfterCompactCommit, true, true},
+	b := builder.New(catalog.NewUniverse())
+	mini, redis, base := buildImage(t, b, "Mini"), buildImage(t, b, "Redis"), buildImage(t, b, "Base")
+	template := t.TempDir()
+	sys := openRepo(t, template, nil)
+	publishAll(t, sys, mini, redis)
+	if err := sys.Close(); err != nil {
+		t.Fatal(err)
 	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			dir := t.TempDir()
-			repo, err := vmirepo.OpenAt(dir, testDev)
-			if err != nil {
-				t.Fatalf("OpenAt: %v", err)
-			}
-			sys := NewSystemWithRepo(repo, testDev, Options{})
-			b := builder.New(catalog.NewUniverse())
-			for _, name := range []string{"Mini", "Redis"} {
-				if _, err := sys.Publish(buildImage(t, b, name)); err != nil {
-					t.Fatalf("publish %s: %v", name, err)
-				}
-			}
-			if _, err := sys.Sync(); err != nil {
-				t.Fatalf("baseline Sync: %v", err)
-			}
+	trial := func(compact bool) fsxtest.Trial {
+		return func(t *testing.T, ffs *fsx.Fault, n int) string {
+			dir := fsxtest.CopyDir(t, template)
+			sys := openRepo(t, dir, ffs)
 			// The mutation under test: a removal (metadata deletes + queued
 			// blob releases) and a publish (metadata adds + new blobs).
 			if err := sys.Remove("Mini"); err != nil {
 				t.Fatalf("Remove: %v", err)
 			}
-			if _, err := sys.Publish(buildImage(t, b, "Base")); err != nil {
-				t.Fatalf("publish Base: %v", err)
-			}
-
-			repo.WAL().Kill = func(p metawal.KillPoint) error {
-				if p == tc.point {
-					return fmt.Errorf("injected crash at %s", tc.name)
-				}
-				return nil
-			}
-			if tc.compact {
+			publishAll(t, sys, base)
+			ffs.Inject(fsx.Crash, n, "")
+			var err error
+			if compact {
 				_, err = sys.Compact()
 			} else {
 				_, err = sys.Sync()
 			}
-			if err == nil {
-				t.Fatalf("killed commit reported success")
+			if err != nil && !ffs.Crashed() {
+				t.Fatalf("commit: %v", err)
 			}
-			if err := repo.Abandon(); err != nil {
-				t.Fatalf("Abandon: %v", err)
+			if !ffs.Crashed() {
+				if err := sys.Close(); err != nil {
+					t.Fatal(err)
+				}
 			}
+			return liveVMIs(reopen(t, dir))
+		}
+	}
+	states := []string{"Mini,Redis", "Base,Redis"}
+	fsxtest.Sweep(t, states, []fsxtest.Window{
+		{Name: "during-blob-syncdata", Want: states[0]},
+		{Name: "after-blob-syncdata", From: "meta.wal-", Want: states[0]},
+		{Name: "after-wal-append", From: "meta.commit", Want: states[1]},
+		{Name: "after-watermark", From: "seg-", Want: states[1]},
+	}, trial(false))
+	fsxtest.Sweep(t, states, []fsxtest.Window{
+		{Name: "compaction-before-snapshot", Want: states[0]},
+		{Name: "mid-compaction-after-snapshot", From: "meta.wal-", Want: states[0]},
+		{Name: "mid-compaction-after-wal-reset", From: "meta.commit", Want: states[0]},
+		{Name: "after-compaction-commit", Op: "syncdir", Want: states[1]},
+	}, trial(true))
+}
 
-			repo2, err := vmirepo.OpenAt(dir, testDev)
-			if err != nil {
-				t.Fatalf("reopen after crash at %s: %v", tc.name, err)
-			}
-			sys2 := NewSystemWithRepo(repo2, testDev, Options{})
-			defer sys2.Close()
-			checkNoDanglingMetadata(t, sys2)
-
-			wantPresent := map[string]bool{"Redis": true, "Mini": !tc.newState, "Base": tc.newState}
-			for name, want := range wantPresent {
-				_, _, err := sys2.Retrieve(name)
-				if want && err != nil {
-					t.Fatalf("%s should be retrievable after crash at %s: %v", name, tc.name, err)
-				}
-				if !want && err == nil {
-					t.Fatalf("%s should be absent after crash at %s", name, tc.name)
-				}
-			}
-			if tc.newState {
-				// The removal became durable; its queued blob releases must
-				// NOT have (they are logged only by the final blob sync,
-				// which the kill preceded) — drift is orphans only, never a
-				// record pointing at a reclaimed blob.
-				if rec, ok := repo2.BlobRecovery(); !ok || rec.Torn() {
-					t.Fatalf("blob store recovery unexpected: %+v (present %v)", rec, ok)
-				}
-			}
-		})
+// TestCloseAfterFailedCommitKeepsReleases pins Close's failed-commit path:
+// when the WAL fsync inside Close's Sync fails, the removal's metadata
+// batch is lost with it, so Close must return the error and let the blob
+// store go WITHOUT flushing the removal's queued releases — flushing them
+// would reclaim blobs the still-committed metadata references.
+func TestCloseAfterFailedCommitKeepsReleases(t *testing.T) {
+	b := builder.New(catalog.NewUniverse())
+	dir := t.TempDir()
+	ffs := fsx.NewFault()
+	sys := openRepo(t, dir, ffs)
+	publishAll(t, sys, buildImage(t, b, "Mini"), buildImage(t, b, "Redis"))
+	if _, err := sys.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.Remove("Mini"); err != nil {
+		t.Fatal(err)
+	}
+	ffs.Inject(fsx.FailSync, 1, "meta.wal-")
+	if err := sys.Close(); !errors.Is(err, syscall.EIO) {
+		t.Fatalf("Close with a failing WAL fsync = %v, want EIO", err)
+	}
+	if got := liveVMIs(reopen(t, dir)); got != "Mini,Redis" {
+		t.Fatalf("reopened after the failed commit with %s, want the last synced Mini,Redis", got)
 	}
 }

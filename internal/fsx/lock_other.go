@@ -1,6 +1,6 @@
 //go:build !unix
 
-package diskstore
+package fsx
 
 // lockDir is a no-op on platforms without flock; single-instance use is
 // the caller's responsibility there.

@@ -63,7 +63,7 @@ func catchUp(t *testing.T, l *Log, f *Follower) {
 func TestFollowerRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	l, db := openLog(t, dir, Options{})
-	defer l.Abandon()
+	defer l.Close()
 	wire(db, l)
 
 	putN(db, "pkgs", 0, 10)
@@ -97,7 +97,7 @@ func TestFollowerRoundTrip(t *testing.T) {
 func TestFollowerRefusesOutOfOrder(t *testing.T) {
 	dir := t.TempDir()
 	l, db := openLog(t, dir, Options{})
-	defer l.Abandon()
+	defer l.Close()
 	wire(db, l)
 	putN(db, "pkgs", 0, 5)
 	mustSync(t, l)
@@ -138,7 +138,7 @@ func TestFollowerRefusesOutOfOrder(t *testing.T) {
 func TestFollowerRefusesTornChunk(t *testing.T) {
 	dir := t.TempDir()
 	l, db := openLog(t, dir, Options{})
-	defer l.Abandon()
+	defer l.Close()
 	wire(db, l)
 	putN(db, "pkgs", 0, 3)
 	mustSync(t, l)
@@ -171,7 +171,7 @@ func TestFollowerRefusesTornChunk(t *testing.T) {
 func TestFollowerEpochSwitch(t *testing.T) {
 	dir := t.TempDir()
 	l, db := openLog(t, dir, Options{})
-	defer l.Abandon()
+	defer l.Close()
 	wire(db, l)
 	putN(db, "pkgs", 0, 8)
 	mustSync(t, l)
@@ -206,7 +206,7 @@ func TestFollowerEpochSwitch(t *testing.T) {
 func TestWALReaderStableAcrossCompaction(t *testing.T) {
 	dir := t.TempDir()
 	l, db := openLog(t, dir, Options{})
-	defer l.Abandon()
+	defer l.Close()
 	wire(db, l)
 	putN(db, "pkgs", 0, 6)
 	mustSync(t, l)

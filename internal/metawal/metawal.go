@@ -40,8 +40,10 @@
 package metawal
 
 import (
+	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"strings"
@@ -49,6 +51,7 @@ import (
 
 	"expelliarmus/internal/api"
 	"expelliarmus/internal/atomicfile"
+	"expelliarmus/internal/fsx"
 	"expelliarmus/internal/metadb"
 )
 
@@ -69,33 +72,10 @@ type Options struct {
 	// would grow the WAL beyond this size. Zero means DefaultCompactBytes.
 	// Small values are useful in tests to force compaction churn.
 	CompactBytes int64
+	// FS is the file system the log lives on; nil means the real one.
+	// Tests pass an fsx.Fault to crash the log or fail its I/O.
+	FS fsx.FS
 }
-
-// KillPoint names a crash-injection point inside Sync/Compact. Tests set
-// Log.Kill to simulate a process dying at exactly that point; production
-// code leaves it nil.
-type KillPoint int
-
-const (
-	// KillBeforeAppend fires at Sync entry — in the repository protocol,
-	// after blob SyncData and before any WAL write.
-	KillBeforeAppend KillPoint = iota + 1
-	// KillAfterAppend fires after the batch (ops + commit marker) is
-	// appended and fsynced, before the watermark commit.
-	KillAfterAppend
-	// KillAfterCommit fires after the watermark commit — in the
-	// repository protocol, before the blob release sync.
-	KillAfterCommit
-	// KillAfterSnapshot fires mid-compaction, after the next epoch's
-	// snapshot is durably written and before its WAL exists.
-	KillAfterSnapshot
-	// KillAfterWALReset fires mid-compaction, after the next epoch's
-	// empty WAL is durably created and before the commit switch.
-	KillAfterWALReset
-	// KillAfterCompactCommit fires after the compaction's commit switch,
-	// before the old epoch's files are removed.
-	KillAfterCompactCommit
-)
 
 // RecoveryReport describes what Open had to do beyond loading the
 // committed snapshot.
@@ -125,25 +105,20 @@ type RecoveryReport struct {
 // must be externally serialised against mutations, which the repository's
 // operation lock already guarantees.
 type Log struct {
+	fsys fsx.FS
 	dir  string
 	opts Options
 	db   *metadb.DB
 
 	mu         sync.Mutex
 	epoch      uint64
-	f          *os.File // current WAL, O_APPEND
+	f          fsx.File // current WAL, O_APPEND
 	length     int64    // current WAL length
 	durable    int64    // watermark: length covered by meta.commit
 	pending    []byte   // framed op records buffered since the last Sync
 	pendingOps int
 	failure    error
 	recovery   RecoveryReport
-
-	// Kill is the crash-injection hook: when non-nil it runs at each
-	// KillPoint, and a returned error aborts the operation exactly as a
-	// crash at that point would (the error is sticky; tests Abandon and
-	// reopen). Set it before any Sync/Compact and never while one runs.
-	Kill func(KillPoint) error
 }
 
 // SyncStats reports one durable metadata commit.
@@ -166,12 +141,13 @@ type SyncStats struct {
 // creation) is done. Open does not lock dir — the repository's blob store
 // flock already enforces one instance per directory.
 func Open(dir string, opts Options) (*Log, *metadb.DB, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	fsys := fsx.Or(opts.FS)
+	if err := fsys.MkdirAll(dir); err != nil {
 		return nil, nil, fmt.Errorf("metawal: open %s: %w", dir, err)
 	}
-	l := &Log{dir: dir, opts: opts}
-	cimg, err := os.ReadFile(filepath.Join(dir, "meta.commit"))
-	if os.IsNotExist(err) {
+	l := &Log{fsys: fsys, dir: dir, opts: opts}
+	cimg, err := fsys.ReadFile(filepath.Join(dir, "meta.commit"))
+	if errors.Is(err, fs.ErrNotExist) {
 		if err := l.initFresh(); err != nil {
 			return nil, nil, err
 		}
@@ -189,7 +165,7 @@ func Open(dir string, opts Options) (*Log, *metadb.DB, error) {
 	l.epoch = epoch
 	l.recovery.Epoch = epoch
 	if err := l.loadEpoch(walLen); err != nil {
-		l.Abandon()
+		l.Close()
 		return nil, nil, err
 	}
 	l.recovery.StaleFilesRemoved = l.cleanStale(snapName(epoch), walName(epoch))
@@ -212,7 +188,7 @@ func (l *Log) initFresh() error {
 	l.recovery.Epoch = 1
 	l.recovery.StaleFilesRemoved = l.cleanStale("", "")
 	img := l.db.Snapshot()
-	if err := atomicfile.Write(filepath.Join(l.dir, snapName(1)), img); err != nil {
+	if err := atomicfile.Write(l.fsys, filepath.Join(l.dir, snapName(1)), img); err != nil {
 		return fmt.Errorf("metawal: write initial snapshot: %w", err)
 	}
 	f, err := l.createWAL(1)
@@ -221,7 +197,7 @@ func (l *Log) initFresh() error {
 	}
 	l.f = f
 	if err := l.writeCommit(1, walHeaderLen); err != nil {
-		l.Abandon()
+		l.Close()
 		return err
 	}
 	l.length, l.durable = walHeaderLen, walHeaderLen
@@ -233,8 +209,8 @@ func (l *Log) initFresh() error {
 // fsynced before any commit record may reference them. The handle is
 // returned rather than adopted — first init and compaction adopt it at
 // different points of their protocols.
-func (l *Log) createWAL(epoch uint64) (*os.File, error) {
-	f, err := os.OpenFile(filepath.Join(l.dir, walName(epoch)), os.O_RDWR|os.O_CREATE|os.O_TRUNC|os.O_APPEND, 0o644)
+func (l *Log) createWAL(epoch uint64) (fsx.File, error) {
+	f, err := l.fsys.OpenFile(filepath.Join(l.dir, walName(epoch)), os.O_RDWR|os.O_CREATE|os.O_TRUNC|os.O_APPEND)
 	if err != nil {
 		return nil, fmt.Errorf("metawal: create %s: %w", walName(epoch), err)
 	}
@@ -246,7 +222,7 @@ func (l *Log) createWAL(epoch uint64) (*os.File, error) {
 		f.Close()
 		return nil, fmt.Errorf("metawal: sync %s: %w", walName(epoch), err)
 	}
-	if err := atomicfile.SyncDir(l.dir); err != nil {
+	if err := l.fsys.SyncDir(l.dir); err != nil {
 		f.Close()
 		return nil, fmt.Errorf("metawal: persist %s directory entry: %w", walName(epoch), err)
 	}
@@ -256,9 +232,9 @@ func (l *Log) createWAL(epoch uint64) (*os.File, error) {
 // loadEpoch loads the committed snapshot and replays the WAL tail.
 func (l *Log) loadEpoch(walLen int64) error {
 	snapPath := filepath.Join(l.dir, snapName(l.epoch))
-	img, err := os.ReadFile(snapPath)
+	img, err := l.fsys.ReadFile(snapPath)
 	if err != nil {
-		if os.IsNotExist(err) {
+		if errors.Is(err, fs.ErrNotExist) {
 			return fmt.Errorf("metawal: commit references missing snapshot %s", snapName(l.epoch))
 		}
 		return err
@@ -270,9 +246,9 @@ func (l *Log) loadEpoch(walLen int64) error {
 	l.db = db
 
 	walPath := filepath.Join(l.dir, walName(l.epoch))
-	f, err := os.OpenFile(walPath, os.O_RDWR|os.O_APPEND, 0o644)
+	f, err := l.fsys.OpenFile(walPath, os.O_RDWR|os.O_APPEND)
 	if err != nil {
-		if os.IsNotExist(err) {
+		if errors.Is(err, fs.ErrNotExist) {
 			return fmt.Errorf("metawal: commit references missing WAL %s", walName(l.epoch))
 		}
 		return err
@@ -369,7 +345,7 @@ func (l *Log) refuseOrphanedEpochs() error {
 	refuse := func(evidence string) error {
 		return fmt.Errorf("metawal: %s exists but %s/meta.commit is missing — the root of trust of a committed repository is gone; restore meta.commit from backup, or delete the meta.snap-*/meta.wal-* files if this directory is really meant to start empty", evidence, l.dir)
 	}
-	des, err := os.ReadDir(l.dir)
+	des, err := l.fsys.ReadDir(l.dir)
 	if err != nil {
 		return err
 	}
@@ -381,7 +357,7 @@ func (l *Log) refuseOrphanedEpochs() error {
 			if epoch != 1 {
 				return refuse(name)
 			}
-			img, err := os.ReadFile(filepath.Join(l.dir, name))
+			img, err := l.fsys.ReadFile(filepath.Join(l.dir, name))
 			if err != nil {
 				return err
 			}
@@ -419,7 +395,7 @@ func parseEpochName(name, format string, epoch *uint64) bool {
 // that the commit record does not vouch for — inert debris of a crashed
 // compaction or first init. Returns how many files were removed.
 func (l *Log) cleanStale(keepSnap, keepWAL string) int {
-	des, err := os.ReadDir(l.dir)
+	des, err := l.fsys.ReadDir(l.dir)
 	if err != nil {
 		return 0
 	}
@@ -432,7 +408,7 @@ func (l *Log) cleanStale(keepSnap, keepWAL string) int {
 		if name == keepSnap || name == keepWAL {
 			continue
 		}
-		if os.Remove(filepath.Join(l.dir, name)) == nil {
+		if l.fsys.Remove(filepath.Join(l.dir, name)) == nil {
 			removed++
 		}
 	}
@@ -498,17 +474,6 @@ func (l *Log) fail(err error) error {
 	return err
 }
 
-// kill runs the crash-injection hook at point p.
-func (l *Log) kill(p KillPoint) error {
-	if l.Kill == nil {
-		return nil
-	}
-	if err := l.Kill(p); err != nil {
-		return l.fail(err)
-	}
-	return nil
-}
-
 // Sync durably commits all ops recorded since the previous Sync: append
 // the batch plus its commit marker, fsync, then atomically advance the
 // watermark. When the WAL would outgrow Options.CompactBytes, the commit
@@ -528,9 +493,6 @@ func (l *Log) sync(force bool) (SyncStats, error) {
 	var st SyncStats
 	if l.failure != nil {
 		return st, l.failure
-	}
-	if err := l.kill(KillBeforeAppend); err != nil {
-		return st, err
 	}
 	if !force && l.pendingOps == 0 && l.durable == l.length {
 		// Nothing to commit and the watermark is current: the identical
@@ -559,13 +521,7 @@ func (l *Log) sync(force bool) (SyncStats, error) {
 			return st, l.fail(fmt.Errorf("metawal: sync %s: %w", walName(l.epoch), err))
 		}
 	}
-	if err := l.kill(KillAfterAppend); err != nil {
-		return st, err
-	}
 	if err := l.writeCommit(l.epoch, l.length); err != nil {
-		return st, err
-	}
-	if err := l.kill(KillAfterCommit); err != nil {
 		return st, err
 	}
 	st.Ops = l.pendingOps
@@ -582,33 +538,22 @@ func (l *Log) sync(force bool) (SyncStats, error) {
 func (l *Log) compactLocked(st SyncStats) (SyncStats, error) {
 	img := l.db.Snapshot()
 	next := l.epoch + 1
-	if err := atomicfile.Write(filepath.Join(l.dir, snapName(next)), img); err != nil {
+	if err := atomicfile.Write(l.fsys, filepath.Join(l.dir, snapName(next)), img); err != nil {
 		return st, l.fail(fmt.Errorf("metawal: write snapshot %s: %w", snapName(next), err))
-	}
-	if err := l.kill(KillAfterSnapshot); err != nil {
-		return st, err
 	}
 	f, err := l.createWAL(next)
 	if err != nil {
 		return st, l.fail(err)
 	}
-	if err := l.kill(KillAfterWALReset); err != nil {
-		f.Close()
-		return st, err
-	}
 	if err := l.writeCommit(next, walHeaderLen); err != nil {
-		f.Close()
-		return st, err
-	}
-	if err := l.kill(KillAfterCompactCommit); err != nil {
 		f.Close()
 		return st, err
 	}
 	// The switch is durable; adopt the new epoch and sweep the old pair
 	// (best-effort — a leftover is inert and cleaned on the next open).
 	l.f.Close()
-	os.Remove(filepath.Join(l.dir, snapName(l.epoch)))
-	os.Remove(filepath.Join(l.dir, walName(l.epoch)))
+	l.fsys.Remove(filepath.Join(l.dir, snapName(l.epoch)))
+	l.fsys.Remove(filepath.Join(l.dir, walName(l.epoch)))
 	l.f = f
 	l.epoch = next
 	l.length, l.durable = walHeaderLen, walHeaderLen
@@ -621,7 +566,7 @@ func (l *Log) compactLocked(st SyncStats) (SyncStats, error) {
 
 // writeCommit atomically replaces meta.commit.
 func (l *Log) writeCommit(epoch uint64, walLen int64) error {
-	if err := atomicfile.Write(filepath.Join(l.dir, "meta.commit"), encodeCommit(epoch, walLen)); err != nil {
+	if err := atomicfile.Write(l.fsys, filepath.Join(l.dir, "meta.commit"), encodeCommit(epoch, walLen)); err != nil {
 		return l.fail(fmt.Errorf("metawal: commit watermark: %w", err))
 	}
 	return nil
@@ -645,7 +590,7 @@ func (l *Log) CommitState() (epoch uint64, durable int64) {
 func (l *Log) SnapshotReader() (epoch uint64, rc io.ReadCloser, size int64, err error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	f, err := os.Open(filepath.Join(l.dir, snapName(l.epoch)))
+	f, err := l.fsys.OpenFile(filepath.Join(l.dir, snapName(l.epoch)), os.O_RDONLY)
 	if err != nil {
 		return 0, nil, 0, fmt.Errorf("metawal: open snapshot %s: %w", snapName(l.epoch), err)
 	}
@@ -675,7 +620,7 @@ func (l *Log) WALReader(epoch uint64, from int64) (io.ReadCloser, int64, error) 
 	if from < walHeaderLen || from > l.durable {
 		return nil, 0, fmt.Errorf("metawal: WAL offset %d outside the durable range [%d, %d]", from, walHeaderLen, l.durable)
 	}
-	f, err := os.Open(filepath.Join(l.dir, walName(epoch)))
+	f, err := l.fsys.OpenFile(filepath.Join(l.dir, walName(epoch)), os.O_RDONLY)
 	if err != nil {
 		return nil, 0, fmt.Errorf("metawal: open %s: %w", walName(epoch), err)
 	}
@@ -687,32 +632,30 @@ func (l *Log) WALReader(epoch uint64, from int64) (io.ReadCloser, int64, error) 
 // with the file handle backing it.
 type sectionReadCloser struct {
 	r *io.SectionReader
-	f *os.File
+	f fsx.File
 }
 
 func (s *sectionReadCloser) Read(p []byte) (int, error) { return s.r.Read(p) }
 func (s *sectionReadCloser) Close() error               { return s.f.Close() }
 
-// Close commits any pending ops (a no-op when the caller already synced)
-// and releases the WAL file handle. The log is unusable after.
+// Close releases the WAL file handle WITHOUT committing anything: ops
+// recorded since the last Sync are dropped. A repository syncs its blobs
+// and then this log before closing, and after a failed commit it must be
+// able to let go without the log committing metadata whose blobs may not
+// be durable. Close returns the log's sticky failure, if any, and
+// otherwise reports dropped ops as an error. The log is unusable after.
 func (l *Log) Close() error {
-	_, err := l.sync(false)
-	if aerr := l.Abandon(); err == nil {
-		err = aerr
-	}
-	return err
-}
-
-// Abandon releases the file handle WITHOUT committing anything — the log
-// simply stops, exactly as a crashed process would. Crash-recovery tests
-// reopen the directory afterwards; production code wants Close.
-func (l *Log) Abandon() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.f == nil {
-		return nil
+	err := l.failure
+	if err == nil && l.pendingOps > 0 {
+		err = fmt.Errorf("metawal: closed with %d uncommitted ops", l.pendingOps)
 	}
-	err := l.f.Close()
-	l.f = nil
+	if l.f != nil {
+		if cerr := l.f.Close(); err == nil {
+			err = cerr
+		}
+		l.f = nil
+	}
 	return err
 }

@@ -5,9 +5,12 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
+	"expelliarmus/internal/fsx"
+	"expelliarmus/internal/fsx/fsxtest"
 	"expelliarmus/internal/metadb"
 )
 
@@ -42,13 +45,25 @@ func mustSync(t *testing.T, l *Log) SyncStats {
 	return st
 }
 
-// reopenSnap closes nothing and reopens the directory, returning the
+// reopenSnap reopens the directory on the real file system, returning the
 // replayed database's snapshot for equivalence checks.
 func reopenSnap(t *testing.T, dir string) ([]byte, RecoveryReport) {
 	t.Helper()
 	l, db := openLog(t, dir, Options{})
-	defer l.Abandon()
+	defer l.Close()
 	return db.Snapshot(), l.Recovery()
+}
+
+// stateOf names a recovered snapshot: "old" or "new" when it equals one of
+// the two committed states, "" otherwise.
+func stateOf(got, oldState, newState []byte) string {
+	switch {
+	case bytes.Equal(got, oldState):
+		return "old"
+	case bytes.Equal(got, newState):
+		return "new"
+	}
+	return ""
 }
 
 // TestRoundTrip pins the basic contract: mutations synced through the
@@ -103,7 +118,8 @@ func TestNoOpSyncSkipsCommit(t *testing.T) {
 // their blobs may not be durable either.
 func TestUnsyncedOpsLostOnCrash(t *testing.T) {
 	dir := t.TempDir()
-	l, db := openLog(t, dir, Options{})
+	ffs := fsx.NewFault()
+	l, db := openLog(t, dir, Options{FS: ffs})
 	wire(db, l)
 	putN(db, "b", 0, 4)
 	mustSync(t, l)
@@ -112,7 +128,9 @@ func TestUnsyncedOpsLostOnCrash(t *testing.T) {
 	if l.pendingOps == 0 {
 		t.Fatal("ops not buffered")
 	}
-	l.Abandon() // crash
+	if err := ffs.Crash(); err != nil {
+		t.Fatal(err)
+	}
 
 	got, rec := reopenSnap(t, dir)
 	if !bytes.Equal(got, want) {
@@ -123,49 +141,72 @@ func TestUnsyncedOpsLostOnCrash(t *testing.T) {
 	}
 }
 
-// TestKillAfterAppendReplaysBatch crashes between the batch fsync and
-// the watermark commit: the batch is whole and marked on disk, so replay
-// applies it — the log retained the operations.
-func TestKillAfterAppendReplaysBatch(t *testing.T) {
+// TestCloseReportsUncommittedOps pins that Close never commits: ops
+// recorded after the last Sync are dropped, and Close says so.
+func TestCloseReportsUncommittedOps(t *testing.T) {
 	dir := t.TempDir()
 	l, db := openLog(t, dir, Options{})
 	wire(db, l)
-	putN(db, "b", 0, 3)
+	putN(db, "b", 0, 2)
 	mustSync(t, l)
-	putN(db, "b", 3, 3)
 	want := db.Snapshot()
-	l.Kill = func(p KillPoint) error {
-		if p == KillAfterAppend {
-			return fmt.Errorf("injected crash")
-		}
-		return nil
+	putN(db, "b", 2, 3)
+	if err := l.Close(); err == nil || !strings.Contains(err.Error(), "3 uncommitted ops") {
+		t.Fatalf("Close with pending ops = %v", err)
 	}
-	if _, err := l.Sync(); err == nil {
-		t.Fatal("killed sync reported success")
+	if got, _ := reopenSnap(t, dir); !bytes.Equal(got, want) {
+		t.Fatalf("Close committed the pending ops")
 	}
-	l.Abandon()
+}
 
-	got, rec := reopenSnap(t, dir)
-	if !bytes.Equal(got, want) {
-		t.Fatalf("fsynced batch beyond the watermark not replayed")
+// TestKillAfterAppendReplaysBatch crashes a Sync at each of its calls.
+// Once the batch is fsynced it is whole and marked on disk, so replay
+// applies it even when the crash beat the watermark commit — the log
+// retained the operations — and the next sync advances the lagging
+// watermark. Before that, the unsynced batch is lost whole, never torn.
+func TestKillAfterAppendReplaysBatch(t *testing.T) {
+	windows := []fsxtest.Window{
+		{Name: "appending", Want: "old"},
+		{Name: "committing", From: "meta.commit", Want: "new"},
 	}
-	if rec.Torn {
-		t.Fatalf("whole marked batch reported torn: %+v", rec)
-	}
-	// The watermark lags the replayed batch; the next sync must be able
-	// to advance it.
-	l2, db2 := openLog(t, dir, Options{})
-	wire(db2, l2)
-	if l2.DurableBytes() >= l2.Bytes() {
-		t.Fatalf("watermark not behind the replayed tail: durable %d, len %d", l2.DurableBytes(), l2.Bytes())
-	}
-	if _, err := l2.Sync(); err != nil {
-		t.Fatalf("watermark-advancing sync: %v", err)
-	}
-	if l2.DurableBytes() != l2.Bytes() {
-		t.Fatalf("sync did not advance the watermark")
-	}
-	l2.Close()
+	fsxtest.Sweep(t, []string{"old", "new"}, windows, func(t *testing.T, ffs *fsx.Fault, n int) string {
+		dir := t.TempDir()
+		l, db := openLog(t, dir, Options{FS: ffs})
+		wire(db, l)
+		putN(db, "b", 0, 3)
+		mustSync(t, l)
+		oldState := db.Snapshot()
+		putN(db, "b", 3, 3)
+		newState := db.Snapshot()
+		ffs.Inject(fsx.Crash, n, "")
+		if _, err := l.Sync(); err != nil && !ffs.Crashed() {
+			t.Fatalf("Sync: %v", err)
+		}
+		l.Close()
+		trace := ffs.Trace()
+		hit := trace[len(trace)-1]
+
+		l2, db2 := openLog(t, dir, Options{})
+		defer l2.Close()
+		if rec := l2.Recovery(); rec.Torn {
+			t.Fatalf("crash at call %d tore the log: %+v", n, rec)
+		}
+		state := stateOf(db2.Snapshot(), oldState, newState)
+		// The watermark lags the replayed batch exactly when the crash beat
+		// the rename of the new commit record.
+		lag := l2.DurableBytes() < l2.Bytes()
+		if lag != strings.HasPrefix(hit.File, "meta.commit") {
+			t.Fatalf("crash at %v: watermark %d of %d bytes", hit, l2.DurableBytes(), l2.Bytes())
+		}
+		wire(db2, l2)
+		if _, err := l2.Sync(); err != nil {
+			t.Fatalf("watermark-advancing sync: %v", err)
+		}
+		if l2.DurableBytes() != l2.Bytes() {
+			t.Fatalf("sync did not advance the watermark")
+		}
+		return state
+	})
 }
 
 // TestTornBatchTruncatedWhole tears the last batch mid-record: recovery
@@ -173,21 +214,17 @@ func TestKillAfterAppendReplaysBatch(t *testing.T) {
 // exactly on the previous synced state — never inside a Sync.
 func TestTornBatchTruncatedWhole(t *testing.T) {
 	dir := t.TempDir()
-	l, db := openLog(t, dir, Options{})
+	ffs := fsx.NewFault()
+	l, db := openLog(t, dir, Options{FS: ffs})
 	wire(db, l)
 	putN(db, "b", 0, 3)
 	mustSync(t, l)
 	want := db.Snapshot()
 	tail := l.Bytes()
 	putN(db, "b", 3, 3)
-	l.Kill = func(p KillPoint) error {
-		if p == KillAfterAppend {
-			return fmt.Errorf("injected crash")
-		}
-		return nil
-	}
+	// Crash once the batch is fsynced, before the watermark commit.
+	ffs.Inject(fsx.Crash, 1, "meta.commit")
 	l.Sync()
-	l.Abandon()
 	// The crash happened mid-append: cut the appended batch in half.
 	walPath := filepath.Join(dir, walName(1))
 	fi, err := os.Stat(walPath)
@@ -222,7 +259,7 @@ func TestWholeUncommittedRecordsDropped(t *testing.T) {
 	mustSync(t, l)
 	want := db.Snapshot()
 	tail := l.Bytes()
-	l.Abandon()
+	l.Close()
 
 	f, err := os.OpenFile(filepath.Join(dir, walName(1)), os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
@@ -253,7 +290,7 @@ func TestCorruptionBelowWatermarkRefused(t *testing.T) {
 	wire(db, l)
 	putN(db, "b", 0, 3)
 	mustSync(t, l)
-	l.Abandon()
+	l.Close()
 
 	walPath := filepath.Join(dir, walName(1))
 	data, err := os.ReadFile(walPath)
@@ -280,7 +317,7 @@ func TestCorruptionAmidTailRefused(t *testing.T) {
 	b.Put([]byte("first"), []byte("record gets damaged"))
 	b.Put([]byte("second"), []byte("record stays whole"))
 	mustSync(t, l)
-	l.Abandon()
+	l.Close()
 
 	walPath := filepath.Join(dir, walName(1))
 	data, err := os.ReadFile(walPath)
@@ -305,7 +342,8 @@ func TestCorruptionAmidTailRefused(t *testing.T) {
 // refusing to open.
 func TestDamageAboveWatermarkTruncatesDespiteValidTail(t *testing.T) {
 	dir := t.TempDir()
-	l, db := openLog(t, dir, Options{})
+	ffs := fsx.NewFault()
+	l, db := openLog(t, dir, Options{FS: ffs})
 	wire(db, l)
 	putN(db, "b", 0, 3)
 	mustSync(t, l)
@@ -313,14 +351,8 @@ func TestDamageAboveWatermarkTruncatesDespiteValidTail(t *testing.T) {
 	tail := l.Bytes()
 	// A batch lands beyond the watermark (crash between fsync and commit).
 	putN(db, "b", 3, 4)
-	l.Kill = func(p KillPoint) error {
-		if p == KillAfterAppend {
-			return fmt.Errorf("injected crash")
-		}
-		return nil
-	}
+	ffs.Inject(fsx.Crash, 1, "meta.commit")
 	l.Sync()
-	l.Abandon()
 	// Damage an EARLY record of that batch, leaving later records (and
 	// the commit marker) intact — the out-of-order-writeback shape.
 	walPath := filepath.Join(dir, walName(1))
@@ -466,7 +498,7 @@ func TestWALShorterThanWatermarkRefused(t *testing.T) {
 	wire(db, l)
 	putN(db, "b", 0, 5)
 	mustSync(t, l)
-	l.Abandon()
+	l.Close()
 	if err := os.Truncate(filepath.Join(dir, walName(1)), walHeaderLen+4); err != nil {
 		t.Fatal(err)
 	}
@@ -573,91 +605,124 @@ func TestOversizedDeltaCompacts(t *testing.T) {
 	l.Close()
 }
 
-// TestCompactionCrashWindows drives a kill at each compaction point and
-// checks every window reopens to a consistent state: before the commit
-// switch the old epoch (without the pending batch), after it the new.
+// TestCompactionCrashWindows crashes a forced compaction at each of its
+// calls and checks every crash reopens to a consistent state: before the
+// commit switch the old epoch without the pending batch, after it the new
+// epoch with it — and recovery sweeps, and counts, every file of the
+// losing epoch. Windows are named for the step last completed when they
+// open; the commit is the rename of meta.commit, so the window after it
+// opens at the directory fsync that follows.
 func TestCompactionCrashWindows(t *testing.T) {
-	cases := []struct {
-		point    KillPoint
-		newState bool // reopen sees the state including pending ops
-		newEpoch uint64
-	}{
-		{KillAfterSnapshot, false, 1},
-		{KillAfterWALReset, false, 1},
-		{KillAfterCompactCommit, true, 2},
+	windows := []fsxtest.Window{
+		{Name: "writing-snapshot", Want: "old"},
+		{Name: "after-snapshot", From: "meta.wal-", Want: "old"},
+		{Name: "after-wal-reset", From: "meta.commit", Want: "old"},
+		{Name: "after-commit", Op: "syncdir", Want: "new"},
 	}
-	for _, tc := range cases {
-		t.Run(fmt.Sprintf("point-%d", tc.point), func(t *testing.T) {
-			dir := t.TempDir()
-			l, db := openLog(t, dir, Options{})
-			wire(db, l)
-			putN(db, "b", 0, 5)
-			mustSync(t, l)
-			oldState := db.Snapshot()
-			putN(db, "b", 5, 5) // pending at compaction time
-			newState := db.Snapshot()
-			l.Kill = func(p KillPoint) error {
-				if p == tc.point {
-					return fmt.Errorf("injected crash")
-				}
-				return nil
-			}
-			if _, err := l.Compact(); err == nil {
-				t.Fatal("killed compaction reported success")
-			}
-			l.Abandon()
+	fsxtest.Sweep(t, []string{"old", "new"}, windows, func(t *testing.T, ffs *fsx.Fault, n int) string {
+		dir := t.TempDir()
+		l, db := openLog(t, dir, Options{FS: ffs})
+		wire(db, l)
+		putN(db, "b", 0, 5)
+		mustSync(t, l)
+		oldState := db.Snapshot()
+		putN(db, "b", 5, 5) // pending at compaction time
+		newState := db.Snapshot()
+		ffs.Inject(fsx.Crash, n, "")
+		if _, err := l.Compact(); err != nil && !ffs.Crashed() {
+			t.Fatalf("Compact: %v", err)
+		}
+		l.Close()
+		before := epochFiles(t, dir)
 
-			got, rec := reopenSnap(t, dir)
-			want := oldState
-			if tc.newState {
-				want = newState
+		got, rec := reopenSnap(t, dir)
+		state := stateOf(got, oldState, newState)
+		if wantEpoch := map[string]uint64{"old": 1, "new": 2}[state]; rec.Epoch != wantEpoch {
+			t.Fatalf("reopened epoch %d with the %s state", rec.Epoch, state)
+		}
+		stale := 0
+		for _, name := range before {
+			if name != snapName(rec.Epoch) && name != walName(rec.Epoch) {
+				stale++
 			}
-			if !bytes.Equal(got, want) {
-				t.Fatalf("crash window reopened to the wrong state (recovery %+v)", rec)
-			}
-			if rec.Epoch != tc.newEpoch {
-				t.Fatalf("reopened epoch %d, want %d", rec.Epoch, tc.newEpoch)
-			}
-			// Leftovers of the losing epoch must have been swept.
-			des, _ := os.ReadDir(dir)
-			for _, de := range des {
-				name := de.Name()
-				if (strings.HasPrefix(name, "meta.snap-") || strings.HasPrefix(name, "meta.wal-")) &&
-					name != snapName(tc.newEpoch) && name != walName(tc.newEpoch) {
-					t.Fatalf("stale file %s survived recovery", name)
-				}
-			}
-			if rec.StaleFilesRemoved == 0 && tc.point != KillAfterCompactCommit {
-				// Snapshot (and possibly WAL) of the next epoch were written
-				// before the crash; recovery must report sweeping them.
-				t.Fatalf("no stale files swept after crash at point %d: %+v", tc.point, rec)
-			}
-		})
-	}
+		}
+		if rec.StaleFilesRemoved != stale {
+			t.Fatalf("recovery reports %d stale files swept, the crash left %d of %v", rec.StaleFilesRemoved, stale, before)
+		}
+		if after := epochFiles(t, dir); !slices.Equal(after, []string{snapName(rec.Epoch), walName(rec.Epoch)}) {
+			t.Fatalf("epoch %d reopened with files %v", rec.Epoch, after)
+		}
+		return state
+	})
 }
 
-// TestStickyFailureRefusesFurtherCommits pins that a failed commit
-// poisons the log.
-func TestStickyFailureRefusesFurtherCommits(t *testing.T) {
-	dir := t.TempDir()
-	l, db := openLog(t, dir, Options{})
-	wire(db, l)
-	putN(db, "b", 0, 2)
-	l.Kill = func(p KillPoint) error {
-		if p == KillAfterAppend {
-			return fmt.Errorf("injected failure")
+// epochFiles lists the snapshot and WAL files in dir, leftovers included.
+func epochFiles(t *testing.T, dir string) []string {
+	t.Helper()
+	des, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, de := range des {
+		if name := de.Name(); strings.HasPrefix(name, "meta.snap-") || strings.HasPrefix(name, "meta.wal-") {
+			names = append(names, name)
 		}
-		return nil
 	}
-	if _, err := l.Sync(); err == nil {
-		t.Fatal("killed sync reported success")
+	return names
+}
+
+// TestStickyFailureRefusesFurtherCommits fails each fsync, then each
+// write, of a Sync in turn. Every failure poisons the log: the Sync
+// errors, a second Sync with the fault gone refuses without touching the
+// disk (the log never retries and lies), and Close reports the failure.
+// Reopening lands on the last acknowledged state when the fault hit the
+// batch itself — a torn write truncated away, an unsynced batch lost —
+// and on the new one when it hit the watermark commit after the batch was
+// fsynced, because replay applies a whole marked batch.
+func TestStickyFailureRefusesFurtherCommits(t *testing.T) {
+	for _, kind := range []fsx.Kind{fsx.FailSync, fsx.ShortWrite} {
+		for n := 1; ; n++ {
+			dir := t.TempDir()
+			ffs := fsx.NewFault()
+			l, db := openLog(t, dir, Options{FS: ffs})
+			wire(db, l)
+			putN(db, "b", 0, 2)
+			mustSync(t, l)
+			oldState := db.Snapshot()
+			putN(db, "b", 2, 2)
+			newState := db.Snapshot()
+			ffs.Inject(kind, n, "")
+			_, err := l.Sync()
+			if err == nil {
+				if n == 1 {
+					t.Fatalf("fault %d never fired", kind)
+				}
+				l.Close()
+				break
+			}
+			trace := ffs.Trace()
+			hit := trace[len(trace)-1]
+			if l.Err() == nil {
+				t.Fatalf("fault %d at %v: failure not sticky", kind, hit)
+			}
+			if _, err := l.Sync(); err == nil || len(ffs.Trace()) != len(trace) {
+				t.Fatalf("fault %d at %v: second Sync = %v after %d more calls", kind, hit, err, len(ffs.Trace())-len(trace))
+			}
+			if err := l.Close(); err == nil {
+				t.Fatalf("fault %d at %v: Close did not surface the failure", kind, hit)
+			}
+			got, rec := reopenSnap(t, dir)
+			want := "new"
+			if strings.HasPrefix(hit.File, "meta.wal-") {
+				want = "old"
+			}
+			if state := stateOf(got, oldState, newState); state != want {
+				t.Fatalf("fault %d at %v recovered %q, want %q", kind, hit, state, want)
+			}
+			if kind == fsx.ShortWrite && want == "old" && !rec.Torn {
+				t.Fatalf("short batch write not truncated on reopen: %+v", rec)
+			}
+		}
 	}
-	l.Kill = nil
-	if _, err := l.Sync(); err == nil {
-		t.Fatal("sync after failure not refused")
-	}
-	if l.Err() == nil {
-		t.Fatal("sticky failure not surfaced")
-	}
-	l.Abandon()
 }

@@ -18,6 +18,8 @@ import (
 	"math/rand"
 	"net"
 	"net/http"
+	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -26,7 +28,8 @@ import (
 	"expelliarmus/internal/catalog"
 	"expelliarmus/internal/client"
 	"expelliarmus/internal/core"
-	"expelliarmus/internal/metawal"
+	"expelliarmus/internal/fsx"
+	"expelliarmus/internal/fsx/fsxtest"
 	"expelliarmus/internal/replica"
 	"expelliarmus/internal/server"
 	"expelliarmus/internal/simio"
@@ -379,97 +382,105 @@ func TestReplayEquivalenceProperty(t *testing.T) {
 	}
 }
 
-// TestReplicaSurvivesWriterCrash is the kill-the-writer matrix across
-// the shipping boundary: the writer dies at each WAL kill point, reopens
-// (running its own recovery), and the follower — which may have already
-// applied batches from before the crash — catches up against the
-// reopened writer and converges to its recovered state.
+// TestReplicaSurvivesWriterCrash is the crash-the-writer sweep across the
+// shipping boundary: a follower catches up, the writer crashes at every
+// call of a Sync and of a Compact of the next publish, reopens (running
+// its own recovery) at the same address, and the follower — holding state
+// applied before the crash — catches up against the recovered writer and
+// converges to it, metadata and retrievals alike. The windows name the
+// writer's protocol step last completed.
 func TestReplicaSurvivesWriterCrash(t *testing.T) {
-	kills := []struct {
-		name string
-		kp   metawal.KillPoint
-	}{
-		{"after-append", metawal.KillAfterAppend},
-		{"after-commit", metawal.KillAfterCommit},
-		{"after-snapshot", metawal.KillAfterSnapshot},
-		{"after-wal-reset", metawal.KillAfterWALReset},
-		{"after-compact-commit", metawal.KillAfterCompactCommit},
+	b := builder.New(catalog.NewUniverse())
+	redis := buildImage(t, b, "Redis")
+	template := t.TempDir()
+	wsys := openWriter(t, template)
+	publish(t, wsys, b, "Mini")
+	if err := wsys.Close(); err != nil {
+		t.Fatal(err)
 	}
-	for _, k := range kills {
-		k := k
-		t.Run(k.name, func(t *testing.T) {
-			dir := t.TempDir()
-			wsys := openWriter(t, dir)
-			waddr := startServer(t, wsys, nil)
-			b := builder.New(catalog.NewUniverse())
-			publish(t, wsys, b, "Mini")
-			if _, err := wsys.Sync(); err != nil {
+	trial := func(compact bool) fsxtest.Trial {
+		return func(t *testing.T, ffs *fsx.Fault, n int) string {
+			dir := fsxtest.CopyDir(t, template)
+			repo, err := vmirepo.OpenAtOpts(dir, testDev, vmirepo.OpenOptions{FS: ffs})
+			if err != nil {
 				t.Fatal(err)
 			}
-
-			rep := replica.New(waddr, blobstore.New(), testDev, replica.Options{
+			wsys := core.NewSystemWithRepo(repo, testDev, core.Options{})
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			srv := &http.Server{Handler: server.New(wsys)}
+			go srv.Serve(ln)
+			rep := replica.New(ln.Addr().String(), blobstore.New(), testDev, replica.Options{
 				Client: client.Options{Timeout: time.Minute},
 			})
 			t.Cleanup(rep.Close)
 			mustCatchUp(t, rep)
 
-			// Arm the kill point and let the writer die mid-commit. The
-			// compaction-side kill points need Compact to reach them.
-			publish(t, wsys, b, "Redis")
-			wsys.Repo().WAL().Kill = func(p metawal.KillPoint) error {
-				if p == k.kp {
-					return fmt.Errorf("injected crash at %s", k.name)
-				}
-				return nil
+			if _, err := wsys.Publish(redis.Clone()); err != nil {
+				t.Fatal(err)
 			}
-			var err error
-			if k.kp >= metawal.KillAfterSnapshot {
+			ffs.Inject(fsx.Crash, n, "")
+			if compact {
 				_, err = wsys.Compact()
 			} else {
 				_, err = wsys.Sync()
 			}
-			if err == nil {
-				t.Fatalf("killed commit reported success")
+			if err != nil && !ffs.Crashed() {
+				t.Fatalf("commit: %v", err)
 			}
-			if err := wsys.Repo().Abandon(); err != nil {
-				t.Fatalf("Abandon: %v", err)
+			srv.Close()
+			if !ffs.Crashed() {
+				if err := wsys.Close(); err != nil {
+					t.Fatal(err)
+				}
 			}
 
-			// Reopen: the writer recovers to a commit boundary. Recovery
-			// may have replayed a complete-but-unacknowledged batch into
-			// memory without advancing the durable watermark; the writer's
-			// first sync re-acknowledges it, exactly as a restarted daemon
-			// would before serving. Then let the follower converge.
+			// Reopen: the writer recovers to a commit boundary. Recovery may
+			// have replayed a complete-but-unacknowledged batch into memory
+			// without advancing the durable watermark; the writer's first
+			// sync re-acknowledges it, exactly as a restarted daemon would
+			// before serving.
 			wsys2 := openWriter(t, dir)
 			t.Cleanup(func() { wsys2.Close() })
 			if _, err := wsys2.Sync(); err != nil {
 				t.Fatalf("post-recovery sync: %v", err)
 			}
-			waddr2 := startServer(t, wsys2, nil)
-			rep2 := replica.New(waddr2, blobstore.New(), testDev, replica.Options{
-				Client: client.Options{Timeout: time.Minute},
-			})
-			t.Cleanup(rep2.Close)
-			fsys2 := core.NewSystemWithRepo(rep2.Repo(), testDev, core.Options{})
-			mustCatchUp(t, rep2)
-			if !bytes.Equal(rep2.Repo().MetaSnapshot(), wsys2.Repo().MetaSnapshot()) {
-				t.Fatalf("fresh follower does not match recovered writer")
+			ln2, err := net.Listen("tcp", ln.Addr().String())
+			if err != nil {
+				t.Fatal(err)
 			}
-			for _, name := range wsys2.Repo().VMIs() {
+			srv2 := &http.Server{Handler: server.New(wsys2)}
+			go srv2.Serve(ln2)
+			t.Cleanup(func() { srv2.Close() })
+			mustCatchUp(t, rep)
+			if !bytes.Equal(rep.Repo().MetaSnapshot(), wsys2.Repo().MetaSnapshot()) {
+				t.Fatalf("follower does not match the recovered writer")
+			}
+			fsys := core.NewSystemWithRepo(rep.Repo(), testDev, core.Options{})
+			names := wsys2.Repo().VMIs()
+			sort.Strings(names)
+			for _, name := range names {
 				wn, wsum := retrieveSum(t, wsys2, name)
-				fn, fsum := retrieveSum(t, fsys2, name)
+				fn, fsum := retrieveSum(t, fsys, name)
 				if wn != fn || wsum != fsum {
-					t.Fatalf("recovered %s differs on follower", name)
+					t.Fatalf("recovered %s differs on the follower", name)
 				}
 			}
-
-			// The pre-crash follower kept its applied state consistent:
-			// everything it holds still retrieves (blobs read through from
-			// the recovered writer — but only against the same URL). The
-			// old writer address is dead, so just check its local state.
-			if got := len(rep.Repo().VMIs()); got == 0 {
-				t.Fatalf("pre-crash follower lost its applied state")
-			}
-		})
+			return strings.Join(names, ",")
+		}
 	}
+	states := []string{"Mini", "Mini,Redis"}
+	fsxtest.Sweep(t, states, []fsxtest.Window{
+		{Name: "before-append", Want: states[0]},
+		{Name: "after-append", From: "meta.commit", Want: states[1]},
+		{Name: "after-commit", From: "index", Want: states[1]},
+	}, trial(false))
+	fsxtest.Sweep(t, states, []fsxtest.Window{
+		{Name: "before-snapshot", Want: states[0]},
+		{Name: "after-snapshot", From: "meta.wal-", Want: states[0]},
+		{Name: "after-wal-reset", From: "meta.commit", Want: states[0]},
+		{Name: "after-compact-commit", Op: "syncdir", Want: states[1]},
+	}, trial(true))
 }

@@ -29,6 +29,7 @@ import (
 	"expelliarmus/internal/api"
 	"expelliarmus/internal/blobstore"
 	"expelliarmus/internal/blobstore/diskstore"
+	"expelliarmus/internal/fsx"
 	"expelliarmus/internal/master"
 	"expelliarmus/internal/metadb"
 	"expelliarmus/internal/metawal"
@@ -282,6 +283,9 @@ type OpenOptions struct {
 	// multi-segment layouts (and tighter compaction granularity) for
 	// tests and benchmarks.
 	BlobMaxSegmentBytes int64
+	// FS is the file system both stores live on; nil means the real one.
+	// Tests pass an fsx.Fault to crash the repository or fail its I/O.
+	FS fsx.FS
 }
 
 // OpenAt creates or reopens a disk-backed repository rooted at dir with
@@ -298,11 +302,12 @@ func OpenAtOpts(dir string, dev *simio.Device, o OpenOptions) (*Repo, error) {
 	blobs, err := diskstore.Open(filepath.Join(dir, "blobs"), diskstore.Options{
 		CompactDeadRatio: o.BlobCompactDeadRatio,
 		MaxSegmentBytes:  o.BlobMaxSegmentBytes,
+		FS:               o.FS,
 	})
 	if err != nil {
 		return nil, err
 	}
-	wal, db, err := metawal.Open(dir, metawal.Options{CompactBytes: o.WALCompactBytes})
+	wal, db, err := metawal.Open(dir, metawal.Options{CompactBytes: o.WALCompactBytes, FS: o.FS})
 	if err != nil {
 		blobs.Close()
 		return nil, fmt.Errorf("vmirepo: %w", err)
@@ -317,34 +322,9 @@ func OpenAtOpts(dir string, dev *simio.Device, o OpenOptions) (*Repo, error) {
 	return r, nil
 }
 
-// Abandon drops a disk-backed repository's file handles and directory
-// lock without syncing anything — a crash simulation for recovery tests;
-// production code wants Close. In-memory repositories have nothing to
-// abandon.
-func (r *Repo) Abandon() error {
-	var first error
-	if r.wal != nil {
-		first = r.wal.Abandon()
-	}
-	if ds, ok := r.diskBlobs(); ok {
-		if err := ds.Abandon(); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
-}
-
-// diskBlobs returns the concrete on-disk blob store of a disk-backed
-// writer repository — the crash-test seams (Abandon, BlobRecovery) are
-// the only callers that need more than the Backend contract.
-func (r *Repo) diskBlobs() (*diskstore.Store, bool) {
-	ds, ok := r.blobs.(*diskstore.Store)
-	return ds, ok
-}
-
 // WAL exposes the metadata write-ahead log of a disk-backed repository
-// (nil when in-memory) — recovery reports, compaction state, and the
-// crash-injection hook the kill-point tests use.
+// (nil when in-memory): recovery reports, compaction state and the
+// replication readers.
 func (r *Repo) WAL() *metawal.Log { return r.wal }
 
 // Persistent reports whether the repository is disk-backed (Sync commits
@@ -358,15 +338,6 @@ func (r *Repo) Persistent() bool { return r.dir != "" }
 // metadata record that references it — a record pointing at a blob that
 // never hit the log must not exist even in memory.
 func (r *Repo) blobErr() error { return r.blobs.Err() }
-
-// BlobRecovery returns the blob store's crash-recovery report when the
-// repository is disk-backed.
-func (r *Repo) BlobRecovery() (diskstore.RecoveryReport, bool) {
-	if ds, ok := r.diskBlobs(); ok {
-		return ds.Recovery(), true
-	}
-	return diskstore.RecoveryReport{}, false
-}
 
 // SyncStats reports one durable repository sync: the blob backend's
 // flush plus the metadata commit. Declared in the api leaf, which the wire
@@ -523,19 +494,21 @@ func (r *Repo) syncOrCompact(forceCompact bool) (SyncStats, error) {
 func (r *Repo) Close() error {
 	if r.dir != "" {
 		if _, err := r.Sync(); err != nil {
-			// Do NOT close the backend here: its internal sync would flush the
-			// queued blob releases even though the metadata that stopped
+			// Release everything without committing anything. The log's
+			// Close never commits. The blob store's would flush the queued
+			// blob releases even though the metadata that stopped
 			// referencing those blobs failed to commit — manufacturing the
-			// dangling-metadata state the two-phase protocol prevents.
-			// Abandon releases the handles and lock without syncing.
-			r.Abandon()
+			// dangling-metadata state the two-phase protocol prevents — so
+			// it is abandoned instead.
+			r.wal.Close()
+			if ds, ok := r.blobs.(*diskstore.Store); ok {
+				ds.Abandon()
+			}
 			return err
 		}
 	}
 	var first error
 	if r.wal != nil {
-		// The Sync above already committed everything; this only releases
-		// the WAL file handle (its internal close-sync is a no-op).
 		first = r.wal.Close()
 	}
 	if err := r.blobs.Close(); err != nil && first == nil {

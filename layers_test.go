@@ -1,9 +1,15 @@
 package expelliarmus
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"os/exec"
+	"path"
+	"path/filepath"
 	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -27,7 +33,8 @@ func TestImportLayers(t *testing.T) {
 		{pkg: "wire", allowed: image},
 		{pkg: "client", allowed: append([]string{"wire"}, image...)},
 		{pkg: "blobstore", allowed: []string{"api", "chunkpool"}},
-		{pkg: "metawal", allowed: []string{"api", "atomicfile", "metadb", "recframe"}},
+		{pkg: "fsx", allowed: []string{}},
+		{pkg: "metawal", allowed: []string{"api", "atomicfile", "fsx", "metadb", "recframe"}},
 		{pkg: "vmirepo", forbidden: []string{"wire", "client", "server"}},
 		{pkg: "core", forbidden: []string{"wire", "client", "server"}},
 	}
@@ -69,6 +76,61 @@ func TestImportLayers(t *testing.T) {
 		}
 		if len(above) > 0 {
 			t.Errorf("internal/%s reaches %v, which sit above it", row.pkg, above)
+		}
+	}
+}
+
+// TestFileSystemSeam pins that the storage engines reach the file system
+// only through internal/fsx, where a test can crash it or fail its I/O: the
+// non-test files of diskstore, metawal and atomicfile may name nothing
+// from os but its O_* open flags, and nothing from syscall.
+func TestFileSystemSeam(t *testing.T) {
+	fset := token.NewFileSet()
+	for _, dir := range []string{"internal/blobstore/diskstore", "internal/metawal", "internal/atomicfile"} {
+		files, err := filepath.Glob(filepath.Join(dir, "*.go"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		checked := 0
+		for _, file := range files {
+			if strings.HasSuffix(file, "_test.go") {
+				continue
+			}
+			f, err := parser.ParseFile(fset, file, nil, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checked++
+			banned := map[string]string{} // local import name -> path
+			for _, imp := range f.Imports {
+				p, _ := strconv.Unquote(imp.Path.Value)
+				if p != "os" && p != "syscall" {
+					continue
+				}
+				name := path.Base(p)
+				if imp.Name != nil {
+					name = imp.Name.Name
+				}
+				banned[name] = p
+			}
+			ast.Inspect(f, func(n ast.Node) bool {
+				sel, ok := n.(*ast.SelectorExpr)
+				if !ok {
+					return true
+				}
+				id, ok := sel.X.(*ast.Ident)
+				if !ok || banned[id.Name] == "" {
+					return true
+				}
+				if banned[id.Name] == "os" && strings.HasPrefix(sel.Sel.Name, "O_") {
+					return true
+				}
+				t.Errorf("%s: %s.%s bypasses internal/fsx", fset.Position(sel.Pos()), banned[id.Name], sel.Sel.Name)
+				return true
+			})
+		}
+		if checked == 0 {
+			t.Errorf("%s: no Go files checked", dir)
 		}
 	}
 }

@@ -6,6 +6,12 @@ import (
 	"math/rand"
 	"sort"
 	"testing"
+
+	"expelliarmus/internal/builder"
+	"expelliarmus/internal/catalog"
+	"expelliarmus/internal/core"
+	"expelliarmus/internal/fsx"
+	"expelliarmus/internal/vmirepo"
 )
 
 // TestWALReplayEquivalence is the replay-equivalence property test for
@@ -234,16 +240,27 @@ func TestWALReplayEquivalence(t *testing.T) {
 	}
 }
 
+// openAtFault is OpenAt with default options on an fsx.Fault, for tests
+// that crash the System.
+func openAtFault(t *testing.T, dir string) (*System, *fsx.Fault) {
+	t.Helper()
+	ffs := fsx.NewFault()
+	dev := newDevice()
+	repo, err := vmirepo.OpenAtOpts(dir, dev, vmirepo.OpenOptions{FS: ffs})
+	if err != nil {
+		t.Fatalf("OpenAt: %v", err)
+	}
+	sys := &System{dev: dev, sys: core.NewSystemWithRepo(repo, dev, coreOptions(Options{})), b: builder.New(catalog.NewUniverse())}
+	return sys, ffs
+}
+
 // TestWALCrashRollsBackToLastSync pins the facade-visible crash
 // contract: operations after the last Sync are rolled back by a crash —
 // the reopened catalog is exactly the synced one, with the unsynced
 // publish absent and the unsynced removal undone.
 func TestWALCrashRollsBackToLastSync(t *testing.T) {
 	dir := t.TempDir()
-	sys, err := OpenAt(dir, Options{})
-	if err != nil {
-		t.Fatalf("OpenAt: %v", err)
-	}
+	sys, ffs := openAtFault(t, dir)
 	for _, n := range []string{"Mini", "Redis"} {
 		img, err := sys.BuildImage(n)
 		if err != nil {
@@ -267,8 +284,8 @@ func TestWALCrashRollsBackToLastSync(t *testing.T) {
 	if _, err := sys.Publish(img); err != nil {
 		t.Fatal(err)
 	}
-	if err := sys.sys.Repo().Abandon(); err != nil { // crash
-		t.Fatalf("Abandon: %v", err)
+	if err := ffs.Crash(); err != nil {
+		t.Fatalf("crash: %v", err)
 	}
 
 	re, err := OpenAt(dir, Options{})
