@@ -47,8 +47,11 @@ type Options struct {
 	// NoBaseSelection disables base-image selection (Algorithm 2).
 	NoBaseSelection bool
 	// CacheBytes bounds the retrieval cache: a size-bounded LRU of
-	// recently assembled images that serves repeat Retrieve calls without
-	// re-running assembly. Zero (the default) disables it.
+	// recently assembled images, kept serialized, that serves repeat
+	// Retrieve and RetrieveTo calls without re-running assembly. Zero (the
+	// default) disables it. A miss serializes its image once, into the
+	// entry, and a hit writes that entry to the caller as it is: RetrieveTo
+	// on a hit is one copy of the cached bytes.
 	// The cache changes wall-clock time only — a hit returns the same
 	// image bytes and the same modeled RetrieveResult a fresh assembly
 	// would — and is invalidated by per-base striped repository

@@ -39,8 +39,8 @@ func marginalAlloc(alloc0, alloc2, image0, image2 int64) float64 {
 }
 
 // TestStreamExperiment retrieves three images whose bulk payload grows
-// 100x (to a 64 MiB top scale) on the configured backend, each published
-// into its own fresh system (the semantic base identity would otherwise
+// 100x (to a 64 MiB top scale) on the memory and on the disk store, each
+// published into its own fresh system (the semantic base identity would otherwise
 // dedup the bases — all three carry the same essential package set — and
 // silently collapse the scales onto one blob). Each image is retrieved
 // under measurement once streamed end-to-end (RetrieveTo into a hashing
@@ -56,7 +56,15 @@ func TestStreamExperiment(t *testing.T) {
 	if testing.Short() {
 		t.Skip("stream experiment skipped in -short mode")
 	}
+	for _, backend := range []string{"memory", "disk"} {
+		t.Run(backend, func(t *testing.T) { streamExperiment(t, backend) })
+	}
+}
+
+// streamExperiment is TestStreamExperiment on one backend.
+func streamExperiment(t *testing.T, backend string) {
 	r := newTestRunner(t)
+	r.backend = backend
 	const topBulk = 64 << 20
 	var streamed, legacy, images []int64
 	for _, bulk := range []int64{topBulk / 100, topBulk / 10, topBulk} {

@@ -9,7 +9,6 @@ import (
 	"expelliarmus/internal/retrievecache"
 	"expelliarmus/internal/simio"
 	"expelliarmus/internal/vdisk"
-	"expelliarmus/internal/vmi"
 	"expelliarmus/internal/vmirepo"
 )
 
@@ -84,90 +83,112 @@ func (s *System) CacheStats() (st CacheStats, ok bool) {
 	return st, true
 }
 
-// materializeCached turns a verified cache entry into a fresh image and
-// report. The image is deserialized lazily over the cached bytes: the
-// disk's copy-on-write layer means callers may still mutate the result
-// without touching the cache, but a hit no longer duplicates the whole
-// image up front — clusters are read from the (immutable) cached entry on
-// demand, which is what keeps hit-path memory flat under the streaming
-// retrieval. The report replays the cold retrieval's per-phase charges
-// into a fresh meter, so a hit's report is byte-identical to the miss
-// that seeded it. Singleflight followers go through the same path, so a
-// coalesced miss is indistinguishable from a hit to the caller. The
-// result has retrieve's shape; the pin is always nil — an image served
-// from the cache holds nothing in the blob store.
-func (s *System) materializeCached(name string, rec vmirepo.VMIRecord, ent *retrievecache.Entry) (*vmi.Image, *RetrieveReport, io.Closer, error) {
-	disk, err := vdisk.DeserializeLazy(name, bytes.NewReader(ent.Image), int64(len(ent.Image)))
-	if err != nil {
-		// The bytes hashed correctly, so this is an insertion-side bug,
-		// not bit rot — surface it rather than fall back silently.
-		return nil, nil, nil, fmt.Errorf("core: retrieve %s: decode cached image: %w", name, err)
-	}
+// serveEntry writes a verified cache entry's image to w verbatim — the
+// entry is the serialized image, so serving it is one copy — and replays
+// the cold retrieval's per-phase charges into a fresh meter, so the bytes
+// and the report are identical to the miss that seeded the entry. Hits,
+// singleflight followers and the leader that built the entry all answer
+// through it.
+func serveEntry(w io.Writer, rec vmirepo.VMIRecord, ent *retrievecache.Entry) (int64, *RetrieveReport, error) {
 	rep := &RetrieveReport{
-		Image:         name,
+		Image:         rec.Name,
 		Imported:      append([]string(nil), ent.Imported...),
 		ImportedBytes: ent.ImportedBytes,
 		Meter:         &simio.Meter{},
+		base:          ent.Base,
+		primaries:     append([]string(nil), rec.Primaries...),
 	}
 	for ph, d := range ent.Phases {
 		rep.Meter.Charge(ph, d)
 	}
-	return &vmi.Image{
-		Name:      name,
-		Base:      ent.Base,
-		Primaries: append([]string(nil), rec.Primaries...),
-		Disk:      disk,
-	}, rep, nil, nil
+	n, err := w.Write(ent.Image)
+	if err != nil {
+		return int64(n), nil, fmt.Errorf("core: retrieve %s: stream image: %w", rec.Name, err)
+	}
+	return int64(n), rep, nil
 }
 
-// cacheAssembled turns a completed assembly into a cache insert and — for
-// a singleflight leader — a shareable entry for its followers, but only
-// when the striped generation is still the one captured before the
-// retrieval's first read. An unchanged generation proves no mutation
-// relevant to this base or VMI committed anywhere inside the assembly
-// window (the repository bumps the stripes both before and after every
-// mutation), so the serialized bytes are a faithful image of the key's
-// generation and safe to serve to any later lookup under it. If the check
-// fails the assembly is simply not cached (and the stand-down is counted
-// against the base's stripe) — correctness never depends on an insert
-// happening.
+// leadAssembly runs one assembly of a cache miss and writes the image to
+// w: as the singleflight leader of key when fl is non-nil, solo when it is
+// nil. The flight is always finished, even when the assembly errors.
 //
-// The second return is a deferred entry builder for an image too large
-// for the cache: the skipped insert is counted as Rejected (so the stats
-// see uncacheable images), but serializing it is still worth doing for
-// singleflight followers, who each skip a full assembly — the leader
-// hands the builder to flightGroup.finish, which invokes it only once
-// the flight is sealed and the follower count is final. A solo caller
-// ignores it, paying nothing.
-func (s *System) cacheAssembled(key retrievecache.Key, gen uint64, img *vmi.Image, rep *RetrieveReport) (ent *retrievecache.Entry, build func() *retrievecache.Entry) {
-	if s.repo.GenerationFor(key.BaseID, key.UserData) != gen {
-		s.cctr.invalidations[vmirepo.StripeFor(key.BaseID)].Add(1)
-		return nil, nil
-	}
-	newEntry := func() *retrievecache.Entry {
-		// The assembled disk may be lazily backed by the blob store, so
-		// serialization can fail (a store torn down mid-flight). A failed
-		// build simply isn't cached — nil sends followers back to retry,
-		// and correctness never depends on an insert happening.
-		var buf bytes.Buffer
-		buf.Grow(int(img.Disk.SerializedBytes()))
-		if _, err := img.Disk.WriteTo(&buf); err != nil {
-			return nil
+// Before assembling, it re-checks the cache: between this caller's miss
+// and its taking the flight lead, a previous flight for the same key may
+// have finished and inserted — serving that entry instead of assembling
+// again is what keeps the herd at one assembly per generation even across
+// flight boundaries. The re-check is a Peek, so the caller's
+// already-counted miss is not double-counted.
+//
+// The image is cached only when the striped generation is still the one
+// captured before the retrieval's first read. An unchanged generation
+// proves no mutation relevant to this base or VMI committed anywhere
+// inside the assembly window (the repository bumps the stripes both before
+// and after every mutation), so the image is a faithful one of the key's
+// generation and safe to serve to any later lookup under it. It is then
+// serialized exactly once, into the entry, and the leader orders the rest:
+// insert, finish the flight (followers get the entry), write the entry to
+// w. If the generation moved, the stand-down is counted against the base's
+// stripe, followers are told to retry and the image streams straight to w
+// — correctness never depends on an insert happening. An image larger
+// than the whole budget is counted Rejected and streams straight to w as
+// well, unless followers wait for it: then the leader leaves the flight
+// first, so that no follower can join after the count is read, and
+// serializes an entry for them alone.
+//
+// The count returned is of bytes written to w; zero leaves the caller
+// free to retry.
+func (s *System) leadAssembly(w io.Writer, key retrievecache.Key, gen uint64, rec vmirepo.VMIRecord, rep *RetrieveReport, fl *flight) (int64, *RetrieveReport, error) {
+	landed := fl == nil
+	land := func(ent *retrievecache.Entry, err error) {
+		if !landed {
+			landed = true
+			s.flights.finish(key, fl, ent, err)
 		}
-		return retrievecache.NewEntry(
-			buf.Bytes(), img.Base, rep.Imported, rep.ImportedBytes, rep.Meter.Snapshot())
 	}
-	// AllocatedBytes is a lower bound on the serialized size (data
-	// clusters without tables); when it alone exceeds the whole budget the
-	// cache would reject the entry anyway, so defer the serialize + hash
-	// to whoever actually has followers waiting for the bytes.
-	if img.Disk.AllocatedBytes() > s.cache.MaxBytes() {
-		s.cache.NoteRejected()
-		return nil, newEntry
+	ent, err := s.cache.Peek(key)
+	if err != nil {
+		err = fmt.Errorf("core: retrieve %s: %w", rec.Name, err)
+		land(nil, err)
+		return 0, nil, err
 	}
-	if ent = newEntry(); ent == nil {
-		return nil, nil
+	if ent != nil {
+		s.cctr.hits[vmirepo.StripeFor(rec.BaseID)].Add(1)
+		land(ent, nil)
+		return serveEntry(w, rec, ent)
 	}
-	s.cache.Put(key, ent)
-	return ent, nil
+	var buf *bytes.Buffer
+	insert := false
+	n, err := s.assemble(rec.Name, rec.BaseID, rec.Primaries, rec.Name, rep, func(disk *vdisk.Disk) io.Writer {
+		if s.repo.GenerationFor(key.BaseID, key.UserData) != gen {
+			s.cctr.invalidations[vmirepo.StripeFor(key.BaseID)].Add(1)
+			land(nil, nil)
+			return w
+		}
+		size := disk.SerializedBytes()
+		if insert = size <= s.cache.MaxBytes(); !insert {
+			s.cache.NoteRejected()
+			if fl == nil || s.flights.leave(key, fl) == 0 {
+				land(nil, nil)
+				return w
+			}
+		}
+		buf = bytes.NewBuffer(make([]byte, 0, size))
+		return buf
+	})
+	if buf == nil || err != nil {
+		// Either the image went straight to w, or the assembly or its
+		// serialization into the entry failed; the latter reached w with
+		// nothing, so the caller may retry it.
+		land(nil, err)
+		if buf != nil {
+			n = 0
+		}
+		return n, rep, err
+	}
+	ent = retrievecache.NewEntry(buf.Bytes(), rep.base, rep.Imported, rep.ImportedBytes, rep.Meter.Snapshot())
+	if insert {
+		s.cache.Put(key, ent)
+	}
+	land(ent, nil)
+	return serveEntry(w, rec, ent)
 }

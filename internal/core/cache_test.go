@@ -4,10 +4,15 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"reflect"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
+	"expelliarmus/internal/blobstore"
 	"expelliarmus/internal/builder"
 	"expelliarmus/internal/catalog"
 	"expelliarmus/internal/pkgmeta"
@@ -234,6 +239,171 @@ func TestOversizeImageCountsRejected(t *testing.T) {
 	}
 	if st.Misses != 2 || st.Hits != 0 {
 		t.Fatalf("stats = %+v, want 2 misses / 0 hits", st)
+	}
+}
+
+// TestOversizeMissesCoalesce pins the singleflight path of an image too
+// large to cache: 16 concurrent misses still run exactly one assembly.
+// The leader's base open waits until the other 15 are queued behind it,
+// so none of them can arrive after the flight has landed; with no entry
+// inserted, each would otherwise assemble again.
+func TestOversizeMissesCoalesce(t *testing.T) {
+	hook := &openHook{Backend: blobstore.New()}
+	s := NewSystemWithRepo(vmirepo.NewWithBackend(testDev, hook), testDev, Options{CacheBytes: 1024})
+	if _, err := s.Publish(buildImage(t, builder.New(catalog.NewUniverse()), "Mini")); err != nil {
+		t.Fatal(err)
+	}
+	ref := traceRetrieve(t, s, "Mini")
+	rec, err := s.repo.GetVMI("Mini", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	binfo, err := s.repo.BaseInfo(rec.BaseID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const clients = 16
+	hook.id = binfo.BlobID
+	hook.then = func() {
+		for deadline := time.Now().Add(10 * time.Second); s.flights.stats().Waiting < clients-1; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Errorf("only %d of %d followers queued behind the leader", s.flights.stats().Waiting, clients-1)
+				return
+			}
+		}
+	}
+	before, _ := s.CacheStats()
+
+	images := make([][]byte, clients)
+	eachConcurrently(clients, func(i int) {
+		img, _, err := s.Retrieve("Mini")
+		if err != nil {
+			t.Errorf("client %d: %v", i, err)
+			return
+		}
+		images[i] = img.Disk.Serialize()
+	})
+	if t.Failed() {
+		t.FailNow()
+	}
+	for i, img := range images {
+		if !bytes.Equal(img, ref.image) {
+			t.Fatalf("client %d: image bytes differ from a solo retrieval", i)
+		}
+	}
+	after, _ := s.CacheStats()
+	if d := after.Rejected - before.Rejected; d != 1 {
+		t.Fatalf("%d assemblies (Rejected delta) for %d concurrent misses, want 1 (stats %+v)", d, clients, after)
+	}
+	if d := after.Coalesced - before.Coalesced; d != clients-1 {
+		t.Fatalf("Coalesced delta = %d, want %d (stats %+v)", d, clients-1, after)
+	}
+	if after.Puts != 0 || after.Hits != 0 {
+		t.Fatalf("stats = %+v: an oversize image was cached", after)
+	}
+}
+
+// baseReads is a blob backend that counts every byte read, streamed or
+// positioned, through the readers Open hands out for one blob.
+type baseReads struct {
+	blobstore.Backend
+	id blobstore.ID
+	n  atomic.Int64
+}
+
+type readAtCloser interface {
+	io.ReadCloser
+	io.ReaderAt
+}
+
+type countedReader struct {
+	readAtCloser
+	n *atomic.Int64
+}
+
+func (b *baseReads) Open(id blobstore.ID) (io.ReadCloser, int64, error) {
+	rc, size, err := b.Backend.Open(id)
+	if err != nil || id != b.id {
+		return rc, size, err
+	}
+	return &countedReader{rc.(readAtCloser), &b.n}, size, nil
+}
+
+func (r *countedReader) Read(p []byte) (int, error) {
+	n, err := r.readAtCloser.Read(p)
+	r.n.Add(int64(n))
+	return n, err
+}
+
+func (r *countedReader) ReadAt(p []byte, off int64) (int, error) {
+	n, err := r.readAtCloser.ReadAt(p, off)
+	r.n.Add(int64(n))
+	return n, err
+}
+
+// TestCachedMissReadsBaseOnce: a cached miss serializes the assembled
+// image once — into the cache entry, which is then written to the caller
+// — so it reads exactly the base-blob bytes a retrieval without the cache
+// reads.
+func TestCachedMissReadsBaseOnce(t *testing.T) {
+	baseBytesRead := func(opts Options) int64 {
+		reads := &baseReads{Backend: blobstore.New()}
+		s := NewSystemWithRepo(vmirepo.NewWithBackend(testDev, reads), testDev, opts)
+		if _, err := s.Publish(buildImage(t, builder.New(catalog.NewUniverse()), "Redis")); err != nil {
+			t.Fatal(err)
+		}
+		rec, err := s.repo.GetVMI("Redis", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		binfo, err := s.repo.BaseInfo(rec.BaseID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reads.id = binfo.BlobID
+		if _, _, err := s.RetrieveTo(io.Discard, "Redis"); err != nil {
+			t.Fatal(err)
+		}
+		return reads.n.Load()
+	}
+	off := baseBytesRead(Options{})
+	on := baseBytesRead(Options{CacheBytes: testCacheBytes})
+	if on != off {
+		t.Fatalf("a cached miss read %d base-blob bytes, a retrieval without the cache %d", on, off)
+	}
+}
+
+// TestCacheHitIsOneCopy: a hit writes its entry to the caller as it is —
+// no decode, no re-serialization — so a warm RetrieveTo into io.Discard
+// allocates a small fraction of the image, and delivers the cold bytes.
+func TestCacheHitIsOneCopy(t *testing.T) {
+	s, b := newSystem(t, Options{CacheBytes: testCacheBytes})
+	if _, err := s.Publish(buildImage(t, b, "Redis")); err != nil {
+		t.Fatal(err)
+	}
+	var cold, warm bytes.Buffer
+	for _, w := range []*bytes.Buffer{&cold, &warm} {
+		if _, _, err := s.RetrieveTo(w, "Redis"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !bytes.Equal(cold.Bytes(), warm.Bytes()) {
+		t.Fatalf("warm image differs from cold: %d vs %d bytes", warm.Len(), cold.Len())
+	}
+	runtime.GC()
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	if _, _, err := s.RetrieveTo(io.Discard, "Redis"); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&m1)
+	alloc := int64(m1.TotalAlloc - m0.TotalAlloc)
+	if alloc*20 >= int64(cold.Len()) {
+		t.Fatalf("a warm retrieval allocated %d bytes for a %d-byte image, want under 5%%", alloc, cold.Len())
+	}
+	t.Logf("warm retrieval of a %d-byte image allocated %d bytes", cold.Len(), alloc)
+	if st, _ := s.CacheStats(); st.Hits != 2 || st.Misses != 1 {
+		t.Fatalf("stats = %+v, want 1 miss then 2 hits", st)
 	}
 }
 

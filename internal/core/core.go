@@ -5,6 +5,7 @@
 package core
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"errors"
@@ -859,6 +860,11 @@ type RetrieveReport struct {
 	ImportedBytes int64
 	// Meter decomposes the retrieval cost into the Fig. 5a phases.
 	Meter *simio.Meter
+
+	// base and primaries are the header of the image the operation wrote,
+	// for Retrieve and Assemble to rebuild it from the stream.
+	base      pkgmeta.BaseAttrs
+	primaries []string
 }
 
 // Seconds returns the total modeled retrieval time.
@@ -874,80 +880,69 @@ func (r *RetrieveReport) Result() *api.RetrieveResult {
 	}
 }
 
-// Retrieve assembles a previously published VMI by name (Algorithm 3).
+// Retrieve assembles a previously published VMI by name (Algorithm 3)
+// and hands it back decoded: a materializing adapter over RetrieveTo,
+// which writes the serialized image once — from the assembly, or as a
+// copy of its retrieval-cache entry — into a buffer that Retrieve
+// decodes into an image independent of the blob store and of the cache.
+// The report is RetrieveTo's.
+func (s *System) Retrieve(name string) (*vmi.Image, *RetrieveReport, error) {
+	var buf bytes.Buffer
+	_, rep, err := s.RetrieveTo(&buf, name)
+	if err != nil {
+		return nil, nil, err
+	}
+	return decodeImage(name, buf.Bytes(), rep)
+}
+
+// decodeImage rebuilds the image a streaming call wrote from its bytes
+// and the header its report carries. The bytes are the caller's own
+// buffer, so the disk decodes lazily over them instead of copying every
+// cluster out; writes go to its copy-on-write layer.
+func decodeImage(name string, image []byte, rep *RetrieveReport) (*vmi.Image, *RetrieveReport, error) {
+	disk, err := vdisk.DeserializeLazy(name, bytes.NewReader(image), int64(len(image)))
+	if err != nil {
+		return nil, nil, fmt.Errorf("core: %s: decode image: %w", name, err)
+	}
+	return &vmi.Image{Name: name, Base: rep.base, Primaries: rep.primaries, Disk: disk}, rep, nil
+}
+
+// RetrieveTo assembles a published VMI and streams its serialized image
+// straight to w, returning the byte count. Without the retrieval cache
+// the bytes pass through the same lazy backing the assembly read them
+// from, so peak memory stays bounded by the clusters the assembly
+// actually touched plus the streaming chunk — it does not grow with
+// image size.
 //
 // Under concurrent publish traffic, base-image selection may replace the
 // VMI's base between the record read and the master/base reads (the
-// record is atomically rewired to the surviving base). Retrieve absorbs
-// that window by re-reading the record and retrying; each attempt starts
-// a fresh meter, so the report reflects exactly one assembly.
-func (s *System) Retrieve(name string) (*vmi.Image, *RetrieveReport, error) {
-	img, rep, base, err := s.retrieve(name)
-	if err != nil {
-		return nil, nil, err
-	}
-	if err := detach(img, base); err != nil {
-		return nil, nil, err
-	}
-	return img, rep, nil
-}
-
-// detach makes a freshly assembled image independent of the blob store
-// and drops its pin on the base blob: the assembly's disk reads base
-// clusters lazily through the store's reader, which is valid only while
-// that reader is open (on the disk backend it pins a segment compaction
-// may otherwise retire), so an image handed to a caller is flattened
-// first. base is nil for an image served from the retrieval cache — its
-// disk reads an immutable in-memory entry and needs nothing from the store.
-func detach(img *vmi.Image, base io.Closer) error {
-	if base == nil {
-		return nil
-	}
-	defer base.Close()
-	if err := img.Disk.Flatten(); err != nil {
-		return fmt.Errorf("core: retrieve %s: materialize image: %w", img.Name, err)
-	}
-	return nil
-}
-
-// streamOut writes an assembled image's serialized form to w, holding
-// the base pin for exactly as long as the lazy disk is being read.
-func streamOut(w io.Writer, img *vmi.Image, base io.Closer) (int64, error) {
-	if base != nil {
-		defer base.Close()
-	}
-	n, err := img.Disk.WriteTo(w)
-	if err != nil {
-		return n, fmt.Errorf("core: retrieve %s: stream image: %w", img.Name, err)
-	}
-	return n, nil
-}
-
-// retrieve is the shared body of Retrieve and RetrieveTo; the image it
-// returns still reads through the returned pin on its base blob. The
-// striped repository generation of the VMI's base image and name is captured
-// right after the record read; an assembly that fails after it moved is
-// retried, not reported. When the retrieval cache is enabled, a hit under
-// that generation is served from the cache (hash-verified, modeled
-// charges replayed), concurrent misses of the same key coalesce behind
-// one assembly (the miss singleflight), and a completed assembly is
-// inserted only if the generation is still unchanged — so an assembly
-// that raced a relevant publish or removal can never be cached under a
-// key a later lookup would trust.
+// record is atomically rewired to the surviving base). RetrieveTo absorbs
+// that window by re-reading the record and retrying — as long as no byte
+// has reached w; each attempt starts a fresh meter, so the report
+// reflects exactly one assembly. The striped repository generation of
+// the VMI's base image and name is captured right after the record read;
+// an assembly that fails after it moved is retried, not reported. When
+// the retrieval cache is enabled, a hit under that generation writes the
+// entry's image to w (hash-verified, modeled charges replayed),
+// concurrent misses of the same key coalesce behind one assembly (the
+// miss singleflight), and a completed assembly is inserted only if the
+// generation is still unchanged (see leadAssembly) — so an assembly that
+// raced a relevant publish or removal can never be cached under a key a
+// later lookup would trust.
 //
 // The record read happens before the generation capture, which is safe:
 // an entry's validity depends only on the master graph, base blob,
 // packages and user data named by its key — all covered by the captured
 // stripes — never on the record itself, which only selects which key a
 // retrieval builds.
-func (s *System) retrieve(name string) (*vmi.Image, *RetrieveReport, io.Closer, error) {
+func (s *System) RetrieveTo(w io.Writer, name string) (int64, *RetrieveReport, error) {
 	const maxAttempts = 3
 	var lastErr error
 	for attempt := 0; attempt < maxAttempts; attempt++ {
 		rep := &RetrieveReport{Image: name, Meter: &simio.Meter{}}
 		rec, err := s.repo.GetVMI(name, rep.Meter)
 		if err != nil {
-			return nil, nil, nil, err
+			return 0, nil, err
 		}
 		gen := s.repo.GenerationFor(rec.BaseID, name)
 		// An assembly takes no commit lock, so one that overlaps a removal
@@ -958,33 +953,37 @@ func (s *System) retrieve(name string) (*vmi.Image, *RetrieveReport, io.Closer, 
 		transient := func(err error) bool {
 			return errors.Is(err, vmirepo.ErrNotFound) || s.repo.GenerationFor(rec.BaseID, name) != gen
 		}
-		var key retrievecache.Key
-		if s.cache != nil {
-			key = retrievecache.NewKey(rec.BaseID, rec.Primaries, name, gen)
-			ent, err := s.cache.Get(key)
-			if err != nil {
-				return nil, nil, nil, fmt.Errorf("core: retrieve %s: %w", name, err)
+		var n int64
+		if s.cache == nil {
+			n, err = s.assemble(name, rec.BaseID, rec.Primaries, name, rep, func(*vdisk.Disk) io.Writer { return w })
+		} else {
+			key := retrievecache.NewKey(rec.BaseID, rec.Primaries, name, gen)
+			ent, gerr := s.cache.Get(key)
+			if gerr != nil {
+				return 0, nil, fmt.Errorf("core: retrieve %s: %w", name, gerr)
 			}
 			if ent != nil {
 				s.cctr.hits[vmirepo.StripeFor(rec.BaseID)].Add(1)
-				return s.materializeCached(name, rec, ent)
+				return serveEntry(w, rec, ent)
 			}
 			// Miss. Coalesce behind any in-flight assembly of the same
 			// key — except on the final attempt, where the caller
 			// assembles solo so repeated leader failures can never
 			// starve it.
+			var fl *flight
 			if attempt < maxAttempts-1 {
-				if fl, leader := s.flights.join(key); !leader {
+				var leader bool
+				if fl, leader = s.flights.join(key); !leader {
 					<-fl.done
 					if fl.ent != nil {
 						s.cctr.coalesced.Add(1)
-						return s.materializeCached(name, rec, fl.ent)
+						return serveEntry(w, rec, fl.ent)
 					}
 					// A hard leader failure hits every follower too:
 					// surface it like a solo assembly would, instead of
 					// re-amplifying assembly load on a failing backend.
 					if fl.err != nil && !transient(fl.err) {
-						return nil, nil, nil, fl.err
+						return 0, nil, fl.err
 					}
 					// The leader hit the transient not-found window, or
 					// its assembly raced a mutation on this stripe: retry
@@ -993,107 +992,40 @@ func (s *System) retrieve(name string) (*vmi.Image, *RetrieveReport, io.Closer, 
 					// new generation, or into leading a fresh flight).
 					lastErr = fl.err
 					continue
-				} else {
-					img, lrep, base, err := s.leadAssembly(key, gen, rec, rep, fl)
-					if err == nil {
-						return img, lrep, base, nil
-					}
-					if !transient(err) {
-						return nil, nil, nil, err
-					}
-					lastErr = err
-					continue
 				}
 			}
+			n, rep, err = s.leadAssembly(w, key, gen, rec, rep, fl)
 		}
-		// Solo assembly: no cache, or the final attempt of a cached
-		// retrieval.
-		img, base, err := s.assemble(name, rec.BaseID, rec.Primaries, name, rep)
 		if err == nil {
-			if s.cache != nil {
-				s.cacheAssembled(key, gen, img, rep)
-			}
-			return img, rep, base, nil
+			return n, rep, nil
 		}
-		if !transient(err) {
-			return nil, nil, nil, err
+		if n > 0 || !transient(err) {
+			return n, nil, err
 		}
 		lastErr = err
 	}
-	return nil, nil, nil, fmt.Errorf("core: retrieve %s: %w", name, lastErr)
-}
-
-// leadAssembly runs one assembly as the singleflight leader for key: it
-// assembles, attempts the generation-checked cache insert, and publishes
-// the outcome to the flight's followers (a verified shareable entry, or
-// nil telling them to retry). The flight is always finished, even when
-// the assembly errors.
-//
-// Before assembling, the leader re-checks the cache: between this
-// caller's miss and its taking the flight lead, a previous flight for
-// the same key may have finished and inserted — serving that entry
-// instead of assembling again is what keeps the herd at one assembly per
-// generation even across flight boundaries. The re-check is a Peek, so
-// the caller's already-counted miss is not double-counted.
-func (s *System) leadAssembly(key retrievecache.Key, gen uint64, rec vmirepo.VMIRecord, rep *RetrieveReport, fl *flight) (*vmi.Image, *RetrieveReport, io.Closer, error) {
-	var shared *retrievecache.Entry
-	var sharedBuild func() *retrievecache.Entry
-	var aerr error
-	defer func() { s.flights.finish(key, fl, shared, aerr, sharedBuild) }()
-	ent, err := s.cache.Peek(key)
-	if err != nil {
-		aerr = err
-		return nil, nil, nil, fmt.Errorf("core: retrieve %s: %w", rec.Name, err)
-	}
-	if ent != nil {
-		s.cctr.hits[vmirepo.StripeFor(rec.BaseID)].Add(1)
-		shared = ent
-		img, crep, _, err := s.materializeCached(rec.Name, rec, ent)
-		if err != nil {
-			shared, aerr = nil, err
-		}
-		return img, crep, nil, err
-	}
-	img, base, err := s.assemble(rec.Name, rec.BaseID, rec.Primaries, rec.Name, rep)
-	if err != nil {
-		aerr = err
-		return nil, nil, nil, err
-	}
-	shared, sharedBuild = s.cacheAssembled(key, gen, img, rep)
-	return img, rep, base, nil
+	return 0, nil, fmt.Errorf("core: retrieve %s: %w", name, lastErr)
 }
 
 // Assemble builds a VMI that was never uploaded in this exact form: any
 // primary package combination available in the repository, on a compatible
 // stored base image ("VMI assembly either with identical or with differing
 // functionality", Sec. IV-D). userDataFrom optionally names a published
-// VMI whose user data to import.
+// VMI whose user data to import. It is AssembleTo into a buffer, decoded
+// like Retrieve.
 func (s *System) Assemble(name string, primaries []string, userDataFrom string) (*vmi.Image, *RetrieveReport, error) {
-	img, rep, base, err := s.assembleCustom(name, primaries, userDataFrom)
+	var buf bytes.Buffer
+	_, rep, err := s.AssembleTo(&buf, name, primaries, userDataFrom)
 	if err != nil {
 		return nil, nil, err
 	}
-	if err := detach(img, base); err != nil {
-		return nil, nil, err
-	}
-	return img, rep, nil
+	return decodeImage(name, buf.Bytes(), rep)
 }
 
 // AssembleTo is Assemble streaming the serialized image straight to w,
 // like RetrieveTo: no in-memory image is handed back and peak memory does
 // not grow with image size.
 func (s *System) AssembleTo(w io.Writer, name string, primaries []string, userDataFrom string) (int64, *RetrieveReport, error) {
-	img, rep, base, err := s.assembleCustom(name, primaries, userDataFrom)
-	if err != nil {
-		return 0, nil, err
-	}
-	n, err := streamOut(w, img, base)
-	return n, rep, err
-}
-
-// assembleCustom is the shared body of Assemble and AssembleTo; the image
-// it returns still reads through the returned pin on its base blob.
-func (s *System) assembleCustom(name string, primaries []string, userDataFrom string) (*vmi.Image, *RetrieveReport, io.Closer, error) {
 	// Like Retrieve, Assemble takes no commit lock and retries when the
 	// candidate base changes under it mid-assembly: a concurrent publish
 	// commit replaced it (the rescan then finds the surviving, merged
@@ -1107,7 +1039,7 @@ func (s *System) assembleCustom(name string, primaries []string, userDataFrom st
 		rep := &RetrieveReport{Image: name, Meter: &simio.Meter{}}
 		masters, err := s.repo.Masters()
 		if err != nil {
-			return nil, nil, nil, err
+			return 0, nil, err
 		}
 		sort.Slice(masters, func(i, j int) bool { return masters[i].BaseID < masters[j].BaseID })
 		found := false
@@ -1117,21 +1049,21 @@ func (s *System) assembleCustom(name string, primaries []string, userDataFrom st
 			}
 			found = true
 			gen := s.repo.GenerationFor(mg.BaseID)
-			img, base, err := s.assemble(name, mg.BaseID, primaries, userDataFrom, rep)
+			n, err := s.assemble(name, mg.BaseID, primaries, userDataFrom, rep, func(*vdisk.Disk) io.Writer { return w })
 			if err == nil {
-				return img, rep, base, nil
+				return n, rep, nil
 			}
-			if !errors.Is(err, vmirepo.ErrNotFound) && s.repo.GenerationFor(mg.BaseID) == gen {
-				return nil, nil, nil, err
+			if n > 0 || (!errors.Is(err, vmirepo.ErrNotFound) && s.repo.GenerationFor(mg.BaseID) == gen) {
+				return n, nil, err
 			}
 			lastErr = err
 			break
 		}
 		if !found {
-			return nil, nil, nil, fmt.Errorf("core: no stored base provides packages %v", primaries)
+			return 0, nil, fmt.Errorf("core: no stored base provides packages %v", primaries)
 		}
 	}
-	return nil, nil, nil, fmt.Errorf("core: assemble %s: %w", name, lastErr)
+	return 0, nil, fmt.Errorf("core: assemble %s: %w", name, lastErr)
 }
 
 func hasAll(have []string, want []string) bool {
@@ -1151,28 +1083,29 @@ func hasAll(have []string, want []string) bool {
 // assembly (Sec. V-4).
 const localRepoDir = "/var/local-repo"
 
-// assemble implements Algorithm 3 against a specific base image. The
-// returned image's disk reads untouched base clusters lazily through the
-// base blob's reader, returned alongside: the caller closes it once it is
-// done reading the disk (detach, streamOut).
-func (s *System) assemble(name, baseID string, primaries []string, userDataFrom string, rep *RetrieveReport) (_ *vmi.Image, base io.Closer, err error) {
+// assemble implements Algorithm 3 against a specific base image and
+// writes the serialized result to the writer sink picks for the finished
+// disk, returning the bytes written. The disk reads untouched base
+// clusters lazily through the base blob's reader, which pins the blob
+// until assemble returns; nothing lazily backed outlives the call.
+func (s *System) assemble(name, baseID string, primaries []string, userDataFrom string, rep *RetrieveReport, sink func(*vdisk.Disk) io.Writer) (int64, error) {
 	// Line 1: subgraphs from the repository.
 	mg, err := s.repo.GetMaster(baseID, rep.Meter)
 	if err != nil {
-		return nil, nil, err
+		return 0, err
 	}
 	baseSub := mg.BaseSubgraph()
 	psUnion := semgraph.New(mg.Attrs())
 	for _, p := range primaries {
 		sub, err := mg.PrimarySubgraph(p)
 		if err != nil {
-			return nil, nil, fmt.Errorf("core: assemble %s: %w", name, err)
+			return 0, fmt.Errorf("core: assemble %s: %w", name, err)
 		}
 		psUnion.Union(sub)
 	}
 	// Line 2: compatibility check.
 	if !similarity.Compatible(baseSub, psUnion) {
-		return nil, nil, fmt.Errorf("core: assemble %s: primary packages incompatible with base %s", name, baseID)
+		return 0, fmt.Errorf("core: assemble %s: primary packages incompatible with base %s", name, baseID)
 	}
 
 	// Lines 3–4: copy the base image and reset it. The copy is lazy: the
@@ -1181,27 +1114,23 @@ func (s *System) assemble(name, baseID string, primaries []string, userDataFrom 
 	// base clusters the assembly never touches are never materialized.
 	rc, size, err := s.repo.OpenBase(baseID, simio.PhaseCopy, rep.Meter)
 	if err != nil {
-		return nil, nil, err
+		return 0, err
 	}
-	defer func() {
-		if err != nil {
-			rc.Close()
-		}
-	}()
+	defer rc.Close()
 	ra, ok := rc.(io.ReaderAt)
 	if !ok {
-		return nil, nil, fmt.Errorf("core: assemble %s: base reader %T is not an io.ReaderAt", name, rc)
+		return 0, fmt.Errorf("core: assemble %s: base reader %T is not an io.ReaderAt", name, rc)
 	}
 	disk, err := vdisk.DeserializeLazy(name, ra, size)
 	if err != nil {
-		return nil, nil, err
+		return 0, err
 	}
 	h := guestfs.New(disk, s.dev, rep.Meter)
 	if err := h.Launch(); err != nil {
-		return nil, nil, err
+		return 0, err
 	}
 	if err := h.Sysprep(nil); err != nil {
-		return nil, nil, err
+		return 0, err
 	}
 	fs, _ := h.FS()
 
@@ -1209,19 +1138,19 @@ func (s *System) assemble(name, baseID string, primaries []string, userDataFrom 
 	if userDataFrom != "" {
 		archive, err := s.repo.GetUserData(userDataFrom, simio.PhaseImport, rep.Meter)
 		if err != nil {
-			return nil, nil, err
+			return 0, err
 		}
 		if archive != nil {
 			files, err := pkgfmt.UnpackTar(archive)
 			if err != nil {
-				return nil, nil, err
+				return 0, err
 			}
 			for _, f := range files {
 				if err := fs.MkdirAll(path.Dir(f.Path)); err != nil {
-					return nil, nil, err
+					return 0, err
 				}
 				if err := fs.WriteFile(f.Path, f.Data); err != nil {
-					return nil, nil, err
+					return 0, err
 				}
 			}
 		}
@@ -1237,24 +1166,24 @@ func (s *System) assemble(name, baseID string, primaries []string, userDataFrom 
 	}
 	order, err := pkgmgr.InstallOrder(graphUniverse{psUnion}, missing)
 	if err != nil {
-		return nil, nil, err
+		return 0, err
 	}
 
 	// Lines 11–13: import and install through the guest package manager
 	// from a temporary local repository.
 	mgr, err := h.PackageManager()
 	if err != nil {
-		return nil, nil, err
+		return 0, err
 	}
 	if err := fs.MkdirAll(localRepoDir); err != nil {
-		return nil, nil, err
+		return 0, err
 	}
 	if err := fs.MkdirAll("/etc/apt/sources.list.d"); err != nil {
-		return nil, nil, err
+		return 0, err
 	}
 	if err := fs.WriteFile("/etc/apt/sources.list.d/local.list",
 		[]byte("deb [trusted=yes] file:"+localRepoDir+" ./\n")); err != nil {
-		return nil, nil, err
+		return 0, err
 	}
 	for _, group := range order {
 		for _, pkgName := range group {
@@ -1264,61 +1193,46 @@ func (s *System) assemble(name, baseID string, primaries []string, userDataFrom 
 			v, _ := psUnion.Vertex(pkgName)
 			_, blob, err := s.repo.GetPackage(v.Pkg.Ref(), simio.PhaseImport, rep.Meter)
 			if err != nil {
-				return nil, nil, err
+				return 0, err
 			}
 			local := path.Join(localRepoDir, pkgName+".deb")
 			if err := fs.WriteFile(local, blob); err != nil {
-				return nil, nil, err
+				return 0, err
 			}
 			if mgr.IsInstalled(pkgName) {
 				// Already present (e.g. imported by an earlier group).
 				if err := fs.Remove(local); err != nil {
-					return nil, nil, err
+					return 0, err
 				}
 				continue
 			}
 			if err := mgr.Install(blob); err != nil {
-				return nil, nil, err
+				return 0, err
 			}
 			rep.Meter.Charge(simio.PhaseImport,
 				s.dev.InstallCost(catalog.Real(v.Pkg.InstalledSize), 1))
 			rep.Imported = append(rep.Imported, pkgName)
 			rep.ImportedBytes += v.Pkg.InstalledSize
 			if err := fs.Remove(local); err != nil {
-				return nil, nil, err
+				return 0, err
 			}
 		}
 	}
 	// Restore the default repository configuration (Sec. V-4).
 	if err := fs.RemoveAll(localRepoDir); err != nil {
-		return nil, nil, err
+		return 0, err
 	}
 	if err := fs.Remove("/etc/apt/sources.list.d/local.list"); err != nil {
-		return nil, nil, err
+		return 0, err
 	}
 	h.Close()
 
-	disk.SetName(name)
-	return &vmi.Image{
-		Name:      name,
-		Base:      mg.Attrs(),
-		Primaries: append([]string(nil), primaries...),
-		Disk:      disk,
-	}, rc, nil
-}
-
-// RetrieveTo assembles a published VMI like Retrieve and streams its
-// serialized image straight to w, returning the byte count. The written
-// bytes pass through the same lazy backing the assembly read them from,
-// so peak memory stays bounded by the clusters the assembly actually
-// touched plus the streaming chunk — it does not grow with image size.
-func (s *System) RetrieveTo(w io.Writer, name string) (int64, *RetrieveReport, error) {
-	img, rep, base, err := s.retrieve(name)
+	rep.base, rep.primaries = mg.Attrs(), append([]string(nil), primaries...)
+	n, err := disk.WriteTo(sink(disk))
 	if err != nil {
-		return 0, nil, err
+		return n, fmt.Errorf("core: assemble %s: stream image: %w", name, err)
 	}
-	n, err := streamOut(w, img, base)
-	return n, rep, err
+	return n, nil
 }
 
 // graphUniverse adapts a semantic graph to the resolver's Universe.

@@ -2,7 +2,6 @@ package core
 
 import (
 	"sync"
-	"sync/atomic"
 
 	"expelliarmus/internal/retrievecache"
 )
@@ -14,16 +13,14 @@ import (
 // popular image).
 type flight struct {
 	done chan struct{}
-	// waiters counts followers (incremented under the group lock); finish
-	// reads it after unregistering the flight — when it is final — to
-	// decide whether a shareable entry is worth building when the cache
-	// itself would reject it (oversize images).
-	waiters atomic.Int32
+	// waiters counts followers. It is guarded by the group lock, so the
+	// count leave returns is final.
+	waiters int
 	// ent and err are the leader's outcome, written strictly before done
 	// is closed. ent is non-nil only when the leader re-verified the
-	// generation after assembling, so followers may serve a deep copy of
-	// it exactly like a cache hit; ent == nil tells followers to retry
-	// with a fresh record and generation.
+	// generation after assembling, so followers may write its image
+	// exactly like a cache hit; ent == nil tells followers to retry with a
+	// fresh record and generation.
 	ent *retrievecache.Entry
 	err error
 }
@@ -59,11 +56,9 @@ func (g *flightGroup) join(key retrievecache.Key) (fl *flight, leader bool) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	if fl, ok := g.m[key]; ok {
-		depth := int64(fl.waiters.Add(1))
+		fl.waiters++
 		g.ctr.Waiting++
-		if depth > g.ctr.PeakDepth {
-			g.ctr.PeakDepth = depth
-		}
+		g.ctr.PeakDepth = max(g.ctr.PeakDepth, int64(fl.waiters))
 		return fl, false
 	}
 	if g.m == nil {
@@ -83,28 +78,26 @@ func (g *flightGroup) stats() FlightStats {
 	return g.ctr
 }
 
-// finish publishes the leader's outcome and releases the flight. The key
-// is removed from the group before done is closed, so a miss arriving
-// after the outcome is sealed starts a fresh flight rather than joining
-// a finished one.
-//
-// build, when non-nil, produces a shareable entry on demand for an
-// outcome that has followers but no cached entry (an image too large to
-// cache). It runs strictly after the key is removed from the group —
-// joins only happen under the group lock while the key is present, so
-// the waiter count read here is final and no follower can slip in after
-// a "no waiters" decision.
-func (g *flightGroup) finish(key retrievecache.Key, fl *flight, ent *retrievecache.Entry, err error, build func() *retrievecache.Entry) {
+// leave unregisters the flight and returns its final follower count:
+// joins happen only under the group lock while key maps to fl, so once
+// leave returns no retrieval can follow fl any more, and a miss arriving
+// later starts a fresh flight. Leaving twice is harmless.
+func (g *flightGroup) leave(key retrievecache.Key, fl *flight) int {
 	g.mu.Lock()
-	delete(g.m, key)
-	g.ctr.Active--
-	// The key is out of the map, so the waiter count is final: settle the
-	// gauge for every follower this flight is about to release.
-	g.ctr.Waiting -= int64(fl.waiters.Load())
-	g.mu.Unlock()
-	if ent == nil && err == nil && build != nil && fl.waiters.Load() > 0 {
-		ent = build()
+	defer g.mu.Unlock()
+	if g.m[key] == fl {
+		delete(g.m, key)
+		g.ctr.Active--
+		// Settle the gauge for every follower this flight will release.
+		g.ctr.Waiting -= int64(fl.waiters)
 	}
+	return fl.waiters
+}
+
+// finish unregisters the flight, unless the leader already left it, and
+// hands the leader's outcome to its followers.
+func (g *flightGroup) finish(key retrievecache.Key, fl *flight, ent *retrievecache.Entry, err error) {
+	g.leave(key, fl)
 	fl.ent, fl.err = ent, err
 	close(fl.done)
 }

@@ -41,13 +41,13 @@ func TestFlightStatsMeter(t *testing.T) {
 		t.Fatalf("mid-flight stats = %+v, want %+v", st, want)
 	}
 
-	g.finish(keyA, flA, nil, nil, nil)
+	g.finish(keyA, flA, nil, nil)
 	want = FlightStats{Led: 2, Active: 1, Waiting: 1, PeakDepth: 3}
 	if st := g.stats(); st != want {
 		t.Fatalf("after keyA landed: stats = %+v, want %+v", st, want)
 	}
 
-	g.finish(keyB, flB, nil, nil, nil)
+	g.finish(keyB, flB, nil, nil)
 	want = FlightStats{Led: 2, Active: 0, Waiting: 0, PeakDepth: 3}
 	if st := g.stats(); st != want {
 		t.Fatalf("after all landed: stats = %+v, want %+v", st, want)
@@ -61,7 +61,7 @@ func TestFlightStatsMeter(t *testing.T) {
 	if _, led := g.join(keyA); led {
 		t.Fatal("follower of second keyA flight led")
 	}
-	g.finish(keyA, flA2, nil, nil, nil)
+	g.finish(keyA, flA2, nil, nil)
 	want = FlightStats{Led: 3, Active: 0, Waiting: 0, PeakDepth: 3}
 	if st := g.stats(); st != want {
 		t.Fatalf("after shallow reflight: stats = %+v, want %+v", st, want)
