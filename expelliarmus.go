@@ -60,9 +60,9 @@ type Options struct {
 	// unrelated bases leave warm entries servable (package GC
 	// conservatively invalidates everything). Concurrent misses of one
 	// image coalesce behind a single assembly, so a retrieval storm on a
-	// cold popular image runs it once. Cached entries are hash-verified
-	// on every hit; a corrupted entry surfaces as an error, never as
-	// wrong bytes. See CacheStats for effectiveness counters.
+	// cold popular image runs it once. Cached entries are checksummed
+	// (CRC-32C) on every hit; a corrupted entry surfaces as an error, never
+	// as wrong bytes. See CacheStats for effectiveness counters.
 	CacheBytes int64
 	// WALCompactBytes tunes disk-backed Systems (OpenAt): the metadata
 	// write-ahead log is compacted — rewritten as a fresh full snapshot

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"fmt"
 	"io"
 	"sync/atomic"
@@ -83,12 +84,25 @@ func (s *System) CacheStats() (st CacheStats, ok bool) {
 	return st, true
 }
 
+// DigestWriter is a sink that can take a whole image together with its
+// SHA-256, so it need not hash the image itself: the HTTP server's
+// response writer, which owes the client a digest trailer. RetrieveTo
+// hands it a retrieval-cache entry's insert-time digest (Entry.Sum); every
+// other image, and every sink that is not a DigestWriter, gets plain
+// Writes.
+type DigestWriter interface {
+	io.Writer
+	WriteDigested(image []byte, sum [sha256.Size]byte) (int, error)
+}
+
 // serveEntry writes a verified cache entry's image to w verbatim — the
 // entry is the serialized image, so serving it is one copy — and replays
 // the cold retrieval's per-phase charges into a fresh meter, so the bytes
 // and the report are identical to the miss that seeded the entry. Hits,
 // singleflight followers and the leader that built the entry all answer
-// through it.
+// through it. An entry the cache hashed goes to a DigestWriter with its
+// digest; one that was never inserted (an over-budget leader's hand-off to
+// its followers) is written plainly.
 func serveEntry(w io.Writer, rec vmirepo.VMIRecord, ent *retrievecache.Entry) (int64, *RetrieveReport, error) {
 	rep := &RetrieveReport{
 		Image:         rec.Name,
@@ -101,7 +115,14 @@ func serveEntry(w io.Writer, rec vmirepo.VMIRecord, ent *retrievecache.Entry) (i
 	for ph, d := range ent.Phases {
 		rep.Meter.Charge(ph, d)
 	}
-	n, err := w.Write(ent.Image)
+	var n int
+	var err error
+	dw, isDW := w.(DigestWriter)
+	if sum, ok := ent.Sum(); ok && isDW {
+		n, err = dw.WriteDigested(ent.Image, sum)
+	} else {
+		n, err = w.Write(ent.Image)
+	}
 	if err != nil {
 		return int64(n), nil, fmt.Errorf("core: retrieve %s: stream image: %w", rec.Name, err)
 	}

@@ -923,7 +923,8 @@ func decodeImage(name string, image []byte, rep *RetrieveReport) (*vmi.Image, *R
 // the VMI's base image and name is captured right after the record read;
 // an assembly that fails after it moved is retried, not reported. When
 // the retrieval cache is enabled, a hit under that generation writes the
-// entry's image to w (hash-verified, modeled charges replayed),
+// entry's image to w (checksum-verified, modeled charges replayed, and
+// handed over with its insert-time SHA-256 when w is a DigestWriter),
 // concurrent misses of the same key coalesce behind one assembly (the
 // miss singleflight), and a completed assembly is inserted only if the
 // generation is still unchanged (see leadAssembly) — so an assembly that
@@ -949,9 +950,9 @@ func (s *System) RetrieveTo(w io.Writer, name string) (int64, *RetrieveReport, e
 		// or republish can fail on a state between that mutation's writes:
 		// a blob released before its record is deleted, a master graph
 		// rebuilt without the image's primaries. The mutation moved the
-		// generation; the next attempt reads what it left.
+		// generation, or is about to; the next attempt reads what it left.
 		transient := func(err error) bool {
-			return errors.Is(err, vmirepo.ErrNotFound) || s.repo.GenerationFor(rec.BaseID, name) != gen
+			return notFound(err) || s.repo.GenerationFor(rec.BaseID, name) != gen
 		}
 		var n int64
 		if s.cache == nil {
@@ -1007,6 +1008,14 @@ func (s *System) RetrieveTo(w io.Writer, name string) (int64, *RetrieveReport, e
 	return 0, nil, fmt.Errorf("core: retrieve %s: %w", name, lastErr)
 }
 
+// notFound reports the absence errors a retrieval or assembly can meet
+// inside a concurrent mutation: a record already deleted (ErrNotFound), or
+// a package, base or user-data blob already released while a record still
+// names it (the blob store's own not-found sentinel, a distinct error).
+func notFound(err error) bool {
+	return errors.Is(err, vmirepo.ErrNotFound) || errors.Is(err, api.ErrBlobNotFound)
+}
+
 // Assemble builds a VMI that was never uploaded in this exact form: any
 // primary package combination available in the repository, on a compatible
 // stored base image ("VMI assembly either with identical or with differing
@@ -1053,7 +1062,7 @@ func (s *System) AssembleTo(w io.Writer, name string, primaries []string, userDa
 			if err == nil {
 				return n, rep, nil
 			}
-			if n > 0 || (!errors.Is(err, vmirepo.ErrNotFound) && s.repo.GenerationFor(mg.BaseID) == gen) {
+			if n > 0 || (!notFound(err) && s.repo.GenerationFor(mg.BaseID) == gen) {
 				return n, nil, err
 			}
 			lastErr = err

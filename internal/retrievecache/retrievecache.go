@@ -14,10 +14,16 @@
 // vmirepo.GenerationFor), so any relevant change moves subsequent lookups
 // to fresh keys and makes the previously cached entries for that base
 // unreachable, while mutations scoped to other stripes leave them
-// servable. Entries additionally
-// carry the SHA-256 of their serialized image and are re-verified on every
-// hit: a poisoned entry (bit rot, an aliasing bug, a caller scribbling on
-// shared bytes) surfaces as ErrPoisoned instead of wrong image bytes.
+// servable.
+//
+// Put hashes an entry's serialized image once, into a SHA-256 and a
+// CRC-32C. The SHA-256 is the entry's end-to-end digest (Entry.Sum): a
+// server sends it as the response's digest trailer instead of hashing the
+// body again, and the client's check of that trailer is the one
+// cryptographic pass over a served hit. The CRC-32C is re-verified on every
+// hit, at a small fraction of SHA-256's cost: a poisoned entry (bit rot, an
+// aliasing bug, a caller scribbling on shared bytes) surfaces as
+// ErrPoisoned instead of wrong image bytes.
 //
 // The cache is transparent at the cost-model level: an entry carries the
 // full retrieval report of the assembly that produced it (imported
@@ -31,6 +37,7 @@ import (
 	"crypto/sha256"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"sort"
 	"strings"
 	"sync"
@@ -41,7 +48,7 @@ import (
 )
 
 // ErrPoisoned marks a cache hit whose stored image bytes no longer match
-// the content hash captured at insertion. Served bytes would be wrong, so
+// the checksum captured at insertion. Served bytes would be wrong, so
 // the entry is evicted and the error surfaces to the caller.
 var ErrPoisoned = errors.New("retrievecache: cached image failed content verification")
 
@@ -84,7 +91,7 @@ func NewKey(baseID string, primaries []string, userData string, generation uint6
 // treat every field as read-only and copy what they keep.
 type Entry struct {
 	// Image is the serialized (qcow2-like) assembled image. It is verified
-	// against the content hash captured at insertion on every hit.
+	// against the checksum captured at insertion on every hit.
 	Image []byte
 	// Base is the base-attribute quadruple of the assembled image.
 	Base pkgmeta.BaseAttrs
@@ -97,8 +104,20 @@ type Entry struct {
 	// byte-identical — the cache never changes modeled semantics.
 	Phases map[simio.Phase]time.Duration
 
-	sum [sha256.Size]byte
+	// Set once by Put, before the entry becomes reachable.
+	sum    [sha256.Size]byte
+	crc    uint32
+	summed bool
 }
+
+// castagnoli is the CRC-32C table: hardware-accelerated on amd64 and
+// arm64, so a hit's verification costs a small fraction of a SHA-256 pass.
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// Sum returns the SHA-256 of the entry's image, computed when Put inserted
+// it; ok is false for an entry that was never Put (one built for a single
+// hand-off and never cached).
+func (e *Entry) Sum() (sum [sha256.Size]byte, ok bool) { return e.sum, e.summed }
 
 // NewEntry builds an entry, copying the imported list and phase map (the
 // image bytes are taken over as-is; callers hand over ownership).
@@ -139,7 +158,7 @@ type Stats struct {
 	// Rejected counts entries that alone exceed it — refused by Put, or
 	// skipped upfront by the caller and recorded via NoteRejected.
 	Evictions, Rejected int64
-	// Poisoned counts hits whose image bytes failed content verification
+	// Poisoned counts hits whose image bytes failed checksum verification
 	// (the entry is evicted and ErrPoisoned returned).
 	Poisoned int64
 	// Entries and Bytes describe current occupancy; MaxBytes the budget.
@@ -212,9 +231,10 @@ func (c *Cache) removeLocked(n *node) {
 }
 
 // Get returns the entry for key, refreshing its recency, or (nil, nil) on
-// a miss. The stored image is re-verified against the content hash taken
-// at insertion; on mismatch the entry is evicted and ErrPoisoned returned,
-// so damaged bytes can never be served as an assembled image.
+// a miss. The stored image is re-verified against the CRC-32C taken at
+// insertion; on mismatch the entry is evicted and ErrPoisoned returned, so
+// damaged bytes can never be served as an assembled image. Get computes no
+// SHA-256: a hit's digest is the one Put took (Entry.Sum).
 func (c *Cache) Get(key Key) (*Entry, error) { return c.get(key, true) }
 
 // Peek is Get for double-checked miss paths: a resident entry is served
@@ -236,8 +256,8 @@ func (c *Cache) get(key Key, countMiss bool) (*Entry, error) {
 	e := n.entry
 	c.mu.Unlock()
 
-	// Hash outside the lock: hits of large images must not serialise.
-	if sha256.Sum256(e.Image) != e.sum {
+	// Checksum outside the lock: hits of large images must not serialise.
+	if crc32.Checksum(e.Image, castagnoli) != e.crc {
 		c.mu.Lock()
 		// Re-check: the entry may have been replaced or evicted since.
 		if cur, ok := c.items[key]; ok && cur == n {
@@ -259,12 +279,12 @@ func (c *Cache) get(key Key, countMiss bool) (*Entry, error) {
 	return e, nil
 }
 
-// Put inserts (or replaces) the entry under key, captures its content
-// hash, and evicts least-recently-used entries until the budget holds. An
-// entry whose cost alone exceeds the budget is rejected and reported
-// false; the cache is unchanged — and the rejection happens before the
-// content hash is computed, so an uncacheably large image does not pay a
-// full SHA-256 on every miss.
+// Put inserts (or replaces) the entry under key, captures its SHA-256
+// (Entry.Sum) and CRC-32C, and evicts least-recently-used entries until the
+// budget holds. An entry whose cost alone exceeds the budget is rejected
+// and reported false; the cache is unchanged — and the rejection happens
+// before anything is hashed, so an uncacheably large image does not pay a
+// full SHA-256 on every miss. An entry is Put at most once.
 func (c *Cache) Put(key Key, e *Entry) bool {
 	n := &node{key: key, entry: e, cost: cost(key, e)}
 	if n.cost > c.maxBytes { // maxBytes is immutable after New
@@ -275,7 +295,7 @@ func (c *Cache) Put(key Key, e *Entry) bool {
 	}
 	// Hash outside the lock, like Get: inserts of large images must not
 	// serialise the cache.
-	e.sum = sha256.Sum256(e.Image)
+	e.sum, e.crc, e.summed = sha256.Sum256(e.Image), crc32.Checksum(e.Image, castagnoli), true
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if old, ok := c.items[key]; ok {

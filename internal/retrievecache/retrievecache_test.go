@@ -2,6 +2,7 @@ package retrievecache
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"sync"
 	"testing"
 	"time"
@@ -108,4 +109,28 @@ func TestConcurrentSameKey(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
+}
+
+// TestPutRecordsDigest: Put records the image's SHA-256 for Entry.Sum, the
+// digest a server sends instead of hashing a hit. An entry never Put, or
+// refused as over budget before anything was hashed, has none.
+func TestPutRecordsDigest(t *testing.T) {
+	c := New(1 << 20)
+	e := testEntry(4096)
+	if _, ok := e.Sum(); ok {
+		t.Fatal("an entry never Put reports a digest")
+	}
+	if !c.Put(NewKey("base", nil, "vmi", 1), e) {
+		t.Fatal("Put refused an entry within budget")
+	}
+	if sum, ok := e.Sum(); !ok || sum != sha256.Sum256(e.Image) {
+		t.Fatalf("Sum after Put = %x, %v; want the image's SHA-256", sum, ok)
+	}
+	big := testEntry(2 << 20)
+	if c.Put(NewKey("base", nil, "vmi", 2), big) {
+		t.Fatal("Put accepted an entry over the whole budget")
+	}
+	if _, ok := big.Sum(); ok {
+		t.Fatal("a refused entry reports a digest")
+	}
 }

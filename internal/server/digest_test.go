@@ -1,0 +1,298 @@
+package server_test
+
+// The digest trailer on every path out of core.RetrieveTo. A cached image
+// reaches the wire with the digest the retrieval cache took at insert,
+// every other body is hashed as it streams; these tests pin that both
+// kinds of trailer are the SHA-256 of the bytes actually sent.
+
+import (
+	"bytes"
+	"context"
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
+	"hash"
+	"io"
+	"net"
+	"net/http"
+	"strings"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"expelliarmus/internal/blobstore"
+	"expelliarmus/internal/client"
+	"expelliarmus/internal/core"
+	"expelliarmus/internal/server"
+	"expelliarmus/internal/vmirepo"
+	"expelliarmus/internal/wire"
+)
+
+// digestAudit wraps the server and checks, for every response that ends
+// with a digest trailer, that the trailer is the SHA-256 of the body the
+// handler wrote — on the server side, independently of the client's check.
+type digestAudit struct {
+	h       http.Handler
+	t       *testing.T
+	checked atomic.Int64
+}
+
+type auditWriter struct {
+	http.ResponseWriter
+	h hash.Hash
+}
+
+func (a *auditWriter) Write(p []byte) (int, error) {
+	n, err := a.ResponseWriter.Write(p)
+	a.h.Write(p[:n])
+	return n, err
+}
+
+func (d *digestAudit) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	aw := &auditWriter{ResponseWriter: w, h: sha256.New()}
+	d.h.ServeHTTP(aw, r)
+	if got := w.Header().Get(wire.HeaderSha256); got != "" {
+		if want := hex.EncodeToString(aw.h.Sum(nil)); got != want {
+			d.t.Errorf("%s %s: digest trailer %s, body SHA-256 %s", r.Method, r.URL.Path, got, want)
+		}
+		d.checked.Add(1)
+	}
+}
+
+// startAudited serves sys behind a digestAudit on a loopback listener.
+func startAudited(t *testing.T, sys *core.System) (*client.Client, *digestAudit) {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	audit := &digestAudit{h: server.New(sys), t: t}
+	srv := &http.Server{Handler: audit}
+	go srv.Serve(ln)
+	t.Cleanup(func() { srv.Close() })
+	cl := client.New(ln.Addr().String(), client.Options{Timeout: 2 * time.Minute})
+	t.Cleanup(func() { cl.Close() })
+	return cl, audit
+}
+
+// gatedBlobs is a blob backend that runs a callback once, just before the
+// first Open of one blob, on the opener's goroutine.
+type gatedBlobs struct {
+	blobstore.Backend
+	mu   sync.Mutex
+	id   blobstore.ID
+	then func()
+}
+
+func (g *gatedBlobs) arm(id blobstore.ID, then func()) {
+	g.mu.Lock()
+	g.id, g.then = id, then
+	g.mu.Unlock()
+}
+
+func (g *gatedBlobs) Open(id blobstore.ID) (io.ReadCloser, int64, error) {
+	g.mu.Lock()
+	then := g.then
+	if id != g.id {
+		then = nil
+	}
+	if then != nil {
+		g.then = nil
+	}
+	g.mu.Unlock()
+	if then != nil {
+		then()
+	}
+	return g.Backend.Open(id)
+}
+
+// waitForFollowers blocks until n retrievals are queued behind an
+// in-flight assembly.
+func waitForFollowers(t *testing.T, sys *core.System, n int64) {
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		st, _ := sys.CacheStats()
+		if st.FlightWaiters >= n {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Errorf("only %d of %d followers queued behind the leader", st.FlightWaiters, n)
+			return
+		}
+	}
+}
+
+// TestRetrieveTrailerDigestOnEveryPath runs one remote retrieval, or a
+// coalesced storm of them, down each path RetrieveTo can take. Every
+// client.Retrieve must verify, every trailer must be the body's SHA-256,
+// and the cache counters must show the path was the one named.
+func TestRetrieveTrailerDigestOnEveryPath(t *testing.T) {
+	const clients = 4
+	img := buildTestImage(t, "digest", true, 0)
+	sibling := buildTestImage(t, "sibling", false, 0)
+
+	for _, tc := range []struct {
+		name       string
+		cacheBytes int64
+		retrieves  int
+		// gate runs inside the first retrieval's assembly, as it opens the
+		// base blob.
+		gate  func(t *testing.T, sys *core.System)
+		check func(st core.CacheStats) error
+	}{
+		{name: "cache-off", retrieves: 1},
+		{
+			name: "hit", cacheBytes: 64 << 20, retrieves: 2,
+			check: func(st core.CacheStats) error {
+				if st.Puts != 1 || st.Hits != 1 {
+					return fmt.Errorf("want 1 put and 1 hit")
+				}
+				return nil
+			},
+		},
+		{
+			name: "coalesced", cacheBytes: 64 << 20, retrieves: clients,
+			gate: func(t *testing.T, sys *core.System) { waitForFollowers(t, sys, clients-1) },
+			check: func(st core.CacheStats) error {
+				if st.Puts != 1 || st.Coalesced != clients-1 {
+					return fmt.Errorf("want 1 put and %d coalesced", clients-1)
+				}
+				return nil
+			},
+		},
+		{
+			name: "over-budget", cacheBytes: 1024, retrieves: clients,
+			gate: func(t *testing.T, sys *core.System) { waitForFollowers(t, sys, clients-1) },
+			check: func(st core.CacheStats) error {
+				if st.Puts != 0 || st.Rejected != 1 || st.Coalesced != clients-1 {
+					return fmt.Errorf("want 0 puts, 1 rejected and %d coalesced", clients-1)
+				}
+				return nil
+			},
+		},
+		{
+			name: "stand-down", cacheBytes: 64 << 20, retrieves: 1,
+			gate: func(t *testing.T, sys *core.System) {
+				if _, err := sys.Publish(sibling.Clone()); err != nil {
+					t.Errorf("publish inside the assembly: %v", err)
+				}
+			},
+			check: func(st core.CacheStats) error {
+				var inval int64
+				for _, v := range st.StripeInvalidations {
+					inval += v
+				}
+				if st.Puts != 0 || inval != 1 {
+					return fmt.Errorf("want 0 puts and 1 stood-down insert")
+				}
+				return nil
+			},
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			blobs := &gatedBlobs{Backend: blobstore.New()}
+			sys := core.NewSystemWithRepo(vmirepo.NewWithBackend(testDevice(), blobs), testDevice(), core.Options{CacheBytes: tc.cacheBytes})
+			if _, err := sys.Publish(img.Clone()); err != nil {
+				t.Fatal(err)
+			}
+			var ref bytes.Buffer
+			if _, _, err := core.NewSystemWithRepo(sys.Repo(), testDevice(), core.Options{}).RetrieveTo(&ref, "digest"); err != nil {
+				t.Fatal(err)
+			}
+			cl, audit := startAudited(t, sys)
+			if tc.gate != nil {
+				rec, err := sys.Repo().GetVMI("digest", nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				base, err := sys.Repo().BaseInfo(rec.BaseID)
+				if err != nil {
+					t.Fatal(err)
+				}
+				blobs.arm(base.BlobID, func() { tc.gate(t, sys) })
+			}
+
+			retrieve := func(i int) {
+				var got bytes.Buffer
+				if _, _, err := cl.Retrieve(context.Background(), "digest", &got); err != nil {
+					t.Errorf("retrieval %d: %v", i, err)
+					return
+				}
+				if !bytes.Equal(got.Bytes(), ref.Bytes()) {
+					t.Errorf("retrieval %d: %d bytes differ from an uncached retrieval's %d", i, got.Len(), ref.Len())
+				}
+			}
+			if tc.gate != nil && tc.retrieves > 1 {
+				var wg sync.WaitGroup
+				for i := 0; i < tc.retrieves; i++ {
+					wg.Add(1)
+					go func(i int) { defer wg.Done(); retrieve(i) }(i)
+				}
+				wg.Wait()
+			} else {
+				for i := 0; i < tc.retrieves; i++ {
+					retrieve(i)
+				}
+			}
+			if t.Failed() {
+				t.FailNow()
+			}
+			if n := audit.checked.Load(); n != int64(tc.retrieves) {
+				t.Fatalf("%d responses carried a digest trailer, want %d", n, tc.retrieves)
+			}
+			if st, _ := sys.CacheStats(); tc.check != nil {
+				if err := tc.check(st); err != nil {
+					t.Fatalf("cache stats %+v: %v", st, err)
+				}
+			}
+		})
+	}
+}
+
+// lyingBlobs serves every blob with its first byte flipped: bytes that no
+// longer match the content ID they are served under.
+type lyingBlobs struct{ blobstore.Backend }
+
+func (b lyingBlobs) Open(id blobstore.ID) (io.ReadCloser, int64, error) {
+	data, ok := b.Backend.Get(id)
+	if !ok {
+		return nil, 0, fmt.Errorf("open %s: %w", id, blobstore.ErrNotFound)
+	}
+	data[0] ^= 0xFF
+	return io.NopCloser(bytes.NewReader(data)), int64(len(data)), nil
+}
+
+// TestReplBlobTrailerIsID: the blob route's digest trailer is the blob's
+// ID, not a hash of whatever the backend served, so a follower fetching
+// bytes that do not match their ID fails with a digest mismatch.
+func TestReplBlobTrailerIsID(t *testing.T) {
+	payload := []byte("replicated blob payload")
+	for _, tc := range []struct {
+		name    string
+		backend func(blobstore.Backend) blobstore.Backend
+		lie     bool
+	}{
+		{"honest", func(b blobstore.Backend) blobstore.Backend { return b }, false},
+		{"lying", func(b blobstore.Backend) blobstore.Backend { return lyingBlobs{b} }, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			store := blobstore.New()
+			id, _ := store.Put(payload)
+			sys := core.NewSystemWithRepo(vmirepo.NewWithBackend(testDevice(), tc.backend(store)), testDevice(), core.Options{})
+			addr, _ := startServer(t, sys)
+			cl := client.New(addr, client.Options{Timeout: time.Minute})
+			defer cl.Close()
+			var got bytes.Buffer
+			_, err := cl.ReplBlob(context.Background(), id.String(), &got)
+			if !tc.lie {
+				if err != nil || !bytes.Equal(got.Bytes(), payload) {
+					t.Fatalf("ReplBlob = %q, %v; want the payload", got.Bytes(), err)
+				}
+				return
+			}
+			if err == nil || !strings.Contains(err.Error(), "does not match") {
+				t.Fatalf("ReplBlob of bytes that do not match their ID = %v, want a digest mismatch", err)
+			}
+		})
+	}
+}

@@ -9,7 +9,9 @@
 //
 // The byte streams reuse the retrieval trailers (X-Expel-Sha256,
 // X-Expel-Bytes), so a follower verifies every shipped byte the same way
-// image downloads are verified. A WAL request for an epoch the writer's
+// image downloads are verified. A blob's ID is the SHA-256 of its
+// content, so the blob route sends the ID as the digest without hashing
+// the body: bytes that do not match their ID fail the follower's check. A WAL request for an epoch the writer's
 // compaction has retired is 410 with kind "epoch-gone" — the signal to
 // restart from the current snapshot.
 package server
@@ -49,18 +51,27 @@ func (s *Server) handleReplCommit(w http.ResponseWriter, r *http.Request) {
 
 // streamVerified copies a replication byte stream to the client with the
 // digest/length trailers, aborting the connection if the source fails
-// mid-body (mirroring streamImage's truncation contract).
-func streamVerified(w http.ResponseWriter, rc io.ReadCloser, size int64) {
+// mid-body (mirroring streamImage's truncation contract). The digest is
+// sum when the caller knows the stream's SHA-256 already, else the stream
+// is hashed as it is copied.
+func streamVerified(w http.ResponseWriter, rc io.ReadCloser, size int64, sum []byte) {
 	defer rc.Close()
 	w.Header().Set("Trailer", wire.HeaderSha256+", "+wire.HeaderBytes)
 	w.Header().Set("Content-Type", "application/octet-stream")
 	h := sha256.New()
-	hw := &hashCountWriter{w: w, h: h}
-	if _, err := io.Copy(hw, rc); err != nil || hw.n != size {
+	dst := io.MultiWriter(w, h)
+	if sum != nil {
+		dst = w
+	}
+	n, err := io.Copy(dst, rc)
+	if err != nil || n != size {
 		panic(http.ErrAbortHandler)
 	}
-	w.Header().Set(wire.HeaderSha256, hex.EncodeToString(h.Sum(nil)))
-	w.Header().Set(wire.HeaderBytes, strconv.FormatInt(hw.n, 10))
+	if sum == nil {
+		sum = h.Sum(nil)
+	}
+	w.Header().Set(wire.HeaderSha256, hex.EncodeToString(sum))
+	w.Header().Set(wire.HeaderBytes, strconv.FormatInt(n, 10))
 }
 
 func (s *Server) handleReplSnapshot(w http.ResponseWriter, r *http.Request) {
@@ -76,7 +87,7 @@ func (s *Server) handleReplSnapshot(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set(wire.HeaderEpoch, strconv.FormatUint(epoch, 10))
 	w.Header().Set(wire.HeaderSize, strconv.FormatInt(size, 10))
-	streamVerified(w, rc, size)
+	streamVerified(w, rc, size, nil)
 }
 
 func (s *Server) handleReplWAL(w http.ResponseWriter, r *http.Request) {
@@ -101,7 +112,7 @@ func (s *Server) handleReplWAL(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set(wire.HeaderEpoch, strconv.FormatUint(epoch, 10))
-	streamVerified(w, rc, n)
+	streamVerified(w, rc, n, nil)
 }
 
 func (s *Server) handleReplBlob(w http.ResponseWriter, r *http.Request) {
@@ -115,5 +126,5 @@ func (s *Server) handleReplBlob(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	streamVerified(w, rc, size)
+	streamVerified(w, rc, size, id[:])
 }

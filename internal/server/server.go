@@ -8,9 +8,17 @@
 // (core.RetrieveTo into the ResponseWriter — the server never holds a
 // whole image), followed by HTTP trailers:
 //
-//	X-Expel-Sha256  hex digest of the body
+//	X-Expel-Sha256  hex SHA-256 of the body
 //	X-Expel-Bytes   body length in bytes
 //	X-Expel-Result  the operation's wire.RetrieveResult as JSON
+//
+// The server hashes a body only when no one has hashed it already. A
+// retrieval served from the retrieval cache is one entry whose SHA-256 the
+// cache took at insert; the response writer is a core.DigestWriter, takes
+// that digest with the bytes, and sends it as the trailer. Any other body
+// (an uncached or stood-down retrieval, an over-budget hand-off, an
+// assembly) is hashed inline as it streams. Either way the client's check
+// of the trailer is the end-to-end verification.
 //
 // An error before the first body byte yields a clean status code; an
 // error after bytes have flowed aborts the connection mid-chunk, so a
@@ -32,6 +40,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash"
 	"io"
 	"net/http"
 	"strconv"
@@ -109,19 +118,55 @@ func reply(w http.ResponseWriter, v any, err error) {
 	writeJSON(w, v)
 }
 
-// hashCountWriter tees the streamed body into a digest and a byte count
-// for the response trailers.
-type hashCountWriter struct {
-	w io.Writer
-	h io.Writer
-	n int64
+// bodyWriter counts a streamed image body and settles its digest trailer:
+// the digest a core.DigestWriter call vouched for, when that one image is
+// the whole body, or else the SHA-256 it computes inline.
+type bodyWriter struct {
+	w       io.Writer
+	h       hash.Hash
+	n       int64
+	vouched []byte // the whole body so far, when one WriteDigested wrote it
+	sum     [sha256.Size]byte
 }
 
-func (hw *hashCountWriter) Write(p []byte) (int, error) {
-	n, err := hw.w.Write(p)
-	hw.h.Write(p[:n])
-	hw.n += int64(n)
+// A cache hit reaches the wire unhashed only through this method set.
+var _ core.DigestWriter = (*bodyWriter)(nil)
+
+func (bw *bodyWriter) Write(p []byte) (int, error) {
+	if bw.vouched != nil {
+		// More bytes follow a vouched image: its digest no longer covers
+		// the body, so it joins the inline hash.
+		bw.h.Write(bw.vouched)
+		bw.vouched = nil
+	}
+	n, err := bw.w.Write(p)
+	bw.h.Write(p[:n])
+	bw.n += int64(n)
 	return n, err
+}
+
+// WriteDigested implements core.DigestWriter: an image that opens the body
+// is written without being hashed, and sum is kept for the trailer.
+func (bw *bodyWriter) WriteDigested(image []byte, sum [sha256.Size]byte) (int, error) {
+	if bw.n > 0 {
+		return bw.Write(image)
+	}
+	n, err := bw.w.Write(image)
+	bw.n += int64(n)
+	if n == len(image) {
+		bw.vouched, bw.sum = image, sum
+	} else {
+		bw.h.Write(image[:n])
+	}
+	return n, err
+}
+
+// digest is the hex SHA-256 of everything written.
+func (bw *bodyWriter) digest() string {
+	if bw.vouched != nil {
+		return hex.EncodeToString(bw.sum[:])
+	}
+	return hex.EncodeToString(bw.h.Sum(nil))
 }
 
 // streamImage runs produce with the response writer as sink and settles
@@ -131,11 +176,10 @@ func (hw *hashCountWriter) Write(p []byte) (int, error) {
 func streamImage(w http.ResponseWriter, produce func(io.Writer) (*core.RetrieveReport, error)) {
 	w.Header().Set("Trailer", wire.HeaderSha256+", "+wire.HeaderBytes+", "+wire.HeaderResult)
 	w.Header().Set("Content-Type", "application/octet-stream")
-	h := sha256.New()
-	hw := &hashCountWriter{w: w, h: h}
-	rep, err := produce(hw)
+	bw := &bodyWriter{w: w, h: sha256.New()}
+	rep, err := produce(bw)
 	if err != nil {
-		if hw.n == 0 {
+		if bw.n == 0 {
 			// Nothing sent yet: undo the trailer declaration and fail clean.
 			w.Header().Del("Trailer")
 			writeError(w, err)
@@ -150,8 +194,8 @@ func streamImage(w http.ResponseWriter, produce func(io.Writer) (*core.RetrieveR
 	if merr != nil {
 		panic(http.ErrAbortHandler)
 	}
-	w.Header().Set(wire.HeaderSha256, hex.EncodeToString(h.Sum(nil)))
-	w.Header().Set(wire.HeaderBytes, strconv.FormatInt(hw.n, 10))
+	w.Header().Set(wire.HeaderSha256, bw.digest())
+	w.Header().Set(wire.HeaderBytes, strconv.FormatInt(bw.n, 10))
 	w.Header().Set(wire.HeaderResult, string(rb))
 }
 
