@@ -10,7 +10,7 @@ import "expelliarmus/internal/vmirepo"
 // backend can no longer read faithfully surfaces as an error rather than
 // a corrupt snapshot.
 func (s *System) Snapshot() ([]byte, error) {
-	defer s.lockAllCommits()()
+	defer s.lockCommits()()
 	return s.repo.Snapshot()
 }
 
@@ -19,7 +19,7 @@ func (s *System) Snapshot() ([]byte, error) {
 // transactionally consistent; unlike Snapshot it is incremental — only
 // blob segments appended since the previous sync are written.
 func (s *System) Sync() (vmirepo.SyncStats, error) {
-	defer s.lockAllCommits()()
+	defer s.lockCommits()()
 	return s.repo.Sync()
 }
 
@@ -29,12 +29,12 @@ func (s *System) Sync() (vmirepo.SyncStats, error) {
 // commit, so the snapshot it writes is transactionally consistent even
 // under concurrent traffic.
 func (s *System) Compact() (vmirepo.SyncStats, error) {
-	defer s.lockAllCommits()()
+	defer s.lockCommits()()
 	return s.repo.Compact()
 }
 
 // Close syncs (when disk-backed) and releases repository resources.
 func (s *System) Close() error {
-	defer s.lockAllCommits()()
+	defer s.lockCommits()()
 	return s.repo.Close()
 }

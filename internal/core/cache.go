@@ -129,9 +129,10 @@ func serveEntry(w io.Writer, rec vmirepo.VMIRecord, ent *retrievecache.Entry) (i
 	return int64(n), rep, nil
 }
 
-// leadAssembly runs one assembly of a cache miss and writes the image to
-// w: as the singleflight leader of key when fl is non-nil, solo when it is
-// nil. The flight is always finished, even when the assembly errors.
+// leadAssembly runs the assembly of a cache miss as the singleflight
+// leader of key and writes the image to w; unview releases the view lock
+// the caller resolved key under. The flight is always finished, and
+// followers get the leader's image or its error.
 //
 // Before assembling, it re-checks the cache: between this caller's miss
 // and its taking the flight lead, a previous flight for the same key may
@@ -140,76 +141,69 @@ func serveEntry(w io.Writer, rec vmirepo.VMIRecord, ent *retrievecache.Entry) (i
 // flight boundaries. The re-check is a Peek, so the caller's
 // already-counted miss is not double-counted.
 //
-// The image is cached only when the striped generation is still the one
-// captured before the retrieval's first read. An unchanged generation
-// proves no mutation relevant to this base or VMI committed anywhere
-// inside the assembly window (the repository bumps the stripes both before
-// and after every mutation), so the image is a faithful one of the key's
-// generation and safe to serve to any later lookup under it. It is then
+// The sources are opened before the view lock drops, so the image is the
+// key's whatever commits while it assembles. It is cached only if the
+// striped generation is still the key's once the image is ready: an entry
+// inserted after it moved could never be looked up again. Such a
+// stand-down is counted against the base's stripe. A cached image is
 // serialized exactly once, into the entry, and the leader orders the rest:
 // insert, finish the flight (followers get the entry), write the entry to
-// w. If the generation moved, the stand-down is counted against the base's
-// stripe, followers are told to retry and the image streams straight to w
-// — correctness never depends on an insert happening. An image larger
-// than the whole budget is counted Rejected and streams straight to w as
-// well, unless followers wait for it: then the leader leaves the flight
-// first, so that no follower can join after the count is read, and
-// serializes an entry for them alone.
-//
-// The count returned is of bytes written to w; zero leaves the caller
-// free to retry.
-func (s *System) leadAssembly(w io.Writer, key retrievecache.Key, gen uint64, rec vmirepo.VMIRecord, rep *RetrieveReport, fl *flight) (int64, *RetrieveReport, error) {
-	landed := fl == nil
-	land := func(ent *retrievecache.Entry, err error) {
-		if !landed {
-			landed = true
-			s.flights.finish(key, fl, ent, err)
-		}
-	}
+// w. An image that is not cached — a stand-down, or one larger than the
+// whole budget, counted Rejected — streams straight to w unless followers
+// wait for it: then the leader leaves the flight first, so that no
+// follower can join after the count is read, and serializes an entry for
+// them alone.
+func (s *System) leadAssembly(w io.Writer, key retrievecache.Key, rec vmirepo.VMIRecord, rep *RetrieveReport, fl *flight, unview func()) (int64, *RetrieveReport, error) {
 	ent, err := s.cache.Peek(key)
+	var src *sources
 	if err != nil {
 		err = fmt.Errorf("core: retrieve %s: %w", rec.Name, err)
-		land(nil, err)
+	} else if ent == nil {
+		src, err = s.open(rec.Name, rec.BaseID, rec.Primaries, rec.Name, rep)
+	}
+	unview()
+	if err != nil {
+		s.flights.finish(key, fl, nil, err)
 		return 0, nil, err
 	}
 	if ent != nil {
 		s.cctr.hits[vmirepo.StripeFor(rec.BaseID)].Add(1)
-		land(ent, nil)
+		s.flights.finish(key, fl, ent, nil)
 		return serveEntry(w, rec, ent)
 	}
 	var buf *bytes.Buffer
 	insert := false
-	n, err := s.assemble(rec.Name, rec.BaseID, rec.Primaries, rec.Name, rep, func(disk *vdisk.Disk) io.Writer {
-		if s.repo.GenerationFor(key.BaseID, key.UserData) != gen {
-			s.cctr.invalidations[vmirepo.StripeFor(key.BaseID)].Add(1)
-			land(nil, nil)
-			return w
-		}
+	n, _, err := s.assemble(src, rep, func(disk *vdisk.Disk) io.Writer {
 		size := disk.SerializedBytes()
-		if insert = size <= s.cache.MaxBytes(); !insert {
+		switch {
+		case s.repo.GenerationFor(key.BaseID, key.UserData) != key.Generation:
+			s.cctr.invalidations[vmirepo.StripeFor(key.BaseID)].Add(1)
+		case size > s.cache.MaxBytes():
 			s.cache.NoteRejected()
-			if fl == nil || s.flights.leave(key, fl) == 0 {
-				land(nil, nil)
-				return w
-			}
+		default:
+			insert = true
+		}
+		if !insert && s.flights.leave(key, fl) == 0 {
+			return w
 		}
 		buf = bytes.NewBuffer(make([]byte, 0, size))
 		return buf
 	})
-	if buf == nil || err != nil {
-		// Either the image went straight to w, or the assembly or its
-		// serialization into the entry failed; the latter reached w with
-		// nothing, so the caller may retry it.
-		land(nil, err)
+	if err != nil {
+		s.flights.finish(key, fl, nil, err)
 		if buf != nil {
-			n = 0
+			n = 0 // the failure was serializing into the entry: w got nothing
 		}
-		return n, rep, err
+		return n, nil, err
+	}
+	if buf == nil { // the image went straight to w, with no follower waiting
+		s.flights.finish(key, fl, nil, nil)
+		return n, rep, nil
 	}
 	ent = retrievecache.NewEntry(buf.Bytes(), rep.base, rep.Imported, rep.ImportedBytes, rep.Meter.Snapshot())
 	if insert {
 		s.cache.Put(key, ent)
 	}
-	land(ent, nil)
+	s.flights.finish(key, fl, ent, nil)
 	return serveEntry(w, rec, ent)
 }

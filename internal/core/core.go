@@ -12,10 +12,12 @@ import (
 	"fmt"
 	"io"
 	"path"
+	"slices"
 	"sort"
 	"sync"
 
 	"expelliarmus/internal/api"
+	"expelliarmus/internal/blobstore"
 	"expelliarmus/internal/catalog"
 	"expelliarmus/internal/fstree"
 	"expelliarmus/internal/guestfs"
@@ -79,6 +81,11 @@ type Options struct {
 // package in the repository and its VMI record landing: Remove never
 // garbage-collects a pinned package, which closes the classic
 // check-then-commit race between concurrent publish and remove.
+//
+// Readers take no commit lock. A retrieval or assembly resolves its
+// record, master graph and blobs under the repository's view lock
+// (vmirepo.ReadView), which every commit holds exclusively around its
+// metadata writes, so it assembles one committed state.
 type System struct {
 	repo *vmirepo.Repo
 	dev  *simio.Device
@@ -97,120 +104,52 @@ type System struct {
 	// master-graph update + VMI record) only ever reads and writes bases
 	// whose attributes match its own exactly (SimBI = 1 requires an equal
 	// quadruple), so publishes clustering on unrelated attribute classes
-	// commit in parallel. Remove, Snapshot, Sync and Close span classes
-	// and take every stripe (lockAllCommits).
-	commitMu [commitStripes]sync.Mutex
+	// commit in parallel. Attribute classes hash onto stripes with
+	// vmirepo.ClassStripe; two classes sharing a stripe merely serialise
+	// their commits. Vacuum, Snapshot, Sync and Close span classes and take
+	// every stripe.
+	commitMu [vmirepo.ClassStripes]sync.Mutex
 
 	// pinMu guards pinned: package refs required by in-flight publishes
-	// whose VMI records have not committed yet, counted per publish. It
-	// also guards udPinned: VMI names whose user-data archive an in-flight
-	// publish stored before taking its commit lock — Vacuum must not
-	// collect those archives as orphans.
-	pinMu    sync.Mutex
-	pinned   map[string]int
-	udPinned map[string]int
+	// whose VMI records have not committed yet, counted per publish.
+	pinMu  sync.Mutex
+	pinned map[string]int
 }
 
-// commitStripes is the number of commit-lock stripes. Attribute classes
-// hash onto stripes; two classes sharing a stripe merely serialise their
-// commits (safe), never corrupt each other.
-const commitStripes = 16
-
-// commitStripe hashes a base-attribute quadruple onto a commit-lock
-// stripe. The reduction happens over the full hash width, so the
-// distribution is uniform regardless of how commitStripes relates to the
-// generation stripe count.
-func commitStripe(attrs pkgmeta.BaseAttrs) int {
-	return int(vmirepo.HashKey(attrs.String()) % commitStripes)
+// lockCommits locks the given commit stripes in index order, or every
+// stripe when none is given, and returns the unlock.
+func (s *System) lockCommits(stripes ...int) func() {
+	return vmirepo.LockStripes(&s.commitMu, stripes...)
 }
 
-// lockCommit locks the commit stripe of one base-attribute quadruple and
-// returns the unlock. A publish's whole commit transaction interacts only
-// with bases of its exact quadruple (Algorithm 2 filters candidates by
-// SimBI = 1, and VersionSim returns 1 only on equal version strings), so
-// one stripe suffices.
-func (s *System) lockCommit(attrs pkgmeta.BaseAttrs) func() {
-	mu := &s.commitMu[commitStripe(attrs)]
-	mu.Lock()
-	return mu.Unlock
-}
-
-// lockAllCommits locks every commit stripe in index order (deadlock-free
-// against single-stripe holders) and returns the unlock — for
-// transactions whose read set spans attribute classes: Remove's
-// live-reference survey, Snapshot, Sync and Close.
-func (s *System) lockAllCommits() func() {
-	for i := range s.commitMu {
-		s.commitMu[i].Lock()
-	}
-	return func() {
-		for i := range s.commitMu {
-			s.commitMu[i].Unlock()
+// lockRecordClass locks the commit stripes of a transaction on the record
+// called name: the given stripes (a publish's own class) plus the stripe of
+// the record's current class, whose refcounts and tenant charge the
+// transaction credits. The class is resolved under the view lock, where a
+// record and its base always agree, and validated once the stripes are
+// held; a record that moved to another base in between is settled by
+// taking every stripe instead. It returns the stripes held (none meaning
+// all) and the unlock; the caller reads the record under them.
+func (s *System) lockRecordClass(name string, stripes ...int) ([]int, func()) {
+	unview := s.repo.ReadView()
+	rec, err := s.repo.GetVMI(name, nil)
+	if err == nil {
+		if binfo, berr := s.repo.BaseInfo(rec.BaseID); berr == nil {
+			stripes = append(stripes, vmirepo.ClassStripe(binfo.Attrs))
 		}
 	}
-}
-
-// lockStripes locks up to two commit stripes in index order (deadlock-free
-// against lockAllCommits and single-stripe holders) and returns the
-// unlock.
-func (s *System) lockStripes(a, b int) func() {
-	if a > b {
-		a, b = b, a
+	unview()
+	unlock := s.lockCommits(stripes...)
+	if now, nerr := s.repo.GetVMI(name, nil); (nerr == nil) == (err == nil) && now.BaseID == rec.BaseID {
+		return stripes, unlock
 	}
-	s.commitMu[a].Lock()
-	if b != a {
-		s.commitMu[b].Lock()
-	}
-	return func() {
-		if b != a {
-			s.commitMu[b].Unlock()
-		}
-		s.commitMu[a].Unlock()
-	}
-}
-
-// lockCommitForPublish locks the commit stripes a publish of name under
-// attrs needs: the publish's own class stripe plus, when a record of the
-// same name already exists, the stripe of that record's class — a
-// republish credits the old record's refcounts and tenant charge, which
-// must not race a removal of it. The record's class is resolved outside
-// the locks and re-validated under them; a record that moved between
-// classes retries, and one whose class cannot be resolved (its base
-// mid-replacement) falls back to every stripe.
-func (s *System) lockCommitForPublish(attrs pkgmeta.BaseAttrs, name string) func() {
-	newStripe := commitStripe(attrs)
-	stripeOf := func(baseID string) (int, bool) {
-		binfo, err := s.repo.BaseInfo(baseID)
-		if err != nil {
-			return 0, false
-		}
-		return commitStripe(binfo.Attrs), true
-	}
-	for attempt := 0; attempt < 4; attempt++ {
-		oldStripe := newStripe
-		if rec, err := s.repo.GetVMI(name, nil); err == nil {
-			st, ok := stripeOf(rec.BaseID)
-			if !ok {
-				break // unresolvable class: all-stripes fallback
-			}
-			oldStripe = st
-		}
-		unlock := s.lockStripes(newStripe, oldStripe)
-		rec, err := s.repo.GetVMI(name, nil)
-		if err != nil {
-			return unlock // no old record: surplus stripe is harmless
-		}
-		if st, ok := stripeOf(rec.BaseID); ok && (st == oldStripe || st == newStripe) {
-			return unlock
-		}
-		unlock()
-	}
-	return s.lockAllCommits()
+	unlock()
+	return nil, s.lockCommits()
 }
 
 // NewSystem creates a system over a fresh repository.
 func NewSystem(dev *simio.Device, opts Options) *System {
-	return &System{repo: vmirepo.New(dev), dev: dev, opts: opts, cache: newCache(opts), pinned: make(map[string]int), udPinned: make(map[string]int)}
+	return NewSystemWithRepo(vmirepo.New(dev), dev, opts)
 }
 
 // pinPackage marks ref as required by an in-flight publish so concurrent
@@ -251,32 +190,6 @@ func (s *System) removePackageUnlessPinned(ref string) (bool, error) {
 		return false, err
 	}
 	return true, nil
-}
-
-// pinUserData marks name's user-data archive as owned by an in-flight
-// publish (stored before the commit lock), so Vacuum cannot collect it
-// as an orphan; unpinUserData drops the pin after the commit (or on
-// failure).
-func (s *System) pinUserData(name string) {
-	s.pinMu.Lock()
-	s.udPinned[name]++
-	s.pinMu.Unlock()
-}
-
-func (s *System) unpinUserData(name string) {
-	s.pinMu.Lock()
-	if s.udPinned[name] <= 1 {
-		delete(s.udPinned, name)
-	} else {
-		s.udPinned[name]--
-	}
-	s.pinMu.Unlock()
-}
-
-func (s *System) userDataPinned(name string) bool {
-	s.pinMu.Lock()
-	defer s.pinMu.Unlock()
-	return s.udPinned[name] > 0
 }
 
 // Repo exposes the underlying repository.
@@ -342,7 +255,13 @@ func (s *System) Publish(img *vmi.Image) (*PublishReport, error) {
 }
 
 // PublishWith is Publish with explicit lifecycle attributes (tenant and
-// expiry).
+// expiry). Package export runs unlocked. The commit holds the commit
+// stripes of the image's attribute class and of the record it replaces;
+// under them the bytes are written first (the user-data archive, then the
+// base image if one must be stored), and the metadata writes follow inside
+// a view window (vmirepo.WriteView). A concurrent reader therefore sees the
+// previous version whole or this one whole, and a publish rejected before
+// the window, over quota say, leaves the live record as it was.
 func (s *System) PublishWith(img *vmi.Image, popts PublishOpts) (*PublishReport, error) {
 	// Refuse up front on followers: publishing does expensive semantic
 	// analysis before its first repository write, and failing at the
@@ -425,24 +344,18 @@ func (s *System) PublishWith(img *vmi.Image, popts PublishOpts) (*PublishReport,
 		storedBytes += int64(len(blob))
 	}
 
-	// Line 6: store the user data. The archive lands before the commit
-	// lock, so it is pinned until the VMI record commits — a concurrent
-	// Vacuum must not collect it as an orphan in between.
+	// Line 6: export the user data. The archive is stored under the commit
+	// lock and its record replaced in the view window, with the VMI record.
 	userFiles, err := collectUserData(fs)
 	if err != nil {
 		return nil, err
 	}
-	s.pinUserData(img.Name)
-	defer s.unpinUserData(img.Name)
+	var archive []byte
 	if len(userFiles) > 0 {
-		archive, err := pkgfmt.PackTar(userFiles)
-		if err != nil {
+		if archive, err = pkgfmt.PackTar(userFiles); err != nil {
 			return nil, err
 		}
 		rep.Meter.Charge(simio.PhaseExport, s.dev.ReadCost(int64(len(archive))))
-		if err := s.repo.PutUserData(img.Name, archive, rep.Meter); err != nil {
-			return nil, err
-		}
 		storedBytes += int64(len(archive))
 	}
 
@@ -484,7 +397,8 @@ func (s *System) PublishWith(img *vmi.Image, popts PublishOpts) (*PublishReport,
 	// A republish additionally holds the stripe of the class the old
 	// record belongs to, so crediting that record's refcounts and tenant
 	// charge cannot race a removal processing the same record.
-	defer s.lockCommitForPublish(img.Base, img.Name)()
+	stripes, unlock := s.lockRecordClass(img.Name, vmirepo.ClassStripe(img.Base))
+	defer unlock()
 
 	// Capture what the record this publish replaces (if any) contributed,
 	// before any graph mutation invalidates the master it was clustered
@@ -524,10 +438,10 @@ func (s *System) PublishWith(img *vmi.Image, popts PublishOpts) (*PublishReport,
 	rep.BaseID = selected
 
 	// Quota gate: enforced after the selection decision (so the charge is
-	// exact) and before the first master-graph mutation, crediting the
-	// record this publish replaces. A rejected publish leaves only
-	// orphan-side state behind — pre-commit packages and user data that
-	// the next Vacuum reclaims — never a half-committed graph.
+	// exact) and before this commit stores anything, crediting the record
+	// this publish replaces. A rejected publish leaves only the packages it
+	// exported, which the next Vacuum reclaims; the live record and its
+	// user data are untouched.
 	willStoreBase := selected == baseID && !s.repo.HasBase(selected, rep.Meter)
 	charge := storedBytes
 	if willStoreBase {
@@ -544,14 +458,33 @@ func (s *System) PublishWith(img *vmi.Image, popts PublishOpts) (*PublishReport,
 		}
 	}
 
-	var mg *master.Graph
+	// Store the user-data archive (line 6). No reader sees it before the
+	// view window below points the record at it; a publish that fails
+	// first releases it.
+	var staged *blobstore.ID
+	if archive != nil {
+		id, err := s.repo.StageUserData(archive, rep.Meter)
+		if err != nil {
+			return nil, err
+		}
+		staged = &id
+		defer func() {
+			if staged != nil {
+				// The publish is already failing with its own error; a
+				// release that fails too leaves a stray reference that
+				// only costs space.
+				_ = s.repo.ReleaseStaged(*staged)
+			}
+		}()
+	}
 	if willStoreBase {
-		// Lines 15–17: store this base image and create its master graph.
-		// The serialization streams straight into the blob store through a
-		// pipe — the decomposed base is never materialized as one buffer,
-		// so publish memory stays bounded by the clusters the image already
-		// holds. SerializedBytes prices the read (and pins the expected
-		// stream length) without producing a byte.
+		// Lines 15–16: store this base image. The serialization streams
+		// straight into the blob store through a pipe — the decomposed base
+		// is never materialized as one buffer, so publish memory stays
+		// bounded by the clusters the image already holds. SerializedBytes
+		// prices the read (and pins the expected stream length) without
+		// producing a byte. A new base is invisible to readers until a
+		// master graph names it, so the stream runs outside the view window.
 		size := img.Disk.SerializedBytes()
 		rep.Meter.Charge(simio.PhaseScan, s.dev.ReadCost(size))
 		pr, pw := io.Pipe()
@@ -567,6 +500,14 @@ func (s *System) PublishWith(img *vmi.Image, popts PublishOpts) (*PublishReport,
 		if err != nil {
 			return nil, err
 		}
+	}
+
+	// The view window: every write a reader can observe, from here to the
+	// lifecycle records, lands while no reader is resolving.
+	defer s.repo.WriteView(stripes...)()
+	var mg *master.Graph
+	if willStoreBase {
+		// Line 17: the new base's master graph.
 		mg = master.New(baseID, baseSub)
 		rep.BaseStored = true
 	} else {
@@ -618,6 +559,13 @@ func (s *System) PublishWith(img *vmi.Image, popts PublishOpts) (*PublishReport,
 		Primaries: append([]string(nil), img.Primaries...),
 	}
 	if err := s.repo.PutVMI(newRec, rep.Meter); err != nil {
+		return nil, err
+	}
+	// The user-data record follows the VMI record: it names this publish's
+	// archive, or is deleted when the image has no user data.
+	ud := staged
+	staged = nil // the record takes the staged reference
+	if err := s.repo.SetUserData(img.Name, ud, rep.Meter); err != nil {
 		return nil, err
 	}
 
@@ -914,106 +862,54 @@ func decodeImage(name string, image []byte, rep *RetrieveReport) (*vmi.Image, *R
 // actually touched plus the streaming chunk — it does not grow with
 // image size.
 //
-// Under concurrent publish traffic, base-image selection may replace the
-// VMI's base between the record read and the master/base reads (the
-// record is atomically rewired to the surviving base). RetrieveTo absorbs
-// that window by re-reading the record and retrying — as long as no byte
-// has reached w; each attempt starts a fresh meter, so the report
-// reflects exactly one assembly. The striped repository generation of
-// the VMI's base image and name is captured right after the record read;
-// an assembly that fails after it moved is retried, not reported. When
-// the retrieval cache is enabled, a hit under that generation writes the
-// entry's image to w (checksum-verified, modeled charges replayed, and
-// handed over with its insert-time SHA-256 when w is a DigestWriter),
-// concurrent misses of the same key coalesce behind one assembly (the
-// miss singleflight), and a completed assembly is inserted only if the
-// generation is still unchanged (see leadAssembly) — so an assembly that
-// raced a relevant publish or removal can never be cached under a key a
-// later lookup would trust.
-//
-// The record read happens before the generation capture, which is safe:
-// an entry's validity depends only on the master graph, base blob,
-// packages and user data named by its key — all covered by the captured
-// stripes — never on the record itself, which only selects which key a
-// retrieval builds.
+// The retrieval resolves under the repository's view lock: the record, its
+// master graph and every blob it imports come from one committed state,
+// and the blobs are opened before the lock drops, so a publish, removal or
+// base replacement that commits while the image assembles changes nothing
+// in it. With the retrieval cache on, the key (base, primaries, user-data
+// source and striped generation) is taken under the same lock and names
+// exactly that state. A hit writes the entry's image to w
+// (checksum-verified, modeled charges replayed, and handed over with its
+// insert-time SHA-256 when w is a DigestWriter). Concurrent misses of one
+// key coalesce behind one assembly, the miss singleflight, whose image or
+// error every follower shares; leadAssembly decides what is inserted.
 func (s *System) RetrieveTo(w io.Writer, name string) (int64, *RetrieveReport, error) {
-	const maxAttempts = 3
-	var lastErr error
-	for attempt := 0; attempt < maxAttempts; attempt++ {
-		rep := &RetrieveReport{Image: name, Meter: &simio.Meter{}}
-		rec, err := s.repo.GetVMI(name, rep.Meter)
+	rep := &RetrieveReport{Image: name, Meter: &simio.Meter{}}
+	unview := sync.OnceFunc(s.repo.ReadView())
+	defer unview()
+	rec, err := s.repo.GetVMI(name, rep.Meter)
+	if err != nil {
+		return 0, nil, err
+	}
+	if s.cache == nil {
+		src, err := s.open(name, rec.BaseID, rec.Primaries, name, rep)
+		unview()
 		if err != nil {
 			return 0, nil, err
 		}
-		gen := s.repo.GenerationFor(rec.BaseID, name)
-		// An assembly takes no commit lock, so one that overlaps a removal
-		// or republish can fail on a state between that mutation's writes:
-		// a blob released before its record is deleted, a master graph
-		// rebuilt without the image's primaries. The mutation moved the
-		// generation, or is about to; the next attempt reads what it left.
-		transient := func(err error) bool {
-			return notFound(err) || s.repo.GenerationFor(rec.BaseID, name) != gen
-		}
-		var n int64
-		if s.cache == nil {
-			n, err = s.assemble(name, rec.BaseID, rec.Primaries, name, rep, func(*vdisk.Disk) io.Writer { return w })
-		} else {
-			key := retrievecache.NewKey(rec.BaseID, rec.Primaries, name, gen)
-			ent, gerr := s.cache.Get(key)
-			if gerr != nil {
-				return 0, nil, fmt.Errorf("core: retrieve %s: %w", name, gerr)
-			}
-			if ent != nil {
-				s.cctr.hits[vmirepo.StripeFor(rec.BaseID)].Add(1)
-				return serveEntry(w, rec, ent)
-			}
-			// Miss. Coalesce behind any in-flight assembly of the same
-			// key — except on the final attempt, where the caller
-			// assembles solo so repeated leader failures can never
-			// starve it.
-			var fl *flight
-			if attempt < maxAttempts-1 {
-				var leader bool
-				if fl, leader = s.flights.join(key); !leader {
-					<-fl.done
-					if fl.ent != nil {
-						s.cctr.coalesced.Add(1)
-						return serveEntry(w, rec, fl.ent)
-					}
-					// A hard leader failure hits every follower too:
-					// surface it like a solo assembly would, instead of
-					// re-amplifying assembly load on a failing backend.
-					if fl.err != nil && !transient(fl.err) {
-						return 0, nil, fl.err
-					}
-					// The leader hit the transient not-found window, or
-					// its assembly raced a mutation on this stripe: retry
-					// with a fresh record and generation (usually
-					// straight into a hit on the leader's insert at the
-					// new generation, or into leading a fresh flight).
-					lastErr = fl.err
-					continue
-				}
-			}
-			n, rep, err = s.leadAssembly(w, key, gen, rec, rep, fl)
-		}
-		if err == nil {
-			return n, rep, nil
-		}
-		if n > 0 || !transient(err) {
-			return n, nil, err
-		}
-		lastErr = err
+		return s.assemble(src, rep, func(*vdisk.Disk) io.Writer { return w })
 	}
-	return 0, nil, fmt.Errorf("core: retrieve %s: %w", name, lastErr)
-}
-
-// notFound reports the absence errors a retrieval or assembly can meet
-// inside a concurrent mutation: a record already deleted (ErrNotFound), or
-// a package, base or user-data blob already released while a record still
-// names it (the blob store's own not-found sentinel, a distinct error).
-func notFound(err error) bool {
-	return errors.Is(err, vmirepo.ErrNotFound) || errors.Is(err, api.ErrBlobNotFound)
+	key := retrievecache.NewKey(rec.BaseID, rec.Primaries, name, s.repo.GenerationFor(rec.BaseID, name))
+	ent, err := s.cache.Get(key)
+	if err != nil {
+		return 0, nil, fmt.Errorf("core: retrieve %s: %w", name, err)
+	}
+	if ent != nil {
+		unview()
+		s.cctr.hits[vmirepo.StripeFor(rec.BaseID)].Add(1)
+		return serveEntry(w, rec, ent)
+	}
+	fl, leader := s.flights.join(key)
+	if !leader {
+		unview()
+		<-fl.done
+		if fl.err != nil {
+			return 0, nil, fl.err
+		}
+		s.cctr.coalesced.Add(1)
+		return serveEntry(w, rec, fl.ent)
+	}
+	return s.leadAssembly(w, key, rec, rep, fl, unview)
 }
 
 // Assemble builds a VMI that was never uploaded in this exact form: any
@@ -1033,46 +929,29 @@ func (s *System) Assemble(name string, primaries []string, userDataFrom string) 
 
 // AssembleTo is Assemble streaming the serialized image straight to w,
 // like RetrieveTo: no in-memory image is handed back and peak memory does
-// not grow with image size.
+// not grow with image size. It assembles on the first base, by ID, whose
+// master graph provides every requested primary. Like RetrieveTo it picks
+// that master and opens the base, package and user-data blobs under the
+// view lock, so they come from one committed state.
 func (s *System) AssembleTo(w io.Writer, name string, primaries []string, userDataFrom string) (int64, *RetrieveReport, error) {
-	// Like Retrieve, Assemble takes no commit lock and retries when the
-	// candidate base changes under it mid-assembly: a concurrent publish
-	// commit replaced it (the rescan then finds the surviving, merged
-	// master). Such an attempt fails with ErrNotFound once the record is
-	// gone, or — between the replacement's writes — with whatever the
-	// half-removed state produces (the base blob is released before its
-	// record is deleted); either way the base's stripe generation moved.
-	const maxAttempts = 3
-	var lastErr error
-	for attempt := 0; attempt < maxAttempts; attempt++ {
-		rep := &RetrieveReport{Image: name, Meter: &simio.Meter{}}
-		masters, err := s.repo.Masters()
-		if err != nil {
-			return 0, nil, err
-		}
-		sort.Slice(masters, func(i, j int) bool { return masters[i].BaseID < masters[j].BaseID })
-		found := false
-		for _, mg := range masters {
-			if !hasAll(mg.PrimaryNames(), primaries) {
-				continue
-			}
-			found = true
-			gen := s.repo.GenerationFor(mg.BaseID)
-			n, err := s.assemble(name, mg.BaseID, primaries, userDataFrom, rep, func(*vdisk.Disk) io.Writer { return w })
-			if err == nil {
-				return n, rep, nil
-			}
-			if n > 0 || (!notFound(err) && s.repo.GenerationFor(mg.BaseID) == gen) {
-				return n, nil, err
-			}
-			lastErr = err
-			break
-		}
-		if !found {
-			return 0, nil, fmt.Errorf("core: no stored base provides packages %v", primaries)
-		}
+	rep := &RetrieveReport{Image: name, Meter: &simio.Meter{}}
+	unview := sync.OnceFunc(s.repo.ReadView())
+	defer unview()
+	masters, err := s.repo.Masters()
+	if err != nil {
+		return 0, nil, err
 	}
-	return 0, nil, fmt.Errorf("core: assemble %s: %w", name, lastErr)
+	sort.Slice(masters, func(i, j int) bool { return masters[i].BaseID < masters[j].BaseID })
+	i := slices.IndexFunc(masters, func(mg *master.Graph) bool { return hasAll(mg.PrimaryNames(), primaries) })
+	if i < 0 {
+		return 0, nil, fmt.Errorf("core: no stored base provides packages %v", primaries)
+	}
+	src, err := s.open(name, masters[i].BaseID, primaries, userDataFrom, rep)
+	unview()
+	if err != nil {
+		return 0, nil, err
+	}
+	return s.assemble(src, rep, func(*vdisk.Disk) io.Writer { return w })
 }
 
 func hasAll(have []string, want []string) bool {
@@ -1092,156 +971,219 @@ func hasAll(have []string, want []string) bool {
 // assembly (Sec. V-4).
 const localRepoDir = "/var/local-repo"
 
-// assemble implements Algorithm 3 against a specific base image and
-// writes the serialized result to the writer sink picks for the finished
-// disk, returning the bytes written. The disk reads untouched base
-// clusters lazily through the base blob's reader, which pins the blob
-// until assemble returns; nothing lazily backed outlives the call.
-func (s *System) assemble(name, baseID string, primaries []string, userDataFrom string, rep *RetrieveReport, sink func(*vdisk.Disk) io.Writer) (int64, error) {
+// sources are everything one assembly reads from the repository: the
+// subgraphs and install order of Algorithm 3 lines 1–2 and 6–10, and an
+// open reader over every blob it imports. open resolves them under the
+// view lock, so they come from one committed state; a reader stays
+// readable after the lock drops, even if a later mutation releases its
+// blob.
+type sources struct {
+	name      string
+	primaries []string
+	attrs     pkgmeta.BaseAttrs
+	baseSub   *semgraph.Graph
+	psUnion   *semgraph.Graph
+	order     [][]string
+	base      blob
+	userData  blob   // rc nil when the source VMI has none
+	pkgs      []blob // one per install-order entry, in order
+}
+
+// blob is one open repository blob.
+type blob struct {
+	rc   io.ReadCloser
+	size int64
+}
+
+func (b blob) read() ([]byte, error) {
+	buf := make([]byte, b.size)
+	_, err := io.ReadFull(b.rc, buf)
+	return buf, err
+}
+
+func (src *sources) close() {
+	for _, b := range append([]blob{src.base, src.userData}, src.pkgs...) {
+		if b.rc != nil {
+			b.rc.Close()
+		}
+	}
+}
+
+// open resolves the sources of an assembly of primaries on baseID with
+// userDataFrom's user data ("" for none), charging every repository read
+// to rep; the caller holds the view lock.
+func (s *System) open(name, baseID string, primaries []string, userDataFrom string, rep *RetrieveReport) (_ *sources, err error) {
 	// Line 1: subgraphs from the repository.
 	mg, err := s.repo.GetMaster(baseID, rep.Meter)
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
-	baseSub := mg.BaseSubgraph()
-	psUnion := semgraph.New(mg.Attrs())
+	src := &sources{name: name, primaries: primaries, attrs: mg.Attrs(), baseSub: mg.BaseSubgraph(), psUnion: semgraph.New(mg.Attrs())}
 	for _, p := range primaries {
 		sub, err := mg.PrimarySubgraph(p)
 		if err != nil {
-			return 0, fmt.Errorf("core: assemble %s: %w", name, err)
+			return nil, fmt.Errorf("core: assemble %s: %w", name, err)
 		}
-		psUnion.Union(sub)
+		src.psUnion.Union(sub)
 	}
 	// Line 2: compatibility check.
-	if !similarity.Compatible(baseSub, psUnion) {
-		return 0, fmt.Errorf("core: assemble %s: primary packages incompatible with base %s", name, baseID)
+	if !similarity.Compatible(src.baseSub, src.psUnion) {
+		return nil, fmt.Errorf("core: assemble %s: primary packages incompatible with base %s", name, baseID)
+	}
+	// Lines 6–10: packages in the primary subgraph missing from the base,
+	// and their install order.
+	var missing []string
+	for _, v := range src.psUnion.Vertices() {
+		if !src.baseSub.HasVertex(v.Pkg.Name) {
+			missing = append(missing, v.Pkg.Name)
+		}
+	}
+	if src.order, err = pkgmgr.InstallOrder(graphUniverse{src.psUnion}, missing); err != nil {
+		return nil, err
 	}
 
+	defer func() {
+		if err != nil {
+			src.close()
+		}
+	}()
+	if src.base.rc, src.base.size, err = s.repo.OpenBase(baseID, simio.PhaseCopy, rep.Meter); err != nil {
+		return nil, err
+	}
+	if userDataFrom != "" {
+		if src.userData.rc, src.userData.size, err = s.repo.OpenUserData(userDataFrom, simio.PhaseImport, rep.Meter); err != nil {
+			return nil, err
+		}
+	}
+	// Every package in the install order is fetched and charged, including
+	// one an earlier group already installed: the modeled import cost
+	// counts each fetch.
+	for _, group := range src.order {
+		for _, pkgName := range group {
+			v, _ := src.psUnion.Vertex(pkgName)
+			_, rc, size, err := s.repo.OpenPackage(v.Pkg.Ref(), simio.PhaseImport, rep.Meter)
+			if err != nil {
+				return nil, err
+			}
+			src.pkgs = append(src.pkgs, blob{rc, size})
+		}
+	}
+	return src, nil
+}
+
+// assemble implements Algorithm 3 over sources open resolved, with no lock
+// held, and writes the serialized result to the writer sink picks for the
+// finished disk, returning the bytes written and, on success, rep. The
+// disk reads untouched base clusters lazily through the base blob's
+// reader; assemble closes every source before it returns, so nothing
+// lazily backed outlives the call.
+func (s *System) assemble(src *sources, rep *RetrieveReport, sink func(*vdisk.Disk) io.Writer) (int64, *RetrieveReport, error) {
+	defer src.close()
+	name := src.name
 	// Lines 3–4: copy the base image and reset it. The copy is lazy: the
 	// disk deserializes over the blob store's own reader (segment-offset
 	// section reads on the disk backend, zero-copy views in memory), so
 	// base clusters the assembly never touches are never materialized.
-	rc, size, err := s.repo.OpenBase(baseID, simio.PhaseCopy, rep.Meter)
-	if err != nil {
-		return 0, err
-	}
-	defer rc.Close()
-	ra, ok := rc.(io.ReaderAt)
+	ra, ok := src.base.rc.(io.ReaderAt)
 	if !ok {
-		return 0, fmt.Errorf("core: assemble %s: base reader %T is not an io.ReaderAt", name, rc)
+		return 0, nil, fmt.Errorf("core: assemble %s: base reader %T is not an io.ReaderAt", name, src.base.rc)
 	}
-	disk, err := vdisk.DeserializeLazy(name, ra, size)
+	disk, err := vdisk.DeserializeLazy(name, ra, src.base.size)
 	if err != nil {
-		return 0, err
+		return 0, nil, err
 	}
 	h := guestfs.New(disk, s.dev, rep.Meter)
 	if err := h.Launch(); err != nil {
-		return 0, err
+		return 0, nil, err
 	}
 	if err := h.Sysprep(nil); err != nil {
-		return 0, err
+		return 0, nil, err
 	}
 	fs, _ := h.FS()
 
 	// Line 5: import the user data.
-	if userDataFrom != "" {
-		archive, err := s.repo.GetUserData(userDataFrom, simio.PhaseImport, rep.Meter)
+	if src.userData.rc != nil {
+		archive, err := src.userData.read()
 		if err != nil {
-			return 0, err
+			return 0, nil, fmt.Errorf("core: assemble %s: read user data: %w", name, err)
 		}
-		if archive != nil {
-			files, err := pkgfmt.UnpackTar(archive)
-			if err != nil {
-				return 0, err
+		files, err := pkgfmt.UnpackTar(archive)
+		if err != nil {
+			return 0, nil, err
+		}
+		for _, f := range files {
+			if err := fs.MkdirAll(path.Dir(f.Path)); err != nil {
+				return 0, nil, err
 			}
-			for _, f := range files {
-				if err := fs.MkdirAll(path.Dir(f.Path)); err != nil {
-					return 0, err
-				}
-				if err := fs.WriteFile(f.Path, f.Data); err != nil {
-					return 0, err
-				}
+			if err := fs.WriteFile(f.Path, f.Data); err != nil {
+				return 0, nil, err
 			}
 		}
-	}
-
-	// Lines 6–10: packages in the primary subgraph missing from the base,
-	// and their install order.
-	var missing []string
-	for _, v := range psUnion.Vertices() {
-		if !baseSub.HasVertex(v.Pkg.Name) {
-			missing = append(missing, v.Pkg.Name)
-		}
-	}
-	order, err := pkgmgr.InstallOrder(graphUniverse{psUnion}, missing)
-	if err != nil {
-		return 0, err
 	}
 
 	// Lines 11–13: import and install through the guest package manager
 	// from a temporary local repository.
 	mgr, err := h.PackageManager()
 	if err != nil {
-		return 0, err
+		return 0, nil, err
 	}
 	if err := fs.MkdirAll(localRepoDir); err != nil {
-		return 0, err
+		return 0, nil, err
 	}
 	if err := fs.MkdirAll("/etc/apt/sources.list.d"); err != nil {
-		return 0, err
+		return 0, nil, err
 	}
 	if err := fs.WriteFile("/etc/apt/sources.list.d/local.list",
 		[]byte("deb [trusted=yes] file:"+localRepoDir+" ./\n")); err != nil {
-		return 0, err
+		return 0, nil, err
 	}
-	for _, group := range order {
+	pkgs := src.pkgs
+	for _, group := range src.order {
 		for _, pkgName := range group {
-			// Every package in the install order is fetched and charged,
-			// including one an earlier group already installed: the
-			// modeled import cost counts each fetch.
-			v, _ := psUnion.Vertex(pkgName)
-			_, blob, err := s.repo.GetPackage(v.Pkg.Ref(), simio.PhaseImport, rep.Meter)
+			v, _ := src.psUnion.Vertex(pkgName)
+			deb, err := pkgs[0].read()
 			if err != nil {
-				return 0, err
+				return 0, nil, fmt.Errorf("core: assemble %s: read package %s: %w", name, v.Pkg.Ref(), err)
 			}
+			pkgs = pkgs[1:]
 			local := path.Join(localRepoDir, pkgName+".deb")
-			if err := fs.WriteFile(local, blob); err != nil {
-				return 0, err
+			if err := fs.WriteFile(local, deb); err != nil {
+				return 0, nil, err
 			}
 			if mgr.IsInstalled(pkgName) {
 				// Already present (e.g. imported by an earlier group).
 				if err := fs.Remove(local); err != nil {
-					return 0, err
+					return 0, nil, err
 				}
 				continue
 			}
-			if err := mgr.Install(blob); err != nil {
-				return 0, err
+			if err := mgr.Install(deb); err != nil {
+				return 0, nil, err
 			}
 			rep.Meter.Charge(simio.PhaseImport,
 				s.dev.InstallCost(catalog.Real(v.Pkg.InstalledSize), 1))
 			rep.Imported = append(rep.Imported, pkgName)
 			rep.ImportedBytes += v.Pkg.InstalledSize
 			if err := fs.Remove(local); err != nil {
-				return 0, err
+				return 0, nil, err
 			}
 		}
 	}
 	// Restore the default repository configuration (Sec. V-4).
 	if err := fs.RemoveAll(localRepoDir); err != nil {
-		return 0, err
+		return 0, nil, err
 	}
 	if err := fs.Remove("/etc/apt/sources.list.d/local.list"); err != nil {
-		return 0, err
+		return 0, nil, err
 	}
 	h.Close()
 
-	rep.base, rep.primaries = mg.Attrs(), append([]string(nil), primaries...)
+	rep.base, rep.primaries = src.attrs, append([]string(nil), src.primaries...)
 	n, err := disk.WriteTo(sink(disk))
 	if err != nil {
-		return n, fmt.Errorf("core: assemble %s: stream image: %w", name, err)
+		return n, nil, fmt.Errorf("core: assemble %s: stream image: %w", name, err)
 	}
-	return n, nil
+	return n, rep, nil
 }
 
 // graphUniverse adapts a semantic graph to the resolver's Universe.

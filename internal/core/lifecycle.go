@@ -13,6 +13,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"sync"
 
 	"expelliarmus/internal/api"
 	"expelliarmus/internal/vmirepo"
@@ -55,16 +56,20 @@ type VacuumStats = api.VacuumStats
 // both stores so the reclaimed bytes leave the disk.
 //
 // Vacuum holds every commit stripe: the survey must see a frozen
-// metadata graph. State owned by in-flight publishes that have not
-// reached their commit lock yet — pinned packages, pinned user-data
-// archives, and the blobs their already-committed records protect — is
-// left alone.
+// metadata graph. Packages pinned by in-flight publishes that have not
+// reached their commit lock yet are left alone; a publish stores its
+// user-data archive only under its commit lock, so every archive record
+// without a VMI is an orphan. The metadata writes land in a view window
+// over every stripe; the blob sweep and compaction that follow touch
+// nothing a reader can resolve.
 func (s *System) Vacuum() (VacuumStats, error) {
 	var st VacuumStats
 	if s.repo.ReadOnly() {
 		return st, fmt.Errorf("core: vacuum: %w", vmirepo.ErrReadOnly)
 	}
-	defer s.lockAllCommits()()
+	defer s.lockCommits()()
+	unview := sync.OnceFunc(s.repo.WriteView())
+	defer unview()
 
 	counts, err := s.surveyPackageRefs()
 	if err != nil {
@@ -96,10 +101,9 @@ func (s *System) Vacuum() (VacuumStats, error) {
 		}
 	}
 
-	// User-data archives whose VMI is gone (skip archives a publish
-	// stored ahead of its commit).
+	// User-data archives whose VMI is gone.
 	for _, name := range s.repo.UserDataNames() {
-		if liveVMIs[name] || s.userDataPinned(name) {
+		if liveVMIs[name] {
 			continue
 		}
 		if err := s.repo.RemoveUserData(name, nil); err != nil {
@@ -136,6 +140,7 @@ func (s *System) Vacuum() (VacuumStats, error) {
 	if err := s.repo.ReplacePackageRefs(counts, nil); err != nil {
 		return st, err
 	}
+	unview()
 
 	// Blob-level sweep: release whatever no record references.
 	bst, err := s.repo.VacuumBlobs()

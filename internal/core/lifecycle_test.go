@@ -216,7 +216,7 @@ func vmiStripe(t *testing.T, s *System, name string) int {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return commitStripe(binfo.Attrs)
+	return vmirepo.ClassStripe(binfo.Attrs)
 }
 
 // TestRemoveCommitsUnderSingleStripe pins the striped-removal contract:

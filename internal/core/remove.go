@@ -12,7 +12,7 @@ import (
 // NewSystemWithRepo creates a system over an existing repository (e.g. one
 // restored from a snapshot).
 func NewSystemWithRepo(repo *vmirepo.Repo, dev *simio.Device, opts Options) *System {
-	return &System{repo: repo, dev: dev, opts: opts, cache: newCache(opts), pinned: make(map[string]int), udPinned: make(map[string]int)}
+	return &System{repo: repo, dev: dev, opts: opts, cache: newCache(opts), pinned: make(map[string]int)}
 }
 
 // surveyPackageRefs computes, from the committed VMI records, how many
@@ -86,10 +86,10 @@ func (s *System) vmiPackageRefs(rec vmirepo.VMIRecord) (map[string]bool, error) 
 // the record, its master graph, the same-base survivor scan — stays
 // within that class, and cross-class package sharing is settled by the
 // refcounts (atomic in the repository), so publishes on unrelated classes
-// are never blocked. The class is resolved optimistically and
-// re-validated under the stripe; a record that moves mid-resolve retries,
-// and an unresolvable class falls back to every stripe. Packages pinned
-// by in-flight publishes are never collected.
+// are never blocked. The class is resolved like a publish resolves the
+// record it replaces (lockRecordClass), and the writes land in a view
+// window on the same stripe, so a reader sees the image whole or gone.
+// Packages pinned by in-flight publishes are never collected.
 func (s *System) Remove(name string) error {
 	// Refuse up front on followers — a removal that failed midway through
 	// its garbage collection would still have been read-only safe (every
@@ -97,37 +97,8 @@ func (s *System) Remove(name string) error {
 	if s.repo.ReadOnly() {
 		return fmt.Errorf("core: remove %s: %w", name, vmirepo.ErrReadOnly)
 	}
-	const maxAttempts = 4
-	for attempt := 0; attempt < maxAttempts; attempt++ {
-		rec, err := s.repo.GetVMI(name, nil)
-		if err != nil {
-			return err
-		}
-		binfo, err := s.repo.BaseInfo(rec.BaseID)
-		if err != nil {
-			// The base is mid-replacement by a same-class publish commit;
-			// the next read sees the rewired record.
-			continue
-		}
-		unlock := s.lockCommit(binfo.Attrs)
-		rec2, err := s.repo.GetVMI(name, nil)
-		if err != nil {
-			unlock()
-			return err
-		}
-		if rec2.BaseID != rec.BaseID {
-			// Rewired or republished while resolving; its class stripe may
-			// differ — re-resolve.
-			unlock()
-			continue
-		}
-		err = s.removeLocked(rec2, binfo.Attrs.String())
-		unlock()
-		return err
-	}
-	// The record would not hold still long enough to resolve its class;
-	// the global transaction always works.
-	defer s.lockAllCommits()()
+	stripes, unlock := s.lockRecordClass(name)
+	defer unlock()
 	rec, err := s.repo.GetVMI(name, nil)
 	if err != nil {
 		return err
@@ -136,11 +107,12 @@ func (s *System) Remove(name string) error {
 	if err != nil {
 		return fmt.Errorf("core: remove %s: %w", name, err)
 	}
+	defer s.repo.WriteView(stripes...)()
 	return s.removeLocked(rec, binfo.Attrs.String())
 }
 
 // removeLocked is the removal transaction body; the caller holds (at
-// least) the commit stripe of the record's attribute class.
+// least) the commit and view stripes of the record's attribute class.
 func (s *System) removeLocked(rec vmirepo.VMIRecord, class string) error {
 	name := rec.Name
 	target, err := s.vmiPackageRefs(rec)

@@ -17,10 +17,9 @@ type flight struct {
 	// count leave returns is final.
 	waiters int
 	// ent and err are the leader's outcome, written strictly before done
-	// is closed. ent is non-nil only when the leader re-verified the
-	// generation after assembling, so followers may write its image
-	// exactly like a cache hit; ent == nil tells followers to retry with a
-	// fresh record and generation.
+	// is closed: the image of the key's generation, which followers write
+	// exactly like a cache hit, or the error they return. Both are nil
+	// only when no follower waits.
 	ent *retrievecache.Entry
 	err error
 }

@@ -76,13 +76,25 @@ func startAudited(t *testing.T, sys *core.System) (*client.Client, *digestAudit)
 	return cl, audit
 }
 
-// gatedBlobs is a blob backend that runs a callback once, just before the
-// first Open of one blob, on the opener's goroutine.
+// gatedBlobs is a blob backend that runs a callback once, on the first
+// ReadAt of a reader over one blob, on the reader's goroutine: the
+// retrieval has opened its blobs and released the view lock by then, so
+// the callback may publish.
 type gatedBlobs struct {
 	blobstore.Backend
 	mu   sync.Mutex
 	id   blobstore.ID
 	then func()
+}
+
+type readAtCloser interface {
+	io.ReadCloser
+	io.ReaderAt
+}
+
+type gatedReader struct {
+	readAtCloser
+	g *gatedBlobs
 }
 
 func (g *gatedBlobs) arm(id blobstore.ID, then func()) {
@@ -92,19 +104,25 @@ func (g *gatedBlobs) arm(id blobstore.ID, then func()) {
 }
 
 func (g *gatedBlobs) Open(id blobstore.ID) (io.ReadCloser, int64, error) {
+	rc, size, err := g.Backend.Open(id)
 	g.mu.Lock()
-	then := g.then
-	if id != g.id {
-		then = nil
-	}
-	if then != nil {
-		g.then = nil
-	}
+	gated := err == nil && id == g.id && g.then != nil
 	g.mu.Unlock()
+	if !gated {
+		return rc, size, err
+	}
+	return gatedReader{rc.(readAtCloser), g}, size, nil
+}
+
+func (r gatedReader) ReadAt(p []byte, off int64) (int, error) {
+	r.g.mu.Lock()
+	then := r.g.then
+	r.g.then = nil
+	r.g.mu.Unlock()
 	if then != nil {
 		then()
 	}
-	return g.Backend.Open(id)
+	return r.readAtCloser.ReadAt(p, off)
 }
 
 // waitForFollowers blocks until n retrievals are queued behind an
@@ -135,8 +153,8 @@ func TestRetrieveTrailerDigestOnEveryPath(t *testing.T) {
 		name       string
 		cacheBytes int64
 		retrieves  int
-		// gate runs inside the first retrieval's assembly, as it opens the
-		// base blob.
+		// gate runs inside the first retrieval's assembly, as it first
+		// reads the base blob.
 		gate  func(t *testing.T, sys *core.System)
 		check func(st core.CacheStats) error
 	}{

@@ -12,8 +12,8 @@ import (
 	"expelliarmus/internal/simio"
 )
 
-// TestNotFoundSentinel pins the error contract retrying readers rely on:
-// every missing-record lookup must wrap ErrNotFound.
+// TestNotFoundSentinel pins the error contract callers rely on: every
+// missing-record lookup must wrap ErrNotFound.
 func TestNotFoundSentinel(t *testing.T) {
 	r := testRepo()
 	if _, _, err := r.GetPackage("nope", simio.PhaseFetch, nil); !errors.Is(err, ErrNotFound) {

@@ -44,10 +44,11 @@ func (r *Repo) Follower() *metawal.Follower { return r.fol }
 // The snapshot is streamed into one right-sized buffer (metadb.Load needs
 // the full image, but nothing upstream should have to materialize a
 // second copy); size must be its exact length, and a short stream is
-// refused without touching the current metadata. The swap is atomic for
-// readers: in-flight retrievals finish against the old database, later
-// ones see the new. Every generation stripe is bumped around the swap, so
-// no cached assembly survives a whole-database replacement.
+// refused without touching the current metadata. The swap holds every
+// view stripe: readers resolve against the old database or the new, and
+// ones that already opened their blobs finish from them. Every generation
+// stripe is bumped around the swap, so no cached assembly survives a
+// whole-database replacement.
 func (r *Repo) ResetToSnapshotReader(epoch uint64, src io.Reader, size int64) error {
 	if !r.readOnly {
 		return fmt.Errorf("vmirepo: ResetToSnapshotReader on a writer repository")
@@ -64,18 +65,20 @@ func (r *Repo) ResetToSnapshotReader(epoch uint64, src io.Reader, size int64) er
 	for _, b := range allBuckets {
 		db.CreateBucket(b)
 	}
-	done := r.mutate() // all stripes: nothing cached may survive the swap
+	defer r.WriteView()()
+	defer r.mutate()() // all stripes: nothing cached may survive the swap
 	r.db.Store(db)
-	done()
 	return nil
 }
 
 // ApplyWAL applies one chunk of the writer's durable WAL tail — the bytes
 // [from, from+len(chunk)) of the given epoch — in commit-marker-bounded
-// batches. Each batch bumps the generation stripes its ops scope to,
-// mirroring the writer's own bumps, so cached assemblies invalidate with
-// the same precision on both sides. Torn or out-of-order chunks are
-// refused without applying anything (see metawal.Follower.Apply).
+// batches. Each batch holds every view stripe while it lands, so a reader
+// sees the writer's commits whole, and bumps the generation stripes its
+// ops scope to, mirroring the writer's own bumps, so cached assemblies
+// invalidate with the same precision on both sides. Torn or out-of-order
+// chunks are refused without applying anything (see
+// metawal.Follower.Apply).
 func (r *Repo) ApplyWAL(epoch uint64, from int64, chunk []byte) (metawal.ApplyStats, error) {
 	if !r.readOnly {
 		return metawal.ApplyStats{}, fmt.Errorf("vmirepo: ApplyWAL on a writer repository")
@@ -83,14 +86,12 @@ func (r *Repo) ApplyWAL(epoch uint64, from int64, chunk []byte) (metawal.ApplySt
 	r.opMu.RLock()
 	defer r.opMu.RUnlock()
 	return r.fol.Apply(epoch, from, chunk, func(ops []metadb.Op) func() {
-		keys, all := stripeKeysFor(ops)
-		if all {
-			return r.mutate()
+		unview := r.WriteView()
+		if keys, all := stripeKeysFor(ops); all || len(keys) > 0 {
+			done := r.mutate(keys...) // no keys: every stripe
+			return func() { done(); unview() }
 		}
-		if len(keys) == 0 {
-			return nil
-		}
-		return r.mutate(keys...)
+		return unview
 	})
 }
 

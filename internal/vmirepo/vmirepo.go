@@ -58,11 +58,9 @@ var allBuckets = []string{
 	bucketVMIMeta, bucketTenants, bucketPkgRefs,
 }
 
-// ErrNotFound marks lookups of records that are not in the repository.
-// Under concurrency it is transient in one specific case: base-image
-// selection may replace a base (rewiring VMI records to the survivor)
-// between a reader's record fetch and its master/base fetch, so readers
-// that hit it can re-read the record and retry (see core.Retrieve).
+// ErrNotFound marks lookups of records that are not in the repository. A
+// reader that resolves under the view lock (ReadView) meets it only for
+// records that are absent from the committed state it sees.
 var ErrNotFound = api.ErrNotFound
 
 // ErrReadOnly marks mutating calls on a follower repository (OpenFollower):
@@ -103,6 +101,8 @@ type Repo struct {
 	// Mutating operations on different keys still run concurrently — the
 	// shared mode only excludes snapshots.
 	opMu sync.RWMutex
+	// view is the striped view lock (see ReadView and WriteView).
+	view [ClassStripes]sync.RWMutex
 	// udMu serialises user-data replacement, whose release-old/store-new
 	// pair must be atomic to keep blob reference counts exact.
 	udMu sync.Mutex
@@ -162,6 +162,66 @@ func HashKey(key string) uint32 {
 func StripeFor(key string) int {
 	return int(HashKey(key) % GenStripes)
 }
+
+// ClassStripes is the number of base-attribute-class stripes: the view
+// lock's here, and core's commit lock's, which uses the same mapping, so a
+// writer's view window locks only stripes whose commit locks it holds.
+const ClassStripes = 16
+
+// ClassStripe maps a base-attribute quadruple onto its class stripe.
+func ClassStripe(attrs pkgmeta.BaseAttrs) int {
+	return int(HashKey(attrs.String()) % ClassStripes)
+}
+
+// LockStripes locks the given stripes of mus in index order, or every
+// stripe when none is given, and returns the unlock. Holders that all lock
+// in index order cannot deadlock against each other.
+func LockStripes[M any, L interface {
+	*M
+	sync.Locker
+}](mus *[ClassStripes]M, stripes ...int) func() {
+	var held [ClassStripes]bool
+	for i := range held {
+		held[i] = len(stripes) == 0
+	}
+	for _, i := range stripes {
+		held[i] = true
+	}
+	for i := range mus {
+		if held[i] {
+			L(&mus[i]).Lock()
+		}
+	}
+	return func() {
+		for i := range mus {
+			if held[i] {
+				L(&mus[i]).Unlock()
+			}
+		}
+	}
+}
+
+// ReadView takes every view stripe shared and returns the release. Every
+// writer holds its class stripes exclusively around its metadata writes
+// (WriteView), so a reader holding the view sees one committed state, never
+// a mutation half-applied. A blob opened under the view stays readable
+// after the release, even if a later mutation releases it: a reader
+// resolves and opens under the view, and reads after.
+func (r *Repo) ReadView() func() {
+	for i := range r.view {
+		r.view[i].RLock()
+	}
+	return func() {
+		for i := range r.view {
+			r.view[i].RUnlock()
+		}
+	}
+}
+
+// WriteView takes the given class stripes of the view lock exclusively,
+// or every stripe when none is given, and returns the release. A writer
+// brackets its metadata writes with it, a follower each applied batch.
+func (r *Repo) WriteView(stripes ...int) func() { return LockStripes(&r.view, stripes...) }
 
 // Generation returns the cross-stripe repository generation: the sum of
 // all stripe counters, which moves on every mutation anywhere. It is the
@@ -950,12 +1010,41 @@ func (r *Repo) VMIs() []string {
 
 // --- user data ---
 
-// PutUserData stores a VMI's user-data archive, replacing any previous
-// archive for the name (re-publishing a VMI refreshes its user data). The
-// replaced archive's blob reference is released so repeated republishes do
-// not leak store space; a release failure surfaces the store
-// inconsistency it indicates.
-func (r *Repo) PutUserData(name string, archive []byte, m *simio.Meter) error {
+// StageUserData stores a user-data archive's bytes ahead of the record
+// that will name them and returns their blob ID, so a publish writes the
+// bytes before its view window and swaps the record inside it. The blob
+// holds a reference of its own until SetUserData hands it to the record or
+// ReleaseStaged drops it.
+func (r *Repo) StageUserData(archive []byte, m *simio.Meter) (blobstore.ID, error) {
+	if r.readOnly {
+		return blobstore.ID{}, fmt.Errorf("vmirepo: store user data: %w", ErrReadOnly)
+	}
+	r.opMu.RLock()
+	defer r.opMu.RUnlock()
+	id, _ := r.blobs.Put(archive)
+	if err := r.blobErr(); err != nil {
+		return id, fmt.Errorf("vmirepo: store user data: %w", err)
+	}
+	if m != nil {
+		m.Charge(simio.PhaseStore, r.dev.WriteCost(int64(len(archive))))
+	}
+	return id, nil
+}
+
+// ReleaseStaged drops the reference of a staged archive no record took:
+// the cleanup of a publish that failed before its commit.
+func (r *Repo) ReleaseStaged(id blobstore.ID) error {
+	r.opMu.RLock()
+	defer r.opMu.RUnlock()
+	return r.blobs.Release(id)
+}
+
+// SetUserData points name's user-data record at a staged archive, handing
+// the record the staged reference and releasing the one it held before; a
+// nil id deletes the record. A record that already names the staged
+// archive stays as it is, so a republish whose user data did not change
+// writes nothing to the metadata log.
+func (r *Repo) SetUserData(name string, id *blobstore.ID, m *simio.Meter) error {
 	if r.readOnly {
 		return fmt.Errorf("vmirepo: store user data %q: %w", name, ErrReadOnly)
 	}
@@ -965,44 +1054,39 @@ func (r *Repo) PutUserData(name string, archive []byte, m *simio.Meter) error {
 	defer r.udMu.Unlock()
 	defer r.mutate(name)()
 	b := r.meta().Bucket(bucketUserData)
-	sum := blobstore.Sum(archive)
-	if old, ok := b.Get([]byte(name)); ok && bytes.Equal(old, sum[:]) {
-		// Identical archive for the same name: the stored blob, its single
-		// reference and the record are already exactly right, so the
-		// replacement is elided end to end — no blob-log or WAL traffic
-		// for a republish whose user data did not change. A sticky store
-		// failure still surfaces like on the write path (elision must not
-		// narrow the error surface), and the modeled charge below stays,
-		// like PutMaster's.
-		if err := r.blobErr(); err != nil {
-			return fmt.Errorf("vmirepo: store user data %q: %w", name, err)
-		}
-		if m != nil {
-			m.Charge(simio.PhaseStore, r.dev.WriteCost(int64(len(archive))))
-		}
+	old, ok := b.Get([]byte(name))
+	switch {
+	case id != nil:
 		r.chargeDB(m, 40)
+	case !ok:
 		return nil
+	default:
+		r.chargeDB(m, 0)
 	}
-	id, _ := r.blobs.Put(archive)
-	if err := r.blobErr(); err != nil {
-		return fmt.Errorf("vmirepo: store user data %q: %w", name, err)
-	}
-	if old, ok := b.Get([]byte(name)); ok {
-		// Drop the previous record's reference. When the new archive has
-		// identical content this simply undoes the extra reference the Put
-		// above took, leaving exactly one.
+	if ok {
 		var oldID blobstore.ID
 		copy(oldID[:], old)
 		if err := r.blobs.Release(oldID); err != nil {
 			return fmt.Errorf("vmirepo: replace user data %q: %w", name, err)
 		}
 	}
-	b.Put([]byte(name), id[:])
-	if m != nil {
-		m.Charge(simio.PhaseStore, r.dev.WriteCost(int64(len(archive))))
+	switch {
+	case id == nil:
+		b.Delete([]byte(name))
+	case !ok || !bytes.Equal(old, id[:]):
+		b.Put([]byte(name), id[:])
 	}
-	r.chargeDB(m, 40)
 	return nil
+}
+
+// PutUserData stages an archive and points name's record at it in one
+// step.
+func (r *Repo) PutUserData(name string, archive []byte, m *simio.Meter) error {
+	id, err := r.StageUserData(archive, m)
+	if err != nil {
+		return err
+	}
+	return r.SetUserData(name, &id, m)
 }
 
 // GetUserData returns the archive, or nil when the VMI stored none.
@@ -1039,30 +1123,9 @@ func (r *Repo) RemovePackage(ref string, m *simio.Meter) error {
 	return nil
 }
 
-// RemoveUserData deletes a VMI's user-data archive if present.
-func (r *Repo) RemoveUserData(name string, m *simio.Meter) error {
-	if r.readOnly {
-		return fmt.Errorf("vmirepo: remove user data %q: %w", name, ErrReadOnly)
-	}
-	r.opMu.RLock()
-	defer r.opMu.RUnlock()
-	r.udMu.Lock()
-	defer r.udMu.Unlock()
-	defer r.mutate(name)()
-	b := r.meta().Bucket(bucketUserData)
-	val, ok := b.Get([]byte(name))
-	r.chargeDB(m, 0)
-	if !ok {
-		return nil
-	}
-	var id blobstore.ID
-	copy(id[:], val)
-	if err := r.blobs.Release(id); err != nil {
-		return err
-	}
-	b.Delete([]byte(name))
-	return nil
-}
+// RemoveUserData deletes a VMI's user-data archive if present; only a
+// deletion is charged.
+func (r *Repo) RemoveUserData(name string, m *simio.Meter) error { return r.SetUserData(name, nil, m) }
 
 // RemoveVMI deletes a VMI record.
 func (r *Repo) RemoveVMI(name string, m *simio.Meter) error {
