@@ -84,25 +84,14 @@ func (s *System) CacheStats() (st CacheStats, ok bool) {
 	return st, true
 }
 
-// DigestWriter is a sink that can take a whole image together with its
-// SHA-256, so it need not hash the image itself: the HTTP server's
-// response writer, which owes the client a digest trailer. RetrieveTo
-// hands it a retrieval-cache entry's insert-time digest (Entry.Sum); every
-// other image, and every sink that is not a DigestWriter, gets plain
-// Writes.
-type DigestWriter interface {
-	io.Writer
-	WriteDigested(image []byte, sum [sha256.Size]byte) (int, error)
-}
-
 // serveEntry writes a verified cache entry's image to w verbatim — the
 // entry is the serialized image, so serving it is one copy — and replays
 // the cold retrieval's per-phase charges into a fresh meter, so the bytes
 // and the report are identical to the miss that seeded the entry. Hits,
 // singleflight followers and the leader that built the entry all answer
-// through it. An entry the cache hashed goes to a DigestWriter with its
-// digest; one that was never inserted (an over-budget leader's hand-off to
-// its followers) is written plainly.
+// through it. A DigestWriter is then given the digest the cache took at
+// insert, or, for an entry never inserted (an over-budget or stood-down
+// leader's hand-off to its followers), the image's SHA-256.
 func serveEntry(w io.Writer, rec vmirepo.VMIRecord, ent *retrievecache.Entry) (int64, *RetrieveReport, error) {
 	rep := &RetrieveReport{
 		Image:         rec.Name,
@@ -115,16 +104,16 @@ func serveEntry(w io.Writer, rec vmirepo.VMIRecord, ent *retrievecache.Entry) (i
 	for ph, d := range ent.Phases {
 		rep.Meter.Charge(ph, d)
 	}
-	var n int
-	var err error
-	dw, isDW := w.(DigestWriter)
-	if sum, ok := ent.Sum(); ok && isDW {
-		n, err = dw.WriteDigested(ent.Image, sum)
-	} else {
-		n, err = w.Write(ent.Image)
-	}
+	n, err := w.Write(ent.Image)
 	if err != nil {
 		return int64(n), nil, fmt.Errorf("core: retrieve %s: stream image: %w", rec.Name, err)
+	}
+	if dw, ok := w.(DigestWriter); ok {
+		sum, ok := ent.Sum()
+		if !ok {
+			sum = sha256.Sum256(ent.Image)
+		}
+		dw.SetDigest(sum)
 	}
 	return int64(n), rep, nil
 }
@@ -149,10 +138,10 @@ func serveEntry(w io.Writer, rec vmirepo.VMIRecord, ent *retrievecache.Entry) (i
 // serialized exactly once, into the entry, and the leader orders the rest:
 // insert, finish the flight (followers get the entry), write the entry to
 // w. An image that is not cached — a stand-down, or one larger than the
-// whole budget, counted Rejected — streams straight to w unless followers
-// wait for it: then the leader leaves the flight first, so that no
-// follower can join after the count is read, and serializes an entry for
-// them alone.
+// whole budget, counted Rejected — streams straight to w, through the
+// digest memo, unless followers wait for it: then the leader leaves the
+// flight first, so that no follower can join after the count is read, and
+// serializes an entry for them alone.
 func (s *System) leadAssembly(w io.Writer, key retrievecache.Key, rec vmirepo.VMIRecord, rep *RetrieveReport, fl *flight, unview func()) (int64, *RetrieveReport, error) {
 	ent, err := s.cache.Peek(key)
 	var src *sources
@@ -184,7 +173,7 @@ func (s *System) leadAssembly(w io.Writer, key retrievecache.Key, rec vmirepo.VM
 			insert = true
 		}
 		if !insert && s.flights.leave(key, fl) == 0 {
-			return w
+			return s.digestTo(w, &key)
 		}
 		buf = bytes.NewBuffer(make([]byte, 0, size))
 		return buf

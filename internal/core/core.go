@@ -98,6 +98,9 @@ type System struct {
 	cache   *retrievecache.Cache
 	flights flightGroup
 	cctr    cacheCounters
+	// memo keeps the digest of images streamed to a DigestWriter, so a
+	// repeat retrieval of one committed state is not hashed again.
+	memo digestMemo
 
 	// commitMu stripes the multi-step metadata transactions by
 	// base-attribute quadruple: the tail of Publish (Algorithm 2 +
@@ -866,13 +869,18 @@ func decodeImage(name string, image []byte, rep *RetrieveReport) (*vmi.Image, *R
 // master graph and every blob it imports come from one committed state,
 // and the blobs are opened before the lock drops, so a publish, removal or
 // base replacement that commits while the image assembles changes nothing
-// in it. With the retrieval cache on, the key (base, primaries, user-data
-// source and striped generation) is taken under the same lock and names
-// exactly that state. A hit writes the entry's image to w
-// (checksum-verified, modeled charges replayed, and handed over with its
-// insert-time SHA-256 when w is a DigestWriter). Concurrent misses of one
+// in it. The key (base, primaries, user-data source and striped
+// generation) is taken under the same lock and names exactly that state.
+// A hit of the retrieval cache writes the entry's image to w
+// (checksum-verified, modeled charges replayed). Concurrent misses of one
 // key coalesce behind one assembly, the miss singleflight, whose image or
 // error every follower shares; leadAssembly decides what is inserted.
+//
+// When w is a DigestWriter it is given the image's SHA-256 after the last
+// byte: a hit's insert-time digest, or, for an image streamed straight
+// from the assembly, the digest memo's for the key. Only the first such
+// retrieval of a key hashes the image; a repeat checks a CRC-32C against
+// the memo and fails, after its last byte, if the image differs.
 func (s *System) RetrieveTo(w io.Writer, name string) (int64, *RetrieveReport, error) {
 	rep := &RetrieveReport{Image: name, Meter: &simio.Meter{}}
 	unview := sync.OnceFunc(s.repo.ReadView())
@@ -881,15 +889,15 @@ func (s *System) RetrieveTo(w io.Writer, name string) (int64, *RetrieveReport, e
 	if err != nil {
 		return 0, nil, err
 	}
+	key := retrievecache.NewKey(rec.BaseID, rec.Primaries, name, s.repo.GenerationFor(rec.BaseID, name))
 	if s.cache == nil {
 		src, err := s.open(name, rec.BaseID, rec.Primaries, name, rep)
 		unview()
 		if err != nil {
 			return 0, nil, err
 		}
-		return s.assemble(src, rep, func(*vdisk.Disk) io.Writer { return w })
+		return s.assemble(src, rep, func(*vdisk.Disk) io.Writer { return s.digestTo(w, &key) })
 	}
-	key := retrievecache.NewKey(rec.BaseID, rec.Primaries, name, s.repo.GenerationFor(rec.BaseID, name))
 	ent, err := s.cache.Get(key)
 	if err != nil {
 		return 0, nil, fmt.Errorf("core: retrieve %s: %w", name, err)
@@ -932,7 +940,8 @@ func (s *System) Assemble(name string, primaries []string, userDataFrom string) 
 // not grow with image size. It assembles on the first base, by ID, whose
 // master graph provides every requested primary. Like RetrieveTo it picks
 // that master and opens the base, package and user-data blobs under the
-// view lock, so they come from one committed state.
+// view lock, so they come from one committed state. A DigestWriter w is
+// given the SHA-256 of the image, hashed as it streams.
 func (s *System) AssembleTo(w io.Writer, name string, primaries []string, userDataFrom string) (int64, *RetrieveReport, error) {
 	rep := &RetrieveReport{Image: name, Meter: &simio.Meter{}}
 	unview := sync.OnceFunc(s.repo.ReadView())
@@ -951,7 +960,7 @@ func (s *System) AssembleTo(w io.Writer, name string, primaries []string, userDa
 	if err != nil {
 		return 0, nil, err
 	}
-	return s.assemble(src, rep, func(*vdisk.Disk) io.Writer { return w })
+	return s.assemble(src, rep, func(*vdisk.Disk) io.Writer { return s.digestTo(w, nil) })
 }
 
 func hasAll(have []string, want []string) bool {
@@ -1073,10 +1082,11 @@ func (s *System) open(name, baseID string, primaries []string, userDataFrom stri
 
 // assemble implements Algorithm 3 over sources open resolved, with no lock
 // held, and writes the serialized result to the writer sink picks for the
-// finished disk, returning the bytes written and, on success, rep. The
-// disk reads untouched base clusters lazily through the base blob's
-// reader; assemble closes every source before it returns, so nothing
-// lazily backed outlives the call.
+// finished disk, returning the bytes written and, on success, rep. A sink
+// from digestTo is settled after the last byte. The disk reads untouched
+// base clusters lazily through the base blob's reader; assemble closes
+// every source before it returns, so nothing lazily backed outlives the
+// call.
 func (s *System) assemble(src *sources, rep *RetrieveReport, sink func(*vdisk.Disk) io.Writer) (int64, *RetrieveReport, error) {
 	defer src.close()
 	name := src.name
@@ -1179,7 +1189,11 @@ func (s *System) assemble(src *sources, rep *RetrieveReport, sink func(*vdisk.Di
 	h.Close()
 
 	rep.base, rep.primaries = src.attrs, append([]string(nil), src.primaries...)
-	n, err := disk.WriteTo(sink(disk))
+	out := sink(disk)
+	n, err := disk.WriteTo(out)
+	if t, ok := out.(*digestTee); ok && err == nil {
+		err = t.settle()
+	}
 	if err != nil {
 		return n, nil, fmt.Errorf("core: assemble %s: stream image: %w", name, err)
 	}

@@ -1,0 +1,124 @@
+package core
+
+import (
+	"crypto/sha256"
+	"errors"
+	"hash"
+	"hash/crc32"
+	"hash/maphash"
+	"io"
+	"sync/atomic"
+
+	"expelliarmus/internal/retrievecache"
+)
+
+// DigestWriter is a sink that owes its reader the SHA-256 of what it was
+// written: the HTTP server's response writer, which sends it as the digest
+// trailer. Core calls SetDigest exactly once, after the last byte of an
+// operation that succeeded, with the SHA-256 of every byte the operation
+// wrote. A cache hit's digest is its entry's insert-time Sum, a streamed
+// retrieval's comes from the digest memo, an assembly's is hashed as it
+// streams. Core hashes nothing for a sink that is not a DigestWriter.
+type DigestWriter interface {
+	io.Writer
+	SetDigest(sum [sha256.Size]byte)
+}
+
+// memoSlots sizes the digest memo, a direct-mapped table: a retrieval key
+// whose slot another key took is hashed again on its next retrieval.
+const memoSlots = 1024
+
+var (
+	memoSeed   = maphash.MakeSeed()
+	castagnoli = crc32.MakeTable(crc32.Castagnoli)
+)
+
+// digestMemo remembers, per retrieval key, the SHA-256, CRC-32C and length
+// of the image a retrieval streamed straight to a DigestWriter. A key names
+// one committed state (its sources are opened under the view lock the key
+// was taken under) and assembly is deterministic, so every retrieval of the
+// key writes the same bytes: a repeat tees only a CRC-32C and sends the
+// memo's SHA-256. A repeat whose CRC-32C or length differs clears the slot
+// and fails, so the server aborts instead of vouching for bytes nobody
+// hashed, and the next retrieval hashes again.
+type digestMemo struct {
+	slots [memoSlots]atomic.Pointer[memoEntry]
+}
+
+type memoEntry struct {
+	key retrievecache.Key
+	sum [sha256.Size]byte
+	crc uint32
+	n   int64
+}
+
+func (m *digestMemo) slot(key retrievecache.Key) *atomic.Pointer[memoEntry] {
+	return &m.slots[maphash.Comparable(memoSeed, key)%memoSlots]
+}
+
+// digestTo returns the writer an assembly streams to w through. For a
+// DigestWriter it is a digestTee, which assemble settles after the last
+// byte; key is nil for an assembly no memo covers (AssembleTo), which is
+// hashed inline every time.
+func (s *System) digestTo(w io.Writer, key *retrievecache.Key) io.Writer {
+	dw, ok := w.(DigestWriter)
+	if !ok {
+		return w
+	}
+	t := &digestTee{w: dw}
+	if key != nil {
+		t.memo, t.key = &s.memo, *key
+		if e := t.memo.slot(*key).Load(); e != nil && e.key == *key {
+			t.hit = e
+		}
+	}
+	if t.hit == nil {
+		t.sha = sha256.New()
+	}
+	return t
+}
+
+// digestTee counts and checksums what it passes on: a SHA-256 on a memo
+// miss, a CRC-32C whenever a memo covers the key.
+type digestTee struct {
+	w    DigestWriter
+	memo *digestMemo // nil when no memo covers the assembly
+	key  retrievecache.Key
+	hit  *memoEntry // the memo's record of key, nil on a miss
+	sha  hash.Hash  // nil on a hit
+	crc  uint32
+	n    int64
+}
+
+func (t *digestTee) Write(p []byte) (int, error) {
+	n, err := t.w.Write(p)
+	if t.sha != nil {
+		t.sha.Write(p[:n])
+	}
+	if t.memo != nil {
+		t.crc = crc32.Update(t.crc, castagnoli, p[:n])
+	}
+	t.n += int64(n)
+	return n, err
+}
+
+// settle hands the sink the digest of a complete image: the memo's on a hit
+// the CRC-32C and length confirm, else the inline SHA-256, which a miss
+// records in the memo.
+func (t *digestTee) settle() error {
+	if t.hit != nil {
+		if t.crc != t.hit.crc || t.n != t.hit.n {
+			t.memo.slot(t.key).CompareAndSwap(t.hit, nil)
+			return errors.New("streamed bytes do not match the image's memoized digest")
+		}
+		t.w.SetDigest(t.hit.sum)
+		return nil
+	}
+	var sum [sha256.Size]byte
+	t.sha.Sum(sum[:0])
+	if t.memo != nil {
+		t.memo.slot(t.key).Store(&memoEntry{key: t.key, sum: sum, crc: t.crc, n: t.n})
+	}
+	t.w.SetDigest(sum)
+	return nil
+}

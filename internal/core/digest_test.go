@@ -1,0 +1,82 @@
+package core
+
+import (
+	"bytes"
+	"crypto/sha256"
+	"hash/crc32"
+	"sync"
+	"testing"
+
+	"expelliarmus/internal/retrievecache"
+)
+
+// digestSink is a DigestWriter that keeps the bytes and digests it is given.
+type digestSink struct {
+	bytes.Buffer
+	sums [][sha256.Size]byte
+}
+
+func (d *digestSink) SetDigest(sum [sha256.Size]byte) { d.sums = append(d.sums, sum) }
+
+// TestDigestMemoSlotMatchesBytesWritten: an uncached retrieval into a
+// DigestWriter fills its key's memo slot with the SHA-256, CRC-32C and
+// length of exactly the bytes it wrote, and hands the sink that SHA-256
+// once; a repeat writes the same bytes and is handed the same digest. A
+// plain sink leaves the memo alone.
+func TestDigestMemoSlotMatchesBytesWritten(t *testing.T) {
+	s, b := newSystem(t, Options{})
+	if _, err := s.Publish(buildImage(t, b, "Redis")); err != nil {
+		t.Fatal(err)
+	}
+	rec, err := s.repo.GetVMI("Redis", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := retrievecache.NewKey(rec.BaseID, rec.Primaries, "Redis", s.repo.GenerationFor(rec.BaseID, "Redis"))
+
+	var plain bytes.Buffer
+	if _, _, err := s.RetrieveTo(&plain, "Redis"); err != nil {
+		t.Fatal(err)
+	}
+	if e := s.memo.slot(key).Load(); e != nil {
+		t.Fatal("a retrieval into a plain writer filled the memo")
+	}
+
+	var first digestSink
+	if _, _, err := s.RetrieveTo(&first, "Redis"); err != nil {
+		t.Fatal(err)
+	}
+	want := sha256.Sum256(first.Bytes())
+	e := s.memo.slot(key).Load()
+	switch {
+	case !bytes.Equal(first.Bytes(), plain.Bytes()):
+		t.Fatal("a DigestWriter was written other bytes than a plain writer")
+	case e == nil || e.key != key:
+		t.Fatal("the retrieval left its key's memo slot empty")
+	case e.sum != want || e.n != int64(first.Len()) || e.crc != crc32.Checksum(first.Bytes(), castagnoli):
+		t.Fatalf("memo slot (%x, %d bytes, crc %08x) does not describe the %d bytes written", e.sum, e.n, e.crc, first.Len())
+	case len(first.sums) != 1 || first.sums[0] != want:
+		t.Fatalf("sink was handed digests %x, want once %x", first.sums, want)
+	}
+
+	// Repeats, concurrent ones racing a slot refill after it is cleared.
+	var wg sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			if i == 0 {
+				s.memo.slot(key).Store(nil)
+			}
+			var again digestSink
+			if _, _, err := s.RetrieveTo(&again, "Redis"); err != nil {
+				t.Error(err)
+				return
+			}
+			if !bytes.Equal(again.Bytes(), first.Bytes()) || len(again.sums) != 1 || again.sums[0] != want {
+				t.Errorf("repeat wrote %d bytes with digests %x, want the first's %d bytes and %x", again.Len(), again.sums, first.Len(), want)
+			}
+		}(i)
+	}
+	wg.Wait()
+}

@@ -174,8 +174,8 @@ func Open(dir string, opts Options) (*Log, *metadb.DB, error) {
 
 // initFresh initialises a directory with no commit record: a brand-new
 // repository, or the leftovers of a crash during a previous first
-// initialisation (no commit ever vouched for those files, so they are
-// swept). Epoch files a commit must once have vouched for — any epoch
+// initialisation (no commit ever named those files, so they are
+// swept). Epoch files a commit must once have named — any epoch
 // beyond 1, a WAL with records, a non-empty snapshot — mean the root of
 // trust itself was lost, and re-initialising would silently destroy the
 // repository's metadata; that is refused instead.

@@ -1,15 +1,17 @@
 package server_test
 
-// The digest trailer on every path out of core.RetrieveTo. A cached image
-// reaches the wire with the digest the retrieval cache took at insert,
-// every other body is hashed as it streams; these tests pin that both
-// kinds of trailer are the SHA-256 of the bytes actually sent.
+// The digest trailer on every path out of core.RetrieveTo and AssembleTo.
+// Core supplies every digest: a cached image's is the one the retrieval
+// cache took at insert, a repeated uncached retrieval's comes from core's
+// digest memo, any other body is hashed as it streams. These tests pin
+// that every kind of trailer is the SHA-256 of the bytes actually sent.
 
 import (
 	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"hash"
 	"io"
@@ -24,7 +26,9 @@ import (
 	"expelliarmus/internal/blobstore"
 	"expelliarmus/internal/client"
 	"expelliarmus/internal/core"
+	"expelliarmus/internal/fstree"
 	"expelliarmus/internal/server"
+	"expelliarmus/internal/vmi"
 	"expelliarmus/internal/vmirepo"
 	"expelliarmus/internal/wire"
 )
@@ -148,6 +152,14 @@ func TestRetrieveTrailerDigestOnEveryPath(t *testing.T) {
 	const clients = 4
 	img := buildTestImage(t, "digest", true, 0)
 	sibling := buildTestImage(t, "sibling", false, 0)
+	republished := buildTestImage(t, "digest", true, 0)
+	fs, err := fstree.Mount(republished.Disk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.WriteFile("/home/user/notes.txt", []byte("republished user data")); err != nil {
+		t.Fatal(err)
+	}
 
 	for _, tc := range []struct {
 		name       string
@@ -157,6 +169,11 @@ func TestRetrieveTrailerDigestOnEveryPath(t *testing.T) {
 		// reads the base blob.
 		gate  func(t *testing.T, sys *core.System)
 		check func(st core.CacheStats) error
+		// republish is published after the first retrieval; the later
+		// ones must return it, with a digest the first did not carry.
+		republish *vmi.Image
+		// assemble makes every request a client.Assemble of the image.
+		assemble bool
 	}{
 		{name: "cache-off", retrieves: 1},
 		{
@@ -206,6 +223,11 @@ func TestRetrieveTrailerDigestOnEveryPath(t *testing.T) {
 				return nil
 			},
 		},
+		// Uncached repeats: the first is hashed into the digest memo, the
+		// others are sent with its digest.
+		{name: "cache-off-repeat", retrieves: 3},
+		{name: "cache-off-after-republish", retrieves: 2, republish: republished},
+		{name: "assemble", retrieves: 1, assemble: true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			blobs := &gatedBlobs{Backend: blobstore.New()}
@@ -214,9 +236,20 @@ func TestRetrieveTrailerDigestOnEveryPath(t *testing.T) {
 				t.Fatal(err)
 			}
 			var ref bytes.Buffer
-			if _, _, err := core.NewSystemWithRepo(sys.Repo(), testDevice(), core.Options{}).RetrieveTo(&ref, "digest"); err != nil {
-				t.Fatal(err)
+			reference := func() {
+				ref.Reset()
+				uncached := core.NewSystemWithRepo(sys.Repo(), testDevice(), core.Options{})
+				var err error
+				if tc.assemble {
+					_, _, err = uncached.AssembleTo(&ref, "digest", nil, "digest")
+				} else {
+					_, _, err = uncached.RetrieveTo(&ref, "digest")
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
 			}
+			reference()
 			cl, audit := startAudited(t, sys)
 			if tc.gate != nil {
 				rec, err := sys.Repo().GetVMI("digest", nil)
@@ -232,12 +265,28 @@ func TestRetrieveTrailerDigestOnEveryPath(t *testing.T) {
 
 			retrieve := func(i int) {
 				var got bytes.Buffer
-				if _, _, err := cl.Retrieve(context.Background(), "digest", &got); err != nil {
+				var err error
+				if tc.assemble {
+					_, _, err = cl.Assemble(context.Background(), wire.AssembleRequest{Name: "digest", UserDataFrom: "digest"}, &got)
+				} else {
+					_, _, err = cl.Retrieve(context.Background(), "digest", &got)
+				}
+				if err != nil {
 					t.Errorf("retrieval %d: %v", i, err)
 					return
 				}
 				if !bytes.Equal(got.Bytes(), ref.Bytes()) {
 					t.Errorf("retrieval %d: %d bytes differ from an uncached retrieval's %d", i, got.Len(), ref.Len())
+				}
+				if i == 0 && tc.republish != nil {
+					first := sha256.Sum256(got.Bytes())
+					if _, err := sys.Publish(tc.republish.Clone()); err != nil {
+						t.Fatal(err)
+					}
+					reference()
+					if sha256.Sum256(ref.Bytes()) == first {
+						t.Fatal("the republished image has the first one's digest")
+					}
 				}
 			}
 			if tc.gate != nil && tc.retrieves > 1 {
@@ -264,6 +313,92 @@ func TestRetrieveTrailerDigestOnEveryPath(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// flippedBlobs serves one blob faithfully on its first Open and with the
+// byte at off flipped on every later one. No repository write happens, so
+// the generation a retrieval key carries stays the same while the bytes
+// behind it change.
+type flippedBlobs struct {
+	blobstore.Backend
+	id    blobstore.ID
+	off   int64
+	opens atomic.Int64
+}
+
+type flippedReader struct {
+	readAtCloser
+	off int64
+}
+
+func (f *flippedBlobs) Open(id blobstore.ID) (io.ReadCloser, int64, error) {
+	rc, size, err := f.Backend.Open(id)
+	if err != nil || id != f.id || f.opens.Add(1) == 1 {
+		return rc, size, err
+	}
+	return flippedReader{rc.(readAtCloser), f.off}, size, nil
+}
+
+func (r flippedReader) ReadAt(p []byte, off int64) (int, error) {
+	n, err := r.readAtCloser.ReadAt(p, off)
+	if i := r.off - off; i >= 0 && i < int64(n) {
+		p[i] ^= 0xFF
+	}
+	return n, err
+}
+
+// TestRepeatRetrievalDigestGuard: an uncached repeat of a retrieval is sent
+// with the digest memoized by the first, guarded by a CRC-32C of what it
+// streams. Here the base blob's last byte, in a cluster the assembly never
+// writes, flips from the second Open on under an unchanged generation. The
+// first retrieval verifies. The second streams the flipped image, fails
+// its CRC-32C, and is aborted, so the client reads a truncated stream
+// instead of a verified wrong image. The third finds the memo slot
+// cleared, hashes what it sends, and verifies.
+func TestRepeatRetrievalDigestGuard(t *testing.T) {
+	blobs := &flippedBlobs{Backend: blobstore.New()}
+	sys := core.NewSystemWithRepo(vmirepo.NewWithBackend(testDevice(), blobs), testDevice(), core.Options{})
+	if _, err := sys.Publish(buildTestImage(t, "digest", true, 0)); err != nil {
+		t.Fatal(err)
+	}
+	rec, err := sys.Repo().GetVMI("digest", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base, err := sys.Repo().BaseInfo(rec.BaseID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rc, size, err := blobs.Backend.Open(base.BlobID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rc.Close()
+	blobs.id, blobs.off = base.BlobID, size-1
+	cl, audit := startAudited(t, sys)
+
+	retrieve := func() ([]byte, error) {
+		var got bytes.Buffer
+		_, _, err := cl.Retrieve(context.Background(), "digest", &got)
+		return got.Bytes(), err
+	}
+	first, err := retrieve()
+	if err != nil {
+		t.Fatalf("first retrieval: %v", err)
+	}
+	if _, err := retrieve(); !errors.Is(err, client.ErrTruncated) {
+		t.Errorf("second retrieval, flipped under the memoized digest: %v, want ErrTruncated", err)
+	}
+	third, err := retrieve()
+	if err != nil {
+		t.Fatalf("third retrieval: %v", err)
+	}
+	if bytes.Equal(first, third) {
+		t.Fatal("the flipped byte never reached the image")
+	}
+	if n := audit.checked.Load(); n != 2 {
+		t.Fatalf("%d responses carried a digest trailer, want 2", n)
 	}
 }
 

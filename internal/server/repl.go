@@ -11,9 +11,11 @@
 // X-Expel-Bytes), so a follower verifies every shipped byte the same way
 // image downloads are verified. A blob's ID is the SHA-256 of its
 // content, so the blob route sends the ID as the digest without hashing
-// the body: bytes that do not match their ID fail the follower's check. A WAL request for an epoch the writer's
-// compaction has retired is 410 with kind "epoch-gone" — the signal to
-// restart from the current snapshot.
+// the body: bytes that do not match their ID fail the follower's check.
+//
+// A WAL request for an epoch the writer's compaction has retired is 410
+// with kind "epoch-gone" — the signal to restart from the current
+// snapshot.
 package server
 
 import (

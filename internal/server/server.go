@@ -12,13 +12,13 @@
 //	X-Expel-Bytes   body length in bytes
 //	X-Expel-Result  the operation's wire.RetrieveResult as JSON
 //
-// The server hashes a body only when no one has hashed it already. A
-// retrieval served from the retrieval cache is one entry whose SHA-256 the
-// cache took at insert; the response writer is a core.DigestWriter, takes
-// that digest with the bytes, and sends it as the trailer. Any other body
-// (an uncached or stood-down retrieval, an over-budget hand-off, an
-// assembly) is hashed inline as it streams. Either way the client's check
-// of the trailer is the end-to-end verification.
+// The server hashes no body. Its response writer is a core.DigestWriter,
+// and core supplies every digest: a cache hit's is the one its entry took
+// at insert, a repeat of an uncached retrieval's comes from core's digest
+// memo (checked by a CRC-32C as it streams), and any other body is hashed
+// by core as it streams. A body core completes without a digest is
+// aborted, never sent with an invented trailer. The client's check of the
+// trailer is the end-to-end verification.
 //
 // An error before the first body byte yields a clean status code; an
 // error after bytes have flowed aborts the connection mid-chunk, so a
@@ -40,7 +40,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash"
 	"io"
 	"net/http"
 	"strconv"
@@ -118,65 +117,32 @@ func reply(w http.ResponseWriter, v any, err error) {
 	writeJSON(w, v)
 }
 
-// bodyWriter counts a streamed image body and settles its digest trailer:
-// the digest a core.DigestWriter call vouched for, when that one image is
-// the whole body, or else the SHA-256 it computes inline.
+// bodyWriter counts a streamed image body and keeps, for the trailer, the
+// digest core gives it. It hashes nothing.
 type bodyWriter struct {
-	w       io.Writer
-	h       hash.Hash
-	n       int64
-	vouched []byte // the whole body so far, when one WriteDigested wrote it
-	sum     [sha256.Size]byte
+	w   io.Writer
+	n   int64
+	sum *[sha256.Size]byte // nil until core.DigestWriter's SetDigest
 }
 
-// A cache hit reaches the wire unhashed only through this method set.
 var _ core.DigestWriter = (*bodyWriter)(nil)
 
 func (bw *bodyWriter) Write(p []byte) (int, error) {
-	if bw.vouched != nil {
-		// More bytes follow a vouched image: its digest no longer covers
-		// the body, so it joins the inline hash.
-		bw.h.Write(bw.vouched)
-		bw.vouched = nil
-	}
 	n, err := bw.w.Write(p)
-	bw.h.Write(p[:n])
 	bw.n += int64(n)
 	return n, err
 }
 
-// WriteDigested implements core.DigestWriter: an image that opens the body
-// is written without being hashed, and sum is kept for the trailer.
-func (bw *bodyWriter) WriteDigested(image []byte, sum [sha256.Size]byte) (int, error) {
-	if bw.n > 0 {
-		return bw.Write(image)
-	}
-	n, err := bw.w.Write(image)
-	bw.n += int64(n)
-	if n == len(image) {
-		bw.vouched, bw.sum = image, sum
-	} else {
-		bw.h.Write(image[:n])
-	}
-	return n, err
-}
-
-// digest is the hex SHA-256 of everything written.
-func (bw *bodyWriter) digest() string {
-	if bw.vouched != nil {
-		return hex.EncodeToString(bw.sum[:])
-	}
-	return hex.EncodeToString(bw.h.Sum(nil))
-}
+func (bw *bodyWriter) SetDigest(sum [sha256.Size]byte) { bw.sum = &sum }
 
 // streamImage runs produce with the response writer as sink and settles
 // the streaming contract: trailers on success, a clean status when the
 // operation failed before its first byte, a connection abort when it
-// failed with bytes already on the wire.
+// failed with bytes already on the wire or succeeded without a digest.
 func streamImage(w http.ResponseWriter, produce func(io.Writer) (*core.RetrieveReport, error)) {
 	w.Header().Set("Trailer", wire.HeaderSha256+", "+wire.HeaderBytes+", "+wire.HeaderResult)
 	w.Header().Set("Content-Type", "application/octet-stream")
-	bw := &bodyWriter{w: w, h: sha256.New()}
+	bw := &bodyWriter{w: w}
 	rep, err := produce(bw)
 	if err != nil {
 		if bw.n == 0 {
@@ -191,10 +157,10 @@ func streamImage(w http.ResponseWriter, produce func(io.Writer) (*core.RetrieveR
 		panic(http.ErrAbortHandler)
 	}
 	rb, merr := json.Marshal(rep.Result())
-	if merr != nil {
+	if merr != nil || bw.sum == nil {
 		panic(http.ErrAbortHandler)
 	}
-	w.Header().Set(wire.HeaderSha256, bw.digest())
+	w.Header().Set(wire.HeaderSha256, hex.EncodeToString(bw.sum[:]))
 	w.Header().Set(wire.HeaderBytes, strconv.FormatInt(bw.n, 10))
 	w.Header().Set(wire.HeaderResult, string(rb))
 }

@@ -25,8 +25,10 @@
 # .bench_build/ (git-ignored).
 #
 # Defaults: 4 rounds, every workload. Rounds alternate between seeds 1 and
-# 7. The parent is HEAD when the work tree has uncommitted changes (the
-# change being measured), else HEAD^.
+# 7. The parent is HEAD when the work tree has uncommitted changes to what
+# the benchmark builds (Go files, go.mod, benchmarks/), else HEAD^; the
+# script exits with an error when the work tree and the parent do not
+# differ there, and prints the measured diffstat in its header line.
 set -euo pipefail
 
 rounds=4
@@ -46,8 +48,18 @@ root=$(git rev-parse --show-toplevel)
 cd "$root"
 [ ${#workloads[@]} -gt 0 ] || mapfile -t workloads < <(jq -r '.workloads[].name' BENCHMARK.json)
 seconds=$(jq -r '.run_seconds' BENCHMARK.json)
-if [ -n "$(git status --porcelain --untracked-files=no)" ]; then parent=HEAD; else parent=HEAD^; fi
+measured=('*.go' go.mod benchmarks)
+untracked=$(git ls-files --others --exclude-standard -- "${measured[@]}" | wc -l)
+differs() { # rev: do the work tree's measured files, untracked ones included, differ from rev's?
+	! git diff --quiet "$1" -- "${measured[@]}" || [ "$untracked" -gt 0 ]
+}
+if differs HEAD; then parent=HEAD; else parent=HEAD^; fi
 parent=$(git rev-parse --verify "$parent^{commit}")
+if ! differs "$parent"; then
+	echo "pair: the work tree does not differ from $(git rev-parse --short "$parent") in ${measured[*]}: nothing to measure" >&2
+	exit 1
+fi
+diffstat="$(git diff --shortstat "$parent" -- "${measured[@]}" | sed 's/^ *//'), $untracked untracked"
 
 # Same build environment as benchmarks/run.sh, so both share its cache.
 out="$root/.bench_build"
@@ -60,7 +72,7 @@ export GOTOOLCHAIN=local GOPROXY=off
 git archive "$parent" | tar -x -C "$pair/parent"
 go build -C "$pair/parent/benchmarks" -o "$pair/expelload.parent" ./expelload
 go build -C "$root/benchmarks" -o "$pair/expelload.change" ./expelload
-echo "pair: parent $(git rev-parse --short "$parent") vs work tree, $rounds rounds x ${#workloads[@]} workloads x ${seconds}s, seeds ${seeds[*]}" >&2
+echo "pair: parent $(git rev-parse --short "$parent") vs work tree ($diffstat), $rounds rounds x ${#workloads[@]} workloads x ${seconds}s, seeds ${seeds[*]}" >&2
 
 run() { # side workload round seed
 	"$pair/expelload.$1" -store-root "$pair/stores" --workload "$2" --seed "$4" --seconds "$seconds" --trace 0 2>>"$pair/runs.log" |
