@@ -174,6 +174,44 @@ func BenchmarkPublishRedis(b *testing.B) {
 	}
 }
 
+// BenchmarkRemoveSurvivors measures Remove on a populated master: the 19
+// Table II images cluster on one base, so removing a variant of one of
+// them rebuilds the master from the 19 survivors' primaries. Each
+// iteration removes the variant and publishes it again.
+func BenchmarkRemoveSurvivors(b *testing.B) {
+	sys := New()
+	for _, name := range Templates() {
+		img, err := sys.BuildImage(name)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := sys.Publish(img); err != nil {
+			b.Fatal(err)
+		}
+	}
+	variant, err := sys.BuildImage("Redis")
+	if err != nil {
+		b.Fatal(err)
+	}
+	variant.inner.Name = "Redis-variant"
+	if err := variant.WriteUserFile("/home/user/variant.bin", make([]byte, 64<<10)); err != nil {
+		b.Fatal(err)
+	}
+	if _, err := sys.Publish(variant); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := sys.Remove("Redis-variant"); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := sys.Publish(variant); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkRetrieveRedis measures the real CPU cost of one assembly.
 func BenchmarkRetrieveRedis(b *testing.B) {
 	sys := New()

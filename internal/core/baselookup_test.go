@@ -1,0 +1,170 @@
+package core
+
+import (
+	"bytes"
+	"errors"
+	"math/rand"
+	"reflect"
+	"testing"
+
+	"expelliarmus/internal/master"
+	"expelliarmus/internal/pkgmgr"
+	"expelliarmus/internal/semgraph"
+	"expelliarmus/internal/similarity"
+	"expelliarmus/internal/vmirepo"
+)
+
+// TestBaseLookupMatchesSubgraph checks the master graph's in-place base
+// lookups against the extracted base subgraph as reference:
+// AddPrimarySubgraph rejects as incompatible exactly what
+// similarity.Compatible(m.BaseSubgraph(), ps) rejects, and vmiPackageRefs
+// returns the refs m.BaseSubgraph() lacks. It covers every master against
+// every primary subgraph of every VMI (the master's and the image's own)
+// after publishing the Table II catalog and after each step of a 30-step
+// remove/republish churn, and replays each Remove's master rebuild.
+func TestBaseLookupMatchesSubgraph(t *testing.T) {
+	names := templateNames(19)
+	imgs := buildCatalog(t, names)
+	s := NewSystem(testDev, Options{})
+	// The primary subgraph each image's publish clusters (core.go's ps).
+	ownPS := make([]*semgraph.Graph, len(imgs))
+	for i, img := range imgs {
+		fs, err := img.Mount()
+		if err != nil {
+			t.Fatal(err)
+		}
+		mgr, err := pkgmgr.New(fs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		installed, err := mgr.Installed()
+		if err != nil {
+			t.Fatal(err)
+		}
+		ownPS[i] = semgraph.Build(img.Base, installed, img.Primaries).PrimarySubgraph()
+		if _, err := s.Publish(img.Clone()); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	checkedAdd := func(m *master.Graph, ps *semgraph.Graph) error {
+		t.Helper()
+		compatible := similarity.Compatible(m.BaseSubgraph(), ps)
+		err := m.AddPrimarySubgraph(ps)
+		var conflict *master.ErrVersionConflict
+		if incompatible := err != nil && !errors.As(err, &conflict); incompatible == compatible {
+			t.Errorf("master %s: base subgraph says compatible=%v, AddPrimarySubgraph: %v", m.BaseID, compatible, err)
+		}
+		return err
+	}
+	check := func(step string) {
+		t.Helper()
+		masters, err := s.repo.Masters()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var subs []*semgraph.Graph
+		for _, name := range s.repo.VMIs() {
+			rec, err := s.repo.GetVMI(name, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			mg, err := s.repo.GetMaster(rec.BaseID, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			baseSub := mg.BaseSubgraph()
+			want := map[string]bool{}
+			for _, p := range rec.Primaries {
+				sub, err := mg.PrimarySubgraph(p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				subs = append(subs, sub)
+				for _, v := range sub.Vertices() {
+					if !baseSub.HasVertex(v.Pkg.Name) {
+						want[v.Pkg.Ref()] = true
+					}
+				}
+			}
+			got, err := s.vmiPackageRefs(rec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s: vmiPackageRefs(%s) = %v, base subgraph gives %v", step, name, got, want)
+			}
+		}
+		subs = append(subs, ownPS...)
+		for _, m := range masters {
+			for _, ps := range subs {
+				checkedAdd(&master.Graph{BaseID: m.BaseID, G: m.G.Clone()}, ps) //nolint:errcheck
+			}
+		}
+	}
+	// remove replays removeLocked's master rebuild through checkedAdd and
+	// requires the committed master to marshal to the replay's bytes.
+	remove := func(name string) {
+		t.Helper()
+		rec, err := s.repo.GetVMI(name, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		old, err := s.repo.GetMaster(rec.BaseID, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var survivors []vmirepo.VMIRecord
+		for _, other := range s.repo.VMIs() {
+			orec, err := s.repo.GetVMI(other, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if other != name && orec.BaseID == rec.BaseID {
+				survivors = append(survivors, orec)
+			}
+		}
+		if err := s.Remove(name); err != nil {
+			t.Fatal(err)
+		}
+		if len(survivors) == 0 {
+			return
+		}
+		want := master.New(rec.BaseID, old.BaseSubgraph())
+		for _, sv := range survivors {
+			for _, p := range sv.Primaries {
+				sub, err := old.PrimarySubgraph(p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := checkedAdd(want, sub); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		got, err := s.repo.GetMaster(rec.BaseID, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Marshal(), want.Marshal()) {
+			t.Fatalf("remove %s: committed master differs from the rebuild replay", name)
+		}
+	}
+
+	check("catalog")
+	live := make([]bool, len(imgs))
+	for i := range live {
+		live[i] = true
+	}
+	rng := rand.New(rand.NewSource(1))
+	for step := 0; step < 30; step++ {
+		i := rng.Intn(len(imgs))
+		if live[i] {
+			remove(names[i])
+		} else if _, err := s.Publish(imgs[i].Clone()); err != nil {
+			t.Fatal(err)
+		}
+		live[i] = !live[i]
+		check(names[i])
+	}
+}

@@ -48,21 +48,51 @@ func eachConcurrently(n int, fn func(i int)) {
 	wg.Wait()
 }
 
+// firstImageRuns holds, once per test binary, the sequential baselines of
+// TestConcurrentPublishSharedRepo. The images share one base class, and
+// the class's first publish decomposes the base every later one reuses,
+// so a sequential upload's stored bytes depend on which image goes first
+// and on nothing else: one run per first image gives every size a
+// sequential upload can reach.
+var firstImageRuns struct {
+	once    sync.Once
+	sizes   map[int64]string // repository size → the first image of a run reaching it
+	modeled float64          // modeled publish seconds of the catalog-order run
+	err     error
+}
+
+// sequentialRuns publishes imgs into a fresh System once per choice of
+// first image, the rest following in catalog order.
+func sequentialRuns(imgs []*vmi.Image) (sizes map[int64]string, modeled float64, err error) {
+	sizes = map[int64]string{}
+	for first := range imgs {
+		seq := NewSystem(testDev, Options{})
+		order := append([]*vmi.Image{imgs[first]}, imgs[:first]...)
+		for _, img := range append(order, imgs[first+1:]...) {
+			rep, err := seq.Publish(img.Clone())
+			if err != nil {
+				return nil, 0, err
+			}
+			if first == 0 {
+				modeled += rep.Seconds()
+			}
+		}
+		sizes[seq.Repo().SizeBytes()] = imgs[first].Name
+	}
+	return sizes, modeled, nil
+}
+
 // TestConcurrentPublishSharedRepo publishes the catalog from many
 // goroutines into one System and checks the repository converges to a
-// state equivalent to sequential upload: every VMI retrievable, every
-// package stored exactly once.
+// state a sequential upload reaches: the same stored bytes, every VMI
+// retrievable, every package stored exactly once.
 func TestConcurrentPublishSharedRepo(t *testing.T) {
 	names := templateNames(12)
 	imgs := buildCatalog(t, names)
-	seq := NewSystem(testDev, Options{})
-	var seqModeled float64
-	for _, img := range imgs {
-		rep, err := seq.Publish(img.Clone())
-		if err != nil {
-			t.Fatal(err)
-		}
-		seqModeled += rep.Seconds()
+	runs := &firstImageRuns
+	runs.once.Do(func() { runs.sizes, runs.modeled, runs.err = sequentialRuns(imgs) })
+	if runs.err != nil {
+		t.Fatal(runs.err)
 	}
 	s := NewSystem(testDev, Options{})
 	reps := make([]*PublishReport, len(imgs))
@@ -83,17 +113,16 @@ func TestConcurrentPublishSharedRepo(t *testing.T) {
 	}
 
 	// Semantic dedup must hold under concurrency: the shared repository
-	// ends within a few percent of the sequential one (base-image
-	// selection may resolve replacement chains slightly differently
-	// depending on commit order), and concurrency may add duplicate
-	// repack work (two publishes racing on one package) but never removes
-	// modeled work wholesale.
-	if ratio := float64(s.Repo().SizeBytes()) / float64(seq.Repo().SizeBytes()); ratio < 0.9 || ratio > 1.1 {
-		t.Errorf("concurrent repository %d bytes vs sequential %d (ratio %.3f), dedup degraded",
-			s.Repo().SizeBytes(), seq.Repo().SizeBytes(), ratio)
+	// stores exactly the bytes of the sequential upload led by whichever
+	// image committed first. Concurrency may add duplicate repack work
+	// (two publishes racing on one package) but never removes modeled
+	// work wholesale.
+	if size := s.Repo().SizeBytes(); runs.sizes[size] == "" {
+		t.Errorf("concurrent repository %d bytes, no sequential upload reaches it (size → first image: %v)",
+			size, runs.sizes)
 	}
-	if ratio := parModeled / seqModeled; ratio < 0.95 || ratio > 1.5 {
-		t.Errorf("concurrent modeled %.1fs vs sequential %.1fs (ratio %.3f)", parModeled, seqModeled, ratio)
+	if ratio := parModeled / runs.modeled; ratio < 0.95 || ratio > 1.5 {
+		t.Errorf("concurrent modeled %.1fs vs sequential %.1fs (ratio %.3f)", parModeled, runs.modeled, ratio)
 	}
 
 	// Cross-publish dedup must hold under concurrency: no package ref may

@@ -47,13 +47,14 @@ func (s *System) surveyPackageRefs() (map[string]map[string]int64, error) {
 
 // vmiPackageRefs returns the non-base package refs a VMI's assembly pulls
 // from the repository: the union of its primaries' subgraphs within its
-// master graph, minus base-image packages.
+// master graph, minus base-image packages. A package is a base package
+// when the master holds it as a base vertex (the membership test
+// mg.BaseSubgraph().HasVertex answers, without extracting the subgraph).
 func (s *System) vmiPackageRefs(rec vmirepo.VMIRecord) (map[string]bool, error) {
 	mg, err := s.repo.GetMaster(rec.BaseID, nil)
 	if err != nil {
 		return nil, err
 	}
-	baseSub := mg.BaseSubgraph()
 	refs := map[string]bool{}
 	for _, p := range rec.Primaries {
 		sub, err := mg.PrimarySubgraph(p)
@@ -61,7 +62,7 @@ func (s *System) vmiPackageRefs(rec vmirepo.VMIRecord) (map[string]bool, error) 
 			return nil, err
 		}
 		for _, v := range sub.Vertices() {
-			if !baseSub.HasVertex(v.Pkg.Name) {
+			if _, isBase := mg.G.BaseVertex(v.Pkg.Name); !isBase {
 				refs[v.Pkg.Ref()] = true
 			}
 		}

@@ -54,8 +54,12 @@ func (e *ErrVersionConflict) Error() string {
 // master. Per Sec. III-H the subgraph must be semantically compatible with
 // the master's base image subgraph, and no package may arrive in a
 // different version than one already clustered (*ErrVersionConflict).
+// Incompatibility is reported first. Compatibility looks each of ps's
+// packages up among the master's base vertices, so it equals
+// similarity.Compatible(m.BaseSubgraph(), ps) without building that
+// subgraph; a package clustered as a dependency is not a base package.
 func (m *Graph) AddPrimarySubgraph(ps *semgraph.Graph) error {
-	if !similarity.Compatible(m.BaseSubgraph(), ps) {
+	if similarity.CompWith(m.G.BaseVertex, ps) != 1 {
 		return fmt.Errorf("master %s: primary subgraph incompatible with base", m.BaseID)
 	}
 	for _, v := range ps.Vertices() {

@@ -1,11 +1,13 @@
 package master
 
 import (
+	"errors"
 	"reflect"
 	"testing"
 
 	"expelliarmus/internal/pkgmeta"
 	"expelliarmus/internal/semgraph"
+	"expelliarmus/internal/similarity"
 )
 
 var base = pkgmeta.BaseAttrs{Type: "linux", Distro: "ubuntu", Version: "16.04", Arch: "x86_64"}
@@ -157,5 +159,97 @@ func TestUnmarshalRejectsCorrupt(t *testing.T) {
 	}
 	if _, err := Unmarshal([]byte{0, 99}); err == nil {
 		t.Fatal("accepted truncated id")
+	}
+}
+
+// outcomeBySubgraph is the reference for AddPrimarySubgraph's outcome:
+// compatibility against the extracted base subgraph, then a version
+// conflict against any master vertex.
+func outcomeBySubgraph(m *Graph, ps *semgraph.Graph) string {
+	if !similarity.Compatible(m.BaseSubgraph(), ps) {
+		return "incompatible"
+	}
+	for _, v := range ps.Vertices() {
+		if cur, ok := m.G.Vertex(v.Pkg.Name); ok && cur.Pkg.Ref() != v.Pkg.Ref() {
+			return "conflict"
+		}
+	}
+	return "ok"
+}
+
+func outcome(err error) string {
+	var conflict *ErrVersionConflict
+	switch {
+	case err == nil:
+		return "ok"
+	case errors.As(err, &conflict):
+		return "conflict"
+	default:
+		return "incompatible"
+	}
+}
+
+// TestAddPrimarySubgraphMatchesBaseSubgraph plants the cases where looking
+// a package up among the master's base vertices could diverge from
+// membership in the extracted base subgraph: homonyms of base, dependency
+// and promoted-to-primary vertices, and a subgraph that is both
+// incompatible and conflicting.
+func TestAddPrimarySubgraphMatchesBaseSubgraph(t *testing.T) {
+	build := func(name, version, arch string, deps ...string) pkgmeta.Package {
+		p := pkg(name, false, deps...)
+		p.Version, p.Arch = version, arch
+		return p
+	}
+	// sub is a primary subgraph: the primary plus its dependencies.
+	sub := func(primary pkgmeta.Package, deps ...pkgmeta.Package) *semgraph.Graph {
+		g := semgraph.New(base)
+		g.AddVertex(primary, semgraph.KindPrimary)
+		for _, d := range deps {
+			g.AddVertex(d, semgraph.KindDependency)
+			g.AddEdge(primary.Name, d.Name)
+		}
+		return g
+	}
+	// The master holds base vertices (libc6, perl-base), dependency
+	// vertices (nginx-common, ca-certificates) and a base package a VMI
+	// declared primary (bash).
+	newMaster := func() *Graph {
+		m := New("base-1", baseSub())
+		for _, ps := range []*semgraph.Graph{
+			redisSub(), nginxSub(),
+			sub(pkg("curl", false, "ca-certificates"), pkg("ca-certificates", false)),
+			sub(pkg("bash", true)),
+		} {
+			if err := m.AddPrimarySubgraph(ps); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return m
+	}
+	cases := []struct {
+		name string
+		ps   *semgraph.Graph
+		want string
+	}{
+		{"reclustered primary", redisSub(), "ok"},
+		{"new primary on a base package", sub(pkg("app", false, "libc6"), pkg("libc6", true)), "ok"},
+		{"base homonym at another version", sub(pkg("app", false, "libc6"), build("libc6", "9.9", "amd64")), "incompatible"},
+		{"compatible base homonym of another build", sub(pkg("app", false, "libc6"), build("libc6", "1.0", "all")), "conflict"},
+		{"dependency at another version", sub(pkg("web", false, "nginx-common"), build("nginx-common", "2.0", "amd64")), "conflict"},
+		{"promoted base package at another version", sub(pkg("tool", false, "bash"), build("bash", "2.0", "amd64")), "conflict"},
+		// ca-certificates sorts before libc6: the conflict is met first,
+		// the incompatibility is still what is reported.
+		{"incompatible and conflicting", sub(pkg("app", false, "ca-certificates", "libc6"),
+			build("ca-certificates", "2.0", "amd64"), build("libc6", "9.9", "amd64")), "incompatible"},
+	}
+	for _, c := range cases {
+		m := newMaster()
+		want := outcomeBySubgraph(m, c.ps)
+		if want != c.want {
+			t.Fatalf("%s: subgraph computation gives %s, case expects %s", c.name, want, c.want)
+		}
+		if got := outcome(m.AddPrimarySubgraph(c.ps)); got != want {
+			t.Errorf("%s: AddPrimarySubgraph gives %s, base subgraph gives %s", c.name, got, want)
+		}
 	}
 }

@@ -111,6 +111,16 @@ func (g *Graph) Vertex(name string) (Vertex, bool) {
 	return *v, true
 }
 
+// BaseVertex returns the named vertex if it is a base vertex: the answer
+// BaseSubgraph().Vertex(name) gives, without extracting the subgraph.
+func (g *Graph) BaseVertex(name string) (Vertex, bool) {
+	v, ok := g.vertices[name]
+	if !ok || v.Kind != KindBase {
+		return Vertex{}, false
+	}
+	return *v, true
+}
+
 // Names returns all vertex names in sorted order.
 func (g *Graph) Names() []string {
 	out := make([]string, 0, len(g.vertices))

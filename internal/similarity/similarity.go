@@ -149,9 +149,16 @@ func SimG(g1, g2 *semgraph.Graph) float64 {
 // together with the base image". An empty intersection is vacuously
 // compatible.
 func Comp(baseSub, primarySub *semgraph.Graph) float64 {
+	return CompWith(baseSub.Vertex, primarySub)
+}
+
+// CompWith is Comp with the base-image subgraph given as a vertex lookup,
+// so a caller holding a larger graph can name its base vertices (e.g.
+// semgraph's BaseVertex on a master) without extracting G[BI].
+func CompWith(base func(name string) (semgraph.Vertex, bool), primarySub *semgraph.Graph) float64 {
 	prod := 1.0
 	for _, v := range primarySub.Vertices() {
-		if bv, ok := baseSub.Vertex(v.Pkg.Name); ok {
+		if bv, ok := base(v.Pkg.Name); ok {
 			prod *= SimP(bv.Pkg, v.Pkg)
 		}
 	}
