@@ -2,7 +2,6 @@ package core
 
 import (
 	"bytes"
-	"crypto/sha256"
 	"fmt"
 	"io"
 	"sync/atomic"
@@ -89,9 +88,8 @@ func (s *System) CacheStats() (st CacheStats, ok bool) {
 // the cold retrieval's per-phase charges into a fresh meter, so the bytes
 // and the report are identical to the miss that seeded the entry. Hits,
 // singleflight followers and the leader that built the entry all answer
-// through it. A DigestWriter is then given the digest the cache took at
-// insert, or, for an entry never inserted (an over-budget or stood-down
-// leader's hand-off to its followers), the image's SHA-256.
+// through it. A DigestWriter is then given the SHA-256 the entry took at
+// construction, whether or not the entry was inserted.
 func serveEntry(w io.Writer, rec vmirepo.VMIRecord, ent *retrievecache.Entry) (int64, *RetrieveReport, error) {
 	rep := &RetrieveReport{
 		Image:         rec.Name,
@@ -109,11 +107,7 @@ func serveEntry(w io.Writer, rec vmirepo.VMIRecord, ent *retrievecache.Entry) (i
 		return int64(n), nil, fmt.Errorf("core: retrieve %s: stream image: %w", rec.Name, err)
 	}
 	if dw, ok := w.(DigestWriter); ok {
-		sum, ok := ent.Sum()
-		if !ok {
-			sum = sha256.Sum256(ent.Image)
-		}
-		dw.SetDigest(sum)
+		dw.SetDigest(ent.Digest().Sum)
 	}
 	return int64(n), rep, nil
 }
@@ -137,8 +131,8 @@ func serveEntry(w io.Writer, rec vmirepo.VMIRecord, ent *retrievecache.Entry) (i
 // stand-down is counted against the base's stripe. A cached image is
 // serialized exactly once, into the entry, and the leader orders the rest:
 // insert, finish the flight (followers get the entry), write the entry to
-// w. An image that is not cached — a stand-down, or one larger than the
-// whole budget, counted Rejected — streams straight to w, through the
+// w. An image that is not cached — a stand-down, or one the cache does not
+// Admit, counted Rejected — streams straight to w, through the
 // digest memo, unless followers wait for it: then the leader leaves the
 // flight first, so that no follower can join after the count is read, and
 // serializes an entry for them alone.
@@ -167,8 +161,7 @@ func (s *System) leadAssembly(w io.Writer, key retrievecache.Key, rec vmirepo.VM
 		switch {
 		case s.repo.GenerationFor(key.BaseID, key.UserData) != key.Generation:
 			s.cctr.invalidations[vmirepo.StripeFor(key.BaseID)].Add(1)
-		case size > s.cache.MaxBytes():
-			s.cache.NoteRejected()
+		case !s.cache.Admit(key, size, rep.Imported): // counted Rejected
 		default:
 			insert = true
 		}

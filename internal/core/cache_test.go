@@ -242,6 +242,46 @@ func TestOversizeImageCountsRejected(t *testing.T) {
 	}
 }
 
+// TestCacheAdmitsByEntryCost: admission charges what an insert would — the
+// image plus the entry's key, imported names and bookkeeping — so a budget
+// of exactly the image's size admits nothing. Each retrieval is counted
+// Rejected without an attempted insert, and streams through the digest
+// memo like any uncached retrieval.
+func TestCacheAdmitsByEntryCost(t *testing.T) {
+	probe, b := newSystem(t, Options{})
+	if _, err := probe.Publish(buildImage(t, b, "Mini")); err != nil {
+		t.Fatal(err)
+	}
+	size, _, err := probe.RetrieveTo(io.Discard, "Mini")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, b := newSystem(t, Options{CacheBytes: size})
+	if _, err := s.Publish(buildImage(t, b, "Mini")); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		var sink digestSink
+		if _, _, err := s.RetrieveTo(&sink, "Mini"); err != nil {
+			t.Fatal(err)
+		}
+		if int64(sink.Len()) != size {
+			t.Fatalf("retrieval %d wrote %d bytes, want %d", i, sink.Len(), size)
+		}
+	}
+	if st, _ := s.CacheStats(); st.Puts != 0 || st.Rejected != 2 {
+		t.Fatalf("stats = %+v, want 0 puts and Rejected = 2", st)
+	}
+	rec, err := s.repo.GetVMI("Mini", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := retrievecache.NewKey(rec.BaseID, rec.Primaries, "Mini", s.repo.GenerationFor(rec.BaseID, "Mini"))
+	if e := s.memo.slot(key).Load(); e == nil || e.key != key || e.N != size {
+		t.Fatal("an image the cache did not admit skipped the digest memo")
+	}
+}
+
 // TestOversizeMissesCoalesce pins the singleflight path of an image too
 // large to cache: 16 concurrent misses still run exactly one assembly.
 // The leader's base open waits until the other 15 are queued behind it,

@@ -877,10 +877,11 @@ func decodeImage(name string, image []byte, rep *RetrieveReport) (*vmi.Image, *R
 // error every follower shares; leadAssembly decides what is inserted.
 //
 // When w is a DigestWriter it is given the image's SHA-256 after the last
-// byte: a hit's insert-time digest, or, for an image streamed straight
-// from the assembly, the digest memo's for the key. Only the first such
-// retrieval of a key hashes the image; a repeat checks a CRC-32C against
-// the memo and fails, after its last byte, if the image differs.
+// byte: a cached image's, taken when its entry was built, or, for an image
+// streamed straight from the assembly, the digest memo's for the key. Only
+// the first such retrieval of a key hashes the image; a repeat checks a
+// CRC-32C against the memo and fails, after its last byte, if the image
+// differs.
 func (s *System) RetrieveTo(w io.Writer, name string) (int64, *RetrieveReport, error) {
 	rep := &RetrieveReport{Image: name, Meter: &simio.Meter{}}
 	unview := sync.OnceFunc(s.repo.ReadView())

@@ -16,9 +16,10 @@ import (
 // written: the HTTP server's response writer, which sends it as the digest
 // trailer. Core calls SetDigest exactly once, after the last byte of an
 // operation that succeeded, with the SHA-256 of every byte the operation
-// wrote. A cache hit's digest is its entry's insert-time Sum, a streamed
-// retrieval's comes from the digest memo, an assembly's is hashed as it
-// streams. Core hashes nothing for a sink that is not a DigestWriter.
+// wrote. An image served from a cache entry gets the digest the entry took
+// at construction (retrievecache.Entry.Digest), a streamed retrieval's comes
+// from the digest memo, an assembly's is hashed as it streams. Core hashes
+// nothing for a sink that is not a DigestWriter.
 type DigestWriter interface {
 	io.Writer
 	SetDigest(sum [sha256.Size]byte)
@@ -28,13 +29,10 @@ type DigestWriter interface {
 // whose slot another key took is hashed again on its next retrieval.
 const memoSlots = 1024
 
-var (
-	memoSeed   = maphash.MakeSeed()
-	castagnoli = crc32.MakeTable(crc32.Castagnoli)
-)
+var memoSeed = maphash.MakeSeed()
 
-// digestMemo remembers, per retrieval key, the SHA-256, CRC-32C and length
-// of the image a retrieval streamed straight to a DigestWriter. A key names
+// digestMemo remembers, per retrieval key, the retrievecache.Digest of the
+// image a retrieval streamed straight to a DigestWriter. A key names
 // one committed state (its sources are opened under the view lock the key
 // was taken under) and assembly is deterministic, so every retrieval of the
 // key writes the same bytes: a repeat tees only a CRC-32C and sends the
@@ -47,9 +45,7 @@ type digestMemo struct {
 
 type memoEntry struct {
 	key retrievecache.Key
-	sum [sha256.Size]byte
-	crc uint32
-	n   int64
+	retrievecache.Digest
 }
 
 func (m *digestMemo) slot(key retrievecache.Key) *atomic.Pointer[memoEntry] {
@@ -84,10 +80,9 @@ type digestTee struct {
 	w    DigestWriter
 	memo *digestMemo // nil when no memo covers the assembly
 	key  retrievecache.Key
-	hit  *memoEntry // the memo's record of key, nil on a miss
-	sha  hash.Hash  // nil on a hit
-	crc  uint32
-	n    int64
+	hit  *memoEntry           // the memo's record of key, nil on a miss
+	sha  hash.Hash            // nil on a hit
+	got  retrievecache.Digest // CRC and N of what passed, Sum once settled
 }
 
 func (t *digestTee) Write(p []byte) (int, error) {
@@ -96,9 +91,9 @@ func (t *digestTee) Write(p []byte) (int, error) {
 		t.sha.Write(p[:n])
 	}
 	if t.memo != nil {
-		t.crc = crc32.Update(t.crc, castagnoli, p[:n])
+		t.got.CRC = crc32.Update(t.got.CRC, retrievecache.Castagnoli, p[:n])
 	}
-	t.n += int64(n)
+	t.got.N += int64(n)
 	return n, err
 }
 
@@ -107,18 +102,17 @@ func (t *digestTee) Write(p []byte) (int, error) {
 // records in the memo.
 func (t *digestTee) settle() error {
 	if t.hit != nil {
-		if t.crc != t.hit.crc || t.n != t.hit.n {
+		if t.got.CRC != t.hit.CRC || t.got.N != t.hit.N {
 			t.memo.slot(t.key).CompareAndSwap(t.hit, nil)
 			return errors.New("streamed bytes do not match the image's memoized digest")
 		}
-		t.w.SetDigest(t.hit.sum)
+		t.w.SetDigest(t.hit.Sum)
 		return nil
 	}
-	var sum [sha256.Size]byte
-	t.sha.Sum(sum[:0])
+	t.sha.Sum(t.got.Sum[:0])
 	if t.memo != nil {
-		t.memo.slot(t.key).Store(&memoEntry{key: t.key, sum: sum, crc: t.crc, n: t.n})
+		t.memo.slot(t.key).Store(&memoEntry{t.key, t.got})
 	}
-	t.w.SetDigest(sum)
+	t.w.SetDigest(t.got.Sum)
 	return nil
 }

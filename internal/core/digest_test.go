@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"hash/crc32"
+	"io"
 	"sync"
 	"testing"
 
@@ -53,8 +54,8 @@ func TestDigestMemoSlotMatchesBytesWritten(t *testing.T) {
 		t.Fatal("a DigestWriter was written other bytes than a plain writer")
 	case e == nil || e.key != key:
 		t.Fatal("the retrieval left its key's memo slot empty")
-	case e.sum != want || e.n != int64(first.Len()) || e.crc != crc32.Checksum(first.Bytes(), castagnoli):
-		t.Fatalf("memo slot (%x, %d bytes, crc %08x) does not describe the %d bytes written", e.sum, e.n, e.crc, first.Len())
+	case e.Digest != (retrievecache.Digest{Sum: want, CRC: crc32.Checksum(first.Bytes(), retrievecache.Castagnoli), N: int64(first.Len())}):
+		t.Fatalf("memo slot (%x, %d bytes, crc %08x) does not describe the %d bytes written", e.Sum, e.N, e.CRC, first.Len())
 	case len(first.sums) != 1 || first.sums[0] != want:
 		t.Fatalf("sink was handed digests %x, want once %x", first.sums, want)
 	}
@@ -79,4 +80,37 @@ func TestDigestMemoSlotMatchesBytesWritten(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
+}
+
+// TestCacheHitDigestIgnoresMemo: a hit's trailer is the SHA-256 its entry
+// took at construction, so hits served with every memo slot empty are
+// handed the body's digest and leave the memo empty.
+func TestCacheHitDigestIgnoresMemo(t *testing.T) {
+	s, b := newSystem(t, Options{CacheBytes: testCacheBytes})
+	if _, err := s.Publish(buildImage(t, b, "Redis")); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := s.RetrieveTo(io.Discard, "Redis"); err != nil { // the insert
+		t.Fatal(err)
+	}
+	for i := range s.memo.slots {
+		s.memo.slots[i].Store(nil)
+	}
+	for i := 0; i < 2; i++ {
+		var hit digestSink
+		if _, _, err := s.RetrieveTo(&hit, "Redis"); err != nil {
+			t.Fatal(err)
+		}
+		if want := sha256.Sum256(hit.Bytes()); len(hit.sums) != 1 || hit.sums[0] != want {
+			t.Fatalf("hit %d was handed digests %x, want once %x", i, hit.sums, want)
+		}
+	}
+	for i := range s.memo.slots {
+		if s.memo.slots[i].Load() != nil {
+			t.Fatalf("a hit filled memo slot %d", i)
+		}
+	}
+	if st, _ := s.CacheStats(); st.Hits != 2 || st.Puts != 1 {
+		t.Fatalf("stats = %+v, want 1 put then 2 hits", st)
+	}
 }

@@ -16,14 +16,15 @@
 // unreachable, while mutations scoped to other stripes leave them
 // servable.
 //
-// Put hashes an entry's serialized image once, into a SHA-256 and a
-// CRC-32C. The SHA-256 is the entry's end-to-end digest (Entry.Sum): a
-// server sends it as the response's digest trailer instead of hashing the
-// body again, and the client's check of that trailer is the one
-// cryptographic pass over a served hit. The CRC-32C is re-verified on every
-// hit, at a small fraction of SHA-256's cost: a poisoned entry (bit rot, an
-// aliasing bug, a caller scribbling on shared bytes) surfaces as
-// ErrPoisoned instead of wrong image bytes.
+// NewEntry digests an entry's serialized image once, at construction, into
+// a Digest: SHA-256, CRC-32C and length. The SHA-256 is the entry's
+// end-to-end digest: a server sends it as the response's digest trailer
+// instead of hashing the body again, and the client's check of that trailer
+// is the one cryptographic pass over a served hit. The CRC-32C is
+// re-verified on every hit, at a small fraction of SHA-256's cost: a
+// poisoned entry (bit rot, an aliasing bug, a caller scribbling on shared
+// bytes) surfaces as ErrPoisoned instead of wrong image bytes. Put hashes
+// nothing.
 //
 // The cache is transparent at the cost-model level: an entry carries the
 // full retrieval report of the assembly that produced it (imported
@@ -48,7 +49,7 @@ import (
 )
 
 // ErrPoisoned marks a cache hit whose stored image bytes no longer match
-// the checksum captured at insertion. Served bytes would be wrong, so
+// the checksum NewEntry captured. Served bytes would be wrong, so
 // the entry is evicted and the error surfaces to the caller.
 var ErrPoisoned = errors.New("retrievecache: cached image failed content verification")
 
@@ -85,13 +86,26 @@ func NewKey(baseID string, primaries []string, userData string, generation uint6
 	}
 }
 
+// Digest is what one image hashes to: its SHA-256, its CRC-32C (Castagnoli)
+// and its length. It is the one shape a retrieval key's integrity facts
+// take, on a cache entry and in core's digest memo alike.
+type Digest struct {
+	Sum [sha256.Size]byte
+	CRC uint32
+	N   int64
+}
+
+// Castagnoli is the CRC-32C table: hardware-accelerated on amd64 and
+// arm64, so a hit's verification costs a small fraction of a SHA-256 pass.
+var Castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
 // Entry is one cached assembly: the serialized image plus everything
 // needed to replay the cold retrieval's report. Entries handed to Put are
 // owned by the cache; entries returned by Get are shared — callers must
 // treat every field as read-only and copy what they keep.
 type Entry struct {
-	// Image is the serialized (qcow2-like) assembled image. It is verified
-	// against the checksum captured at insertion on every hit.
+	// Image is the serialized (qcow2-like) assembled image. Every hit
+	// re-verifies it against the CRC-32C NewEntry took.
 	Image []byte
 	// Base is the base-attribute quadruple of the assembled image.
 	Base pkgmeta.BaseAttrs
@@ -104,23 +118,16 @@ type Entry struct {
 	// byte-identical — the cache never changes modeled semantics.
 	Phases map[simio.Phase]time.Duration
 
-	// Set once by Put, before the entry becomes reachable.
-	sum    [sha256.Size]byte
-	crc    uint32
-	summed bool
+	digest Digest // of Image, taken by NewEntry
 }
 
-// castagnoli is the CRC-32C table: hardware-accelerated on amd64 and
-// arm64, so a hit's verification costs a small fraction of a SHA-256 pass.
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+// Digest returns the digest of the entry's image, taken when NewEntry
+// built it — whether or not the entry was ever Put.
+func (e *Entry) Digest() Digest { return e.digest }
 
-// Sum returns the SHA-256 of the entry's image, computed when Put inserted
-// it; ok is false for an entry that was never Put (one built for a single
-// hand-off and never cached).
-func (e *Entry) Sum() (sum [sha256.Size]byte, ok bool) { return e.sum, e.summed }
-
-// NewEntry builds an entry, copying the imported list and phase map (the
-// image bytes are taken over as-is; callers hand over ownership).
+// NewEntry builds an entry and digests its image, copying the imported
+// list and phase map (the image bytes are taken over as-is; callers hand
+// over ownership, so the digest guards them from here on).
 func NewEntry(image []byte, base pkgmeta.BaseAttrs, imported []string, importedBytes int64, phases map[simio.Phase]time.Duration) *Entry {
 	ph := make(map[simio.Phase]time.Duration, len(phases))
 	for p, d := range phases {
@@ -132,6 +139,7 @@ func NewEntry(image []byte, base pkgmeta.BaseAttrs, imported []string, importedB
 		Imported:      append([]string(nil), imported...),
 		ImportedBytes: importedBytes,
 		Phases:        ph,
+		digest:        Digest{sha256.Sum256(image), crc32.Checksum(image, Castagnoli), int64(len(image))},
 	}
 }
 
@@ -140,10 +148,11 @@ func NewEntry(image []byte, base pkgmeta.BaseAttrs, imported []string, importedB
 // payload, so a cache full of tiny entries cannot balloon unaccounted.
 const entryOverhead = 256
 
-// cost is the bytes an entry charges against the budget.
-func cost(key Key, e *Entry) int64 {
-	c := int64(entryOverhead + len(e.Image) + len(key.BaseID) + len(key.Primaries) + len(key.UserData))
-	for _, p := range e.Imported {
+// cost is the bytes an entry for key, with an image of imageBytes and the
+// imported list, charges against the budget.
+func cost(key Key, imageBytes int64, imported []string) int64 {
+	c := imageBytes + int64(entryOverhead+len(key.BaseID)+len(key.Primaries)+len(key.UserData))
+	for _, p := range imported {
 		c += int64(len(p))
 	}
 	return c
@@ -155,8 +164,7 @@ type Stats struct {
 	// insertions (including replacements of an existing key).
 	Hits, Misses, Puts int64
 	// Evictions counts entries dropped by the LRU to fit the byte budget;
-	// Rejected counts entries that alone exceed it — refused by Put, or
-	// skipped upfront by the caller and recorded via NoteRejected.
+	// Rejected counts entries that alone exceed it, refused by Admit or Put.
 	Evictions, Rejected int64
 	// Poisoned counts hits whose image bytes failed checksum verification
 	// (the entry is evicted and ErrPoisoned returned).
@@ -231,10 +239,10 @@ func (c *Cache) removeLocked(n *node) {
 }
 
 // Get returns the entry for key, refreshing its recency, or (nil, nil) on
-// a miss. The stored image is re-verified against the CRC-32C taken at
-// insertion; on mismatch the entry is evicted and ErrPoisoned returned, so
+// a miss. The stored image is re-verified against the CRC-32C NewEntry
+// took; on mismatch the entry is evicted and ErrPoisoned returned, so
 // damaged bytes can never be served as an assembled image. Get computes no
-// SHA-256: a hit's digest is the one Put took (Entry.Sum).
+// SHA-256: a hit's digest is the entry's own (Entry.Digest).
 func (c *Cache) Get(key Key) (*Entry, error) { return c.get(key, true) }
 
 // Peek is Get for double-checked miss paths: a resident entry is served
@@ -257,7 +265,7 @@ func (c *Cache) get(key Key, countMiss bool) (*Entry, error) {
 	c.mu.Unlock()
 
 	// Checksum outside the lock: hits of large images must not serialise.
-	if crc32.Checksum(e.Image, castagnoli) != e.crc {
+	if crc32.Checksum(e.Image, Castagnoli) != e.digest.CRC {
 		c.mu.Lock()
 		// Re-check: the entry may have been replaced or evicted since.
 		if cur, ok := c.items[key]; ok && cur == n {
@@ -279,23 +287,30 @@ func (c *Cache) get(key Key, countMiss bool) (*Entry, error) {
 	return e, nil
 }
 
-// Put inserts (or replaces) the entry under key, captures its SHA-256
-// (Entry.Sum) and CRC-32C, and evicts least-recently-used entries until the
-// budget holds. An entry whose cost alone exceeds the budget is rejected
-// and reported false; the cache is unchanged — and the rejection happens
-// before anything is hashed, so an uncacheably large image does not pay a
-// full SHA-256 on every miss. An entry is Put at most once.
+// Admit reports whether an entry for key, with an image of imageBytes and
+// the imported list, fits the budget at all. It charges exactly what Put
+// would, and counts a refusal as Rejected, so a caller can skip building an
+// entry that could never be resident.
+func (c *Cache) Admit(key Key, imageBytes int64, imported []string) bool {
+	if cost(key, imageBytes, imported) <= c.maxBytes { // maxBytes is immutable after New
+		return true
+	}
+	c.mu.Lock()
+	c.rejected++
+	c.mu.Unlock()
+	return false
+}
+
+// Put inserts (or replaces) the entry under key and evicts
+// least-recently-used entries until the budget holds. An entry Admit
+// refuses is reported false and leaves the cache unchanged. Put hashes
+// nothing: the entry carries its digest from NewEntry. An entry is Put at
+// most once.
 func (c *Cache) Put(key Key, e *Entry) bool {
-	n := &node{key: key, entry: e, cost: cost(key, e)}
-	if n.cost > c.maxBytes { // maxBytes is immutable after New
-		c.mu.Lock()
-		c.rejected++
-		c.mu.Unlock()
+	if !c.Admit(key, int64(len(e.Image)), e.Imported) {
 		return false
 	}
-	// Hash outside the lock, like Get: inserts of large images must not
-	// serialise the cache.
-	e.sum, e.crc, e.summed = sha256.Sum256(e.Image), crc32.Checksum(e.Image, castagnoli), true
+	n := &node{key: key, entry: e, cost: cost(key, int64(len(e.Image)), e.Imported)}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if old, ok := c.items[key]; ok {
@@ -310,16 +325,6 @@ func (c *Cache) Put(key Key, e *Entry) bool {
 		c.evictions++
 	}
 	return true
-}
-
-// NoteRejected records an insert the caller skipped because the entry
-// could never be resident (a serialized image whose lower-bound size
-// already exceeds the budget), keeping Stats.Rejected an accurate count
-// of uncacheable assemblies even when Put is never called for them.
-func (c *Cache) NoteRejected() {
-	c.mu.Lock()
-	c.rejected++
-	c.mu.Unlock()
 }
 
 // Remove drops the entry for key, reporting whether one was resident.
@@ -340,10 +345,6 @@ func (c *Cache) Len() int {
 	defer c.mu.Unlock()
 	return len(c.items)
 }
-
-// MaxBytes returns the byte budget (immutable after New). Callers can use
-// it to skip building an entry that could never be resident.
-func (c *Cache) MaxBytes() int64 { return c.maxBytes }
 
 // Stats returns a consistent snapshot of the counters.
 func (c *Cache) Stats() Stats {

@@ -3,6 +3,7 @@ package retrievecache
 import (
 	"bytes"
 	"crypto/sha256"
+	"hash/crc32"
 	"sync"
 	"testing"
 	"time"
@@ -111,26 +112,33 @@ func TestConcurrentSameKey(t *testing.T) {
 	wg.Wait()
 }
 
-// TestPutRecordsDigest: Put records the image's SHA-256 for Entry.Sum, the
-// digest a server sends instead of hashing a hit. An entry never Put, or
-// refused as over budget before anything was hashed, has none.
-func TestPutRecordsDigest(t *testing.T) {
-	c := New(1 << 20)
-	e := testEntry(4096)
-	if _, ok := e.Sum(); ok {
-		t.Fatal("an entry never Put reports a digest")
+// TestNewEntryRecordsDigest: every entry carries its image's SHA-256,
+// CRC-32C and length from construction — the digest a server sends instead
+// of hashing a hit — including one Put refuses as over budget, and neither
+// Put nor a verified Get changes it.
+func TestNewEntryRecordsDigest(t *testing.T) {
+	want := func(e *Entry) Digest {
+		return Digest{sha256.Sum256(e.Image), crc32.Checksum(e.Image, Castagnoli), int64(len(e.Image))}
 	}
-	if !c.Put(NewKey("base", nil, "vmi", 1), e) {
+	c := New(1 << 20)
+	e, big := testEntry(4096), testEntry(2<<20)
+	for _, x := range []*Entry{e, big} {
+		if got := x.Digest(); got != want(x) {
+			t.Fatalf("NewEntry of %d bytes recorded %+v, want %+v", len(x.Image), got, want(x))
+		}
+	}
+	key := NewKey("base", nil, "vmi", 1)
+	if !c.Put(key, e) {
 		t.Fatal("Put refused an entry within budget")
 	}
-	if sum, ok := e.Sum(); !ok || sum != sha256.Sum256(e.Image) {
-		t.Fatalf("Sum after Put = %x, %v; want the image's SHA-256", sum, ok)
-	}
-	big := testEntry(2 << 20)
 	if c.Put(NewKey("base", nil, "vmi", 2), big) {
 		t.Fatal("Put accepted an entry over the whole budget")
 	}
-	if _, ok := big.Sum(); ok {
-		t.Fatal("a refused entry reports a digest")
+	hit, err := c.Get(key)
+	switch {
+	case err != nil || hit != e:
+		t.Fatalf("Get = %p, %v; want the entry Put", hit, err)
+	case e.Digest() != want(e) || big.Digest() != want(big):
+		t.Fatal("Put or Get changed an entry's digest")
 	}
 }

@@ -1,8 +1,8 @@
 package server_test
 
 // The digest trailer on every path out of core.RetrieveTo and AssembleTo.
-// Core supplies every digest: a cached image's is the one the retrieval
-// cache took at insert, a repeated uncached retrieval's comes from core's
+// Core supplies every digest: a cached image's is the one its retrieval
+// cache entry took when it was built, a repeated uncached retrieval's comes from core's
 // digest memo, any other body is hashed as it streams. These tests pin
 // that every kind of trailer is the SHA-256 of the bytes actually sent.
 

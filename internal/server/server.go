@@ -13,8 +13,8 @@
 //	X-Expel-Result  the operation's wire.RetrieveResult as JSON
 //
 // The server hashes no body. Its response writer is a core.DigestWriter,
-// and core supplies every digest: a cache hit's is the one its entry took
-// at insert, a repeat of an uncached retrieval's comes from core's digest
+// and core supplies every digest: a cached image's is the one its entry
+// took when it was built, a repeat of an uncached retrieval's comes from core's digest
 // memo (checked by a CRC-32C as it streams), and any other body is hashed
 // by core as it streams. A body core completes without a digest is
 // aborted, never sent with an invented trailer. The client's check of the
