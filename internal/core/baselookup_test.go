@@ -3,8 +3,10 @@ package core
 import (
 	"bytes"
 	"errors"
+	"maps"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"expelliarmus/internal/master"
@@ -21,7 +23,11 @@ import (
 // returns the refs m.BaseSubgraph() lacks. It covers every master against
 // every primary subgraph of every VMI (the master's and the image's own)
 // after publishing the Table II catalog and after each step of a 30-step
-// remove/republish churn, and replays each Remove's master rebuild.
+// churn of removals, publishes and republishes under another image's
+// primaries, and replays each Remove's master rebuild. After every step
+// each committed master must also be its base subgraph plus the primary
+// subgraphs of the records clustered on it, and the refcount bucket must
+// equal a fresh survey.
 func TestBaseLookupMatchesSubgraph(t *testing.T) {
 	names := templateNames(19)
 	imgs := buildCatalog(t, names)
@@ -64,11 +70,13 @@ func TestBaseLookupMatchesSubgraph(t *testing.T) {
 			t.Fatal(err)
 		}
 		var subs []*semgraph.Graph
+		clustered := map[string][]string{}
 		for _, name := range s.repo.VMIs() {
 			rec, err := s.repo.GetVMI(name, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
+			clustered[rec.BaseID] = append(clustered[rec.BaseID], rec.Primaries...)
 			mg, err := s.repo.GetMaster(rec.BaseID, nil)
 			if err != nil {
 				t.Fatal(err)
@@ -91,8 +99,8 @@ func TestBaseLookupMatchesSubgraph(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("%s: vmiPackageRefs(%s) = %v, base subgraph gives %v", step, name, got, want)
+			if wantRefs := slices.Sorted(maps.Keys(want)); !reflect.DeepEqual(got, wantRefs) {
+				t.Fatalf("%s: vmiPackageRefs(%s) = %v, base subgraph gives %v", step, name, got, wantRefs)
 			}
 		}
 		subs = append(subs, ownPS...)
@@ -100,9 +108,29 @@ func TestBaseLookupMatchesSubgraph(t *testing.T) {
 			for _, ps := range subs {
 				checkedAdd(&master.Graph{BaseID: m.BaseID, G: m.G.Clone()}, ps) //nolint:errcheck
 			}
+			want := master.New(m.BaseID, m.BaseSubgraph())
+			for _, p := range clustered[m.BaseID] {
+				sub, err := m.PrimarySubgraph(p)
+				if err != nil {
+					t.Fatalf("%s: master %s: %v", step, m.BaseID, err)
+				}
+				if err := want.AddPrimarySubgraph(sub); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if !bytes.Equal(m.Marshal(), want.Marshal()) {
+				t.Fatalf("%s: master %s clusters %v, its records %v", step, m.BaseID, m.PrimaryNames(), clustered[m.BaseID])
+			}
+		}
+		survey, err := s.surveyPackageRefs()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := s.repo.PackageRefs(); !reflect.DeepEqual(got, survey) {
+			t.Fatalf("%s: refcount bucket %v, survey %v", step, got, survey)
 		}
 	}
-	// remove replays removeLocked's master rebuild through checkedAdd and
+	// remove replays retire's master rebuild through checkedAdd and
 	// requires the committed master to marshal to the replay's bytes.
 	remove := func(name string) {
 		t.Helper()
@@ -158,13 +186,24 @@ func TestBaseLookupMatchesSubgraph(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(1))
 	for step := 0; step < 30; step++ {
-		i := rng.Intn(len(imgs))
-		if live[i] {
+		i, j := rng.Intn(len(imgs)), rng.Intn(len(imgs))
+		switch {
+		case live[i] && step%3 == 2:
+			// Republish name i with image j's primaries.
+			img := imgs[j].Clone()
+			img.Name = names[i]
+			if _, err := s.Publish(img); err != nil {
+				t.Fatal(err)
+			}
+		case live[i]:
 			remove(names[i])
-		} else if _, err := s.Publish(imgs[i].Clone()); err != nil {
-			t.Fatal(err)
+			live[i] = false
+		default:
+			if _, err := s.Publish(imgs[i].Clone()); err != nil {
+				t.Fatal(err)
+			}
+			live[i] = true
 		}
-		live[i] = !live[i]
 		check(names[i])
 	}
 }

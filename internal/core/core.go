@@ -127,8 +127,8 @@ func (s *System) lockCommits(stripes ...int) func() {
 
 // lockRecordClass locks the commit stripes of a transaction on the record
 // called name: the given stripes (a publish's own class) plus the stripe of
-// the record's current class, whose refcounts and tenant charge the
-// transaction credits. The class is resolved under the view lock, where a
+// the record's current class, where the transaction retires the record
+// (retire). The class is resolved under the view lock, where a
 // record and its base always agree, and validated once the stripes are
 // held; a record that moved to another base in between is settled by
 // taking every stripe instead. It returns the stripes held (none meaning
@@ -264,7 +264,10 @@ func (s *System) Publish(img *vmi.Image) (*PublishReport, error) {
 // base image if one must be stored), and the metadata writes follow inside
 // a view window (vmirepo.WriteView). A concurrent reader therefore sees the
 // previous version whole or this one whole, and a publish rejected before
-// the window, over quota say, leaves the live record as it was.
+// the window, over quota say, leaves the live record as it was. The record
+// a publish replaces is retired in the window exactly as Remove retires
+// one: what only it used is collected, and its master is rebuilt or, when
+// no record is left on its base, removed with the base.
 func (s *System) PublishWith(img *vmi.Image, popts PublishOpts) (*PublishReport, error) {
 	// Refuse up front on followers: publishing does expensive semantic
 	// analysis before its first repository write, and failing at the
@@ -398,36 +401,25 @@ func (s *System) PublishWith(img *vmi.Image, popts PublishOpts) (*PublishReport,
 	// Remove's same-class removals and Snapshot/Sync, which take every
 	// stripe). Commits on unrelated attribute classes proceed in parallel.
 	// A republish additionally holds the stripe of the class the old
-	// record belongs to, so crediting that record's refcounts and tenant
-	// charge cannot race a removal processing the same record.
+	// record belongs to, so retiring that record cannot race a removal of
+	// the same record.
 	stripes, unlock := s.lockRecordClass(img.Name, vmirepo.ClassStripe(img.Base))
 	defer unlock()
 
-	// Capture what the record this publish replaces (if any) contributed,
-	// before any graph mutation invalidates the master it was clustered
-	// on: its package refs, its attribute class, and its tenant charge.
+	// Capture the record this publish replaces (if any) and its package
+	// refs before any graph mutation invalidates the master it was
+	// clustered on; its lifecycle record feeds the quota gate.
 	var (
-		hadOld   bool
-		oldClass string
-		oldRefs  []string
-		oldMeta  vmirepo.VMIMeta
-		hadMeta  bool
+		oldRefs []string
+		oldMeta vmirepo.VMIMeta
+		hadMeta bool
 	)
-	if oldRec, err := s.repo.GetVMI(img.Name, nil); err == nil {
-		hadOld = true
-		binfo, err := s.repo.BaseInfo(oldRec.BaseID)
-		if err != nil {
-			return nil, fmt.Errorf("core: publish %s: resolve replaced record: %w", img.Name, err)
-		}
-		oldClass = binfo.Attrs.String()
-		refs, err := s.vmiPackageRefs(oldRec)
-		if err != nil {
+	oldRec, err := s.repo.GetVMI(img.Name, nil)
+	hadOld := err == nil
+	if hadOld {
+		if oldRefs, err = s.vmiPackageRefs(oldRec); err != nil {
 			return nil, fmt.Errorf("core: publish %s: survey replaced record: %w", img.Name, err)
 		}
-		for ref := range refs {
-			oldRefs = append(oldRefs, ref)
-		}
-		sort.Strings(oldRefs)
 		if oldMeta, hadMeta, err = s.repo.GetVMIMeta(img.Name, rep.Meter); err != nil {
 			return nil, err
 		}
@@ -549,6 +541,10 @@ func (s *System) PublishWith(img *vmi.Image, popts PublishOpts) (*PublishReport,
 		if err := s.repo.RewireVMIs(b, selected, rep.Meter); err != nil {
 			return nil, err
 		}
+		if b == oldRec.BaseID {
+			// The replaced record moved with them, so it retires from there.
+			oldRec.BaseID = selected
+		}
 		rep.ReplacedBases = append(rep.ReplacedBases, b)
 	}
 	// Line 29: update the master graph.
@@ -573,34 +569,18 @@ func (s *System) PublishWith(img *vmi.Image, popts PublishOpts) (*PublishReport,
 	}
 
 	// Lifecycle commit, in the same lock window as the record it
-	// describes. Refs are added before the replaced record's are dropped,
-	// so a shared ref never transits zero; packages only the replaced
-	// record needed are collected here (the pins cover the new record's).
-	newRefSet, err := s.vmiPackageRefs(newRec)
+	// describes. The new record's refs are added before the replaced
+	// record retires exactly as Remove retires one, so a shared ref never
+	// transits zero (the pins cover the new record's refs).
+	newRefs, err := s.vmiPackageRefs(newRec)
 	if err != nil {
 		return nil, fmt.Errorf("core: publish %s: survey committed record: %w", img.Name, err)
 	}
-	newRefs := make([]string, 0, len(newRefSet))
-	for ref := range newRefSet {
-		newRefs = append(newRefs, ref)
-	}
-	sort.Strings(newRefs)
-	if err := s.repo.AddPackageRefs(img.Base.String(), newRefs, rep.Meter); err != nil {
+	if err := s.repo.AddPackageRefs(newRefs, rep.Meter); err != nil {
 		return nil, err
 	}
 	if hadOld {
-		dead, err := s.repo.DropPackageRefs(oldClass, oldRefs, rep.Meter)
-		if err != nil {
-			return nil, err
-		}
-		for _, ref := range dead {
-			if _, err := s.removePackageUnlessPinned(ref); err != nil {
-				return nil, err
-			}
-		}
-	}
-	if hadMeta {
-		if err := s.repo.ChargeTenant(oldMeta.Tenant, -oldMeta.ChargedBytes, rep.Meter); err != nil {
+		if err := s.retire(oldRec, oldRefs, rep.Meter); err != nil {
 			return nil, err
 		}
 	}
@@ -611,10 +591,6 @@ func (s *System) PublishWith(img *vmi.Image, popts PublishOpts) (*PublishReport,
 			return nil, err
 		}
 		if err := s.repo.ChargeTenant(popts.Tenant, charge, rep.Meter); err != nil {
-			return nil, err
-		}
-	} else if hadMeta {
-		if err := s.repo.RemoveVMIMeta(img.Name, rep.Meter); err != nil {
 			return nil, err
 		}
 	}

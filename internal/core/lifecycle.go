@@ -88,7 +88,7 @@ func (s *System) Vacuum() (VacuumStats, error) {
 	}
 	for _, rec := range pkgs {
 		ref := rec.Pkg.Ref()
-		if counts[ref] != nil {
+		if counts[ref] > 0 {
 			continue
 		}
 		removed, err := s.removePackageUnlessPinned(ref)

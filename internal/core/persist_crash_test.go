@@ -110,7 +110,12 @@ func checkNoDanglingMetadata(t *testing.T, sys *System) {
 		if _, _, err := sys.Retrieve(name); err != nil {
 			t.Fatalf("recovered VMI %s not retrievable: %v", name, err)
 		}
-		if _, err := repo.GetUserData(name, "store", nil); err != nil {
+		rc, _, err := repo.OpenUserData(name, "store", nil)
+		if err == nil && rc != nil {
+			_, err = io.Copy(io.Discard, rc)
+			rc.Close()
+		}
+		if err != nil {
 			t.Fatalf("recovered user data for %s unreadable: %v", name, err)
 		}
 	}
@@ -119,7 +124,12 @@ func checkNoDanglingMetadata(t *testing.T, sys *System) {
 		t.Fatalf("recovered package records unreadable: %v", err)
 	}
 	for _, p := range pkgs {
-		if _, _, err := repo.GetPackage(p.Pkg.Ref(), "store", nil); err != nil {
+		_, rc, _, err := repo.OpenPackage(p.Pkg.Ref(), "store", nil)
+		if err == nil {
+			_, err = io.Copy(io.Discard, rc)
+			rc.Close()
+		}
+		if err != nil {
 			t.Fatalf("recovered package %s dangling: %v", p.Pkg.Ref(), err)
 		}
 	}

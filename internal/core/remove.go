@@ -2,7 +2,8 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 
 	"expelliarmus/internal/master"
 	"expelliarmus/internal/simio"
@@ -15,42 +16,34 @@ func NewSystemWithRepo(repo *vmirepo.Repo, dev *simio.Device, opts Options) *Sys
 	return &System{repo: repo, dev: dev, opts: opts, cache: newCache(opts), pinned: make(map[string]int)}
 }
 
-// surveyPackageRefs computes, from the committed VMI records, how many
-// VMIs of each attribute class reference each package — the ground truth
-// the refcount bucket caches. Callers hold whatever commit locks their
-// consistency needs.
-func (s *System) surveyPackageRefs() (map[string]map[string]int64, error) {
-	counts := map[string]map[string]int64{}
+// surveyPackageRefs counts, from the committed VMI records, how many VMIs
+// reference each package — the ground truth the refcount bucket caches.
+// Callers hold whatever commit locks their consistency needs.
+func (s *System) surveyPackageRefs() (map[string]int64, error) {
+	counts := map[string]int64{}
 	for _, name := range s.repo.VMIs() {
 		rec, err := s.repo.GetVMI(name, nil)
 		if err != nil {
 			return nil, err
 		}
-		binfo, err := s.repo.BaseInfo(rec.BaseID)
-		if err != nil {
-			return nil, err
-		}
-		class := binfo.Attrs.String()
 		refs, err := s.vmiPackageRefs(rec)
 		if err != nil {
 			return nil, err
 		}
-		for ref := range refs {
-			if counts[ref] == nil {
-				counts[ref] = map[string]int64{}
-			}
-			counts[ref][class]++
+		for _, ref := range refs {
+			counts[ref]++
 		}
 	}
 	return counts, nil
 }
 
-// vmiPackageRefs returns the non-base package refs a VMI's assembly pulls
-// from the repository: the union of its primaries' subgraphs within its
-// master graph, minus base-image packages. A package is a base package
-// when the master holds it as a base vertex (the membership test
-// mg.BaseSubgraph().HasVertex answers, without extracting the subgraph).
-func (s *System) vmiPackageRefs(rec vmirepo.VMIRecord) (map[string]bool, error) {
+// vmiPackageRefs returns, sorted, the non-base package refs a VMI's
+// assembly pulls from the repository: the union of its primaries'
+// subgraphs within its master graph, minus base-image packages. A package
+// is a base package when the master holds it as a base vertex (the
+// membership test mg.BaseSubgraph().HasVertex answers, without extracting
+// the subgraph).
+func (s *System) vmiPackageRefs(rec vmirepo.VMIRecord) ([]string, error) {
 	mg, err := s.repo.GetMaster(rec.BaseID, nil)
 	if err != nil {
 		return nil, err
@@ -67,16 +60,11 @@ func (s *System) vmiPackageRefs(rec vmirepo.VMIRecord) (map[string]bool, error) 
 			}
 		}
 	}
-	return refs, nil
+	return slices.Sorted(maps.Keys(refs)), nil
 }
 
-// Remove deletes a published VMI and garbage-collects everything no
-// remaining VMI needs: packages referenced only by the removed image (per
-// the per-class refcounts publishes maintain), its user data and
-// lifecycle record, and — when it was the last VMI on its base — the base
-// image and master graph. When the base survives, the master graph is
-// rebuilt from the remaining VMIs so it no longer advertises unavailable
-// packages.
+// Remove deletes a published VMI: its user data and record go, and
+// retire garbage-collects everything no remaining VMI needs.
 //
 // The paper treats the repository as append-only; removal closes the
 // loop for long-lived deployments (images are versioned, cloned and
@@ -90,7 +78,6 @@ func (s *System) vmiPackageRefs(rec vmirepo.VMIRecord) (map[string]bool, error) 
 // are never blocked. The class is resolved like a publish resolves the
 // record it replaces (lockRecordClass), and the writes land in a view
 // window on the same stripe, so a reader sees the image whole or gone.
-// Packages pinned by in-flight publishes are never collected.
 func (s *System) Remove(name string) error {
 	// Refuse up front on followers — a removal that failed midway through
 	// its garbage collection would still have been read-only safe (every
@@ -104,31 +91,38 @@ func (s *System) Remove(name string) error {
 	if err != nil {
 		return err
 	}
-	binfo, err := s.repo.BaseInfo(rec.BaseID)
+	refs, err := s.vmiPackageRefs(rec)
 	if err != nil {
 		return fmt.Errorf("core: remove %s: %w", name, err)
 	}
 	defer s.repo.WriteView(stripes...)()
-	return s.removeLocked(rec, binfo.Attrs.String())
+	if err := s.repo.RemoveUserData(name, nil); err != nil {
+		return err
+	}
+	if err := s.repo.RemoveVMI(name, nil); err != nil {
+		return err
+	}
+	return s.retire(rec, refs, nil)
 }
 
-// removeLocked is the removal transaction body; the caller holds (at
-// least) the commit and view stripes of the record's attribute class.
-func (s *System) removeLocked(rec vmirepo.VMIRecord, class string) error {
-	name := rec.Name
-	target, err := s.vmiPackageRefs(rec)
-	if err != nil {
-		return fmt.Errorf("core: remove %s: %w", name, err)
-	}
-	refs := make([]string, 0, len(target))
-	for ref := range target {
-		refs = append(refs, ref)
-	}
-	sort.Strings(refs)
-
-	// Drop this record's refcounts; refs whose total across every class
-	// hit zero are garbage (no survey of other classes' VMIs needed).
-	dead, err := s.repo.DropPackageRefs(class, refs, nil)
+// retire settles what a VMI record leaves behind once it is no longer its
+// name's committed record, whether Remove deleted it or a republish
+// replaced it. refs are the record's package refs, taken while its master
+// still clustered it. In order, retire:
+//
+//  1. drops the record's refcounts and collects the packages no record
+//     uses any more, unless an in-flight publish pinned them;
+//  2. credits its tenant and deletes its lifecycle record;
+//  3. removes its base image and master graph when no committed record is
+//     clustered on that base any more, and otherwise rebuilds the master
+//     from those records, so the master never advertises a package that
+//     was just collected.
+//
+// The caller holds the commit and view stripes of the record's class.
+// Every record on the record's base shares that class, so the survivor
+// scan is stable while unrelated classes publish concurrently.
+func (s *System) retire(rec vmirepo.VMIRecord, refs []string, m *simio.Meter) error {
+	dead, err := s.repo.DropPackageRefs(refs, m)
 	if err != nil {
 		return err
 	}
@@ -138,35 +132,21 @@ func (s *System) removeLocked(rec vmirepo.VMIRecord, class string) error {
 		}
 	}
 
-	if err := s.repo.RemoveUserData(name, nil); err != nil {
-		return err
-	}
-	if err := s.repo.RemoveVMI(name, nil); err != nil {
-		return err
-	}
-	// Credit the tenant and drop the lifecycle record.
-	meta, ok, err := s.repo.GetVMIMeta(name, nil)
+	meta, ok, err := s.repo.GetVMIMeta(rec.Name, m)
 	if err != nil {
 		return err
 	}
 	if ok {
-		if err := s.repo.ChargeTenant(meta.Tenant, -meta.ChargedBytes, nil); err != nil {
+		if err := s.repo.ChargeTenant(meta.Tenant, -meta.ChargedBytes, m); err != nil {
 			return err
 		}
-		if err := s.repo.RemoveVMIMeta(name, nil); err != nil {
+		if err := s.repo.RemoveVMIMeta(rec.Name, m); err != nil {
 			return err
 		}
 	}
 
-	// Scan for survivors on the same base. A VMI record's base determines
-	// its class, so every record matching this BaseID commits under the
-	// stripe we hold — the scan is stable even while unrelated classes
-	// publish concurrently.
 	var sameBase []vmirepo.VMIRecord
 	for _, other := range s.repo.VMIs() {
-		if other == name {
-			continue
-		}
 		orec, err := s.repo.GetVMI(other, nil)
 		if err != nil {
 			return err
@@ -175,17 +155,13 @@ func (s *System) removeLocked(rec vmirepo.VMIRecord, class string) error {
 			sameBase = append(sameBase, orec)
 		}
 	}
-
 	if len(sameBase) == 0 {
-		if err := s.repo.RemoveBase(rec.BaseID, nil); err != nil {
+		if err := s.repo.RemoveBase(rec.BaseID, m); err != nil {
 			return err
 		}
-		return s.repo.RemoveMaster(rec.BaseID, nil)
+		return s.repo.RemoveMaster(rec.BaseID, m)
 	}
-
-	// Rebuild the surviving master from the remaining VMIs' subgraphs so
-	// Assemble cannot offer packages that were just garbage-collected.
-	old, err := s.repo.GetMaster(rec.BaseID, nil)
+	old, err := s.repo.GetMaster(rec.BaseID, m)
 	if err != nil {
 		return err
 	}
@@ -201,5 +177,5 @@ func (s *System) removeLocked(rec vmirepo.VMIRecord, class string) error {
 			}
 		}
 	}
-	return s.repo.PutMaster(rebuilt, nil)
+	return s.repo.PutMaster(rebuilt, m)
 }

@@ -1,8 +1,14 @@
 package core
 
 import (
+	"io"
+	"reflect"
+	"slices"
+	"strings"
 	"testing"
 
+	"expelliarmus/internal/builder"
+	"expelliarmus/internal/catalog"
 	"expelliarmus/internal/vmirepo"
 )
 
@@ -92,6 +98,71 @@ func TestRemoveLastVMIDropsBase(t *testing.T) {
 	// Republish works after total removal.
 	if _, err := s.Publish(buildImage(t, b, "Redis")); err != nil {
 		t.Fatalf("republish after removal: %v", err)
+	}
+}
+
+// TestRepublishChangedPrimariesRetiresOldPrimary: a republish retires the
+// record it replaces like Remove does, so the master stops advertising a
+// primary only the replaced record had, whose package was just collected —
+// also when Algorithm 2 folds the replaced record's base into the one the
+// republish selects.
+func TestRepublishChangedPrimariesRetiresOldPrimary(t *testing.T) {
+	for _, folded := range []bool{false, true} {
+		s, b := newSystem(t, Options{NoBaseSelection: folded})
+		for _, n := range []string{"Mini", "Redis"} {
+			if _, err := s.Publish(buildImage(t, b, n)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		s.opts.NoBaseSelection = false
+		old, err := s.repo.GetVMI("Redis", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := s.Publish(buildAs(t, b, "PostgreSql", "Redis", ""))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := slices.Contains(rep.ReplacedBases, old.BaseID); got != folded {
+			t.Fatalf("folded=%v: the republish replaced the old base: %v", folded, got)
+		}
+		mg, err := s.repo.GetMaster(rep.BaseID, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := mg.PrimaryNames(); !reflect.DeepEqual(got, []string{"postgresql-9.5"}) {
+			t.Fatalf("folded=%v: master primaries after the republish = %v, want [postgresql-9.5]", folded, got)
+		}
+		_, _, err = s.AssembleTo(io.Discard, "custom", []string{"redis-server"}, "")
+		if err == nil || !strings.Contains(err.Error(), "no stored base provides") {
+			t.Fatalf("folded=%v: assembling the retired primary: %v, want no stored base providing it", folded, err)
+		}
+	}
+}
+
+// TestRepublishOnOtherReleaseRetiresOldBase: republished from another
+// release, an image moves to another base; the base it left holds no
+// record any more and goes with its master, as Remove would drop it.
+func TestRepublishOnOtherReleaseRetiresOldBase(t *testing.T) {
+	s := NewSystem(testDev, Options{})
+	tpl, _ := catalog.Find("Redis")
+	for _, rel := range []catalog.Release{catalog.ReleaseXenial, catalog.ReleaseBionic} {
+		img, err := builder.New(catalog.NewUniverseFor(rel)).Build(tpl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Publish(img); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := s.Repo().Stats(); st.Bases != 1 {
+		t.Fatalf("%d bases after republishing on another release, want 1", st.Bases)
+	}
+	if err := s.Remove("Redis"); err != nil {
+		t.Fatal(err)
+	}
+	if st := s.Repo().Stats(); st.Bases != 0 || st.Packages != 0 || st.BlobBytes != 0 {
+		t.Fatalf("repository not empty after removing the republished image: %+v", st)
 	}
 }
 

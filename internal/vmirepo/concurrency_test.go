@@ -16,8 +16,8 @@ import (
 // missing-record lookup must wrap ErrNotFound.
 func TestNotFoundSentinel(t *testing.T) {
 	r := testRepo()
-	if _, _, err := r.GetPackage("nope", simio.PhaseFetch, nil); !errors.Is(err, ErrNotFound) {
-		t.Errorf("GetPackage error %v does not wrap ErrNotFound", err)
+	if _, _, err := getPackage(r, "nope", simio.PhaseFetch, nil); !errors.Is(err, ErrNotFound) {
+		t.Errorf("OpenPackage error %v does not wrap ErrNotFound", err)
 	}
 	if _, err := getBase(r, "nope", simio.PhaseCopy, nil); !errors.Is(err, ErrNotFound) {
 		t.Errorf("GetBase error %v does not wrap ErrNotFound", err)
@@ -122,7 +122,7 @@ func TestConcurrentDistinctPackages(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, rec := range pkgs {
-		if _, _, err := r.GetPackage(rec.Pkg.Ref(), simio.PhaseFetch, nil); err != nil {
+		if _, _, err := getPackage(r, rec.Pkg.Ref(), simio.PhaseFetch, nil); err != nil {
 			t.Fatalf("get %s: %v", rec.Pkg.Ref(), err)
 		}
 	}
@@ -172,7 +172,7 @@ func TestSnapshotConsistentUnderTraffic(t *testing.T) {
 			t.Fatalf("snapshot %d: packages: %v", i, err)
 		}
 		for _, rec := range pkgs {
-			if _, _, err := restored.GetPackage(rec.Pkg.Ref(), simio.PhaseFetch, nil); err != nil {
+			if _, _, err := getPackage(restored, rec.Pkg.Ref(), simio.PhaseFetch, nil); err != nil {
 				t.Fatalf("snapshot %d: record %s has no blob: %v", i, rec.Pkg.Ref(), err)
 			}
 		}
@@ -197,15 +197,15 @@ func refill(tokens chan struct{}) {
 // identical-content case.
 func TestPutUserDataReplaceReclaims(t *testing.T) {
 	r := testRepo()
-	r.PutUserData("vmi", []byte("first archive"), nil)
+	putUserData(r, "vmi", []byte("first archive"), nil)
 	first := r.Stats().BlobBytes
-	r.PutUserData("vmi", []byte("second archive, a bit longer"), nil)
+	putUserData(r, "vmi", []byte("second archive, a bit longer"), nil)
 	second := r.Stats().BlobBytes
 	if second != int64(len("second archive, a bit longer")) {
 		t.Fatalf("blob bytes = %d after replace, want only the new archive (old was %d)", second, first)
 	}
 	// Identical content: the refcount must stay at one.
-	r.PutUserData("vmi", []byte("second archive, a bit longer"), nil)
+	putUserData(r, "vmi", []byte("second archive, a bit longer"), nil)
 	if got := r.Stats().BlobBytes; got != second {
 		t.Fatalf("blob bytes = %d after identical republish, want %d", got, second)
 	}

@@ -93,7 +93,7 @@ func TestFollowerReadOnlyGates(t *testing.T) {
 		"PutVMI":      f.PutVMI(VMIRecord{Name: "vm", BaseID: "base-1"}, nil),
 		"RemoveVMI":   f.RemoveVMI("vm", nil),
 		"RewireVMIs":  f.RewireVMIs("a", "b", nil),
-		"PutUserData": f.PutUserData("vm", []byte("ud"), nil),
+		"PutUserData": putUserData(f, "vm", []byte("ud"), nil),
 		"RemoveUD":    f.RemoveUserData("vm", nil),
 		"RemovePkg":   f.RemovePackage(pkg("redis").Ref(), nil),
 	}
@@ -164,7 +164,7 @@ func TestFollowerCatchUp(t *testing.T) {
 		t.Fatalf("metadata snapshots differ after incremental batch")
 	}
 
-	if err := w.PutUserData("vm-2", []byte("cloud-init"), nil); err != nil {
+	if err := putUserData(w, "vm-2", []byte("cloud-init"), nil); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := w.Compact(); err != nil {

@@ -47,7 +47,7 @@ func TestGenerationBumpsOnEveryMutation(t *testing.T) {
 		r.PutVMI(VMIRecord{Name: "vmi-1", BaseID: "base-1", Primaries: []string{"redis"}}, m)
 	})
 	step("PutUserData", func() {
-		if err := r.PutUserData("vmi-1", []byte("archive"), m); err != nil {
+		if err := putUserData(r, "vmi-1", []byte("archive"), m); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -86,7 +86,7 @@ func TestGenerationStableAcrossReads(t *testing.T) {
 	r.PutVMI(VMIRecord{Name: "vmi-1", BaseID: "base-1"}, m)
 	g := r.Generation()
 	r.HasPackage(p.Ref(), m)
-	if _, _, err := r.GetPackage(p.Ref(), "fetch", m); err != nil {
+	if _, _, err := getPackage(r, p.Ref(), "fetch", m); err != nil {
 		t.Fatal(err)
 	}
 	r.HasBase("base-1", m)
@@ -96,7 +96,7 @@ func TestGenerationStableAcrossReads(t *testing.T) {
 	if _, err := r.GetVMI("vmi-1", m); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.GetUserData("vmi-1", "import", m); err != nil {
+	if _, err := getUserData(r, "vmi-1", "import", m); err != nil {
 		t.Fatal(err)
 	}
 	r.VMIs()
@@ -146,7 +146,7 @@ func TestGenerationStriping(t *testing.T) {
 	}
 	r.PutMaster(master.New(otherBase, semgraph.New(attrs)), m)
 	r.PutVMI(VMIRecord{Name: otherName, BaseID: otherBase}, m)
-	if err := r.PutUserData(otherName, []byte("archive"), m); err != nil {
+	if err := putUserData(r, otherName, []byte("archive"), m); err != nil {
 		t.Fatal(err)
 	}
 	if got := r.GenerationFor(hotBase, hotName); got != hotGen {

@@ -1,6 +1,6 @@
 // Image lifecycle state: per-VMI lifecycle metadata (tenant, expiry,
-// charged bytes), per-tenant live-byte accounting, per-class package
-// reference counts, and the blob-level vacuum sweep. All of it lives in
+// charged bytes), per-tenant live-byte accounting, package reference
+// counts, and the blob-level vacuum sweep. All of it lives in
 // ordinary metadata buckets, so every mutation streams through the
 // journal into the WAL and replays identically on followers — expiry and
 // vacuum are replicated operations, not local heuristics.
@@ -13,6 +13,7 @@ import (
 	"strconv"
 	"strings"
 
+	"expelliarmus/internal/metadb"
 	"expelliarmus/internal/simio"
 )
 
@@ -163,17 +164,7 @@ func (r *Repo) ChargeTenant(tenant string, delta int64, m *simio.Meter) error {
 	defer r.opMu.RUnlock()
 	r.lcMu.Lock()
 	defer r.lcMu.Unlock()
-	b := r.meta().Bucket(bucketTenants)
-	var cur int64
-	if old, ok := b.Get([]byte(tenant)); ok {
-		cur, _ = strconv.ParseInt(string(old), 10, 64)
-	}
-	cur += delta
-	if cur <= 0 {
-		b.Delete([]byte(tenant))
-	} else {
-		b.Put([]byte(tenant), []byte(strconv.FormatInt(cur, 10)))
-	}
+	addCount(r.meta().Bucket(bucketTenants), tenant, delta)
 	r.chargeDB(m, 16)
 	return nil
 }
@@ -189,15 +180,7 @@ func (r *Repo) TenantUsage(tenant string) int64 {
 }
 
 // TenantStats returns every tenant's live-byte total.
-func (r *Repo) TenantStats() map[string]int64 {
-	out := make(map[string]int64)
-	r.meta().Bucket(bucketTenants).ForEach(func(k, v []byte) bool {
-		n, _ := strconv.ParseInt(string(v), 10, 64)
-		out[string(k)] = n
-		return true
-	})
-	return out
-}
+func (r *Repo) TenantStats() map[string]int64 { return readCounts(r.meta().Bucket(bucketTenants)) }
 
 // ReplaceTenantUsage rewrites the tenant bucket from recomputed totals —
 // vacuum's reconciliation of accounting drift. Keys not in the survey are
@@ -210,87 +193,25 @@ func (r *Repo) ReplaceTenantUsage(totals map[string]int64, m *simio.Meter) error
 	defer r.opMu.RUnlock()
 	r.lcMu.Lock()
 	defer r.lcMu.Unlock()
-	b := r.meta().Bucket(bucketTenants)
-	var stale []string
-	b.ForEach(func(k, v []byte) bool {
-		if totals[string(k)] <= 0 {
-			stale = append(stale, string(k))
-		}
-		return true
-	})
-	sort.Strings(stale)
-	for _, t := range stale {
-		b.Delete([]byte(t))
-	}
-	tenants := make([]string, 0, len(totals))
-	for t, n := range totals {
-		if t != "" && n > 0 {
-			tenants = append(tenants, t)
-		}
-	}
-	sort.Strings(tenants)
-	for _, t := range tenants {
-		val := []byte(strconv.FormatInt(totals[t], 10))
-		b.Update([]byte(t), func(old []byte, ok bool) ([]byte, bool) {
-			if ok && bytes.Equal(old, val) {
-				return nil, false
-			}
-			return val, true
-		})
-	}
-	r.chargeDB(m, int64(16*len(tenants)))
+	n := replaceCounts(r.meta().Bucket(bucketTenants), totals)
+	r.chargeDB(m, int64(16*n))
 	return nil
 }
 
-// --- per-class package reference counts ---
+// --- package reference counts ---
 
-// Package reference counts are keyed by package Ref; the value is the
-// sorted per-class breakdown ("class\tcount" lines, class being the base
-// attribute quadruple BaseAttrs.String()). Publishes of a class add refs
-// for the packages their VMI uses; removals drop them, and a ref whose
-// total across all classes reaches zero is garbage — exactly the
-// information a single-class Remove needs to collect packages without
-// surveying every other class's VMIs under a global lock.
+// A package's reference count is keyed by its Ref; the value is the
+// decimal number of committed VMI records whose assembly pulls it.
+// Publishes add the refs of the record they commit; retiring a record
+// drops its refs, and a ref whose count reaches zero is garbage — exactly
+// what a single-class Remove needs to collect packages without surveying
+// every other class's VMIs under a global lock. lcMu serialises every
+// update.
 
-func parsePkgRefs(val []byte) map[string]int64 {
-	out := make(map[string]int64)
-	for _, line := range strings.Split(string(val), "\n") {
-		class, count, ok := strings.Cut(line, "\t")
-		if !ok {
-			continue
-		}
-		n, _ := strconv.ParseInt(count, 10, 64)
-		if n > 0 {
-			out[class] = n
-		}
-	}
-	return out
-}
-
-func formatPkgRefs(refs map[string]int64) []byte {
-	classes := make([]string, 0, len(refs))
-	for c, n := range refs {
-		if n > 0 {
-			classes = append(classes, c)
-		}
-	}
-	sort.Strings(classes)
-	var b strings.Builder
-	for i, c := range classes {
-		if i > 0 {
-			b.WriteByte('\n')
-		}
-		b.WriteString(c)
-		b.WriteByte('\t')
-		b.WriteString(strconv.FormatInt(refs[c], 10))
-	}
-	return []byte(b.String())
-}
-
-// AddPackageRefs counts one more use of each ref by a VMI of the given
-// class. Like EnsurePackage, no generation stripe is bumped: refcounts
-// are never read by the assembly path.
-func (r *Repo) AddPackageRefs(class string, refs []string, m *simio.Meter) error {
+// AddPackageRefs counts one more use of each ref. Like EnsurePackage, no
+// generation stripe is bumped: refcounts are never read by the assembly
+// path.
+func (r *Repo) AddPackageRefs(refs []string, m *simio.Meter) error {
 	if r.readOnly {
 		return fmt.Errorf("vmirepo: add package refs: %w", ErrReadOnly)
 	}
@@ -300,23 +221,17 @@ func (r *Repo) AddPackageRefs(class string, refs []string, m *simio.Meter) error
 	defer r.lcMu.Unlock()
 	b := r.meta().Bucket(bucketPkgRefs)
 	for _, ref := range refs {
-		counts := map[string]int64{}
-		if old, ok := b.Get([]byte(ref)); ok {
-			counts = parsePkgRefs(old)
-		}
-		counts[class]++
-		b.Put([]byte(ref), formatPkgRefs(counts))
+		addCount(b, ref, 1)
 	}
 	r.chargeDB(m, int64(16*len(refs)))
 	return nil
 }
 
-// DropPackageRefs counts one fewer use of each ref by a VMI of the given
-// class and returns (sorted) the refs whose total across ALL classes hit
-// zero — the packages now unreferenced by any VMI, which the caller
-// deletes via removePackageUnlessPinned. A ref with no record is skipped
-// (Vacuum's survey reconciles the counts).
-func (r *Repo) DropPackageRefs(class string, refs []string, m *simio.Meter) ([]string, error) {
+// DropPackageRefs counts one fewer use of each ref and returns (sorted)
+// the refs whose count hit zero — the packages now unreferenced by any
+// VMI, which the caller deletes via removePackageUnlessPinned. A ref with
+// no record is skipped (Vacuum's survey reconciles the counts).
+func (r *Repo) DropPackageRefs(refs []string, m *simio.Meter) ([]string, error) {
 	if r.readOnly {
 		return nil, fmt.Errorf("vmirepo: drop package refs: %w", ErrReadOnly)
 	}
@@ -327,20 +242,8 @@ func (r *Repo) DropPackageRefs(class string, refs []string, m *simio.Meter) ([]s
 	b := r.meta().Bucket(bucketPkgRefs)
 	var dead []string
 	for _, ref := range refs {
-		old, ok := b.Get([]byte(ref))
-		if !ok {
-			continue
-		}
-		counts := parsePkgRefs(old)
-		counts[class]--
-		if counts[class] <= 0 {
-			delete(counts, class)
-		}
-		if len(counts) == 0 {
-			b.Delete([]byte(ref))
+		if _, ok := b.Get([]byte(ref)); ok && addCount(b, ref, -1) <= 0 {
 			dead = append(dead, ref)
-		} else {
-			b.Put([]byte(ref), formatPkgRefs(counts))
 		}
 	}
 	r.chargeDB(m, int64(16*len(refs)))
@@ -349,10 +252,9 @@ func (r *Repo) DropPackageRefs(class string, refs []string, m *simio.Meter) ([]s
 }
 
 // ReplacePackageRefs rewrites the whole refcount bucket from a freshly
-// surveyed per-ref, per-class count — vacuum's reconciliation. Existing
-// records not in the survey are deleted; identical records are elided
-// from the journal.
-func (r *Repo) ReplacePackageRefs(counts map[string]map[string]int64, m *simio.Meter) error {
+// surveyed per-ref count — vacuum's reconciliation. Records not in the
+// survey are deleted; identical records are elided from the journal.
+func (r *Repo) ReplacePackageRefs(counts map[string]int64, m *simio.Meter) error {
 	if r.readOnly {
 		return fmt.Errorf("vmirepo: replace package refs: %w", ErrReadOnly)
 	}
@@ -360,38 +262,77 @@ func (r *Repo) ReplacePackageRefs(counts map[string]map[string]int64, m *simio.M
 	defer r.opMu.RUnlock()
 	r.lcMu.Lock()
 	defer r.lcMu.Unlock()
-	b := r.meta().Bucket(bucketPkgRefs)
+	n := replaceCounts(r.meta().Bucket(bucketPkgRefs), counts)
+	r.chargeDB(m, int64(16*n))
+	return nil
+}
+
+// PackageRefs returns every package's reference count.
+func (r *Repo) PackageRefs() map[string]int64 { return readCounts(r.meta().Bucket(bucketPkgRefs)) }
+
+// --- decimal count buckets: tenant totals and package refcounts ---
+
+// addCount adds delta to key's count and returns the new count; a count
+// that reaches zero (or below, which indicates an accounting bug but must
+// not wedge the bucket) deletes the key. The caller holds lcMu.
+func addCount(b *metadb.Bucket, key string, delta int64) int64 {
+	var n int64
+	if old, ok := b.Get([]byte(key)); ok {
+		n, _ = strconv.ParseInt(string(old), 10, 64)
+	}
+	n += delta
+	if n <= 0 {
+		b.Delete([]byte(key))
+	} else {
+		b.Put([]byte(key), []byte(strconv.FormatInt(n, 10)))
+	}
+	return n
+}
+
+// replaceCounts rewrites a count bucket to hold exactly the positive
+// counts given (the empty key never counts), deleting every other key and
+// eliding identical records from the journal, and returns how many keys
+// it kept. The caller holds lcMu.
+func replaceCounts(b *metadb.Bucket, counts map[string]int64) int {
 	var stale []string
 	b.ForEach(func(k, v []byte) bool {
-		if _, ok := counts[string(k)]; !ok {
+		if counts[string(k)] <= 0 {
 			stale = append(stale, string(k))
 		}
 		return true
 	})
 	sort.Strings(stale)
-	for _, ref := range stale {
-		b.Delete([]byte(ref))
+	for _, k := range stale {
+		b.Delete([]byte(k))
 	}
-	refs := make([]string, 0, len(counts))
-	for ref := range counts {
-		refs = append(refs, ref)
-	}
-	sort.Strings(refs)
-	for _, ref := range refs {
-		val := formatPkgRefs(counts[ref])
-		if len(val) == 0 {
-			b.Delete([]byte(ref))
-			continue
+	keys := make([]string, 0, len(counts))
+	for k, n := range counts {
+		if k != "" && n > 0 {
+			keys = append(keys, k)
 		}
-		b.Update([]byte(ref), func(old []byte, ok bool) ([]byte, bool) {
+	}
+	sort.Strings(keys)
+	for _, k := range keys {
+		val := []byte(strconv.FormatInt(counts[k], 10))
+		b.Update([]byte(k), func(old []byte, ok bool) ([]byte, bool) {
 			if ok && bytes.Equal(old, val) {
 				return nil, false
 			}
 			return val, true
 		})
 	}
-	r.chargeDB(m, int64(16*len(refs)))
-	return nil
+	return len(keys)
+}
+
+// readCounts returns every count a count bucket holds.
+func readCounts(b *metadb.Bucket) map[string]int64 {
+	out := make(map[string]int64)
+	b.ForEach(func(k, v []byte) bool {
+		n, _ := strconv.ParseInt(string(v), 10, 64)
+		out[string(k)] = n
+		return true
+	})
+	return out
 }
 
 // --- blob vacuum ---

@@ -2,12 +2,12 @@
 // readers served natively by the blob backend — zero-copy views for the
 // memory store, segment-offset section readers for the disk store — so a
 // caller can consume a gigabyte base image without the repository ever
-// materializing it. The legacy Get* getters are thin adapters over these.
+// materializing it.
 //
-// Cost model: the full modeled read cost is charged at open, exactly what
-// the materializing getters charge, because the paper's model prices the
-// repository read itself, not the caller's consumption pattern. A caller
-// that opens and reads half a blob still caused the repository retrieval.
+// Cost model: the full modeled read cost is charged at open, because the
+// paper's model prices the repository read itself, not the caller's
+// consumption pattern. A caller that opens and reads half a blob still
+// caused the repository retrieval.
 package vmirepo
 
 import (
@@ -68,8 +68,8 @@ func (r *Repo) OpenPackage(ref string, ph simio.Phase, m *simio.Meter) (pkgmeta.
 }
 
 // OpenUserData returns a streaming reader over a VMI's user-data archive,
-// or a nil reader (with nil error) when none is stored — mirroring
-// GetUserData's absent case. Callers MUST check the reader against nil
+// or a nil reader (with nil error) when none is stored. Callers MUST check
+// the reader against nil
 // before the error: a VMI published without user data is the common case,
 // not a failure, and dereferencing the nil reader is the classic bug here
 // (pinned by the no-user-data wire regression test in internal/server).
@@ -89,15 +89,4 @@ func (r *Repo) OpenUserData(name string, ph simio.Phase, m *simio.Meter) (io.Rea
 		m.Charge(ph, r.dev.ReadCost(size))
 	}
 	return rc, size, nil
-}
-
-// readAll drains a just-opened blob reader into an owned buffer; the
-// shared tail of the materializing Get* adapters.
-func readAll(rc io.ReadCloser, size int64, what string) ([]byte, error) {
-	defer rc.Close()
-	buf := make([]byte, size)
-	if _, err := io.ReadFull(rc, buf); err != nil {
-		return nil, fmt.Errorf("vmirepo: read %s: %w", what, err)
-	}
-	return buf, nil
 }

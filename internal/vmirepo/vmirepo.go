@@ -45,7 +45,7 @@ const (
 	bucketUserData = "userdata"
 	// Lifecycle buckets (see lifecycle.go): per-VMI lifecycle metadata
 	// (tenant, expiry, charged bytes), per-tenant live-byte accounting,
-	// and per-class package reference counts for striped removal.
+	// and package reference counts for striped removal.
 	bucketVMIMeta = "vmimeta"
 	bucketTenants = "tenants"
 	bucketPkgRefs = "pkgrefs"
@@ -678,20 +678,6 @@ func (r *Repo) EnsurePackage(p pkgmeta.Package, blob []byte, m *simio.Meter) (bo
 	return true, nil
 }
 
-// GetPackage returns the stored package metadata and blob, charging the
-// blob read to the given phase.
-func (r *Repo) GetPackage(ref string, ph simio.Phase, m *simio.Meter) (pkgmeta.Package, []byte, error) {
-	pkg, rc, size, err := r.OpenPackage(ref, ph, m)
-	if err != nil {
-		return pkgmeta.Package{}, nil, err
-	}
-	blob, err := readAll(rc, size, "package blob")
-	if err != nil {
-		return pkgmeta.Package{}, nil, err
-	}
-	return pkg, blob, nil
-}
-
 // Packages lists all stored package records sorted by Ref.
 func (r *Repo) Packages() ([]PackageRecord, error) {
 	var out []PackageRecord
@@ -1077,25 +1063,6 @@ func (r *Repo) SetUserData(name string, id *blobstore.ID, m *simio.Meter) error 
 		b.Put([]byte(name), id[:])
 	}
 	return nil
-}
-
-// PutUserData stages an archive and points name's record at it in one
-// step.
-func (r *Repo) PutUserData(name string, archive []byte, m *simio.Meter) error {
-	id, err := r.StageUserData(archive, m)
-	if err != nil {
-		return err
-	}
-	return r.SetUserData(name, &id, m)
-}
-
-// GetUserData returns the archive, or nil when the VMI stored none.
-func (r *Repo) GetUserData(name string, ph simio.Phase, m *simio.Meter) ([]byte, error) {
-	rc, size, err := r.OpenUserData(name, ph, m)
-	if rc == nil {
-		return nil, err
-	}
-	return readAll(rc, size, fmt.Sprintf("user data for %q", name))
 }
 
 // RemovePackage deletes a stored package record and releases its blob.

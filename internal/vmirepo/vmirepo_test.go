@@ -2,6 +2,7 @@ package vmirepo
 
 import (
 	"bytes"
+	"io"
 	"reflect"
 	"testing"
 
@@ -23,18 +24,49 @@ func pkg(name string) pkgmeta.Package {
 	}
 }
 
-// putBase and getBase move a whole base image through the streaming
-// entry points.
+// putBase, getBase, getPackage, getUserData and putUserData move whole
+// blobs through the streaming entry points.
 func putBase(r *Repo, id string, img []byte, m *simio.Meter) error {
 	return r.PutBaseReader(id, attrs, bytes.NewReader(img), int64(len(img)), m)
 }
 
 func getBase(r *Repo, id string, ph simio.Phase, m *simio.Meter) ([]byte, error) {
-	rc, size, err := r.OpenBase(id, ph, m)
+	rc, _, err := r.OpenBase(id, ph, m)
 	if err != nil {
 		return nil, err
 	}
-	return readAll(rc, size, "base blob")
+	return drain(rc)
+}
+
+func getPackage(r *Repo, ref string, ph simio.Phase, m *simio.Meter) (pkgmeta.Package, []byte, error) {
+	p, rc, _, err := r.OpenPackage(ref, ph, m)
+	if err != nil {
+		return p, nil, err
+	}
+	blob, err := drain(rc)
+	return p, blob, err
+}
+
+// getUserData returns nil when the VMI stored no archive.
+func getUserData(r *Repo, name string, ph simio.Phase, m *simio.Meter) ([]byte, error) {
+	rc, _, err := r.OpenUserData(name, ph, m)
+	if rc == nil {
+		return nil, err
+	}
+	return drain(rc)
+}
+
+func putUserData(r *Repo, name string, archive []byte, m *simio.Meter) error {
+	id, err := r.StageUserData(archive, m)
+	if err != nil {
+		return err
+	}
+	return r.SetUserData(name, &id, m)
+}
+
+func drain(rc io.ReadCloser) ([]byte, error) {
+	defer rc.Close()
+	return io.ReadAll(rc)
 }
 
 func TestPackageLifecycle(t *testing.T) {
@@ -53,14 +85,14 @@ func TestPackageLifecycle(t *testing.T) {
 	if stored, err := r.EnsurePackage(p, blob, m); err != nil || stored {
 		t.Fatalf("duplicate store: stored=%v, err=%v", stored, err)
 	}
-	got, data, err := r.GetPackage(p.Ref(), simio.PhaseImport, m)
+	got, data, err := getPackage(r, p.Ref(), simio.PhaseImport, m)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, p) || !bytes.Equal(data, blob) {
 		t.Fatalf("round trip: %+v, %q", got, data)
 	}
-	if _, _, err := r.GetPackage("ghost=1/amd64", simio.PhaseImport, m); err == nil {
+	if _, _, err := getPackage(r, "ghost=1/amd64", simio.PhaseImport, m); err == nil {
 		t.Fatal("missing package retrieved")
 	}
 	recs, err := r.Packages()
@@ -184,13 +216,13 @@ func TestRewireVMIs(t *testing.T) {
 
 func TestUserData(t *testing.T) {
 	r, m := newRepo()
-	got, err := r.GetUserData("Redis", simio.PhaseImport, m)
+	got, err := getUserData(r, "Redis", simio.PhaseImport, m)
 	if err != nil || got != nil {
 		t.Fatalf("empty user data = %q, %v", got, err)
 	}
 	archive := []byte("tar archive bytes")
-	r.PutUserData("Redis", archive, m)
-	got, err = r.GetUserData("Redis", simio.PhaseImport, m)
+	putUserData(r, "Redis", archive, m)
+	got, err = getUserData(r, "Redis", simio.PhaseImport, m)
 	if err != nil || !bytes.Equal(got, archive) {
 		t.Fatalf("round trip = %q, %v", got, err)
 	}
@@ -232,7 +264,7 @@ func TestNilMeterSafe(t *testing.T) {
 	if _, err := r.EnsurePackage(pkg("a"), []byte("x"), nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := r.GetPackage(pkg("a").Ref(), simio.PhaseImport, nil); err != nil {
+	if _, _, err := getPackage(r, pkg("a").Ref(), simio.PhaseImport, nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := putBase(r, "b", []byte("i"), nil); err != nil {
@@ -241,8 +273,8 @@ func TestNilMeterSafe(t *testing.T) {
 	if _, err := getBase(r, "b", simio.PhaseCopy, nil); err != nil {
 		t.Fatal(err)
 	}
-	r.PutUserData("v", []byte("d"), nil)
-	if _, err := r.GetUserData("v", simio.PhaseImport, nil); err != nil {
+	putUserData(r, "v", []byte("d"), nil)
+	if _, err := getUserData(r, "v", simio.PhaseImport, nil); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -16,7 +16,7 @@ import (
 func TestCatalogBytesPinned(t *testing.T) {
 	const (
 		wantRetrievals = "cdd3921a4f2816351e1bfbec4fef7b2f295d6c95f0aa16ba4473d2dfa9b806e7"
-		wantSnapshot   = "f2968ef0256f0d486ec9c8046bbecd91e3365ffff58d70a281e7f1e6f96c1e6a"
+		wantSnapshot   = "5b5fc9ef25ffe72a9e54d9a5ac22074c7d4727d349bde9d8b8469f0db82fdb68"
 	)
 	sys := New()
 	for _, name := range Templates() {
