@@ -106,7 +106,7 @@ func TestBaseLookupMatchesSubgraph(t *testing.T) {
 		subs = append(subs, ownPS...)
 		for _, m := range masters {
 			for _, ps := range subs {
-				checkedAdd(&master.Graph{BaseID: m.BaseID, G: m.G.Clone()}, ps) //nolint:errcheck
+				checkedAdd(m.Clone(), ps) //nolint:errcheck
 			}
 			want := master.New(m.BaseID, m.BaseSubgraph())
 			for _, p := range clustered[m.BaseID] {

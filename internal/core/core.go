@@ -508,11 +508,13 @@ func (s *System) PublishWith(img *vmi.Image, popts PublishOpts) (*PublishReport,
 	} else {
 		// Line 19: reuse the stored base image's master graph (either a
 		// different selected base, or a stored base with the same semantic
-		// identity as the decomposed one).
-		mg, err = s.repo.GetMaster(selected, rep.Meter)
+		// identity as the decomposed one). The stored graph is shared with
+		// readers, so the commit mutates a copy.
+		stored, err := s.repo.GetMaster(selected, rep.Meter)
 		if err != nil {
 			return nil, err
 		}
+		mg = stored.Clone()
 	}
 	// Line 21: cluster this VMI's primary subgraph.
 	if err := mg.AddPrimarySubgraph(ps); err != nil {

@@ -29,6 +29,11 @@ func New(baseID string, baseSub *semgraph.Graph) *Graph {
 	return &Graph{BaseID: baseID, G: baseSub.Clone()}
 }
 
+// Clone returns a deep copy, which the caller may modify.
+func (m *Graph) Clone() *Graph {
+	return &Graph{BaseID: m.BaseID, G: m.G.Clone()}
+}
+
 // Attrs returns the base attribute quadruple (T,D,V,A) keying the master.
 func (m *Graph) Attrs() pkgmeta.BaseAttrs { return m.G.Base() }
 

@@ -131,6 +131,10 @@ type Repo struct {
 	// generation space, which is safe because it also starts with an empty
 	// cache.
 	gens [GenStripes]atomic.Uint64
+	// masters memoizes decoded master graphs: one slot per stripe of the
+	// base ID (StripeFor), each holding the last graph decoded there and
+	// the stored value it came from (see decodeMaster).
+	masters [GenStripes]atomic.Pointer[masterMemo]
 }
 
 // GenStripes is the number of generation stripes. Keys (base-image IDs,
@@ -857,14 +861,44 @@ func (r *Repo) PutMaster(mg *master.Graph, m *simio.Meter) error {
 	return nil
 }
 
-// GetMaster loads the master graph of a base image.
+// GetMaster loads the master graph of a base image. The graph is shared
+// with every other caller reading the same stored value and must not be
+// modified; use Clone to derive a new one.
 func (r *Repo) GetMaster(baseID string, m *simio.Meter) (*master.Graph, error) {
 	val, ok := r.meta().Bucket(bucketMasters).Get([]byte(baseID))
 	r.chargeDB(m, int64(len(val)))
 	if !ok {
 		return nil, fmt.Errorf("vmirepo: master graph for %s %w", baseID, ErrNotFound)
 	}
-	return master.Unmarshal(val)
+	return r.decodeMaster(baseID, val)
+}
+
+// masterMemo is one decoded master graph and the stored value it was
+// decoded from.
+type masterMemo struct {
+	baseID string
+	raw    []byte
+	g      *master.Graph
+}
+
+// decodeMaster returns the master graph stored as raw under baseID,
+// decoding only when baseID's memo slot holds another stored value. The
+// metadata database copies every value it stores and never modifies one,
+// and the slot keeps raw's array alive, so the same first-byte address and
+// length mean the same bytes: writer puts, follower batches, snapshot
+// resets and reopens all store new arrays, and there is nothing to
+// invalidate.
+func (r *Repo) decodeMaster(baseID string, raw []byte) (*master.Graph, error) {
+	slot := &r.masters[StripeFor(baseID)]
+	if e := slot.Load(); e != nil && e.baseID == baseID && len(e.raw) == len(raw) && len(raw) > 0 && &e.raw[0] == &raw[0] {
+		return e.g, nil
+	}
+	g, err := master.Unmarshal(raw)
+	if err != nil {
+		return nil, err
+	}
+	slot.Store(&masterMemo{baseID: baseID, raw: raw, g: g})
+	return g, nil
 }
 
 // RemoveMaster deletes a master graph.
@@ -880,13 +914,15 @@ func (r *Repo) RemoveMaster(baseID string, m *simio.Meter) error {
 	return nil
 }
 
-// Masters returns all master graphs sorted by base ID.
+// Masters returns all master graphs sorted by base ID. Like GetMaster's,
+// the graphs are shared and must not be modified; use Clone to derive a
+// new one.
 func (r *Repo) Masters() ([]*master.Graph, error) {
 	var out []*master.Graph
 	var err error
 	r.meta().Bucket(bucketMasters).ForEach(func(k, v []byte) bool {
 		var mg *master.Graph
-		mg, err = master.Unmarshal(v)
+		mg, err = r.decodeMaster(string(k), v)
 		if err != nil {
 			return false
 		}
