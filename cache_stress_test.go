@@ -8,6 +8,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"expelliarmus/internal/builder"
 	"expelliarmus/internal/catalog"
@@ -295,13 +296,15 @@ func TestCacheStripingAndSingleflightUnderCrossBaseTraffic(t *testing.T) {
 		}
 	}
 
-	// Phase 2 — singleflight: move the hot generation with one republish,
-	// then fire 32 concurrent misses; exactly one may assemble.
+	// Phase 2 — singleflight: move the hot generation with one republish
+	// that writes a lifecycle record (an identical republish writes
+	// nothing, and so moves nothing), then fire 32 concurrent misses;
+	// exactly one may assemble.
 	hotImg2, err := sys.BuildImage(hot)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sys.Publish(hotImg2); err != nil {
+	if _, err := sys.PublishWith(hotImg2, PublishOptions{ExpiresAt: time.Now().Add(time.Hour).Unix()}); err != nil {
 		t.Fatal(err)
 	}
 	before := sys.CacheStats()

@@ -17,8 +17,7 @@
 // metadata WAL under DIR and survives restarts; shutdown (SIGINT or
 // SIGTERM) drains in-flight requests, then syncs and closes the store.
 // -sync-interval makes published state durable (and visible to
-// followers) within that bound by syncing in the background; the WAL
-// group commit coalesces these with client-driven syncs, so a quiet
+// followers) within that bound by syncing in the background; a quiet
 // interval costs one small append and an idle one costs nothing.
 // With -tls-cert/-tls-key the server speaks HTTPS (and HTTP/2, which the
 // standard library enables over TLS automatically).

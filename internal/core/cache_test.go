@@ -82,9 +82,12 @@ func TestCacheHitMatchesColdRetrieval(t *testing.T) {
 // the side the cache cannot see: after a publish of a different image on
 // the same base (all Xenial catalog images decompose to one shared base,
 // so its master graph — and generation stripe — moves) and after a
-// removal, a repeat retrieval must miss (fresh generation) yet still
-// return identical results. The striping counterpart — a publish on an
-// unrelated base leaves entries warm — is TestCrossReleasePublishKeepsCacheWarm.
+// removal that changes that master, a repeat retrieval must miss (fresh
+// generation) yet still return identical results. A removal that leaves
+// the master as it was (Mini has no primaries) writes nothing Redis's
+// assembly reads, so Redis stays a hit. The striping counterpart — a
+// publish on an unrelated base leaves entries warm — is
+// TestCrossReleasePublishKeepsCacheWarm.
 func TestCacheInvalidatedByAnyMutation(t *testing.T) {
 	s, b := newSystem(t, Options{CacheBytes: testCacheBytes})
 	for _, n := range []string{"Mini", "Redis"} {
@@ -105,14 +108,23 @@ func TestCacheInvalidatedByAnyMutation(t *testing.T) {
 	if err := s.Remove("Mini"); err != nil {
 		t.Fatal(err)
 	}
-	third := traceRetrieve(t, s, "Redis") // removal moved it again
+	third := traceRetrieve(t, s, "Redis") // master unchanged: hit
 	if !bytes.Equal(first.image, third.image) {
 		t.Fatal("retrieval after removal returned different bytes")
 	}
+	if st, _ := s.CacheStats(); st.Misses != 2 || st.Hits != 1 {
+		t.Fatalf("stats = %+v: a removal that left the master unchanged evicted Redis", st)
+	}
 
-	st, _ := s.CacheStats()
-	if st.Misses != 3 || st.Hits != 0 {
-		t.Fatalf("stats = %+v: every retrieval should have missed (generation moved)", st)
+	if err := s.Remove("PostgreSql"); err != nil {
+		t.Fatal(err)
+	}
+	fourth := traceRetrieve(t, s, "Redis") // master rebuilt: miss again
+	if !bytes.Equal(first.image, fourth.image) {
+		t.Fatal("retrieval after master-changing removal returned different bytes")
+	}
+	if st, _ := s.CacheStats(); st.Misses != 3 || st.Hits != 1 {
+		t.Fatalf("stats = %+v: the retrieval after a master-changing removal should have missed", st)
 	}
 
 	// With the repository quiet again, the cache warms back up.
@@ -120,7 +132,7 @@ func TestCacheInvalidatedByAnyMutation(t *testing.T) {
 	if !bytes.Equal(first.image, warm.image) {
 		t.Fatal("warm retrieval differs")
 	}
-	if st, _ := s.CacheStats(); st.Hits != 1 {
+	if st, _ := s.CacheStats(); st.Hits != 2 {
 		t.Fatalf("stats = %+v: quiet repeat should hit", st)
 	}
 }

@@ -12,9 +12,10 @@
 // like several production engines that defer structural cleanup to
 // compaction), which keeps every tree invariant needed by readers while
 // simplifying the write path. Snapshot/Load give durable round trips, and
-// an optional Journal observes every committed mutation — the hook the
-// disk backend's metadata write-ahead log (internal/metawal) uses to make
-// Sync O(delta) instead of a whole-image rewrite.
+// an optional Journal observes every committed mutation — the hook through
+// which the repository feeds its metadata write-ahead log (internal/metawal),
+// making Sync O(delta) instead of a whole-image rewrite, and invalidates
+// its cached assemblies.
 package metadb
 
 import (

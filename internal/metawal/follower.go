@@ -19,12 +19,12 @@ var (
 	ErrTorn       = errors.New("metawal: torn WAL chunk")
 )
 
-// BatchHook observes one commit-marker-bounded batch as the follower
+// BatchHook brackets one commit-marker-bounded batch as the follower
 // applies it. It runs before the batch's first mutation lands; the
 // returned done func (may be nil) runs after the last. This is the seam a
-// repository uses to bump its cache-invalidation generations around each
-// applied batch, exactly as the writer does around its own commits.
-type BatchHook func(ops []metadb.Op) (done func())
+// repository uses to hold its view lock around each applied batch, so
+// readers see the writer's commits whole.
+type BatchHook func() (done func())
 
 // ApplyStats reports one Apply call.
 type ApplyStats struct {
@@ -131,7 +131,7 @@ func (f *Follower) Apply(epoch uint64, from int64, chunk []byte, hook BatchHook)
 	for _, batch := range batches {
 		var done func()
 		if hook != nil {
-			done = hook(batch)
+			done = hook()
 		}
 		for _, op := range batch {
 			applyOp(f.db, op)

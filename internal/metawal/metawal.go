@@ -136,10 +136,10 @@ type SyncStats struct {
 }
 
 // Open creates or reopens the metadata log rooted at dir and returns it
-// together with the replayed database. The caller wires the database to
-// the log with db.SetJournal(log.Record) once its own setup (bucket
-// creation) is done. Open does not lock dir — the repository's blob store
-// flock already enforces one instance per directory.
+// together with the replayed database. The caller feeds the database's
+// journal to log.Record once its own setup (bucket creation) is done.
+// Open does not lock dir — the repository's blob store flock already
+// enforces one instance per directory.
 func Open(dir string, opts Options) (*Log, *metadb.DB, error) {
 	fsys := fsx.Or(opts.FS)
 	if err := fsys.MkdirAll(dir); err != nil {

@@ -9,8 +9,8 @@
 // Correctness is invalidation-shaped. A cache key is the quadruple
 // (base image, sorted primary-package set, user-data source, repository
 // generation); the generation is the combined striped counter the
-// repository bumps around every mutation touching the key's base image or
-// VMI name (publish commits, removals, user-data replacement — see
+// repository bumps after every metadata write touching the key's base
+// image or VMI name (publish commits, removals, user-data replacement — see
 // vmirepo.GenerationFor), so any relevant change moves subsequent lookups
 // to fresh keys and makes the previously cached entries for that base
 // unreachable, while mutations scoped to other stripes leave them

@@ -2,15 +2,14 @@
 // writer's shipped snapshot + WAL batches instead of local mutation. The
 // read path (retrievals, assembly, stats, streaming opens) is identical
 // to a writer's; every mutating entry point returns ErrReadOnly. Applied
-// batches bump the same generation stripes the writer's own mutators
-// bump, so a retrieval cache layered above invalidates correctly as the
-// follower catches up.
+// ops run through the same journal as the writer's own writes, so they
+// bump the same generation stripes and a retrieval cache layered above
+// invalidates exactly as the writer's does as the follower catches up.
 package vmirepo
 
 import (
 	"fmt"
 	"io"
-	"strings"
 
 	"expelliarmus/internal/blobstore"
 	"expelliarmus/internal/metadb"
@@ -25,8 +24,7 @@ import (
 // internal/replica drives both.
 func OpenFollower(dev *simio.Device, blobs blobstore.Backend) *Repo {
 	r := &Repo{blobs: blobs, dev: dev, readOnly: true, fol: metawal.NewFollower()}
-	r.db.Store(metadb.New())
-	r.createBuckets()
+	r.attach(metadb.New())
 	return r
 }
 
@@ -47,7 +45,7 @@ func (r *Repo) Follower() *metawal.Follower { return r.fol }
 // refused without touching the current metadata. The swap holds every
 // view stripe: readers resolve against the old database or the new, and
 // ones that already opened their blobs finish from them. Every generation
-// stripe is bumped around the swap, so no cached assembly survives a
+// stripe is bumped inside the swap, so no cached assembly survives a
 // whole-database replacement.
 func (r *Repo) ResetToSnapshotReader(epoch uint64, src io.Reader, size int64) error {
 	if !r.readOnly {
@@ -59,83 +57,25 @@ func (r *Repo) ResetToSnapshotReader(epoch uint64, src io.Reader, size int64) er
 	if err != nil {
 		return err
 	}
-	// The fixed buckets exist on any database a writer snapshots, but an
-	// empty writer's very first snapshot and a defensive reader disagree
-	// cheaply — ensure them like every other constructor does.
-	for _, b := range allBuckets {
-		db.CreateBucket(b)
-	}
 	defer r.WriteView()()
-	defer r.mutate()() // all stripes: nothing cached may survive the swap
-	r.db.Store(db)
+	r.attach(db)
+	r.bumpAll() // nothing cached may survive the swap
 	return nil
 }
 
 // ApplyWAL applies one chunk of the writer's durable WAL tail — the bytes
 // [from, from+len(chunk)) of the given epoch — in commit-marker-bounded
 // batches. Each batch holds every view stripe while it lands, so a reader
-// sees the writer's commits whole, and bumps the generation stripes its
-// ops scope to, mirroring the writer's own bumps, so cached assemblies
-// invalidate with the same precision on both sides. Torn or out-of-order
-// chunks are refused without applying anything (see
-// metawal.Follower.Apply).
+// sees the writer's commits whole; its ops bump generation stripes through
+// the journal, as the writer's did. Torn or out-of-order chunks are
+// refused without applying anything (see metawal.Follower.Apply).
 func (r *Repo) ApplyWAL(epoch uint64, from int64, chunk []byte) (metawal.ApplyStats, error) {
 	if !r.readOnly {
 		return metawal.ApplyStats{}, fmt.Errorf("vmirepo: ApplyWAL on a writer repository")
 	}
 	r.opMu.RLock()
 	defer r.opMu.RUnlock()
-	return r.fol.Apply(epoch, from, chunk, func(ops []metadb.Op) func() {
-		unview := r.WriteView()
-		if keys, all := stripeKeysFor(ops); all || len(keys) > 0 {
-			done := r.mutate(keys...) // no keys: every stripe
-			return func() { done(); unview() }
-		}
-		return unview
-	})
-}
-
-// stripeKeysFor derives the generation-stripe scoping keys of one applied
-// batch, mirroring the bumps the writer's own mutators made when the
-// batch was recorded: bases/masters ops scope to the base-image ID,
-// vmis/userdata ops to the VMI name (a VMI put additionally scopes to the
-// base ID its record names — PutVMI bumps both), a package delete is the
-// package-GC fallback (the writer bumps every stripe), and a package
-// insert bumps nothing (EnsurePackage deliberately doesn't — no assembly
-// can depend on a ref no master references yet). Unknown buckets and
-// bucket drops take the conservative all-stripes fallback.
-func stripeKeysFor(ops []metadb.Op) (keys []string, all bool) {
-	for _, op := range ops {
-		switch op.Kind {
-		case metadb.OpPut, metadb.OpDelete:
-			switch op.Bucket {
-			case bucketBases, bucketMasters, bucketUserData:
-				keys = append(keys, string(op.Key))
-			case bucketVMIs:
-				keys = append(keys, string(op.Key))
-				if op.Kind == metadb.OpPut {
-					if base, _, ok := strings.Cut(string(op.Value), "\n"); ok {
-						keys = append(keys, base)
-					}
-				}
-			case bucketPackages:
-				if op.Kind == metadb.OpDelete {
-					return nil, true
-				}
-			case bucketVMIMeta:
-				keys = append(keys, string(op.Key))
-			case bucketTenants, bucketPkgRefs:
-				// Accounting state: never read by the assembly path, and the
-				// writer's own mutators bump nothing for it (see
-				// lifecycle.go) — mirror that here.
-			default:
-				return nil, true
-			}
-		case metadb.OpDropBucket:
-			return nil, true
-		}
-	}
-	return keys, false
+	return r.fol.Apply(epoch, from, chunk, func() func() { return r.WriteView() })
 }
 
 // MetaSnapshot serialises the follower-visible metadata database — the

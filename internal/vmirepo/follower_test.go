@@ -198,8 +198,8 @@ func readBase(r *Repo) ([]byte, error) {
 }
 
 // TestFollowerGenerationBumps pins the cache-invalidation contract:
-// applying a batch bumps exactly the stripes the writer's own mutators
-// would have bumped, and an epoch-switch reset bumps everything.
+// applying a batch bumps the stripes its ops scope to and no others, and
+// an epoch-switch reset bumps everything.
 func TestFollowerGenerationBumps(t *testing.T) {
 	dir := t.TempDir()
 	dev := simio.NewDevice(simio.PaperProfile())
@@ -252,66 +252,10 @@ func TestFollowerGenerationBumps(t *testing.T) {
 	}
 }
 
-// TestGroupCommitCoalesces pins the WAL group-commit satellite:
-// concurrent Sync callers share physical syncs instead of each paying
-// their own fsync, and every caller still gets a successful commit
-// covering its writes.
-func TestGroupCommitCoalesces(t *testing.T) {
-	dir := t.TempDir()
-	dev := simio.NewDevice(simio.PaperProfile())
-	w, err := OpenAt(dir, dev)
-	if err != nil {
-		t.Fatalf("OpenAt: %v", err)
-	}
-	defer w.Close()
-
-	// Retry rounds: coalescing needs real overlap, which the scheduler
-	// all but guarantees with 32 released-together callers but does not
-	// promise. One observed coalesce proves the mechanism.
-	for round := 0; round < 5; round++ {
-		const callers = 32
-		startCalls, startPhysical := w.SyncCounters()
-		var start, done sync.WaitGroup
-		start.Add(1)
-		done.Add(callers)
-		errs := make(chan error, callers)
-		for i := 0; i < callers; i++ {
-			go func(i int) {
-				defer done.Done()
-				if _, err := w.EnsurePackage(pkg(fmt.Sprintf("p-%d-%d", round, i)), []byte("x"), nil); err != nil {
-					errs <- err
-					return
-				}
-				start.Wait()
-				_, err := w.Sync()
-				errs <- err
-			}(i)
-		}
-		start.Done()
-		done.Wait()
-		close(errs)
-		for err := range errs {
-			if err != nil {
-				t.Fatalf("concurrent sync: %v", err)
-			}
-		}
-		calls, physical := w.SyncCounters()
-		calls -= startCalls
-		physical -= startPhysical
-		if physical > calls {
-			t.Fatalf("more physical syncs (%d) than callers (%d)", physical, calls)
-		}
-		if physical < calls {
-			return // coalescing observed
-		}
-	}
-	t.Fatalf("no coalescing observed in 5 rounds of 32 concurrent Sync callers")
-}
-
-// TestGroupCommitDurability pins that a coalesced commit really covers
-// every caller's writes: after the concurrent storm, a reopen replays
-// all packages.
-func TestGroupCommitDurability(t *testing.T) {
+// TestConcurrentSyncDurability pins that concurrent Sync callers are all
+// durable: after the concurrent storm, a reopen replays every caller's
+// package.
+func TestConcurrentSyncDurability(t *testing.T) {
 	dir := t.TempDir()
 	dev := simio.NewDevice(simio.PaperProfile())
 	w, err := OpenAt(dir, dev)

@@ -1,12 +1,14 @@
 package vmirepo
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
 
 	"expelliarmus/internal/master"
 	"expelliarmus/internal/semgraph"
+	"expelliarmus/internal/simio"
 )
 
 // TestGenerationBumpsOnEveryMutation walks each mutating repository
@@ -83,7 +85,12 @@ func TestGenerationStableAcrossReads(t *testing.T) {
 	if err := putBase(r, "base-1", []byte("base image"), m); err != nil {
 		t.Fatal(err)
 	}
+	mg := master.New("base-1", semgraph.New(attrs))
+	r.PutMaster(mg, m)
 	r.PutVMI(VMIRecord{Name: "vmi-1", BaseID: "base-1"}, m)
+	if _, err := r.StageUserData([]byte("orphan"), m); err != nil {
+		t.Fatal(err)
+	}
 	g := r.Generation()
 	r.HasPackage(p.Ref(), m)
 	if _, _, err := getPackage(r, p.Ref(), "fetch", m); err != nil {
@@ -106,6 +113,114 @@ func TestGenerationStableAcrossReads(t *testing.T) {
 	}
 	if got := r.Generation(); got != g {
 		t.Fatalf("reads moved the generation: %d -> %d", g, got)
+	}
+
+	// Writes that change nothing invalidate nothing either.
+	noop := func(op string, fn func() error) {
+		t.Helper()
+		if err := fn(); err != nil {
+			t.Fatalf("%s: %v", op, err)
+		}
+		if got := r.Generation(); got != g {
+			t.Fatalf("%s changed nothing but moved the generation: %d -> %d", op, g, got)
+		}
+	}
+	noop("elided PutMaster", func() error { return r.PutMaster(mg, m) })
+	noop("elided PutVMI", func() error { return r.PutVMI(VMIRecord{Name: "vmi-1", BaseID: "base-1"}, m) })
+	noop("RemoveUserData with no record", func() error { return r.RemoveUserData("vmi-1", m) })
+	noop("RemovePackage of an absent ref", func() error {
+		if err := r.RemovePackage(pkg("absent").Ref(), m); !errors.Is(err, ErrNotFound) {
+			return fmt.Errorf("got %v, want ErrNotFound", err)
+		}
+		return nil
+	})
+	noop("VacuumBlobs", func() error {
+		st, err := r.VacuumBlobs()
+		if err == nil && st.BlobsReleased != 1 {
+			err = fmt.Errorf("released %d blobs, want the 1 orphan", st.BlobsReleased)
+		}
+		return err
+	})
+}
+
+// stripeProbes returns one key per generation stripe, indexed by stripe.
+func stripeProbes() (probes [GenStripes]string) {
+	for i, found := 0, 0; found < GenStripes; i++ {
+		k := fmt.Sprintf("probe-%d", i)
+		if s := StripeFor(k); probes[s] == "" {
+			probes[s] = k
+			found++
+		}
+	}
+	return probes
+}
+
+// stripeGens reads every stripe's generation through its probe key.
+func stripeGens(r *Repo, probes *[GenStripes]string) (gens [GenStripes]uint64) {
+	for i, k := range probes {
+		gens[i] = r.GenerationFor(k)
+	}
+	return gens
+}
+
+// TestGenerationSameOnWriterAndFollower pins that a metadata write moves
+// the same stripes by the same amount on the writer that commits it and on
+// a follower that applies it from the shipped WAL, writes that change
+// nothing (and so ship nothing) included. Otherwise a follower's cache
+// would keep entries the writer's invalidates, or the other way round.
+func TestGenerationSameOnWriterAndFollower(t *testing.T) {
+	w, err := OpenAt(t.TempDir(), simio.NewDevice(simio.PaperProfile()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	f := newFollower()
+	if _, err := w.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	shipMeta(t, w, f)
+	probes := stripeProbes()
+	wPrev, fPrev := stripeGens(w, &probes), stripeGens(f, &probes)
+
+	p := pkg("redis")
+	mg := memoMaster(t, "base-1", "redis")
+	rec := VMIRecord{Name: "vmi-1", BaseID: "base-1", Primaries: []string{"redis"}}
+	steps := []struct {
+		name string
+		fn   func() error
+	}{
+		{"EnsurePackage", func() error { _, err := w.EnsurePackage(p, []byte("blob"), nil); return err }},
+		{"PutBase", func() error { return putBase(w, "base-1", []byte("base image"), nil) }},
+		{"PutMaster", func() error { return w.PutMaster(mg, nil) }},
+		{"elided PutMaster", func() error { return w.PutMaster(mg, nil) }},
+		{"PutVMI", func() error { return w.PutVMI(rec, nil) }},
+		{"elided PutVMI", func() error { return w.PutVMI(rec, nil) }},
+		{"SetUserData", func() error { return putUserData(w, "vmi-1", []byte("archive"), nil) }},
+		{"PutVMIMeta", func() error { return w.PutVMIMeta("vmi-1", VMIMeta{Tenant: "t", ExpiresAt: 1}, nil) }},
+		{"RewireVMIs", func() error { return w.RewireVMIs("base-1", "base-2", nil) }},
+		{"RemoveUserData", func() error { return w.RemoveUserData("vmi-1", nil) }},
+		{"RemoveUserData again", func() error { return w.RemoveUserData("vmi-1", nil) }},
+		{"RemoveVMI", func() error { return w.RemoveVMI("vmi-1", nil) }},
+		{"RemoveMaster", func() error { return w.RemoveMaster("base-1", nil) }},
+		{"RemoveBase", func() error { return w.RemoveBase("base-1", nil) }},
+		{"RemovePackage", func() error { return w.RemovePackage(p.Ref(), nil) }},
+		{"VacuumBlobs", func() error { _, err := w.VacuumBlobs(); return err }},
+	}
+	for i, s := range steps {
+		if err := s.fn(); err != nil {
+			t.Fatalf("step %d (%s): %v", i+1, s.name, err)
+		}
+		if _, err := w.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		shipMeta(t, w, f)
+		wNow, fNow := stripeGens(w, &probes), stripeGens(f, &probes)
+		for j := range probes {
+			if dw, df := wNow[j]-wPrev[j], fNow[j]-fPrev[j]; dw != df {
+				t.Fatalf("step %d (%s): stripe %d moved %d on the writer, %d on the follower", i+1, s.name, j, dw, df)
+			}
+		}
+		wPrev, fPrev = wNow, fNow
 	}
 }
 

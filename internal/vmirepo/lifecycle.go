@@ -61,7 +61,6 @@ func (r *Repo) PutVMIMeta(name string, meta VMIMeta, m *simio.Meter) error {
 	}
 	r.opMu.RLock()
 	defer r.opMu.RUnlock()
-	defer r.mutate(name)()
 	val := encodeVMIMeta(meta)
 	r.meta().Bucket(bucketVMIMeta).Update([]byte(name), func(old []byte, ok bool) ([]byte, bool) {
 		if ok && bytes.Equal(old, val) {
@@ -95,7 +94,6 @@ func (r *Repo) RemoveVMIMeta(name string, m *simio.Meter) error {
 	}
 	r.opMu.RLock()
 	defer r.opMu.RUnlock()
-	defer r.mutate(name)()
 	r.meta().Bucket(bucketVMIMeta).Delete([]byte(name))
 	r.chargeDB(m, 0)
 	return nil
@@ -149,10 +147,6 @@ func (r *Repo) ExpiredVMIs(now int64) ([]string, error) {
 // reaches zero (or below, which indicates an accounting bug but must not
 // wedge the bucket) deletes the key. The empty tenant is unaccounted and
 // charges nowhere.
-//
-// ChargeTenant deliberately does not bump any generation stripe: tenant
-// totals are never read by the assembly path, so invalidating cached
-// images for them would flush warm entries for nothing.
 func (r *Repo) ChargeTenant(tenant string, delta int64, m *simio.Meter) error {
 	if tenant == "" || delta == 0 {
 		return nil
@@ -208,9 +202,7 @@ func (r *Repo) ReplaceTenantUsage(totals map[string]int64, m *simio.Meter) error
 // every other class's VMIs under a global lock. lcMu serialises every
 // update.
 
-// AddPackageRefs counts one more use of each ref. Like EnsurePackage, no
-// generation stripe is bumped: refcounts are never read by the assembly
-// path.
+// AddPackageRefs counts one more use of each ref.
 func (r *Repo) AddPackageRefs(refs []string, m *simio.Meter) error {
 	if r.readOnly {
 		return fmt.Errorf("vmirepo: add package refs: %w", ErrReadOnly)
@@ -363,7 +355,6 @@ func (r *Repo) VacuumBlobs() (BlobVacuumStats, error) {
 	}
 	r.opMu.Lock()
 	defer r.opMu.Unlock()
-	defer r.mutate()()
 	live := make(map[string]struct{})
 	var decodeErr error
 	r.meta().Bucket(bucketPackages).ForEach(func(k, v []byte) bool {

@@ -91,8 +91,8 @@ type Repo struct {
 	dir string
 	// wal is the metadata write-ahead log of a disk-backed repository
 	// (nil when in-memory). Every committed metadata mutation streams
-	// into it via the metadb journal hook, so Sync appends the delta
-	// instead of rewriting the whole database image.
+	// into it through the journal, so Sync appends the delta instead of
+	// rewriting the whole database image.
 	wal *metawal.Log
 	// opMu is held in shared mode by every mutating operation and
 	// exclusively by Snapshot, so a snapshot never interleaves with the
@@ -117,19 +117,16 @@ type Repo struct {
 	// fol is the WAL apply machinery of a follower repository (nil on
 	// writers).
 	fol *metawal.Follower
-	// sg coalesces concurrent Sync callers into shared physical commits
-	// (group commit) — see Sync.
-	sg syncGroup
+	// syncs counts Sync calls (see SyncCounters).
+	syncs atomic.Uint64
 	// gens are the striped repository generations: GenStripes counters,
-	// each bumped around every mutating operation that touches its stripe
-	// (see mutate), read by the retrieval cache to key and invalidate
-	// cached assemblies. Mutations scope their bumps to the stripes of the
-	// keys they touch (a base-image ID, a VMI name), so a publish on one
-	// base leaves entries cached for unrelated bases reachable; operations
-	// with no scoping key (package GC) bump every stripe. Monotonic, never
-	// persisted — a reopened or restored repository starts a fresh
-	// generation space, which is safe because it also starts with an empty
-	// cache.
+	// read by the retrieval cache to key and invalidate cached assemblies.
+	// Only the journal moves them, by the stripes of the keys each
+	// metadata write touches (opKeys), so a publish on one base leaves
+	// entries cached for unrelated bases reachable; an epoch-switch reset
+	// moves them all. Monotonic, never persisted — a reopened or restored
+	// repository starts a fresh generation space, which is safe because it
+	// also starts with an empty cache.
 	gens [GenStripes]atomic.Uint64
 	// masters memoizes decoded master graphs: one slot per stripe of the
 	// base ID (StripeFor), each holding the last graph decoded there and
@@ -242,15 +239,15 @@ func (r *Repo) Generation() uint64 {
 
 // GenerationFor returns the combined generation of the stripes covering
 // keys (deduplicated, so the value is independent of key order and
-// repetition). Each stripe counter is bumped both before and after every
-// mutation touching it, so a reader that captures GenerationFor, performs
-// a multi-step read (e.g. a whole VMI assembly) and then observes the
-// same value knows that no mutation relevant to those keys committed
-// anywhere inside its window — the invariant the retrieval cache's insert
-// path relies on. A mutation in flight (bumped before, not yet after)
-// keeps the value moving, so such a window can also never span one.
-// Because each counter only ever grows, an unchanged sum implies every
-// constituent stripe is unchanged.
+// repetition). The journal bumps a stripe after every metadata write
+// touching it, under the written bucket's lock, so a reader that sees a
+// write also sees its bump. Every write a reader can see lands inside a
+// view window (WriteView), and a reader captures GenerationFor under
+// ReadView with everything it assembles from, so the value names exactly
+// the state it read; observing the same value later means no write
+// relevant to those keys committed since — the invariant the retrieval
+// cache's insert path relies on. Because each counter only ever grows, an
+// unchanged sum implies every constituent stripe is unchanged.
 func (r *Repo) GenerationFor(keys ...string) uint64 {
 	var seen [GenStripes]bool
 	var sum uint64
@@ -264,42 +261,77 @@ func (r *Repo) GenerationFor(keys ...string) uint64 {
 	return sum
 }
 
-// mutate brackets a mutating operation for the generation protocol: one
-// bump before the first write makes any reader that started earlier
-// unable to validate its window, one bump after the last write moves all
-// later readers to fresh cache keys. The bumps land only on the stripes
-// of the given keys — the base image(s) and/or VMI name the mutation
-// touches — so readers scoped to other stripes keep their windows; with
-// no keys every stripe is bumped (the conservative fallback for
-// mutations whose blast radius has no single key, e.g. package GC). Use
-// as `defer r.mutate(keys...)()`.
-func (r *Repo) mutate(keys ...string) func() {
-	if len(keys) == 0 {
-		for i := range r.gens {
-			r.gens[i].Add(1)
-		}
-		return func() {
-			for i := range r.gens {
-				r.gens[i].Add(1)
-			}
-		}
+// journal is the mutation journal of every metadata database the
+// repository holds, writer and follower alike. It hands the op to the WAL
+// of a disk-backed writer, then bumps the generation stripes the op scopes
+// to. metadb calls it after the write, under the bucket lock, and a write
+// that changes nothing journals nothing, so it invalidates nothing.
+func (r *Repo) journal(op metadb.Op) {
+	if r.wal != nil {
+		r.wal.Record(op)
 	}
-	var seen [GenStripes]bool
-	var stripes []int
+	keys, all := opKeys(op)
+	if all {
+		r.bumpAll()
+	}
 	for _, k := range keys {
-		if i := StripeFor(k); !seen[i] {
-			seen[i] = true
-			stripes = append(stripes, i)
-		}
+		r.gens[StripeFor(k)].Add(1)
 	}
-	for _, i := range stripes {
+}
+
+// opKeys returns the generation-scoping keys of one metadata op: the one
+// place that says which write invalidates which cached assembly.
+// bases/masters ops scope to the base-image ID, vmis/userdata/vmimeta ops
+// to the VMI name, and a VMI put also to the base ID its record names. A
+// package delete has no scoping key (a ref can be shared across bases), so
+// all reports every stripe, as for a bucket drop or an unknown bucket. A
+// package insert scopes to nothing: it adds a ref no master graph
+// references yet (publishes export packages before their master-graph
+// update, and GC rebuilds masters before dropping refs), so no assembly
+// can depend on it, and invalidating for it would flush warm entries on
+// every concurrent publish. Tenant totals and package refcounts scope to
+// nothing either: the assembly path never reads them.
+func opKeys(op metadb.Op) (keys []string, all bool) {
+	switch op.Kind {
+	case metadb.OpCreateBucket:
+		return nil, false
+	case metadb.OpDropBucket:
+		return nil, true
+	}
+	switch op.Bucket {
+	case bucketBases, bucketMasters, bucketUserData, bucketVMIMeta:
+		return []string{string(op.Key)}, false
+	case bucketVMIs:
+		if base, _, ok := bytes.Cut(op.Value, []byte("\n")); ok { // a put: deletes carry no value
+			return []string{string(op.Key), string(base)}, false
+		}
+		return []string{string(op.Key)}, false
+	case bucketPackages:
+		return nil, op.Kind == metadb.OpDelete
+	case bucketTenants, bucketPkgRefs:
+		return nil, false
+	}
+	return nil, true
+}
+
+// bumpAll moves every generation stripe.
+func (r *Repo) bumpAll() {
+	for i := range r.gens {
 		r.gens[i].Add(1)
 	}
-	return func() {
-		for _, i := range stripes {
-			r.gens[i].Add(1)
-		}
+}
+
+// attach makes db the repository's metadata database: it ensures the
+// fixed buckets, then installs the journal. Bucket creation precedes the
+// journal: every constructor (re)creates the buckets, on the live and the
+// replay path alike, so journaling their creation would only append noise
+// to the WAL.
+func (r *Repo) attach(db *metadb.DB) {
+	for _, b := range allBuckets {
+		db.CreateBucket(b)
 	}
+	db.SetJournal(r.journal)
+	r.db.Store(db)
 }
 
 // New returns an empty in-memory repository using the device for cost
@@ -312,8 +344,7 @@ func New(dev *simio.Device) *Repo {
 // backend.
 func NewWithBackend(dev *simio.Device, blobs blobstore.Backend) *Repo {
 	r := &Repo{blobs: blobs, dev: dev}
-	r.db.Store(metadb.New())
-	r.createBuckets()
+	r.attach(metadb.New())
 	return r
 }
 
@@ -321,14 +352,6 @@ func NewWithBackend(dev *simio.Device, blobs blobstore.Backend) *Repo {
 // once; follower repositories swap it on every epoch switch, so callers
 // must not cache the pointer across operations.
 func (r *Repo) meta() *metadb.DB { return r.db.Load() }
-
-// createBuckets ensures the repository's metadata buckets exist
-// (CreateBucket is idempotent, so this is safe on a loaded database too).
-func (r *Repo) createBuckets() {
-	for _, b := range allBuckets {
-		r.meta().CreateBucket(b)
-	}
-}
 
 // OpenOptions tune a disk-backed repository beyond the defaults.
 type OpenOptions struct {
@@ -377,12 +400,7 @@ func OpenAtOpts(dir string, dev *simio.Device, o OpenOptions) (*Repo, error) {
 		return nil, fmt.Errorf("vmirepo: %w", err)
 	}
 	r := &Repo{blobs: blobs, dev: dev, dir: dir, wal: wal}
-	r.db.Store(db)
-	// Bucket creation precedes the journal hookup: the fixed buckets are
-	// (re)created by every open on both the live and the replay path, so
-	// journaling their creation would only append noise to the WAL.
-	r.createBuckets()
-	db.SetJournal(wal.Record)
+	r.attach(db)
 	return r, nil
 }
 
@@ -419,70 +437,18 @@ type SyncStats = api.SyncStats
 // referenced blob is already durable, with released blobs at worst
 // resurrected as orphans — never committed records pointing at missing
 // blobs. Sync on an in-memory repository returns an error; use Snapshot
-// instead.
-//
-// Concurrent Sync callers group-commit: each caller needs one physical
-// sync that STARTS after its call does (so its completed operations are
-// covered), but a burst of N callers shares physical passes instead of
-// queueing N fsync+watermark rounds — one pass for everyone who arrived
-// while the previous one ran. A caller observes at most two passes
-// (the in-flight one it cannot join, then the shared one it can).
+// instead. Each call runs its own pass.
 func (r *Repo) Sync() (SyncStats, error) {
-	g := &r.sg
-	g.mu.Lock()
-	if g.cond == nil {
-		g.cond = sync.NewCond(&g.mu)
-	}
-	g.calls++
-	// The pass this caller needs: the next one to start — or, when one is
-	// already running, the one after it (the running pass's WAL batch was
-	// sealed before this call arrived, so it may not cover it).
-	target := g.completed + 1
-	if g.running {
-		target++
-	}
-	for {
-		if g.completed >= target {
-			st, err := g.lastSt, g.lastErr
-			g.mu.Unlock()
-			return st, err
-		}
-		if !g.running {
-			g.running = true
-			g.mu.Unlock()
-			st, err := r.syncOrCompact(false)
-			g.mu.Lock()
-			g.running = false
-			g.completed++
-			g.lastSt, g.lastErr = st, err
-			g.cond.Broadcast()
-			g.mu.Unlock()
-			return st, err
-		}
-		g.cond.Wait()
-	}
-}
-
-// syncGroup is Sync's group-commit state: a generation counter of
-// physical passes plus the last pass's result, shared with the callers
-// that coalesced into it.
-type syncGroup struct {
-	mu        sync.Mutex
-	cond      *sync.Cond
-	running   bool
-	completed uint64 // physical passes finished
-	calls     uint64 // Sync calls arrived (observability)
-	lastSt    SyncStats
-	lastErr   error
+	r.syncs.Add(1)
+	return r.syncOrCompact(false)
 }
 
 // SyncCounters reports how many Sync calls arrived and how many physical
-// sync passes actually ran — the group-commit coalescing ratio. Both only
-// count Sync; Compact always runs its own pass.
+// sync passes ran. Every call runs its own pass, so the two are equal;
+// Compact is not counted.
 func (r *Repo) SyncCounters() (calls, physical uint64) {
-	r.sg.mu.Lock()
-	defer r.sg.mu.Unlock()
-	return r.sg.calls, r.sg.completed
+	n := r.syncs.Load()
+	return n, n
 }
 
 // Compact is Sync with forced compaction of both stores: the metadata
@@ -491,9 +457,7 @@ func (r *Repo) SyncCounters() (calls, physical uint64) {
 // (evacuating and retiring segments past the dead-ratio gate). The size-
 // and ratio-triggered compactions run the same code from inside Sync;
 // this entry point exists for operators (and stress tests) that want to
-// bound reopen cost and disk usage at a moment of their choosing. Compact
-// never coalesces with grouped Syncs — the operator asked for this exact
-// pass.
+// bound reopen cost and disk usage at a moment of their choosing.
 func (r *Repo) Compact() (SyncStats, error) {
 	return r.syncOrCompact(true)
 }
@@ -646,15 +610,8 @@ func (r *Repo) HasPackage(ref string, m *simio.Meter) bool {
 // winner; the loser's blob reference is released (the content-addressed
 // store already deduplicated the bytes). Only the winner is charged the
 // store write; the loser's outcome is equivalent to having observed the
-// package via HasPackage.
-//
-// EnsurePackage deliberately does NOT bump any generation stripe: it can
-// only add a ref that no master graph references yet (publishes commit
-// their master-graph update strictly after exporting packages, and GC
-// rebuilds masters before dropping refs), so no assembly's output can
-// depend on the insert — invalidating cached images for it would flush
-// warm entries on the data-plane phase of every concurrent publish for
-// nothing.
+// package via HasPackage. The insert moves no generation stripe (see
+// opKeys).
 func (r *Repo) EnsurePackage(p pkgmeta.Package, blob []byte, m *simio.Meter) (bool, error) {
 	if r.readOnly {
 		return false, fmt.Errorf("vmirepo: store package %s: %w", p.Ref(), ErrReadOnly)
@@ -754,7 +711,6 @@ func (r *Repo) PutBaseReader(id string, attrs pkgmeta.BaseAttrs, src io.Reader, 
 	}
 	r.opMu.RLock()
 	defer r.opMu.RUnlock()
-	defer r.mutate(id)()
 	b := r.meta().Bucket(bucketBases)
 	if _, exists := b.Get([]byte(id)); exists {
 		return fmt.Errorf("vmirepo: base %s already stored", id)
@@ -789,7 +745,6 @@ func (r *Repo) RemoveBase(id string, m *simio.Meter) error {
 	}
 	r.opMu.RLock()
 	defer r.opMu.RUnlock()
-	defer r.mutate(id)()
 	b := r.meta().Bucket(bucketBases)
 	val, ok := b.Get([]byte(id))
 	r.chargeDB(m, 0)
@@ -849,7 +804,6 @@ func (r *Repo) PutMaster(mg *master.Graph, m *simio.Meter) error {
 	}
 	r.opMu.RLock()
 	defer r.opMu.RUnlock()
-	defer r.mutate(mg.BaseID)()
 	data := mg.Marshal()
 	r.meta().Bucket(bucketMasters).Update([]byte(mg.BaseID), func(old []byte, ok bool) ([]byte, bool) {
 		if ok && bytes.Equal(old, data) {
@@ -908,7 +862,6 @@ func (r *Repo) RemoveMaster(baseID string, m *simio.Meter) error {
 	}
 	r.opMu.RLock()
 	defer r.opMu.RUnlock()
-	defer r.mutate(baseID)()
 	r.meta().Bucket(bucketMasters).Delete([]byte(baseID))
 	r.chargeDB(m, 0)
 	return nil
@@ -950,7 +903,6 @@ func (r *Repo) PutVMI(rec VMIRecord, m *simio.Meter) error {
 	}
 	r.opMu.RLock()
 	defer r.opMu.RUnlock()
-	defer r.mutate(rec.BaseID, rec.Name)()
 	val := []byte(rec.BaseID + "\n" + strings.Join(rec.Primaries, ","))
 	r.meta().Bucket(bucketVMIs).Update([]byte(rec.Name), func(old []byte, ok bool) ([]byte, bool) {
 		if ok && bytes.Equal(old, val) {
@@ -997,7 +949,6 @@ func (r *Repo) RewireVMIs(oldBase, newBase string, m *simio.Meter) error {
 	}
 	r.opMu.RLock()
 	defer r.opMu.RUnlock()
-	defer r.mutate(oldBase, newBase)()
 	b := r.meta().Bucket(bucketVMIs)
 	var names []string
 	b.ForEach(func(k, v []byte) bool {
@@ -1074,7 +1025,6 @@ func (r *Repo) SetUserData(name string, id *blobstore.ID, m *simio.Meter) error 
 	defer r.opMu.RUnlock()
 	r.udMu.Lock()
 	defer r.udMu.Unlock()
-	defer r.mutate(name)()
 	b := r.meta().Bucket(bucketUserData)
 	old, ok := b.Get([]byte(name))
 	switch {
@@ -1108,7 +1058,6 @@ func (r *Repo) RemovePackage(ref string, m *simio.Meter) error {
 	}
 	r.opMu.RLock()
 	defer r.opMu.RUnlock()
-	defer r.mutate()()
 	b := r.meta().Bucket(bucketPackages)
 	val, ok := b.Get([]byte(ref))
 	r.chargeDB(m, 0)
@@ -1137,7 +1086,6 @@ func (r *Repo) RemoveVMI(name string, m *simio.Meter) error {
 	}
 	r.opMu.RLock()
 	defer r.opMu.RUnlock()
-	defer r.mutate(name)()
 	r.meta().Bucket(bucketVMIs).Delete([]byte(name))
 	r.chargeDB(m, 0)
 	return nil
@@ -1201,8 +1149,7 @@ func Load(image []byte, dev *simio.Device) (*Repo, error) {
 		return nil, err
 	}
 	r := &Repo{blobs: blobs, dev: dev}
-	r.db.Store(db)
-	r.createBuckets()
+	r.attach(db)
 	return r, nil
 }
 
