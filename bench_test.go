@@ -9,9 +9,12 @@ package expelliarmus
 // experiments as full tables.
 
 import (
+	"bytes"
+	"fmt"
 	"testing"
 
 	"expelliarmus/internal/bench"
+	"expelliarmus/internal/wire"
 )
 
 // benchRunner caches built evaluation images across all benchmarks.
@@ -169,6 +172,59 @@ func BenchmarkPublishRedis(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := sys.Publish(redis); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkPublishVariant measures the server's publish path: a catalog
+// variant carrying 64 KiB of its own user data is decoded from its wire
+// envelope, published onto a disk store that already holds the catalog
+// (so its packages and base dedupe), and synced. Each iteration decodes
+// the envelope afresh and publishes it under a new name, as the
+// benchmark's publish_churn clients do.
+func BenchmarkPublishVariant(b *testing.B) {
+	sys, err := OpenAt(b.TempDir(), Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer sys.Close()
+	for _, name := range Templates() {
+		img, err := sys.BuildImage(name)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := sys.Publish(img); err != nil {
+			b.Fatal(err)
+		}
+	}
+	variant, err := sys.BuildImage("Redis")
+	if err != nil {
+		b.Fatal(err)
+	}
+	variant.inner.Name = "Redis-variant"
+	if err := variant.WriteUserFile("/home/user/variant.bin", make([]byte, 64<<10)); err != nil {
+		b.Fatal(err)
+	}
+	var envelope bytes.Buffer
+	if err := variant.EncodeWire(&envelope); err != nil {
+		b.Fatal(err)
+	}
+	if _, err := sys.Sync(); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		img, meta, err := wire.ReadImageMeta(bytes.NewReader(envelope.Bytes()))
+		if err != nil {
+			b.Fatal(err)
+		}
+		img.Name = fmt.Sprintf("Redis-variant-%d", i)
+		if _, err := sys.sys.PublishWith(img, meta); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := sys.Sync(); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -353,8 +353,8 @@ func (s *System) BuildIDESeries(n int) ([]*Image, error) {
 	return out, nil
 }
 
-// Publish decomposes and stores an image. The caller's Image remains
-// usable (publishing operates on an internal clone).
+// Publish decomposes and stores an image. Publishing only reads the
+// caller's Image, which remains usable.
 func (s *System) Publish(img *Image) (*PublishResult, error) {
 	return s.PublishWith(img, PublishOptions{})
 }
@@ -363,7 +363,7 @@ func (s *System) Publish(img *Image) (*PublishResult, error) {
 // and an optional expiry timestamp, both recorded durably with the image
 // (and replicated to followers like every other mutation).
 func (s *System) PublishWith(img *Image, opts PublishOptions) (*PublishResult, error) {
-	rep, err := s.sys.PublishWith(img.inner.Clone(), opts)
+	rep, err := s.sys.PublishWith(img.inner, opts)
 	if err != nil {
 		return nil, err
 	}

@@ -23,6 +23,9 @@ var (
 	// ErrQuotaExceeded is vmirepo.ErrQuotaExceeded: a publish that would
 	// push its tenant past the configured cap.
 	ErrQuotaExceeded = errors.New("tenant quota exceeded")
+	// ErrPrimaryNotInstalled is core.ErrPrimaryNotInstalled: a publish
+	// naming a primary package its image does not have installed.
+	ErrPrimaryNotInstalled = errors.New("primary package not installed")
 	// ErrBlobNotFound is blobstore.ErrNotFound: no live blob with that ID.
 	ErrBlobNotFound = errors.New("blob not found")
 	// ErrBlobCorrupt is blobstore.ErrCorrupt: a blob whose stored bytes

@@ -249,10 +249,16 @@ func phaseMap(m *simio.Meter) map[string]float64 {
 // for its newly stored bytes and the Unix-seconds expiry timestamp.
 type PublishOpts = api.PublishOptions
 
+// ErrPrimaryNotInstalled marks a publish that names a primary package its
+// image does not have installed. It is refused before any repository
+// write.
+var ErrPrimaryNotInstalled = api.ErrPrimaryNotInstalled
+
 // Publish runs the semantic analyzer and the decomposer on the image
-// (Algorithm 1). Publishing consumes the image: its primary packages,
-// unused dependencies and user data are removed in place. Callers that
-// need the image afterwards must Clone it first.
+// (Algorithm 1). Publish never writes img: the package sets come from the
+// image's package index, and the base image, when one is stored, is
+// stripped on a clone of its disk. The caller may keep using the image,
+// and concurrent publishes may share it.
 func (s *System) Publish(img *vmi.Image) (*PublishReport, error) {
 	return s.PublishWith(img, PublishOpts{})
 }
@@ -261,10 +267,11 @@ func (s *System) Publish(img *vmi.Image) (*PublishReport, error) {
 // expiry). Package export runs unlocked. The commit holds the commit
 // stripes of the image's attribute class and of the record it replaces;
 // under them the bytes are written first (the user-data archive, then the
-// base image if one must be stored), and the metadata writes follow inside
-// a view window (vmirepo.WriteView). A concurrent reader therefore sees the
-// previous version whole or this one whole, and a publish rejected before
-// the window, over quota say, leaves the live record as it was. The record
+// base image, stripped on a clone, if one must be stored), and the metadata
+// writes follow inside a view window (vmirepo.WriteView). A concurrent
+// reader therefore sees the previous version whole or this one whole, and a
+// publish rejected before the window, over quota say, leaves the live
+// record as it was. The record
 // a publish replaces is retired in the window exactly as Remove retires
 // one: what only it used is collected, and its master is rebuilt or, when
 // no record is left on its base, removed with the base.
@@ -283,13 +290,18 @@ func (s *System) PublishWith(img *vmi.Image, popts PublishOpts) (*PublishReport,
 		return nil, fmt.Errorf("core: publish %s: %w", img.Name, err)
 	}
 	fs, _ := h.FS()
-	mgr, err := h.PackageManager()
+	mgr, err := pkgmgr.Load(fs)
 	if err != nil {
 		return nil, err
 	}
 	installed, err := mgr.Installed()
 	if err != nil {
 		return nil, err
+	}
+	for _, p := range img.Primaries {
+		if !mgr.IsInstalled(p) {
+			return nil, fmt.Errorf("core: publish %s: primary %q: %w", img.Name, p, ErrPrimaryNotInstalled)
+		}
 	}
 	g := semgraph.Build(img.Base, installed, img.Primaries)
 	rep.Meter.Charge(simio.PhaseSimilarity, s.dev.SimilarityCost(g.Len()))
@@ -365,32 +377,18 @@ func (s *System) PublishWith(img *vmi.Image, popts PublishOpts) (*PublishReport,
 		storedBytes += int64(len(archive))
 	}
 
-	// Lines 7–11: remove primaries, unused dependencies and user data,
-	// leaving only the base image BI (line 12).
-	filesBefore := fs.NumFiles()
-	for _, p := range img.Primaries {
-		if mgr.IsInstalled(p) {
-			if err := mgr.Remove(p); err != nil {
-				return nil, fmt.Errorf("core: publish %s: %w", img.Name, err)
-			}
-		}
-	}
-	if _, err := mgr.Autoremove(nil); err != nil {
-		return nil, err
-	}
-	for _, root := range vmi.UserDataRoots {
-		if err := fs.RemoveAll(root); err != nil {
-			return nil, err
-		}
-	}
+	// Lines 7–12: removing the primaries, their unused dependencies and the
+	// user data leaves the base image BI. Its package set comes from the
+	// index; the guest itself is stripped only if BI is stored (stripBase).
 	// Removing files costs a per-file unlink, not a full open/read cycle.
-	rep.Meter.Charge(simio.PhaseCleanup, s.dev.ResetCost(filesBefore-fs.NumFiles()))
+	remaining := mgr.Remaining(img.Primaries)
+	removed, err := removedFiles(fs, mgr, installed, remaining, userFiles)
+	if err != nil {
+		return nil, fmt.Errorf("core: publish %s: %w", img.Name, err)
+	}
+	rep.Meter.Charge(simio.PhaseCleanup, s.dev.ResetCost(removed))
 
 	// Line 13: the base image subgraph.
-	remaining, err := mgr.Installed()
-	if err != nil {
-		return nil, err
-	}
 	baseSub := semgraph.Build(img.Base, remaining, nil)
 	baseID := s.baseIdentity(img, baseSub)
 
@@ -439,8 +437,12 @@ func (s *System) PublishWith(img *vmi.Image, popts PublishOpts) (*PublishReport,
 	// user data are untouched.
 	willStoreBase := selected == baseID && !s.repo.HasBase(selected, rep.Meter)
 	charge := storedBytes
+	var base *vdisk.Disk
 	if willStoreBase {
-		charge += img.Disk.SerializedBytes()
+		if base, err = stripBase(img, baseSub); err != nil {
+			return nil, fmt.Errorf("core: publish %s: %w", img.Name, err)
+		}
+		charge += base.SerializedBytes()
 	}
 	if quota := s.opts.TenantQuotas[popts.Tenant]; popts.Tenant != "" && quota > 0 {
 		usage := s.repo.TenantUsage(popts.Tenant)
@@ -480,11 +482,11 @@ func (s *System) PublishWith(img *vmi.Image, popts PublishOpts) (*PublishReport,
 		// prices the read (and pins the expected stream length) without
 		// producing a byte. A new base is invisible to readers until a
 		// master graph names it, so the stream runs outside the view window.
-		size := img.Disk.SerializedBytes()
+		size := base.SerializedBytes()
 		rep.Meter.Charge(simio.PhaseScan, s.dev.ReadCost(size))
 		pr, pw := io.Pipe()
 		go func() {
-			_, werr := img.Disk.WriteTo(pw)
+			_, werr := base.WriteTo(pw)
 			pw.CloseWithError(werr)
 		}()
 		err := s.repo.PutBaseReader(baseID, img.Base, pr, size, rep.Meter)
@@ -600,6 +602,86 @@ func (s *System) PublishWith(img *vmi.Image, popts PublishOpts) (*PublishReport,
 	return rep, nil
 }
 
+// removedFiles counts, without removing anything, the regular files that
+// Algorithm 1 lines 7–11 remove from fs when the installed packages shrink
+// to remaining: the user files, and every existing file a removed package
+// owns plus the package's file list.
+func removedFiles(fs *fstree.FS, mgr *pkgmgr.Manager, installed, remaining []pkgmeta.Package, userFiles []pkgfmt.File) (int, error) {
+	kept := make(map[string]bool, len(remaining))
+	for _, p := range remaining {
+		kept[p.Name] = true
+	}
+	counted := make(map[string]bool, len(userFiles))
+	for _, f := range userFiles {
+		counted[f.Path] = true
+	}
+	lists := 0
+	var owned []string
+	for _, p := range installed {
+		if kept[p.Name] {
+			continue
+		}
+		files, err := mgr.OwnedFiles(p.Name)
+		if err != nil {
+			return 0, err
+		}
+		lists++
+		for _, f := range files {
+			if !counted[f] {
+				counted[f] = true
+				owned = append(owned, f)
+			}
+		}
+	}
+	return len(userFiles) + lists + fs.CountFiles(owned), nil
+}
+
+// stripBase runs Algorithm 1 lines 7–11 on a clone of img's disk: it
+// removes the primaries, their unused dependencies and the user data, and
+// returns the clone, which holds the base image BI. Cloning a lazily
+// decoded disk shares its source, so the strip copies only the clusters it
+// rewrites. The packages the strip leaves must be baseSub's, the set
+// derived from the index, which names the base.
+func stripBase(img *vmi.Image, baseSub *semgraph.Graph) (*vdisk.Disk, error) {
+	disk := img.Disk.Clone(img.Name)
+	fs, err := fstree.Mount(disk)
+	if err != nil {
+		return nil, err
+	}
+	mgr, err := pkgmgr.New(fs)
+	if err != nil {
+		return nil, err
+	}
+	for _, p := range img.Primaries {
+		if mgr.IsInstalled(p) {
+			if err := mgr.Remove(p); err != nil {
+				return nil, err
+			}
+		}
+	}
+	if _, err := mgr.Autoremove(nil); err != nil {
+		return nil, err
+	}
+	for _, root := range vmi.UserDataRoots {
+		if err := fs.RemoveAll(root); err != nil {
+			return nil, err
+		}
+	}
+	left, err := mgr.Installed()
+	if err != nil {
+		return nil, err
+	}
+	for _, p := range left {
+		if v, ok := baseSub.Vertex(p.Name); !ok || v.Pkg.Ref() != p.Ref() {
+			return nil, fmt.Errorf("strip left %s, the derived base lacks it", p.Ref())
+		}
+	}
+	if len(left) != baseSub.Len() {
+		return nil, fmt.Errorf("strip left %d packages, the derived base has %d", len(left), baseSub.Len())
+	}
+	return disk, nil
+}
+
 // bestSimilarity compares the uploaded graph against the master graphs
 // sharing its base attributes and returns the highest SimG. Only those
 // masters are read, and one that fails to decode is an error rather than a
@@ -654,16 +736,11 @@ func (s *System) selectBaseImage(baseID string, baseSub, ps *semgraph.Graph, m *
 	if s.opts.NoBaseSelection {
 		return baseID, nil, nil
 	}
-	type entry struct {
-		id      string
-		baseSub *semgraph.Graph
-		psList  []*semgraph.Graph
-	}
 	// Line 1: the candidate list starts with the new base image.
-	list3 := []entry{{id: baseID, baseSub: baseSub, psList: []*semgraph.Graph{ps}}}
+	list3 := []*candidate{{id: baseID, baseSub: baseSub, psList: []*semgraph.Graph{ps}}}
 
-	// Lines 3–12: add stored base images with simBI = 1 and their master
-	// graphs' primary subgraphs.
+	// Lines 3–12: add stored base images with simBI = 1; their master
+	// graphs' subgraphs are extracted when first compared.
 	bases, err := s.repo.Bases()
 	if err != nil {
 		return "", nil, err
@@ -676,15 +753,7 @@ func (s *System) selectBaseImage(baseID string, baseSub, ps *semgraph.Graph, m *
 		if err != nil {
 			return "", nil, err
 		}
-		e := entry{id: b.ID, baseSub: mg.BaseSubgraph()}
-		for _, p := range mg.PrimaryNames() {
-			sub, err := mg.PrimarySubgraph(p)
-			if err != nil {
-				return "", nil, err
-			}
-			e.psList = append(e.psList, sub)
-		}
-		list3 = append(list3, e)
+		list3 = append(list3, &candidate{id: b.ID, mg: mg})
 	}
 
 	// Lines 13–26: build the quadruple list.
@@ -700,6 +769,12 @@ func (s *System) selectBaseImage(baseID string, baseSub, ps *semgraph.Graph, m *
 		for j, ej := range list3 {
 			if i == j || ei.id == ej.id {
 				continue
+			}
+			if err := ei.extract(); err != nil {
+				return "", nil, err
+			}
+			if err := ej.extract(); err != nil {
+				return "", nil, err
 			}
 			compatible := true
 			for _, psj := range ej.psList {
@@ -753,6 +828,34 @@ func (s *System) selectBaseImage(baseID string, baseSub, ps *semgraph.Graph, m *
 	}
 	// Line 33: no candidate — store the new base.
 	return baseID, nil, nil
+}
+
+// candidate is one base image of Algorithm 2's list: the new base, or a
+// stored one whose base and primary subgraphs come from its master graph.
+// Those are extracted only when the candidate is first compared with one of
+// another ID; equal-ID pairs are never compared, so a class holding only
+// the new base's stored twin extracts nothing.
+type candidate struct {
+	id      string
+	mg      *master.Graph // the master still to extract; nil once extracted
+	baseSub *semgraph.Graph
+	psList  []*semgraph.Graph
+}
+
+func (c *candidate) extract() error {
+	if c.mg == nil {
+		return nil
+	}
+	c.baseSub = c.mg.BaseSubgraph()
+	for _, p := range c.mg.PrimaryNames() {
+		sub, err := c.mg.PrimarySubgraph(p)
+		if err != nil {
+			return err
+		}
+		c.psList = append(c.psList, sub)
+	}
+	c.mg = nil
+	return nil
 }
 
 // collectUserData gathers all files under the user-data roots.

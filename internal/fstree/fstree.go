@@ -30,6 +30,7 @@ import (
 	"fmt"
 	"io"
 	"path"
+	"slices"
 	"sort"
 	"strings"
 
@@ -615,6 +616,34 @@ func (fs *FS) lookup(p string) (uint32, *inode, error) {
 func (fs *FS) Exists(p string) bool {
 	_, _, err := fs.lookup(p)
 	return err == nil
+}
+
+// CountFiles returns how many of paths name an existing regular file. It
+// reads each parent directory once instead of resolving every path from
+// the root, so counting a package's files costs one lookup per directory.
+func (fs *FS) CountFiles(paths []string) int {
+	byDir := map[string][]string{}
+	for _, p := range paths {
+		dir, name := path.Split(path.Clean("/" + p))
+		byDir[dir] = append(byDir[dir], name)
+	}
+	n := 0
+	for dir, names := range byDir {
+		num, ino, err := fs.lookup(dir)
+		if err != nil || ino.mode != modeDir {
+			continue
+		}
+		entries, _, err := fs.readDirents(num)
+		if err != nil {
+			continue
+		}
+		for _, name := range names {
+			if slices.ContainsFunc(entries, func(e dirent) bool { return e.name == name && e.mode == modeFile }) {
+				n++
+			}
+		}
+	}
+	return n
 }
 
 // Stat returns information about the path.

@@ -525,3 +525,31 @@ func BenchmarkWalk(b *testing.B) {
 		fs.Walk("/", func(fi FileInfo) error { n++; return nil })
 	}
 }
+
+func TestCountFiles(t *testing.T) {
+	fs := newFS(t, 4<<20)
+	for _, d := range []string{"/usr/bin", "/usr/share/doc/pkg"} {
+		if err := fs.MkdirAll(d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, f := range []string{"/usr/bin/a", "/usr/bin/b", "/usr/share/doc/pkg/README", "/top"} {
+		if err := fs.WriteFile(f, []byte(f)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, tc := range []struct {
+		paths []string
+		want  int
+	}{
+		{nil, 0},
+		{[]string{"/usr/bin/a", "/usr/bin/b", "/top", "/usr/share/doc/pkg/README"}, 4},
+		{[]string{"/usr/bin/missing", "/no/such/dir/file", "/usr/bin/a/below-a-file"}, 0},
+		{[]string{"/usr/bin", "/usr/share/doc/pkg", "/"}, 0}, // directories are not files
+		{[]string{"usr/bin/a", "/usr//bin/b"}, 2},            // cleaned like every other path
+	} {
+		if got := fs.CountFiles(tc.paths); got != tc.want {
+			t.Errorf("CountFiles(%q) = %d, want %d", tc.paths, got, tc.want)
+		}
+	}
+}

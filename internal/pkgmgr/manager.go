@@ -21,6 +21,7 @@ package pkgmgr
 import (
 	"fmt"
 	"path"
+	"slices"
 	"sort"
 	"strings"
 
@@ -44,7 +45,6 @@ type Manager struct {
 // New returns a manager for the guest filesystem, initialising the package
 // database directories if missing and loading the status database.
 func New(fs *fstree.FS) (*Manager, error) {
-	m := &Manager{fs: fs}
 	if err := fs.MkdirAll(InfoDir); err != nil {
 		return nil, fmt.Errorf("pkgmgr: init: %w", err)
 	}
@@ -52,6 +52,17 @@ func New(fs *fstree.FS) (*Manager, error) {
 		if err := fs.WriteFile(StatusPath, nil); err != nil {
 			return nil, fmt.Errorf("pkgmgr: init status: %w", err)
 		}
+	}
+	return Load(fs)
+}
+
+// Load returns a manager over the guest's status database without writing
+// the guest: a guest without one has no packages installed. Its read
+// methods never write either; a method that changes the guest needs a
+// manager from New.
+func Load(fs *fstree.FS) (*Manager, error) {
+	m := &Manager{fs: fs}
+	if !fs.Exists(StatusPath) {
 		return m, nil
 	}
 	data, err := fs.ReadFile(StatusPath)
@@ -242,12 +253,10 @@ func (u installedUniverse) Lookup(name string) (pkgmeta.Package, bool) {
 	return p, ok
 }
 
-// Autoremove removes every installed, non-essential package that is not in
-// keep and not (transitively) required by a kept or essential package —
-// Algorithm 1's removeUnusedDependencies. It returns the removed package
-// names in sorted order.
-func (m *Manager) Autoremove(keep []string) ([]string, error) {
-	pkgs := m.index // Remove replaces the index, it never edits this one
+// required returns the names of pkgs that a name in keep or an essential
+// package requires, directly or transitively: what Autoremove(keep) leaves
+// installed when pkgs are.
+func required(pkgs []pkgmeta.Package, keep []string) map[string]bool {
 	u := make(installedUniverse, len(pkgs))
 	for _, p := range pkgs {
 		u[p.Name] = p
@@ -273,6 +282,16 @@ func (m *Manager) Autoremove(keep []string) ([]string, error) {
 		marked[name] = true
 		queue = append(queue, p.Depends...)
 	}
+	return marked
+}
+
+// Autoremove removes every installed, non-essential package that is not in
+// keep and not (transitively) required by a kept or essential package —
+// Algorithm 1's removeUnusedDependencies. It returns the removed package
+// names in sorted order.
+func (m *Manager) Autoremove(keep []string) ([]string, error) {
+	pkgs := m.index // Remove replaces the index, it never edits this one
+	marked := required(pkgs, keep)
 	var removed []string
 	for _, p := range pkgs {
 		if !marked[p.Name] {
@@ -286,4 +305,23 @@ func (m *Manager) Autoremove(keep []string) ([]string, error) {
 		}
 	}
 	return removed, nil
+}
+
+// Remaining returns, sorted by name and without changing the guest, the
+// packages that Remove of every installed package named in names followed
+// by Autoremove(nil) would leave installed: the essential packages outside
+// names and their dependency closure over the rest.
+func (m *Manager) Remaining(names []string) []pkgmeta.Package {
+	gone := make(map[string]bool, len(names))
+	for _, n := range names {
+		gone[n] = true
+	}
+	rest := make([]pkgmeta.Package, 0, len(m.index))
+	for _, p := range m.index {
+		if !gone[p.Name] {
+			rest = append(rest, p)
+		}
+	}
+	marked := required(rest, nil)
+	return slices.DeleteFunc(rest, func(p pkgmeta.Package) bool { return !marked[p.Name] })
 }

@@ -36,6 +36,7 @@ func TestErrorKindTableEndToEnd(t *testing.T) {
 	inProcess := []error{
 		vmirepo.ErrNotFound, blobstore.ErrNotFound, blobstore.ErrCorrupt,
 		vmirepo.ErrReadOnly, metawal.ErrEpochGone, vmirepo.ErrQuotaExceeded,
+		core.ErrPrimaryNotInstalled,
 	}
 	if len(inProcess) != len(wire.ErrorKinds) {
 		t.Fatalf("table has %d rows, the layers name %d sentinels", len(wire.ErrorKinds), len(inProcess))

@@ -9,8 +9,7 @@ import (
 )
 
 // Expel adapts the Expelliarmus system (internal/core) to the Store
-// interface used by the evaluation harness. Publishing clones the image
-// first, because semantic decomposition consumes it.
+// interface used by the evaluation harness.
 type Expel struct {
 	mu  sync.Mutex
 	sys *core.System
@@ -42,7 +41,7 @@ func (s *Expel) Name() string { return "expelliarmus" }
 func (s *Expel) Publish(img *vmi.Image) (*PublishStats, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	rep, err := s.sys.Publish(img.Clone())
+	rep, err := s.sys.Publish(img)
 	if err != nil {
 		return nil, err
 	}

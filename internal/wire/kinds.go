@@ -35,6 +35,9 @@ const (
 	// KindQuotaExceeded marks a publish rejected because it would push its
 	// tenant past the configured quota.
 	KindQuotaExceeded = "quota-exceeded"
+	// KindPrimaryNotInstalled marks a publish whose primaries list names
+	// a package the uploaded image does not have installed.
+	KindPrimaryNotInstalled = "primary-not-installed"
 )
 
 // ErrorKind is one row of the error vocabulary: the sentinel an operation
@@ -50,8 +53,8 @@ type ErrorKind struct {
 // maps an error to the first row whose sentinel it wraps (KindOf), the
 // client maps a reply's kind back to the first row carrying it
 // (KindNamed), so remote callers route absence, corruption, read-only
-// refusals, retired epochs and quota rejections exactly like in-process
-// ones. A new kind is one new row.
+// refusals, retired epochs, quota rejections and uninstalled primaries
+// exactly like in-process ones. A new kind is one new row.
 var ErrorKinds = []ErrorKind{
 	{KindNotFound, api.ErrNotFound, http.StatusNotFound},
 	{KindNotFound, api.ErrBlobNotFound, http.StatusNotFound},
@@ -59,6 +62,7 @@ var ErrorKinds = []ErrorKind{
 	{KindReadOnly, api.ErrReadOnly, http.StatusForbidden},
 	{KindEpochGone, api.ErrEpochGone, http.StatusGone},
 	{KindQuotaExceeded, api.ErrQuotaExceeded, http.StatusRequestEntityTooLarge},
+	{KindPrimaryNotInstalled, api.ErrPrimaryNotInstalled, http.StatusBadRequest},
 }
 
 // KindOf returns the row err belongs to; ok is false for an error outside
