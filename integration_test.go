@@ -1,7 +1,7 @@
 package expelliarmus
 
 // Integration tests exercising the whole stack through the public facade:
-// catalog → builder → guestfs → package manager → semantic graphs →
+// catalog → builder → guest filesystem → package manager → semantic graphs →
 // repository → assembler, across multiple images and both retrieval paths.
 
 import (

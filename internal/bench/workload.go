@@ -24,7 +24,8 @@ import (
 
 // Workload builds and caches evaluation images. Images are expensive to
 // build (hundreds of package installs each), so every experiment shares
-// one cache and publishes clones.
+// one cache and publishes the cached images: no store writes the image it
+// publishes.
 type Workload struct {
 	mu     sync.Mutex
 	b      *builder.Builder
@@ -42,19 +43,20 @@ func NewWorkload() *Workload {
 // Builder exposes the underlying image builder.
 func (w *Workload) Builder() *builder.Builder { return w.b }
 
-// Image returns a clone of the built template image, building on first use.
+// Image returns the built template image, building on first use. The
+// image is shared: callers read it and must not change it.
 func (w *Workload) Image(t catalog.Template) (*vmi.Image, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if img, ok := w.images[t.Name]; ok {
-		return img.Clone(), nil
+		return img, nil
 	}
 	img, err := w.b.Build(t)
 	if err != nil {
 		return nil, fmt.Errorf("bench: build %s: %w", t.Name, err)
 	}
 	w.images[t.Name] = img
-	return img.Clone(), nil
+	return img, nil
 }
 
 // Runner executes experiments on one device profile and workload.

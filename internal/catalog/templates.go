@@ -143,8 +143,9 @@ func IDEBuilds(n int) []Template {
 	return out
 }
 
-// churnRoots are the guest directories receiving system churn.
-var churnRoots = []string{"/var/log", "/var/cache", "/var/spool", "/tmp"}
+// churnRoots are the guest directories receiving system churn, the ones
+// a retrieval's reset clears.
+var churnRoots = vmi.ChurnRoots
 
 // UserDataRoots mirrors vmi.UserDataRoots for workload generation.
 var UserDataRoots = vmi.UserDataRoots

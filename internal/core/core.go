@@ -20,7 +20,6 @@ import (
 	"expelliarmus/internal/blobstore"
 	"expelliarmus/internal/catalog"
 	"expelliarmus/internal/fstree"
-	"expelliarmus/internal/guestfs"
 	"expelliarmus/internal/master"
 	"expelliarmus/internal/pkgfmt"
 	"expelliarmus/internal/pkgmeta"
@@ -285,11 +284,10 @@ func (s *System) PublishWith(img *vmi.Image, popts PublishOpts) (*PublishReport,
 	rep := &PublishReport{Image: img.Name, Meter: &simio.Meter{}}
 
 	// Step 2 (Fig. 2): guestfs access and semantic analysis.
-	h := guestfs.New(img.Disk, s.dev, rep.Meter)
-	if err := h.Launch(); err != nil {
+	fs, err := s.launch(img.Disk, rep.Meter)
+	if err != nil {
 		return nil, fmt.Errorf("core: publish %s: %w", img.Name, err)
 	}
-	fs, _ := h.FS()
 	mgr, err := pkgmgr.Load(fs)
 	if err != nil {
 		return nil, err
@@ -381,8 +379,8 @@ func (s *System) PublishWith(img *vmi.Image, popts PublishOpts) (*PublishReport,
 	// user data leaves the base image BI. Its package set comes from the
 	// index; the guest itself is stripped only if BI is stored (stripBase).
 	// Removing files costs a per-file unlink, not a full open/read cycle.
-	remaining := mgr.Remaining(img.Primaries)
-	removed, err := removedFiles(fs, mgr, installed, remaining, userFiles)
+	remaining, gone := mgr.Remaining(img.Primaries)
+	removed, err := removedFiles(fs, mgr, gone, userFiles)
 	if err != nil {
 		return nil, fmt.Errorf("core: publish %s: %w", img.Name, err)
 	}
@@ -439,7 +437,7 @@ func (s *System) PublishWith(img *vmi.Image, popts PublishOpts) (*PublishReport,
 	charge := storedBytes
 	var base *vdisk.Disk
 	if willStoreBase {
-		if base, err = stripBase(img, baseSub); err != nil {
+		if base, err = stripBase(img, gone); err != nil {
 			return nil, fmt.Errorf("core: publish %s: %w", img.Name, err)
 		}
 		charge += base.SerializedBytes()
@@ -598,34 +596,23 @@ func (s *System) PublishWith(img *vmi.Image, popts PublishOpts) (*PublishReport,
 			return nil, err
 		}
 	}
-	h.Close()
 	return rep, nil
 }
 
 // removedFiles counts, without removing anything, the regular files that
-// Algorithm 1 lines 7–11 remove from fs when the installed packages shrink
-// to remaining: the user files, and every existing file a removed package
-// owns plus the package's file list.
-func removedFiles(fs *fstree.FS, mgr *pkgmgr.Manager, installed, remaining []pkgmeta.Package, userFiles []pkgfmt.File) (int, error) {
-	kept := make(map[string]bool, len(remaining))
-	for _, p := range remaining {
-		kept[p.Name] = true
-	}
+// Algorithm 1 lines 7–11 remove from fs: the user files, and for each
+// package in gone every existing file it owns plus its file list.
+func removedFiles(fs *fstree.FS, mgr *pkgmgr.Manager, gone []string, userFiles []pkgfmt.File) (int, error) {
 	counted := make(map[string]bool, len(userFiles))
 	for _, f := range userFiles {
 		counted[f.Path] = true
 	}
-	lists := 0
 	var owned []string
-	for _, p := range installed {
-		if kept[p.Name] {
-			continue
-		}
-		files, err := mgr.OwnedFiles(p.Name)
+	for _, name := range gone {
+		files, err := mgr.OwnedFiles(name)
 		if err != nil {
 			return 0, err
 		}
-		lists++
 		for _, f := range files {
 			if !counted[f] {
 				counted[f] = true
@@ -633,16 +620,15 @@ func removedFiles(fs *fstree.FS, mgr *pkgmgr.Manager, installed, remaining []pkg
 			}
 		}
 	}
-	return len(userFiles) + lists + fs.CountFiles(owned), nil
+	return len(userFiles) + len(gone) + fs.CountFiles(owned), nil
 }
 
 // stripBase runs Algorithm 1 lines 7–11 on a clone of img's disk: it
-// removes the primaries, their unused dependencies and the user data, and
-// returns the clone, which holds the base image BI. Cloning a lazily
-// decoded disk shares its source, so the strip copies only the clusters it
-// rewrites. The packages the strip leaves must be baseSub's, the set
-// derived from the index, which names the base.
-func stripBase(img *vmi.Image, baseSub *semgraph.Graph) (*vdisk.Disk, error) {
+// removes the packages in gone, Remaining's removal list, in its order and
+// then the user data, and returns the clone, which holds the base image
+// BI. Cloning a lazily decoded disk shares its source, so the strip copies
+// only the clusters it rewrites.
+func stripBase(img *vmi.Image, gone []string) (*vdisk.Disk, error) {
 	disk := img.Disk.Clone(img.Name)
 	fs, err := fstree.Mount(disk)
 	if err != nil {
@@ -652,34 +638,29 @@ func stripBase(img *vmi.Image, baseSub *semgraph.Graph) (*vdisk.Disk, error) {
 	if err != nil {
 		return nil, err
 	}
-	for _, p := range img.Primaries {
-		if mgr.IsInstalled(p) {
-			if err := mgr.Remove(p); err != nil {
-				return nil, err
-			}
+	for _, name := range gone {
+		if err := mgr.Remove(name); err != nil {
+			return nil, err
 		}
-	}
-	if _, err := mgr.Autoremove(nil); err != nil {
-		return nil, err
 	}
 	for _, root := range vmi.UserDataRoots {
 		if err := fs.RemoveAll(root); err != nil {
 			return nil, err
 		}
 	}
-	left, err := mgr.Installed()
-	if err != nil {
-		return nil, err
-	}
-	for _, p := range left {
-		if v, ok := baseSub.Vertex(p.Name); !ok || v.Pkg.Ref() != p.Ref() {
-			return nil, fmt.Errorf("strip left %s, the derived base lacks it", p.Ref())
-		}
-	}
-	if len(left) != baseSub.Len() {
-		return nil, fmt.Errorf("strip left %d packages, the derived base has %d", len(left), baseSub.Len())
-	}
 	return disk, nil
+}
+
+// launch mounts disk's guest filesystem as libguestfs does once it has
+// configured and launched its appliance, charging simio.PhaseLaunch (a
+// visible part of publish and retrieval times in Fig. 5a).
+func (s *System) launch(disk *vdisk.Disk, m *simio.Meter) (*fstree.FS, error) {
+	m.Charge(simio.PhaseLaunch, s.dev.LaunchCost())
+	fs, err := fstree.Mount(disk)
+	if err != nil {
+		return nil, fmt.Errorf("launch: %w", err)
+	}
+	return fs, nil
 }
 
 // bestSimilarity compares the uploaded graph against the master graphs
@@ -1184,14 +1165,17 @@ func (s *System) assemble(src *sources, rep *RetrieveReport, sink func(*vdisk.Di
 	if err != nil {
 		return 0, nil, err
 	}
-	h := guestfs.New(disk, s.dev, rep.Meter)
-	if err := h.Launch(); err != nil {
-		return 0, nil, err
+	fs, err := s.launch(disk, rep.Meter)
+	if err != nil {
+		return 0, nil, fmt.Errorf("core: assemble %s: %w", name, err)
 	}
-	if err := h.Sysprep(nil); err != nil {
-		return 0, nil, err
+	// virt-sysprep scans every file, then clears the reset paths.
+	rep.Meter.Charge(simio.PhaseReset, s.dev.ResetCost(fs.NumFiles()))
+	for _, p := range vmi.SysprepPaths {
+		if err := fs.RemoveAll(p); err != nil {
+			return 0, nil, fmt.Errorf("core: assemble %s: sysprep %s: %w", name, p, err)
+		}
 	}
-	fs, _ := h.FS()
 
 	// Line 5: import the user data.
 	if src.userData.rc != nil {
@@ -1215,7 +1199,7 @@ func (s *System) assemble(src *sources, rep *RetrieveReport, sink func(*vdisk.Di
 
 	// Lines 11–13: import and install through the guest package manager
 	// from a temporary local repository.
-	mgr, err := h.PackageManager()
+	mgr, err := pkgmgr.New(fs)
 	if err != nil {
 		return 0, nil, err
 	}
@@ -1268,7 +1252,6 @@ func (s *System) assemble(src *sources, rep *RetrieveReport, sink func(*vdisk.Di
 	if err := fs.Remove("/etc/apt/sources.list.d/local.list"); err != nil {
 		return 0, nil, err
 	}
-	h.Close()
 
 	rep.base, rep.primaries = src.attrs, append([]string(nil), src.primaries...)
 	out := sink(disk)

@@ -2,6 +2,8 @@ package core
 
 import (
 	"bytes"
+	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -204,9 +206,22 @@ func TestRetrieveUnknownVMI(t *testing.T) {
 	}
 }
 
+// TestRetrieveMiniNoImports: a retrieval that imports no package is the
+// stored base after the reset plus the user data. The reset cleared every
+// sysprep path the published image filled (a user data root is filled
+// again by the import), kept the package database and was charged.
 func TestRetrieveMiniNoImports(t *testing.T) {
 	s, b := newSystem(t, Options{})
-	if _, err := s.Publish(buildImage(t, b, "Mini")); err != nil {
+	mini := buildImage(t, b, "Mini")
+	srcFS, err := mini.Mount()
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantUser, err := collectUserData(srcFS)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Publish(mini); err != nil {
 		t.Fatal(err)
 	}
 	got, rep, err := s.Retrieve("Mini")
@@ -224,6 +239,30 @@ func TestRetrieveMiniNoImports(t *testing.T) {
 	// Churn was reset: the retrieved Mini is pristine.
 	if fs.Exists("/var/log/run") {
 		t.Fatal("instance churn survived sysprep")
+	}
+	for _, p := range vmi.SysprepPaths {
+		if slices.Contains(vmi.UserDataRoots, p) {
+			continue
+		}
+		if !srcFS.Exists(p) {
+			t.Fatalf("published Mini has no %s: the reset check is vacuous", p)
+		}
+		if fs.Exists(p) {
+			t.Errorf("%s survived sysprep", p)
+		}
+	}
+	gotUser, err := collectUserData(fs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(gotUser) == 0 || !reflect.DeepEqual(gotUser, wantUser) {
+		t.Errorf("retrieved %d user files, published %d (or they differ)", len(gotUser), len(wantUser))
+	}
+	if !fs.Exists(pkgmgr.StatusPath) {
+		t.Error("sysprep wiped the package database")
+	}
+	if rep.Meter.Phase(simio.PhaseReset) == 0 {
+		t.Error("reset cost not charged")
 	}
 }
 

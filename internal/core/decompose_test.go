@@ -12,8 +12,8 @@ import (
 	"expelliarmus/internal/builder"
 	"expelliarmus/internal/catalog"
 	"expelliarmus/internal/fstree"
-	"expelliarmus/internal/guestfs"
 	"expelliarmus/internal/pkgfmt"
+	"expelliarmus/internal/pkgmeta"
 	"expelliarmus/internal/pkgmgr"
 	"expelliarmus/internal/semgraph"
 	"expelliarmus/internal/similarity"
@@ -24,60 +24,90 @@ import (
 
 // oracleStrip is Algorithm 1 lines 7–11 as Publish ran them before the
 // base set was derived from the package index: the primaries, their unused
-// dependencies and the user data are removed from the guest in place. It
-// returns the packages left installed and the regular files removed.
-func oracleStrip(img *vmi.Image) ([]string, int, error) {
-	h := guestfs.New(img.Disk, nil, nil)
-	if err := h.Launch(); err != nil {
-		return nil, 0, err
-	}
-	fs, _ := h.FS()
-	mgr, err := h.PackageManager()
+// dependencies and the user data are removed from the guest in place. The
+// unused dependencies are worked out here, by a mark from the essential
+// packages over what is left installed, not by the package manager. It
+// returns the packages left installed, the regular files removed and the
+// stripped disk's bytes.
+func oracleStrip(img *vmi.Image) ([]string, int, []byte, error) {
+	fs, err := img.Mount()
 	if err != nil {
-		return nil, 0, err
+		return nil, 0, nil, err
+	}
+	mgr, err := pkgmgr.New(fs)
+	if err != nil {
+		return nil, 0, nil, err
 	}
 	filesBefore := fs.NumFiles()
 	for _, p := range img.Primaries {
 		if mgr.IsInstalled(p) {
 			if err := mgr.Remove(p); err != nil {
-				return nil, 0, err
+				return nil, 0, nil, err
 			}
 		}
 	}
-	if _, err := mgr.Autoremove(nil); err != nil {
-		return nil, 0, err
+	installed, _ := mgr.Installed()
+	byName := map[string]pkgmeta.Package{}
+	for _, p := range installed {
+		byName[p.Name] = p
+	}
+	used := map[string]bool{}
+	var mark func(name string)
+	mark = func(name string) {
+		if p, ok := byName[name]; ok && !used[name] {
+			used[name] = true
+			for _, d := range p.Depends {
+				mark(d)
+			}
+		}
+	}
+	for _, p := range installed {
+		if p.Essential {
+			mark(p.Name)
+		}
+	}
+	for _, p := range installed { // sorted by name
+		if !used[p.Name] {
+			if err := mgr.Remove(p.Name); err != nil {
+				return nil, 0, nil, err
+			}
+		}
 	}
 	for _, root := range vmi.UserDataRoots {
 		if err := fs.RemoveAll(root); err != nil {
-			return nil, 0, err
+			return nil, 0, nil, err
 		}
 	}
-	remaining, err := mgr.Installed()
-	if err != nil {
-		return nil, 0, err
-	}
-	return pkgRefs(remaining), filesBefore - fs.NumFiles(), nil
+	remaining, _ := mgr.Installed()
+	return pkgRefs(remaining), filesBefore - fs.NumFiles(), img.Disk.Serialize(), nil
 }
 
 // derivedBase is what Publish derives from img without writing it: the
-// packages the strip would leave, and the regular files it would remove.
-func derivedBase(img *vmi.Image) ([]string, int, error) {
+// packages the strip would leave and the regular files it would remove,
+// and the bytes of the base stripBase stores.
+func derivedBase(img *vmi.Image) ([]string, int, []byte, error) {
 	fs, err := fstree.Mount(img.Disk)
 	if err != nil {
-		return nil, 0, err
+		return nil, 0, nil, err
 	}
 	mgr, err := pkgmgr.Load(fs)
 	if err != nil {
-		return nil, 0, err
+		return nil, 0, nil, err
 	}
-	installed, _ := mgr.Installed()
 	userFiles, err := collectUserData(fs)
 	if err != nil {
-		return nil, 0, err
+		return nil, 0, nil, err
 	}
-	remaining := mgr.Remaining(img.Primaries)
-	removed, err := removedFiles(fs, mgr, installed, remaining, userFiles)
-	return pkgRefs(remaining), removed, err
+	remaining, gone := mgr.Remaining(img.Primaries)
+	removed, err := removedFiles(fs, mgr, gone, userFiles)
+	if err != nil {
+		return nil, 0, nil, err
+	}
+	base, err := stripBase(img, gone)
+	if err != nil {
+		return nil, 0, nil, err
+	}
+	return pkgRefs(remaining), removed, base.Serialize(), nil
 }
 
 func pkgRefs[P interface{ Ref() string }](pkgs []P) []string {
@@ -92,7 +122,9 @@ func pkgRefs[P interface{ Ref() string }](pkgs []P) []string {
 // with extra user data and an image whose primary is essential, the base
 // package set and cleanup count derived from the package index equal what
 // the in-place strip leaves and removes — so the base identity and the
-// modeled cleanup seconds are those of the strip.
+// modeled cleanup seconds are those of the strip — and the base stripBase
+// stores serializes to the bytes the in-place strip leaves, so the strip
+// removes the same packages in the same order.
 func TestStripMatchesOracle(t *testing.T) {
 	b := builder.New(catalog.NewUniverse())
 	var imgs []*vmi.Image
@@ -124,11 +156,11 @@ func TestStripMatchesOracle(t *testing.T) {
 	imgs = append(imgs, essential)
 
 	for _, img := range imgs {
-		wantPkgs, wantFiles, err := oracleStrip(img.Clone())
+		wantPkgs, wantFiles, wantBytes, err := oracleStrip(img.Clone())
 		if err != nil {
 			t.Fatalf("%s: oracle strip: %v", img.Name, err)
 		}
-		gotPkgs, gotFiles, err := derivedBase(img)
+		gotPkgs, gotFiles, gotBytes, err := derivedBase(img)
 		if err != nil {
 			t.Fatalf("%s: derive: %v", img.Name, err)
 		}
@@ -137,6 +169,9 @@ func TestStripMatchesOracle(t *testing.T) {
 		}
 		if gotFiles != wantFiles {
 			t.Errorf("%s: derived cleanup removes %d files, the strip %d", img.Name, gotFiles, wantFiles)
+		}
+		if !bytes.Equal(gotBytes, wantBytes) {
+			t.Errorf("%s: stripBase stores %d bytes that differ from the %d the strip leaves", img.Name, len(gotBytes), len(wantBytes))
 		}
 	}
 }
@@ -241,6 +276,19 @@ func TestPublishRefusesUninstalledPrimary(t *testing.T) {
 	}
 	if err := s.Remove("Redis"); err != nil {
 		t.Fatalf("remove after the refusal: %v", err)
+	}
+}
+
+// TestPublishUnformattedDiskFails: a disk without a guest filesystem
+// cannot be launched, so publishing it is an error.
+func TestPublishUnformattedDiskFails(t *testing.T) {
+	s, _ := newSystem(t, Options{})
+	raw := &vmi.Image{Name: "raw", Disk: vdisk.New("raw", 1<<20, vdisk.DefaultClusterSize)}
+	if _, err := s.Publish(raw); err == nil {
+		t.Fatal("published an unformatted disk")
+	}
+	if st := s.Repo().Stats(); st.VMIs != 0 {
+		t.Fatalf("refused publish left %d VMIs", st.VMIs)
 	}
 }
 
@@ -417,7 +465,8 @@ func TestSelectBaseImageMatchesEager(t *testing.T) {
 		}
 		installed, _ := mgr.Installed()
 		ps := semgraph.Build(img.Base, installed, img.Primaries).PrimarySubgraph()
-		baseSub := semgraph.Build(img.Base, mgr.Remaining(img.Primaries), nil)
+		remaining, _ := mgr.Remaining(img.Primaries)
+		baseSub := semgraph.Build(img.Base, remaining, nil)
 		baseID := s.baseIdentity(img, baseSub)
 
 		gotSel, gotList, err := s.selectBaseImage(baseID, baseSub, ps, nil)

@@ -85,7 +85,9 @@ func TestIndexWrittenThrough(t *testing.T) {
 		}
 	}
 	for _, name := range []string{"m", "z", "a", "q"} {
-		if err := m.InstallPackage(pkg(name), filesFor(name)); err != nil {
+		p := pkg(name)
+		p.Essential = name == "a" // the root the strip below keeps
+		if err := m.InstallPackage(p, filesFor(name)); err != nil {
 			t.Fatal(err)
 		}
 		check("install " + name)
@@ -99,12 +101,15 @@ func TestIndexWrittenThrough(t *testing.T) {
 		t.Fatal(err)
 	}
 	check("remove m")
-	if _, err := m.Autoremove([]string{"a"}); err != nil {
-		t.Fatal(err)
+	_, gone := m.Remaining([]string{"z"})
+	for _, name := range gone {
+		if err := m.Remove(name); err != nil {
+			t.Fatal(err)
+		}
+		check("remove unused " + name)
 	}
-	check("autoremove")
-	if m.IsInstalled("q") || !m.IsInstalled("a") {
-		t.Fatal("autoremove kept q or dropped a")
+	if m.IsInstalled("q") || m.IsInstalled("z") || !m.IsInstalled("a") {
+		t.Fatal("the strip kept q or z or dropped a")
 	}
 }
 

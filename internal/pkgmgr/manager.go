@@ -2,26 +2,26 @@
 // through libguestfs (Sec. V): a dpkg/apt analogue that maintains a status
 // database inside the guest filesystem, installs and removes binary
 // packages, recreates binary packages from installed files (dpkg-repack,
-// the core of VMI publishing), auto-removes dependencies that are no longer
-// required (Algorithm 1 line 10), and resolves dependency closures and
-// installation order with full support for dependency cycles (the paper's
-// libc6/perl-base/dpkg example).
+// the core of VMI publishing), works out without changing the guest which
+// dependencies are no longer required (Algorithm 1 line 10's
+// removeUnusedDependencies, in Remaining), and resolves dependency
+// closures and installation order with full support for dependency cycles
+// (the paper's libc6/perl-base/dpkg example).
 //
 // A Manager keeps the parsed status database in memory, sorted by name.
 // The index is complete before New returns and is replaced only by
 // writeStatus, after the same packages reached StatusPath: it is written
 // through, never ahead of the disk, and the file is written at the moments
 // it always was (a write moves blocks, so when it happens is part of the
-// image). Get, IsInstalled, Installed, OwnedFiles and Repack never write
-// the index and may run concurrently; methods that change the guest need
-// exclusive access. The status file is not re-read, so a filesystem has
+// image). Get, IsInstalled, Installed, OwnedFiles, Remaining and Repack
+// never write the index and may run concurrently; methods that change the
+// guest need exclusive access. The status file is not re-read, so a filesystem has
 // one Manager.
 package pkgmgr
 
 import (
 	"fmt"
 	"path"
-	"slices"
 	"sort"
 	"strings"
 
@@ -244,84 +244,50 @@ func (m *Manager) Repack(name string) ([]byte, error) {
 	return pkgfmt.Build(p, files)
 }
 
-// installedUniverse adapts the installed package set to the Universe
-// interface for closure computations.
-type installedUniverse map[string]pkgmeta.Package
-
-func (u installedUniverse) Lookup(name string) (pkgmeta.Package, bool) {
-	p, ok := u[name]
-	return p, ok
-}
-
-// required returns the names of pkgs that a name in keep or an essential
-// package requires, directly or transitively: what Autoremove(keep) leaves
-// installed when pkgs are.
-func required(pkgs []pkgmeta.Package, keep []string) map[string]bool {
-	u := make(installedUniverse, len(pkgs))
-	for _, p := range pkgs {
-		u[p.Name] = p
+// Remaining works out Algorithm 1 lines 7–10 without changing the guest.
+// It returns the packages the strip leaves installed, sorted by name: the
+// essential packages outside names and their dependency closure over the
+// rest. It also returns the removal list in strip order: each installed
+// package in names (first occurrence, in the order given), then every
+// package those roots no longer reach (removeUnusedDependencies), by name.
+// Calling Remove on each name of the list in turn is the strip.
+func (m *Manager) Remaining(names []string) (kept []pkgmeta.Package, gone []string) {
+	named := make(map[string]bool, len(names))
+	for _, n := range names {
+		if !named[n] && m.IsInstalled(n) {
+			gone = append(gone, n)
+		}
+		named[n] = true
 	}
-	roots := append([]string(nil), keep...)
-	for _, p := range pkgs {
+	rest := make(map[string]pkgmeta.Package, len(m.index))
+	var queue []string
+	for _, p := range m.index {
+		if named[p.Name] {
+			continue
+		}
+		rest[p.Name] = p
 		if p.Essential {
-			roots = append(roots, p.Name)
+			queue = append(queue, p.Name)
 		}
 	}
 	marked := map[string]bool{}
-	queue := roots
 	for len(queue) > 0 {
 		name := queue[0]
 		queue = queue[1:]
-		if marked[name] {
+		p, ok := rest[name]
+		if !ok || marked[name] {
 			continue
-		}
-		p, ok := u[name]
-		if !ok {
-			continue // kept name not installed: ignore
 		}
 		marked[name] = true
 		queue = append(queue, p.Depends...)
 	}
-	return marked
-}
-
-// Autoremove removes every installed, non-essential package that is not in
-// keep and not (transitively) required by a kept or essential package —
-// Algorithm 1's removeUnusedDependencies. It returns the removed package
-// names in sorted order.
-func (m *Manager) Autoremove(keep []string) ([]string, error) {
-	pkgs := m.index // Remove replaces the index, it never edits this one
-	marked := required(pkgs, keep)
-	var removed []string
-	for _, p := range pkgs {
-		if !marked[p.Name] {
-			removed = append(removed, p.Name)
-		}
-	}
-	sort.Strings(removed)
-	for _, name := range removed {
-		if err := m.Remove(name); err != nil {
-			return removed, err
-		}
-	}
-	return removed, nil
-}
-
-// Remaining returns, sorted by name and without changing the guest, the
-// packages that Remove of every installed package named in names followed
-// by Autoremove(nil) would leave installed: the essential packages outside
-// names and their dependency closure over the rest.
-func (m *Manager) Remaining(names []string) []pkgmeta.Package {
-	gone := make(map[string]bool, len(names))
-	for _, n := range names {
-		gone[n] = true
-	}
-	rest := make([]pkgmeta.Package, 0, len(m.index))
 	for _, p := range m.index {
-		if !gone[p.Name] {
-			rest = append(rest, p)
+		switch {
+		case marked[p.Name]:
+			kept = append(kept, p)
+		case !named[p.Name]:
+			gone = append(gone, p.Name)
 		}
 	}
-	marked := required(rest, nil)
-	return slices.DeleteFunc(rest, func(p pkgmeta.Package) bool { return !marked[p.Name] })
+	return kept, gone
 }

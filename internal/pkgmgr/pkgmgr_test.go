@@ -180,17 +180,35 @@ func TestRepackRoundTrip(t *testing.T) {
 	}
 }
 
-func TestAutoremoveBasic(t *testing.T) {
+func essential(name string, deps ...string) pkgmeta.Package {
+	p := pkg(name, deps...)
+	p.Essential = true
+	return p
+}
+
+// strip removes the list Remaining(names) returns, in its order, and
+// checks that it leaves exactly the packages Remaining said it would.
+func strip(t *testing.T, m *Manager, names ...string) []string {
+	t.Helper()
+	kept, gone := m.Remaining(names)
+	for _, name := range gone {
+		if err := m.Remove(name); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if left, _ := m.Installed(); !reflect.DeepEqual(left, kept) {
+		t.Fatalf("strip left %v, Remaining said %v", left, kept)
+	}
+	return gone
+}
+
+func TestRemainingBasic(t *testing.T) {
 	m, _ := newMgr(t)
-	// app depends on lib; orphan has no dependents.
+	// app (a root) depends on lib; orphan has no dependents.
 	m.InstallPackage(pkg("lib"), filesFor("lib"))
 	m.InstallPackage(pkg("orphan"), filesFor("orphan"))
-	m.InstallPackage(pkg("app", "lib"), filesFor("app"))
-	removed, err := m.Autoremove([]string{"app"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(removed, []string{"orphan"}) {
+	m.InstallPackage(essential("app", "lib"), filesFor("app"))
+	if removed := strip(t, m); !reflect.DeepEqual(removed, []string{"orphan"}) {
 		t.Fatalf("removed = %v, want [orphan]", removed)
 	}
 	if !m.IsInstalled("lib") || !m.IsInstalled("app") {
@@ -198,17 +216,11 @@ func TestAutoremoveBasic(t *testing.T) {
 	}
 }
 
-func TestAutoremoveKeepsEssential(t *testing.T) {
+func TestRemainingKeepsEssential(t *testing.T) {
 	m, _ := newMgr(t)
-	base := pkg("base-files")
-	base.Essential = true
-	m.InstallPackage(base, filesFor("base-files"))
+	m.InstallPackage(essential("base-files"), filesFor("base-files"))
 	m.InstallPackage(pkg("extra"), filesFor("extra"))
-	removed, err := m.Autoremove(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(removed, []string{"extra"}) {
+	if removed := strip(t, m); !reflect.DeepEqual(removed, []string{"extra"}) {
 		t.Fatalf("removed = %v", removed)
 	}
 	if !m.IsInstalled("base-files") {
@@ -216,32 +228,41 @@ func TestAutoremoveKeepsEssential(t *testing.T) {
 	}
 }
 
-func TestAutoremoveCycleReachable(t *testing.T) {
+func TestRemainingCycleReachable(t *testing.T) {
 	m, _ := newMgr(t)
 	// libc6 <-> perl-base cycle (the paper's example), reachable from app.
 	m.InstallPackage(pkg("libc6", "perl-base"), filesFor("libc6"))
 	m.InstallPackage(pkg("perl-base", "libc6"), filesFor("perl-base"))
-	m.InstallPackage(pkg("app", "libc6"), filesFor("app"))
-	removed, err := m.Autoremove([]string{"app"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(removed) != 0 {
+	m.InstallPackage(essential("app", "libc6"), filesFor("app"))
+	if removed := strip(t, m); len(removed) != 0 {
 		t.Fatalf("removed = %v, want none (cycle reachable)", removed)
 	}
 }
 
-func TestAutoremoveCycleUnreachable(t *testing.T) {
+func TestRemainingCycleUnreachable(t *testing.T) {
 	m, _ := newMgr(t)
 	m.InstallPackage(pkg("loop-a", "loop-b"), filesFor("loop-a"))
 	m.InstallPackage(pkg("loop-b", "loop-a"), filesFor("loop-b"))
-	m.InstallPackage(pkg("app"), filesFor("app"))
-	removed, err := m.Autoremove([]string{"app"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(removed, []string{"loop-a", "loop-b"}) {
+	m.InstallPackage(essential("app"), filesFor("app"))
+	if removed := strip(t, m); !reflect.DeepEqual(removed, []string{"loop-a", "loop-b"}) {
 		t.Fatalf("removed = %v, want whole unreachable cycle", removed)
+	}
+}
+
+// TestRemainingOrder: the removal list holds the named packages that are
+// installed, once each and in the order given, then the dependencies no
+// root reaches any more, by name — the order Algorithm 1 removes them in.
+func TestRemainingOrder(t *testing.T) {
+	m, _ := newMgr(t)
+	m.InstallPackage(essential("base", "libc"), filesFor("base"))
+	m.InstallPackage(pkg("libc"), filesFor("libc"))
+	m.InstallPackage(pkg("zlib"), filesFor("zlib"))
+	m.InstallPackage(pkg("libssl", "zlib"), filesFor("libssl"))
+	m.InstallPackage(pkg("web", "libssl", "libc"), filesFor("web"))
+	m.InstallPackage(pkg("db", "zlib"), filesFor("db"))
+	want := []string{"web", "db", "libssl", "zlib"}
+	if removed := strip(t, m, "web", "ghost", "db", "web"); !reflect.DeepEqual(removed, want) {
+		t.Fatalf("removal list = %v, want %v", removed, want)
 	}
 }
 

@@ -6,6 +6,7 @@ package vmi
 
 import (
 	"fmt"
+	"slices"
 
 	"expelliarmus/internal/fstree"
 	"expelliarmus/internal/pkgmeta"
@@ -16,6 +17,16 @@ import (
 // of a VMI — content "not recognized by the guest OS package management"
 // (Sec. III-A) that every storage system preserves verbatim.
 var UserDataRoots = []string{"/home", "/root", "/srv"}
+
+// ChurnRoots are the guest directories the running system fills with
+// instance churn: logs, caches, spools and temporary files.
+var ChurnRoots = []string{"/var/log", "/var/cache", "/var/spool", "/tmp"}
+
+// SysprepPaths are the guest paths a virt-sysprep style reset clears
+// (Algorithm 3 line 4): the churn and user data roots and the instance
+// identity files. The package database under /var/lib/dpkg survives.
+var SysprepPaths = slices.Concat(ChurnRoots, UserDataRoots,
+	[]string{"/etc/machine-id", "/etc/hostname"})
 
 // Image is a VMI: disk content plus upload metadata. The primary package
 // set PS is what the user declares when publishing ("the user uploads a
@@ -44,9 +55,9 @@ func (im *Image) Mount() (*fstree.FS, error) {
 // Serialize encodes the disk in its qcow2-like on-disk form.
 func (im *Image) Serialize() []byte { return im.Disk.Serialize() }
 
-// Clone returns an independent deep copy (same metadata, copied disk), so
-// destructive operations like semantic decomposition can run without
-// consuming the caller's image.
+// Clone returns an independent deep copy (same metadata, copied disk) for
+// a caller that goes on to change it, a variant say. Publishing needs no
+// copy: no store writes the image it is given.
 func (im *Image) Clone() *Image {
 	return &Image{
 		Name:      im.Name,
