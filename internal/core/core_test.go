@@ -207,9 +207,7 @@ func TestRetrieveUnknownVMI(t *testing.T) {
 }
 
 // TestRetrieveMiniNoImports: a retrieval that imports no package is the
-// stored base after the reset plus the user data. The reset cleared every
-// sysprep path the published image filled (a user data root is filled
-// again by the import), kept the package database and was charged.
+// stored base plus the user data.
 func TestRetrieveMiniNoImports(t *testing.T) {
 	s, b := newSystem(t, Options{})
 	mini := buildImage(t, b, "Mini")
@@ -240,6 +238,33 @@ func TestRetrieveMiniNoImports(t *testing.T) {
 	if fs.Exists("/var/log/run") {
 		t.Fatal("instance churn survived sysprep")
 	}
+	gotUser, err := collectUserData(fs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(gotUser) == 0 || !reflect.DeepEqual(gotUser, wantUser) {
+		t.Errorf("retrieved %d user files, published %d (or they differ)", len(gotUser), len(wantUser))
+	}
+}
+
+// TestSysprepDefaults: assembly's reset cleared every sysprep path the
+// published image filled (a user data root is filled again by the
+// import), kept the package database and binaries, and was charged.
+func TestSysprepDefaults(t *testing.T) {
+	s, b := newSystem(t, Options{})
+	mini := buildImage(t, b, "Mini")
+	srcFS, err := mini.Mount()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Publish(mini); err != nil {
+		t.Fatal(err)
+	}
+	got, rep, err := s.Retrieve("Mini")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs, _ := got.Mount()
 	for _, p := range vmi.SysprepPaths {
 		if slices.Contains(vmi.UserDataRoots, p) {
 			continue
@@ -251,15 +276,11 @@ func TestRetrieveMiniNoImports(t *testing.T) {
 			t.Errorf("%s survived sysprep", p)
 		}
 	}
-	gotUser, err := collectUserData(fs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(gotUser) == 0 || !reflect.DeepEqual(gotUser, wantUser) {
-		t.Errorf("retrieved %d user files, published %d (or they differ)", len(gotUser), len(wantUser))
-	}
 	if !fs.Exists(pkgmgr.StatusPath) {
 		t.Error("sysprep wiped the package database")
+	}
+	if !fs.Exists("/usr/bin") {
+		t.Error("sysprep wiped the binaries")
 	}
 	if rep.Meter.Phase(simio.PhaseReset) == 0 {
 		t.Error("reset cost not charged")
