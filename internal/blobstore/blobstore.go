@@ -13,9 +13,8 @@
 // The store is mutex-striped: blobs live in shards keyed by the leading
 // byte of their content hash, so concurrent publishes writing different
 // packages lock different shards and proceed in parallel. SHA-256 output is
-// uniform, which makes the leading byte an ideal shard key. Aggregate
-// counters (unique bytes, put/hit statistics) are atomics, so size queries
-// never touch a shard lock.
+// uniform, which makes the leading byte an ideal shard key. The unique-byte
+// total is an atomic, so size queries never touch a shard lock.
 package blobstore
 
 import (
@@ -75,8 +74,6 @@ type shard struct {
 type Store struct {
 	shards [numShards]shard
 	bytes  atomic.Int64
-	puts   atomic.Int64
-	hits   atomic.Int64
 }
 
 // New returns an empty store.
@@ -94,9 +91,9 @@ func (s *Store) shardFor(id ID) *shard {
 
 // Put stores data (if not already present) and takes one reference on it.
 // It returns the blob ID and whether the content was newly stored. The
-// caller keeps ownership of data; it is copied, never aliased. Put is a
-// thin adapter over PutReader (in-memory sources can never fail, so the
-// error leg vanishes).
+// caller keeps ownership of data; it is copied, never aliased. Put is the
+// in-memory baselines' adapter over PutReader (an in-memory source can
+// never fail, so the error leg vanishes); it is not part of Backend.
 func (s *Store) Put(data []byte) (ID, bool) {
 	id, _, stored, _ := s.PutReader(bytes.NewReader(data))
 	return id, stored
@@ -118,10 +115,8 @@ func (s *Store) PutReader(r io.Reader) (ID, int64, bool, error) {
 	sh := s.shardFor(id)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	s.puts.Add(1)
 	if e, ok := sh.blobs[id]; ok {
 		e.refs++
-		s.hits.Add(1)
 		return id, n, false, nil
 	}
 	sh.blobs[id] = &entry{data: buf.Bytes(), refs: 1}
@@ -130,8 +125,8 @@ func (s *Store) PutReader(r io.Reader) (ID, int64, bool, error) {
 }
 
 // Get returns a copy of the blob's contents; the caller owns the result
-// and may mutate it without affecting the store. Get is a thin adapter
-// over Open.
+// and may mutate it without affecting the store. Get is the in-memory
+// baselines' adapter over Open; it is not part of Backend.
 func (s *Store) Get(id ID) ([]byte, bool) {
 	rc, size, err := s.Open(id)
 	if err != nil {
@@ -177,28 +172,6 @@ func (s *Store) Size(id ID) (int64, bool) {
 		return 0, false
 	}
 	return int64(len(e.data)), true
-}
-
-// Has reports whether the blob exists.
-func (s *Store) Has(id ID) bool {
-	sh := s.shardFor(id)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	_, ok := sh.blobs[id]
-	return ok
-}
-
-// AddRef takes an additional reference on an existing blob.
-func (s *Store) AddRef(id ID) error {
-	sh := s.shardFor(id)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	e, ok := sh.blobs[id]
-	if !ok {
-		return fmt.Errorf("blobstore: addref %s: not found", id)
-	}
-	e.refs++
-	return nil
 }
 
 // Refs returns the current reference count, or zero if absent.
@@ -249,11 +222,6 @@ func (s *Store) Len() int {
 // quantity plotted on the y-axis of Fig. 3.
 func (s *Store) TotalBytes() int64 { return s.bytes.Load() }
 
-// Stats reports cumulative put and dedup-hit counts.
-func (s *Store) Stats() (puts, hits int64) {
-	return s.puts.Load(), s.hits.Load()
-}
-
 // The in-memory store holds nothing outside process memory and frees a
 // blob's bytes the moment its last reference is released, so the
 // durability and reclamation half of the Backend contract is trivial:
@@ -264,7 +232,7 @@ func (s *Store) Sync() (SyncStats, error)       { return SyncStats{}, nil }
 func (s *Store) Close() error                   { return nil }
 func (s *Store) Err() error                     { return nil }
 func (s *Store) Compact() (CompactStats, error) { return CompactStats{}, nil }
-func (s *Store) DiskStats() DiskStats           { return DiskStats{LiveBytes: s.TotalBytes()} }
+func (s *Store) DiskStats() DiskStats           { return DiskStats{} }
 
 // IDs returns all blob IDs in lexicographic order (deterministic).
 func (s *Store) IDs() []ID {

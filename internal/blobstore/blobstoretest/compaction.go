@@ -23,7 +23,7 @@ func testReleaseCompactGet(t *testing.T, b blobstore.Backend) {
 	var drop []blobstore.ID
 	for i := 0; i < 32; i++ {
 		data := bytes.Repeat(blobOf(i), 4)
-		id, stored := b.Put(data)
+		id, stored := put(t, b, data)
 		if !stored {
 			t.Fatalf("blob %d: not newly stored", i)
 		}
@@ -53,7 +53,7 @@ func testReleaseCompactGet(t *testing.T, b blobstore.Backend) {
 		t.Fatalf("compact: %v", err)
 	}
 	for i, id := range keep {
-		got, ok := b.Get(id)
+		got, ok := Get(b, id)
 		if !ok {
 			t.Fatalf("surviving blob %d lost after compact", i)
 		}
@@ -62,7 +62,7 @@ func testReleaseCompactGet(t *testing.T, b blobstore.Backend) {
 		}
 	}
 	for i, id := range drop {
-		if b.Has(id) {
+		if b.Refs(id) != 0 {
 			t.Fatalf("released blob %d resurrected by compact", i)
 		}
 	}
@@ -83,7 +83,7 @@ func testReleaseCompactGet(t *testing.T, b blobstore.Backend) {
 		t.Fatalf("idempotent compact: %v", err)
 	}
 	for i, id := range keep {
-		got, ok := b.Get(id)
+		got, ok := Get(b, id)
 		if !ok || !bytes.Equal(got, keepData[i]) {
 			t.Fatalf("surviving blob %d damaged by second compact", i)
 		}

@@ -1,15 +1,18 @@
 // Package blobstoretest is the shared conformance suite every
 // blobstore.Backend implementation must pass. The in-memory store and the
 // on-disk store both run it (see conformance tests in their packages), so
-// the two backends cannot drift apart on put/get/ref-count/GC semantics,
+// the two backends cannot drift apart on put/open/ref-count/GC semantics,
 // snapshot encoding, or behaviour under concurrent access. A new backend
 // earns its place by calling Run with a factory and passing under -race.
+// The suite reaches a backend only through the Backend interface; put and
+// Get below are its whole-slice conveniences over PutReader and Open.
 package blobstoretest
 
 import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"sync"
 	"testing"
 
@@ -30,7 +33,6 @@ func Run(t *testing.T, newBackend Factory) {
 	t.Run("RefCountGC", func(t *testing.T) { testRefCountGC(t, newBackend(t)) })
 	t.Run("MissingBlobErrors", func(t *testing.T) { testMissing(t, newBackend(t)) })
 	t.Run("IDsSorted", func(t *testing.T) { testIDsSorted(t, newBackend(t)) })
-	t.Run("Stats", func(t *testing.T) { testStats(t, newBackend(t)) })
 	t.Run("SnapshotEquivalence", func(t *testing.T) { testSnapshotEquivalence(t, newBackend(t)) })
 	t.Run("SnapshotLoadRoundTrip", func(t *testing.T) { testSnapshotLoad(t, newBackend(t)) })
 	t.Run("ConcurrentDistinct", func(t *testing.T) { testConcurrentDistinct(t, newBackend(t)) })
@@ -40,31 +42,53 @@ func Run(t *testing.T, newBackend Factory) {
 	runStreaming(t, newBackend)
 }
 
+// put stores data through PutReader and returns the blob ID and whether
+// the content was newly stored. A failed put fails the test (with Errorf,
+// so put is safe on a test's helper goroutines).
+func put(t *testing.T, b blobstore.Backend, data []byte) (blobstore.ID, bool) {
+	t.Helper()
+	id, n, stored, err := b.PutReader(bytes.NewReader(data))
+	if err != nil || n != int64(len(data)) {
+		t.Errorf("PutReader(%d bytes) = %d bytes, %v", len(data), n, err)
+	}
+	return id, stored
+}
+
+// Get reads the blob's whole contents through Open. ok is false when the
+// blob cannot be opened or read to the end, or when the bytes read no
+// longer hash to id.
+func Get(b blobstore.Backend, id blobstore.ID) ([]byte, bool) {
+	rc, _, err := b.Open(id)
+	if err != nil {
+		return nil, false
+	}
+	defer rc.Close()
+	data, err := io.ReadAll(rc)
+	return data, err == nil && blobstore.Sum(data) == id
+}
+
 func blobOf(i int) []byte {
 	return []byte(fmt.Sprintf("blob-%04d-%s", i, string(make([]byte, i%7))))
 }
 
 func testPutGet(t *testing.T, b blobstore.Backend) {
 	data := []byte("the quick brown fox")
-	id, stored := b.Put(data)
+	id, stored := put(t, b, data)
 	if !stored {
 		t.Fatalf("first Put reported not stored")
 	}
 	if id != blobstore.Sum(data) {
 		t.Fatalf("Put returned wrong ID")
 	}
-	got, ok := b.Get(id)
+	got, ok := Get(b, id)
 	if !ok || !bytes.Equal(got, data) {
 		t.Fatalf("Get = %q, %v; want original data", got, ok)
 	}
 	if n, ok := b.Size(id); !ok || n != int64(len(data)) {
 		t.Fatalf("Size = %d, %v; want %d, true", n, ok, len(data))
 	}
-	if !b.Has(id) {
-		t.Fatalf("Has = false after Put")
-	}
-	if b.Len() != 1 {
-		t.Fatalf("Len = %d, want 1", b.Len())
+	if len(b.IDs()) != 1 {
+		t.Fatalf("IDs lists %d blobs, want 1", len(b.IDs()))
 	}
 	if b.TotalBytes() != int64(len(data)) {
 		t.Fatalf("TotalBytes = %d, want %d", b.TotalBytes(), len(data))
@@ -73,8 +97,8 @@ func testPutGet(t *testing.T, b blobstore.Backend) {
 
 func testDedup(t *testing.T, b blobstore.Backend) {
 	data := []byte("same bytes both times")
-	id1, stored1 := b.Put(data)
-	id2, stored2 := b.Put(data)
+	id1, stored1 := put(t, b, data)
+	id2, stored2 := put(t, b, data)
 	if !stored1 || stored2 {
 		t.Fatalf("stored flags = %v, %v; want true, false", stored1, stored2)
 	}
@@ -87,17 +111,17 @@ func testDedup(t *testing.T, b blobstore.Backend) {
 	if b.TotalBytes() != int64(len(data)) {
 		t.Fatalf("TotalBytes counts duplicates: %d", b.TotalBytes())
 	}
-	if b.Len() != 1 {
-		t.Fatalf("Len = %d, want 1", b.Len())
+	if len(b.IDs()) != 1 {
+		t.Fatalf("IDs lists %d blobs, want 1", len(b.IDs()))
 	}
 }
 
 func testEmptyBlob(t *testing.T, b blobstore.Backend) {
-	id, stored := b.Put(nil)
+	id, stored := put(t, b, nil)
 	if !stored {
 		t.Fatalf("empty blob not stored")
 	}
-	got, ok := b.Get(id)
+	got, ok := Get(b, id)
 	if !ok || len(got) != 0 {
 		t.Fatalf("Get(empty) = %q, %v", got, ok)
 	}
@@ -111,48 +135,43 @@ func testEmptyBlob(t *testing.T, b blobstore.Backend) {
 
 func testRefCountGC(t *testing.T, b blobstore.Backend) {
 	data := []byte("reference counted")
-	id, _ := b.Put(data)
-	if err := b.AddRef(id); err != nil {
-		t.Fatalf("AddRef: %v", err)
-	}
+	id, _ := put(t, b, data)
+	put(t, b, data)
 	if got := b.Refs(id); got != 2 {
 		t.Fatalf("Refs = %d, want 2", got)
 	}
 	if err := b.Release(id); err != nil {
 		t.Fatalf("first Release: %v", err)
 	}
-	if !b.Has(id) {
+	if b.Refs(id) != 1 {
 		t.Fatalf("blob collected while a reference remained")
 	}
 	if err := b.Release(id); err != nil {
 		t.Fatalf("final Release: %v", err)
 	}
-	if b.Has(id) {
-		t.Fatalf("blob survived its last Release")
-	}
 	if got := b.Refs(id); got != 0 {
 		t.Fatalf("Refs after GC = %d, want 0", got)
 	}
-	if b.TotalBytes() != 0 || b.Len() != 0 {
-		t.Fatalf("store not empty after GC: %d bytes, %d blobs", b.TotalBytes(), b.Len())
+	if _, ok := b.Size(id); ok {
+		t.Fatalf("blob survived its last Release")
+	}
+	if b.TotalBytes() != 0 || len(b.IDs()) != 0 {
+		t.Fatalf("store not empty after GC: %d bytes, %d blobs", b.TotalBytes(), len(b.IDs()))
 	}
 	// Re-putting previously collected content must behave like a fresh put.
-	if _, stored := b.Put(data); !stored {
+	if _, stored := put(t, b, data); !stored {
 		t.Fatalf("re-Put after GC reported not stored")
 	}
 	if got := b.Refs(id); got != 1 {
 		t.Fatalf("Refs after re-Put = %d, want 1", got)
 	}
-	if got, ok := b.Get(id); !ok || !bytes.Equal(got, data) {
+	if got, ok := Get(b, id); !ok || !bytes.Equal(got, data) {
 		t.Fatalf("Get after re-Put = %q, %v", got, ok)
 	}
 }
 
 func testMissing(t *testing.T, b blobstore.Backend) {
 	id := blobstore.Sum([]byte("never stored"))
-	if _, ok := b.Get(id); ok {
-		t.Fatalf("Get(missing) = ok")
-	}
 	// Open must report absence specifically — never nil, and never the
 	// corruption error, which callers treat as an integrity incident.
 	if rc, _, err := b.Open(id); err == nil {
@@ -166,14 +185,8 @@ func testMissing(t *testing.T, b blobstore.Backend) {
 	if _, ok := b.Size(id); ok {
 		t.Fatalf("Size(missing) = ok")
 	}
-	if b.Has(id) {
-		t.Fatalf("Has(missing) = true")
-	}
 	if b.Refs(id) != 0 {
 		t.Fatalf("Refs(missing) != 0")
-	}
-	if err := b.AddRef(id); err == nil {
-		t.Fatalf("AddRef(missing) did not error")
 	}
 	if err := b.Release(id); err == nil {
 		t.Fatalf("Release(missing) did not error")
@@ -184,7 +197,7 @@ func testIDsSorted(t *testing.T, b blobstore.Backend) {
 	const n = 50
 	want := map[blobstore.ID]bool{}
 	for i := 0; i < n; i++ {
-		id, _ := b.Put(blobOf(i))
+		id, _ := put(t, b, blobOf(i))
 		want[id] = true
 	}
 	ids := b.IDs()
@@ -203,33 +216,18 @@ func testIDsSorted(t *testing.T, b blobstore.Backend) {
 	}
 }
 
-func testStats(t *testing.T, b blobstore.Backend) {
-	b.Put([]byte("a"))
-	b.Put([]byte("a"))
-	b.Put([]byte("b"))
-	puts, hits := b.Stats()
-	if puts != 3 || hits != 1 {
-		t.Fatalf("Stats = %d puts, %d hits; want 3, 1", puts, hits)
-	}
-}
-
 // testSnapshotEquivalence pins the property repository snapshots depend
-// on: a backend's Snapshot must be byte-identical to the in-memory store
-// holding the same blobs and reference counts.
+// on: blobstore.Snapshot of a backend must be byte-identical to that of
+// the in-memory store holding the same blobs and reference counts.
 func testSnapshotEquivalence(t *testing.T, b blobstore.Backend) {
 	ref := blobstore.New()
 	for i := 0; i < 40; i++ {
 		data := blobOf(i)
-		b.Put(data)
-		ref.Put(data)
+		put(t, b, data)
+		put(t, ref, data)
 		if i%3 == 0 { // vary reference counts
-			id := blobstore.Sum(data)
-			if err := b.AddRef(id); err != nil {
-				t.Fatalf("AddRef: %v", err)
-			}
-			if err := ref.AddRef(id); err != nil {
-				t.Fatalf("ref AddRef: %v", err)
-			}
+			put(t, b, data)
+			put(t, ref, data)
 		}
 		if i%5 == 0 { // and collect a few entirely
 			id := blobstore.Sum(data)
@@ -245,11 +243,11 @@ func testSnapshotEquivalence(t *testing.T, b blobstore.Backend) {
 			}
 		}
 	}
-	got, err := b.Snapshot()
+	got, err := blobstore.Snapshot(b)
 	if err != nil {
 		t.Fatalf("Snapshot: %v", err)
 	}
-	want, err := ref.Snapshot()
+	want, err := blobstore.Snapshot(ref)
 	if err != nil {
 		t.Fatalf("reference Snapshot: %v", err)
 	}
@@ -266,17 +264,15 @@ func testSnapshotLoad(t *testing.T, b blobstore.Backend) {
 	blobs := map[blobstore.ID]blob{}
 	for i := 0; i < 20; i++ {
 		data := blobOf(i)
-		id, _ := b.Put(data)
+		id, _ := put(t, b, data)
 		refs := 1
 		for j := 0; j < i%4; j++ {
-			if err := b.AddRef(id); err != nil {
-				t.Fatalf("AddRef: %v", err)
-			}
+			put(t, b, data)
 			refs++
 		}
 		blobs[id] = blob{data: data, refs: refs}
 	}
-	img, err := b.Snapshot()
+	img, err := blobstore.Snapshot(b)
 	if err != nil {
 		t.Fatalf("Snapshot: %v", err)
 	}
@@ -312,13 +308,13 @@ func testConcurrentDistinct(t *testing.T, b blobstore.Backend) {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
 				data := []byte(fmt.Sprintf("w%d-i%d", w, i))
-				id, stored := b.Put(data)
+				id, stored := put(t, b, data)
 				if !stored {
 					t.Errorf("disjoint blob reported duplicate")
 					return
 				}
-				if got, ok := b.Get(id); !ok || !bytes.Equal(got, data) {
-					t.Errorf("Get just-put blob failed")
+				if got, ok := Get(b, id); !ok || !bytes.Equal(got, data) {
+					t.Errorf("reading a just-put blob failed")
 					return
 				}
 			}
@@ -329,15 +325,13 @@ func testConcurrentDistinct(t *testing.T, b blobstore.Backend) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 50; i++ {
-			b.Len()
 			b.TotalBytes()
 			b.IDs()
-			b.Stats()
 		}
 	}()
 	wg.Wait()
-	if b.Len() != workers*perWorker {
-		t.Fatalf("Len = %d, want %d", b.Len(), workers*perWorker)
+	if n := len(b.IDs()); n != workers*perWorker {
+		t.Fatalf("%d blobs, want %d", n, workers*perWorker)
 	}
 }
 
@@ -353,7 +347,7 @@ func testConcurrentSame(t *testing.T, b blobstore.Backend) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			_, stored := b.Put(data)
+			_, stored := put(t, b, data)
 			storedCount.Store(w, stored)
 		}(w)
 	}
@@ -384,7 +378,7 @@ func testConcurrentMixed(t *testing.T, b blobstore.Backend) {
 	const blobsN = 10
 	ids := make([]blobstore.ID, blobsN)
 	for i := range ids {
-		ids[i], _ = b.Put(blobOf(i))
+		ids[i], _ = put(t, b, blobOf(i))
 	}
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -393,11 +387,8 @@ func testConcurrentMixed(t *testing.T, b blobstore.Backend) {
 			defer wg.Done()
 			// Each worker adds then removes one reference per blob; the net
 			// effect must be zero.
-			for _, id := range ids {
-				if err := b.AddRef(id); err != nil {
-					t.Errorf("AddRef: %v", err)
-					return
-				}
+			for i := range ids {
+				put(t, b, blobOf(i))
 			}
 			for _, id := range ids {
 				if err := b.Release(id); err != nil {

@@ -18,9 +18,9 @@ import (
 // (the in-memory store) have nothing to corrupt and skip this case.
 func RunOpenCorrupt(t *testing.T, b blobstore.Backend, corrupt func(t *testing.T, id blobstore.ID, data []byte)) {
 	data := patternBlob(96 * 1024)
-	id, stored := b.Put(data)
+	id, stored := put(t, b, data)
 	if !stored {
-		t.Fatalf("Put reported duplicate in a fresh store")
+		t.Fatalf("put reported duplicate in a fresh store")
 	}
 	corrupt(t, id, data)
 	rc, _, err := b.Open(id)

@@ -41,13 +41,11 @@ func TestConcurrentPutGet(t *testing.T) {
 	if got := s.Len(); got != wantUnique {
 		t.Fatalf("Len = %d, want %d", got, wantUnique)
 	}
-	puts, hits := s.Stats()
-	if puts != workers*blobs {
-		t.Fatalf("puts = %d, want %d", puts, workers*blobs)
-	}
-	wantHits := int64((workers - 1) * (blobs / 2))
-	if hits != wantHits {
-		t.Fatalf("hits = %d, want %d", hits, wantHits)
+	// Every worker's put of a shared blob took one reference on it.
+	for i := 0; i < blobs; i += 2 {
+		if got := s.Refs(Sum([]byte(fmt.Sprintf("shared-%04d", i)))); got != workers {
+			t.Fatalf("shared blob %d: Refs = %d, want %d", i, got, workers)
+		}
 	}
 
 	// Shared blobs carry one reference per worker; release them all and the
@@ -65,7 +63,7 @@ func TestConcurrentPutGet(t *testing.T) {
 			}()
 		}
 		rg.Wait()
-		if s.Has(id) {
+		if s.Refs(id) != 0 {
 			t.Fatalf("shared blob %d survived full release", i)
 		}
 	}
@@ -128,7 +126,7 @@ func TestSnapshotUnderConcurrentTraffic(t *testing.T) {
 	}
 	for i := 0; i < passes; i++ {
 		refill(tokens)
-		snap, err := s.Snapshot()
+		snap, err := Snapshot(s)
 		if err != nil {
 			t.Fatalf("snapshot %d: %v", i, err)
 		}

@@ -308,7 +308,6 @@ func (s *Store) DiskStats() blobstore.DiskStats {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	d := blobstore.DiskStats{
-		LiveBytes:         s.bytes,
 		DeadBytes:         s.deadBytesLocked(),
 		Segments:          len(s.segs),
 		SegmentsCompacted: s.segsCompacted.Load(),

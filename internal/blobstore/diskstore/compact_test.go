@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"expelliarmus/internal/blobstore"
+	"expelliarmus/internal/blobstore/blobstoretest"
 	"expelliarmus/internal/blobstore/diskstore"
 	"expelliarmus/internal/fsx"
 	"expelliarmus/internal/fsx/fsxtest"
@@ -35,12 +36,12 @@ func churnStore(t *testing.T, s *diskstore.Store) ([]blobstore.ID, [][]byte) {
 	var keepData [][]byte
 	for i := 0; i < 48; i++ {
 		data := bytes.Repeat([]byte(fmt.Sprintf("compact-blob-%03d|", i)), 8)
-		id, stored := s.Put(data)
+		id, stored := put(s, data)
 		if !stored {
 			t.Fatalf("blob %d not stored", i)
 		}
 		if i%4 == 0 {
-			if err := s.AddRef(id); err != nil {
+			if _, _, _, err := s.PutReader(bytes.NewReader(data)); err != nil {
 				t.Fatal(err)
 			}
 			keep = append(keep, id)
@@ -62,7 +63,7 @@ func churnStore(t *testing.T, s *diskstore.Store) ([]blobstore.ID, [][]byte) {
 func verifyKeep(t *testing.T, s *diskstore.Store, keep []blobstore.ID, keepData [][]byte) {
 	t.Helper()
 	for i, id := range keep {
-		got, ok := s.Get(id)
+		got, ok := blobstoretest.Get(s, id)
 		if !ok {
 			t.Fatalf("kept blob %d missing", i)
 		}
@@ -73,8 +74,8 @@ func verifyKeep(t *testing.T, s *diskstore.Store, keep []blobstore.ID, keepData 
 			t.Fatalf("kept blob %d has %d refs, want 2", i, refs)
 		}
 	}
-	if s.Len() != len(keep) {
-		t.Fatalf("store holds %d blobs, want %d", s.Len(), len(keep))
+	if len(s.IDs()) != len(keep) {
+		t.Fatalf("store holds %d blobs, want %d", len(s.IDs()), len(keep))
 	}
 }
 
@@ -90,7 +91,7 @@ func TestCompactReclaimsDeadSegments(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := segFiles(t, dir)
-	d := s.DiskStats()
+	d, live := s.DiskStats(), s.TotalBytes()
 	if d.DeadBytes == 0 {
 		t.Fatal("no dead bytes after releasing most blobs")
 	}
@@ -104,12 +105,12 @@ func TestCompactReclaimsDeadSegments(t *testing.T) {
 	if after := segFiles(t, dir); after >= before {
 		t.Fatalf("segment files did not shrink: %d -> %d", before, after)
 	}
-	d2 := s.DiskStats()
+	d2, live2 := s.DiskStats(), s.TotalBytes()
 	if d2.DiskBytes >= d.DiskBytes {
 		t.Fatalf("disk bytes did not shrink: %d -> %d", d.DiskBytes, d2.DiskBytes)
 	}
-	if d2.LiveBytes != d.LiveBytes {
-		t.Fatalf("live bytes changed across compact: %d -> %d", d.LiveBytes, d2.LiveBytes)
+	if live2 != live {
+		t.Fatalf("live bytes changed across compact: %d -> %d", live, live2)
 	}
 	verifyKeep(t, s, keep, keepData)
 	if err := s.Close(); err != nil {
@@ -260,7 +261,7 @@ func TestUnmarkedReleaseTailDropped(t *testing.T) {
 	dir := t.TempDir()
 	s, ffs := openFault(t, dir, diskstore.Options{})
 	data := []byte("marker-discipline")
-	id, _ := s.Put(data)
+	id, _ := put(s, data)
 	if _, err := s.Sync(); err != nil {
 		t.Fatal(err)
 	}
@@ -283,7 +284,7 @@ func TestUnmarkedReleaseTailDropped(t *testing.T) {
 	if rec2.DroppedReleases != 1 {
 		t.Fatalf("DroppedReleases = %d, want 1", rec2.DroppedReleases)
 	}
-	if !s.Has(id) {
+	if s.Refs(id) == 0 {
 		t.Fatal("blob of an uncommitted release batch did not resurrect")
 	}
 	if got := fileSize(t, seg); got != before {
@@ -310,7 +311,7 @@ func TestCompactUnderTraffic(t *testing.T) {
 			var data [][]byte
 			for i := 0; i < rounds; i++ {
 				d := bytes.Repeat([]byte(fmt.Sprintf("traffic-%d-%03d|", w, i)), 6)
-				id, _ := s.Put(d)
+				id, _ := put(s, d)
 				mine = append(mine, id)
 				data = append(data, d)
 				// Read back an earlier blob through the streaming path

@@ -19,6 +19,15 @@ func open(t *testing.T, dir string, opts diskstore.Options) *diskstore.Store {
 	return s
 }
 
+// put stores data through PutReader and reports the ID and whether it was
+// newly stored. Like the store's own puts before a failure test reads Err,
+// it swallows the error: the failure tests check stickiness through Err,
+// Sync and Close, and what a reopen recovers.
+func put(s *diskstore.Store, data []byte) (blobstore.ID, bool) {
+	id, _, stored, _ := s.PutReader(bytes.NewReader(data))
+	return id, stored
+}
+
 // TestConformance runs the shared backend conformance suite against the
 // disk store — the same suite the in-memory store passes.
 func TestConformance(t *testing.T) {
@@ -53,11 +62,11 @@ func TestReopenPreservesState(t *testing.T) {
 	var totalBytes int64
 	for i := 0; i < 30; i++ {
 		data := []byte(fmt.Sprintf("reopen-blob-%03d", i))
-		id, _ := s.Put(data)
+		id, _ := put(s, data)
 		refs := 1
 		for j := 0; j < i%3; j++ {
-			if err := s.AddRef(id); err != nil {
-				t.Fatalf("AddRef: %v", err)
+			if _, _, _, err := s.PutReader(bytes.NewReader(data)); err != nil {
+				t.Fatalf("dedup put: %v", err)
 			}
 			refs++
 		}
@@ -73,14 +82,14 @@ func TestReopenPreservesState(t *testing.T) {
 	if rec := r.Recovery(); rec.ReplayedRecords != 0 || rec.Torn() || rec.IndexRebuilt {
 		t.Fatalf("clean reopen needed recovery: %+v", rec)
 	}
-	if r.Len() != len(wants) {
-		t.Fatalf("reopened Len = %d, want %d", r.Len(), len(wants))
+	if len(r.IDs()) != len(wants) {
+		t.Fatalf("reopened Len = %d, want %d", len(r.IDs()), len(wants))
 	}
 	if r.TotalBytes() != totalBytes {
 		t.Fatalf("reopened TotalBytes = %d, want %d", r.TotalBytes(), totalBytes)
 	}
 	for id, w := range wants {
-		got, ok := r.Get(id)
+		got, ok := blobstoretest.Get(r, id)
 		if !ok || !bytes.Equal(got, w.data) {
 			t.Fatalf("reopened Get(%s) = %v", id, ok)
 		}
@@ -99,7 +108,7 @@ func TestIncrementalSync(t *testing.T) {
 
 	var firstBytes int64
 	for i := 0; i < 20; i++ {
-		s.Put([]byte(fmt.Sprintf("first-wave-%03d", i)))
+		put(s, []byte(fmt.Sprintf("first-wave-%03d", i)))
 	}
 	st, err := s.Sync()
 	if err != nil {
@@ -121,7 +130,7 @@ func TestIncrementalSync(t *testing.T) {
 
 	// One small append: the flush must cover just that record, not the
 	// whole store again.
-	s.Put([]byte("one-more"))
+	put(s, []byte("one-more"))
 	st, err = s.Sync()
 	if err != nil {
 		t.Fatalf("incremental Sync: %v", err)
@@ -141,7 +150,7 @@ func TestSegmentRolling(t *testing.T) {
 	s := open(t, dir, diskstore.Options{MaxSegmentBytes: 64})
 	ids := make([]blobstore.ID, 40)
 	for i := range ids {
-		ids[i], _ = s.Put([]byte(fmt.Sprintf("rolling-%03d-%030d", i, i)))
+		ids[i], _ = put(s, []byte(fmt.Sprintf("rolling-%03d-%030d", i, i)))
 	}
 	st, err := s.Sync()
 	if err != nil {
@@ -151,7 +160,7 @@ func TestSegmentRolling(t *testing.T) {
 		t.Fatalf("expected many tiny segments, synced %d", st.Segments)
 	}
 	for i, id := range ids {
-		if _, ok := s.Get(id); !ok {
+		if _, ok := blobstoretest.Get(s, id); !ok {
 			t.Fatalf("blob %d unreadable after rolling", i)
 		}
 	}
@@ -161,7 +170,7 @@ func TestSegmentRolling(t *testing.T) {
 	r := open(t, dir, diskstore.Options{MaxSegmentBytes: 64})
 	defer r.Close()
 	for i, id := range ids {
-		if _, ok := r.Get(id); !ok {
+		if _, ok := blobstoretest.Get(r, id); !ok {
 			t.Fatalf("blob %d unreadable after reopen", i)
 		}
 	}

@@ -20,6 +20,7 @@ import (
 	"testing"
 
 	"expelliarmus/internal/blobstore"
+	"expelliarmus/internal/blobstore/blobstoretest"
 	"expelliarmus/internal/blobstore/diskstore"
 	"expelliarmus/internal/fsx"
 )
@@ -86,11 +87,11 @@ func TestRecoverUnsyncedTail(t *testing.T) {
 	s, ffs := openFault(t, dir, diskstore.Options{})
 	var ids []blobstore.ID
 	for i := 0; i < 10; i++ {
-		id, _ := s.Put([]byte(fmt.Sprintf("unsynced-%d", i)))
+		id, _ := put(s, []byte(fmt.Sprintf("unsynced-%d", i)))
 		ids = append(ids, id)
 	}
 	syncData(t, s)
-	lost, _ := s.Put([]byte("never fsynced"))
+	lost, _ := put(s, []byte("never fsynced"))
 	// Crash: no Sync, no Close.
 	crash(t, ffs)
 
@@ -104,11 +105,11 @@ func TestRecoverUnsyncedTail(t *testing.T) {
 		t.Fatalf("no tear expected: %+v", rec)
 	}
 	for i, id := range ids {
-		if got, ok := r.Get(id); !ok || !bytes.Equal(got, []byte(fmt.Sprintf("unsynced-%d", i))) {
+		if got, ok := blobstoretest.Get(r, id); !ok || !bytes.Equal(got, []byte(fmt.Sprintf("unsynced-%d", i))) {
 			t.Fatalf("blob %d lost without a tear", i)
 		}
 	}
-	if r.Has(lost) {
+	if r.Refs(lost) > 0 {
 		t.Fatalf("an append no fsync covered survived the power cut")
 	}
 }
@@ -118,13 +119,13 @@ func TestRecoverUnsyncedTail(t *testing.T) {
 func TestRecoverBeyondSyncWatermark(t *testing.T) {
 	dir := t.TempDir()
 	s, ffs := openFault(t, dir, diskstore.Options{})
-	idA, _ := s.Put([]byte("committed-by-index"))
+	idA, _ := put(s, []byte("committed-by-index"))
 	if _, err := s.Sync(); err != nil {
 		t.Fatalf("Sync: %v", err)
 	}
-	idB, _ := s.Put([]byte("only-in-log"))
-	if err := s.AddRef(idA); err != nil {
-		t.Fatalf("AddRef: %v", err)
+	idB, _ := put(s, []byte("only-in-log"))
+	if _, _, _, err := s.PutReader(bytes.NewReader([]byte("committed-by-index"))); err != nil {
+		t.Fatalf("dedup put: %v", err)
 	}
 	syncData(t, s)
 	crash(t, ffs)
@@ -134,7 +135,7 @@ func TestRecoverBeyondSyncWatermark(t *testing.T) {
 	if rec := r.Recovery(); rec.ReplayedRecords != 2 || rec.IndexRebuilt {
 		t.Fatalf("recovery = %+v, want 2 replayed records from a good index", rec)
 	}
-	if _, ok := r.Get(idB); !ok {
+	if _, ok := blobstoretest.Get(r, idB); !ok {
 		t.Fatalf("post-watermark put lost")
 	}
 	if got := r.Refs(idA); got != 2 {
@@ -148,9 +149,9 @@ func TestRecoverBeyondSyncWatermark(t *testing.T) {
 func TestTornTailTruncated(t *testing.T) {
 	dir := t.TempDir()
 	s, ffs := openFault(t, dir, diskstore.Options{})
-	whole, _ := s.Put([]byte("survives the tear"))
+	whole, _ := put(s, []byte("survives the tear"))
 	before := fileSize(t, lastSegment(t, dir))
-	torn, _ := s.Put([]byte("this record gets cut in half"))
+	torn, _ := put(s, []byte("this record gets cut in half"))
 	after := fileSize(t, lastSegment(t, dir))
 	syncData(t, s)
 	// Crash, then the tail of the last write never reached the platter.
@@ -169,10 +170,10 @@ func TestTornTailTruncated(t *testing.T) {
 	if rec.TornOffset != before || rec.DroppedBytes != cut-before {
 		t.Fatalf("tear geometry = %+v, want offset %d dropping %d", rec, before, cut-before)
 	}
-	if got, ok := r.Get(whole); !ok || !bytes.Equal(got, []byte("survives the tear")) {
+	if got, ok := blobstoretest.Get(r, whole); !ok || !bytes.Equal(got, []byte("survives the tear")) {
 		t.Fatalf("fully-committed blob lost to the tear")
 	}
-	if r.Has(torn) {
+	if r.Refs(torn) > 0 {
 		t.Fatalf("half-written blob resurrected")
 	}
 	if fileSize(t, lastSegment(t, dir)) != before {
@@ -180,7 +181,7 @@ func TestTornTailTruncated(t *testing.T) {
 	}
 
 	// The store must accept writes after the tear, and they must persist.
-	again, stored := r.Put([]byte("written after recovery"))
+	again, stored := put(r, []byte("written after recovery"))
 	if !stored {
 		t.Fatalf("post-recovery Put refused")
 	}
@@ -189,7 +190,7 @@ func TestTornTailTruncated(t *testing.T) {
 	}
 	r2 := open(t, dir, diskstore.Options{})
 	defer r2.Close()
-	if _, ok := r2.Get(again); !ok {
+	if _, ok := blobstoretest.Get(r2, again); !ok {
 		t.Fatalf("post-recovery write lost")
 	}
 }
@@ -199,9 +200,9 @@ func TestTornTailTruncated(t *testing.T) {
 func TestCorruptCRCAtTail(t *testing.T) {
 	dir := t.TempDir()
 	s, ffs := openFault(t, dir, diskstore.Options{})
-	keep, _ := s.Put([]byte("intact record"))
+	keep, _ := put(s, []byte("intact record"))
 	before := fileSize(t, lastSegment(t, dir))
-	bad, _ := s.Put([]byte("record whose bits rot"))
+	bad, _ := put(s, []byte("record whose bits rot"))
 	syncData(t, s)
 	crash(t, ffs)
 
@@ -221,10 +222,10 @@ func TestCorruptCRCAtTail(t *testing.T) {
 	if !rec.Torn() || rec.TornOffset != before {
 		t.Fatalf("CRC mismatch not treated as torn tail: %+v", rec)
 	}
-	if _, ok := r.Get(keep); !ok {
+	if _, ok := blobstoretest.Get(r, keep); !ok {
 		t.Fatalf("intact record lost")
 	}
-	if r.Has(bad) {
+	if r.Refs(bad) > 0 {
 		t.Fatalf("checksum-failing record admitted")
 	}
 }
@@ -237,9 +238,9 @@ func TestCorruptCRCAtTail(t *testing.T) {
 func TestCorruptionAmidTailRefused(t *testing.T) {
 	dir := t.TempDir()
 	s, ffs := openFault(t, dir, diskstore.Options{})
-	s.Put([]byte("first record gets damaged"))
+	put(s, []byte("first record gets damaged"))
 	mid := fileSize(t, lastSegment(t, dir))
-	s.Put([]byte("second record stays whole"))
+	put(s, []byte("second record stays whole"))
 	syncData(t, s)
 	crash(t, ffs)
 
@@ -266,7 +267,7 @@ func TestCorruptionBeforeTailRefused(t *testing.T) {
 	dir := t.TempDir()
 	s, ffs := openFault(t, dir, diskstore.Options{MaxSegmentBytes: 64})
 	for i := 0; i < 12; i++ {
-		s.Put([]byte(fmt.Sprintf("multi-segment-%03d-%030d", i, i)))
+		put(s, []byte(fmt.Sprintf("multi-segment-%03d-%030d", i, i)))
 	}
 	// Crash with several segments on disk and no index.
 	syncData(t, s)
@@ -307,12 +308,12 @@ func TestCorruptionBeforeTailRefused(t *testing.T) {
 func TestCorruptIndexFallsBackToReplay(t *testing.T) {
 	dir := t.TempDir()
 	s := open(t, dir, diskstore.Options{})
-	idA, _ := s.Put([]byte("first"))
-	idB, _ := s.Put([]byte("second"))
-	if err := s.AddRef(idB); err != nil {
+	idA, _ := put(s, []byte("first"))
+	idB, _ := put(s, []byte("second"))
+	if _, _, _, err := s.PutReader(bytes.NewReader([]byte("second"))); err != nil {
 		t.Fatal(err)
 	}
-	idGone, _ := s.Put([]byte("released before sync"))
+	idGone, _ := put(s, []byte("released before sync"))
 	if err := s.Release(idGone); err != nil {
 		t.Fatal(err)
 	}
@@ -336,13 +337,13 @@ func TestCorruptIndexFallsBackToReplay(t *testing.T) {
 	if !rec.IndexRebuilt {
 		t.Fatalf("index rebuild not reported: %+v", rec)
 	}
-	if _, ok := r.Get(idA); !ok {
+	if _, ok := blobstoretest.Get(r, idA); !ok {
 		t.Fatalf("blob A lost in rebuild")
 	}
 	if got := r.Refs(idB); got != 2 {
 		t.Fatalf("refcount not reconstructed from log: %d, want 2", got)
 	}
-	if r.Has(idGone) {
+	if r.Refs(idGone) > 0 {
 		t.Fatalf("released blob resurrected by rebuild")
 	}
 }
@@ -353,7 +354,7 @@ func TestCorruptIndexFallsBackToReplay(t *testing.T) {
 func TestLeftoverIndexTmpIgnored(t *testing.T) {
 	dir := t.TempDir()
 	s, ffs := openFault(t, dir, diskstore.Options{})
-	id, _ := s.Put([]byte("durable"))
+	id, _ := put(s, []byte("durable"))
 	if _, err := s.Sync(); err != nil {
 		t.Fatal(err)
 	}
@@ -364,7 +365,7 @@ func TestLeftoverIndexTmpIgnored(t *testing.T) {
 
 	r := open(t, dir, diskstore.Options{})
 	defer r.Close()
-	if _, ok := r.Get(id); !ok {
+	if _, ok := blobstoretest.Get(r, id); !ok {
 		t.Fatalf("blob lost with stale index.tmp present")
 	}
 	if _, err := r.Sync(); err != nil {
@@ -381,8 +382,8 @@ func TestLeftoverIndexTmpIgnored(t *testing.T) {
 func TestReleaseDurableOnlyAtSync(t *testing.T) {
 	dir := t.TempDir()
 	s, ffs := openFault(t, dir, diskstore.Options{})
-	id, _ := s.Put([]byte("released but not synced"))
-	if err := s.AddRef(id); err != nil {
+	id, _ := put(s, []byte("released but not synced"))
+	if _, _, _, err := s.PutReader(bytes.NewReader([]byte("released but not synced"))); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := s.Sync(); err != nil {
@@ -394,14 +395,14 @@ func TestReleaseDurableOnlyAtSync(t *testing.T) {
 	if err := s.Release(id); err != nil {
 		t.Fatal(err)
 	}
-	if s.Has(id) {
+	if s.Refs(id) > 0 {
 		t.Fatalf("blob live after releasing every reference")
 	}
 	// Crash: releases were applied in memory but never logged.
 	crash(t, ffs)
 
 	r := open(t, dir, diskstore.Options{})
-	if !r.Has(id) {
+	if r.Refs(id) == 0 {
 		t.Fatalf("unsynced release became durable: blob gone after reopen")
 	}
 	if got := r.Refs(id); got != 2 {
@@ -422,7 +423,7 @@ func TestReleaseDurableOnlyAtSync(t *testing.T) {
 	}
 	r2 := open(t, dir, diskstore.Options{})
 	defer r2.Close()
-	if r2.Has(id) {
+	if r2.Refs(id) > 0 {
 		t.Fatalf("synced release not durable: blob resurrected")
 	}
 }
@@ -454,7 +455,7 @@ func TestMissingSegmentRefused(t *testing.T) {
 	dir := t.TempDir()
 	s := open(t, dir, diskstore.Options{MaxSegmentBytes: 64})
 	for i := 0; i < 12; i++ {
-		s.Put([]byte(fmt.Sprintf("doomed-segment-%03d-%030d", i, i)))
+		put(s, []byte(fmt.Sprintf("doomed-segment-%03d-%030d", i, i)))
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
@@ -473,7 +474,7 @@ func TestMissingSegmentRefused(t *testing.T) {
 func TestTornBeforeMagic(t *testing.T) {
 	dir := t.TempDir()
 	s, ffs := openFault(t, dir, diskstore.Options{})
-	id, _ := s.Put([]byte("in segment one"))
+	id, _ := put(s, []byte("in segment one"))
 	if _, err := s.Sync(); err != nil {
 		t.Fatal(err)
 	}
@@ -489,14 +490,14 @@ func TestTornBeforeMagic(t *testing.T) {
 	if !rec.Torn() || rec.TornSegment != 2 || rec.TornOffset != 0 {
 		t.Fatalf("torn-before-magic not handled: %+v", rec)
 	}
-	if _, ok := r.Get(id); !ok {
+	if _, ok := blobstoretest.Get(r, id); !ok {
 		t.Fatalf("earlier segment lost")
 	}
-	id2, stored := r.Put([]byte("after recovery"))
+	id2, stored := put(r, []byte("after recovery"))
 	if !stored {
 		t.Fatalf("Put after magic truncation refused")
 	}
-	if _, ok := r.Get(id2); !ok {
+	if _, ok := blobstoretest.Get(r, id2); !ok {
 		t.Fatalf("blob written into recovered segment unreadable")
 	}
 }
@@ -534,17 +535,17 @@ func TestFsyncFailureIsSticky(t *testing.T) {
 		acked []string // blobs the reopened store must hold; others must be gone
 	}{
 		{"SyncData", 1, "seg-", func(t *testing.T, s *diskstore.Store) error {
-			s.Put(blob("B"))
+			put(s, blob("B"))
 			_, err := s.SyncData()
 			return err
 		}, []string{"A"}},
 		{"PreRoll", 2, "seg-", func(t *testing.T, s *diskstore.Store) error {
-			s.Put(blob("B")) // rolls to a fresh segment (fsync 1), B unsynced in it
-			s.Put(blob("C")) // rolls again: the outgoing segment's fsync 2 fails
+			put(s, blob("B")) // rolls to a fresh segment (fsync 1), B unsynced in it
+			put(s, blob("C")) // rolls again: the outgoing segment's fsync 2 fails
 			return s.Err()
 		}, []string{"A"}},
 		{"IndexCommit", 1, "index", func(t *testing.T, s *diskstore.Store) error {
-			s.Put(blob("B"))
+			put(s, blob("B"))
 			syncData(t, s)
 			_, err := s.Sync()
 			return err
@@ -555,7 +556,7 @@ func TestFsyncFailureIsSticky(t *testing.T) {
 			dir := t.TempDir()
 			opts := diskstore.Options{MaxSegmentBytes: 64}
 			s, ffs := openFault(t, dir, opts)
-			s.Put(blob("A"))
+			put(s, blob("A"))
 			if _, err := s.Sync(); err != nil {
 				t.Fatal(err)
 			}
@@ -568,7 +569,7 @@ func TestFsyncFailureIsSticky(t *testing.T) {
 			r := open(t, dir, opts)
 			defer r.Close()
 			for _, name := range []string{"A", "B", "C"} {
-				if want := slices.Contains(tc.acked, name); r.Has(blobstore.Sum(blob(name))) != want {
+				if want := slices.Contains(tc.acked, name); (r.Refs(blobstore.Sum(blob(name))) > 0) != want {
 					t.Fatalf("blob %s present = %v after reopen, want %v", name, !want, want)
 				}
 			}
@@ -583,7 +584,7 @@ func TestFsyncFailureIsSticky(t *testing.T) {
 func TestShortSegmentWriteIsSticky(t *testing.T) {
 	dir := t.TempDir()
 	s, ffs := openFault(t, dir, diskstore.Options{})
-	acked, _ := s.Put([]byte("acknowledged before the fault"))
+	acked, _ := put(s, []byte("acknowledged before the fault"))
 	if _, err := s.Sync(); err != nil {
 		t.Fatal(err)
 	}
@@ -604,10 +605,10 @@ func TestShortSegmentWriteIsSticky(t *testing.T) {
 	if !r.Recovery().Torn() {
 		t.Fatalf("torn record not truncated: %+v", r.Recovery())
 	}
-	if got, ok := r.Get(acked); !ok || string(got) != "acknowledged before the fault" {
+	if got, ok := blobstoretest.Get(r, acked); !ok || string(got) != "acknowledged before the fault" {
 		t.Fatal("blob acknowledged before the fault lost")
 	}
-	if r.Has(blobstore.Sum(big)) {
+	if r.Refs(blobstore.Sum(big)) > 0 {
 		t.Fatal("half-written blob resurrected")
 	}
 }

@@ -13,11 +13,12 @@
 //
 // Every mutation is logged to the active segment, so the log is a
 // complete operation history and replaying it reconstructs exact
-// reference counts — but Put/AddRef and Release are logged at different
-// times, and deliberately so. Puts and addrefs append eagerly: losing one
-// to a crash can only lose data, so they must reach the log before any
-// metadata that references them is committed (SyncData is the barrier a
-// caller uses for exactly that). Releases apply to the in-memory catalog
+// reference counts — but puts and releases are logged at different times,
+// and deliberately so. A put appends eagerly (a put record for new
+// content, an addref record for a dedup hit): losing one to a crash can
+// only lose data, so it must reach the log before any metadata that
+// references it is committed (SyncData is the barrier a caller uses for
+// exactly that). Releases apply to the in-memory catalog
 // immediately but are queued and appended only during Sync, after the
 // caller has had the chance to commit its metadata: a release that
 // replays on reopen deletes a blob, and if it became durable before the
@@ -38,8 +39,8 @@
 // segments are never rewritten, so the full log replays into the same
 // state.
 //
-// Concurrency: reads (Get, Has, Size, Refs, Len, IDs, Snapshot) take a
-// shared lock and may run in parallel; mutations serialise on one
+// Concurrency: reads (Open, Size, Refs, IDs, TotalBytes) take a shared
+// lock and may run in parallel; mutations serialise on one
 // exclusive lock because they all append to the single active segment —
 // lock striping would buy nothing while the log tail is the bottleneck.
 // The shard key the in-memory store stripes on (leading hash byte) is
@@ -48,12 +49,10 @@
 package diskstore
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -161,7 +160,7 @@ type Store struct {
 	// must re-encode them (with their queued releases folded back into the
 	// reference count), or reopening from that index would make the
 	// releases durable before the caller's metadata commit. Compaction
-	// also moves them like any live record. A Put of the same content
+	// also moves them like any live record. A put of the same content
 	// resurrects the entry instead of cancelling it destructively.
 	limbo map[blobstore.ID]*entry
 	bytes int64 // live payload bytes (garbage in released records excluded)
@@ -185,9 +184,6 @@ type Store struct {
 	// marker (see recCommit), with positions so an unmarked tail can be
 	// truncated away.
 	relBuf []bufferedRelease
-
-	puts atomic.Int64
-	hits atomic.Int64
 
 	segsCompacted  atomic.Int64 // cumulative segments retired since Open
 	bytesReclaimed atomic.Int64 // cumulative segment-file bytes freed since Open
@@ -740,59 +736,6 @@ func (s *Store) rollLocked() error {
 	return nil
 }
 
-// Put stores data (if not already present) and takes one reference on it.
-// Either way the operation is logged, so a reopened store reproduces the
-// exact reference count. After a previous I/O failure Put mutates nothing
-// and reports the content as not newly stored; the failure itself is
-// surfaced by Sync/Close. Put is a thin adapter over PutReader, so both
-// entry points share the streaming append path.
-func (s *Store) Put(data []byte) (blobstore.ID, bool) {
-	id, _, stored, _ := s.PutReader(bytes.NewReader(data))
-	return id, stored
-}
-
-// readLocked fetches a blob's payload from its segment. Caller holds mu
-// (shared is enough: locations are immutable and segment files are only
-// truncated during Open).
-func (s *Store) readLocked(e *entry) ([]byte, error) {
-	f, ok := s.segs[e.seg]
-	if !ok {
-		return nil, fmt.Errorf("diskstore: segment %d not open", e.seg)
-	}
-	buf := make([]byte, e.size)
-	n, err := f.ReadAt(buf, e.off)
-	if n < len(buf) {
-		// ReadAt guarantees err != nil here; a short read means the segment
-		// lost bytes after the fact, and zero-padded data must never be
-		// served (or worse, serialised by Snapshot) as blob content.
-		if err == nil || err == io.EOF {
-			err = io.ErrUnexpectedEOF
-		}
-		return nil, fmt.Errorf("diskstore: segment %d short read at %d: %w", e.seg, e.off, err)
-	}
-	return buf, nil
-}
-
-// Get returns the blob's contents, re-verifying the content address on
-// the way in — a blob whose stored bytes no longer hash to its ID (disk
-// damage after the fact) is reported as absent rather than returned. Get
-// is a thin adapter over Open; the caller owns the returned slice.
-func (s *Store) Get(id blobstore.ID) ([]byte, bool) {
-	rc, size, err := s.Open(id)
-	if err != nil {
-		return nil, false
-	}
-	defer rc.Close()
-	data := make([]byte, size)
-	if _, err := io.ReadFull(rc, data); err != nil {
-		return nil, false
-	}
-	if blobstore.Sum(data) != id {
-		return nil, false
-	}
-	return data, true
-}
-
 // Size returns the length of the blob without reading it.
 func (s *Store) Size(id blobstore.ID) (int64, bool) {
 	s.mu.RLock()
@@ -802,34 +745,6 @@ func (s *Store) Size(id blobstore.ID) (int64, bool) {
 		return 0, false
 	}
 	return e.size, true
-}
-
-// Has reports whether the blob exists.
-func (s *Store) Has(id blobstore.ID) bool {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	_, ok := s.blobs[id]
-	return ok
-}
-
-// AddRef takes an additional reference on an existing blob.
-func (s *Store) AddRef(id blobstore.ID) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.failure != nil {
-		return s.failure
-	}
-	e, ok := s.blobs[id]
-	if !ok {
-		return fmt.Errorf("diskstore: addref %s: not found", id)
-	}
-	if _, _, err := s.appendLocked(recAddRef, id[:]); err != nil {
-		s.fail(err)
-		return err
-	}
-	e.refs++
-	s.dirty = true
-	return nil
 }
 
 // Refs returns the current reference count, or zero if absent.
@@ -871,23 +786,11 @@ func (s *Store) Release(id blobstore.ID) error {
 	return nil
 }
 
-// Len returns the number of distinct live blobs.
-func (s *Store) Len() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return len(s.blobs)
-}
-
 // TotalBytes returns the live payload bytes (released garbage excluded).
 func (s *Store) TotalBytes() int64 {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return s.bytes
-}
-
-// Stats reports cumulative put and dedup-hit counts since Open.
-func (s *Store) Stats() (puts, hits int64) {
-	return s.puts.Load(), s.hits.Load()
 }
 
 // IDs returns all live blob IDs in lexicographic order.
@@ -902,32 +805,6 @@ func (s *Store) IDs() []blobstore.ID {
 		return string(out[i][:]) < string(out[j][:])
 	})
 	return out
-}
-
-// Snapshot serialises live blobs and reference counts in the EXPBLB1
-// format — byte-identical to what the in-memory store with the same
-// contents would produce. A blob that can no longer be read faithfully
-// (post-hoc disk damage) surfaces as an error: skipping it silently would
-// corrupt the snapshot, and serialising damaged bytes would strand the
-// metadata saved alongside (Load re-derives IDs from content).
-func (s *Store) Snapshot() ([]byte, error) {
-	s.mu.RLock()
-	entries := make([]blobstore.SnapshotEntry, 0, len(s.blobs))
-	for id, e := range s.blobs {
-		data, err := s.readLocked(e)
-		if err == nil && blobstore.Sum(data) != id {
-			// Same re-verification Get does: bit-rotted bytes must not be
-			// serialised as blob content.
-			err = fmt.Errorf("content hash mismatch")
-		}
-		if err != nil {
-			s.mu.RUnlock()
-			return nil, fmt.Errorf("diskstore: snapshot read %s: %w", id, err)
-		}
-		entries = append(entries, blobstore.SnapshotEntry{ID: id, Refs: e.refs, Data: data})
-	}
-	s.mu.RUnlock()
-	return blobstore.EncodeSnapshot(entries), nil
 }
 
 // syncSegmentsLocked fsyncs every segment with bytes appended since the
@@ -953,7 +830,7 @@ func (s *Store) syncSegmentsLocked(st *blobstore.SyncStats) error {
 	return nil
 }
 
-// SyncData makes all preceding Put and AddRef records durable without
+// SyncData makes all preceding put and addref records durable without
 // committing the index or the queued releases. It is the first half of the
 // two-phase protocol a repository runs: after SyncData, metadata
 // referencing the stored blobs may be committed; a full Sync then makes
@@ -1073,10 +950,10 @@ func (s *Store) deadBytesLocked() int64 {
 	return dead
 }
 
-// Err returns the store's sticky I/O failure, if any. Mutating methods
-// cannot report failure through the Backend interface (Put's bool means
-// "newly stored", not "succeeded"), so callers that are about to commit
-// metadata referencing just-written blobs check here first.
+// Err returns the store's sticky I/O failure, if any: the first failed
+// append, fsync or index commit, or on-disk damage a read found. Callers
+// that are about to commit metadata referencing just-written blobs check
+// here first.
 func (s *Store) Err() error {
 	s.mu.RLock()
 	defer s.mu.RUnlock()

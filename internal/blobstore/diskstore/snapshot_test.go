@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"expelliarmus/internal/blobstore"
 	"expelliarmus/internal/blobstore/diskstore"
 )
 
@@ -25,14 +26,14 @@ func TestSnapshotSurfacesPostHocDamage(t *testing.T) {
 	}
 	defer s.Close()
 	marker := []byte("distinctive-payload-to-damage-in-place-0123456789")
-	s.Put(marker)
-	s.Put([]byte("healthy sibling blob"))
+	put(s, marker)
+	put(s, []byte("healthy sibling blob"))
 	if _, err := s.SyncData(); err != nil {
 		t.Fatal(err)
 	}
 
 	// Healthy store: Snapshot succeeds.
-	if _, err := s.Snapshot(); err != nil {
+	if _, err := blobstore.Snapshot(s); err != nil {
 		t.Fatalf("Snapshot on healthy store: %v", err)
 	}
 
@@ -74,7 +75,7 @@ func TestSnapshotSurfacesPostHocDamage(t *testing.T) {
 		t.Fatal("marker blob not found in any segment file")
 	}
 
-	img, err := s.Snapshot()
+	img, err := blobstore.Snapshot(s)
 	if err == nil {
 		t.Fatalf("Snapshot serialised a damaged blob into %d bytes without error", len(img))
 	}

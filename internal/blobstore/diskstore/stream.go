@@ -1,4 +1,4 @@
-// Streaming blob IO for the disk store. Gets are served straight from
+// Streaming blob IO for the disk store. Reads are served straight from
 // segment offsets — a blob read is an io.SectionReader over the segment's
 // shared pread handle, never a materialized buffer — and puts stream
 // through a bounded spool that feeds the SHA-256 and record CRC
@@ -167,7 +167,6 @@ func (s *Store) PutReader(r io.Reader) (blobstore.ID, int64, bool, error) {
 	sp.hash.Sum(id[:0])
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.puts.Add(1)
 	if s.failure != nil {
 		return id, sp.size, false, s.failure
 	}
@@ -177,7 +176,6 @@ func (s *Store) PutReader(r io.Reader) (blobstore.ID, int64, bool, error) {
 			return id, sp.size, false, err
 		}
 		e.refs++
-		s.hits.Add(1)
 		s.dirty = true
 		return id, sp.size, false, nil
 	}
@@ -337,10 +335,10 @@ func (s *Store) unpin(seg uint32, rc *atomic.Int64) {
 // a gigabyte blob costs one header-sized pread. A header that cannot be
 // read or no longer matches the catalog is real on-disk damage, reported
 // as a corruption error (never as not-found) and tripping the store's
-// sticky failure, matching Get's refusal to serve damaged bytes. The
-// reader pins its segment against compaction's retirement (see segReader),
-// so it stays readable after the blob is released or moved — until its own
-// Close or the store's. It also implements io.ReaderAt.
+// sticky failure: damaged bytes are never served. The reader pins its
+// segment against compaction's retirement (see segReader), so it stays
+// readable after the blob is released or moved — until its own Close or
+// the store's. It also implements io.ReaderAt.
 func (s *Store) Open(id blobstore.ID) (io.ReadCloser, int64, error) {
 	s.mu.RLock()
 	ep, ok := s.blobs[id]

@@ -27,9 +27,9 @@ func TestTornTailRefusesStreamedRead(t *testing.T) {
 	dir := t.TempDir()
 	s, ffs := openFault(t, dir, diskstore.Options{})
 	intact := bytes.Repeat([]byte("whole "), 4000)
-	intactID, _ := s.Put(intact)
+	intactID, _ := put(s, intact)
 	before := fileSize(t, lastSegment(t, dir))
-	tornID, _ := s.Put(bytes.Repeat([]byte("torn "), 4000))
+	tornID, _ := put(s, bytes.Repeat([]byte("torn "), 4000))
 	after := fileSize(t, lastSegment(t, dir))
 	syncData(t, s)
 	crash(t, ffs)
@@ -118,7 +118,7 @@ func TestPostHocRotFailsStreamedCRC(t *testing.T) {
 	dir := t.TempDir()
 	s := open(t, dir, diskstore.Options{})
 	data := bytes.Repeat([]byte("payload "), 8192)
-	id, _ := s.Put(data)
+	id, _ := put(s, data)
 	if _, err := s.Sync(); err != nil {
 		t.Fatalf("Sync: %v", err)
 	}
@@ -153,7 +153,7 @@ func TestPostHocRotFailsStreamedCRC(t *testing.T) {
 	if _, err := io.ReadAll(rc); err == nil {
 		t.Fatalf("streamed read of a rotten record completed without error")
 	}
-	if _, ok := r.Get(id); ok {
+	if _, ok := blobstoretest.Get(r, id); ok {
 		t.Fatalf("Get returned rotten bytes")
 	}
 }
@@ -190,7 +190,7 @@ func TestFailedStreamedPutUnlinksSpoolImmediately(t *testing.T) {
 	if left := spoolFiles(t, dir); len(left) != 0 {
 		t.Fatalf("failed streamed put leaked spool files: %v", left)
 	}
-	if n := s.Len(); n != 0 {
+	if n := len(s.IDs()); n != 0 {
 		t.Fatalf("failed put changed the store: %d blobs", n)
 	}
 
@@ -231,7 +231,7 @@ func TestFailedSmallStreamedPutLeavesNoTrace(t *testing.T) {
 	if left := spoolFiles(t, dir); len(left) != 0 {
 		t.Fatalf("failed in-memory put leaked spool files: %v", left)
 	}
-	if n := s.Len(); n != 0 {
+	if n := len(s.IDs()); n != 0 {
 		t.Fatalf("failed put changed the store: %d blobs", n)
 	}
 }

@@ -2,62 +2,64 @@ package blobstore
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
 	"io"
-	"sort"
 )
 
 var snapshotMagic = []byte("EXPBLB1\n")
 
-// SnapshotEntry is one blob captured for serialisation.
-type SnapshotEntry struct {
-	ID   ID
-	Refs int
-	Data []byte
-}
-
-// EncodeSnapshot serialises blobs and reference counts in the
-// deterministic (ID-sorted) EXPBLB1 format. It is shared by every Backend
-// implementation so snapshots are byte-identical regardless of which
-// backend captured them. The entries slice is reordered in place.
-func EncodeSnapshot(entries []SnapshotEntry) []byte {
-	sort.Slice(entries, func(i, j int) bool {
-		return string(entries[i].ID[:]) < string(entries[j].ID[:])
-	})
+// Snapshot serialises b's live blobs and reference counts in the
+// deterministic (ID-sorted) EXPBLB1 format, so the image is byte-identical
+// whichever backend captured it and Load can always restore it into
+// memory. Every blob is read through Open and must hash back to its ID. A
+// blob that can no longer be read faithfully (post-hoc disk damage) fails
+// the snapshot, with Open's or the read's own error, or with ErrCorrupt
+// when the bytes read hash to another ID: skipping the blob would lose
+// data, and serialising wrong bytes would strand the metadata saved
+// alongside (Load re-derives IDs from content).
+//
+// The listing, the counts and the contents are read one call at a time, so
+// the caller stops mutations for the duration: a concurrent put is
+// harmless, but a concurrent release can fail the snapshot or record a
+// stale count.
+func Snapshot(b Backend) ([]byte, error) {
+	ids := b.IDs()
 	var buf bytes.Buffer
 	buf.Write(snapshotMagic)
-	var tmp [binary.MaxVarintLen64]byte
-	writeU := func(v uint64) {
-		n := binary.PutUvarint(tmp[:], v)
-		buf.Write(tmp[:n])
+	putUvarint(&buf, uint64(len(ids)))
+	for _, id := range ids {
+		putUvarint(&buf, uint64(b.Refs(id)))
+		if err := appendBlob(&buf, b, id); err != nil {
+			return nil, fmt.Errorf("blobstore: snapshot read %s: %w", id, err)
+		}
 	}
-	writeU(uint64(len(entries)))
-	for _, c := range entries {
-		writeU(uint64(c.Refs))
-		writeU(uint64(len(c.Data)))
-		buf.Write(c.Data)
-	}
-	return buf.Bytes()
+	return buf.Bytes(), nil
 }
 
-// Snapshot serialises the store — blob contents and reference counts — in
-// deterministic (ID-sorted) order. Each shard is captured under its read
-// lock; blob contents are immutable once stored, so the serialized bytes
-// are exact even when concurrent readers are active. The in-memory store
-// cannot suffer post-hoc damage, so its error is always nil (the signature
-// exists for durable backends, which can).
-func (s *Store) Snapshot() ([]byte, error) {
-	var snap []SnapshotEntry
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.RLock()
-		for id, e := range sh.blobs {
-			snap = append(snap, SnapshotEntry{ID: id, Refs: e.refs, Data: e.data})
-		}
-		sh.mu.RUnlock()
+// appendBlob writes one blob's length and verified contents to buf.
+func appendBlob(buf *bytes.Buffer, b Backend, id ID) error {
+	rc, size, err := b.Open(id)
+	if err != nil {
+		return err
 	}
-	return EncodeSnapshot(snap), nil
+	defer rc.Close()
+	putUvarint(buf, uint64(size))
+	h := sha256.New()
+	n, err := io.Copy(io.MultiWriter(buf, h), rc)
+	if err != nil {
+		return err
+	}
+	if n != size || ID(h.Sum(nil)) != id {
+		return fmt.Errorf("stored bytes no longer hash to the blob's ID: %w", ErrCorrupt)
+	}
+	return nil
+}
+
+func putUvarint(buf *bytes.Buffer, v uint64) {
+	var tmp [binary.MaxVarintLen64]byte
+	buf.Write(tmp[:binary.PutUvarint(tmp[:], v)])
 }
 
 // Load restores a store from a Snapshot image. Blob IDs are recomputed

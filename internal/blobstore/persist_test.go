@@ -7,11 +7,11 @@ import (
 	"testing/quick"
 )
 
-// mustSnapshot unwraps the in-memory store's Snapshot, whose error exists
-// for durable backends and is always nil here.
+// mustSnapshot unwraps Snapshot of an in-memory store, whose bytes cannot
+// be damaged after the fact, so the error is always nil here.
 func mustSnapshot(t *testing.T, s *Store) []byte {
 	t.Helper()
-	img, err := s.Snapshot()
+	img, err := Snapshot(s)
 	if err != nil {
 		t.Fatalf("Snapshot: %v", err)
 	}
@@ -75,7 +75,7 @@ func TestQuickSnapshotRoundTrip(t *testing.T) {
 		for _, b := range blobs {
 			s.Put(b)
 		}
-		img, err := s.Snapshot()
+		img, err := Snapshot(s)
 		if err != nil {
 			return false
 		}

@@ -293,17 +293,16 @@ type fetchBlobs struct {
 }
 
 func (f *fetchBlobs) Open(id blobstore.ID) (io.ReadCloser, int64, error) {
-	if !f.Backend.Has(id) {
+	if _, ok := f.Backend.Size(id); !ok {
 		rc, _, err := f.writer.OpenBlob(id)
 		if err != nil {
 			return nil, 0, err
 		}
-		data, err := io.ReadAll(rc)
+		_, _, _, err = f.Backend.PutReader(rc)
 		rc.Close()
 		if err != nil {
 			return nil, 0, err
 		}
-		f.Backend.Put(data)
 	}
 	return f.Backend.Open(id)
 }

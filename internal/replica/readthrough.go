@@ -24,7 +24,7 @@ import (
 // content address as it ingests — a blob that hashes to the wrong ID is
 // released and reported corrupt, never served.
 //
-// Everything but Open and Get is the embedded local store's own method: a
+// Everything but Open is the embedded local store's own method: a
 // follower over a disk-backed store flushes and closes it like any other
 // backend.
 type ReadThrough struct {
@@ -48,25 +48,26 @@ func (t *ReadThrough) Fetches() (blobs, bytes int64) {
 	return t.fetches.Load(), t.fetchBytes.Load()
 }
 
+// errFetchAbandoned ends a blob download whose local put has returned.
+var errFetchAbandoned = errors.New("replica: local put returned before the download finished")
+
 // fetch pulls one blob from the writer into the local store, coalescing
-// concurrent misses on the same ID into one download.
+// concurrent misses on the same ID into one download: a caller that finds
+// a download in flight waits for it, then takes its own turn, which finds
+// the blob stored unless that download failed.
 func (t *ReadThrough) fetch(id blobstore.ID) error {
 	var ch chan struct{}
 	for {
 		t.mu.Lock()
-		if racing, ok := t.inflight[id]; ok {
+		racing, ok := t.inflight[id]
+		if !ok {
+			ch = make(chan struct{})
+			t.inflight[id] = ch
 			t.mu.Unlock()
-			<-racing
-			if t.Backend.Has(id) {
-				return nil
-			}
-			// The racing fetch failed; take our own turn.
-			continue
+			break
 		}
-		ch = make(chan struct{})
-		t.inflight[id] = ch
 		t.mu.Unlock()
-		break
+		<-racing
 	}
 	defer func() {
 		t.mu.Lock()
@@ -74,12 +75,22 @@ func (t *ReadThrough) fetch(id blobstore.ID) error {
 		t.mu.Unlock()
 		close(ch)
 	}()
+	// A download that finished between this caller's miss and its turn
+	// has stored the blob already.
+	if _, ok := t.Backend.Size(id); ok {
+		return nil
+	}
 	pr, pw := io.Pipe()
 	go func() {
 		_, err := t.cl.ReplBlob(context.Background(), id.String(), pw)
 		pw.CloseWithError(err)
 	}()
 	got, n, _, err := t.Backend.PutReader(pr)
+	// A put that returned without draining the pipe (a store in sticky
+	// failure refuses before reading; a spool write can fail mid-stream)
+	// would leave the download blocked in pw.Write forever: closing the
+	// read side fails that write and ends the request.
+	pr.CloseWithError(errFetchAbandoned)
 	if err != nil {
 		return fmt.Errorf("replica: fetch blob %s: %w", id, err)
 	}
@@ -103,17 +114,6 @@ func (t *ReadThrough) Open(id blobstore.ID) (io.ReadCloser, int64, error) {
 		return nil, 0, ferr
 	}
 	return t.Backend.Open(id)
-}
-
-// Get mirrors Open's read-through for the materializing getter.
-func (t *ReadThrough) Get(id blobstore.ID) ([]byte, bool) {
-	if b, ok := t.Backend.Get(id); ok {
-		return b, true
-	}
-	if err := t.fetch(id); err != nil {
-		return nil, false
-	}
-	return t.Backend.Get(id)
 }
 
 var _ blobstore.Backend = (*ReadThrough)(nil)

@@ -24,6 +24,7 @@ import (
 	"time"
 
 	"expelliarmus/internal/blobstore"
+	"expelliarmus/internal/blobstore/blobstoretest"
 	"expelliarmus/internal/client"
 	"expelliarmus/internal/core"
 	"expelliarmus/internal/fstree"
@@ -407,7 +408,7 @@ func TestRepeatRetrievalDigestGuard(t *testing.T) {
 type lyingBlobs struct{ blobstore.Backend }
 
 func (b lyingBlobs) Open(id blobstore.ID) (io.ReadCloser, int64, error) {
-	data, ok := b.Backend.Get(id)
+	data, ok := blobstoretest.Get(b.Backend, id)
 	if !ok {
 		return nil, 0, fmt.Errorf("open %s: %w", id, blobstore.ErrNotFound)
 	}

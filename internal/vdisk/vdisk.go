@@ -81,9 +81,6 @@ func New(name string, virtualSize int64, clusterSize int) *Disk {
 // Name returns the disk's name.
 func (d *Disk) Name() string { return d.name }
 
-// SetName renames the disk.
-func (d *Disk) SetName(name string) { d.name = name }
-
 // VirtualSize returns the guest-visible size in bytes.
 func (d *Disk) VirtualSize() int64 { return d.virtualSize }
 

@@ -64,14 +64,18 @@ func shipMeta(t *testing.T, w *Repo, f *Repo) {
 func copyBlobs(t *testing.T, w, f *Repo) {
 	t.Helper()
 	for _, id := range w.blobs.IDs() {
-		if f.blobs.Has(id) {
+		if f.blobs.Refs(id) > 0 {
 			continue
 		}
-		b, ok := w.blobs.Get(id)
-		if !ok {
-			t.Fatalf("writer blob %s unreadable", id)
+		rc, _, err := w.blobs.Open(id)
+		if err != nil {
+			t.Fatalf("writer blob %s unreadable: %v", id, err)
 		}
-		f.blobs.Put(b)
+		_, _, _, err = f.blobs.PutReader(rc)
+		rc.Close()
+		if err != nil {
+			t.Fatalf("copy blob %s: %v", id, err)
+		}
 	}
 }
 

@@ -391,7 +391,7 @@ func (r *Repo) VacuumBlobs() (BlobVacuumStats, error) {
 		}
 		size, _ := r.blobs.Size(id)
 		refs := r.blobs.Refs(id)
-		for i := 0; i < refs && r.blobs.Has(id); i++ {
+		for i := 0; i < refs && r.blobs.Refs(id) > 0; i++ {
 			if err := r.blobs.Release(id); err != nil {
 				return st, fmt.Errorf("vmirepo: vacuum blob: %w", err)
 			}

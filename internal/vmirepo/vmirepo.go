@@ -414,11 +414,11 @@ func (r *Repo) WAL() *metawal.Log { return r.wal }
 // persistence).
 func (r *Repo) Persistent() bool { return r.dir != "" }
 
-// blobErr surfaces the backend's sticky I/O failure. Backend.Put cannot
-// report failure (its bool means "newly stored"), so every store
-// operation checks here between writing a blob and committing the
-// metadata record that references it — a record pointing at a blob that
-// never hit the log must not exist even in memory.
+// blobErr surfaces the backend's sticky I/O failure. Every store
+// operation checks it after its own put succeeded and before committing
+// the metadata record that references the blob: another operation's
+// failure can trip the store in between, and a record pointing at a blob
+// that may never reach the durable log must not exist even in memory.
 func (r *Repo) blobErr() error { return r.blobs.Err() }
 
 // SyncStats reports one durable repository sync: the blob backend's
@@ -619,8 +619,11 @@ func (r *Repo) EnsurePackage(p pkgmeta.Package, blob []byte, m *simio.Meter) (bo
 	r.opMu.RLock()
 	defer r.opMu.RUnlock()
 	key := []byte(p.Ref())
-	id, _ := r.blobs.Put(blob)
-	if err := r.blobErr(); err != nil {
+	id, _, _, err := r.blobs.PutReader(bytes.NewReader(blob))
+	if err == nil {
+		err = r.blobErr()
+	}
+	if err != nil {
 		return false, fmt.Errorf("vmirepo: store package %s: %w", p.Ref(), err)
 	}
 	rec := PackageRecord{Pkg: p, BlobID: id, BlobSize: int64(len(blob))}
@@ -994,8 +997,11 @@ func (r *Repo) StageUserData(archive []byte, m *simio.Meter) (blobstore.ID, erro
 	}
 	r.opMu.RLock()
 	defer r.opMu.RUnlock()
-	id, _ := r.blobs.Put(archive)
-	if err := r.blobErr(); err != nil {
+	id, _, _, err := r.blobs.PutReader(bytes.NewReader(archive))
+	if err == nil {
+		err = r.blobErr()
+	}
+	if err != nil {
 		return id, fmt.Errorf("vmirepo: store user data: %w", err)
 	}
 	if m != nil {
@@ -1103,7 +1109,7 @@ var repoSnapshotMagic = []byte("EXPREPO1")
 func (r *Repo) Snapshot() ([]byte, error) {
 	r.opMu.Lock()
 	defer r.opMu.Unlock()
-	blobs, err := r.blobs.Snapshot()
+	blobs, err := blobstore.Snapshot(r.blobs)
 	if err != nil {
 		return nil, fmt.Errorf("vmirepo: snapshot blobs: %w", err)
 	}

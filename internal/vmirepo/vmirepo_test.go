@@ -2,10 +2,13 @@ package vmirepo
 
 import (
 	"bytes"
+	"errors"
 	"io"
 	"reflect"
+	"syscall"
 	"testing"
 
+	"expelliarmus/internal/fsx"
 	"expelliarmus/internal/master"
 	"expelliarmus/internal/pkgmeta"
 	"expelliarmus/internal/semgraph"
@@ -225,6 +228,46 @@ func TestUserData(t *testing.T) {
 	got, err = getUserData(r, "Redis", simio.PhaseImport, m)
 	if err != nil || !bytes.Equal(got, archive) {
 		t.Fatalf("round trip = %q, %v", got, err)
+	}
+}
+
+// TestShortSegmentWriteFailsEveryPut cuts the blob store's write of each
+// operation's record short: every entry point that stores a blob must
+// return the failure, and no package or base record may be committed.
+func TestShortSegmentWriteFailsEveryPut(t *testing.T) {
+	blob := bytes.Repeat([]byte("blob bytes "), 100)
+	for _, tc := range []struct {
+		name string
+		put  func(r *Repo, m *simio.Meter) error
+	}{
+		{"EnsurePackage", func(r *Repo, m *simio.Meter) error {
+			_, err := r.EnsurePackage(pkg("a"), blob, m)
+			return err
+		}},
+		{"StageUserData", func(r *Repo, m *simio.Meter) error {
+			_, err := r.StageUserData(blob, m)
+			return err
+		}},
+		{"PutBaseReader", func(r *Repo, m *simio.Meter) error { return putBase(r, "b1", blob, m) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ffs := fsx.NewFault()
+			r, err := OpenAtOpts(t.TempDir(), simio.NewDevice(simio.PaperProfile()), OpenOptions{FS: ffs})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer r.Close()
+			// Write 1 is the new segment's magic, write 2 the record.
+			ffs.Inject(fsx.ShortWrite, 2, "seg-")
+			if err := tc.put(r, &simio.Meter{}); !errors.Is(err, syscall.ENOSPC) {
+				t.Fatalf("%s over a short segment write = %v, want ENOSPC", tc.name, err)
+			}
+			pkgs, perr := r.Packages()
+			bases, berr := r.Bases()
+			if perr != nil || berr != nil || len(pkgs) != 0 || len(bases) != 0 {
+				t.Fatalf("records committed over a failed put: %d packages (%v), %d bases (%v)", len(pkgs), perr, len(bases), berr)
+			}
+		})
 	}
 }
 
