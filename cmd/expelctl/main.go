@@ -30,7 +30,6 @@ import (
 
 	"expelliarmus"
 	"expelliarmus/internal/catalog"
-	"expelliarmus/internal/wire"
 )
 
 // repository is what a session drives: the in-process System (local) or
@@ -46,18 +45,9 @@ type repository interface {
 	sync() (*expelliarmus.SyncStats, error)
 	compact() (*expelliarmus.SyncStats, error)
 	vacuum() (*expelliarmus.VacuumStats, error)
-	stats() (repoStats, error)
+	stats() (*expelliarmus.Stats, error)
 	dot() (string, error)
 	snapshot(w io.Writer) error
-}
-
-// repoStats is one stats report: the catalog and its footprint, the
-// per-tenant charges, and — from a daemon that ships or follows a WAL —
-// the replication state.
-type repoStats struct {
-	expelliarmus.RepoStats
-	Tenants map[string]int64
-	Repl    *wire.ReplicationStats
 }
 
 var errMemoryBacked = errors.New("repository is memory-backed")
@@ -99,8 +89,9 @@ func (l local) vacuum() (*expelliarmus.VacuumStats, error) {
 	return &st, err
 }
 
-func (l local) stats() (repoStats, error) {
-	return repoStats{RepoStats: l.RepoStats(), Tenants: l.TenantStats()}, nil
+func (l local) stats() (*expelliarmus.Stats, error) {
+	st := l.Stats()
+	return &st, nil
 }
 
 func (l local) dot() (string, error) { return l.MasterGraphDOT() }
@@ -288,9 +279,9 @@ func printStats(repo repository, label string) {
 	st, err := repo.stats()
 	check(err)
 	line := fmt.Sprintf("%s: %d VMIs, %d base image(s), %d packages, %.2f GB live",
-		label, st.VMIs, st.BaseImages, st.Packages, st.TotalGB)
-	if st.DiskGB > 0 {
-		line += fmt.Sprintf(" (%.2f GB on disk, %.2f GB dead)", st.DiskGB, st.DeadGB)
+		label, st.VMIs, st.Bases, st.Packages, gb(st.TotalBytes))
+	if st.DiskBytes > 0 {
+		line += fmt.Sprintf(" (%.2f GB on disk, %.2f GB dead)", gb(st.DiskBytes), gb(st.DeadBytes))
 	}
 	fmt.Println(line)
 	tenants := make([]string, 0, len(st.Tenants))

@@ -61,24 +61,7 @@ func (r remote) compact() (*expelliarmus.SyncStats, error) { return r.cl.Compact
 
 func (r remote) vacuum() (*expelliarmus.VacuumStats, error) { return r.cl.Vacuum(r.ctx) }
 
-func (r remote) stats() (repoStats, error) {
-	st, err := r.cl.Stats(r.ctx)
-	if err != nil {
-		return repoStats{}, err
-	}
-	return repoStats{
-		RepoStats: expelliarmus.RepoStats{
-			Packages:   st.Packages,
-			BaseImages: st.Bases,
-			VMIs:       st.VMIs,
-			TotalGB:    gb(st.TotalBytes),
-			DiskGB:     gb(st.DiskBytes),
-			DeadGB:     gb(st.DeadBytes),
-		},
-		Tenants: st.Tenants,
-		Repl:    st.Repl,
-	}, nil
-}
+func (r remote) stats() (*expelliarmus.Stats, error) { return r.cl.Stats(r.ctx) }
 
 func (r remote) dot() (string, error) { return r.cl.GraphDOT(r.ctx) }
 

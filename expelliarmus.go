@@ -164,10 +164,12 @@ func OpenAt(path string, o Options) (*System, error) {
 }
 
 // The result and option types below are declared once, in the leaf the
-// repository's layers share (internal/api) or at the layer that produces
-// them; the facade re-exports them under its own names as aliases, so the
+// repository's layers share (internal/api: the operation results, Stats
+// and the options) or at the layer that produces them (CacheStats); the
+// facade re-exports them under its own names as aliases, so the
 // in-process API, the server's JSON bodies and the CLI all speak one
-// vocabulary with the same field names.
+// vocabulary with the same field names. RepoStats alone is the facade's
+// own: a paper-scale projection of Stats.
 type (
 	// SyncStats reports one durable save of a disk-backed System: the
 	// incremental blob flush (Segments, SegmentBytes, IndexBytes — only
@@ -183,6 +185,11 @@ type (
 	// false (and every counter zero) when the System runs without a cache
 	// (Options.CacheBytes == 0).
 	CacheStats = core.CacheStats
+	// Stats is the repository and cache statistics report, the same value
+	// a server's GET /v1/stats replies with: counts, live and on-disk
+	// bytes, cache counters, tenant charges and, on a disk-backed System,
+	// the replication section of a writer.
+	Stats = api.Stats
 	// PublishResult reports a publish operation.
 	PublishResult = api.PublishResult
 	// RetrieveResult reports a retrieval or assembly.
@@ -234,7 +241,7 @@ func (im *Image) Primaries() []string {
 	return append([]string(nil), im.inner.Primaries...)
 }
 
-// Stats describes an image's size characteristics at paper scale.
+// ImageStats describes an image's size characteristics at paper scale.
 type ImageStats struct {
 	MountedGB    float64
 	Files        int
@@ -248,9 +255,9 @@ func (im *Image) Stats() (ImageStats, error) {
 		return ImageStats{}, err
 	}
 	return ImageStats{
-		MountedGB:    float64(catalog.Paper(st.MountedBytes)) / 1e9,
+		MountedGB:    paperGB(st.MountedBytes),
 		Files:        catalog.PaperFiles(st.Files),
-		SerializedGB: float64(catalog.Paper(st.SerializedBytes)) / 1e9,
+		SerializedGB: paperGB(st.SerializedBytes),
 	}, nil
 }
 
@@ -424,18 +431,25 @@ type RepoStats struct {
 	DeadGB float64
 }
 
-// RepoStats returns current repository statistics.
+// Stats returns the repository and cache statistics report.
+func (s *System) Stats() Stats { return s.sys.Stats() }
+
+// RepoStats returns current repository statistics: the paper-scale
+// projection of Stats.
 func (s *System) RepoStats() RepoStats {
-	st := s.sys.Repo().Stats()
+	st := s.Stats()
 	return RepoStats{
 		Packages:   st.Packages,
 		BaseImages: st.Bases,
 		VMIs:       st.VMIs,
-		TotalGB:    float64(catalog.Paper(st.TotalBytes)) / 1e9,
-		DiskGB:     float64(catalog.Paper(st.BlobDiskBytes)) / 1e9,
-		DeadGB:     float64(catalog.Paper(st.BlobDeadBytes)) / 1e9,
+		TotalGB:    paperGB(st.TotalBytes),
+		DiskGB:     paperGB(st.DiskBytes),
+		DeadGB:     paperGB(st.DeadBytes),
 	}
 }
+
+// paperGB converts a store-scaled byte count to paper-scale gigabytes.
+func paperGB(b int64) float64 { return float64(catalog.Paper(b)) / 1e9 }
 
 // MasterGraphDOT renders the repository's master graphs in Graphviz DOT
 // format for inspection.
@@ -557,6 +571,4 @@ func (b *Baseline) Retrieve(name string) (*Image, float64, error) {
 }
 
 // SizeGB returns the repository footprint at paper scale.
-func (b *Baseline) SizeGB() float64 {
-	return float64(catalog.Paper(b.store.SizeBytes())) / 1e9
-}
+func (b *Baseline) SizeGB() float64 { return paperGB(b.store.SizeBytes()) }

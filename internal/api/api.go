@@ -1,14 +1,16 @@
 // Package api is the leaf vocabulary the repository's layers share: the
 // error sentinels an operation can unwrap to, the result bodies every
-// operation returns, and a publish's lifecycle options. It holds
+// operation returns (PublishResult, RetrieveResult, SyncStats with its
+// BlobSyncStats and MetaSyncStats halves, VacuumStats), the statistics
+// reply (Stats, ReplicationStats), and a publish's lifecycle options. It holds
 // declarations only and imports nothing but the standard library, so the
 // storage engines below (blobstore, metawal, vmirepo, core) and the
 // protocol above (wire, client) can both name these values without
 // importing each other — the line the paper's Fig. 2 draws between the
 // user-facing interface and the repository behind it. Each layer re-exports
 // what it owns as an alias (vmirepo.ErrNotFound, blobstore.SyncStats,
-// core.PublishOpts, wire.PublishResult, ...); those are the names callers
-// use, and they are identical to the ones here.
+// metawal.SyncStats, core.PublishOpts, wire.Stats, ...); those are the
+// names callers use, and they are identical to the ones here.
 package api
 
 import "errors"
@@ -107,25 +109,33 @@ type BlobSyncStats struct {
 	DeadBytes int64
 }
 
-// SyncStats reports one durable repository sync (vmirepo.SyncStats): the
-// server's reply to a sync or compact. The embedded blob half flattens
-// into the same JSON object.
-type SyncStats struct {
-	// The blob backend's incremental flush (only segments appended since
-	// the previous sync are written) and the segment compaction the sync
-	// performed, automatically or because Compact forced it.
-	BlobSyncStats
+// MetaSyncStats reports one durable metadata commit (metawal.SyncStats):
+// the metadata half of a repository sync.
+type MetaSyncStats struct {
 	// MetaBytes is the metadata bytes committed this sync: the WAL delta
 	// (framed op records plus the commit marker) or, on a compacting
 	// sync, the fresh full snapshot. On the hot path it is O(delta) — no
 	// full metadata rewrite.
 	MetaBytes int64
-	// MetaOps is the number of metadata mutations this sync committed.
+	// MetaOps is the number of metadata mutations this sync committed
+	// (appended, or folded into the snapshot when Compacted).
 	MetaOps int
 	// Compacted reports that this sync rewrote the metadata WAL into a
 	// fresh snapshot; MetaSnapshotBytes is that snapshot's size.
 	Compacted         bool
 	MetaSnapshotBytes int64
+}
+
+// SyncStats reports one durable repository sync (vmirepo.SyncStats): the
+// server's reply to a sync or compact. Each engine reports its own half;
+// both embedded halves flatten into the same JSON object.
+type SyncStats struct {
+	// The blob backend's incremental flush (only segments appended since
+	// the previous sync are written) and the segment compaction the sync
+	// performed, automatically or because Compact forced it.
+	BlobSyncStats
+	// The metadata WAL's commit.
+	MetaSyncStats
 }
 
 // VacuumStats reports what one Vacuum pass reclaimed (core.VacuumStats):
@@ -143,4 +153,61 @@ type VacuumStats struct {
 	// BytesReclaimed is the payload bytes of the removed packages and
 	// released blobs.
 	BytesReclaimed int64
+}
+
+// Stats is the repository and cache statistics reply (core's
+// System.Stats, the server's GET /v1/stats).
+type Stats struct {
+	Packages int
+	Bases    int
+	VMIs     int
+	// TotalBytes is the live (deduplicated) repository size. On a
+	// disk-backed repository DiskBytes is the physical blob footprint —
+	// including the garbage released images leave until compaction — and
+	// DeadBytes the reclaimable part of it; both are zero for a
+	// memory-backed one.
+	TotalBytes int64
+	DiskBytes  int64
+	DeadBytes  int64
+
+	CacheEnabled bool
+	CacheHits    int64
+	CacheMisses  int64
+	CacheEntries int
+	CacheBytes   int64
+
+	// Tenants maps each tenant to its recorded live bytes (the quota
+	// accounting publishes maintain). Nil when no tenant has ever been
+	// charged.
+	Tenants map[string]int64 `json:",omitempty"`
+
+	// Repl carries replication state when the repository participates in
+	// snapshot + WAL shipping: as the writer (source of truth) or as a
+	// follower serving the replicated read path. Nil on repositories that
+	// do neither (memory-backed ones have no WAL to ship).
+	Repl *ReplicationStats
+}
+
+// ReplicationStats is the replication section of a stats reply.
+type ReplicationStats struct {
+	// Role is "writer" or "follower".
+	Role string
+	// Epoch is the current snapshot/WAL epoch: the writer's own, or the
+	// epoch the follower has applied up to.
+	Epoch uint64
+	// DurableBytes is the writer's durable WAL length. On a follower it
+	// is the writer's position as of the last poll — the catch-up target.
+	DurableBytes int64
+	// AppliedBytes is how far into the epoch's WAL a follower has
+	// applied (zero on writers).
+	AppliedBytes int64
+	// LagBytes is DurableBytes - AppliedBytes as of the follower's last
+	// poll of the writer; zero on writers and on caught-up followers.
+	LagBytes int64
+	// Batches and Ops count what the follower has applied since it
+	// started (zero on writers).
+	Batches int64
+	Ops     int64
+	// WriterURL is the upstream a follower tails (empty on writers).
+	WriterURL string
 }

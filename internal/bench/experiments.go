@@ -189,7 +189,7 @@ func (r *Runner) Fig5a() (*Figure, error) {
 			return nil, fmt.Errorf("bench: retrieve %s: %w", t.Name, err)
 		}
 		for i, p := range phases {
-			series[i].Y = append(series[i].Y, st.Phases[p.phase])
+			series[i].Y = append(series[i].Y, st.Phases[string(p.phase)])
 		}
 		series[len(phases)].Y = append(series[len(phases)].Y, st.Seconds)
 	}

@@ -2,12 +2,12 @@
 // server (internal/server): one pooled HTTP connection set per Client,
 // per-request deadlines, and retries for idempotent requests only.
 //
-// Streaming fidelity. Image downloads are verified end to end: the body
-// is hashed as it streams into the caller's writer and checked against
-// the server's X-Expel-Sha256/X-Expel-Bytes trailers, and a connection
-// aborted mid-stream surfaces as a read error (the chunked framing never
-// terminates), so a truncated or damaged image can never be mistaken for
-// a complete one.
+// Streaming fidelity. Image and snapshot downloads are verified end to
+// end: the body is hashed as it streams into the caller's writer and
+// checked against the server's X-Expel-Sha256/X-Expel-Bytes trailers,
+// and a connection aborted mid-stream surfaces as a read error (the
+// chunked framing never terminates), so a truncated or damaged image can
+// never be mistaken for a complete one.
 //
 // Error mapping. A 404 with error kind "not-found" unwraps to
 // api.ErrNotFound and a kind "corrupt" reply to api.ErrBlobCorrupt — the
@@ -339,7 +339,8 @@ func (c *Client) Vacuum(parent context.Context) (*wire.VacuumStats, error) {
 	return post[wire.VacuumStats](c, parent, "/v1/vacuum")
 }
 
-// Snapshot streams the server's repository snapshot into w.
+// Snapshot streams the server's repository snapshot into w, verifying
+// length and SHA-256 against the response trailers.
 func (c *Client) Snapshot(parent context.Context, w io.Writer) (int64, error) {
 	var n int64
 	err := c.doIdempotent(func() (bool, error) {
@@ -348,7 +349,7 @@ func (c *Client) Snapshot(parent context.Context, w io.Writer) (int64, error) {
 			return false, err
 		}
 		defer done()
-		n, err = io.Copy(w, resp.Body)
+		n, err = verifyRaw(resp, w)
 		return n > 0, err
 	})
 	return n, err

@@ -166,7 +166,8 @@ func TestRetryRebuildsRequestFromScratch(t *testing.T) {
 func TestCompactDecodesSyncStats(t *testing.T) {
 	const body = `{"Segments":3,"SegmentBytes":1048576,"IndexBytes":0,"MetaBytes":7,"MetaOps":1,` +
 		`"Compacted":true,"MetaSnapshotBytes":9,"SegmentsCompacted":2,"BytesReclaimed":524288,"DeadBytes":64}`
-	want := wire.SyncStats{MetaBytes: 7, MetaOps: 1, Compacted: true, MetaSnapshotBytes: 9}
+	var want wire.SyncStats
+	want.MetaBytes, want.MetaOps, want.Compacted, want.MetaSnapshotBytes = 7, 1, true, 9
 	want.Segments, want.SegmentBytes = 3, 1<<20
 	want.SegmentsCompacted, want.BytesReclaimed, want.DeadBytes = 2, 512<<10, 64
 	cl := newTestClient(t, func(w http.ResponseWriter, r *http.Request) {
@@ -182,5 +183,43 @@ func TestCompactDecodesSyncStats(t *testing.T) {
 	}
 	if *got != want {
 		t.Fatalf("Compact stats = %+v, want %+v", *got, want)
+	}
+}
+
+// TestSnapshotVerifiesTrailers: the repository snapshot has no checksum
+// of its own, so a download whose bytes do not match the server's
+// X-Expel-Sha256 trailer must fail rather than hand the caller damaged
+// bytes to restore.
+func TestSnapshotVerifiesTrailers(t *testing.T) {
+	body := []byte("EXPSNP-snapshot-bytes")
+	for _, tc := range []struct {
+		name    string
+		sumOf   []byte
+		wantErr bool
+	}{
+		{"matching digest", body, false},
+		{"wrong digest", []byte("other bytes"), true},
+	} {
+		cl := newTestClient(t, func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Path != "/v1/snapshot" {
+				t.Errorf("snapshot sent %s", r.URL.Path)
+			}
+			w.Header().Set("Trailer", wire.HeaderSha256+", "+wire.HeaderBytes)
+			w.Write(body)
+			sum := sha256.Sum256(tc.sumOf)
+			w.Header().Set(wire.HeaderSha256, hex.EncodeToString(sum[:]))
+			w.Header().Set(wire.HeaderBytes, strconv.Itoa(len(body)))
+		}, 0)
+		var got bytes.Buffer
+		n, err := cl.Snapshot(context.Background(), &got)
+		if tc.wantErr {
+			if err == nil {
+				t.Errorf("%s: Snapshot accepted %d bytes that fail their trailer digest", tc.name, n)
+			}
+			continue
+		}
+		if err != nil || !bytes.Equal(got.Bytes(), body) {
+			t.Errorf("%s: Snapshot = %q, %v; want %q", tc.name, got.Bytes(), err, body)
+		}
 	}
 }

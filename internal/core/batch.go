@@ -1,6 +1,9 @@
 package core
 
-import "expelliarmus/internal/vmirepo"
+import (
+	"expelliarmus/internal/api"
+	"expelliarmus/internal/vmirepo"
+)
 
 // Snapshot serialises the repository for durable storage. It waits out any
 // in-flight metadata commit (and, through the repository, any in-flight
@@ -37,4 +40,34 @@ func (s *System) Compact() (vmirepo.SyncStats, error) {
 func (s *System) Close() error {
 	defer s.lockCommits()()
 	return s.repo.Close()
+}
+
+// Stats assembles the repository and cache statistics reply: the
+// repository's counts and bytes, the retrieval cache's counters, the
+// tenant charges and, on a disk-backed writer, its durable WAL position.
+// A follower's replication section comes from its catch-up loop, which
+// the server attaches.
+func (s *System) Stats() api.Stats {
+	st := s.repo.Stats()
+	out := api.Stats{
+		Packages:   st.Packages,
+		Bases:      st.Bases,
+		VMIs:       st.VMIs,
+		TotalBytes: st.TotalBytes,
+		DiskBytes:  st.BlobDiskBytes,
+		DeadBytes:  st.BlobDeadBytes,
+	}
+	if cs, ok := s.CacheStats(); ok {
+		out.CacheEnabled = true
+		out.CacheHits, out.CacheMisses = cs.Hits, cs.Misses
+		out.CacheEntries, out.CacheBytes = cs.Entries, cs.Bytes
+	}
+	if ts := s.TenantStats(); len(ts) > 0 {
+		out.Tenants = ts
+	}
+	if wal := s.repo.WAL(); wal != nil {
+		epoch, durable := wal.CommitState()
+		out.Repl = &api.ReplicationStats{Role: "writer", Epoch: epoch, DurableBytes: durable}
+	}
+	return out
 }

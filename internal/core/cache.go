@@ -53,14 +53,8 @@ type CacheStats struct {
 	// the hot image's stripe keeps accumulating hits.
 	StripeHits          []int64
 	StripeInvalidations []int64
-	// The queue-depth meter of the miss singleflight (see FlightStats):
-	// assemblies started as a flight's leader, flights in the air right
-	// now, retrievals queued behind them, and the deepest queue any single
-	// flight has built up.
-	FlightsLed      int64
-	FlightsActive   int64
-	FlightWaiters   int64
-	FlightPeakDepth int64
+	// Flights is the queue-depth meter of the miss singleflight.
+	Flights FlightStats
 }
 
 // CacheStats returns the retrieval cache's counters; ok (and
@@ -78,8 +72,7 @@ func (s *System) CacheStats() (st CacheStats, ok bool) {
 		st.StripeHits[i] = s.cctr.hits[i].Load()
 		st.StripeInvalidations[i] = s.cctr.invalidations[i].Load()
 	}
-	fl := s.flights.stats()
-	st.FlightsLed, st.FlightsActive, st.FlightWaiters, st.FlightPeakDepth = fl.Led, fl.Active, fl.Waiting, fl.PeakDepth
+	st.Flights = s.flights.stats()
 	return st, true
 }
 

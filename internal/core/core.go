@@ -232,16 +232,8 @@ func (r *PublishReport) Result() *api.PublishResult {
 		Skipped:    r.Skipped,
 		BaseStored: r.BaseStored,
 		Seconds:    r.Seconds(),
-		Phases:     phaseMap(r.Meter),
+		Phases:     r.Meter.PhaseSeconds(),
 	}
-}
-
-func phaseMap(m *simio.Meter) map[string]float64 {
-	out := map[string]float64{}
-	for ph, d := range m.Snapshot() {
-		out[string(ph)] = d.Seconds()
-	}
-	return out
 }
 
 // PublishOpts carry a publish's lifecycle attributes: the tenant charged
@@ -889,7 +881,7 @@ func (r *RetrieveReport) Result() *api.RetrieveResult {
 	return &api.RetrieveResult{
 		Imported: append([]string(nil), r.Imported...),
 		Seconds:  r.Seconds(),
-		Phases:   phaseMap(r.Meter),
+		Phases:   r.Meter.PhaseSeconds(),
 	}
 }
 

@@ -121,19 +121,11 @@ type Log struct {
 	recovery   RecoveryReport
 }
 
-// SyncStats reports one durable metadata commit.
-type SyncStats struct {
-	// Ops is the number of mutations committed (appended, or folded into
-	// the snapshot when Compacted).
-	Ops int
-	// WALBytes is what the append path wrote: framed op records plus the
-	// commit marker. Zero on a compacting or no-op sync.
-	WALBytes int64
-	// Compacted reports that this commit rewrote the state as a fresh
-	// snapshot; SnapshotBytes is that snapshot's size.
-	Compacted     bool
-	SnapshotBytes int64
-}
+// SyncStats reports one durable metadata commit: MetaBytes is what the
+// append path wrote (framed op records plus the commit marker) or, when
+// Compacted, the fresh snapshot's size. It is the metadata half of the
+// repository's sync report, declared in the api leaf.
+type SyncStats = api.MetaSyncStats
 
 // Open creates or reopens the metadata log rooted at dir and returns it
 // together with the replayed database. The caller feeds the database's
@@ -524,8 +516,8 @@ func (l *Log) sync(force bool) (SyncStats, error) {
 	if err := l.writeCommit(l.epoch, l.length); err != nil {
 		return st, err
 	}
-	st.Ops = l.pendingOps
-	st.WALBytes = int64(len(batch))
+	st.MetaOps = l.pendingOps
+	st.MetaBytes = int64(len(batch))
 	l.durable = l.length
 	l.pending, l.pendingOps = nil, 0
 	return st, nil
@@ -557,9 +549,10 @@ func (l *Log) compactLocked(st SyncStats) (SyncStats, error) {
 	l.f = f
 	l.epoch = next
 	l.length, l.durable = walHeaderLen, walHeaderLen
-	st.Ops = l.pendingOps
+	st.MetaOps = l.pendingOps
 	st.Compacted = true
-	st.SnapshotBytes = int64(len(img))
+	st.MetaBytes = int64(len(img))
+	st.MetaSnapshotBytes = st.MetaBytes
 	l.pending, l.pendingOps = nil, 0
 	return st, nil
 }

@@ -74,8 +74,8 @@ func TestRoundTrip(t *testing.T) {
 	wire(db, l)
 	putN(db, "pkgs", 0, 10)
 	st := mustSync(t, l)
-	if st.Ops != 11 { // 10 puts + 1 bucket creation
-		t.Fatalf("first sync committed %d ops, want 11", st.Ops)
+	if st.MetaOps != 11 { // 10 puts + 1 bucket creation
+		t.Fatalf("first sync committed %d ops, want 11", st.MetaOps)
 	}
 	putN(db, "pkgs", 10, 5)
 	db.CreateBucket("pkgs").Delete([]byte("key-0003"))
@@ -104,7 +104,7 @@ func TestNoOpSyncSkipsCommit(t *testing.T) {
 	mustSync(t, l)
 	lenBefore := l.Bytes()
 	st := mustSync(t, l)
-	if st.Ops != 0 || st.WALBytes != 0 || st.Compacted {
+	if st.MetaOps != 0 || st.MetaBytes != 0 || st.Compacted {
 		t.Fatalf("no-op sync committed something: %+v", st)
 	}
 	if l.Bytes() != lenBefore {
@@ -543,7 +543,7 @@ func TestCompactionRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Compact: %v", err)
 	}
-	if !st.Compacted || st.SnapshotBytes == 0 || st.Ops != 5 {
+	if !st.Compacted || st.MetaSnapshotBytes == 0 || st.MetaOps != 5 {
 		t.Fatalf("compaction stats = %+v", st)
 	}
 	if l.Epoch() != 2 || l.Bytes() != walHeaderLen {
@@ -599,8 +599,8 @@ func TestOversizedDeltaCompacts(t *testing.T) {
 	if !st.Compacted {
 		t.Fatalf("oversized delta appended instead of compacting: %+v", st)
 	}
-	if st.SnapshotBytes > 3*int64(len(big)) {
-		t.Fatalf("snapshot wrote %d bytes for a ~%d-byte database", st.SnapshotBytes, len(big))
+	if st.MetaSnapshotBytes > 3*int64(len(big)) {
+		t.Fatalf("snapshot wrote %d bytes for a ~%d-byte database", st.MetaSnapshotBytes, len(big))
 	}
 	l.Close()
 }

@@ -106,20 +106,29 @@ func (r *Replica) restart(ctx context.Context) error {
 	return nil
 }
 
+// poll fetches the writer's durable position and records it as the
+// catch-up target that ReplicationStats measures lag against.
+func (r *Replica) poll(ctx context.Context) (wire.ReplCommit, error) {
+	commit, err := r.cl.ReplCommit(ctx)
+	if err != nil {
+		return commit, fmt.Errorf("replica: poll commit: %w", err)
+	}
+	r.mu.Lock()
+	r.target = commit
+	r.mu.Unlock()
+	return commit, nil
+}
+
 // CatchUp converges the follower to the writer's durable position as of
 // one commit poll: snapshot-restart if the epoch moved (or the follower
 // is fresh), then WAL tail application until applied == durable. It
 // returns once caught up to that observed position; a writer that keeps
 // committing needs the next CatchUp (Run loops it).
 func (r *Replica) CatchUp(ctx context.Context) error {
-	commit, err := r.cl.ReplCommit(ctx)
+	commit, err := r.poll(ctx)
 	if err != nil {
-		return fmt.Errorf("replica: poll commit: %w", err)
+		return err
 	}
-	r.mu.Lock()
-	r.target = commit
-	r.mu.Unlock()
-
 	for {
 		epoch, applied := r.repo.Follower().Position()
 		if epoch != commit.Epoch {
@@ -128,12 +137,9 @@ func (r *Replica) CatchUp(ctx context.Context) error {
 			}
 			// The snapshot may already be a newer epoch than the commit we
 			// polled; re-poll so the tail request matches what we loaded.
-			if commit, err = r.cl.ReplCommit(ctx); err != nil {
-				return fmt.Errorf("replica: poll commit: %w", err)
+			if commit, err = r.poll(ctx); err != nil {
+				return err
 			}
-			r.mu.Lock()
-			r.target = commit
-			r.mu.Unlock()
 			continue
 		}
 		if applied >= commit.DurableBytes {
@@ -145,12 +151,9 @@ func (r *Replica) CatchUp(ctx context.Context) error {
 				// The writer compacted under us; restart from its new
 				// snapshot on the next iteration.
 				r.logf("replica: epoch %d retired by writer compaction", epoch)
-				if commit, err = r.cl.ReplCommit(ctx); err != nil {
-					return fmt.Errorf("replica: poll commit: %w", err)
+				if commit, err = r.poll(ctx); err != nil {
+					return err
 				}
-				r.mu.Lock()
-				r.target = commit
-				r.mu.Unlock()
 				continue
 			}
 			return fmt.Errorf("replica: fetch WAL tail: %w", err)

@@ -135,11 +135,11 @@ func (r gatedReader) ReadAt(p []byte, off int64) (int, error) {
 func waitForFollowers(t *testing.T, sys *core.System, n int64) {
 	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
 		st, _ := sys.CacheStats()
-		if st.FlightWaiters >= n {
+		if st.Flights.Waiting >= n {
 			return
 		}
 		if time.Now().After(deadline) {
-			t.Errorf("only %d of %d followers queued behind the leader", st.FlightWaiters, n)
+			t.Errorf("only %d of %d followers queued behind the leader", st.Flights.Waiting, n)
 			return
 		}
 	}

@@ -51,8 +51,8 @@ func (s *Server) handleReplCommit(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, wire.ReplCommit{Epoch: epoch, DurableBytes: durable})
 }
 
-// streamVerified copies a replication byte stream to the client with the
-// digest/length trailers, aborting the connection if the source fails
+// streamVerified copies a replication byte stream, or the repository
+// snapshot, to the client with the digest/length trailers, aborting the connection if the source fails
 // mid-body (mirroring streamImage's truncation contract). The digest is
 // sum when the caller knows the stream's SHA-256 already, else the stream
 // is hashed as it is copied.

@@ -20,6 +20,10 @@
 // aborted, never sent with an invented trailer. The client's check of the
 // trailer is the end-to-end verification.
 //
+// The repository snapshot carries the same X-Expel-Sha256 and
+// X-Expel-Bytes trailers, hashed as it is sent: its format has no
+// checksum of its own.
+//
 // An error before the first body byte yields a clean status code; an
 // error after bytes have flowed aborts the connection mid-chunk, so a
 // client can never mistake a truncated image for a complete one (the
@@ -35,6 +39,7 @@
 package server
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -215,34 +220,10 @@ func (s *Server) handleAssemble(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	st := s.sys.Repo().Stats()
-	out := wire.Stats{
-		Packages:   st.Packages,
-		Bases:      st.Bases,
-		VMIs:       st.VMIs,
-		TotalBytes: st.TotalBytes,
-		DiskBytes:  st.BlobDiskBytes,
-		DeadBytes:  st.BlobDeadBytes,
-	}
-	if cs, ok := s.sys.CacheStats(); ok {
-		out.CacheEnabled = true
-		out.CacheHits = cs.Hits
-		out.CacheMisses = cs.Misses
-		out.CacheEntries = cs.Entries
-		out.CacheBytes = cs.Bytes
-	}
-	if ts := s.sys.TenantStats(); len(ts) > 0 {
-		out.Tenants = ts
-	}
-	switch {
-	case s.repl != nil:
+	out := s.sys.Stats()
+	if s.repl != nil {
 		rs := s.repl.ReplicationStats()
 		out.Repl = &rs
-	default:
-		if wal := s.sys.Repo().WAL(); wal != nil {
-			epoch, durable := wal.CommitState()
-			out.Repl = &wire.ReplicationStats{Role: "writer", Epoch: epoch, DurableBytes: durable}
-		}
 	}
 	writeJSON(w, out)
 }
@@ -274,9 +255,7 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set("Content-Length", strconv.Itoa(len(snap)))
-	w.Write(snap)
+	streamVerified(w, io.NopCloser(bytes.NewReader(snap)), int64(len(snap)), nil)
 }
 
 func (s *Server) handleDOT(w http.ResponseWriter, r *http.Request) {

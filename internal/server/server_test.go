@@ -19,6 +19,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -182,6 +183,53 @@ func TestRemoteRoundTrip(t *testing.T) {
 	}
 	if st.VMIs != 1 || st.Bases != 1 {
 		t.Fatalf("stats = %+v, want 1 VMI on 1 base", st)
+	}
+}
+
+// TestStatsInProcessMatchesRemote: GET /v1/stats is core's Stats and
+// nothing else, so a disk-backed writer with the cache on and a tenant
+// charged reports the same value in process and over the wire, writer
+// replication section included.
+func TestStatsInProcessMatchesRemote(t *testing.T) {
+	repo, err := vmirepo.OpenAtOpts(t.TempDir(), testDevice(), vmirepo.OpenOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys := core.NewSystemWithRepo(repo, testDevice(), core.Options{CacheBytes: 64 << 20})
+	t.Cleanup(func() { sys.Close() })
+	addr, _ := startServer(t, sys)
+	cl := client.New(addr, client.Options{Timeout: 2 * time.Minute})
+	defer cl.Close()
+	ctx := context.Background()
+
+	img := buildTestImage(t, "stats", true, 0)
+	if _, err := cl.Publish(ctx, func(w io.Writer) error {
+		return wire.WriteImageMeta(w, img, wire.PublishMeta{Tenant: "alice"})
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cl.Sync(ctx); err != nil {
+		t.Fatal(err)
+	}
+	for range 2 {
+		if _, _, err := cl.Retrieve(ctx, "stats", io.Discard); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	got, err := cl.Stats(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := sys.Stats()
+	if !reflect.DeepEqual(*got, want) {
+		t.Fatalf("remote stats differ from in-process:\n got %+v\nwant %+v", *got, want)
+	}
+	if want.Repl == nil || want.Repl.Role != "writer" || want.Repl.DurableBytes == 0 {
+		t.Fatalf("writer replication section = %+v", want.Repl)
+	}
+	if want.Tenants["alice"] == 0 || want.CacheHits == 0 || want.DiskBytes == 0 {
+		t.Fatalf("stats left a section empty: %+v", want)
 	}
 }
 

@@ -324,6 +324,18 @@ func (m *Meter) Snapshot() map[Phase]time.Duration {
 	return out
 }
 
+// PhaseSeconds returns the per-phase totals as float64 seconds keyed by
+// phase name: the Phases map of every publish and retrieve report.
+func (m *Meter) PhaseSeconds() map[string]float64 {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	out := make(map[string]float64, len(m.phases))
+	for ph, c := range m.phases {
+		out[string(ph)] = c.Seconds()
+	}
+	return out
+}
+
 // String renders the meter as "total (phase=dur, ...)".
 func (m *Meter) String() string {
 	bd := m.Breakdown()

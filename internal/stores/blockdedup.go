@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sync"
 
+	"expelliarmus/internal/api"
 	"expelliarmus/internal/blobstore"
 	"expelliarmus/internal/chunker"
 	"expelliarmus/internal/metadb"
@@ -38,7 +39,7 @@ func NewBlockDedup(dev *simio.Device, chk chunker.Chunker) *BlockDedup {
 func (s *BlockDedup) Name() string { return "blockdedup-" + s.chk.Name() }
 
 // Publish implements Store.
-func (s *BlockDedup) Publish(img *vmi.Image) (*PublishStats, error) {
+func (s *BlockDedup) Publish(img *vmi.Image) (*api.PublishResult, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	m := &simio.Meter{}
@@ -63,11 +64,11 @@ func (s *BlockDedup) Publish(img *vmi.Image) (*PublishStats, error) {
 	}
 	s.db.Bucket("recipes").Put([]byte(img.Name), recipe.Bytes())
 	m.Charge(simio.PhaseDB, s.dev.DBCost(int64(recipe.Len())))
-	return &PublishStats{Image: img.Name, Seconds: m.Seconds(), Phases: phaseSeconds(m)}, nil
+	return &api.PublishResult{Seconds: m.Seconds(), Phases: m.PhaseSeconds()}, nil
 }
 
 // Retrieve implements Store.
-func (s *BlockDedup) Retrieve(name string) (*vmi.Image, *RetrieveStats, error) {
+func (s *BlockDedup) Retrieve(name string) (*vmi.Image, *api.RetrieveResult, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	val, ok := s.db.Bucket("recipes").Get([]byte(name))
@@ -123,7 +124,7 @@ func (s *BlockDedup) Retrieve(name string) (*vmi.Image, *RetrieveStats, error) {
 	}
 	img := &vmi.Image{Name: name, Disk: disk}
 	meta.apply(img)
-	return img, &RetrieveStats{Image: name, Seconds: m.Seconds(), Phases: phaseSeconds(m)}, nil
+	return img, &api.RetrieveResult{Seconds: m.Seconds(), Phases: m.PhaseSeconds()}, nil
 }
 
 // SizeBytes implements Store.

@@ -91,8 +91,8 @@ func TestExpelPublishIdempotentStats(t *testing.T) {
 	if st.Similarity < 0.99 {
 		t.Fatalf("identical republish similarity = %v", st.Similarity)
 	}
-	if st.Exported != 0 {
-		t.Fatalf("identical republish exported %d packages", st.Exported)
+	if len(st.Exported) != 0 {
+		t.Fatalf("identical republish exported %d packages", len(st.Exported))
 	}
 	if grown := exp.SizeBytes() - size; grown > 64*1024 {
 		t.Fatalf("identical republish grew repo %d bytes", grown)

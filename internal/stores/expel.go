@@ -3,6 +3,7 @@ package stores
 import (
 	"sync"
 
+	"expelliarmus/internal/api"
 	"expelliarmus/internal/core"
 	"expelliarmus/internal/simio"
 	"expelliarmus/internal/vmi"
@@ -38,7 +39,7 @@ func (s *Expel) System() *core.System { return s.sys }
 func (s *Expel) Name() string { return "expelliarmus" }
 
 // Publish implements Store.
-func (s *Expel) Publish(img *vmi.Image) (*PublishStats, error) {
+func (s *Expel) Publish(img *vmi.Image) (*api.PublishResult, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	rep, err := s.sys.Publish(img)
@@ -46,17 +47,11 @@ func (s *Expel) Publish(img *vmi.Image) (*PublishStats, error) {
 		return nil, err
 	}
 	s.LastPublish = rep
-	return &PublishStats{
-		Image:      img.Name,
-		Seconds:    rep.Seconds(),
-		Phases:     phaseSeconds(rep.Meter),
-		Similarity: rep.Similarity,
-		Exported:   len(rep.Exported),
-	}, nil
+	return rep.Result(), nil
 }
 
 // Retrieve implements Store.
-func (s *Expel) Retrieve(name string) (*vmi.Image, *RetrieveStats, error) {
+func (s *Expel) Retrieve(name string) (*vmi.Image, *api.RetrieveResult, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	img, rep, err := s.sys.Retrieve(name)
@@ -64,11 +59,7 @@ func (s *Expel) Retrieve(name string) (*vmi.Image, *RetrieveStats, error) {
 		return nil, nil, err
 	}
 	s.LastRetrieve = rep
-	return img, &RetrieveStats{
-		Image:   name,
-		Seconds: rep.Seconds(),
-		Phases:  phaseSeconds(rep.Meter),
-	}, nil
+	return img, rep.Result(), nil
 }
 
 // SizeBytes implements Store.

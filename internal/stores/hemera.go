@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync"
 
+	"expelliarmus/internal/api"
 	"expelliarmus/internal/metadb"
 	"expelliarmus/internal/simio"
 	"expelliarmus/internal/vmi"
@@ -31,7 +32,7 @@ func NewHemera(dev *simio.Device) *Hemera {
 func (s *Hemera) Name() string { return "hemera" }
 
 // Publish implements Store.
-func (s *Hemera) Publish(img *vmi.Image) (*PublishStats, error) {
+func (s *Hemera) Publish(img *vmi.Image) (*api.PublishResult, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	m := &simio.Meter{}
@@ -42,11 +43,11 @@ func (s *Hemera) Publish(img *vmi.Image) (*PublishStats, error) {
 	manifest := encodeManifest(vs, metaOf(img), entries)
 	s.mirage.db.Bucket("manifests").Put([]byte(img.Name), manifest)
 	m.Charge(simio.PhaseDB, s.dev.DBCost(int64(len(manifest))))
-	return &PublishStats{Image: img.Name, Seconds: m.Seconds(), Phases: phaseSeconds(m)}, nil
+	return &api.PublishResult{Seconds: m.Seconds(), Phases: m.PhaseSeconds()}, nil
 }
 
 // Retrieve implements Store.
-func (s *Hemera) Retrieve(name string) (*vmi.Image, *RetrieveStats, error) {
+func (s *Hemera) Retrieve(name string) (*vmi.Image, *api.RetrieveResult, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	val, ok := s.mirage.db.Bucket("manifests").Get([]byte(name))
@@ -78,7 +79,7 @@ func (s *Hemera) Retrieve(name string) (*vmi.Image, *RetrieveStats, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	return img, &RetrieveStats{Image: name, Seconds: m.Seconds(), Phases: phaseSeconds(m)}, nil
+	return img, &api.RetrieveResult{Seconds: m.Seconds(), Phases: m.PhaseSeconds()}, nil
 }
 
 // SizeBytes implements Store.

@@ -8,6 +8,7 @@ import (
 	"path"
 	"sync"
 
+	"expelliarmus/internal/api"
 	"expelliarmus/internal/blobstore"
 	"expelliarmus/internal/catalog"
 	"expelliarmus/internal/fstree"
@@ -205,7 +206,7 @@ func (s *Mirage) indexImage(img *vmi.Image, m *simio.Meter, smallToDB bool, smal
 }
 
 // Publish implements Store.
-func (s *Mirage) Publish(img *vmi.Image) (*PublishStats, error) {
+func (s *Mirage) Publish(img *vmi.Image) (*api.PublishResult, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	m := &simio.Meter{}
@@ -216,7 +217,7 @@ func (s *Mirage) Publish(img *vmi.Image) (*PublishStats, error) {
 	manifest := encodeManifest(vs, metaOf(img), entries)
 	s.db.Bucket("manifests").Put([]byte(img.Name), manifest)
 	m.Charge(simio.PhaseDB, s.dev.DBCost(int64(len(manifest))))
-	return &PublishStats{Image: img.Name, Seconds: m.Seconds(), Phases: phaseSeconds(m)}, nil
+	return &api.PublishResult{Seconds: m.Seconds(), Phases: m.PhaseSeconds()}, nil
 }
 
 // restoreImage rebuilds a filesystem image from a manifest; fetchFile
@@ -264,7 +265,7 @@ func restoreImage(name string, virtualSize int64, meta imageMeta, entries []mani
 }
 
 // Retrieve implements Store.
-func (s *Mirage) Retrieve(name string) (*vmi.Image, *RetrieveStats, error) {
+func (s *Mirage) Retrieve(name string) (*vmi.Image, *api.RetrieveResult, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	val, ok := s.db.Bucket("manifests").Get([]byte(name))
@@ -290,7 +291,7 @@ func (s *Mirage) Retrieve(name string) (*vmi.Image, *RetrieveStats, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	return img, &RetrieveStats{Image: name, Seconds: m.Seconds(), Phases: phaseSeconds(m)}, nil
+	return img, &api.RetrieveResult{Seconds: m.Seconds(), Phases: m.PhaseSeconds()}, nil
 }
 
 // SizeBytes implements Store.

@@ -8,6 +8,7 @@ import (
 	"sort"
 	"sync"
 
+	"expelliarmus/internal/api"
 	"expelliarmus/internal/simio"
 	"expelliarmus/internal/vdisk"
 	"expelliarmus/internal/vmi"
@@ -51,7 +52,7 @@ func NewQcow2(dev *simio.Device) *Qcow2 {
 func (s *Qcow2) Name() string { return "qcow2" }
 
 // Publish implements Store.
-func (s *Qcow2) Publish(img *vmi.Image) (*PublishStats, error) {
+func (s *Qcow2) Publish(img *vmi.Image) (*api.PublishResult, error) {
 	m := &simio.Meter{}
 	data := img.Serialize()
 	m.Charge(simio.PhaseScan, s.dev.ReadCost(int64(len(data))))
@@ -64,11 +65,11 @@ func (s *Qcow2) Publish(img *vmi.Image) (*PublishStats, error) {
 	s.meta[img.Name] = metaOf(img)
 	s.bytes += int64(len(data))
 	s.mu.Unlock()
-	return &PublishStats{Image: img.Name, Seconds: m.Seconds(), Phases: phaseSeconds(m)}, nil
+	return &api.PublishResult{Seconds: m.Seconds(), Phases: m.PhaseSeconds()}, nil
 }
 
 // Retrieve implements Store.
-func (s *Qcow2) Retrieve(name string) (*vmi.Image, *RetrieveStats, error) {
+func (s *Qcow2) Retrieve(name string) (*vmi.Image, *api.RetrieveResult, error) {
 	s.mu.Lock()
 	data, ok := s.images[name]
 	meta := s.meta[name]
@@ -84,7 +85,7 @@ func (s *Qcow2) Retrieve(name string) (*vmi.Image, *RetrieveStats, error) {
 	}
 	img := &vmi.Image{Name: name, Disk: disk}
 	meta.apply(img)
-	return img, &RetrieveStats{Image: name, Seconds: m.Seconds(), Phases: phaseSeconds(m)}, nil
+	return img, &api.RetrieveResult{Seconds: m.Seconds(), Phases: m.PhaseSeconds()}, nil
 }
 
 // SizeBytes implements Store.
@@ -126,7 +127,7 @@ func NewGzip(dev *simio.Device) *Gzip {
 func (s *Gzip) Name() string { return "qcow2+gzip" }
 
 // Publish implements Store.
-func (s *Gzip) Publish(img *vmi.Image) (*PublishStats, error) {
+func (s *Gzip) Publish(img *vmi.Image) (*api.PublishResult, error) {
 	m := &simio.Meter{}
 	raw := img.Serialize()
 	m.Charge(simio.PhaseScan, s.dev.ReadCost(int64(len(raw))))
@@ -152,11 +153,11 @@ func (s *Gzip) Publish(img *vmi.Image) (*PublishStats, error) {
 	s.meta[img.Name] = metaOf(img)
 	s.bytes += int64(len(data))
 	s.mu.Unlock()
-	return &PublishStats{Image: img.Name, Seconds: m.Seconds(), Phases: phaseSeconds(m)}, nil
+	return &api.PublishResult{Seconds: m.Seconds(), Phases: m.PhaseSeconds()}, nil
 }
 
 // Retrieve implements Store.
-func (s *Gzip) Retrieve(name string) (*vmi.Image, *RetrieveStats, error) {
+func (s *Gzip) Retrieve(name string) (*vmi.Image, *api.RetrieveResult, error) {
 	s.mu.Lock()
 	data, ok := s.images[name]
 	meta := s.meta[name]
@@ -181,7 +182,7 @@ func (s *Gzip) Retrieve(name string) (*vmi.Image, *RetrieveStats, error) {
 	}
 	img := &vmi.Image{Name: name, Disk: disk}
 	meta.apply(img)
-	return img, &RetrieveStats{Image: name, Seconds: m.Seconds(), Phases: phaseSeconds(m)}, nil
+	return img, &api.RetrieveResult{Seconds: m.Seconds(), Phases: m.PhaseSeconds()}, nil
 }
 
 // SizeBytes implements Store.

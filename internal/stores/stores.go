@@ -8,35 +8,9 @@
 package stores
 
 import (
-	"expelliarmus/internal/simio"
+	"expelliarmus/internal/api"
 	"expelliarmus/internal/vmi"
 )
-
-// PublishStats describes one publish operation.
-type PublishStats struct {
-	Image   string
-	Seconds float64
-	Phases  map[simio.Phase]float64
-	// Similarity is SimG against the master graph (Expelliarmus only).
-	Similarity float64
-	// Exported counts packages stored (Expelliarmus only).
-	Exported int
-}
-
-// RetrieveStats describes one retrieval operation.
-type RetrieveStats struct {
-	Image   string
-	Seconds float64
-	Phases  map[simio.Phase]float64
-}
-
-func phaseSeconds(m *simio.Meter) map[simio.Phase]float64 {
-	out := map[simio.Phase]float64{}
-	for ph, d := range m.Snapshot() {
-		out[ph] = d.Seconds()
-	}
-	return out
-}
 
 // Store is a VMI repository encoding scheme.
 type Store interface {
@@ -44,9 +18,9 @@ type Store interface {
 	Name() string
 	// Publish stores the image. Implementations must not consume the
 	// caller's image (they clone or serialize as needed).
-	Publish(img *vmi.Image) (*PublishStats, error)
+	Publish(img *vmi.Image) (*api.PublishResult, error)
 	// Retrieve reconstructs a published image by name.
-	Retrieve(name string) (*vmi.Image, *RetrieveStats, error)
+	Retrieve(name string) (*vmi.Image, *api.RetrieveResult, error)
 	// SizeBytes is the repository footprint in real bytes.
 	SizeBytes() int64
 }

@@ -263,8 +263,8 @@ func TestExpelReportsSimilarity(t *testing.T) {
 	if st2.Similarity < 0.9 {
 		t.Fatalf("Redis similarity = %v, want ~0.97", st2.Similarity)
 	}
-	if st2.Exported != 1 {
-		t.Fatalf("Redis exported = %d", st2.Exported)
+	if len(st2.Exported) != 1 {
+		t.Fatalf("Redis exported = %d", len(st2.Exported))
 	}
 	if exp.LastPublish == nil || exp.LastPublish.Image != "Redis" {
 		t.Fatal("LastPublish not recorded")

@@ -106,7 +106,6 @@ func (r *Repo) VMIMetaNames() []string {
 		out = append(out, string(k))
 		return true
 	})
-	sort.Strings(out)
 	return out
 }
 
@@ -117,7 +116,6 @@ func (r *Repo) UserDataNames() []string {
 		out = append(out, string(k))
 		return true
 	})
-	sort.Strings(out)
 	return out
 }
 
@@ -137,7 +135,6 @@ func (r *Repo) ExpiredVMIs(now int64) ([]string, error) {
 		}
 		return true
 	})
-	sort.Strings(out)
 	return out, err
 }
 
@@ -293,7 +290,6 @@ func replaceCounts(b *metadb.Bucket, counts map[string]int64) int {
 		}
 		return true
 	})
-	sort.Strings(stale)
 	for _, k := range stale {
 		b.Delete([]byte(k))
 	}

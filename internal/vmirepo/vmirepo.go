@@ -21,7 +21,6 @@ import (
 	"fmt"
 	"io"
 	"path/filepath"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -476,19 +475,14 @@ func (r *Repo) syncOrCompact(forceCompact bool) (SyncStats, error) {
 	if st.BlobSyncStats, err = r.blobs.SyncData(); err != nil {
 		return st, err
 	}
-	var ws metawal.SyncStats
 	if forceCompact {
-		ws, err = r.wal.Compact()
+		st.MetaSyncStats, err = r.wal.Compact()
 	} else {
-		ws, err = r.wal.Sync()
+		st.MetaSyncStats, err = r.wal.Sync()
 	}
 	if err != nil {
 		return st, fmt.Errorf("vmirepo: commit metadata log: %w", err)
 	}
-	st.MetaBytes = ws.WALBytes + ws.SnapshotBytes
-	st.MetaOps = ws.Ops
-	st.Compacted = ws.Compacted
-	st.MetaSnapshotBytes = ws.SnapshotBytes
 	rel, err := r.blobs.Sync()
 	if err != nil {
 		return st, err
@@ -789,7 +783,6 @@ func (r *Repo) Bases() ([]BaseRecord, error) {
 		out = append(out, rec)
 		return true
 	})
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out, err
 }
 

@@ -2,8 +2,8 @@
 // the repository server (internal/server) and its client
 // (internal/client): the streaming image envelope that carries a VMI
 // upload, the header names and error-kind table of the streaming
-// protocol, and the JSON bodies only the server produces. The result
-// bodies an in-process call returns too (publish, retrieve, sync, vacuum)
+// protocol, and the JSON bodies only the server produces. The bodies an
+// in-process call returns too (publish, retrieve, sync, vacuum, stats)
 // are declared in internal/api and aliased here. The package is plain
 // data: it imports what an image value needs and nothing of the
 // repository behind the server (TestImportLayers pins that).
@@ -203,45 +203,16 @@ func readDisk(r io.Reader, n int64) ([]byte, error) {
 
 // The bodies an in-process call returns as well: the server's reply to a
 // publish, the X-Expel-Result trailer of a retrieval or assembly, the
-// reply to a sync or compact, and the reply to a vacuum.
+// reply to a sync or compact, the reply to a vacuum, and the statistics
+// reply with its replication section.
 type (
-	PublishResult  = api.PublishResult
-	RetrieveResult = api.RetrieveResult
-	SyncStats      = api.SyncStats
-	VacuumStats    = api.VacuumStats
+	PublishResult    = api.PublishResult
+	RetrieveResult   = api.RetrieveResult
+	SyncStats        = api.SyncStats
+	VacuumStats      = api.VacuumStats
+	Stats            = api.Stats
+	ReplicationStats = api.ReplicationStats
 )
-
-// Stats is the server's repository and cache statistics reply.
-type Stats struct {
-	Packages int
-	Bases    int
-	VMIs     int
-	// TotalBytes is the live (deduplicated) repository size. On a
-	// disk-backed server DiskBytes is the physical blob footprint —
-	// including the garbage released images leave until compaction — and
-	// DeadBytes the reclaimable part of it; both are zero for a
-	// memory-backed server.
-	TotalBytes int64
-	DiskBytes  int64
-	DeadBytes  int64
-
-	CacheEnabled bool
-	CacheHits    int64
-	CacheMisses  int64
-	CacheEntries int
-	CacheBytes   int64
-
-	// Tenants maps each tenant to its recorded live bytes (the quota
-	// accounting publishes maintain). Nil when no tenant has ever been
-	// charged.
-	Tenants map[string]int64 `json:",omitempty"`
-
-	// Repl carries replication state when the server participates in
-	// snapshot + WAL shipping: as the writer (source of truth) or as a
-	// follower serving the replicated read path. Nil on servers that do
-	// neither (memory-backed daemons have no WAL to ship).
-	Repl *ReplicationStats
-}
 
 // ReplCommit is the writer's current durable metadata position — the
 // reply to GET /v1/repl/commit and the watermark a follower tails to.
@@ -251,30 +222,6 @@ type Stats struct {
 type ReplCommit struct {
 	Epoch        uint64
 	DurableBytes int64
-}
-
-// ReplicationStats is the replication section of a stats reply.
-type ReplicationStats struct {
-	// Role is "writer" or "follower".
-	Role string
-	// Epoch is the current snapshot/WAL epoch: the writer's own, or the
-	// epoch the follower has applied up to.
-	Epoch uint64
-	// DurableBytes is the writer's durable WAL length. On a follower it
-	// is the writer's position as of the last poll — the catch-up target.
-	DurableBytes int64
-	// AppliedBytes is how far into the epoch's WAL a follower has
-	// applied (zero on writers).
-	AppliedBytes int64
-	// LagBytes is DurableBytes - AppliedBytes as of the follower's last
-	// poll of the writer; zero on writers and on caught-up followers.
-	LagBytes int64
-	// Batches and Ops count what the follower has applied since it
-	// started (zero on writers).
-	Batches int64
-	Ops     int64
-	// WriterURL is the upstream a follower tails (empty on writers).
-	WriterURL string
 }
 
 // AssembleRequest asks the server to build a VMI from stored packages
