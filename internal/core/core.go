@@ -14,6 +14,7 @@ import (
 	"path"
 	"slices"
 	"sort"
+	"strings"
 	"sync"
 
 	"expelliarmus/internal/api"
@@ -289,6 +290,11 @@ func (s *System) PublishWith(img *vmi.Image, popts PublishOpts) (*PublishReport,
 		return nil, err
 	}
 	for _, p := range img.Primaries {
+		// The VMI record joins primaries with ",", so such a name would
+		// read back as two packages the image does not have.
+		if strings.Contains(p, ",") {
+			return nil, fmt.Errorf("core: publish %s: primary %q holds a \",\": %w", img.Name, p, ErrPrimaryNotInstalled)
+		}
 		if !mgr.IsInstalled(p) {
 			return nil, fmt.Errorf("core: publish %s: primary %q: %w", img.Name, p, ErrPrimaryNotInstalled)
 		}
@@ -1005,7 +1011,6 @@ func (s *System) AssembleTo(w io.Writer, name string, primaries []string, userDa
 	if err != nil {
 		return 0, nil, err
 	}
-	sort.Slice(masters, func(i, j int) bool { return masters[i].BaseID < masters[j].BaseID })
 	i := slices.IndexFunc(masters, func(mg *master.Graph) bool { return hasAll(mg.PrimaryNames(), primaries) })
 	if i < 0 {
 		return 0, nil, fmt.Errorf("core: no stored base provides packages %v", primaries)

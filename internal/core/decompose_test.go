@@ -279,6 +279,42 @@ func TestPublishRefusesUninstalledPrimary(t *testing.T) {
 	}
 }
 
+// TestPublishRefusesCommaPrimary: the VMI record joins primaries with
+// ",", and the guest's status file is upload input, so an installed package
+// named "evil,pkg" passes the installed-primary check. Committed, its record
+// reads back as primaries "evil" and "pkg", which no master holds, and
+// neither retrieves nor removes. The publish is refused before any write.
+func TestPublishRefusesCommaPrimary(t *testing.T) {
+	s, b := newSystem(t, Options{})
+	if _, err := s.Publish(buildImage(t, b, "Mini")); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := s.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := buildImage(t, b, "Redis")
+	fs, err := bad.Mount()
+	if err != nil {
+		t.Fatal(err)
+	}
+	mgr, err := pkgmgr.New(fs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	evil := pkgmeta.Package{Name: "evil,pkg", Version: "1.0", Arch: "amd64", Distro: "ubuntu", InstalledSize: 1000}
+	if err := mgr.InstallPackage(evil, []pkgfmt.File{{Path: "/usr/share/evil/README", Data: []byte("evil")}}); err != nil {
+		t.Fatal(err)
+	}
+	bad.Primaries = append(bad.Primaries, evil.Name)
+	if _, err := s.Publish(bad); !errors.Is(err, ErrPrimaryNotInstalled) {
+		t.Fatalf("publish with a primary holding a comma: err = %v, want ErrPrimaryNotInstalled", err)
+	}
+	if after, err := s.Snapshot(); err != nil || !bytes.Equal(after, snap) {
+		t.Fatalf("refused publish changed the repository (snapshot err %v)", err)
+	}
+}
+
 // TestPublishUnformattedDiskFails: a disk without a guest filesystem
 // cannot be launched, so publishing it is an error.
 func TestPublishUnformattedDiskFails(t *testing.T) {

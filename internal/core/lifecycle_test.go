@@ -323,3 +323,34 @@ func TestVacuumPreservesRefcountedGC(t *testing.T) {
 		t.Fatalf("survivor broken: %v", err)
 	}
 }
+
+// TestNewlineTenantLifecycle: the lifecycle record joins tenant, expiry
+// and charge with newlines, so a tenant holding one must still round-trip
+// through expiry, removal and Vacuum, and be credited back to zero.
+func TestNewlineTenantLifecycle(t *testing.T) {
+	s, b := newSystem(t, Options{})
+	const tenant = "a\nb"
+	for _, p := range []struct {
+		name string
+		exp  int64
+	}{{"Mini", 100}, {"Redis", 0}} {
+		if _, err := s.PublishWith(buildImage(t, b, p.name), PublishOpts{Tenant: tenant, ExpiresAt: p.exp}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if s.TenantStats()[tenant] <= 0 {
+		t.Fatalf("tenant %q not charged: %v", tenant, s.TenantStats())
+	}
+	if expired, err := s.ExpireAt(200); err != nil || len(expired) != 1 || expired[0] != "Mini" {
+		t.Fatalf("ExpireAt(200) = %v, %v; want [Mini]", expired, err)
+	}
+	if err := s.Remove("Redis"); err != nil {
+		t.Fatal(err)
+	}
+	if ts := s.TenantStats(); len(ts) != 0 {
+		t.Fatalf("tenant totals after removing everything = %v, want none", ts)
+	}
+	if _, err := s.Vacuum(); err != nil {
+		t.Fatalf("vacuum: %v", err)
+	}
+}

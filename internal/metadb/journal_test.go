@@ -37,15 +37,14 @@ func (r *recordingJournal) replay() *DB {
 			db.CreateBucket(op.Bucket).Delete(op.Key)
 		case OpCreateBucket:
 			db.CreateBucket(op.Bucket)
-		case OpDropBucket:
-			db.DeleteBucket(op.Bucket)
 		}
 	}
 	return db
 }
 
 // TestJournalEmitsOnlyCommittedMutations pins exactly which calls emit
-// ops: every path that changes contents does, every no-op path does not.
+// ops: every path that changes contents does, every path that leaves them
+// as they were does not.
 func TestJournalEmitsOnlyCommittedMutations(t *testing.T) {
 	db := New()
 	j := &recordingJournal{}
@@ -54,6 +53,7 @@ func TestJournalEmitsOnlyCommittedMutations(t *testing.T) {
 	b := db.CreateBucket("b") // new -> op
 	db.CreateBucket("b")      // existing -> no op
 	b.Put([]byte("k"), []byte("v1"))
+	b.Put([]byte("k"), []byte("v1")) // identical -> no op
 	if !b.PutIfAbsent([]byte("k2"), []byte("v2")) {
 		t.Fatal("PutIfAbsent of fresh key failed")
 	}
@@ -63,17 +63,27 @@ func TestJournalEmitsOnlyCommittedMutations(t *testing.T) {
 	b.Update([]byte("k"), func(old []byte, ok bool) ([]byte, bool) {
 		return []byte("v1-updated"), true
 	})
-	b.Update([]byte("k"), func(old []byte, ok bool) ([]byte, bool) {
-		return nil, false // declined -> no op
-	})
+	if b.Update([]byte("k"), func(old []byte, ok bool) ([]byte, bool) {
+		return old, ok // the current value -> no op
+	}) {
+		t.Fatal("Update returning the current value reported a change")
+	}
 	if !b.Delete([]byte("k2")) {
 		t.Fatal("Delete of present key failed")
 	}
 	if b.Delete([]byte("missing")) { // absent -> no op
 		t.Fatal("Delete of absent key reported true")
 	}
-	db.DeleteBucket("b")
-	db.DeleteBucket("never-existed") // no op
+	if !b.Update([]byte("k"), func(old []byte, ok bool) ([]byte, bool) {
+		return nil, false // keep == false -> delete
+	}) {
+		t.Fatal("Update deleting a present key reported no change")
+	}
+	if b.Update([]byte("missing"), func(old []byte, ok bool) ([]byte, bool) {
+		return nil, false // delete of an absent key -> no op
+	}) {
+		t.Fatal("Update deleting an absent key reported a change")
+	}
 
 	want := []Op{
 		{Kind: OpCreateBucket, Bucket: "b"},
@@ -81,7 +91,7 @@ func TestJournalEmitsOnlyCommittedMutations(t *testing.T) {
 		{Kind: OpPut, Bucket: "b", Key: []byte("k2"), Value: []byte("v2")},
 		{Kind: OpPut, Bucket: "b", Key: []byte("k"), Value: []byte("v1-updated")},
 		{Kind: OpDelete, Bucket: "b", Key: []byte("k2")},
-		{Kind: OpDropBucket, Bucket: "b"},
+		{Kind: OpDelete, Bucket: "b", Key: []byte("k")},
 	}
 	if len(j.ops) != len(want) {
 		t.Fatalf("journaled %d ops, want %d: %+v", len(j.ops), len(want), j.ops)
@@ -116,16 +126,13 @@ func TestJournalReplayEquivalence(t *testing.T) {
 			b.PutIfAbsent(key, []byte(fmt.Sprintf("ifabsent-%d", i)))
 		case 3:
 			b.Update(key, func(old []byte, ok bool) ([]byte, bool) {
-				if !ok {
+				if !ok || bytes.HasSuffix(old, []byte("!!")) {
 					return nil, false
 				}
 				return append(append([]byte(nil), old...), '!'), true
 			})
 		case 4:
 			b.Delete(key)
-		}
-		if rng.Intn(200) == 0 {
-			db.DeleteBucket(buckets[rng.Intn(len(buckets))])
 		}
 	}
 

@@ -6,16 +6,14 @@
 // characteristics") and for the Hemera baseline's hybrid design, which
 // stores small files inside the database and large files on the filesystem.
 //
-// The engine is a classic B+tree: internal nodes hold separator keys and
-// children, leaves hold key/value pairs and are chained for in-order
-// scans. Inserts split full nodes; deletes are lazy (no eager rebalancing,
-// like several production engines that defer structural cleanup to
-// compaction), which keeps every tree invariant needed by readers while
-// simplifying the write path. Snapshot/Load give durable round trips, and
-// an optional Journal observes every committed mutation — the hook through
-// which the repository feeds its metadata write-ahead log (internal/metawal),
-// making Sync O(delta) instead of a whole-image rewrite, and invalidates
-// its cached assemblies.
+// A bucket is a sorted map: its keys and values sit in two slices ordered
+// by key, so a lookup is a binary search and a scan is a loop. Nothing
+// outside the package sees the layout, only the logical contents
+// (Snapshot), the modeled file size (SizeBytes) and the Journal. Every
+// write follows one rule: it journals an op exactly when it changed the
+// bucket. The journal is the hook through which the repository feeds its
+// metadata write-ahead log (internal/metawal), making Sync O(delta) instead
+// of a whole-image rewrite, and invalidates its cached assemblies.
 package metadb
 
 import (
@@ -23,6 +21,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -30,9 +29,6 @@ import (
 
 // PageSize is the modeled database page size, matching simio's cost model.
 const PageSize = 4096
-
-// maxKeys bounds the number of keys per node; nodes split above it.
-const maxKeys = 64
 
 // OpKind labels one committed mutation reported to a Journal.
 type OpKind uint8
@@ -45,7 +41,6 @@ const (
 	OpPut          OpKind = iota + 1 // Key stored with Value
 	OpDelete                         // Key removed
 	OpCreateBucket                   // bucket created (no keys yet)
-	OpDropBucket                     // bucket and all contents removed
 )
 
 // Op describes one committed mutation. Key and Value alias the caller's
@@ -60,26 +55,24 @@ type Op struct {
 }
 
 // Journal observes committed mutations. It is invoked after the mutation
-// is applied, while the mutated bucket's lock is still held, so the call
-// order per bucket is exactly the apply order (a valid linearization for
-// replay). The one exception is DeleteBucket, which holds only the
-// bucket-directory lock: a DeleteBucket racing writers that still hold a
-// handle to the doomed bucket may journal in an order that diverges from
-// the live outcome (the stragglers' writes land in a detached tree), so
-// journaled databases must not drop a bucket while its writers are still
-// running — the repository never does. The journal must not touch the
-// database and should return quickly — every writer on the bucket waits
-// behind it.
+// is applied, while the mutated bucket's lock (for a creation, the bucket
+// directory's) is still held, so the call order per bucket is exactly the
+// apply order: a valid linearization for replay. A write that changes
+// nothing journals nothing: a Put or Update that stores the value already
+// there, a Delete or Update-delete of an absent key, a PutIfAbsent that
+// finds its key, and a CreateBucket of an existing bucket. The journal
+// must not touch the database and should return quickly — every writer on
+// the bucket waits behind it.
 type Journal func(Op)
 
 // DB is a collection of named buckets. It is safe for concurrent use:
-// locking is per bucket (each tree carries its own RWMutex), so readers and
-// writers of different buckets — e.g. package-existence checks and base
+// locking is per bucket (each table carries its own RWMutex), so readers
+// and writers of different buckets — e.g. package-existence checks and base
 // lookups from concurrent publishes — never serialise on one lock. The
 // outer mutex only guards the bucket directory itself.
 type DB struct {
 	mu      sync.RWMutex // guards the buckets map, not bucket contents
-	buckets map[string]*tree
+	buckets map[string]*table
 	journal atomic.Pointer[Journal]
 }
 
@@ -104,14 +97,30 @@ func (db *DB) record(op Op) {
 
 // New returns an empty database.
 func New() *DB {
-	return &DB{buckets: make(map[string]*tree)}
+	return &DB{buckets: make(map[string]*table)}
 }
 
 // Bucket is a handle to one named keyspace.
 type Bucket struct {
 	db   *DB
 	name string
-	t    *tree
+	t    *table
+}
+
+// table is one bucket's contents: keys ascending, vals[i] stored under
+// keys[i]. Both slices own their elements, which are never modified in
+// place, so a value returned by Get stays valid after later writes.
+type table struct {
+	mu      sync.RWMutex // per-bucket lock; guards everything below
+	keys    [][]byte
+	vals    [][]byte
+	payload int64 // key plus value bytes, for SizeBytes
+}
+
+// find returns key's position, or where it would be inserted, and whether
+// it is present.
+func (t *table) find(key []byte) (int, bool) {
+	return slices.BinarySearchFunc(t.keys, key, bytes.Compare)
 }
 
 // CreateBucket returns the named bucket, creating it if needed. Only an
@@ -122,7 +131,7 @@ func (db *DB) CreateBucket(name string) *Bucket {
 	defer db.mu.Unlock()
 	t, ok := db.buckets[name]
 	if !ok {
-		t = newTree()
+		t = &table{}
 		db.buckets[name] = t
 		db.record(Op{Kind: OpCreateBucket, Bucket: name})
 	}
@@ -138,20 +147,6 @@ func (db *DB) Bucket(name string) *Bucket {
 		return nil
 	}
 	return &Bucket{db: db, name: name, t: t}
-}
-
-// DeleteBucket removes the named bucket and all its contents. Only the
-// removal of a bucket that existed is journaled. When a journal is
-// installed, DeleteBucket must not race writers holding a handle to this
-// bucket (see Journal).
-func (db *DB) DeleteBucket(name string) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if _, ok := db.buckets[name]; !ok {
-		return
-	}
-	delete(db.buckets, name)
-	db.record(Op{Kind: OpDropBucket, Bucket: name})
 }
 
 // Buckets returns all bucket names in sorted order.
@@ -174,8 +169,8 @@ func (b *Bucket) Name() string { return b.name }
 func (b *Bucket) Put(key, value []byte) {
 	b.t.mu.Lock()
 	defer b.t.mu.Unlock()
-	b.t.put(cloneBytes(key), cloneBytes(value))
-	b.db.record(Op{Kind: OpPut, Bucket: b.name, Key: key, Value: value})
+	i, ok := b.t.find(key)
+	b.write(i, ok, key, value, true)
 }
 
 // PutIfAbsent stores value under key only when the key is not yet present,
@@ -185,12 +180,8 @@ func (b *Bucket) Put(key, value []byte) {
 func (b *Bucket) PutIfAbsent(key, value []byte) bool {
 	b.t.mu.Lock()
 	defer b.t.mu.Unlock()
-	if _, ok := b.t.get(key); ok {
-		return false
-	}
-	b.t.put(cloneBytes(key), cloneBytes(value))
-	b.db.record(Op{Kind: OpPut, Bucket: b.name, Key: key, Value: value})
-	return true
+	i, ok := b.t.find(key)
+	return !ok && b.write(i, ok, key, value, true)
 }
 
 // Get returns the value stored under key. The returned slice must not be
@@ -198,38 +189,65 @@ func (b *Bucket) PutIfAbsent(key, value []byte) bool {
 func (b *Bucket) Get(key []byte) ([]byte, bool) {
 	b.t.mu.RLock()
 	defer b.t.mu.RUnlock()
-	return b.t.get(key)
+	if i, ok := b.t.find(key); ok {
+		return b.t.vals[i], true
+	}
+	return nil, false
 }
 
-// Update atomically rewrites the value under key: fn receives the current
-// value (nil, false when absent) and returns the replacement plus whether
-// to write it. The read-modify-write holds the bucket lock throughout, so
-// no concurrent Put can interleave between fn's view and the write — the
-// compare-and-rewrite primitive conditional record repointing (e.g. VMI
-// rewiring) needs under striped commit locks. fn must not touch this
-// bucket and must not retain old. Reports whether a write happened.
-func (b *Bucket) Update(key []byte, fn func(old []byte, ok bool) ([]byte, bool)) bool {
+// Update atomically rewrites the entry under key: fn receives the current
+// value (nil, false when absent) and returns what the key should hold —
+// val when keep is true, nothing (a delete) when keep is false. Returning
+// the current value, or (nil, false) for an absent key, changes nothing.
+// The read-modify-write holds the bucket lock throughout, so no concurrent
+// write can interleave between fn's view and the write — the primitive
+// conditional record repointing and counters that delete at zero need
+// under striped commit locks. fn must not touch this bucket and must not
+// retain old. Reports whether the bucket changed.
+func (b *Bucket) Update(key []byte, fn func(old []byte, ok bool) (val []byte, keep bool)) bool {
 	b.t.mu.Lock()
 	defer b.t.mu.Unlock()
-	old, ok := b.t.get(key)
-	val, write := fn(old, ok)
-	if !write {
-		return false
+	i, ok := b.t.find(key)
+	var old []byte
+	if ok {
+		old = b.t.vals[i]
 	}
-	b.t.put(cloneBytes(key), cloneBytes(val))
-	b.db.record(Op{Kind: OpPut, Bucket: b.name, Key: key, Value: val})
-	return true
+	val, keep := fn(old, ok)
+	return b.write(i, ok, key, val, keep)
 }
 
-// Delete removes key. It reports whether the key was present. Only a
-// deletion that removed something is journaled.
+// Delete removes key. It reports whether the key was present.
 func (b *Bucket) Delete(key []byte) bool {
 	b.t.mu.Lock()
 	defer b.t.mu.Unlock()
-	if !b.t.delete(key) {
+	i, ok := b.t.find(key)
+	return b.write(i, ok, key, nil, false)
+}
+
+// write is every mutation: at key's position i (present when ok), it
+// stores a copy of val when keep is true and deletes the key otherwise. It
+// journals one op when the bucket changed and reports whether it did. The
+// caller holds the write lock.
+func (b *Bucket) write(i int, ok bool, key, val []byte, keep bool) bool {
+	t := b.t
+	switch {
+	case !keep && !ok, keep && ok && bytes.Equal(t.vals[i], val):
 		return false
+	case !keep:
+		t.payload -= int64(len(t.keys[i]) + len(t.vals[i]))
+		t.keys = slices.Delete(t.keys, i, i+1)
+		t.vals = slices.Delete(t.vals, i, i+1)
+		b.db.record(Op{Kind: OpDelete, Bucket: b.name, Key: key})
+		return true
+	case ok:
+		t.payload += int64(len(val) - len(t.vals[i]))
+		t.vals[i] = bytes.Clone(val)
+	default:
+		t.keys = slices.Insert(t.keys, i, bytes.Clone(key))
+		t.vals = slices.Insert(t.vals, i, bytes.Clone(val))
+		t.payload += int64(len(key) + len(val))
 	}
-	b.db.record(Op{Kind: OpDelete, Bucket: b.name, Key: key})
+	b.db.record(Op{Kind: OpPut, Bucket: b.name, Key: key, Value: val})
 	return true
 }
 
@@ -237,7 +255,7 @@ func (b *Bucket) Delete(key []byte) bool {
 func (b *Bucket) Len() int {
 	b.t.mu.RLock()
 	defer b.t.mu.RUnlock()
-	return b.t.size
+	return len(b.t.keys)
 }
 
 // ForEach calls fn for every key/value pair in ascending key order. If fn
@@ -246,184 +264,19 @@ func (b *Bucket) Len() int {
 func (b *Bucket) ForEach(fn func(key, value []byte) bool) {
 	b.t.mu.RLock()
 	defer b.t.mu.RUnlock()
-	for leaf := b.t.firstLeaf(); leaf != nil; leaf = leaf.next {
-		for i, k := range leaf.keys {
-			if !fn(k, leaf.vals[i]) {
-				return
-			}
+	for i, k := range b.t.keys {
+		if !fn(k, b.t.vals[i]) {
+			return
 		}
 	}
-}
-
-// --- B+tree internals ---
-
-type node struct {
-	leaf     bool
-	keys     [][]byte
-	vals     [][]byte // leaves only
-	children []*node  // internal nodes only
-	next     *node    // leaf chain
-}
-
-type tree struct {
-	mu      sync.RWMutex // per-bucket lock; guards everything below
-	root    *node
-	size    int
-	payload int64
-}
-
-func newTree() *tree {
-	return &tree{root: &node{leaf: true}}
-}
-
-func (t *tree) firstLeaf() *node {
-	n := t.root
-	for !n.leaf {
-		n = n.children[0]
-	}
-	return n
-}
-
-// leafFor descends to the leaf that would contain key.
-func (t *tree) leafFor(key []byte) *node {
-	n := t.root
-	for !n.leaf {
-		i := sort.Search(len(n.keys), func(i int) bool {
-			return bytes.Compare(key, n.keys[i]) < 0
-		})
-		n = n.children[i]
-	}
-	return n
-}
-
-func (t *tree) get(key []byte) ([]byte, bool) {
-	leaf := t.leafFor(key)
-	i := sort.Search(len(leaf.keys), func(i int) bool {
-		return bytes.Compare(leaf.keys[i], key) >= 0
-	})
-	if i < len(leaf.keys) && bytes.Equal(leaf.keys[i], key) {
-		return leaf.vals[i], true
-	}
-	return nil, false
-}
-
-func (t *tree) put(key, value []byte) {
-	promoted, right := t.insert(t.root, key, value)
-	if right != nil {
-		t.root = &node{
-			keys:     [][]byte{promoted},
-			children: []*node{t.root, right},
-		}
-	}
-}
-
-// insert adds key/value below n. When n splits, it returns the separator
-// key to promote and the new right sibling.
-func (t *tree) insert(n *node, key, value []byte) (promoted []byte, right *node) {
-	if n.leaf {
-		i := sort.Search(len(n.keys), func(i int) bool {
-			return bytes.Compare(n.keys[i], key) >= 0
-		})
-		if i < len(n.keys) && bytes.Equal(n.keys[i], key) {
-			t.payload += int64(len(value)) - int64(len(n.vals[i]))
-			n.vals[i] = value
-			return nil, nil
-		}
-		n.keys = insertAt(n.keys, i, key)
-		n.vals = insertAt(n.vals, i, value)
-		t.size++
-		t.payload += int64(len(key) + len(value))
-		if len(n.keys) > maxKeys {
-			return t.splitLeaf(n)
-		}
-		return nil, nil
-	}
-	ci := sort.Search(len(n.keys), func(i int) bool {
-		return bytes.Compare(key, n.keys[i]) < 0
-	})
-	promoted, right = t.insert(n.children[ci], key, value)
-	if right == nil {
-		return nil, nil
-	}
-	n.keys = insertAt(n.keys, ci, promoted)
-	n.children = insertNodeAt(n.children, ci+1, right)
-	if len(n.keys) > maxKeys {
-		return t.splitInternal(n)
-	}
-	return nil, nil
-}
-
-func (t *tree) splitLeaf(n *node) ([]byte, *node) {
-	mid := len(n.keys) / 2
-	right := &node{
-		leaf: true,
-		keys: append([][]byte{}, n.keys[mid:]...),
-		vals: append([][]byte{}, n.vals[mid:]...),
-		next: n.next,
-	}
-	n.keys = n.keys[:mid:mid]
-	n.vals = n.vals[:mid:mid]
-	n.next = right
-	return right.keys[0], right
-}
-
-func (t *tree) splitInternal(n *node) ([]byte, *node) {
-	mid := len(n.keys) / 2
-	promoted := n.keys[mid]
-	right := &node{
-		keys:     append([][]byte{}, n.keys[mid+1:]...),
-		children: append([]*node{}, n.children[mid+1:]...),
-	}
-	n.keys = n.keys[:mid:mid]
-	n.children = n.children[: mid+1 : mid+1]
-	return promoted, right
-}
-
-// delete removes key from the tree. Removal is lazy: leaves may become
-// empty and are skipped by readers; separator keys in internal nodes remain
-// valid separators.
-func (t *tree) delete(key []byte) bool {
-	leaf := t.leafFor(key)
-	i := sort.Search(len(leaf.keys), func(i int) bool {
-		return bytes.Compare(leaf.keys[i], key) >= 0
-	})
-	if i >= len(leaf.keys) || !bytes.Equal(leaf.keys[i], key) {
-		return false
-	}
-	t.payload -= int64(len(leaf.keys[i]) + len(leaf.vals[i]))
-	leaf.keys = append(leaf.keys[:i], leaf.keys[i+1:]...)
-	leaf.vals = append(leaf.vals[:i], leaf.vals[i+1:]...)
-	t.size--
-	return true
-}
-
-func insertAt(s [][]byte, i int, v []byte) [][]byte {
-	s = append(s, nil)
-	copy(s[i+1:], s[i:])
-	s[i] = v
-	return s
-}
-
-func insertNodeAt(s []*node, i int, v *node) []*node {
-	s = append(s, nil)
-	copy(s[i+1:], s[i:])
-	s[i] = v
-	return s
-}
-
-func cloneBytes(b []byte) []byte {
-	out := make([]byte, len(b))
-	copy(out, b)
-	return out
 }
 
 // --- persistence ---
 
 var snapshotMagic = []byte("EXPMDB1\n")
 
-// Snapshot serialises the whole database to a byte image. The format is
-// logical (buckets and sorted entries), so Load reproduces equal contents
-// regardless of the original tree shape.
+// Snapshot serialises the whole database to a byte image: each bucket's
+// name, then its entries in key order.
 func (db *DB) Snapshot() []byte {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
@@ -439,12 +292,10 @@ func (db *DB) Snapshot() []byte {
 		t := db.buckets[name]
 		writeBytes(&buf, []byte(name))
 		t.mu.RLock()
-		writeUvarint(&buf, uint64(t.size))
-		for leaf := t.firstLeaf(); leaf != nil; leaf = leaf.next {
-			for i, k := range leaf.keys {
-				writeBytes(&buf, k)
-				writeBytes(&buf, leaf.vals[i])
-			}
+		writeUvarint(&buf, uint64(len(t.keys)))
+		for i, k := range t.keys {
+			writeBytes(&buf, k)
+			writeBytes(&buf, t.vals[i])
 		}
 		t.mu.RUnlock()
 	}
@@ -519,8 +370,9 @@ func readBytes(r *bytes.Reader) ([]byte, error) {
 
 // SizeBytes models the on-disk size of the database file: payload bytes
 // plus per-entry slot overhead, rounded up to whole pages at a typical
-// B+tree fill factor. This is the quantity Hemera's repository size
-// accounting includes in Fig. 3.
+// fill factor for the B-tree pages of the SQLite file it stands in for.
+// This is the quantity Hemera's repository size accounting includes in
+// Fig. 3.
 func (db *DB) SizeBytes() int64 {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
@@ -529,7 +381,7 @@ func (db *DB) SizeBytes() int64 {
 	var payload int64
 	for _, t := range db.buckets {
 		t.mu.RLock()
-		payload += t.payload + int64(t.size)*slotOverhead
+		payload += t.payload + int64(len(t.keys))*slotOverhead
 		t.mu.RUnlock()
 	}
 	if payload == 0 {

@@ -70,10 +70,6 @@ func TestBucketManagement(t *testing.T) {
 	if v, ok := db.CreateBucket("a").Get([]byte("k")); !ok || string(v) != "v" {
 		t.Fatal("CreateBucket lost existing contents")
 	}
-	db.DeleteBucket("a")
-	if db.Bucket("a") != nil {
-		t.Fatal("bucket survived DeleteBucket")
-	}
 }
 
 func TestBucketIsolation(t *testing.T) {
@@ -385,39 +381,73 @@ func BenchmarkGet(b *testing.B) {
 }
 
 // TestBucketUpdate pins the atomic read-modify-write primitive: fn sees
-// the current value under the bucket lock, can decline the write, and a
-// written value is stored under the key like a Put.
+// the current value under the bucket lock and says what the key holds
+// next. keep == false deletes; returning the current value, or (nil,
+// false) for an absent key, changes nothing; Update reports whether the
+// bucket changed.
 func TestBucketUpdate(t *testing.T) {
 	db := New()
-	db.CreateBucket("b")
-	b := db.Bucket("b")
-
-	// Absent key: fn sees (nil, false); declining writes nothing.
-	wrote := b.Update([]byte("k"), func(old []byte, ok bool) ([]byte, bool) {
-		if old != nil || ok {
-			t.Fatalf("fn saw (%q, %v) for an absent key", old, ok)
+	b := db.CreateBucket("b")
+	update := func(want string, wantOK bool, val string, keep bool) bool {
+		t.Helper()
+		return b.Update([]byte("k"), func(old []byte, ok bool) ([]byte, bool) {
+			if ok != wantOK || string(old) != want || (!ok && old != nil) {
+				t.Fatalf("fn saw (%q, %v), want (%q, %v)", old, ok, want, wantOK)
+			}
+			if !keep {
+				return nil, false
+			}
+			return []byte(val), true
+		})
+	}
+	get := func() string {
+		v, ok := b.Get([]byte("k"))
+		if !ok {
+			return "<absent>"
 		}
-		return nil, false
-	})
-	if wrote {
-		t.Fatal("declined update reported a write")
-	}
-	if _, ok := b.Get([]byte("k")); ok {
-		t.Fatal("declined update stored a value")
+		return string(v)
 	}
 
-	// Conditional rewrite sees the current value and replaces it.
-	b.Put([]byte("k"), []byte("v1"))
-	wrote = b.Update([]byte("k"), func(old []byte, ok bool) ([]byte, bool) {
-		if !ok || string(old) != "v1" {
-			t.Fatalf("fn saw (%q, %v), want (v1, true)", old, ok)
-		}
-		return []byte("v2"), true
-	})
-	if !wrote {
-		t.Fatal("accepted update reported no write")
+	// Absent key: fn sees (nil, false); deleting it changes nothing.
+	if update("", false, "", false) || get() != "<absent>" || b.Len() != 0 {
+		t.Fatal("delete of an absent key changed the bucket")
 	}
-	if got, _ := b.Get([]byte("k")); string(got) != "v2" {
-		t.Fatalf("value after update = %q, want v2", got)
+	// Keeping a value inserts it.
+	if !update("", false, "v1", true) || get() != "v1" {
+		t.Fatalf("insert: value %s", get())
+	}
+	// Returning the current value changes nothing.
+	if update("v1", true, "v1", true) || get() != "v1" {
+		t.Fatal("rewrite of the current value reported a change")
+	}
+	// A new value replaces it.
+	if !update("v1", true, "v2", true) || get() != "v2" {
+		t.Fatalf("replace: value %s", get())
+	}
+	// keep == false deletes the key.
+	if !update("v2", true, "", false) || get() != "<absent>" || b.Len() != 0 {
+		t.Fatalf("delete: value %s, len %d", get(), b.Len())
+	}
+}
+
+// BenchmarkBucketFill inserts n distinct keys in random order into an
+// empty bucket: the write path's cost at the size of the largest catalog
+// bucket (10^2) and of a repository of thousands of images (10^4).
+func BenchmarkBucketFill(b *testing.B) {
+	for _, n := range []int{100, 10000} {
+		keys := make([][]byte, n)
+		for i, j := range rand.New(rand.NewSource(1)).Perm(n) {
+			keys[i] = []byte(fmt.Sprintf("pkg-%06d_1.0_amd64", j))
+		}
+		val := []byte("12")
+		b.Run(fmt.Sprintf("keys=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				bk := New().CreateBucket("fill")
+				for _, k := range keys {
+					bk.Put(k, val)
+				}
+			}
+		})
 	}
 }

@@ -21,7 +21,7 @@ func FuzzWALRecord(f *testing.F) {
 	f.Add(appendOp(nil, metadb.Op{Kind: metadb.OpPut, Bucket: "", Key: nil, Value: nil}))
 	f.Add(appendOp(nil, metadb.Op{Kind: metadb.OpDelete, Bucket: "vmis", Key: []byte("Redis")}))
 	f.Add(appendOp(nil, metadb.Op{Kind: metadb.OpCreateBucket, Bucket: "userdata"}))
-	f.Add(appendOp(nil, metadb.Op{Kind: metadb.OpDropBucket, Bucket: "userdata"}))
+	f.Add(appendRecord(nil, 4, []byte("userdata"))) // reserved kind: decodeOp must refuse it
 	f.Add(appendRecord(nil, recCommit, encodeUvarint(3)))
 	batch := appendOp(nil, metadb.Op{Kind: metadb.OpPut, Bucket: "b", Key: []byte("k"), Value: []byte("v")})
 	batch = appendRecord(batch, recCommit, encodeUvarint(1))

@@ -25,13 +25,14 @@ var walMagic = []byte("EXPWAL1\n")
 // walHeaderLen is the length of the WAL file header (just the magic).
 const walHeaderLen = int64(len("EXPWAL1\n"))
 
-// Record kinds. The first four map 1:1 onto metadb.OpKind; recCommit
+// Record kinds. The first three map 1:1 onto metadb.OpKind; recCommit
 // closes a batch and carries the batch's op count as an integrity check.
+// Kind 4 is reserved: it named a bucket drop that no repository ever
+// journaled, and replay refuses it as an unknown kind.
 const (
 	recPut          byte = 1 // uvarint bucket len | bucket | uvarint key len | key | value
 	recDelete       byte = 2 // uvarint bucket len | bucket | key
 	recCreateBucket byte = 3 // bucket
-	recDropBucket   byte = 4 // bucket
 	recCommit       byte = 5 // uvarint op count of the batch it closes
 )
 
@@ -74,9 +75,6 @@ func appendOp(buf []byte, op metadb.Op) []byte {
 	case metadb.OpCreateBucket:
 		kind = recCreateBucket
 		payload = append(payload, op.Bucket...)
-	case metadb.OpDropBucket:
-		kind = recDropBucket
-		payload = append(payload, op.Bucket...)
 	default:
 		// A kind this version cannot encode would silently vanish from the
 		// replay history; fail loudly at write time instead of at recovery.
@@ -85,7 +83,7 @@ func appendOp(buf []byte, op metadb.Op) []byte {
 	return appendRecord(buf, kind, payload)
 }
 
-// decodeOp reverses appendOp for the four op record kinds. The returned
+// decodeOp reverses appendOp for the three op record kinds. The returned
 // Op's slices alias payload.
 func decodeOp(kind byte, payload []byte) (metadb.Op, error) {
 	getU := func() (uint64, error) {
@@ -127,8 +125,6 @@ func decodeOp(kind byte, payload []byte) (metadb.Op, error) {
 		return metadb.Op{Kind: metadb.OpDelete, Bucket: string(bucket), Key: payload}, nil
 	case recCreateBucket:
 		return metadb.Op{Kind: metadb.OpCreateBucket, Bucket: string(payload)}, nil
-	case recDropBucket:
-		return metadb.Op{Kind: metadb.OpDropBucket, Bucket: string(payload)}, nil
 	default:
 		return metadb.Op{}, fmt.Errorf("%w: unknown record kind %d", errCorrupt, kind)
 	}
@@ -204,8 +200,6 @@ func applyOp(db *metadb.DB, op metadb.Op) {
 		db.CreateBucket(op.Bucket).Delete(op.Key)
 	case metadb.OpCreateBucket:
 		db.CreateBucket(op.Bucket)
-	case metadb.OpDropBucket:
-		db.DeleteBucket(op.Bucket)
 	}
 }
 

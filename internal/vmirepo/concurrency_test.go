@@ -3,8 +3,10 @@ package vmirepo
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"expelliarmus/internal/catalog"
@@ -298,5 +300,99 @@ func TestRewireVMIsDoesNotClobberConcurrentRepublish(t *testing.T) {
 				return
 			}
 		}
+	}
+}
+
+// TestConcurrentCountsExact: package refcounts and tenant totals are
+// updated with no lock above the bucket's own, one atomic Update per key.
+// Concurrent adds, drops and charges over shared keys must land on the
+// arithmetic totals, and a count dropped to zero by racing goroutines must
+// be reported dead by exactly one of them.
+func TestConcurrentCountsExact(t *testing.T) {
+	r := testRepo()
+	refs := []string{"a=1/amd64", "b=1/amd64", "c=1/amd64", "d=1/amd64"}
+	tenants := []string{"t0", "t1", "t2"}
+	const workers, rounds = 8, 200
+	wantRefs := map[string]int64{}
+	wantTenants := map[string]int64{}
+	for w := 0; w < workers; w++ {
+		for _, ref := range refs[w%2 : w%2+3] {
+			wantRefs[ref] += rounds // two adds and one drop per round
+		}
+		for i := 0; i < rounds; i++ {
+			wantTenants[tenants[(w+i)%len(tenants)]] += int64(w%3) + 1
+		}
+	}
+
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			mine := refs[w%2 : w%2+3]
+			for i := 0; i < rounds; i++ {
+				// Each goroutine adds before it drops and charges before it
+				// credits, so no count it touches is ever below its own
+				// outstanding share: a drop or credit never meets an
+				// absent key, though the total may pass through zero.
+				if err := r.AddPackageRefs(mine, nil); err != nil {
+					t.Error(err)
+					return
+				}
+				if _, err := r.DropPackageRefs(mine, nil); err != nil {
+					t.Error(err)
+					return
+				}
+				if err := r.AddPackageRefs(mine, nil); err != nil {
+					t.Error(err)
+					return
+				}
+				tenant := tenants[(w+i)%len(tenants)]
+				delta := int64(w%3) + 1
+				if err := r.ChargeTenant(tenant, delta+2, nil); err != nil {
+					t.Error(err)
+					return
+				}
+				if err := r.ChargeTenant(tenant, -2, nil); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	if got := r.PackageRefs(); !maps.Equal(got, wantRefs) {
+		t.Fatalf("PackageRefs = %v, want %v", got, wantRefs)
+	}
+	if got := r.TenantStats(); !maps.Equal(got, wantTenants) {
+		t.Fatalf("TenantStats = %v, want %v", got, wantTenants)
+	}
+
+	// A ref at k, dropped once by each of k goroutines, dies exactly once.
+	const shared = "z=1/amd64"
+	for w := 0; w < workers; w++ {
+		if err := r.AddPackageRefs([]string{shared}, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var deaths atomic.Int32
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			dead, err := r.DropPackageRefs([]string{shared}, nil)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			deaths.Add(int32(len(dead)))
+		}()
+	}
+	wg.Wait()
+	if n := deaths.Load(); n != 1 {
+		t.Fatalf("%d drops reported %s dead, want exactly 1", n, shared)
+	}
+	if _, ok := r.PackageRefs()[shared]; ok {
+		t.Fatalf("%s still counted after its last drop", shared)
 	}
 }

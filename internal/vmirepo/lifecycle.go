@@ -7,7 +7,6 @@
 package vmirepo
 
 import (
-	"bytes"
 	"fmt"
 	"sort"
 	"strconv"
@@ -32,29 +31,32 @@ type VMIMeta struct {
 	ChargedBytes int64
 }
 
+// encodeVMIMeta joins tenant, expiry and charge with newlines. The two
+// trailing fields are integers, so decodeVMIMeta splits them off the end
+// and the tenant may hold any byte, newlines included.
 func encodeVMIMeta(m VMIMeta) []byte {
 	return []byte(m.Tenant + "\n" + strconv.FormatInt(m.ExpiresAt, 10) + "\n" + strconv.FormatInt(m.ChargedBytes, 10))
 }
 
 func decodeVMIMeta(name string, data []byte) (VMIMeta, error) {
-	parts := strings.Split(string(data), "\n")
-	if len(parts) != 3 {
+	s := string(data)
+	j := strings.LastIndexByte(s, '\n')
+	i := strings.LastIndexByte(s[:max(j, 0)], '\n')
+	if i < 0 {
 		return VMIMeta{}, fmt.Errorf("vmirepo: corrupt lifecycle record for %q", name)
 	}
-	exp, err := strconv.ParseInt(parts[1], 10, 64)
+	exp, err := strconv.ParseInt(s[i+1:j], 10, 64)
 	if err != nil {
 		return VMIMeta{}, fmt.Errorf("vmirepo: corrupt lifecycle record for %q: %v", name, err)
 	}
-	charged, err := strconv.ParseInt(parts[2], 10, 64)
+	charged, err := strconv.ParseInt(s[j+1:], 10, 64)
 	if err != nil {
 		return VMIMeta{}, fmt.Errorf("vmirepo: corrupt lifecycle record for %q: %v", name, err)
 	}
-	return VMIMeta{Tenant: parts[0], ExpiresAt: exp, ChargedBytes: charged}, nil
+	return VMIMeta{Tenant: s[:i], ExpiresAt: exp, ChargedBytes: charged}, nil
 }
 
-// PutVMIMeta stores (or replaces) a VMI's lifecycle record. Like PutVMI,
-// a rewrite that would not change the stored bytes is elided from the
-// journal.
+// PutVMIMeta stores (or replaces) a VMI's lifecycle record.
 func (r *Repo) PutVMIMeta(name string, meta VMIMeta, m *simio.Meter) error {
 	if r.readOnly {
 		return fmt.Errorf("vmirepo: store lifecycle record %q: %w", name, ErrReadOnly)
@@ -62,12 +64,7 @@ func (r *Repo) PutVMIMeta(name string, meta VMIMeta, m *simio.Meter) error {
 	r.opMu.RLock()
 	defer r.opMu.RUnlock()
 	val := encodeVMIMeta(meta)
-	r.meta().Bucket(bucketVMIMeta).Update([]byte(name), func(old []byte, ok bool) ([]byte, bool) {
-		if ok && bytes.Equal(old, val) {
-			return nil, false
-		}
-		return val, true
-	})
+	r.meta().Bucket(bucketVMIMeta).Put([]byte(name), val)
 	r.chargeDB(m, int64(len(val)))
 	return nil
 }
@@ -153,8 +150,6 @@ func (r *Repo) ChargeTenant(tenant string, delta int64, m *simio.Meter) error {
 	}
 	r.opMu.RLock()
 	defer r.opMu.RUnlock()
-	r.lcMu.Lock()
-	defer r.lcMu.Unlock()
 	addCount(r.meta().Bucket(bucketTenants), tenant, delta)
 	r.chargeDB(m, 16)
 	return nil
@@ -175,15 +170,13 @@ func (r *Repo) TenantStats() map[string]int64 { return readCounts(r.meta().Bucke
 
 // ReplaceTenantUsage rewrites the tenant bucket from recomputed totals —
 // vacuum's reconciliation of accounting drift. Keys not in the survey are
-// deleted; identical records are elided from the journal.
+// deleted.
 func (r *Repo) ReplaceTenantUsage(totals map[string]int64, m *simio.Meter) error {
 	if r.readOnly {
 		return fmt.Errorf("vmirepo: replace tenant usage: %w", ErrReadOnly)
 	}
 	r.opMu.RLock()
 	defer r.opMu.RUnlock()
-	r.lcMu.Lock()
-	defer r.lcMu.Unlock()
 	n := replaceCounts(r.meta().Bucket(bucketTenants), totals)
 	r.chargeDB(m, int64(16*n))
 	return nil
@@ -196,8 +189,8 @@ func (r *Repo) ReplaceTenantUsage(totals map[string]int64, m *simio.Meter) error
 // Publishes add the refs of the record they commit; retiring a record
 // drops its refs, and a ref whose count reaches zero is garbage — exactly
 // what a single-class Remove needs to collect packages without surveying
-// every other class's VMIs under a global lock. lcMu serialises every
-// update.
+// every other class's VMIs under a global lock. Each update of one count
+// is atomic (addCount).
 
 // AddPackageRefs counts one more use of each ref.
 func (r *Repo) AddPackageRefs(refs []string, m *simio.Meter) error {
@@ -206,8 +199,6 @@ func (r *Repo) AddPackageRefs(refs []string, m *simio.Meter) error {
 	}
 	r.opMu.RLock()
 	defer r.opMu.RUnlock()
-	r.lcMu.Lock()
-	defer r.lcMu.Unlock()
 	b := r.meta().Bucket(bucketPkgRefs)
 	for _, ref := range refs {
 		addCount(b, ref, 1)
@@ -226,12 +217,10 @@ func (r *Repo) DropPackageRefs(refs []string, m *simio.Meter) ([]string, error) 
 	}
 	r.opMu.RLock()
 	defer r.opMu.RUnlock()
-	r.lcMu.Lock()
-	defer r.lcMu.Unlock()
 	b := r.meta().Bucket(bucketPkgRefs)
 	var dead []string
 	for _, ref := range refs {
-		if _, ok := b.Get([]byte(ref)); ok && addCount(b, ref, -1) <= 0 {
+		if n, had := addCount(b, ref, -1); had && n <= 0 {
 			dead = append(dead, ref)
 		}
 	}
@@ -242,15 +231,13 @@ func (r *Repo) DropPackageRefs(refs []string, m *simio.Meter) ([]string, error) 
 
 // ReplacePackageRefs rewrites the whole refcount bucket from a freshly
 // surveyed per-ref count — vacuum's reconciliation. Records not in the
-// survey are deleted; identical records are elided from the journal.
+// survey are deleted.
 func (r *Repo) ReplacePackageRefs(counts map[string]int64, m *simio.Meter) error {
 	if r.readOnly {
 		return fmt.Errorf("vmirepo: replace package refs: %w", ErrReadOnly)
 	}
 	r.opMu.RLock()
 	defer r.opMu.RUnlock()
-	r.lcMu.Lock()
-	defer r.lcMu.Unlock()
 	n := replaceCounts(r.meta().Bucket(bucketPkgRefs), counts)
 	r.chargeDB(m, int64(16*n))
 	return nil
@@ -261,27 +248,26 @@ func (r *Repo) PackageRefs() map[string]int64 { return readCounts(r.meta().Bucke
 
 // --- decimal count buckets: tenant totals and package refcounts ---
 
-// addCount adds delta to key's count and returns the new count; a count
-// that reaches zero (or below, which indicates an accounting bug but must
-// not wedge the bucket) deletes the key. The caller holds lcMu.
-func addCount(b *metadb.Bucket, key string, delta int64) int64 {
-	var n int64
-	if old, ok := b.Get([]byte(key)); ok {
-		n, _ = strconv.ParseInt(string(old), 10, 64)
-	}
-	n += delta
-	if n <= 0 {
-		b.Delete([]byte(key))
-	} else {
-		b.Put([]byte(key), []byte(strconv.FormatInt(n, 10)))
-	}
-	return n
+// addCount atomically adds delta to key's count and returns the new count
+// and whether the key held one; a count that reaches zero (or below, which
+// indicates an accounting bug but must not wedge the bucket) deletes the
+// key.
+func addCount(b *metadb.Bucket, key string, delta int64) (n int64, had bool) {
+	b.Update([]byte(key), func(old []byte, ok bool) ([]byte, bool) {
+		if had = ok; ok {
+			n, _ = strconv.ParseInt(string(old), 10, 64)
+		}
+		n += delta
+		return []byte(strconv.FormatInt(n, 10)), n > 0
+	})
+	return n, had
 }
 
 // replaceCounts rewrites a count bucket to hold exactly the positive
-// counts given (the empty key never counts), deleting every other key and
-// eliding identical records from the journal, and returns how many keys
-// it kept. The caller holds lcMu.
+// counts given (the empty key never counts), deleting every other key, and
+// returns how many keys it kept. Its scan and writes are not one atomic
+// step: the caller, Vacuum, holds every commit stripe, so no publish or
+// removal updates a count meanwhile.
 func replaceCounts(b *metadb.Bucket, counts map[string]int64) int {
 	var stale []string
 	b.ForEach(func(k, v []byte) bool {
@@ -301,13 +287,7 @@ func replaceCounts(b *metadb.Bucket, counts map[string]int64) int {
 	}
 	sort.Strings(keys)
 	for _, k := range keys {
-		val := []byte(strconv.FormatInt(counts[k], 10))
-		b.Update([]byte(k), func(old []byte, ok bool) ([]byte, bool) {
-			if ok && bytes.Equal(old, val) {
-				return nil, false
-			}
-			return val, true
-		})
+		b.Put([]byte(k), []byte(strconv.FormatInt(counts[k], 10)))
 	}
 	return len(keys)
 }

@@ -105,10 +105,6 @@ type Repo struct {
 	// udMu serialises user-data replacement, whose release-old/store-new
 	// pair must be atomic to keep blob reference counts exact.
 	udMu sync.Mutex
-	// lcMu serialises lifecycle accounting (tenant totals and package
-	// refcounts), whose read-modify-write must include the delete-at-zero
-	// step that Bucket.Update cannot express (see lifecycle.go).
-	lcMu sync.Mutex
 	// readOnly marks a follower repository (OpenFollower): every mutating
 	// entry point returns ErrReadOnly, and the metadata advances only
 	// through ResetToSnapshotReader/ApplyWAL.
@@ -283,26 +279,23 @@ func (r *Repo) journal(op metadb.Op) {
 // bases/masters ops scope to the base-image ID, vmis/userdata/vmimeta ops
 // to the VMI name, and a VMI put also to the base ID its record names. A
 // package delete has no scoping key (a ref can be shared across bases), so
-// all reports every stripe, as for a bucket drop or an unknown bucket. A
-// package insert scopes to nothing: it adds a ref no master graph
-// references yet (publishes export packages before their master-graph
-// update, and GC rebuilds masters before dropping refs), so no assembly
-// can depend on it, and invalidating for it would flush warm entries on
-// every concurrent publish. Tenant totals and package refcounts scope to
-// nothing either: the assembly path never reads them.
+// all reports every stripe, as for an unknown bucket. A package insert
+// scopes to nothing: it adds a ref no master graph references yet
+// (publishes export packages before their master-graph update, and GC
+// rebuilds masters before dropping refs), so no assembly can depend on it,
+// and invalidating for it would flush warm entries on every concurrent
+// publish. Tenant totals and package refcounts scope to nothing either:
+// the assembly path never reads them.
 func opKeys(op metadb.Op) (keys []string, all bool) {
-	switch op.Kind {
-	case metadb.OpCreateBucket:
+	if op.Kind == metadb.OpCreateBucket {
 		return nil, false
-	case metadb.OpDropBucket:
-		return nil, true
 	}
 	switch op.Bucket {
 	case bucketBases, bucketMasters, bucketUserData, bucketVMIMeta:
 		return []string{string(op.Key)}, false
 	case bucketVMIs:
-		if base, _, ok := bytes.Cut(op.Value, []byte("\n")); ok { // a put: deletes carry no value
-			return []string{string(op.Key), string(base)}, false
+		if base, ok := vmiRecordBase(op.Value); ok { // a put: deletes carry no value
+			return []string{string(op.Key), base}, false
 		}
 		return []string{string(op.Key)}, false
 	case bucketPackages:
@@ -789,11 +782,10 @@ func (r *Repo) Bases() ([]BaseRecord, error) {
 // --- master graphs ---
 
 // PutMaster stores (or replaces) the master graph keyed by its base image.
-// A rewrite that would not change the stored bytes is elided — the master
-// is the largest metadata record, and a republish of an unchanged image
-// must not push a full copy of it into the metadata WAL. The modeled DB
-// charge is unchanged either way (the cost model accounts the logical
-// operation; the elision is an I/O-layer optimisation).
+// Rewriting the bytes already stored journals nothing (metadb's write
+// rule), so a republish of an unchanged image pushes no copy of the
+// largest metadata record into the WAL. The modeled DB charge is the same
+// either way: the cost model accounts the logical operation.
 func (r *Repo) PutMaster(mg *master.Graph, m *simio.Meter) error {
 	if r.readOnly {
 		return fmt.Errorf("vmirepo: store master for %s: %w", mg.BaseID, ErrReadOnly)
@@ -801,12 +793,7 @@ func (r *Repo) PutMaster(mg *master.Graph, m *simio.Meter) error {
 	r.opMu.RLock()
 	defer r.opMu.RUnlock()
 	data := mg.Marshal()
-	r.meta().Bucket(bucketMasters).Update([]byte(mg.BaseID), func(old []byte, ok bool) ([]byte, bool) {
-		if ok && bytes.Equal(old, data) {
-			return nil, false
-		}
-		return data, true
-	})
+	r.meta().Bucket(bucketMasters).Put([]byte(mg.BaseID), data)
 	r.chargeDB(m, int64(len(data)))
 	return nil
 }
@@ -890,22 +877,42 @@ type VMIRecord struct {
 	Primaries []string
 }
 
-// PutVMI stores a VMI record. Like PutMaster, a rewrite that would not
-// change the stored bytes is elided from the write path (and so from the
-// metadata WAL) while charging the same modeled cost.
+// encodeVMIRecord renders a VMI record's value: the base ID, a newline,
+// then the primaries joined by ",". A primary name holding a "," would read
+// back as two names, so PublishWith refuses one before any write.
+func encodeVMIRecord(rec VMIRecord) []byte {
+	return []byte(rec.BaseID + "\n" + strings.Join(rec.Primaries, ","))
+}
+
+// vmiRecordBase returns the base ID heading a VMI record value without
+// parsing its primaries: the journal hook reads it on every vmis commit.
+func vmiRecordBase(data []byte) (string, bool) {
+	base, _, ok := bytes.Cut(data, []byte("\n"))
+	return string(base), ok
+}
+
+func decodeVMIRecord(name string, data []byte) (VMIRecord, error) {
+	base, ok := vmiRecordBase(data)
+	if !ok {
+		return VMIRecord{}, fmt.Errorf("vmirepo: corrupt VMI record %q", name)
+	}
+	rec := VMIRecord{Name: name, BaseID: base}
+	if primaries := data[len(base)+1:]; len(primaries) > 0 {
+		rec.Primaries = strings.Split(string(primaries), ",")
+	}
+	return rec, nil
+}
+
+// PutVMI stores a VMI record. Like PutMaster's, a rewrite of the stored
+// bytes journals nothing and is charged the same modeled cost.
 func (r *Repo) PutVMI(rec VMIRecord, m *simio.Meter) error {
 	if r.readOnly {
 		return fmt.Errorf("vmirepo: store VMI %q: %w", rec.Name, ErrReadOnly)
 	}
 	r.opMu.RLock()
 	defer r.opMu.RUnlock()
-	val := []byte(rec.BaseID + "\n" + strings.Join(rec.Primaries, ","))
-	r.meta().Bucket(bucketVMIs).Update([]byte(rec.Name), func(old []byte, ok bool) ([]byte, bool) {
-		if ok && bytes.Equal(old, val) {
-			return nil, false
-		}
-		return val, true
-	})
+	val := encodeVMIRecord(rec)
+	r.meta().Bucket(bucketVMIs).Put([]byte(rec.Name), val)
 	r.chargeDB(m, int64(len(val)))
 	return nil
 }
@@ -917,15 +924,7 @@ func (r *Repo) GetVMI(name string, m *simio.Meter) (VMIRecord, error) {
 	if !ok {
 		return VMIRecord{}, fmt.Errorf("vmirepo: VMI %q %w", name, ErrNotFound)
 	}
-	parts := strings.SplitN(string(val), "\n", 2)
-	if len(parts) != 2 {
-		return VMIRecord{}, fmt.Errorf("vmirepo: corrupt VMI record %q", name)
-	}
-	rec := VMIRecord{Name: name, BaseID: parts[0]}
-	if parts[1] != "" {
-		rec.Primaries = strings.Split(parts[1], ",")
-	}
-	return rec, nil
+	return decodeVMIRecord(name, val)
 }
 
 // RewireVMIs repoints every VMI record referencing oldBase to newBase,
@@ -937,8 +936,8 @@ func (r *Repo) GetVMI(name string, m *simio.Meter) (VMIRecord, error) {
 // same VMI name on a *different* attribute class can commit between the
 // scan and the rewrite (its commit stripe does not exclude this one), and
 // blindly repointing would splice that publish's primaries onto this
-// class's base. A record that moved since the scan is simply left to its
-// new owner.
+// class's base. A record that moved since the scan is left to its new
+// owner: the rewrite returns it unchanged, which writes nothing.
 func (r *Repo) RewireVMIs(oldBase, newBase string, m *simio.Meter) error {
 	if r.readOnly {
 		return fmt.Errorf("vmirepo: rewire VMIs %s -> %s: %w", oldBase, newBase, ErrReadOnly)
@@ -948,20 +947,20 @@ func (r *Repo) RewireVMIs(oldBase, newBase string, m *simio.Meter) error {
 	b := r.meta().Bucket(bucketVMIs)
 	var names []string
 	b.ForEach(func(k, v []byte) bool {
-		parts := strings.SplitN(string(v), "\n", 2)
-		if len(parts) == 2 && parts[0] == oldBase {
-			names = append(names, string(k))
+		if rec, err := decodeVMIRecord(string(k), v); err == nil && rec.BaseID == oldBase {
+			names = append(names, rec.Name)
 		}
 		return true
 	})
 	for _, name := range names {
 		b.Update([]byte(name), func(old []byte, ok bool) ([]byte, bool) {
-			parts := strings.SplitN(string(old), "\n", 2)
-			if !ok || len(parts) != 2 || parts[0] != oldBase {
-				return nil, false
+			rec, err := decodeVMIRecord(name, old)
+			if !ok || err != nil || rec.BaseID != oldBase {
+				return old, ok
 			}
 			r.chargeDB(m, int64(len(old)))
-			return []byte(newBase + "\n" + parts[1]), true
+			rec.BaseID = newBase
+			return encodeVMIRecord(rec), true
 		})
 	}
 	return nil
@@ -1013,9 +1012,8 @@ func (r *Repo) ReleaseStaged(id blobstore.ID) error {
 
 // SetUserData points name's user-data record at a staged archive, handing
 // the record the staged reference and releasing the one it held before; a
-// nil id deletes the record. A record that already names the staged
-// archive stays as it is, so a republish whose user data did not change
-// writes nothing to the metadata log.
+// nil id deletes the record. A republish whose user data did not change
+// rewrites the same bytes, which journals nothing.
 func (r *Repo) SetUserData(name string, id *blobstore.ID, m *simio.Meter) error {
 	if r.readOnly {
 		return fmt.Errorf("vmirepo: store user data %q: %w", name, ErrReadOnly)
@@ -1041,10 +1039,9 @@ func (r *Repo) SetUserData(name string, id *blobstore.ID, m *simio.Meter) error 
 			return fmt.Errorf("vmirepo: replace user data %q: %w", name, err)
 		}
 	}
-	switch {
-	case id == nil:
+	if id == nil {
 		b.Delete([]byte(name))
-	case !ok || !bytes.Equal(old, id[:]):
+	} else {
 		b.Put([]byte(name), id[:])
 	}
 	return nil
