@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"sort"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"expelliarmus/internal/vdisk"
@@ -161,14 +162,15 @@ func TestScheduleMatchesOracle(t *testing.T) {
 	}
 }
 
-// countingReaderAt counts the reads a lazy disk issues to its source.
+// countingReaderAt counts the reads a lazy disk issues to its source,
+// from any number of goroutines.
 type countingReaderAt struct {
 	ra    io.ReaderAt
-	reads int
+	reads atomic.Int64
 }
 
 func (c *countingReaderAt) ReadAt(p []byte, off int64) (int, error) {
-	c.reads++
+	c.reads.Add(1)
 	return c.ra.ReadAt(p, off)
 }
 
@@ -192,7 +194,7 @@ func lazyCreateReads(t *testing.T, n int) int {
 	if err != nil {
 		t.Fatal(err)
 	}
-	src.reads = 0
+	src.reads.Store(0)
 	fs, err := Mount(d)
 	if err != nil {
 		t.Fatal(err)
@@ -205,7 +207,7 @@ func lazyCreateReads(t *testing.T, n int) int {
 			t.Fatal(err)
 		}
 	}
-	return src.reads
+	return int(src.reads.Load())
 }
 
 // TestLazyCreateReadsAreLinear: adding files to a lazily opened image

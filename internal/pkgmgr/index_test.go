@@ -3,12 +3,31 @@ package pkgmgr
 import (
 	"bytes"
 	"fmt"
+	"math/rand"
 	"reflect"
+	"sort"
+	"strings"
 	"sync"
 	"testing"
 
+	"expelliarmus/internal/pkgfmt"
 	"expelliarmus/internal/pkgmeta"
 )
+
+// formatStatus is the oracle for the status file: every package's control
+// stanza, formatted afresh, sorted by name and separated by blank lines.
+func formatStatus(pkgs []pkgmeta.Package) string {
+	sorted := append([]pkgmeta.Package(nil), pkgs...)
+	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Name < sorted[j].Name })
+	var b strings.Builder
+	for i, p := range sorted {
+		if i > 0 {
+			b.WriteString("\n")
+		}
+		b.WriteString(pkgmeta.FormatControl(p))
+	}
+	return b.String()
+}
 
 // TestIndexLoadedByNew: a second Manager over a filesystem that already
 // holds packages answers from the moment New returns, without any call
@@ -71,7 +90,7 @@ func TestIndexWrittenThrough(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if string(disk) != pkgmeta.FormatStatus(pkgs) {
+		if string(disk) != formatStatus(pkgs) {
 			t.Fatalf("%s: status file differs from the index", step)
 		}
 		parsed, err := pkgmeta.ParseStatus(string(disk))
@@ -159,4 +178,56 @@ func TestConcurrentRepack(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
+}
+
+// TestStatusStanzasCanonical: the Manager joins cached stanzas, yet after
+// every step of seeded Install, InstallPackage and Remove sequences the
+// status file holds exactly the oracle's fresh render of Installed(). One
+// sequence starts from a status file with non-canonical spacing and
+// stanza order, which New loads as it is and the first write rewrites.
+func TestStatusStanzasCanonical(t *testing.T) {
+	const handWritten = "Package:  zed\nVersion:2.0\nArchitecture: amd64\n\n\n" +
+		"Package: alpha\nDepends: zed ,  libc6\nVersion: 1.0\nEssential: yes\n"
+	for seed := int64(1); seed <= 4; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		m, fs := newMgr(t)
+		if seed == 4 {
+			if err := fs.WriteFile(StatusPath, []byte(handWritten)); err != nil {
+				t.Fatal(err)
+			}
+			var err error
+			if m, err = New(fs); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for step := 0; step < 40; step++ {
+			name := fmt.Sprintf("p%02d", rng.Intn(12))
+			p := pkg(name, fmt.Sprintf("p%02d", rng.Intn(12)))
+			p.Version = fmt.Sprintf("1.%d", step)
+			var op string
+			var err error
+			switch {
+			case m.IsInstalled(name):
+				op, err = "Remove", m.Remove(name)
+			case rng.Intn(2) == 0:
+				op, err = "InstallPackage", m.InstallPackage(p, filesFor(name))
+			default:
+				var blob []byte
+				if blob, err = pkgfmt.Build(p, filesFor(name)); err == nil {
+					op, err = "Install", m.Install(blob)
+				}
+			}
+			if err != nil {
+				t.Fatalf("seed %d step %d: %s %s: %v", seed, step, op, name, err)
+			}
+			pkgs, _ := m.Installed()
+			disk, err := fs.ReadFile(StatusPath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := formatStatus(pkgs); string(disk) != want {
+				t.Fatalf("seed %d step %d: after %s %s the status file is\n%s\nwant\n%s", seed, step, op, name, disk, want)
+			}
+		}
+	}
 }

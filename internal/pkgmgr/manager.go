@@ -13,15 +13,20 @@
 // writeStatus, after the same packages reached StatusPath: it is written
 // through, never ahead of the disk, and the file is written at the moments
 // it always was (a write moves blocks, so when it happens is part of the
-// image). Get, IsInstalled, Installed, OwnedFiles, Remaining and Repack
-// never write the index and may run concurrently; methods that change the
-// guest need exclusive access. The status file is not re-read, so a filesystem has
+// image). Beside the index the Manager keeps each package's formatted
+// status stanza, filled on the first write and replaced with the index, so
+// a write formats only the package it adds and joins the rest. Get,
+// IsInstalled, Installed, OwnedFiles, Remaining and Repack never write the
+// index and may run concurrently; methods that change the guest need
+// exclusive access. The status file is not re-read, so a filesystem has
 // one Manager.
 package pkgmgr
 
 import (
+	"bytes"
 	"fmt"
 	"path"
+	"slices"
 	"sort"
 	"strings"
 
@@ -38,8 +43,9 @@ const InfoDir = "/var/lib/dpkg/info"
 
 // Manager operates the package database of one guest filesystem.
 type Manager struct {
-	fs    *fstree.FS
-	index []pkgmeta.Package // the status database, sorted by name
+	fs      *fstree.FS
+	index   []pkgmeta.Package // the status database, sorted by name
+	stanzas [][]byte          // index[i]'s status stanza; nil until the first write
 }
 
 // New returns a manager for the guest filesystem, initialising the package
@@ -104,13 +110,25 @@ func (m *Manager) IsInstalled(name string) bool {
 	return ok
 }
 
-// writeStatus writes pkgs, sorted by name, as the status file and then
-// makes them the index.
-func (m *Manager) writeStatus(pkgs []pkgmeta.Package) error {
-	if err := m.fs.WriteFile(StatusPath, []byte(pkgmeta.FormatStatus(pkgs))); err != nil {
+// formatted returns the status stanzas of the index, formatting them on
+// the first call.
+func (m *Manager) formatted() [][]byte {
+	if m.stanzas == nil {
+		m.stanzas = make([][]byte, len(m.index))
+		for i, p := range m.index {
+			m.stanzas[i] = []byte(pkgmeta.FormatControl(p))
+		}
+	}
+	return m.stanzas
+}
+
+// writeStatus writes pkgs, sorted by name, as the status file, one stanza
+// of stanzas each, and then makes them the index.
+func (m *Manager) writeStatus(pkgs []pkgmeta.Package, stanzas [][]byte) error {
+	if err := m.fs.WriteFile(StatusPath, bytes.Join(stanzas, []byte("\n"))); err != nil {
 		return err
 	}
-	m.index = pkgs
+	m.index, m.stanzas = pkgs, stanzas
 	return nil
 }
 
@@ -153,9 +171,10 @@ func (m *Manager) InstallPackage(p pkgmeta.Package, files []pkgfmt.File) error {
 	if err := m.fs.WriteFile(listPath(p.Name), []byte(strings.Join(paths, "\n"))); err != nil {
 		return err
 	}
-	pkgs := make([]pkgmeta.Package, 0, len(m.index)+1)
-	pkgs = append(append(pkgs, m.index[:at]...), p.Clone())
-	return m.writeStatus(append(pkgs, m.index[at:]...))
+	// Clipped, Insert copies: the index stays as it is until the write.
+	pkgs := slices.Insert(slices.Clip(m.index), at, p.Clone())
+	stanzas := slices.Insert(slices.Clip(m.formatted()), at, []byte(pkgmeta.FormatControl(p)))
+	return m.writeStatus(pkgs, stanzas)
 }
 
 // Install unpacks and registers a binary package blob.
@@ -191,9 +210,9 @@ func (m *Manager) Remove(name string) error {
 	if err := m.fs.Remove(listPath(name)); err != nil {
 		return err
 	}
-	pkgs := make([]pkgmeta.Package, 0, len(m.index)-1)
-	pkgs = append(pkgs, m.index[:idx]...)
-	return m.writeStatus(append(pkgs, m.index[idx+1:]...))
+	pkgs := slices.Delete(slices.Clone(m.index), idx, idx+1)
+	stanzas := slices.Delete(slices.Clone(m.formatted()), idx, idx+1)
+	return m.writeStatus(pkgs, stanzas)
 }
 
 // pruneEmptyDirs removes now-empty directories bottom-up.
