@@ -77,6 +77,50 @@ func TestResolvedPathsReadNoDisk(t *testing.T) {
 	}
 }
 
+// TestWalkReadsDirectoryDataOnly counts source reads: a whole-tree Walk of
+// a fresh lazy mount reads each cluster of directory data once and no
+// inode at all, because Mount's one read of the inode table serves them.
+func TestWalkReadsDirectoryDataOnly(t *testing.T) {
+	base, err := Format(vdisk.New("tree", 4<<20, 512), 512)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 4; i++ {
+		if err := base.MkdirAll(fmt.Sprintf("/d%d/sub", i)); err != nil {
+			t.Fatal(err)
+		}
+		// Forty entries take two 512-byte clusters of directory data.
+		for j := 0; j < 40; j++ {
+			if err := base.WriteFile(fmt.Sprintf("/d%d/file-%03d", i, j), []byte("data")); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	dirClusters, entries := 0, 0
+	if err := base.Walk("/", func(fi FileInfo) error { entries++; return nil }); err != nil {
+		t.Fatal(err)
+	}
+	for num := uint32(0); num < base.maxInodes; num++ {
+		if ino, err := base.readInode(num); err == nil && ino.mode == modeDir {
+			for _, e := range ino.extents() {
+				dirClusters += int(e.blocks)
+			}
+		}
+	}
+	fs, src := lazyMount(t, base.Disk())
+	src.reads.Store(0)
+	walked := 0
+	if err := fs.Walk("/", func(fi FileInfo) error { walked++; return nil }); err != nil {
+		t.Fatal(err)
+	}
+	reads := src.reads.Load()
+	t.Logf("Walk of %d entries read the source %d times; directories hold %d clusters", walked, reads, dirClusters)
+	if walked != entries || reads != int64(dirClusters) {
+		t.Fatalf("Walk visited %d of %d entries with %d source reads, want one per cluster of directory data (%d)",
+			walked, entries, reads, dirClusters)
+	}
+}
+
 // snapshot is everything a mounted FS shows: Walk's entries in order, the
 // bytes of every file, and whether each path of the schedule's pool
 // resolves and reads.
@@ -111,7 +155,7 @@ func takeSnapshot(t *testing.T, fs *FS, pool []string) snapshot {
 }
 
 // checkAgainstMount requires a fresh mount of fs's disk, which reads
-// everything from the disk, to show what fs shows from its caches.
+// everything from the disk, to show what fs shows from its mirrors and cache.
 func checkAgainstMount(t *testing.T, fs *FS, pool []string, step string) {
 	t.Helper()
 	fresh, err := Mount(fs.Disk())
@@ -125,8 +169,8 @@ func checkAgainstMount(t *testing.T, fs *FS, pool []string, step string) {
 
 // TestFSMatchesFreshMount: over seeded schedules of MkdirAll, WriteFile (new
 // and replace), Remove and RemoveAll on a lazily opened image, the FS that
-// caches inodes and directories shows after every step exactly what a
-// fresh mount of the same disk reads. Operations may fail (a parent is
+// mirrors its inode table and caches directories shows after every step
+// exactly what a fresh mount of the same disk reads. Operations may fail (a parent is
 // missing, a directory is not empty); a failure must change nothing the
 // two could disagree on either.
 func TestFSMatchesFreshMount(t *testing.T) {
@@ -221,7 +265,7 @@ func TestReusedDirectoryInodeListsEmpty(t *testing.T) {
 	if _, err := fs.ReadDir("/z/y"); err != nil {
 		t.Fatal(err)
 	}
-	if err := fs.writeInode(y, &inode{mode: modeFree}); err != nil {
+	if err := fs.writeInode(y, inode{mode: modeFree}); err != nil {
 		t.Fatal(err)
 	}
 	if err := fs.MkdirAll("/w"); err != nil {

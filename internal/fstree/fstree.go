@@ -15,19 +15,16 @@
 // Directories store their entries as ordinary file data (inode number,
 // type, name records). The root directory is inode 0.
 //
-// Allocation state is mirrored in memory: the block bitmap and one mode
-// byte per inode, each with a cursor below which nothing is free. Both
-// mirrors are filled by Mount and changed by nothing but setBlocks and
-// writeInode, so allocation reads no disk. Two caches sit beside them: each
-// inode, and each directory's parsed entries, as first read and validated.
-// Mirrors and caches are written through: an entry changes only after the
-// disk write it describes succeeded, so it is never ahead of the disk.
-// writeInode stores the inode and drops a freed inode's directory entries;
-// writeDirents stores the entries. A cached inode or entry slice is never
-// changed in place; a writer builds a new one. Read-only operations touch
-// neither mirror and fill the caches under a mutex, which is what lets many
+// The block bitmap and the inode table are mirrored in memory. Mount reads
+// each once, and nothing but setBlocks and writeInode changes them, each
+// after the disk write it mirrors succeeded; a cursor in each marks where
+// free space may begin. So allocation and inode reads touch no disk. The
+// one cache is listings, each directory's parsed entries as first read:
+// writeDirents stores them, writeInode drops a freed inode's, and an entry
+// slice is never changed in place. Read-only operations only read the
+// mirrors and fill listings under a mutex, which is what lets many
 // goroutines read one FS at once. A disk has one FS: a write behind its
-// back is seen by neither the mirrors nor the caches.
+// back is seen by neither the mirrors nor the cache.
 package fstree
 
 import (
@@ -65,10 +62,13 @@ type extent struct {
 }
 
 type inode struct {
-	mode    byte
-	size    int64
-	extents []extent
+	mode byte
+	n    int // extents in use
+	size int64
+	ext  [maxExtents]extent
 }
+
+func (ino *inode) extents() []extent { return ino.ext[:ino.n] }
 
 // FileInfo describes a file or directory.
 type FileInfo struct {
@@ -88,15 +88,14 @@ type FS struct {
 	maxInodes  uint32
 	dataStart  uint32
 	bitmap     []byte // in-memory mirror, written through
-	modes      []byte // mode byte of every inode, written through
+	table      []byte // the inode table's mirror, written through
 	freeBlock  uint32 // no data block below it is free
 	freeInode  uint32 // no inode below it is free
 	usedBlocks uint32
 	files      int
 	dirs       int
 
-	mu       sync.Mutex          // guards the two caches below
-	inodes   map[uint32]*inode   // validated inodes, written through
+	mu       sync.Mutex          // guards listings
 	listings map[uint32][]dirent // parsed directories, written through
 }
 
@@ -132,9 +131,8 @@ func Format(d *vdisk.Disk, maxInodes uint32) (*FS, error) {
 		maxInodes: maxInodes,
 		dataStart: uint32(dataStart),
 		bitmap:    make([]byte, int(bitmapBlk)*bs),
-		modes:     make([]byte, maxInodes),
+		table:     make([]byte, int(maxInodes)*inodeSize),
 		freeBlock: uint32(dataStart),
-		inodes:    map[uint32]*inode{},
 		listings:  map[uint32][]dirent{},
 	}
 	// Reserve metadata blocks.
@@ -156,8 +154,7 @@ func Format(d *vdisk.Disk, maxInodes uint32) (*FS, error) {
 		return nil, err
 	}
 	// Root directory.
-	root := &inode{mode: modeDir}
-	if err := fs.writeInode(RootInode, root); err != nil {
+	if err := fs.writeInode(RootInode, inode{mode: modeDir}); err != nil {
 		return nil, err
 	}
 	fs.dirs = 1
@@ -186,7 +183,6 @@ func Mount(d *vdisk.Disk) (*FS, error) {
 		bitmapBlk: binary.BigEndian.Uint32(sb[12:]),
 		inodeBlk:  binary.BigEndian.Uint32(sb[16:]),
 		maxInodes: binary.BigEndian.Uint32(sb[20:]),
-		inodes:    map[uint32]*inode{},
 		listings:  map[uint32][]dirent{},
 	}
 	// The image may come straight off the network, so the geometry is
@@ -216,16 +212,12 @@ func Mount(d *vdisk.Disk) (*FS, error) {
 			fs.usedBlocks++
 		}
 	}
-	// Fill the mode mirror from one read of the inode table, counting files
-	// and directories on the way.
-	table := make([]byte, int64(fs.maxInodes)*inodeSize)
-	if _, err := d.ReadAt(table, fs.inodeOffset(0)); err != nil {
+	fs.table = make([]byte, int64(fs.maxInodes)*inodeSize)
+	if _, err := d.ReadAt(fs.table, fs.inodeOffset(0)); err != nil {
 		return nil, fmt.Errorf("fstree: read inode table: %w", err)
 	}
-	fs.modes = make([]byte, fs.maxInodes)
-	for i := range fs.modes {
-		fs.modes[i] = table[i*inodeSize]
-		switch fs.modes[i] {
+	for i := 0; i < len(fs.table); i += inodeSize {
+		switch fs.table[i] {
 		case modeFile:
 			fs.files++
 		case modeDir:
@@ -251,83 +243,60 @@ func (fs *FS) inodeOffset(num uint32) int64 {
 	return int64(1+fs.bitmapBlk)*int64(fs.blockSize) + int64(num)*inodeSize
 }
 
-// readInode returns the inode, read and validated on its first use. The
-// inode is shared with the cache and must not be modified.
-func (fs *FS) readInode(num uint32) (*inode, error) {
+// readInode decodes and validates inode num from the table's mirror.
+func (fs *FS) readInode(num uint32) (inode, error) {
 	if num >= fs.maxInodes {
-		return nil, fmt.Errorf("fstree: inode %d out of range", num)
+		return inode{}, fmt.Errorf("fstree: inode %d out of range", num)
 	}
-	fs.mu.Lock()
-	ino, ok := fs.inodes[num]
-	fs.mu.Unlock()
-	if ok {
-		return ino, nil
-	}
-	var raw [inodeSize]byte
-	if _, err := fs.disk.ReadAt(raw[:], fs.inodeOffset(num)); err != nil {
-		return nil, err
-	}
-	ino = &inode{mode: raw[0], size: int64(binary.BigEndian.Uint64(raw[2:]))}
-	n := int(raw[1])
-	if n > maxExtents {
-		return nil, fmt.Errorf("fstree: inode %d corrupt extent count %d", num, n)
+	raw := fs.table[int(num)*inodeSize:][:inodeSize]
+	ino := inode{mode: raw[0], n: int(raw[1]), size: int64(binary.BigEndian.Uint64(raw[2:]))}
+	if ino.n > maxExtents {
+		return inode{}, fmt.Errorf("fstree: inode %d corrupt extent count %d", num, ino.n)
 	}
 	// Extents index the bitmap when freed and size a buffer when read, so
 	// an inode off the wire must keep them inside the data area and its
 	// size inside them.
 	var covered int64
-	for i := 0; i < n; i++ {
-		base := 10 + i*8
+	for i := range ino.n {
 		e := extent{
-			start:  binary.BigEndian.Uint32(raw[base:]),
-			blocks: binary.BigEndian.Uint32(raw[base+4:]),
+			start:  binary.BigEndian.Uint32(raw[10+i*8:]),
+			blocks: binary.BigEndian.Uint32(raw[14+i*8:]),
 		}
 		if e.start < fs.dataStart || uint64(e.start)+uint64(e.blocks) > uint64(fs.total) {
-			return nil, fmt.Errorf("fstree: inode %d corrupt extent [%d,+%d)", num, e.start, e.blocks)
+			return inode{}, fmt.Errorf("fstree: inode %d corrupt extent [%d,+%d)", num, e.start, e.blocks)
 		}
-		ino.extents = append(ino.extents, e)
+		ino.ext[i] = e
 		covered += int64(e.blocks) * int64(fs.blockSize)
 	}
 	if ino.size < 0 || ino.size > covered {
-		return nil, fmt.Errorf("fstree: inode %d corrupt size %d over %d bytes of extents", num, ino.size, covered)
+		return inode{}, fmt.Errorf("fstree: inode %d corrupt size %d over %d bytes of extents", num, ino.size, covered)
 	}
-	fs.mu.Lock()
-	fs.inodes[num] = ino
-	fs.mu.Unlock()
 	return ino, nil
 }
 
-// writeInode writes ino as inode num and caches it; ino must not be
-// modified afterwards.
-func (fs *FS) writeInode(num uint32, ino *inode) error {
+// writeInode writes ino as inode num, then its slot of the mirror.
+func (fs *FS) writeInode(num uint32, ino inode) error {
 	if num >= fs.maxInodes {
 		return fmt.Errorf("fstree: inode %d out of range", num)
 	}
-	if len(ino.extents) > maxExtents {
-		return fmt.Errorf("fstree: inode %d has %d extents, max %d", num, len(ino.extents), maxExtents)
-	}
 	var raw [inodeSize]byte
 	raw[0] = ino.mode
-	raw[1] = byte(len(ino.extents))
+	raw[1] = byte(ino.n)
 	binary.BigEndian.PutUint64(raw[2:], uint64(ino.size))
-	for i, e := range ino.extents {
-		base := 10 + i*8
-		binary.BigEndian.PutUint32(raw[base:], e.start)
-		binary.BigEndian.PutUint32(raw[base+4:], e.blocks)
+	for i, e := range ino.extents() {
+		binary.BigEndian.PutUint32(raw[10+i*8:], e.start)
+		binary.BigEndian.PutUint32(raw[14+i*8:], e.blocks)
 	}
 	if _, err := fs.disk.WriteAt(raw[:], fs.inodeOffset(num)); err != nil {
 		return err
 	}
-	fs.modes[num] = ino.mode
-	if ino.mode == modeFree && num < fs.freeInode {
-		fs.freeInode = num
-	}
-	fs.mu.Lock()
-	fs.inodes[num] = ino
+	copy(fs.table[int(num)*inodeSize:], raw[:])
 	if ino.mode == modeFree {
+		fs.freeInode = min(fs.freeInode, num)
+		fs.mu.Lock()
 		delete(fs.listings, num)
+		fs.mu.Unlock()
 	}
-	fs.mu.Unlock()
 	return nil
 }
 
@@ -335,7 +304,7 @@ func (fs *FS) writeInode(num uint32, ino *inode) error {
 // inode stays free until the caller's writeInode.
 func (fs *FS) allocInode() (uint32, error) {
 	for ; fs.freeInode < fs.maxInodes; fs.freeInode++ {
-		if fs.modes[fs.freeInode] == modeFree {
+		if fs.table[int(fs.freeInode)*inodeSize] == modeFree {
 			return fs.freeInode, nil
 		}
 	}
@@ -482,10 +451,10 @@ func (fs *FS) freeExtents(extents []extent) error {
 
 // --- data I/O ---
 
-func (fs *FS) readData(ino *inode) ([]byte, error) {
+func (fs *FS) readData(ino inode) ([]byte, error) {
 	out := make([]byte, ino.size)
 	var off int64
-	for _, e := range ino.extents {
+	for _, e := range ino.extents() {
 		span := int64(e.blocks) * int64(fs.blockSize)
 		if span > ino.size-off {
 			span = ino.size - off
@@ -502,21 +471,17 @@ func (fs *FS) readData(ino *inode) ([]byte, error) {
 }
 
 // writeData frees ino's extents and writes data to new ones. It returns
-// the inode that describes them and leaves ino as it was.
-func (fs *FS) writeData(ino *inode, data []byte) (*inode, error) {
-	if err := fs.freeExtents(ino.extents); err != nil {
-		return nil, err
+// the inode that describes them.
+func (fs *FS) writeData(ino inode, data []byte) (inode, error) {
+	if err := fs.freeExtents(ino.extents()); err != nil {
+		return inode{}, err
 	}
-	out := &inode{mode: ino.mode, size: int64(len(data))}
-	if len(data) == 0 {
-		return out, nil
-	}
-	n := uint32((len(data) + fs.blockSize - 1) / fs.blockSize)
-	extents, err := fs.allocExtents(n)
+	extents, err := fs.allocExtents(uint32((len(data) + fs.blockSize - 1) / fs.blockSize))
 	if err != nil {
-		return nil, err
+		return inode{}, err
 	}
-	out.extents = extents
+	out := inode{mode: ino.mode, size: int64(len(data))}
+	out.n = copy(out.ext[:], extents)
 	off := 0
 	for _, e := range extents {
 		span := int(e.blocks) * fs.blockSize
@@ -524,7 +489,7 @@ func (fs *FS) writeData(ino *inode, data []byte) (*inode, error) {
 			span = len(data) - off
 		}
 		if _, err := fs.disk.WriteAt(data[off:off+span], int64(e.start)*int64(fs.blockSize)); err != nil {
-			return nil, err
+			return inode{}, err
 		}
 		off += span
 	}
@@ -581,15 +546,15 @@ func encodeDir(entries []dirent) []byte {
 }
 
 // readDirents returns the directory's entries, parsed on their first use,
-// and its inode. Both are shared with the caches: a caller that changes the
-// entries works on a copy.
-func (fs *FS) readDirents(num uint32) ([]dirent, *inode, error) {
+// and its inode. The entries are shared with the cache: a caller that
+// changes them works on a copy.
+func (fs *FS) readDirents(num uint32) ([]dirent, inode, error) {
 	ino, err := fs.readInode(num)
 	if err != nil {
-		return nil, nil, err
+		return nil, inode{}, err
 	}
 	if ino.mode != modeDir {
-		return nil, nil, fmt.Errorf("fstree: inode %d is not a directory", num)
+		return nil, inode{}, fmt.Errorf("fstree: inode %d is not a directory", num)
 	}
 	fs.mu.Lock()
 	entries, ok := fs.listings[num]
@@ -599,10 +564,10 @@ func (fs *FS) readDirents(num uint32) ([]dirent, *inode, error) {
 	}
 	data, err := fs.readData(ino)
 	if err != nil {
-		return nil, nil, err
+		return nil, inode{}, err
 	}
 	if entries, err = parseDir(data); err != nil {
-		return nil, nil, fmt.Errorf("fstree: corrupt directory %d: %w", num, err)
+		return nil, inode{}, fmt.Errorf("fstree: corrupt directory %d: %w", num, err)
 	}
 	fs.mu.Lock()
 	fs.listings[num] = entries
@@ -612,7 +577,7 @@ func (fs *FS) readDirents(num uint32) ([]dirent, *inode, error) {
 
 // writeDirents writes entries, which become the cache's and must be the
 // caller's own, as the directory's contents.
-func (fs *FS) writeDirents(num uint32, ino *inode, entries []dirent) error {
+func (fs *FS) writeDirents(num uint32, ino inode, entries []dirent) error {
 	ino, err := fs.writeData(ino, encodeDir(entries))
 	if err != nil {
 		return err
@@ -637,16 +602,16 @@ func splitPath(p string) ([]string, error) {
 
 // lookup resolves a path to (inode number, inode). The root resolves to
 // RootInode.
-func (fs *FS) lookup(p string) (uint32, *inode, error) {
+func (fs *FS) lookup(p string) (uint32, inode, error) {
 	parts, err := splitPath(p)
 	if err != nil {
-		return 0, nil, err
+		return 0, inode{}, err
 	}
 	cur := RootInode
 	for _, part := range parts {
 		entries, _, err := fs.readDirents(cur)
 		if err != nil {
-			return 0, nil, err
+			return 0, inode{}, err
 		}
 		found := false
 		for _, e := range entries {
@@ -657,12 +622,12 @@ func (fs *FS) lookup(p string) (uint32, *inode, error) {
 			}
 		}
 		if !found {
-			return 0, nil, fmt.Errorf("fstree: %s: no such file or directory", p)
+			return 0, inode{}, fmt.Errorf("fstree: %s: no such file or directory", p)
 		}
 	}
 	ino, err := fs.readInode(cur)
 	if err != nil {
-		return 0, nil, err
+		return 0, inode{}, err
 	}
 	return cur, ino, nil
 }
@@ -739,7 +704,7 @@ func (fs *FS) MkdirAll(p string) error {
 			if err != nil {
 				return err
 			}
-			if err := fs.writeInode(num, &inode{mode: modeDir}); err != nil {
+			if err := fs.writeInode(num, inode{mode: modeDir}); err != nil {
 				return err
 			}
 			entries = append(slices.Clip(entries), dirent{ino: num, mode: modeDir, name: part})
@@ -794,7 +759,7 @@ func (fs *FS) WriteFile(p string, data []byte) error {
 	if err != nil {
 		return err
 	}
-	ino, err := fs.writeData(&inode{mode: modeFile}, data)
+	ino, err := fs.writeData(inode{mode: modeFile}, data)
 	if err != nil {
 		return err
 	}
@@ -889,10 +854,10 @@ func (fs *FS) Remove(p string) error {
 		} else {
 			fs.files--
 		}
-		if err := fs.freeExtents(ino.extents); err != nil {
+		if err := fs.freeExtents(ino.extents()); err != nil {
 			return err
 		}
-		if err := fs.writeInode(e.ino, &inode{mode: modeFree}); err != nil {
+		if err := fs.writeInode(e.ino, inode{mode: modeFree}); err != nil {
 			return err
 		}
 		return fs.writeDirents(dirNum, dirIno, slices.Delete(slices.Clone(entries), i, i+1))

@@ -88,8 +88,9 @@ func (m *Graph) BaseSubgraph() *semgraph.Graph { return m.G.BaseSubgraph() }
 func (m *Graph) PrimaryNames() []string { return m.G.PrimaryNames() }
 
 // PrimarySubgraph extracts the subgraph of one clustered primary package:
-// the package plus its dependency closure within the master (Algorithm 1
-// line 25 / Algorithm 2 line 9, extractSubGraph(GM, P)).
+// the closure of the package within the master (Algorithm 1 line 25 /
+// Algorithm 2 line 9, extractSubGraph(GM, P)). The name must be a vertex
+// of the master, and a primary one.
 func (m *Graph) PrimarySubgraph(primary string) (*semgraph.Graph, error) {
 	v, ok := m.G.Vertex(primary)
 	if !ok {
@@ -98,30 +99,7 @@ func (m *Graph) PrimarySubgraph(primary string) (*semgraph.Graph, error) {
 	if v.Kind != semgraph.KindPrimary {
 		return nil, fmt.Errorf("master %s: %q is not a primary package", m.BaseID, primary)
 	}
-	// Closure from the single primary.
-	sub := semgraph.New(m.G.Base())
-	var queue []string
-	queue = append(queue, primary)
-	seen := map[string]bool{}
-	for len(queue) > 0 {
-		n := queue[0]
-		queue = queue[1:]
-		if seen[n] {
-			continue
-		}
-		seen[n] = true
-		vv, _ := m.G.Vertex(n)
-		sub.AddVertex(vv.Pkg, vv.Kind)
-		queue = append(queue, m.G.Succ(n)...)
-	}
-	for n := range seen {
-		for _, to := range m.G.Succ(n) {
-			if seen[to] {
-				sub.AddEdge(n, to) //nolint:errcheck
-			}
-		}
-	}
-	return sub, nil
+	return m.G.Closure(primary), nil
 }
 
 // Similarity computes SimG between an uploaded VMI graph and the master.

@@ -129,31 +129,3 @@ func Extract(blob []byte) (pkgmeta.Package, []File, error) {
 	}
 	return p, files, nil
 }
-
-// Peek decodes only the control metadata without materialising file data.
-func Peek(blob []byte) (pkgmeta.Package, error) {
-	var p pkgmeta.Package
-	gz, err := gzip.NewReader(bytes.NewReader(blob))
-	if err != nil {
-		return p, fmt.Errorf("pkgfmt: not a package (gzip): %w", err)
-	}
-	defer gz.Close()
-	tr := tar.NewReader(gz)
-	for {
-		hdr, err := tr.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return p, fmt.Errorf("pkgfmt: corrupt archive: %w", err)
-		}
-		if hdr.Name == controlName {
-			data, err := io.ReadAll(tr)
-			if err != nil {
-				return p, err
-			}
-			return pkgmeta.ParseControl(string(data))
-		}
-	}
-	return p, fmt.Errorf("pkgfmt: archive has no control member")
-}

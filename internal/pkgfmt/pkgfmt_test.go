@@ -105,23 +105,6 @@ func TestExtractRejectsCorrupt(t *testing.T) {
 	}
 }
 
-func TestPeek(t *testing.T) {
-	blob, err := Build(samplePkg(), sampleFiles())
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := Peek(blob)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(p, samplePkg()) {
-		t.Fatalf("Peek = %+v", p)
-	}
-	if _, err := Peek([]byte("junk")); err == nil {
-		t.Fatal("Peek accepted junk")
-	}
-}
-
 func TestEmptyFileAndNoFiles(t *testing.T) {
 	blob, err := Build(samplePkg(), []File{{Path: "/usr/share/empty", Data: nil}})
 	if err != nil {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -488,6 +489,106 @@ func TestQuickInstallOrderRespectsDeps(t *testing.T) {
 	}, &quick.Config{MaxCount: 100})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestInstallOrderLongChainAndCycle: a 10 000-long dependency chain
+// installs one package per group from its far end, and a 10 000-member
+// cycle installs as one group.
+func TestInstallOrderLongChainAndCycle(t *testing.T) {
+	const n = 10000
+	names := make([]string, n)
+	for i := range names {
+		names[i] = fmt.Sprintf("p%05d", i)
+	}
+	chain, cycle := MapUniverse{}, MapUniverse{}
+	for i, name := range names {
+		if i+1 < n {
+			chain[name] = pkg(name, names[i+1])
+		} else {
+			chain[name] = pkg(name)
+		}
+		cycle[name] = pkg(name, names[(i+1)%n])
+	}
+	order, err := InstallOrder(chain, names)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(order) != n {
+		t.Fatalf("chain: %d groups, want %d", len(order), n)
+	}
+	for k, g := range order {
+		if len(g) != 1 || g[0] != names[n-1-k] {
+			t.Fatalf("chain: group %d = %v, want [%s]", k, g, names[n-1-k])
+		}
+	}
+	order, err = InstallOrder(cycle, names)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(order) != 1 || !reflect.DeepEqual(order[0], names) {
+		t.Fatalf("cycle: %d groups, want one of all %d packages", len(order), n)
+	}
+}
+
+// TestInstallOrderMatchesReachability holds InstallOrder on seeded random
+// graphs, cycles and dependencies outside the set included, against a
+// brute-force oracle: two packages share a group exactly when each reaches
+// the other through the set, and every dependency in the set sits in an
+// earlier group or the same one.
+func TestInstallOrderMatchesReachability(t *testing.T) {
+	for seed := int64(1); seed <= 200; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		n := rng.Intn(14) + 1
+		names := make([]string, n)
+		for i := range names {
+			names[i] = fmt.Sprintf("p%02d", i)
+		}
+		u := MapUniverse{}
+		reach := make([][]bool, n) // reach[i][j]: i reaches j in the set
+		for i, name := range names {
+			reach[i] = make([]bool, n)
+			reach[i][i] = true
+			var deps []string
+			for j := range names {
+				if rng.Intn(5) == 0 {
+					deps = append(deps, names[j])
+					reach[i][j] = true
+				}
+			}
+			if rng.Intn(3) == 0 {
+				deps = append(deps, "outside")
+			}
+			u[name] = pkg(name, deps...)
+		}
+		for k := range names {
+			for i := range names {
+				for j := range names {
+					reach[i][j] = reach[i][j] || reach[i][k] && reach[k][j]
+				}
+			}
+		}
+		order, err := InstallOrder(u, names)
+		if err != nil {
+			t.Fatal(err)
+		}
+		idx := groupIndex(order)
+		if covered := len(slices.Concat(order...)); covered != n || len(idx) != n {
+			t.Fatalf("seed %d: %d groups cover %d entries of %d packages", seed, len(order), covered, n)
+		}
+		for i, a := range names {
+			for j, b := range names {
+				if same := idx[a] == idx[b]; same != (reach[i][j] && reach[j][i]) {
+					t.Fatalf("seed %d: %s and %s share a group: %v; reach each other: %v\norder %v",
+						seed, a, b, same, reach[i][j] && reach[j][i], order)
+				}
+			}
+			for _, d := range u[a].Depends {
+				if _, in := idx[d]; in && idx[d] > idx[a] {
+					t.Fatalf("seed %d: %s (group %d) before its dependency %s (group %d)", seed, a, idx[a], d, idx[d])
+				}
+			}
+		}
 	}
 }
 

@@ -70,74 +70,43 @@ func InstallOrder(u Universe, names []string) ([][]string, error) {
 		adj[n] = deps
 	}
 
-	// Tarjan's strongly connected components, iterative for safety on deep
-	// dependency chains. Components are emitted in reverse topological
-	// order of the condensation — i.e. dependencies first — which is
-	// exactly the installation order.
+	// Tarjan's strongly connected components. Components are emitted in
+	// reverse topological order of the condensation — i.e. dependencies
+	// first — which is exactly the installation order.
 	index := map[string]int{}
 	low := map[string]int{}
 	onStack := map[string]bool{}
 	var stack []string
 	var order [][]string
-	next := 0
-
-	type frame struct {
-		node string
-		iter int
-	}
-	var dfs func(root string)
-	dfs = func(root string) {
-		frames := []frame{{node: root}}
-		for len(frames) > 0 {
-			f := &frames[len(frames)-1]
-			n := f.node
-			if f.iter == 0 {
-				index[n] = next
-				low[n] = next
-				next++
-				stack = append(stack, n)
-				onStack[n] = true
-			}
-			advanced := false
-			for f.iter < len(adj[n]) {
-				d := adj[n][f.iter]
-				f.iter++
-				if _, visited := index[d]; !visited {
-					frames = append(frames, frame{node: d})
-					advanced = true
-					break
-				} else if onStack[d] {
-					if index[d] < low[n] {
-						low[n] = index[d]
-					}
-				}
-			}
-			if advanced {
-				continue
-			}
-			// Post-order: fold low into parent, pop SCC if root.
-			if low[n] == index[n] {
-				var comp []string
-				for {
-					top := stack[len(stack)-1]
-					stack = stack[:len(stack)-1]
-					onStack[top] = false
-					comp = append(comp, top)
-					if top == n {
-						break
-					}
-				}
-				sort.Strings(comp)
-				order = append(order, comp)
-			}
-			frames = frames[:len(frames)-1]
-			if len(frames) > 0 {
-				parent := frames[len(frames)-1].node
-				if low[n] < low[parent] {
-					low[parent] = low[n]
-				}
+	var dfs func(n string)
+	dfs = func(n string) {
+		index[n] = len(index)
+		low[n] = index[n]
+		stack = append(stack, n)
+		onStack[n] = true
+		for _, d := range adj[n] {
+			if _, visited := index[d]; !visited {
+				dfs(d)
+				low[n] = min(low[n], low[d])
+			} else if onStack[d] {
+				low[n] = min(low[n], index[d])
 			}
 		}
+		if low[n] != index[n] {
+			return
+		}
+		var comp []string
+		for {
+			top := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			onStack[top] = false
+			comp = append(comp, top)
+			if top == n {
+				break
+			}
+		}
+		sort.Strings(comp)
+		order = append(order, comp)
 	}
 	for _, n := range vertices {
 		if _, visited := index[n]; !visited {

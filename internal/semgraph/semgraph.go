@@ -6,9 +6,9 @@
 // the base image (simBI, SimG, comp) read it from there.
 //
 // The package also provides the induced subgraph extractions used by
-// Algorithms 1–3 (base-image subgraph, primary-package subgraph), graph
-// union (master-graph construction), deterministic serialization for
-// repository storage, and DOT export for inspection.
+// Algorithms 1–3 (base-image subgraph, dependency closure, primary-package
+// subgraph), graph union (master-graph construction), deterministic
+// serialization for repository storage, and DOT export for inspection.
 package semgraph
 
 import (
@@ -231,19 +231,13 @@ func (g *Graph) BaseSubgraph() *Graph {
 	return g.induced(names)
 }
 
-// PrimarySubgraph extracts G_I[PS]: the induced subgraph containing the
-// primary packages and their transitive dependency closure within the
-// graph (including homonyms of base packages, which the compatibility
-// metric inspects).
-func (g *Graph) PrimarySubgraph() *Graph {
+// Closure extracts the induced subgraph over roots and their transitive
+// dependency closure within the graph (extractSubGraph of Algorithms 1
+// and 2). Cycles are followed once; a root that is not a vertex adds
+// nothing.
+func (g *Graph) Closure(roots ...string) *Graph {
 	names := map[string]bool{}
-	var queue []string
-	for n, v := range g.vertices {
-		if v.Kind == KindPrimary {
-			queue = append(queue, n)
-		}
-	}
-	sort.Strings(queue)
+	queue := append([]string(nil), roots...)
 	for len(queue) > 0 {
 		n := queue[0]
 		queue = queue[1:]
@@ -255,6 +249,11 @@ func (g *Graph) PrimarySubgraph() *Graph {
 	}
 	return g.induced(names)
 }
+
+// PrimarySubgraph extracts G_I[PS]: the closure of the primary packages
+// (including homonyms of base packages, which the compatibility metric
+// inspects).
+func (g *Graph) PrimarySubgraph() *Graph { return g.Closure(g.PrimaryNames()...) }
 
 // Union merges other into g: vertices are added (an existing vertex keeps
 // its current kind unless the incoming one is KindPrimary, which wins so

@@ -131,6 +131,32 @@ func TestPrimarySubgraph(t *testing.T) {
 	}
 }
 
+// TestClosure: a root's closure follows the libc6/perl-base/dpkg cycle once
+// and keeps its edges, a root that is not a vertex adds nothing, and the
+// closure of the primaries is the primary subgraph.
+func TestClosure(t *testing.T) {
+	g := paperExample()
+	c := g.Closure("debconf")
+	if want := []string{"debconf", "dpkg", "libc6", "perl-base"}; !reflect.DeepEqual(c.Names(), want) {
+		t.Fatalf("Closure(debconf) = %v, want %v", c.Names(), want)
+	}
+	if !reflect.DeepEqual(c.Succ("libc6"), []string{"dpkg", "perl-base"}) || !reflect.DeepEqual(c.Succ("perl-base"), []string{"dpkg", "libc6"}) {
+		t.Fatalf("cycle edges lost: libc6 -> %v, perl-base -> %v", c.Succ("libc6"), c.Succ("perl-base"))
+	}
+	if v, _ := c.Vertex("libc6"); v.Kind != KindBase || c.Base() != testBase {
+		t.Fatalf("closure lost kinds or base: %v, %v", v.Kind, c.Base())
+	}
+	if ghost := g.Closure("ghost"); ghost.Len() != 0 {
+		t.Fatalf("Closure(ghost) = %v, want no vertex", ghost.Names())
+	}
+	if got, want := g.Closure("ghost", "bash").Names(), g.Closure("bash").Names(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("Closure(ghost, bash) = %v, want %v", got, want)
+	}
+	if !bytes.Equal(g.Closure("tomcat8", "mariadb").Marshal(), g.PrimarySubgraph().Marshal()) {
+		t.Fatal("closure of the primaries differs from the primary subgraph")
+	}
+}
+
 func TestSubgraphsAreViews(t *testing.T) {
 	g := paperExample()
 	bs := g.BaseSubgraph()

@@ -112,15 +112,6 @@ func (d *Disk) AllocatedBytes() int64 {
 	return int64(d.AllocatedClusters()) * int64(d.clusterSize)
 }
 
-// Grow extends the virtual size. Shrinking is not supported.
-func (d *Disk) Grow(newSize int64) error {
-	if newSize < d.virtualSize {
-		return fmt.Errorf("vdisk %s: cannot shrink from %d to %d", d.name, d.virtualSize, newSize)
-	}
-	d.virtualSize = newSize
-	return nil
-}
-
 // ReadAt reads len(p) bytes at offset off, falling through to the backing
 // chain for unallocated clusters and yielding zeros where nothing was ever
 // written. It implements io.ReaderAt semantics for in-range requests.

@@ -79,19 +79,6 @@ func TestSparseAllocation(t *testing.T) {
 	}
 }
 
-func TestGrow(t *testing.T) {
-	d := mk(t, 4096)
-	if err := d.Grow(8192); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := d.WriteAt([]byte("z"), 8191); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.Grow(4096); err == nil {
-		t.Fatal("shrink succeeded")
-	}
-}
-
 func TestDiscardReclaims(t *testing.T) {
 	d := mk(t, 1<<20)
 	data := bytes.Repeat([]byte{0xAB}, 5*DefaultClusterSize)

@@ -87,6 +87,6 @@ func (im *Image) Stats() (Stats, error) {
 	return Stats{
 		MountedBytes:    fs.UsedBytes(),
 		Files:           fs.NumFiles(),
-		SerializedBytes: int64(len(im.Serialize())),
+		SerializedBytes: im.Disk.SerializedBytes(),
 	}, nil
 }

@@ -66,6 +66,41 @@ func TestStats(t *testing.T) {
 	}
 }
 
+// TestStatsSerializedBytesIsSerializeLength: Stats measures the serialized
+// size without serializing, and it measures what Serialize produces — for
+// a built image and for a lazily decoded one with rewritten clusters.
+func TestStatsSerializedBytesIsSerializeLength(t *testing.T) {
+	check := func(name string, img *Image) {
+		t.Helper()
+		st, err := img.Stats()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := int64(len(img.Serialize())); st.SerializedBytes != n {
+			t.Fatalf("%s: SerializedBytes = %d, Serialize gives %d bytes", name, st.SerializedBytes, n)
+		}
+	}
+	img := newImage(t)
+	check("built", img)
+	blob := img.Serialize()
+	lazy, err := vdisk.DeserializeLazy("lazy", bytes.NewReader(blob), int64(len(blob)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	img.Disk = lazy
+	fs, err := img.Mount()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.WriteFile("/usr/bin/app", bytes.Repeat([]byte{2}, 3*vdisk.DefaultClusterSize)); err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.WriteFile("/etc-motd", []byte("rewritten")); err != nil {
+		t.Fatal(err)
+	}
+	check("lazy, rewritten", img)
+}
+
 func TestCloneDeep(t *testing.T) {
 	img := newImage(t)
 	c := img.Clone()
