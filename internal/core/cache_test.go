@@ -289,7 +289,7 @@ func TestCacheAdmitsByEntryCost(t *testing.T) {
 		t.Fatal(err)
 	}
 	key := retrievecache.NewKey(rec.BaseID, rec.Primaries, "Mini", s.repo.GenerationFor(rec.BaseID, "Mini"))
-	if e := s.memo.slot(key).Load(); e == nil || e.key != key || e.N != size {
+	if e := s.memo.get(key); e == nil || e.val.N != size {
 		t.Fatal("an image the cache did not admit skipped the digest memo")
 	}
 }

@@ -100,7 +100,10 @@ type System struct {
 	cctr    cacheCounters
 	// memo keeps the digest of images streamed to a DigestWriter, so a
 	// repeat retrieval of one committed state is not hashed again.
-	memo digestMemo
+	memo *digestMemo
+	// bases keeps each recently read base blob copied, launched and reset
+	// (Algorithm 3 lines 3–4), so a retrieval does that once per blob.
+	bases *baseMemo
 
 	// commitMu stripes the multi-step metadata transactions by
 	// base-attribute quadruple: the tail of Publish (Algorithm 2 +
@@ -277,7 +280,8 @@ func (s *System) PublishWith(img *vmi.Image, popts PublishOpts) (*PublishReport,
 	rep := &PublishReport{Image: img.Name, Meter: &simio.Meter{}}
 
 	// Step 2 (Fig. 2): guestfs access and semantic analysis.
-	fs, err := s.launch(img.Disk, rep.Meter)
+	rep.Meter.Charge(simio.PhaseLaunch, s.dev.LaunchCost())
+	fs, err := launch(img.Disk)
 	if err != nil {
 		return nil, fmt.Errorf("core: publish %s: %w", img.Name, err)
 	}
@@ -650,10 +654,9 @@ func stripBase(img *vmi.Image, gone []string) (*vdisk.Disk, error) {
 }
 
 // launch mounts disk's guest filesystem as libguestfs does once it has
-// configured and launched its appliance, charging simio.PhaseLaunch (a
-// visible part of publish and retrieval times in Fig. 5a).
-func (s *System) launch(disk *vdisk.Disk, m *simio.Meter) (*fstree.FS, error) {
-	m.Charge(simio.PhaseLaunch, s.dev.LaunchCost())
+// configured and launched its appliance. Callers charge simio.PhaseLaunch
+// (a visible part of publish and retrieval times in Fig. 5a).
+func launch(disk *vdisk.Disk) (*fstree.FS, error) {
 	fs, err := fstree.Mount(disk)
 	if err != nil {
 		return nil, fmt.Errorf("launch: %w", err)
@@ -1054,8 +1057,9 @@ type sources struct {
 	psUnion   *semgraph.Graph
 	order     [][]string
 	base      blob
-	userData  blob   // rc nil when the source VMI has none
-	pkgs      []blob // one per install-order entry, in order
+	baseBlob  blobstore.ID // the base blob's content address
+	userData  blob         // rc nil when the source VMI has none
+	pkgs      []blob       // one per install-order entry, in order
 }
 
 // blob is one open repository blob.
@@ -1116,7 +1120,7 @@ func (s *System) open(name, baseID string, primaries []string, userDataFrom stri
 			src.close()
 		}
 	}()
-	if src.base.rc, src.base.size, err = s.repo.OpenBase(baseID, simio.PhaseCopy, rep.Meter); err != nil {
+	if src.baseBlob, src.base.rc, src.base.size, err = s.repo.OpenBase(baseID, simio.PhaseCopy, rep.Meter); err != nil {
 		return nil, err
 	}
 	if userDataFrom != "" {
@@ -1140,6 +1144,61 @@ func (s *System) open(name, baseID string, primaries []string, userDataFrom stri
 	return src, nil
 }
 
+// baseMemoSlots sizes the base memo: a base blob whose slot another blob
+// took runs lines 3–4 again on its next retrieval. The catalog's images
+// share one base blob; the bulk_stream benchmark cycles through five.
+const baseMemoSlots = 8
+
+// baseMemo keeps, per base blob, what Algorithm 3 lines 3–4 make of it.
+// Those lines read nothing but the blob, whose ID is its content's SHA-256,
+// so a base replaced under its ID has a new blob ID and no entry is ever
+// invalidated.
+type baseMemo = slotMemo[blobstore.ID, resetBase]
+
+// resetBase is one base memo entry.
+type resetBase struct {
+	disk  *vdisk.Disk // the reset base, a template holding no reader
+	fs    *fstree.FS  // its filesystem, mounted on disk
+	files int         // the regular files the reset scanned
+}
+
+// resetBase runs Algorithm 3 lines 3–4 on the base blob b, whose content
+// address is id: it copies the base lazily over b's own reader, so base
+// clusters the assembly never touches are never read, launches the
+// appliance and resets the guest. It returns the copy and its filesystem,
+// cloned from the base memo on a hit; the charges are the same either way.
+func (s *System) resetBase(name string, id blobstore.ID, b blob, m *simio.Meter) (*vdisk.Disk, *fstree.FS, error) {
+	ra, ok := b.rc.(io.ReaderAt)
+	if !ok {
+		return nil, nil, fmt.Errorf("base reader %T is not an io.ReaderAt", b.rc)
+	}
+	m.Charge(simio.PhaseLaunch, s.dev.LaunchCost())
+	if e := s.bases.get(id); e != nil {
+		m.Charge(simio.PhaseReset, s.dev.ResetCost(e.val.files))
+		disk := e.val.disk.CloneOver(name, ra)
+		return disk, e.val.fs.CloneOnto(disk), nil
+	}
+	disk, err := vdisk.DeserializeLazy(name, ra, b.size)
+	if err != nil {
+		return nil, nil, err
+	}
+	fs, err := launch(disk)
+	if err != nil {
+		return nil, nil, err
+	}
+	// virt-sysprep scans every file, then clears the reset paths.
+	files := fs.NumFiles()
+	m.Charge(simio.PhaseReset, s.dev.ResetCost(files))
+	for _, p := range vmi.SysprepPaths {
+		if err := fs.RemoveAll(p); err != nil {
+			return nil, nil, fmt.Errorf("sysprep %s: %w", p, err)
+		}
+	}
+	tmpl := disk.CloneOver(name, nil)
+	s.bases.put(id, resetBase{tmpl, fs.CloneOnto(tmpl), files})
+	return disk, fs, nil
+}
+
 // assemble implements Algorithm 3 over sources open resolved, with no lock
 // held, and writes the serialized result to the writer sink picks for the
 // finished disk, returning the bytes written and, on success, rep. A sink
@@ -1150,28 +1209,10 @@ func (s *System) open(name, baseID string, primaries []string, userDataFrom stri
 func (s *System) assemble(src *sources, rep *RetrieveReport, sink func(*vdisk.Disk) io.Writer) (int64, *RetrieveReport, error) {
 	defer src.close()
 	name := src.name
-	// Lines 3–4: copy the base image and reset it. The copy is lazy: the
-	// disk deserializes over the blob store's own reader (segment-offset
-	// section reads on the disk backend, zero-copy views in memory), so
-	// base clusters the assembly never touches are never materialized.
-	ra, ok := src.base.rc.(io.ReaderAt)
-	if !ok {
-		return 0, nil, fmt.Errorf("core: assemble %s: base reader %T is not an io.ReaderAt", name, src.base.rc)
-	}
-	disk, err := vdisk.DeserializeLazy(name, ra, src.base.size)
-	if err != nil {
-		return 0, nil, err
-	}
-	fs, err := s.launch(disk, rep.Meter)
+	// Lines 3–4: copy the base image and reset it, once per base blob.
+	disk, fs, err := s.resetBase(name, src.baseBlob, src.base, rep.Meter)
 	if err != nil {
 		return 0, nil, fmt.Errorf("core: assemble %s: %w", name, err)
-	}
-	// virt-sysprep scans every file, then clears the reset paths.
-	rep.Meter.Charge(simio.PhaseReset, s.dev.ResetCost(fs.NumFiles()))
-	for _, p := range vmi.SysprepPaths {
-		if err := fs.RemoveAll(p); err != nil {
-			return 0, nil, fmt.Errorf("core: assemble %s: sysprep %s: %w", name, p, err)
-		}
 	}
 
 	// Line 5: import the user data.

@@ -5,9 +5,7 @@ import (
 	"errors"
 	"hash"
 	"hash/crc32"
-	"hash/maphash"
 	"io"
-	"sync/atomic"
 
 	"expelliarmus/internal/retrievecache"
 )
@@ -25,11 +23,9 @@ type DigestWriter interface {
 	SetDigest(sum [sha256.Size]byte)
 }
 
-// memoSlots sizes the digest memo, a direct-mapped table: a retrieval key
-// whose slot another key took is hashed again on its next retrieval.
+// memoSlots sizes the digest memo: a retrieval key whose slot another key
+// took is hashed again on its next retrieval.
 const memoSlots = 1024
-
-var memoSeed = maphash.MakeSeed()
 
 // digestMemo remembers, per retrieval key, the retrievecache.Digest of the
 // image a retrieval streamed straight to a DigestWriter. A key names
@@ -39,18 +35,7 @@ var memoSeed = maphash.MakeSeed()
 // memo's SHA-256. A repeat whose CRC-32C or length differs clears the slot
 // and fails, so the server aborts instead of vouching for bytes nobody
 // hashed, and the next retrieval hashes again.
-type digestMemo struct {
-	slots [memoSlots]atomic.Pointer[memoEntry]
-}
-
-type memoEntry struct {
-	key retrievecache.Key
-	retrievecache.Digest
-}
-
-func (m *digestMemo) slot(key retrievecache.Key) *atomic.Pointer[memoEntry] {
-	return &m.slots[maphash.Comparable(memoSeed, key)%memoSlots]
-}
+type digestMemo = slotMemo[retrievecache.Key, retrievecache.Digest]
 
 // digestTo returns the writer an assembly streams to w through. For a
 // DigestWriter it is a digestTee, which assemble settles after the last
@@ -63,10 +48,8 @@ func (s *System) digestTo(w io.Writer, key *retrievecache.Key) io.Writer {
 	}
 	t := &digestTee{w: dw}
 	if key != nil {
-		t.memo, t.key = &s.memo, *key
-		if e := t.memo.slot(*key).Load(); e != nil && e.key == *key {
-			t.hit = e
-		}
+		t.memo, t.key = s.memo, *key
+		t.hit = t.memo.get(*key)
 	}
 	if t.hit == nil {
 		t.sha = sha256.New()
@@ -80,9 +63,9 @@ type digestTee struct {
 	w    DigestWriter
 	memo *digestMemo // nil when no memo covers the assembly
 	key  retrievecache.Key
-	hit  *memoEntry           // the memo's record of key, nil on a miss
-	sha  hash.Hash            // nil on a hit
-	got  retrievecache.Digest // CRC and N of what passed, Sum once settled
+	hit  *memoEntry[retrievecache.Key, retrievecache.Digest] // the memo's record of key, nil on a miss
+	sha  hash.Hash                                           // nil on a hit
+	got  retrievecache.Digest                                // CRC and N of what passed, Sum once settled
 }
 
 func (t *digestTee) Write(p []byte) (int, error) {
@@ -102,16 +85,16 @@ func (t *digestTee) Write(p []byte) (int, error) {
 // records in the memo.
 func (t *digestTee) settle() error {
 	if t.hit != nil {
-		if t.got.CRC != t.hit.CRC || t.got.N != t.hit.N {
+		if t.got.CRC != t.hit.val.CRC || t.got.N != t.hit.val.N {
 			t.memo.slot(t.key).CompareAndSwap(t.hit, nil)
 			return errors.New("streamed bytes do not match the image's memoized digest")
 		}
-		t.w.SetDigest(t.hit.Sum)
+		t.w.SetDigest(t.hit.val.Sum)
 		return nil
 	}
 	t.sha.Sum(t.got.Sum[:0])
 	if t.memo != nil {
-		t.memo.slot(t.key).Store(&memoEntry{t.key, t.got})
+		t.memo.put(t.key, t.got)
 	}
 	t.w.SetDigest(t.got.Sum)
 	return nil

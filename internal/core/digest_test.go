@@ -54,8 +54,8 @@ func TestDigestMemoSlotMatchesBytesWritten(t *testing.T) {
 		t.Fatal("a DigestWriter was written other bytes than a plain writer")
 	case e == nil || e.key != key:
 		t.Fatal("the retrieval left its key's memo slot empty")
-	case e.Digest != (retrievecache.Digest{Sum: want, CRC: crc32.Checksum(first.Bytes(), retrievecache.Castagnoli), N: int64(first.Len())}):
-		t.Fatalf("memo slot (%x, %d bytes, crc %08x) does not describe the %d bytes written", e.Sum, e.N, e.CRC, first.Len())
+	case e.val != (retrievecache.Digest{Sum: want, CRC: crc32.Checksum(first.Bytes(), retrievecache.Castagnoli), N: int64(first.Len())}):
+		t.Fatalf("memo slot (%x, %d bytes, crc %08x) does not describe the %d bytes written", e.val.Sum, e.val.N, e.val.CRC, first.Len())
 	case len(first.sums) != 1 || first.sums[0] != want:
 		t.Fatalf("sink was handed digests %x, want once %x", first.sums, want)
 	}

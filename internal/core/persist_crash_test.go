@@ -138,7 +138,7 @@ func checkNoDanglingMetadata(t *testing.T, sys *System) {
 		t.Fatalf("recovered base records unreadable: %v", err)
 	}
 	for _, b := range bases {
-		rc, _, err := repo.OpenBase(b.ID, "store", nil)
+		_, rc, _, err := repo.OpenBase(b.ID, "store", nil)
 		if err == nil {
 			_, err = io.Copy(io.Discard, rc)
 			rc.Close()

@@ -5,7 +5,9 @@ import (
 	"maps"
 	"slices"
 
+	"expelliarmus/internal/blobstore"
 	"expelliarmus/internal/master"
+	"expelliarmus/internal/retrievecache"
 	"expelliarmus/internal/simio"
 	"expelliarmus/internal/vmirepo"
 )
@@ -13,7 +15,9 @@ import (
 // NewSystemWithRepo creates a system over an existing repository (e.g. one
 // restored from a snapshot).
 func NewSystemWithRepo(repo *vmirepo.Repo, dev *simio.Device, opts Options) *System {
-	return &System{repo: repo, dev: dev, opts: opts, cache: newCache(opts), pinned: make(map[string]int)}
+	return &System{repo: repo, dev: dev, opts: opts, cache: newCache(opts), pinned: make(map[string]int),
+		memo:  newSlotMemo[retrievecache.Key, retrievecache.Digest](memoSlots),
+		bases: newSlotMemo[blobstore.ID, resetBase](baseMemoSlots)}
 }
 
 // surveyPackageRefs counts, from the committed VMI records, how many VMIs

@@ -32,6 +32,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"maps"
 	"path"
 	"slices"
 	"sort"
@@ -95,7 +96,7 @@ type FS struct {
 	files      int
 	dirs       int
 
-	mu       sync.Mutex          // guards listings
+	mu       *sync.Mutex         // guards listings
 	listings map[uint32][]dirent // parsed directories, written through
 }
 
@@ -133,6 +134,7 @@ func Format(d *vdisk.Disk, maxInodes uint32) (*FS, error) {
 		bitmap:    make([]byte, int(bitmapBlk)*bs),
 		table:     make([]byte, int(maxInodes)*inodeSize),
 		freeBlock: uint32(dataStart),
+		mu:        new(sync.Mutex),
 		listings:  map[uint32][]dirent{},
 	}
 	// Reserve metadata blocks.
@@ -183,6 +185,7 @@ func Mount(d *vdisk.Disk) (*FS, error) {
 		bitmapBlk: binary.BigEndian.Uint32(sb[12:]),
 		inodeBlk:  binary.BigEndian.Uint32(sb[16:]),
 		maxInodes: binary.BigEndian.Uint32(sb[20:]),
+		mu:        new(sync.Mutex),
 		listings:  map[uint32][]dirent{},
 	}
 	// The image may come straight off the network, so the geometry is
@@ -225,6 +228,21 @@ func Mount(d *vdisk.Disk) (*FS, error) {
 		}
 	}
 	return fs, nil
+}
+
+// CloneOnto returns a copy of fs mounted on d, which must hold the bytes
+// fs's disk holds (a vdisk Clone or CloneOver of it): what Mount would
+// return for d, with fs's listings, without reading d. The mirrors are
+// copied; the listings' entry slices are shared, as they are never changed
+// in place. fs may be read concurrently, not mutated.
+func (fs *FS) CloneOnto(d *vdisk.Disk) *FS {
+	fs.mu.Lock()
+	c := *fs
+	c.listings = maps.Clone(fs.listings)
+	fs.mu.Unlock()
+	c.mu, c.disk = new(sync.Mutex), d
+	c.bitmap, c.table = slices.Clone(fs.bitmap), slices.Clone(fs.table)
+	return &c
 }
 
 // Disk returns the underlying disk.

@@ -19,6 +19,7 @@ import (
 	"io"
 	"sort"
 	"strings"
+	"sync"
 
 	"expelliarmus/internal/pkgmeta"
 )
@@ -85,15 +86,28 @@ func writeMember(tw *tar.Writer, name string, data []byte) error {
 	return err
 }
 
+// extractor is the reusable state of one Extract: a gzip.Reader, whose
+// decompressor is costly to build, over a bytes.Reader. Reset reuses both.
+type extractor struct {
+	br bytes.Reader
+	gz gzip.Reader
+}
+
+var extractors = sync.Pool{New: func() any { return new(extractor) }}
+
 // Extract decodes a binary package into its metadata and files.
 func Extract(blob []byte) (pkgmeta.Package, []File, error) {
 	var p pkgmeta.Package
-	gz, err := gzip.NewReader(bytes.NewReader(blob))
-	if err != nil {
+	x := extractors.Get().(*extractor)
+	defer func() {
+		x.br.Reset(nil)
+		extractors.Put(x)
+	}()
+	x.br.Reset(blob)
+	if err := x.gz.Reset(&x.br); err != nil {
 		return p, nil, fmt.Errorf("pkgfmt: not a package (gzip): %w", err)
 	}
-	defer gz.Close()
-	tr := tar.NewReader(gz)
+	tr := tar.NewReader(&x.gz)
 	var files []File
 	sawControl := false
 	for {

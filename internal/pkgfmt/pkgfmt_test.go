@@ -2,8 +2,10 @@ package pkgfmt
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"reflect"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -102,6 +104,58 @@ func TestExtractRejectsCorrupt(t *testing.T) {
 	blob, _ := Build(samplePkg(), sampleFiles())
 	if _, _, err := Extract(blob[:len(blob)/2]); err == nil {
 		t.Fatal("accepted truncated blob")
+	}
+}
+
+// TestExtractReusesReaders: Extract's pooled gzip readers carry nothing
+// from one package to the next: after a corrupt or truncated blob, and on
+// many goroutines at once, every extraction returns the files it would
+// from a fresh reader.
+func TestExtractReusesReaders(t *testing.T) {
+	other := []File{{Path: "/etc/motd", Data: bytes.Repeat([]byte("welcome\n"), 300)}}
+	var blobs [2][]byte
+	for i, files := range [][]File{sampleFiles(), other} {
+		b, err := Build(samplePkg(), files)
+		if err != nil {
+			t.Fatal(err)
+		}
+		blobs[i] = b
+	}
+	want := func(i int) []File {
+		_, files, err := Extract(blobs[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		return files
+	}
+	wants := [2][]File{want(0), want(1)}
+	var wg sync.WaitGroup
+	errs := make(chan error, 8)
+	for g := range 8 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range 50 {
+				k := (g + i) % 2
+				if i%7 == 0 {
+					_, _, _ = Extract(blobs[k][:len(blobs[k])/2])
+				}
+				_, files, err := Extract(blobs[k])
+				if err != nil {
+					errs <- err
+					return
+				}
+				if !reflect.DeepEqual(files, wants[k]) {
+					errs <- fmt.Errorf("goroutine %d, extraction %d: files differ", g, i)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
 	}
 }
 

@@ -2,8 +2,11 @@ package vdisk
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/rand/v2"
+	"slices"
 	"testing"
 )
 
@@ -214,5 +217,117 @@ func TestLazyChildOverLazyBase(t *testing.T) {
 	a, b := mkChild(full), mkChild(lz)
 	if !bytes.Equal(a.Serialize(), b.Serialize()) {
 		t.Fatal("child over lazy base serializes differently from child over materialized base")
+	}
+}
+
+// TestDeserializeChecksDataClusterCount: the header's data-cluster count
+// must be one the image has room for, and the tables must map exactly
+// that many clusters.
+func TestDeserializeChecksDataClusterCount(t *testing.T) {
+	d := New("two", 1<<20, 512)
+	for _, off := range []int64{0, 100 * 512} {
+		if _, err := d.WriteAt(bytes.Repeat([]byte{7}, 512), off); err != nil {
+			t.Fatal(err)
+		}
+	}
+	img := d.Serialize()
+	count := img[len(Magic)+24:]
+	if got := binary.BigEndian.Uint64(count); got != 2 {
+		t.Fatalf("header declares %d data clusters, want 2", got)
+	}
+	for _, n := range []uint64{999, 3, 1, 0, 1 << 63} {
+		bad := append([]byte(nil), img...)
+		binary.BigEndian.PutUint64(bad[len(Magic)+24:], n)
+		if _, err := DeserializeLazy("x", bytes.NewReader(bad), int64(len(bad))); err == nil {
+			t.Errorf("accepted a header declaring %d data clusters over 2", n)
+		}
+	}
+	if _, err := DeserializeLazy("x", bytes.NewReader(img), int64(len(img))); err != nil {
+		t.Fatalf("the unedited image: %v", err)
+	}
+}
+
+// sortedUnion is effectiveIndices' general path for a disk without a
+// backing chain: every local and undiscarded lazy index, sorted.
+func sortedUnion(d *Disk) []int64 {
+	var idx []int64
+	for ci := range d.clusters {
+		idx = append(idx, ci)
+	}
+	for ci := range d.lazy.offsets {
+		if _, gone := d.dropped[ci]; !gone {
+			idx = append(idx, ci)
+		}
+	}
+	slices.Sort(idx)
+	return slices.Compact(idx)
+}
+
+// TestEffectiveIndicesMergesSortedLazyIndex: the merge of a lazy disk's
+// ascending source index with its local keys gives the sorted union, after
+// random writes, discards and rewrites of discarded clusters, on the disk
+// and on CloneOver copies of it.
+func TestEffectiveIndicesMergesSortedLazyIndex(t *testing.T) {
+	_, img := mkLazyFixture(t)
+	rng := rand.New(rand.NewPCG(1, 2))
+	for round := range 20 {
+		lz := lazyOf(t, img)
+		if !slices.IsSorted(lz.lazy.indices) || len(lz.lazy.indices) != len(lz.lazy.offsets) {
+			t.Fatalf("lazy index %v is not the sorted keys of its offsets", lz.lazy.indices)
+		}
+		for op := range 40 {
+			off := rng.Int64N(lz.VirtualSize() - 9000)
+			switch rng.IntN(3) {
+			case 0:
+				lz.Discard(off, rng.Int64N(20000))
+			default:
+				if _, err := lz.WriteAt(bytes.Repeat([]byte{byte(op)}, 1+rng.IntN(9000)), off); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if got, want := lz.effectiveIndices(), sortedUnion(lz); !slices.Equal(got, want) {
+				t.Fatalf("round %d, op %d: effectiveIndices %v, sorted union %v", round, op, got, want)
+			}
+		}
+		c := lz.CloneOver("clone", bytes.NewReader(img))
+		c.Discard(0, 1<<20)
+		if got, want := c.effectiveIndices(), sortedUnion(c); !slices.Equal(got, want) {
+			t.Fatalf("round %d: clone's effectiveIndices %v, sorted union %v", round, got, want)
+		}
+	}
+}
+
+// TestCloneOverSwapsReader: a CloneOver template holds no reader; a clone
+// of it over another reader of the same image reads only that reader,
+// serializes like the original, and writes without touching the template.
+func TestCloneOverSwapsReader(t *testing.T) {
+	_, img := mkLazyFixture(t)
+	lz := lazyOf(t, img)
+	if _, err := lz.WriteAt([]byte("local"), 5000); err != nil {
+		t.Fatal(err)
+	}
+	lz.Discard(1<<20, 1<<20)
+	want := lz.Serialize()
+	tmpl := lz.CloneOver("template", nil)
+	if tmpl.lazy.ra != nil {
+		t.Fatal("a template cloned over no reader holds one")
+	}
+	src := &countingSource{r: bytes.NewReader(img)}
+	c := tmpl.CloneOver("clone", src)
+	if !bytes.Equal(c.Serialize(), want) {
+		t.Fatal("a clone over a second reader serializes differently")
+	}
+	if src.reads == 0 {
+		t.Fatal("the clone did not read through its own reader")
+	}
+	if &c.lazy.indices[0] != &lz.lazy.indices[0] {
+		t.Fatal("the clone rebuilt the source's cluster index")
+	}
+	if _, err := c.WriteAt([]byte("clone-only"), 5000); err != nil {
+		t.Fatal(err)
+	}
+	c.Discard(0, 4096)
+	if !bytes.Equal(tmpl.CloneOver("again", bytes.NewReader(img)).Serialize(), want) {
+		t.Fatal("writing a clone changed its template")
 	}
 }

@@ -16,6 +16,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"maps"
 	"math"
 	"slices"
 	"sort"
@@ -37,10 +38,12 @@ const headerSize = 40
 // an io.ReaderAt plus the file offset of every allocated cluster. A disk
 // opened with DeserializeLazy reads clusters straight from the source as
 // they are touched instead of materializing the whole image up front. The
-// source is immutable and safe to share between disks (Clone does).
+// source is immutable and safe to share between disks (Clone does), and its
+// index between sources over other readers of the same image (CloneOver).
 type lazySource struct {
 	ra      io.ReaderAt
 	offsets map[int64]int64 // cluster index -> byte offset in ra
+	indices []int64         // the keys of offsets, ascending
 }
 
 // Disk is a sparse virtual disk. The zero value is not usable; construct
@@ -272,6 +275,20 @@ func (d *Disk) Clone(name string) *Disk {
 	return c
 }
 
+// CloneOver is Clone with the lazy source read through ra: ra must serve
+// the very image the source was deserialized from, e.g. another reader
+// over the same content-addressed blob. The source's cluster index is
+// shared, not rebuilt. With a nil ra the clone holds no reader and is only
+// a template for later CloneOver calls: a read of a lazy cluster through it
+// panics.
+func (d *Disk) CloneOver(name string, ra io.ReaderAt) *Disk {
+	c := d.Clone(name)
+	if c.lazy != nil {
+		c.lazy = &lazySource{ra: ra, offsets: d.lazy.offsets, indices: d.lazy.indices}
+	}
+	return c
+}
+
 // Flatten merges the whole backing chain and the disk's own lazy source
 // into local clusters, making it standalone: after Flatten the disk holds
 // every byte itself and no longer references its deserialization source.
@@ -296,23 +313,36 @@ func (d *Disk) Flatten() error {
 
 // effectiveIndices returns the sorted union of allocated cluster indices
 // across all layers: local clusters, the lazy source minus its discard
-// mask, and the backing chain — the cluster set Serialize encodes.
+// mask, and the backing chain — the cluster set Serialize encodes. Each
+// layer's sorted local keys merge into its lazy source's ascending index,
+// so nothing but the local keys is sorted.
 func (d *Disk) effectiveIndices() []int64 {
-	var idx []int64
-	for disk := d; disk != nil; disk = disk.backing {
-		for ci := range disk.clusters {
-			idx = append(idx, ci)
-		}
-		if disk.lazy != nil {
-			for ci := range disk.lazy.offsets {
-				if _, gone := disk.dropped[ci]; !gone {
-					idx = append(idx, ci)
-				}
-			}
-		}
+	idx := slices.Sorted(maps.Keys(d.clusters))
+	if d.lazy != nil {
+		idx = mergeIndices(idx, d.lazy.indices, d.dropped)
 	}
-	slices.Sort(idx)
-	return slices.Compact(idx)
+	if d.backing != nil {
+		idx = mergeIndices(idx, d.backing.effectiveIndices(), nil)
+	}
+	return idx
+}
+
+// mergeIndices returns the union of the ascending lists a and b, less the
+// indices of b in skip that a lacks.
+func mergeIndices(a, b []int64, skip map[int64]struct{}) []int64 {
+	out := make([]int64, 0, len(a)+len(b))
+	for _, ci := range b {
+		for len(a) > 0 && a[0] < ci {
+			out, a = append(out, a[0]), a[1:]
+		}
+		if len(a) > 0 && a[0] == ci {
+			a = a[1:]
+		} else if _, gone := skip[ci]; gone {
+			continue
+		}
+		out = append(out, ci)
+	}
+	return append(out, a...)
 }
 
 // layout captures where each section of the serialized image lands. It is
@@ -572,7 +602,8 @@ func DeserializeLazy(name string, ra io.ReaderAt, size int64) (*Disk, error) {
 	// before anything is sized by it: a cluster holds at least one table
 	// entry and at most the whole image (the header alone occupies one),
 	// the L2 count is the one the virtual size implies (what WriteTo
-	// would emit), and the L1 table it sizes fits in the image.
+	// would emit), the L1 table it sizes fits in the image, and the data
+	// clusters fit too. The tables must then map exactly that many.
 	cs := int64(binary.BigEndian.Uint32(hdr[4:]))
 	if cs < 8 || cs&(cs-1) != 0 || cs > size {
 		return nil, fmt.Errorf("vdisk: corrupt cluster size %d", cs)
@@ -587,6 +618,10 @@ func DeserializeLazy(name string, ra io.ReaderAt, size int64) (*Disk, error) {
 	if numL2 > (size-l1Start)/8 {
 		return nil, fmt.Errorf("vdisk: truncated L1 table")
 	}
+	count := int64(binary.BigEndian.Uint64(hdr[24:]))
+	if count < 0 || count > size/cs {
+		return nil, fmt.Errorf("vdisk: corrupt header: %d data clusters in a %d-byte image", count, size)
+	}
 	d := New(name, virtualSize, int(cs))
 	l1 := make([]byte, numL2*8)
 	if numL2 > 0 {
@@ -594,7 +629,10 @@ func DeserializeLazy(name string, ra io.ReaderAt, size int64) (*Disk, error) {
 			return nil, fmt.Errorf("vdisk: read L1 table: %w", err)
 		}
 	}
-	offsets := make(map[int64]int64)
+	// Tables and their entries are walked in order, so indices comes out
+	// ascending.
+	offsets := make(map[int64]int64, count)
+	indices := make([]int64, 0, count)
 	l2 := make([]byte, cs)
 	for t := int64(0); t < numL2; t++ {
 		l2Off := int64(binary.BigEndian.Uint64(l1[t*8:]))
@@ -615,11 +653,16 @@ func DeserializeLazy(name string, ra io.ReaderAt, size int64) (*Disk, error) {
 			if dataOff < 0 || dataOff > size-cs {
 				return nil, fmt.Errorf("vdisk: cluster %d out of bounds", t*entriesPerL2+e)
 			}
-			offsets[t*entriesPerL2+e] = dataOff
+			ci := t*entriesPerL2 + e
+			offsets[ci] = dataOff
+			indices = append(indices, ci)
 		}
 	}
-	if len(offsets) > 0 {
-		d.lazy = &lazySource{ra: ra, offsets: offsets}
+	if int64(len(indices)) != count {
+		return nil, fmt.Errorf("vdisk: corrupt header: %d data clusters declared, %d mapped", count, len(indices))
+	}
+	if count > 0 {
+		d.lazy = &lazySource{ra: ra, offsets: offsets, indices: indices}
 	}
 	return d, nil
 }

@@ -191,7 +191,7 @@ func TestFollowerCatchUp(t *testing.T) {
 }
 
 func readBase(r *Repo) ([]byte, error) {
-	rc, size, err := r.OpenBase("base-1", simio.PhaseFetch, nil)
+	_, rc, size, err := r.OpenBase("base-1", simio.PhaseFetch, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -19,30 +19,32 @@ import (
 	"expelliarmus/internal/simio"
 )
 
-// OpenBase returns a streaming reader over a stored base image blob and
-// its size. The returned reader also implements io.ReaderAt (every
+// OpenBase returns the blob ID of a stored base image, a streaming reader
+// over the blob and its size. The blob ID names the base's content (a
+// replaced base has a new one), so a caller may key what it derives from
+// the bytes by it. The returned reader also implements io.ReaderAt (every
 // backend guarantees it) and stays readable until it is closed, even if
 // the base is released meanwhile: on the disk backend an open reader pins
 // its segment against compaction, so callers reading lazily must keep it
 // open for as long as they read and close it after.
-func (r *Repo) OpenBase(id string, ph simio.Phase, m *simio.Meter) (io.ReadCloser, int64, error) {
+func (r *Repo) OpenBase(id string, ph simio.Phase, m *simio.Meter) (blobstore.ID, io.ReadCloser, int64, error) {
 	val, ok := r.meta().Bucket(bucketBases).Get([]byte(id))
 	r.chargeDB(m, 0)
 	if !ok {
-		return nil, 0, fmt.Errorf("vmirepo: base %s %w", id, ErrNotFound)
+		return blobstore.ID{}, nil, 0, fmt.Errorf("vmirepo: base %s %w", id, ErrNotFound)
 	}
 	rec, err := decodeBaseRecord(id, val)
 	if err != nil {
-		return nil, 0, err
+		return blobstore.ID{}, nil, 0, err
 	}
 	rc, size, err := r.blobs.Open(rec.BlobID)
 	if err != nil {
-		return nil, 0, fmt.Errorf("vmirepo: base %s: %w", id, err)
+		return blobstore.ID{}, nil, 0, fmt.Errorf("vmirepo: base %s: %w", id, err)
 	}
 	if m != nil {
 		m.Charge(ph, r.dev.ReadCost(size))
 	}
-	return rc, size, nil
+	return rec.BlobID, rc, size, nil
 }
 
 // OpenPackage returns a package's metadata plus a streaming reader over

@@ -34,7 +34,7 @@ func putBase(r *Repo, id string, img []byte, m *simio.Meter) error {
 }
 
 func getBase(r *Repo, id string, ph simio.Phase, m *simio.Meter) ([]byte, error) {
-	rc, _, err := r.OpenBase(id, ph, m)
+	_, rc, _, err := r.OpenBase(id, ph, m)
 	if err != nil {
 		return nil, err
 	}
