@@ -34,10 +34,11 @@ func missBytes(t *testing.T, s *System, name string) []byte {
 	return retrieveBytes(t, s, name)
 }
 
-// TestBaseMemoHitMatchesMiss: every catalog template, retrieved through a
-// base memo that the first retrieval filled, is byte for byte the
-// retrieval that ran lines 3–4 itself — on the memory and the disk backend.
-func TestBaseMemoHitMatchesMiss(t *testing.T) {
+// hitsMatchMisses publishes every catalog template on the memory and the
+// disk backend, retrieves each twice through one system's memos and
+// requires the bytes of a second system on which empty clears a memo
+// before every retrieval. check then inspects the first system.
+func hitsMatchMisses(t *testing.T, empty func(*System), check func(*testing.T, *System)) {
 	for _, backend := range []string{"memory", "disk"} {
 		t.Run(backend, func(t *testing.T) {
 			repo := vmirepo.New(testDev)
@@ -59,14 +60,25 @@ func TestBaseMemoHitMatchesMiss(t *testing.T) {
 			miss := NewSystemWithRepo(repo, testDev, Options{})
 			for round := range 2 {
 				for _, tpl := range tpls {
-					want := missBytes(t, miss, tpl.Name)
+					empty(miss)
+					want := retrieveBytes(t, miss, tpl.Name)
 					if got := retrieveBytes(t, s, tpl.Name); !bytes.Equal(got, want) {
-						t.Fatalf("round %d: %s through the base memo differs from its memo miss", round, tpl.Name)
+						t.Fatalf("round %d: %s through the memo differs from its memo miss", round, tpl.Name)
 					}
 				}
 			}
+			check(t, s)
 		})
 	}
+}
+
+// TestBaseMemoHitMatchesMiss: every catalog template, retrieved through a
+// base memo that the first retrieval filled, is byte for byte the
+// retrieval that ran lines 3–4 itself — on the memory and the disk backend.
+func TestBaseMemoHitMatchesMiss(t *testing.T) {
+	hitsMatchMisses(t, func(s *System) {
+		s.bases = newSlotMemo[blobstore.ID, resetBase](baseMemoSlots)
+	}, func(*testing.T, *System) {})
 }
 
 // TestBaseMemoFollowsReplacedBlob: the base memo is keyed by the base's
@@ -182,7 +194,13 @@ func TestBaseMemoConcurrentFill(t *testing.T) {
 	for _, n := range names {
 		want[n] = missBytes(t, s, n)
 	}
-	fresh := NewSystemWithRepo(s.repo, testDev, Options{})
+	fillConcurrently(t, NewSystemWithRepo(s.repo, testDev, Options{}), names, want)
+}
+
+// fillConcurrently releases 8 goroutines together on s, each retrieving
+// two of names, and requires every image to be its want bytes.
+func fillConcurrently(t *testing.T, s *System, names []string, want map[string][]byte) {
+	t.Helper()
 	start := make(chan struct{})
 	var wg sync.WaitGroup
 	errs := make(chan string, 8)
@@ -194,7 +212,7 @@ func TestBaseMemoConcurrentFill(t *testing.T) {
 			for i := range 2 {
 				n := names[(g+i)%len(names)]
 				var buf bytes.Buffer
-				if _, _, err := fresh.RetrieveTo(&buf, n); err != nil {
+				if _, _, err := s.RetrieveTo(&buf, n); err != nil {
 					errs <- err.Error()
 					return
 				}

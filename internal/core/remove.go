@@ -16,8 +16,9 @@ import (
 // restored from a snapshot).
 func NewSystemWithRepo(repo *vmirepo.Repo, dev *simio.Device, opts Options) *System {
 	return &System{repo: repo, dev: dev, opts: opts, cache: newCache(opts), pinned: make(map[string]int),
-		memo:  newSlotMemo[retrievecache.Key, retrievecache.Digest](memoSlots),
-		bases: newSlotMemo[blobstore.ID, resetBase](baseMemoSlots)}
+		memo:     newSlotMemo[retrievecache.Key, retrievecache.Digest](memoSlots),
+		bases:    newSlotMemo[blobstore.ID, resetBase](baseMemoSlots),
+		packages: newBudgetMemo[blobstore.ID, extracted](pkgMemoSlots, pkgMemoBudget)}
 }
 
 // surveyPackageRefs counts, from the committed VMI records, how many VMIs

@@ -26,16 +26,12 @@ func upgradeRedisInImage(t *testing.T, img *vmi.Image) {
 		t.Fatalf("redis-server not installed: %v", err)
 	}
 	v2.Version = "2.0-ubuntu2"
-	blob, err := pkgfmt.Build(v2, []pkgfmt.File{
-		{Path: "/usr/bin/redis-server", Data: []byte("redis v2 binary")},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if err := mgr.Remove("redis-server"); err != nil {
 		t.Fatal(err)
 	}
-	if err := mgr.Install(blob); err != nil {
+	if err := mgr.InstallPackage(v2, []pkgfmt.File{
+		{Path: "/usr/bin/redis-server", Data: []byte("redis v2 binary")},
+	}); err != nil {
 		t.Fatal(err)
 	}
 }

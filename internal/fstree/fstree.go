@@ -549,18 +549,27 @@ func parseDir(data []byte) ([]dirent, error) {
 // encodeDir sorts entries in place and encodes them.
 func encodeDir(entries []dirent) []byte {
 	sort.Slice(entries, func(i, j int) bool { return entries[i].name < entries[j].name })
-	var buf bytes.Buffer
-	var tmp [binary.MaxVarintLen64]byte
+	size := 0
 	for _, e := range entries {
-		var hdr [5]byte
-		binary.BigEndian.PutUint32(hdr[:4], e.ino)
-		hdr[4] = e.mode
-		buf.Write(hdr[:])
-		n := binary.PutUvarint(tmp[:], uint64(len(e.name)))
-		buf.Write(tmp[:n])
-		buf.WriteString(e.name)
+		size += 5 + uvarintLen(uint64(len(e.name))) + len(e.name)
 	}
-	return buf.Bytes()
+	buf := make([]byte, 0, size)
+	for _, e := range entries {
+		buf = binary.BigEndian.AppendUint32(buf, e.ino)
+		buf = append(buf, e.mode)
+		buf = binary.AppendUvarint(buf, uint64(len(e.name)))
+		buf = append(buf, e.name...)
+	}
+	return buf
+}
+
+// uvarintLen is the length of x's uvarint encoding.
+func uvarintLen(x uint64) int {
+	n := 1
+	for ; x >= 0x80; x >>= 7 {
+		n++
+	}
+	return n
 }
 
 // readDirents returns the directory's entries, parsed on their first use,

@@ -6,7 +6,6 @@
 package pkgmeta
 
 import (
-	"bufio"
 	"fmt"
 	"strconv"
 	"strings"
@@ -90,12 +89,14 @@ func FormatControl(p Package) string {
 	return b.String()
 }
 
-// ParseControl parses a single control stanza.
+// ParseControl parses a single control stanza. A line may be of any
+// length: a Depends line lists every dependency of its package.
 func ParseControl(s string) (Package, error) {
 	var p Package
-	sc := bufio.NewScanner(strings.NewReader(s))
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
+	for s != "" {
+		var line string
+		line, s, _ = strings.Cut(s, "\n")
+		line = strings.TrimSpace(line)
 		if line == "" {
 			continue
 		}

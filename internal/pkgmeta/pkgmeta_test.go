@@ -1,6 +1,7 @@
 package pkgmeta
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -44,6 +45,29 @@ func TestControlEssentialAndNoDeps(t *testing.T) {
 	}
 	if !got.Essential || got.Depends != nil {
 		t.Fatalf("got %+v", got)
+	}
+}
+
+// TestControlRoundTripLongLine: a package whose Depends line is longer
+// than any line buffer (9 000 dependencies, about 108 KB) parses back
+// whole, the fields after that line included.
+func TestControlRoundTripLongLine(t *testing.T) {
+	want := samplePackage()
+	want.Depends = nil
+	for i := range 9000 {
+		want.Depends = append(want.Depends, fmt.Sprintf("libdep%05d", i))
+	}
+	want.Essential = true
+	s := FormatControl(want)
+	if len(s) < 100_000 {
+		t.Fatalf("setup: the stanza is only %d bytes", len(s))
+	}
+	got, err := ParseControl(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("round trip kept %d of %d Depends, Essential %v", len(got.Depends), len(want.Depends), got.Essential)
 	}
 }
 
@@ -171,4 +195,27 @@ func TestQuickControlRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+}
+
+// FuzzParseControl: parsing any text returns a package or an error, never
+// a panic, and a package it returns formats to a stanza that parses back
+// to the same package. Control stanzas come from packages repacked out of
+// uploaded guests.
+func FuzzParseControl(f *testing.F) {
+	f.Add(FormatControl(samplePackage()))
+	f.Add("Package: x\r\nDepends: a,, b ,\nDepends: c\nEssential: yes\nInstalled-Size: +7\n")
+	f.Add("Package: a:b\n\n  Section : s\nno colon")
+	f.Fuzz(func(t *testing.T, s string) {
+		p, err := ParseControl(s)
+		if err != nil {
+			return
+		}
+		got, err := ParseControl(FormatControl(p))
+		if err != nil {
+			t.Fatalf("%+v formats to a stanza that does not parse: %v", p, err)
+		}
+		if !reflect.DeepEqual(got, p) {
+			t.Fatalf("round trip:\n got %+v\nwant %+v", got, p)
+		}
+	})
 }

@@ -214,7 +214,7 @@ func TestStatusStanzasCanonical(t *testing.T) {
 			default:
 				var blob []byte
 				if blob, err = pkgfmt.Build(p, filesFor(name)); err == nil {
-					op, err = "Install", m.Install(blob)
+					op, err = "Install", installBlob(m, blob)
 				}
 			}
 			if err != nil {

@@ -149,8 +149,9 @@ func (m *Manager) OwnedFiles(name string) ([]string, error) {
 	return out, nil
 }
 
-// InstallPackage installs metadata and files directly (the builder's fast
-// path, equivalent to unpacking a binary package).
+// InstallPackage installs metadata and files, as unpacking a binary
+// package with pkgfmt.Extract yields them. It changes neither: the index
+// holds a clone of p and the guest a copy of each file's data.
 func (m *Manager) InstallPackage(p pkgmeta.Package, files []pkgfmt.File) error {
 	at, ok := m.find(p.Name)
 	if ok {
@@ -175,15 +176,6 @@ func (m *Manager) InstallPackage(p pkgmeta.Package, files []pkgfmt.File) error {
 	pkgs := slices.Insert(slices.Clip(m.index), at, p.Clone())
 	stanzas := slices.Insert(slices.Clip(m.formatted()), at, []byte(pkgmeta.FormatControl(p)))
 	return m.writeStatus(pkgs, stanzas)
-}
-
-// Install unpacks and registers a binary package blob.
-func (m *Manager) Install(blob []byte) error {
-	p, files, err := pkgfmt.Extract(blob)
-	if err != nil {
-		return err
-	}
-	return m.InstallPackage(p, files)
 }
 
 // Remove uninstalls the named package: its files are deleted (empty parent

@@ -85,19 +85,29 @@ func TestDoubleInstallFails(t *testing.T) {
 	}
 }
 
+// installBlob extracts a binary package and installs what it holds, as a
+// retrieval does.
+func installBlob(m *Manager, blob []byte) error {
+	p, files, err := pkgfmt.Extract(blob)
+	if err != nil {
+		return err
+	}
+	return m.InstallPackage(p, files)
+}
+
 func TestInstallFromBlob(t *testing.T) {
 	m, _ := newMgr(t)
 	blob, err := pkgfmt.Build(pkg("nginx"), filesFor("nginx"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Install(blob); err != nil {
+	if err := installBlob(m, blob); err != nil {
 		t.Fatal(err)
 	}
 	if !m.IsInstalled("nginx") {
 		t.Fatal("blob install did not register package")
 	}
-	if err := m.Install([]byte("garbage")); err == nil {
+	if err := installBlob(m, []byte("garbage")); err == nil {
 		t.Fatal("installed garbage blob")
 	}
 }
@@ -169,7 +179,7 @@ func TestRepackRoundTrip(t *testing.T) {
 	}
 	// Repack → fresh install on another guest reproduces the files.
 	m2, fs2 := newMgr(t)
-	if err := m2.Install(blob); err != nil {
+	if err := installBlob(m2, blob); err != nil {
 		t.Fatal(err)
 	}
 	data, err := fs2.ReadFile("/usr/bin/mariadb")
@@ -292,7 +302,7 @@ func TestUpgradeReplacesFiles(t *testing.T) {
 	if err := m.Remove("nginx"); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Install(blob); err != nil {
+	if err := installBlob(m, blob); err != nil {
 		t.Fatal(err)
 	}
 	got, ok, _ := m.Get("nginx")

@@ -15,7 +15,6 @@ import (
 	"io"
 
 	"expelliarmus/internal/blobstore"
-	"expelliarmus/internal/pkgmeta"
 	"expelliarmus/internal/simio"
 )
 
@@ -47,26 +46,28 @@ func (r *Repo) OpenBase(id string, ph simio.Phase, m *simio.Meter) (blobstore.ID
 	return rec.BlobID, rc, size, nil
 }
 
-// OpenPackage returns a package's metadata plus a streaming reader over
-// its payload blob and the payload size.
-func (r *Repo) OpenPackage(ref string, ph simio.Phase, m *simio.Meter) (pkgmeta.Package, io.ReadCloser, int64, error) {
+// OpenPackage returns a package's decoded record plus a streaming reader
+// over its payload blob and the payload size. The record's BlobID names
+// the payload's content (a package replaced under its ref has a new one),
+// so a caller may key what it derives from the bytes by it.
+func (r *Repo) OpenPackage(ref string, ph simio.Phase, m *simio.Meter) (PackageRecord, io.ReadCloser, int64, error) {
 	val, ok := r.meta().Bucket(bucketPackages).Get([]byte(ref))
 	r.chargeDB(m, 0)
 	if !ok {
-		return pkgmeta.Package{}, nil, 0, fmt.Errorf("vmirepo: package %s %w", ref, ErrNotFound)
+		return PackageRecord{}, nil, 0, fmt.Errorf("vmirepo: package %s %w", ref, ErrNotFound)
 	}
 	rec, err := decodePackageRecord(val)
 	if err != nil {
-		return pkgmeta.Package{}, nil, 0, err
+		return PackageRecord{}, nil, 0, err
 	}
 	rc, size, err := r.blobs.Open(rec.BlobID)
 	if err != nil {
-		return pkgmeta.Package{}, nil, 0, fmt.Errorf("vmirepo: package %s: %w", ref, err)
+		return PackageRecord{}, nil, 0, fmt.Errorf("vmirepo: package %s: %w", ref, err)
 	}
 	if m != nil {
 		m.Charge(ph, r.dev.ReadCost(size))
 	}
-	return rec.Pkg, rc, size, nil
+	return rec, rc, size, nil
 }
 
 // OpenUserData returns a streaming reader over a VMI's user-data archive,

@@ -42,12 +42,12 @@ func getBase(r *Repo, id string, ph simio.Phase, m *simio.Meter) ([]byte, error)
 }
 
 func getPackage(r *Repo, ref string, ph simio.Phase, m *simio.Meter) (pkgmeta.Package, []byte, error) {
-	p, rc, _, err := r.OpenPackage(ref, ph, m)
+	rec, rc, _, err := r.OpenPackage(ref, ph, m)
 	if err != nil {
-		return p, nil, err
+		return rec.Pkg, nil, err
 	}
 	blob, err := drain(rc)
-	return p, blob, err
+	return rec.Pkg, blob, err
 }
 
 // getUserData returns nil when the VMI stored no archive.
