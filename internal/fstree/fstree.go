@@ -19,6 +19,8 @@
 // each once, and nothing but setBlocks and writeInode changes them, each
 // after the disk write it mirrors succeeded; a cursor in each marks where
 // free space may begin. So allocation and inode reads touch no disk. The
+// table's mirror is kept in pages that CloneOnto shares: each FS copies a
+// page on its first write to it, as a vdisk clone does its clusters. The
 // one cache is listings, each directory's parsed entries as first read:
 // writeDirents stores them, writeInode drops a freed inode's, and an entry
 // slice is never changed in place. Read-only operations only read the
@@ -48,6 +50,7 @@ var Magic = []byte("EXFS")
 const (
 	inodeSize  = 64
 	maxExtents = 6
+	tablePage  = 4096 // bytes per page of the inode table's mirror
 
 	modeFree = 0
 	modeFile = 1
@@ -88,10 +91,11 @@ type FS struct {
 	inodeBlk   uint32 // blocks used by the inode table
 	maxInodes  uint32
 	dataStart  uint32
-	bitmap     []byte // in-memory mirror, written through
-	table      []byte // the inode table's mirror, written through
-	freeBlock  uint32 // no data block below it is free
-	freeInode  uint32 // no inode below it is free
+	bitmap     []byte   // in-memory mirror, written through
+	table      [][]byte // the inode table's mirror in pages, written through
+	owned      []bool   // the pages of table this FS may write in place
+	freeBlock  uint32   // no data block below it is free
+	freeInode  uint32   // no inode below it is free
 	usedBlocks uint32
 	files      int
 	dirs       int
@@ -132,11 +136,11 @@ func Format(d *vdisk.Disk, maxInodes uint32) (*FS, error) {
 		maxInodes: maxInodes,
 		dataStart: uint32(dataStart),
 		bitmap:    make([]byte, int(bitmapBlk)*bs),
-		table:     make([]byte, int(maxInodes)*inodeSize),
 		freeBlock: uint32(dataStart),
 		mu:        new(sync.Mutex),
 		listings:  map[uint32][]dirent{},
 	}
+	fs.mirrorTable(make([]byte, int(maxInodes)*inodeSize))
 	// Reserve metadata blocks.
 	for b := uint32(0); b < fs.dataStart; b++ {
 		fs.bitmap[b/8] |= 1 << (b % 8)
@@ -215,12 +219,13 @@ func Mount(d *vdisk.Disk) (*FS, error) {
 			fs.usedBlocks++
 		}
 	}
-	fs.table = make([]byte, int64(fs.maxInodes)*inodeSize)
-	if _, err := d.ReadAt(fs.table, fs.inodeOffset(0)); err != nil {
+	table := make([]byte, int64(fs.maxInodes)*inodeSize)
+	if _, err := d.ReadAt(table, fs.inodeOffset(0)); err != nil {
 		return nil, fmt.Errorf("fstree: read inode table: %w", err)
 	}
-	for i := 0; i < len(fs.table); i += inodeSize {
-		switch fs.table[i] {
+	fs.mirrorTable(table)
+	for i := 0; i < len(table); i += inodeSize {
+		switch table[i] {
 		case modeFile:
 			fs.files++
 		case modeDir:
@@ -232,17 +237,37 @@ func Mount(d *vdisk.Disk) (*FS, error) {
 
 // CloneOnto returns a copy of fs mounted on d, which must hold the bytes
 // fs's disk holds (a vdisk Clone or CloneOver of it): what Mount would
-// return for d, with fs's listings, without reading d. The mirrors are
-// copied; the listings' entry slices are shared, as they are never changed
-// in place. fs may be read concurrently, not mutated.
+// return for d, with fs's listings, without reading d. The bitmap's mirror
+// is copied. The inode table's pages are shared, and each of fs and the
+// copy copies a page on its first write to it. The listings' entry slices
+// are shared, as they are never changed in place. fs may be read
+// concurrently, not mutated.
 func (fs *FS) CloneOnto(d *vdisk.Disk) *FS {
 	fs.mu.Lock()
 	c := *fs
 	c.listings = maps.Clone(fs.listings)
+	clear(fs.owned)
 	fs.mu.Unlock()
 	c.mu, c.disk = new(sync.Mutex), d
-	c.bitmap, c.table = slices.Clone(fs.bitmap), slices.Clone(fs.table)
+	c.bitmap, c.table, c.owned = slices.Clone(fs.bitmap), slices.Clone(fs.table), make([]bool, len(fs.table))
 	return &c
+}
+
+// mirrorTable makes table, the whole inode table, the mirror: pages of
+// it, each owned by fs.
+func (fs *FS) mirrorTable(table []byte) {
+	fs.table = nil
+	for len(table) > 0 {
+		n := min(tablePage, len(table))
+		fs.table, table = append(fs.table, table[:n:n]), table[n:]
+	}
+	fs.owned = slices.Repeat([]bool{true}, len(fs.table))
+}
+
+// inodeBytes returns inode num's slot of the mirror.
+func (fs *FS) inodeBytes(num uint32) []byte {
+	const perPage = tablePage / inodeSize
+	return fs.table[num/perPage][num%perPage*inodeSize:][:inodeSize]
 }
 
 // Disk returns the underlying disk.
@@ -266,7 +291,7 @@ func (fs *FS) readInode(num uint32) (inode, error) {
 	if num >= fs.maxInodes {
 		return inode{}, fmt.Errorf("fstree: inode %d out of range", num)
 	}
-	raw := fs.table[int(num)*inodeSize:][:inodeSize]
+	raw := fs.inodeBytes(num)
 	ino := inode{mode: raw[0], n: int(raw[1]), size: int64(binary.BigEndian.Uint64(raw[2:]))}
 	if ino.n > maxExtents {
 		return inode{}, fmt.Errorf("fstree: inode %d corrupt extent count %d", num, ino.n)
@@ -308,7 +333,10 @@ func (fs *FS) writeInode(num uint32, ino inode) error {
 	if _, err := fs.disk.WriteAt(raw[:], fs.inodeOffset(num)); err != nil {
 		return err
 	}
-	copy(fs.table[int(num)*inodeSize:], raw[:])
+	if pg := num / (tablePage / inodeSize); !fs.owned[pg] {
+		fs.table[pg], fs.owned[pg] = slices.Clone(fs.table[pg]), true
+	}
+	copy(fs.inodeBytes(num), raw[:])
 	if ino.mode == modeFree {
 		fs.freeInode = min(fs.freeInode, num)
 		fs.mu.Lock()
@@ -322,7 +350,7 @@ func (fs *FS) writeInode(num uint32, ino inode) error {
 // inode stays free until the caller's writeInode.
 func (fs *FS) allocInode() (uint32, error) {
 	for ; fs.freeInode < fs.maxInodes; fs.freeInode++ {
-		if fs.table[int(fs.freeInode)*inodeSize] == modeFree {
+		if fs.inodeBytes(fs.freeInode)[0] == modeFree {
 			return fs.freeInode, nil
 		}
 	}

@@ -231,3 +231,54 @@ func TestStatusStanzasCanonical(t *testing.T) {
 		}
 	}
 }
+
+// TestFailedStatusWriteKeepsIndex: when the status file cannot be written
+// (here StatusPath has become a directory), InstallPackage and Remove fail
+// and leave the index as it was; once the file is writable again, the next
+// write holds exactly the packages the index kept.
+func TestFailedStatusWriteKeepsIndex(t *testing.T) {
+	m, fs := newMgr(t)
+	var want []pkgmeta.Package
+	for _, name := range []string{"bash", "perl-base", "zsh"} {
+		if err := m.InstallPackage(pkg(name, "libc6"), filesFor(name)); err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, pkg(name, "libc6"))
+	}
+	status, err := fs.ReadFile(StatusPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.Remove(StatusPath); err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.MkdirAll(StatusPath); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.InstallPackage(pkg("dash"), filesFor("dash")); err == nil {
+		t.Fatal("InstallPackage succeeded with an unwritable status file")
+	}
+	if err := m.Remove("perl-base"); err == nil {
+		t.Fatal("Remove succeeded with an unwritable status file")
+	}
+	got, _ := m.Installed()
+	if !reflect.DeepEqual(got, want) || m.IsInstalled("dash") || !m.IsInstalled("perl-base") {
+		t.Fatalf("after failed writes the index holds %v, want %v", got, want)
+	}
+	if err := fs.Remove(StatusPath); err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.WriteFile(StatusPath, status); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.InstallPackage(pkg("csh"), nil); err != nil {
+		t.Fatal(err)
+	}
+	data, err := fs.ReadFile(StatusPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := formatStatus(append(want, pkg("csh"))); string(data) != want {
+		t.Fatalf("status after recovery:\n%s\nwant:\n%s", data, want)
+	}
+}

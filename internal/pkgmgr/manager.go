@@ -9,13 +9,15 @@
 // (the paper's libc6/perl-base/dpkg example).
 //
 // A Manager keeps the parsed status database in memory, sorted by name.
-// The index is complete before New returns and is replaced only by
-// writeStatus, after the same packages reached StatusPath: it is written
+// The index is complete before New returns and is changed only by
+// writeStatus, after the changed database reached StatusPath: it is written
 // through, never ahead of the disk, and the file is written at the moments
 // it always was (a write moves blocks, so when it happens is part of the
 // image). Beside the index the Manager keeps each package's formatted
-// status stanza, filled on the first write and replaced with the index, so
-// a write formats only the package it adds and joins the rest. Get,
+// status stanza, filled on the first write and edited with the index, so
+// a write formats only the package it adds and copies the rest into a
+// status buffer the Manager reuses. No one else sees the index's arrays
+// (Installed returns a copy), so an edit inserts or deletes in place. Get,
 // IsInstalled, Installed, OwnedFiles, Remaining and Repack never write the
 // index and may run concurrently; methods that change the guest need
 // exclusive access. The status file is not re-read, so a filesystem has
@@ -23,7 +25,6 @@
 package pkgmgr
 
 import (
-	"bytes"
 	"fmt"
 	"path"
 	"slices"
@@ -46,6 +47,7 @@ type Manager struct {
 	fs      *fstree.FS
 	index   []pkgmeta.Package // the status database, sorted by name
 	stanzas [][]byte          // index[i]'s status stanza; nil until the first write
+	status  []byte            // the last status file written, reused by the next
 }
 
 // New returns a manager for the guest filesystem, initialising the package
@@ -122,13 +124,44 @@ func (m *Manager) formatted() [][]byte {
 	return m.stanzas
 }
 
-// writeStatus writes pkgs, sorted by name, as the status file, one stanza
-// of stanzas each, and then makes them the index.
-func (m *Manager) writeStatus(pkgs []pkgmeta.Package, stanzas [][]byte) error {
-	if err := m.fs.WriteFile(StatusPath, bytes.Join(stanzas, []byte("\n"))); err != nil {
+// writeStatus writes the status file of the index edited at position at:
+// with add inserted there or, for a nil add, without the package there.
+// Only once the file is written does it edit the index, so a failed write
+// leaves the index as it was.
+func (m *Manager) writeStatus(at int, add *pkgmeta.Package) error {
+	stanzas := m.formatted()
+	rest := stanzas[at:]
+	var stanza []byte
+	if add != nil {
+		stanza = []byte(pkgmeta.FormatControl(*add))
+	} else {
+		rest = stanzas[at+1:]
+	}
+	buf, n := m.status[:0], 0
+	put := func(s []byte) {
+		if n++; n > 1 {
+			buf = append(buf, '\n')
+		}
+		buf = append(buf, s...)
+	}
+	for _, s := range stanzas[:at] {
+		put(s)
+	}
+	if add != nil {
+		put(stanza)
+	}
+	for _, s := range rest {
+		put(s)
+	}
+	m.status = buf
+	if err := m.fs.WriteFile(StatusPath, buf); err != nil {
 		return err
 	}
-	m.index, m.stanzas = pkgs, stanzas
+	if add == nil {
+		m.index, m.stanzas = slices.Delete(m.index, at, at+1), slices.Delete(stanzas, at, at+1)
+		return nil
+	}
+	m.index, m.stanzas = slices.Insert(m.index, at, add.Clone()), slices.Insert(stanzas, at, stanza)
 	return nil
 }
 
@@ -172,10 +205,7 @@ func (m *Manager) InstallPackage(p pkgmeta.Package, files []pkgfmt.File) error {
 	if err := m.fs.WriteFile(listPath(p.Name), []byte(strings.Join(paths, "\n"))); err != nil {
 		return err
 	}
-	// Clipped, Insert copies: the index stays as it is until the write.
-	pkgs := slices.Insert(slices.Clip(m.index), at, p.Clone())
-	stanzas := slices.Insert(slices.Clip(m.formatted()), at, []byte(pkgmeta.FormatControl(p)))
-	return m.writeStatus(pkgs, stanzas)
+	return m.writeStatus(at, &p)
 }
 
 // Remove uninstalls the named package: its files are deleted (empty parent
@@ -202,9 +232,7 @@ func (m *Manager) Remove(name string) error {
 	if err := m.fs.Remove(listPath(name)); err != nil {
 		return err
 	}
-	pkgs := slices.Delete(slices.Clone(m.index), idx, idx+1)
-	stanzas := slices.Delete(slices.Clone(m.formatted()), idx, idx+1)
-	return m.writeStatus(pkgs, stanzas)
+	return m.writeStatus(idx, nil)
 }
 
 // pruneEmptyDirs removes now-empty directories bottom-up.

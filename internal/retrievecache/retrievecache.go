@@ -1,10 +1,12 @@
 // Package retrievecache implements the repository's retrieval cache: a
 // size-bounded, concurrency-safe LRU of assembled VMI images. Retrieval
-// (Algorithm 3) re-runs base copy, VMI reset and per-group package import
-// from scratch on every request, and related work on VM image distribution
-// identifies repeat instantiation of popular images as the dominant cost in
-// real clouds — so the cache keeps the serialized form of recently
-// assembled images and serves repeats without touching the assembler.
+// (Algorithm 3) memoizes only its inputs: the reset base once per base blob
+// and each package once decoded, per blob. Every request still installs the
+// packages into a clone of the base and serializes the disk, and related
+// work on VM image distribution identifies repeat instantiation of popular
+// images as the dominant cost in real clouds — so the cache keeps the
+// serialized form of recently assembled images and serves repeats without
+// touching the assembler.
 //
 // Correctness is invalidation-shaped. A cache key is the quadruple
 // (base image, sorted primary-package set, user-data source, repository

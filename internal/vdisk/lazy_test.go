@@ -5,14 +5,12 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"math/rand/v2"
-	"slices"
 	"testing"
 )
 
 // mkLazyFixture builds a disk with a sparse, multi-L2 cluster pattern,
 // returning the materialized disk and its serialized image.
-func mkLazyFixture(t *testing.T) (*Disk, []byte) {
+func mkLazyFixture(t testing.TB) (*Disk, []byte) {
 	t.Helper()
 	d := New("fixture", 4<<20, DefaultClusterSize)
 	// Scattered writes: cluster-aligned, partial, and spanning.
@@ -54,8 +52,8 @@ func TestLazyRoundTripByteIdentical(t *testing.T) {
 	if !bytes.Equal(lz.Serialize(), img) {
 		t.Fatal("lazy Serialize differs from source image")
 	}
-	if len(lz.clusters) != 0 {
-		t.Fatalf("serializing a lazy disk materialized %d clusters", len(lz.clusters))
+	if len(lz.chunks) != 0 {
+		t.Fatalf("serializing a lazy disk materialized %d arena chunks", len(lz.chunks))
 	}
 }
 
@@ -247,56 +245,6 @@ func TestDeserializeChecksDataClusterCount(t *testing.T) {
 	}
 }
 
-// sortedUnion is effectiveIndices' general path for a disk without a
-// backing chain: every local and undiscarded lazy index, sorted.
-func sortedUnion(d *Disk) []int64 {
-	var idx []int64
-	for ci := range d.clusters {
-		idx = append(idx, ci)
-	}
-	for ci := range d.lazy.offsets {
-		if _, gone := d.dropped[ci]; !gone {
-			idx = append(idx, ci)
-		}
-	}
-	slices.Sort(idx)
-	return slices.Compact(idx)
-}
-
-// TestEffectiveIndicesMergesSortedLazyIndex: the merge of a lazy disk's
-// ascending source index with its local keys gives the sorted union, after
-// random writes, discards and rewrites of discarded clusters, on the disk
-// and on CloneOver copies of it.
-func TestEffectiveIndicesMergesSortedLazyIndex(t *testing.T) {
-	_, img := mkLazyFixture(t)
-	rng := rand.New(rand.NewPCG(1, 2))
-	for round := range 20 {
-		lz := lazyOf(t, img)
-		if !slices.IsSorted(lz.lazy.indices) || len(lz.lazy.indices) != len(lz.lazy.offsets) {
-			t.Fatalf("lazy index %v is not the sorted keys of its offsets", lz.lazy.indices)
-		}
-		for op := range 40 {
-			off := rng.Int64N(lz.VirtualSize() - 9000)
-			switch rng.IntN(3) {
-			case 0:
-				lz.Discard(off, rng.Int64N(20000))
-			default:
-				if _, err := lz.WriteAt(bytes.Repeat([]byte{byte(op)}, 1+rng.IntN(9000)), off); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if got, want := lz.effectiveIndices(), sortedUnion(lz); !slices.Equal(got, want) {
-				t.Fatalf("round %d, op %d: effectiveIndices %v, sorted union %v", round, op, got, want)
-			}
-		}
-		c := lz.CloneOver("clone", bytes.NewReader(img))
-		c.Discard(0, 1<<20)
-		if got, want := c.effectiveIndices(), sortedUnion(c); !slices.Equal(got, want) {
-			t.Fatalf("round %d: clone's effectiveIndices %v, sorted union %v", round, got, want)
-		}
-	}
-}
-
 // TestCloneOverSwapsReader: a CloneOver template holds no reader; a clone
 // of it over another reader of the same image reads only that reader,
 // serializes like the original, and writes without touching the template.
@@ -320,8 +268,8 @@ func TestCloneOverSwapsReader(t *testing.T) {
 	if src.reads == 0 {
 		t.Fatal("the clone did not read through its own reader")
 	}
-	if &c.lazy.indices[0] != &lz.lazy.indices[0] {
-		t.Fatal("the clone rebuilt the source's cluster index")
+	if &c.lazy.pages[0][0] != &lz.lazy.pages[0][0] {
+		t.Fatal("the clone rebuilt the source's offset pages")
 	}
 	if _, err := c.WriteAt([]byte("clone-only"), 5000); err != nil {
 		t.Fatal(err)

@@ -16,10 +16,10 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"maps"
 	"math"
+	"math/bits"
 	"slices"
-	"sort"
+	"sync/atomic"
 
 	"expelliarmus/internal/chunkpool"
 )
@@ -34,34 +34,49 @@ var Magic = []byte("QGO1")
 
 const headerSize = 40
 
+// arenaChunk is the byte size of the chunks local clusters are stored in.
+const arenaChunk = 64 << 10
+
+// owners issues owner tokens from 1, so a zero page belongs to no disk.
+var owners atomic.Uint64
+
 // lazySource is an on-demand cluster provider: a serialized image behind
-// an io.ReaderAt plus the file offset of every allocated cluster. A disk
-// opened with DeserializeLazy reads clusters straight from the source as
-// they are touched instead of materializing the whole image up front. The
-// source is immutable and safe to share between disks (Clone does), and its
-// index between sources over other readers of the same image (CloneOver).
+// an io.ReaderAt plus, per L2 table the image holds, a page of the byte
+// offsets of the clusters it maps (0 = unallocated). It is immutable and
+// shared by Clone, its pages by CloneOver.
 type lazySource struct {
-	ra      io.ReaderAt
-	offsets map[int64]int64 // cluster index -> byte offset in ra
-	indices []int64         // the keys of offsets, ascending
+	ra    io.ReaderAt
+	pages [][]int64 // nil for a table the image lacks
+}
+
+// owned is a page of a disk's index or a chunk of its arena. Only the disk
+// whose token is owner changes it in place; others copy it first.
+type owned[T int32 | byte] struct {
+	owner uint64
+	s     []T
 }
 
 // Disk is a sparse virtual disk. The zero value is not usable; construct
 // with New, Deserialize, or DeserializeLazy. Disk is not safe for
-// concurrent mutation.
+// concurrent mutation; a disk nothing writes may be read and cloned
+// concurrently.
 //
 // A disk has up to three layers per cluster, consulted in order: local
-// writes (clusters), the lazy source it was deserialized from (lazy,
-// masked per-cluster by dropped so Discard works without materializing),
-// and the backing chain. Writes always land in clusters (copy-on-write),
-// so the lazy source is never modified.
+// writes (the index into the arena), the lazy source, read on demand and
+// masked by the index so Discard need not materialize, and the backing
+// chain. The index and the source have one page per L2 table present, so
+// they grow with those, not with the virtual size, and walk in order.
 type Disk struct {
 	name        string
 	clusterSize int
 	virtualSize int64
-	clusters    map[int64][]byte // cluster index -> cluster data
+	l2Bits      uint           // log2 of the clusters one L2 table maps
+	chunkBits   uint           // log2 of the clusters one chunk holds
+	own         atomic.Uint64  // this disk's owner token
+	index       []owned[int32] // per cluster: > 0 its arena slot, < 0 its lazy cluster discarded, 0 neither
+	chunks      []owned[byte]
+	slots       int32 // the last arena slot handed out; slot s is in chunk (s-1) >> chunkBits
 	lazy        *lazySource
-	dropped     map[int64]struct{} // lazy clusters masked by Discard
 	backing     *Disk
 }
 
@@ -73,12 +88,15 @@ func New(name string, virtualSize int64, clusterSize int) *Disk {
 	if virtualSize < 0 {
 		panic("vdisk: negative virtual size")
 	}
-	return &Disk{
+	d := &Disk{
 		name:        name,
 		clusterSize: clusterSize,
 		virtualSize: virtualSize,
-		clusters:    make(map[int64][]byte),
+		l2Bits:      uint(max(bits.Len(uint(clusterSize))-4, 0)),
+		chunkBits:   uint(max(bits.Len(uint(arenaChunk/clusterSize))-1, 0)),
 	}
+	d.own.Store(owners.Add(1))
+	return d
 }
 
 // Name returns the disk's name.
@@ -94,18 +112,8 @@ func (d *Disk) ClusterSize() int { return d.clusterSize }
 // (excluding the backing chain). Lazily backed clusters count: they are
 // this disk's own content, merely not materialized yet.
 func (d *Disk) AllocatedClusters() int {
-	n := len(d.clusters)
-	if d.lazy != nil {
-		for ci := range d.lazy.offsets {
-			if _, ok := d.clusters[ci]; ok {
-				continue
-			}
-			if _, ok := d.dropped[ci]; ok {
-				continue
-			}
-			n++
-		}
-	}
+	n := 0
+	d.walk(false, func(int64, []byte, *lazySource, int64) error { n++; return nil })
 	return n
 }
 
@@ -126,10 +134,7 @@ func (d *Disk) ReadAt(p []byte, off int64) (int, error) {
 	for n < len(p) {
 		ci := (off + int64(n)) / int64(d.clusterSize)
 		co := int((off + int64(n)) % int64(d.clusterSize))
-		span := d.clusterSize - co
-		if span > len(p)-n {
-			span = len(p) - n
-		}
+		span := min(d.clusterSize-co, len(p)-n)
 		if err := d.readSpan(p[n:n+span], ci, co); err != nil {
 			return n, err
 		}
@@ -138,22 +143,50 @@ func (d *Disk) ReadAt(p []byte, off int64) (int, error) {
 	return n, nil
 }
 
-// resolve finds the layer that holds cluster ci, walking local clusters,
-// then the disk's lazy source (unless the cluster was discarded), then the
-// backing chain: it returns the cluster's data if some layer holds it in
-// memory, or the lazy source and the cluster's byte offset in it, or
-// neither for a cluster nothing ever wrote.
+// split returns the L2 table that maps cluster ci and ci's entry in it.
+func (d *Disk) split(ci int64) (t, e int64) {
+	return ci >> d.l2Bits, ci & (1<<d.l2Bits - 1)
+}
+
+// pages returns the disk's index and lazy offset pages of L2 table t.
+func (d *Disk) pages(t int64) (slots []int32, offs []int64) {
+	if t < int64(len(d.index)) {
+		slots = d.index[t].s
+	}
+	if d.lazy != nil && t < int64(len(d.lazy.pages)) {
+		offs = d.lazy.pages[t]
+	}
+	return slots, offs
+}
+
+// entry reads entry e of a layer's pages: arena slot and lazy offset.
+func entry(slots []int32, offs []int64, e int64) (s int32, off int64) {
+	if slots != nil {
+		s = slots[e]
+	}
+	if offs != nil {
+		off = offs[e]
+	}
+	return s, off
+}
+
+// cluster returns the bytes of arena slot s.
+func (d *Disk) cluster(s int32) []byte {
+	at := int((s-1)&(1<<d.chunkBits-1)) * d.clusterSize
+	return d.chunks[(s-1)>>d.chunkBits].s[at : at+d.clusterSize : at+d.clusterSize]
+}
+
+// resolve finds the layer that holds cluster ci — local clusters, then the
+// lazy source unless the cluster was discarded, then the backing chain —
+// and returns its data, or the lazy source and its offset, or neither.
 func (d *Disk) resolve(ci int64) (local []byte, src *lazySource, off int64) {
-	for disk := d; disk != nil; disk = disk.backing {
-		if c, ok := disk.clusters[ci]; ok {
-			return c, nil, 0
-		}
-		if disk.lazy != nil {
-			if _, gone := disk.dropped[ci]; !gone {
-				if off, ok := disk.lazy.offsets[ci]; ok {
-					return nil, disk.lazy, off
-				}
-			}
+	t, e := d.split(ci)
+	for l := d; l != nil; l = l.backing {
+		slots, offs := l.pages(t)
+		if s, off := entry(slots, offs, e); s > 0 {
+			return l.cluster(s), nil, 0
+		} else if s == 0 && off != 0 {
+			return nil, l.lazy, off
 		}
 	}
 	return nil, nil, 0
@@ -177,6 +210,30 @@ func (d *Disk) readSpan(dst []byte, ci int64, co int) error {
 	return nil
 }
 
+// set makes v the index entry of cluster ci, growing the index to reach
+// it and copying a page the disk does not own.
+func (d *Disk) set(ci int64, v int32, own uint64) {
+	t, e := d.split(ci)
+	if n := t + 1 - int64(len(d.index)); n > 0 {
+		d.index = append(d.index, make([]owned[int32], n)...)
+	}
+	if p := &d.index[t]; p.owner != own {
+		p.owner, p.s = own, append(make([]int32, 0, 1<<d.l2Bits), p.s...)[:1<<d.l2Bits]
+	}
+	d.index[t].s[e] = v
+}
+
+// alloc returns a fresh, zeroed arena slot the disk owns, not yet mapped.
+func (d *Disk) alloc(own uint64) (int32, []byte) {
+	n := len(d.chunks)
+	if n == 0 || d.chunks[n-1].owner != own || d.slots == int32(n)<<d.chunkBits {
+		d.chunks = append(d.chunks, owned[byte]{own, make([]byte, d.clusterSize<<d.chunkBits)})
+		d.slots = int32(n) << d.chunkBits
+	}
+	d.slots++
+	return d.slots, d.cluster(d.slots)
+}
+
 // WriteAt writes p at offset off, allocating clusters as needed. Partial
 // cluster writes over backed clusters copy the old contents first
 // (copy-on-write).
@@ -184,26 +241,26 @@ func (d *Disk) WriteAt(p []byte, off int64) (int, error) {
 	if off < 0 || off+int64(len(p)) > d.virtualSize {
 		return 0, fmt.Errorf("vdisk %s: write [%d,%d) out of range [0,%d)", d.name, off, off+int64(len(p)), d.virtualSize)
 	}
+	own := d.own.Load()
 	n := 0
 	for n < len(p) {
 		ci := (off + int64(n)) / int64(d.clusterSize)
 		co := int((off + int64(n)) % int64(d.clusterSize))
-		span := d.clusterSize - co
-		if span > len(p)-n {
-			span = len(p) - n
-		}
-		c, ok := d.clusters[ci]
-		if !ok {
-			c = make([]byte, d.clusterSize)
+		span := min(d.clusterSize-co, len(p)-n)
+		slots, _ := d.pages(ci >> d.l2Bits)
+		s, _ := entry(slots, nil, ci&(1<<d.l2Bits-1))
+		if s <= 0 || d.chunks[(s-1)>>d.chunkBits].owner != own {
+			var c []byte
+			s, c = d.alloc(own)
+			// Partial write: preserve local/lazy/backing contents (COW).
 			if span != d.clusterSize {
-				// Partial write: preserve lazy/backing contents (COW).
 				if err := d.readSpan(c, ci, 0); err != nil {
 					return n, err
 				}
 			}
-			d.clusters[ci] = c
+			d.set(ci, s, own)
 		}
-		copy(c[co:co+span], p[n:n+span])
+		copy(d.cluster(s)[co:], p[n:n+span])
 		n += span
 	}
 	return n, nil
@@ -213,25 +270,23 @@ func (d *Disk) WriteAt(p []byte, off int64) (int, error) {
 // reclaiming their space. Reads of discarded clusters return backing data
 // or zeros. This models qemu's discard/unmap support, which the
 // Expelliarmus decomposer relies on when removing packages shrinks an
-// image.
+// image. A discarded local cluster's arena slot is not reused.
 func (d *Disk) Discard(off, length int64) {
 	if length <= 0 {
 		return
 	}
+	own := d.own.Load()
 	first := (off + int64(d.clusterSize) - 1) / int64(d.clusterSize)
 	last := (off + length) / int64(d.clusterSize) // exclusive
 	for ci := first; ci < last; ci++ {
-		delete(d.clusters, ci)
-		if d.lazy != nil {
-			// Mask (don't materialize) the lazy cluster so reads fall
-			// through to backing/zeros and serialization drops it, exactly
-			// as if a materialized cluster had been deleted.
-			if _, ok := d.lazy.offsets[ci]; ok {
-				if d.dropped == nil {
-					d.dropped = make(map[int64]struct{})
-				}
-				d.dropped[ci] = struct{}{}
-			}
+		// Mask (don't materialize) a lazy cluster: reads and serialization
+		// then skip it, exactly as if a materialized cluster were deleted.
+		t, e := d.split(ci)
+		slots, offs := d.pages(t)
+		if s, lazy := entry(slots, offs, e); lazy != 0 && s >= 0 {
+			d.set(ci, -1, own)
+		} else if lazy == 0 && s != 0 {
+			d.set(ci, 0, own)
 		}
 	}
 }
@@ -239,306 +294,259 @@ func (d *Disk) Discard(off, length int64) {
 // NewChild creates a copy-on-write child whose reads fall through to d.
 // Writes to the child never modify d.
 func (d *Disk) NewChild(name string) *Disk {
-	return &Disk{
-		name:        name,
-		clusterSize: d.clusterSize,
-		virtualSize: d.virtualSize,
-		clusters:    make(map[int64][]byte),
-		backing:     d,
-	}
+	c := New(name, d.virtualSize, d.clusterSize)
+	c.backing = d
+	return c
 }
 
-// Clone returns an independent copy of the disk (same backing). Local
-// clusters are deep-copied; the lazy source — immutable by construction —
-// is shared, with the discard mask copied so each clone discards
-// independently.
+// Clone returns an independent copy of the disk (same backing, same lazy
+// source) that shares its index pages and chunks: both disks get new owner
+// tokens, so each copies a page, or moves a cluster, on its first write to
+// it. Other goroutines may read or clone d meanwhile.
 func (d *Disk) Clone(name string) *Disk {
-	c := &Disk{
-		name:        name,
-		clusterSize: d.clusterSize,
-		virtualSize: d.virtualSize,
-		clusters:    make(map[int64][]byte, len(d.clusters)),
-		lazy:        d.lazy,
-		backing:     d.backing,
-	}
-	for ci, data := range d.clusters {
-		cp := make([]byte, len(data))
-		copy(cp, data)
-		c.clusters[ci] = cp
-	}
-	if len(d.dropped) > 0 {
-		c.dropped = make(map[int64]struct{}, len(d.dropped))
-		for ci := range d.dropped {
-			c.dropped[ci] = struct{}{}
-		}
-	}
+	c := New(name, d.virtualSize, d.clusterSize)
+	c.index, c.chunks, c.slots = slices.Clone(d.index), slices.Clip(d.chunks), d.slots
+	c.lazy, c.backing = d.lazy, d.backing
+	d.own.Store(owners.Add(1))
 	return c
 }
 
 // CloneOver is Clone with the lazy source read through ra: ra must serve
 // the very image the source was deserialized from, e.g. another reader
-// over the same content-addressed blob. The source's cluster index is
+// over the same content-addressed blob. The source's offset pages are
 // shared, not rebuilt. With a nil ra the clone holds no reader and is only
 // a template for later CloneOver calls: a read of a lazy cluster through it
 // panics.
 func (d *Disk) CloneOver(name string, ra io.ReaderAt) *Disk {
 	c := d.Clone(name)
 	if c.lazy != nil {
-		c.lazy = &lazySource{ra: ra, offsets: d.lazy.offsets, indices: d.lazy.indices}
+		c.lazy = &lazySource{ra: ra, pages: d.lazy.pages}
 	}
 	return c
 }
 
 // Flatten merges the whole backing chain and the disk's own lazy source
-// into local clusters, making it standalone: after Flatten the disk holds
-// every byte itself and no longer references its deserialization source.
-// The error is always nil for fully materialized disks; a lazily backed
-// disk surfaces read failures from its source.
+// into local clusters, making it standalone and no longer referencing its
+// deserialization source. The error is always nil for fully materialized
+// disks; a lazily backed disk surfaces read failures from its source.
 func (d *Disk) Flatten() error {
-	for _, ci := range d.effectiveIndices() {
-		if _, ok := d.clusters[ci]; ok {
-			continue
+	f := New(d.name, d.virtualSize, d.clusterSize)
+	own := f.own.Load()
+	err := d.walk(true, func(ci int64, local []byte, src *lazySource, off int64) error {
+		s, c := f.alloc(own)
+		f.set(ci, s, own)
+		if local != nil {
+			copy(c, local)
+		} else if _, err := src.ra.ReadAt(c, off); err != nil {
+			return fmt.Errorf("vdisk %s: lazy read of cluster %d: %w", d.name, ci, err)
 		}
-		c := make([]byte, d.clusterSize)
-		if err := d.readSpan(c, ci, 0); err != nil {
-			return err
-		}
-		d.clusters[ci] = c
+		return nil
+	})
+	if err != nil {
+		return err
 	}
-	d.lazy = nil
-	d.dropped = nil
-	d.backing = nil
+	d.index, d.chunks, d.slots, d.lazy, d.backing = f.index, f.chunks, f.slots, nil, nil
+	d.own.Store(own)
 	return nil
 }
 
-// effectiveIndices returns the sorted union of allocated cluster indices
-// across all layers: local clusters, the lazy source minus its discard
-// mask, and the backing chain — the cluster set Serialize encodes. Each
-// layer's sorted local keys merge into its lazy source's ascending index,
-// so nothing but the local keys is sorted.
-func (d *Disk) effectiveIndices() []int64 {
-	idx := slices.Sorted(maps.Keys(d.clusters))
-	if d.lazy != nil {
-		idx = mergeIndices(idx, d.lazy.indices, d.dropped)
+// walk calls fn in cluster order for every cluster the disk (with all, its
+// chain) holds, with what resolve would return for it, visiting only the
+// L2 tables some layer has a page for. It stops at fn's first error.
+func (d *Disk) walk(all bool, fn func(ci int64, local []byte, src *lazySource, off int64) error) error {
+	type layer struct {
+		d     *Disk
+		slots []int32
+		offs  []int64
 	}
-	if d.backing != nil {
-		idx = mergeIndices(idx, d.backing.effectiveIndices(), nil)
+	var layers []layer
+	tables := 0
+	for l := d; l != nil && (all || l == d); l = l.backing {
+		layers = append(layers, layer{d: l})
+		tables = max(tables, len(l.index))
+		if l.lazy != nil {
+			tables = max(tables, len(l.lazy.pages))
+		}
 	}
-	return idx
+	for t := range int64(tables) {
+		present := false
+		for i, l := range layers {
+			layers[i].slots, layers[i].offs = l.d.pages(t)
+			present = present || layers[i].slots != nil || layers[i].offs != nil
+		}
+		for e := int64(0); present && e < 1<<d.l2Bits; e++ {
+			for _, l := range layers {
+				s, off := entry(l.slots, l.offs, e)
+				if s < 0 || s == 0 && off == 0 {
+					continue
+				}
+				local, src := []byte(nil), l.d.lazy
+				if s > 0 {
+					local, src, off = l.d.cluster(s), nil, 0
+				}
+				if err := fn(t<<d.l2Bits|e, local, src, off); err != nil {
+					return err
+				}
+				break
+			}
+		}
+	}
+	return nil
 }
 
-// mergeIndices returns the union of the ascending lists a and b, less the
-// indices of b in skip that a lacks.
-func mergeIndices(a, b []int64, skip map[int64]struct{}) []int64 {
-	out := make([]int64, 0, len(a)+len(b))
-	for _, ci := range b {
-		for len(a) > 0 && a[0] < ci {
-			out, a = append(out, a[0]), a[1:]
-		}
-		if len(a) > 0 && a[0] == ci {
-			a = a[1:]
-		} else if _, gone := skip[ci]; gone {
-			continue
-		}
-		out = append(out, ci)
-	}
-	return append(out, a...)
-}
-
-// layout captures where each section of the serialized image lands. It is
-// derived deterministically from the cluster set, so WriteTo can stream
-// the image without building it.
+// layout captures where each section of the serialized image lands, as
+// the cluster set decides, so WriteTo can stream the image unbuilt.
 type layout struct {
-	cs             int64
-	entriesPerL2   int64
-	numL2          int64
-	headerClusters int64
-	l1Clusters     int64
-	l2Start        int64
-	dataStart      int64
-	indices        []int64
-	l2Order        []int64
-	total          int64
+	numL2, l2Start, dataStart int64
+	count                     int64   // data clusters
+	l2Order                   []int64 // the L2 tables that map them, ascending
 }
 
 // l2Tables is the number of L2 tables (each one cluster of 8-byte
 // entries) that map a disk of the given virtual size.
 func l2Tables(virtualSize, cs int64) int64 {
-	entriesPerL2 := cs / 8
-	numClusters := (virtualSize + cs - 1) / cs
-	return (numClusters + entriesPerL2 - 1) / entriesPerL2
+	return ((virtualSize+cs-1)/cs + cs/8 - 1) / (cs / 8)
 }
 
-func (d *Disk) layoutFor(indices []int64) layout {
+// l1Start is where the L1 table starts: after the header cluster(s).
+func l1Start(cs int64) int64 { return (headerSize + cs - 1) / cs * cs }
+
+func (d *Disk) layoutFor() layout {
 	cs := int64(d.clusterSize)
-	entriesPerL2 := cs / 8
-	numL2 := l2Tables(d.virtualSize, cs)
-
-	// Which L2 tables are needed?
-	l2Needed := make(map[int64]bool)
-	for _, ci := range indices {
-		l2Needed[ci/entriesPerL2] = true
-	}
-	l2Order := make([]int64, 0, len(l2Needed))
-	for t := range l2Needed {
-		l2Order = append(l2Order, t)
-	}
-	sort.Slice(l2Order, func(i, j int) bool { return l2Order[i] < l2Order[j] })
-
-	// Like real qcow2, every section is cluster-aligned: one header
-	// cluster, then the L1 table rounded up to whole clusters, then the L2
-	// tables (one cluster each), then the data clusters. Alignment matters
-	// beyond fidelity — it is what lets fixed-size block deduplication
-	// find identical clusters across images.
-	headerClusters := (int64(headerSize) + cs - 1) / cs
-	if headerClusters < 1 {
-		headerClusters = 1
-	}
-	l1Bytes := numL2 * 8
-	l1Clusters := (l1Bytes + cs - 1) / cs
-	l2Start := (headerClusters + l1Clusters) * cs
-	dataStart := l2Start + int64(len(l2Order))*cs
-	return layout{
-		cs:             cs,
-		entriesPerL2:   entriesPerL2,
-		numL2:          numL2,
-		headerClusters: headerClusters,
-		l1Clusters:     l1Clusters,
-		l2Start:        l2Start,
-		dataStart:      dataStart,
-		indices:        indices,
-		l2Order:        l2Order,
-		total:          dataStart + int64(len(indices))*cs,
-	}
+	lo := layout{numL2: l2Tables(d.virtualSize, cs)}
+	d.walk(true, func(ci int64, _ []byte, _ *lazySource, _ int64) error {
+		if t := ci >> d.l2Bits; len(lo.l2Order) == 0 || lo.l2Order[len(lo.l2Order)-1] != t {
+			lo.l2Order = append(lo.l2Order, t)
+		}
+		lo.count++
+		return nil
+	})
+	// Like real qcow2, every section is cluster-aligned: header, L1 table,
+	// L2 tables (one cluster each), data clusters. Alignment is what lets
+	// fixed-size block deduplication find identical clusters across images.
+	lo.l2Start = l1Start(cs) + (lo.numL2*8+cs-1)/cs*cs
+	lo.dataStart = lo.l2Start + int64(len(lo.l2Order))*cs
+	return lo
 }
 
 // WriteTo streams the serialized image (identical bytes to Serialize) to
-// w, one section buffer at a time: header and L1 up front, then each L2
-// table through a single reused cluster buffer, then the data clusters a
-// pooled chunk at a time. Peak memory is a few cluster buffers, one chunk
-// and the offset bookkeeping — independent of image size — so a retrieval
-// can serve a gigabyte image straight to a sink without ever holding it.
+// w: header and L1 up front, then each L2 table through a single reused
+// cluster buffer, then the data clusters a pooled chunk at a time. Peak
+// memory does not grow with the data, so a retrieval can serve a gigabyte
+// image straight to a sink without ever holding it.
 func (d *Disk) WriteTo(w io.Writer) (int64, error) {
-	lo := d.layoutFor(d.effectiveIndices())
+	lo, cs := d.layoutFor(), int64(d.clusterSize)
 	var written int64
 	emit := func(b []byte) error {
 		n, err := w.Write(b)
 		written += int64(n)
-		if err != nil {
-			return err
+		if err == nil && n < len(b) {
+			err = io.ErrShortWrite
 		}
-		if n < len(b) {
-			return io.ErrShortWrite
-		}
-		return nil
+		return err
 	}
 
-	// Header cluster(s).
-	hdr := make([]byte, lo.headerClusters*lo.cs)
-	copy(hdr, Magic)
-	h := hdr[len(Magic):]
+	// Header cluster(s), then the L1 table: each L2 table's offset, 0 = absent.
+	head := make([]byte, lo.l2Start)
+	copy(head, Magic)
+	h := head[len(Magic):]
 	binary.BigEndian.PutUint32(h[0:], 1) // version
 	binary.BigEndian.PutUint32(h[4:], uint32(d.clusterSize))
 	binary.BigEndian.PutUint64(h[8:], uint64(d.virtualSize))
 	binary.BigEndian.PutUint64(h[16:], uint64(lo.numL2))
-	binary.BigEndian.PutUint64(h[24:], uint64(len(lo.indices)))
-	if err := emit(hdr); err != nil {
-		return written, err
-	}
-
-	// L1 table: offset of each L2 table, 0 = absent.
-	l1 := make([]byte, lo.l1Clusters*lo.cs)
+	binary.BigEndian.PutUint64(h[24:], uint64(lo.count))
 	for i, t := range lo.l2Order {
-		binary.BigEndian.PutUint64(l1[t*8:], uint64(lo.l2Start+int64(i)*lo.cs))
+		binary.BigEndian.PutUint64(head[l1Start(cs)+t*8:], uint64(lo.l2Start+int64(i)*cs))
 	}
-	if err := emit(l1); err != nil {
-		return written, err
-	}
-
-	// L2 tables: offset of each data cluster, 0 = unallocated. Data
-	// cluster offsets follow from each cluster's rank in the sorted index
-	// list, so one pass over indices in step with l2Order fills every
-	// table through a single reused buffer.
-	l2 := make([]byte, lo.cs)
-	next := 0 // rank of the next index to place
-	for _, t := range lo.l2Order {
-		for i := range l2 {
-			l2[i] = 0
-		}
-		base := t * lo.entriesPerL2
-		for next < len(lo.indices) && lo.indices[next] < base+lo.entriesPerL2 {
-			ci := lo.indices[next]
-			off := lo.dataStart + int64(next)*lo.cs
-			binary.BigEndian.PutUint64(l2[(ci-base)*8:], uint64(off))
-			next++
-		}
-		if err := emit(l2); err != nil {
+	for _, b := range [][]byte{head[:l1Start(cs)], head[l1Start(cs):]} {
+		if err := emit(b); err != nil {
 			return written, err
 		}
 	}
 
-	// Data clusters, a pooled chunk of them per Write. Each cluster's layer
-	// is resolved once; clusters that sit back to back in one lazy source
-	// accumulate into a run that a single ReadAt fills.
+	// L2 tables: offset of each data cluster, 0 = unallocated, which is
+	// its rank in cluster order. One walk fills each table in turn.
+	l2 := make([]byte, cs)
+	rank, table := int64(0), int64(-1)
+	err := d.walk(true, func(ci int64, _ []byte, _ *lazySource, _ int64) error {
+		t, e := d.split(ci)
+		if t != table && table >= 0 {
+			if err := emit(l2); err != nil {
+				return err
+			}
+			clear(l2)
+		}
+		table = t
+		binary.BigEndian.PutUint64(l2[e*8:], uint64(lo.dataStart+rank*cs))
+		rank++
+		return nil
+	})
+	if err == nil && table >= 0 {
+		err = emit(l2)
+	}
+	if err != nil {
+		return written, err
+	}
+
+	// Data clusters, a pooled chunk per Write. A run of clusters back to back
+	// in one lazy source from off fills buf[start:filled] in one ReadAt.
 	chunk := chunkpool.Get()
 	defer chunkpool.Put(chunk)
 	buf := *chunk
-	if lo.cs > int64(len(buf)) {
-		buf = make([]byte, lo.cs)
+	if cs > int64(len(buf)) {
+		buf = make([]byte, cs)
 	}
-	perChunk := len(buf) / d.clusterSize
 	var run struct {
-		src        *lazySource
-		first      int64 // the run's first cluster
-		off        int64 // where the run starts in src
-		start, end int   // the bytes of buf it fills
+		src   *lazySource
+		off   int64
+		start int
 	}
-	readRun := func() error {
-		if run.src == nil {
+	filled := 0
+	// flush reads the run in, then, with all, writes buf out.
+	flush := func(all bool) error {
+		if run.src != nil {
+			if _, err := run.src.ra.ReadAt(buf[run.start:filled], run.off); err != nil {
+				return fmt.Errorf("vdisk %s: lazy read of %d bytes at %d: %w", d.name, filled-run.start, run.off, err)
+			}
+			run.src = nil
+		}
+		if !all {
 			return nil
 		}
-		if _, err := run.src.ra.ReadAt(buf[run.start:run.end], run.off); err != nil {
-			return fmt.Errorf("vdisk %s: lazy read of %d bytes from cluster %d: %w", d.name, run.end-run.start, run.first, err)
+		err := emit(buf[:filled])
+		filled = 0
+		return err
+	}
+	err = d.walk(true, func(_ int64, local []byte, src *lazySource, off int64) error {
+		if filled+d.clusterSize > len(buf) {
+			if err := flush(true); err != nil {
+				return err
+			}
 		}
-		run.src = nil
+		if src == nil || src != run.src || off != run.off+int64(filled-run.start) {
+			if err := flush(false); err != nil {
+				return err
+			}
+			if local != nil {
+				copy(buf[filled:], local)
+			} else {
+				run.src, run.off, run.start = src, off, filled
+			}
+		}
+		filled += d.clusterSize
 		return nil
+	})
+	if err == nil && filled > 0 {
+		err = flush(true)
 	}
-	for rest := lo.indices; len(rest) > 0; {
-		batch := rest[:min(perChunk, len(rest))]
-		rest = rest[len(batch):]
-		for i, ci := range batch {
-			at := i * d.clusterSize
-			local, src, off := d.resolve(ci)
-			if src != nil && src == run.src && off == run.off+int64(run.end-run.start) {
-				run.end += d.clusterSize
-				continue
-			}
-			if err := readRun(); err != nil {
-				return written, err
-			}
-			switch {
-			case local != nil:
-				copy(buf[at:], local)
-			case src != nil:
-				run.src, run.first, run.off, run.start, run.end = src, ci, off, at, at+d.clusterSize
-			default:
-				clear(buf[at : at+d.clusterSize])
-			}
-		}
-		if err := readRun(); err != nil {
-			return written, err
-		}
-		if err := emit(buf[:len(batch)*d.clusterSize]); err != nil {
-			return written, err
-		}
-	}
-	return written, nil
+	return written, err
 }
 
 // SerializedBytes returns the exact length of the serialized image without
 // producing any of it.
 func (d *Disk) SerializedBytes() int64 {
-	return d.layoutFor(d.effectiveIndices()).total
+	lo := d.layoutFor()
+	return lo.dataStart + lo.count*int64(d.clusterSize)
 }
 
 // Serialize encodes the disk (with its backing chain flattened into the
@@ -575,47 +583,39 @@ func Deserialize(name string, image []byte) (*Disk, error) {
 }
 
 // DeserializeLazy decodes a serialized disk image served by ra without
-// materializing its data clusters: the mapping tables are parsed (through
-// one reused table buffer) and each cluster is remembered as an offset
-// into ra, to be read on demand. The returned disk references ra for its
-// lifetime — or until Flatten — so ra must stay readable; writes never
-// touch it (copy-on-write), and Discard masks lazy clusters rather than
-// materializing them.
+// materializing its data clusters: the mapping tables are parsed and each
+// cluster is remembered as an offset into ra, to be read on demand. The
+// disk references ra until Flatten, so ra must stay readable; writes never
+// touch it, and Discard masks lazy clusters rather than materializing them.
 func DeserializeLazy(name string, ra io.ReaderAt, size int64) (*Disk, error) {
 	var hdrBuf [headerSize]byte
 	if size < headerSize {
 		return nil, fmt.Errorf("vdisk: bad magic")
-	}
-	if _, err := ra.ReadAt(hdrBuf[:], 0); err != nil {
+	} else if _, err := ra.ReadAt(hdrBuf[:], 0); err != nil {
 		return nil, fmt.Errorf("vdisk: read header: %w", err)
-	}
-	if !bytes.Equal(hdrBuf[:len(Magic)], Magic) {
+	} else if !bytes.Equal(hdrBuf[:len(Magic)], Magic) {
 		return nil, fmt.Errorf("vdisk: bad magic")
 	}
 	hdr := hdrBuf[len(Magic):]
-	version := binary.BigEndian.Uint32(hdr[0:])
-	if version != 1 {
+	if version := binary.BigEndian.Uint32(hdr[0:]); version != 1 {
 		return nil, fmt.Errorf("vdisk: unsupported version %d", version)
 	}
 	// The image may come straight off the network, so every count the
-	// header declares is checked against the bytes actually present
-	// before anything is sized by it: a cluster holds at least one table
-	// entry and at most the whole image (the header alone occupies one),
-	// the L2 count is the one the virtual size implies (what WriteTo
-	// would emit), the L1 table it sizes fits in the image, and the data
-	// clusters fit too. The tables must then map exactly that many.
+	// header declares is checked against the bytes present before anything
+	// is sized by it: a cluster holds at least one table entry and at most
+	// the image, the L2 count is the one the virtual size implies, the L1
+	// table fits in the image, and the data clusters fit too. The tables
+	// must map exactly that many, so the offset pages take one entry per L1
+	// slot and at most two clusters' bytes per table that maps a cluster.
 	cs := int64(binary.BigEndian.Uint32(hdr[4:]))
 	if cs < 8 || cs&(cs-1) != 0 || cs > size {
 		return nil, fmt.Errorf("vdisk: corrupt cluster size %d", cs)
 	}
-	virtualSize := int64(binary.BigEndian.Uint64(hdr[8:]))
-	numL2 := int64(binary.BigEndian.Uint64(hdr[16:]))
-	entriesPerL2 := cs / 8
+	virtualSize, numL2 := int64(binary.BigEndian.Uint64(hdr[8:])), int64(binary.BigEndian.Uint64(hdr[16:]))
 	if virtualSize < 0 || virtualSize > math.MaxInt64-cs || numL2 != l2Tables(virtualSize, cs) {
 		return nil, fmt.Errorf("vdisk: corrupt header: %d L2 tables for virtual size %d", numL2, virtualSize)
 	}
-	l1Start := (int64(headerSize) + cs - 1) / cs * cs
-	if numL2 > (size-l1Start)/8 {
+	if numL2 > (size-l1Start(cs))/8 {
 		return nil, fmt.Errorf("vdisk: truncated L1 table")
 	}
 	count := int64(binary.BigEndian.Uint64(hdr[24:]))
@@ -624,45 +624,42 @@ func DeserializeLazy(name string, ra io.ReaderAt, size int64) (*Disk, error) {
 	}
 	d := New(name, virtualSize, int(cs))
 	l1 := make([]byte, numL2*8)
-	if numL2 > 0 {
-		if _, err := ra.ReadAt(l1, l1Start); err != nil {
-			return nil, fmt.Errorf("vdisk: read L1 table: %w", err)
-		}
+	if _, err := ra.ReadAt(l1, l1Start(cs)); numL2 > 0 && err != nil {
+		return nil, fmt.Errorf("vdisk: read L1 table: %w", err)
 	}
-	// Tables and their entries are walked in order, so indices comes out
-	// ascending.
-	offsets := make(map[int64]int64, count)
-	indices := make([]int64, 0, count)
-	l2 := make([]byte, cs)
-	for t := int64(0); t < numL2; t++ {
-		l2Off := int64(binary.BigEndian.Uint64(l1[t*8:]))
-		if l2Off == 0 {
+	pages := make([][]int64, numL2)
+	var slab []int64 // pages are cut from slabs of doubling size, at most 2x the pages used
+	mapped, grow, l2 := int64(0), cs/8, make([]byte, cs)
+	for t := range numL2 {
+		if l2Off := int64(binary.BigEndian.Uint64(l1[t*8:])); l2Off == 0 {
 			continue
-		}
-		if l2Off < 0 || l2Off > size-cs {
+		} else if l2Off < 0 || l2Off > size-cs {
 			return nil, fmt.Errorf("vdisk: L2 table %d out of bounds", t)
-		}
-		if _, err := ra.ReadAt(l2, l2Off); err != nil {
+		} else if _, err := ra.ReadAt(l2, l2Off); err != nil {
 			return nil, fmt.Errorf("vdisk: read L2 table %d: %w", t, err)
 		}
-		for e := int64(0); e < entriesPerL2; e++ {
+		for e := range cs / 8 {
 			dataOff := int64(binary.BigEndian.Uint64(l2[e*8:]))
 			if dataOff == 0 {
 				continue
+			} else if dataOff < 0 || dataOff > size-cs {
+				return nil, fmt.Errorf("vdisk: cluster %d out of bounds", t*(cs/8)+e)
+			} else if mapped++; mapped > count {
+				return nil, fmt.Errorf("vdisk: corrupt header: %d data clusters declared, more mapped", count)
+			} else if pages[t] == nil {
+				if len(slab) == 0 {
+					slab, grow = make([]int64, grow), 2*grow
+				}
+				pages[t], slab = slab[:cs/8:cs/8], slab[cs/8:]
 			}
-			if dataOff < 0 || dataOff > size-cs {
-				return nil, fmt.Errorf("vdisk: cluster %d out of bounds", t*entriesPerL2+e)
-			}
-			ci := t*entriesPerL2 + e
-			offsets[ci] = dataOff
-			indices = append(indices, ci)
+			pages[t][e] = dataOff
 		}
 	}
-	if int64(len(indices)) != count {
-		return nil, fmt.Errorf("vdisk: corrupt header: %d data clusters declared, %d mapped", count, len(indices))
+	if mapped != count {
+		return nil, fmt.Errorf("vdisk: corrupt header: %d data clusters declared, %d mapped", count, mapped)
 	}
 	if count > 0 {
-		d.lazy = &lazySource{ra: ra, offsets: offsets, indices: indices}
+		d.lazy = &lazySource{ra: ra, pages: pages}
 	}
 	return d, nil
 }
