@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"reflect"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -13,6 +14,8 @@ import (
 	"expelliarmus/internal/blobstore"
 	"expelliarmus/internal/builder"
 	"expelliarmus/internal/catalog"
+	"expelliarmus/internal/pkgmgr"
+	"expelliarmus/internal/simio"
 	"expelliarmus/internal/vmirepo"
 )
 
@@ -75,10 +78,41 @@ func hitsMatchMisses(t *testing.T, empty func(*System), check func(*testing.T, *
 // TestBaseMemoHitMatchesMiss: every catalog template, retrieved through a
 // base memo that the first retrieval filled, is byte for byte the
 // retrieval that ran lines 3–4 itself — on the memory and the disk backend.
+// The retrievals install packages through Managers started from the memo's
+// package database, which still reads as its template's status file.
 func TestBaseMemoHitMatchesMiss(t *testing.T) {
 	hitsMatchMisses(t, func(s *System) {
 		s.bases = newSlotMemo[blobstore.ID, resetBase](baseMemoSlots)
-	}, func(*testing.T, *System) {})
+	}, func(t *testing.T, s *System) {
+		bases, err := s.repo.Bases()
+		if err != nil {
+			t.Fatal(err)
+		}
+		held := 0
+		for _, b := range bases {
+			id, rc, _, err := s.repo.OpenBase(b.ID, simio.PhaseCopy, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer rc.Close()
+			e := s.bases.get(id)
+			if e == nil {
+				continue
+			}
+			held++
+			disk := e.val.disk.CloneOver("check", rc.(io.ReaderAt))
+			db, err := pkgmgr.ReadDB(e.val.fs.CloneOnto(disk))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(e.val.db, db) {
+				t.Fatalf("base %s: retrievals changed the memo's package database", b.ID)
+			}
+		}
+		if held == 0 {
+			t.Fatal("the retrievals stored no base in the memo")
+		}
+	})
 }
 
 // TestBaseMemoFollowsReplacedBlob: the base memo is keyed by the base's

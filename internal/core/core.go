@@ -1071,8 +1071,9 @@ type blob struct {
 	id   blobstore.ID // its content address; zero for user data
 }
 
-func (b blob) read() ([]byte, error) {
-	buf := make([]byte, b.size)
+// read reads the whole blob into buf, grown to hold it, and returns it.
+func (b blob) read(buf []byte) ([]byte, error) {
+	buf = slices.Grow(buf[:0], int(b.size))[:b.size]
 	_, err := io.ReadFull(b.rc, buf)
 	return buf, err
 }
@@ -1158,47 +1159,55 @@ const baseMemoSlots = 8
 // invalidated.
 type baseMemo = slotMemo[blobstore.ID, resetBase]
 
-// resetBase is one base memo entry.
+// resetBase is one base memo entry: the reset base, whose disk is a
+// template holding no reader, its filesystem and package database, and the
+// regular files the reset scanned.
 type resetBase struct {
-	disk  *vdisk.Disk // the reset base, a template holding no reader
-	fs    *fstree.FS  // its filesystem, mounted on disk
-	files int         // the regular files the reset scanned
+	disk  *vdisk.Disk
+	fs    *fstree.FS
+	db    pkgmgr.DB
+	files int
 }
 
 // resetBase runs Algorithm 3 lines 3–4 on the base blob b: it copies the
 // base lazily over b's own reader, so base clusters the assembly never
-// touches are never read, launches the appliance and resets the guest. It returns the copy and its filesystem,
-// cloned from the base memo on a hit; the charges are the same either way.
-func (s *System) resetBase(name string, b blob, m *simio.Meter) (*vdisk.Disk, *fstree.FS, error) {
+// touches are never read, launches the appliance and resets the guest. It
+// returns the copy, its filesystem and its package database, cloned from
+// the base memo on a hit; the charges are the same either way.
+func (s *System) resetBase(name string, b blob, m *simio.Meter) (*vdisk.Disk, *fstree.FS, pkgmgr.DB, error) {
 	ra, ok := b.rc.(io.ReaderAt)
 	if !ok {
-		return nil, nil, fmt.Errorf("base reader %T is not an io.ReaderAt", b.rc)
+		return nil, nil, pkgmgr.DB{}, fmt.Errorf("base reader %T is not an io.ReaderAt", b.rc)
 	}
 	m.Charge(simio.PhaseLaunch, s.dev.LaunchCost())
 	if e := s.bases.get(b.id); e != nil {
 		m.Charge(simio.PhaseReset, s.dev.ResetCost(e.val.files))
 		disk := e.val.disk.CloneOver(name, ra)
-		return disk, e.val.fs.CloneOnto(disk), nil
+		return disk, e.val.fs.CloneOnto(disk), e.val.db, nil
 	}
 	disk, err := vdisk.DeserializeLazy(name, ra, b.size)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, pkgmgr.DB{}, err
 	}
 	fs, err := launch(disk)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, pkgmgr.DB{}, err
 	}
 	// virt-sysprep scans every file, then clears the reset paths.
 	files := fs.NumFiles()
 	m.Charge(simio.PhaseReset, s.dev.ResetCost(files))
 	for _, p := range vmi.SysprepPaths {
 		if err := fs.RemoveAll(p); err != nil {
-			return nil, nil, fmt.Errorf("sysprep %s: %w", p, err)
+			return nil, nil, pkgmgr.DB{}, fmt.Errorf("sysprep %s: %w", p, err)
 		}
 	}
+	db, err := pkgmgr.ReadDB(fs)
+	if err != nil {
+		return nil, nil, pkgmgr.DB{}, err
+	}
 	tmpl := disk.CloneOver(name, nil)
-	s.bases.put(b.id, resetBase{tmpl, fs.CloneOnto(tmpl), files})
-	return disk, fs, nil
+	s.bases.put(b.id, resetBase{tmpl, fs.CloneOnto(tmpl), db, files})
+	return disk, fs, db, nil
 }
 
 // pkgMemoSlots sizes the package memo: a package blob whose slot another
@@ -1261,14 +1270,14 @@ func (s *System) assemble(src *sources, rep *RetrieveReport, sink func(*vdisk.Di
 	defer src.close()
 	name := src.name
 	// Lines 3–4: copy the base image and reset it, once per base blob.
-	disk, fs, err := s.resetBase(name, src.base, rep.Meter)
+	disk, fs, db, err := s.resetBase(name, src.base, rep.Meter)
 	if err != nil {
 		return 0, nil, fmt.Errorf("core: assemble %s: %w", name, err)
 	}
 
 	// Line 5: import the user data.
 	if src.userData.rc != nil {
-		archive, err := src.userData.read()
+		archive, err := src.userData.read(nil)
 		if err != nil {
 			return 0, nil, fmt.Errorf("core: assemble %s: read user data: %w", name, err)
 		}
@@ -1287,8 +1296,9 @@ func (s *System) assemble(src *sources, rep *RetrieveReport, sink func(*vdisk.Di
 	}
 
 	// Lines 11–13: import and install through the guest package manager
-	// from a temporary local repository.
-	mgr, err := pkgmgr.New(fs)
+	// from a temporary local repository. User data live under
+	// vmi.UserDataRoots, so the status database is still the reset's.
+	mgr, err := pkgmgr.NewFrom(fs, db)
 	if err != nil {
 		return 0, nil, err
 	}
@@ -1302,13 +1312,20 @@ func (s *System) assemble(src *sources, rep *RetrieveReport, sink func(*vdisk.Di
 		[]byte("deb [trusted=yes] file:"+localRepoDir+" ./\n")); err != nil {
 		return 0, nil, err
 	}
-	pkgs := src.pkgs
+	// Every package blob is read into one buffer, made for the largest: the
+	// guest copies what is written to it and pkgfmt.Extract keeps none of
+	// its input.
+	var largest int64
+	for _, b := range src.pkgs {
+		largest = max(largest, b.size)
+	}
+	pkgs, deb := src.pkgs, make([]byte, 0, largest)
 	for _, group := range src.order {
 		for _, pkgName := range group {
 			v, _ := src.psUnion.Vertex(pkgName)
 			b := pkgs[0]
 			pkgs = pkgs[1:]
-			deb, err := b.read()
+			deb, err = b.read(deb)
 			if err != nil {
 				return 0, nil, fmt.Errorf("core: assemble %s: read package %s: %w", name, v.Pkg.Ref(), err)
 			}

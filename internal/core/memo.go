@@ -1,8 +1,11 @@
 package core
 
 import (
+	"encoding/binary"
 	"hash/maphash"
 	"sync/atomic"
+
+	"expelliarmus/internal/blobstore"
 )
 
 var memoSeed = maphash.MakeSeed()
@@ -35,7 +38,14 @@ func newBudgetMemo[K comparable, V any](slots int, budget int64) *slotMemo[K, V]
 	return &slotMemo[K, V]{slots: make([]atomic.Pointer[memoEntry[K, V]], slots), budget: budget}
 }
 
+// slot returns key's slot. A blob ID, its content's SHA-256, is placed by
+// its first bytes, so blobs that share a slot share it in every process
+// and what a retrieval costs does not vary from run to run; any other key
+// is placed by a hash seeded per process.
 func (m *slotMemo[K, V]) slot(key K) *atomic.Pointer[memoEntry[K, V]] {
+	if id, ok := any(key).(blobstore.ID); ok {
+		return &m.slots[binary.BigEndian.Uint64(id[:8])%uint64(len(m.slots))]
+	}
 	return &m.slots[maphash.Comparable(memoSeed, key)%uint64(len(m.slots))]
 }
 

@@ -22,11 +22,14 @@
 // table's mirror is kept in pages that CloneOnto shares: each FS copies a
 // page on its first write to it, as a vdisk clone does its clusters. The
 // one cache is listings, each directory's parsed entries as first read:
-// writeDirents stores them, writeInode drops a freed inode's, and an entry
-// slice is never changed in place. Read-only operations only read the
-// mirrors and fill listings under a mutex, which is what lets many
-// goroutines read one FS at once. A disk has one FS: a write behind its
-// back is seen by neither the mirrors nor the cache.
+// writeDirents stores them and writeInode drops a freed inode's. An FS
+// owns the listings it parsed or wrote since it was last cloned, and edits
+// those in place, a name inserted at its sorted place or deleted where it
+// is; the first edit of a listing CloneOnto shared copies it. So nothing
+// may hold a listing across a change to its directory. Read-only
+// operations only read the mirrors and fill listings under a mutex, which
+// is what lets many goroutines read one FS at once. A disk has one FS: a
+// write behind its back is seen by neither the mirrors nor the cache.
 package fstree
 
 import (
@@ -35,11 +38,13 @@ import (
 	"fmt"
 	"io"
 	"maps"
+	"math/bits"
 	"path"
 	"slices"
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"expelliarmus/internal/vdisk"
 )
@@ -100,8 +105,20 @@ type FS struct {
 	files      int
 	dirs       int
 
-	mu       *sync.Mutex         // guards listings
-	listings map[uint32][]dirent // parsed directories, written through
+	mu       *sync.Mutex        // guards listings and own
+	listings map[uint32]listing // parsed directories, written through
+	own      uint64             // the owner token of the listings this FS may edit in place
+	dirBuf   []byte             // the last directory encoded, reused by the next
+}
+
+// owners issues the FSes' owner tokens.
+var owners atomic.Uint64
+
+// listing is a directory's parsed entries and the token of the FS that
+// owns them.
+type listing struct {
+	entries []dirent
+	owner   uint64
 }
 
 // geometry returns the bitmap and inode-table block counts Format gives a
@@ -138,7 +155,8 @@ func Format(d *vdisk.Disk, maxInodes uint32) (*FS, error) {
 		bitmap:    make([]byte, int(bitmapBlk)*bs),
 		freeBlock: uint32(dataStart),
 		mu:        new(sync.Mutex),
-		listings:  map[uint32][]dirent{},
+		listings:  map[uint32]listing{},
+		own:       owners.Add(1),
 	}
 	fs.mirrorTable(make([]byte, int(maxInodes)*inodeSize))
 	// Reserve metadata blocks.
@@ -190,7 +208,8 @@ func Mount(d *vdisk.Disk) (*FS, error) {
 		inodeBlk:  binary.BigEndian.Uint32(sb[16:]),
 		maxInodes: binary.BigEndian.Uint32(sb[20:]),
 		mu:        new(sync.Mutex),
-		listings:  map[uint32][]dirent{},
+		listings:  map[uint32]listing{},
+		own:       owners.Add(1),
 	}
 	// The image may come straight off the network, so the geometry is
 	// checked against the disk before anything is sized or indexed by it:
@@ -238,17 +257,18 @@ func Mount(d *vdisk.Disk) (*FS, error) {
 // CloneOnto returns a copy of fs mounted on d, which must hold the bytes
 // fs's disk holds (a vdisk Clone or CloneOver of it): what Mount would
 // return for d, with fs's listings, without reading d. The bitmap's mirror
-// is copied. The inode table's pages are shared, and each of fs and the
-// copy copies a page on its first write to it. The listings' entry slices
-// are shared, as they are never changed in place. fs may be read
-// concurrently, not mutated.
+// is copied. The inode table's pages and the listings are shared: both
+// fs and the copy get new owner tokens, so each copies a page or a
+// listing on its first change to it. fs may be read concurrently, not
+// mutated.
 func (fs *FS) CloneOnto(d *vdisk.Disk) *FS {
 	fs.mu.Lock()
 	c := *fs
 	c.listings = maps.Clone(fs.listings)
 	clear(fs.owned)
+	fs.own = owners.Add(1)
 	fs.mu.Unlock()
-	c.mu, c.disk = new(sync.Mutex), d
+	c.mu, c.disk, c.own, c.dirBuf = new(sync.Mutex), d, owners.Add(1), nil
 	c.bitmap, c.table, c.owned = slices.Clone(fs.bitmap), slices.Clone(fs.table), make([]bool, len(fs.table))
 	return &c
 }
@@ -397,21 +417,41 @@ func (fs *FS) flushBitmap(start, n uint32) error {
 	return nil
 }
 
-// nextFree returns the first free block at or after b, fs.total if none.
-func (fs *FS) nextFree(b uint32) uint32 {
-	for b < fs.total && fs.blockUsed(b) {
-		b++
+// word returns bitmap bits [64k, 64k+64), bit i of the word being block
+// 64k+i's; bits past the bitmap's end read as free. A bitmap whose block
+// size is below 8 need not hold whole words.
+func (fs *FS) word(k uint64) uint64 {
+	if at := k * 8; at+8 <= uint64(len(fs.bitmap)) {
+		return binary.LittleEndian.Uint64(fs.bitmap[at:])
 	}
-	return b
+	var w [8]byte
+	copy(w[:], fs.bitmap[min(k*8, uint64(len(fs.bitmap))):])
+	return binary.LittleEndian.Uint64(w[:])
+}
+
+// nextFree returns the first free block at or after b, fs.total if none
+// (b itself past the end).
+func (fs *FS) nextFree(b uint32) uint32 {
+	for i := uint64(b); i < uint64(fs.total); i = i/64*64 + 64 {
+		if free := ^fs.word(i/64) >> (i % 64); free != 0 {
+			return uint32(min(i+uint64(bits.TrailingZeros64(free)), uint64(fs.total)))
+		}
+	}
+	return max(b, fs.total)
 }
 
 // runLen measures the free run starting at block b, up to limit blocks.
 func (fs *FS) runLen(b, limit uint32) uint32 {
-	n := uint32(0)
-	for n < limit && b+n < fs.total && !fs.blockUsed(b+n) {
-		n++
+	end := min(uint64(b)+uint64(limit), uint64(fs.total))
+	i := uint64(b)
+	for i < end {
+		if used := fs.word(i/64) >> (i % 64); used != 0 {
+			i += uint64(bits.TrailingZeros64(used))
+			break
+		}
+		i = i/64*64 + 64
 	}
-	return n
+	return uint32(min(i, end) - min(uint64(b), end))
 }
 
 // findExtents chooses free space for n blocks without claiming it: the
@@ -574,14 +614,17 @@ func parseDir(data []byte) ([]dirent, error) {
 	return out, nil
 }
 
-// encodeDir sorts entries in place and encodes them.
-func encodeDir(entries []dirent) []byte {
-	sort.Slice(entries, func(i, j int) bool { return entries[i].name < entries[j].name })
+// encodeDir sorts entries in place, unless their names already ascend,
+// and appends their encoding to buf.
+func encodeDir(buf []byte, entries []dirent) []byte {
+	if !ascending(entries) {
+		sort.Slice(entries, func(i, j int) bool { return entries[i].name < entries[j].name })
+	}
 	size := 0
 	for _, e := range entries {
 		size += 5 + uvarintLen(uint64(len(e.name))) + len(e.name)
 	}
-	buf := make([]byte, 0, size)
+	buf = slices.Grow(buf, size)
 	for _, e := range entries {
 		buf = binary.BigEndian.AppendUint32(buf, e.ino)
 		buf = append(buf, e.mode)
@@ -589,6 +632,17 @@ func encodeDir(entries []dirent) []byte {
 		buf = append(buf, e.name...)
 	}
 	return buf
+}
+
+// ascending reports whether the entries' names strictly ascend, as those
+// of every directory this package writes do; a foreign image's may not.
+func ascending(entries []dirent) bool {
+	for i := 1; i < len(entries); i++ {
+		if entries[i-1].name >= entries[i].name {
+			return false
+		}
+	}
+	return true
 }
 
 // uvarintLen is the length of x's uvarint encoding.
@@ -601,8 +655,8 @@ func uvarintLen(x uint64) int {
 }
 
 // readDirents returns the directory's entries, parsed on their first use,
-// and its inode. The entries are shared with the cache: a caller that
-// changes them works on a copy.
+// and its inode. The entries are the cache's: a caller only reads them, and
+// not across a change to the directory, which may edit them in place.
 func (fs *FS) readDirents(num uint32) ([]dirent, inode, error) {
 	ino, err := fs.readInode(num)
 	if err != nil {
@@ -612,28 +666,30 @@ func (fs *FS) readDirents(num uint32) ([]dirent, inode, error) {
 		return nil, inode{}, fmt.Errorf("fstree: inode %d is not a directory", num)
 	}
 	fs.mu.Lock()
-	entries, ok := fs.listings[num]
+	l, ok := fs.listings[num]
 	fs.mu.Unlock()
 	if ok {
-		return entries, ino, nil
+		return l.entries, ino, nil
 	}
 	data, err := fs.readData(ino)
 	if err != nil {
 		return nil, inode{}, err
 	}
-	if entries, err = parseDir(data); err != nil {
+	entries, err := parseDir(data)
+	if err != nil {
 		return nil, inode{}, fmt.Errorf("fstree: corrupt directory %d: %w", num, err)
 	}
 	fs.mu.Lock()
-	fs.listings[num] = entries
+	fs.listings[num] = listing{entries, fs.own}
 	fs.mu.Unlock()
 	return entries, ino, nil
 }
 
-// writeDirents writes entries, which become the cache's and must be the
-// caller's own, as the directory's contents.
+// writeDirents writes entries, which become the cache's and fs's own, as
+// the directory's contents.
 func (fs *FS) writeDirents(num uint32, ino inode, entries []dirent) error {
-	ino, err := fs.writeData(ino, encodeDir(entries))
+	fs.dirBuf = encodeDir(fs.dirBuf[:0], entries)
+	ino, err := fs.writeData(ino, fs.dirBuf)
 	if err != nil {
 		return err
 	}
@@ -641,29 +697,81 @@ func (fs *FS) writeDirents(num uint32, ino inode, entries []dirent) error {
 		return err
 	}
 	fs.mu.Lock()
-	fs.listings[num] = entries
+	fs.listings[num] = listing{entries, fs.own}
 	fs.mu.Unlock()
 	return nil
 }
 
-// splitPath cleans p and returns its components; root yields nil.
-func splitPath(p string) ([]string, error) {
-	clean := path.Clean("/" + p)
-	if clean == "/" {
-		return nil, nil
+// editable returns directory num's listing, entries, in a slice fs may
+// edit, and whether that is the cached slice itself: it is when fs owns
+// it and its names ascend. Otherwise it is a copy with room to grow, and
+// encodeDir sorts it as it always sorted a listing whose names are out of
+// order.
+func (fs *FS) editable(num uint32, entries []dirent, sorted bool) ([]dirent, bool) {
+	fs.mu.Lock()
+	mine := fs.listings[num].owner == fs.own
+	fs.mu.Unlock()
+	if mine && sorted {
+		return entries, true
 	}
-	return strings.Split(strings.TrimPrefix(clean, "/"), "/"), nil
+	return append(make([]dirent, 0, len(entries)+len(entries)/4+4), entries...), false
+}
+
+// addEntry adds e, whose name the directory lacks, to directory num, whose
+// inode and listing are ino and entries, and writes it. After a failed
+// write the listing reads as it did before.
+func (fs *FS) addEntry(num uint32, ino inode, entries []dirent, e dirent) error {
+	i, sorted := len(entries), ascending(entries)
+	if sorted {
+		i, _ = slices.BinarySearchFunc(entries, e.name, func(d dirent, name string) int { return strings.Compare(d.name, name) })
+	}
+	entries, inPlace := fs.editable(num, entries, sorted)
+	entries = slices.Insert(entries, i, e)
+	err := fs.writeDirents(num, ino, entries)
+	if err != nil && inPlace {
+		_ = slices.Delete(entries, i, i+1) // the cached slice, one shorter, holds the old entries again
+	}
+	return err
+}
+
+// removeEntry deletes entry i from directory num, whose inode and listing
+// are ino and entries, and writes it. After a failed write the listing
+// reads as it did before.
+func (fs *FS) removeEntry(num uint32, ino inode, entries []dirent, i int) error {
+	e := entries[i]
+	entries, inPlace := fs.editable(num, entries, ascending(entries))
+	entries = slices.Delete(entries, i, i+1)
+	err := fs.writeDirents(num, ino, entries)
+	if err != nil && inPlace {
+		_ = slices.Insert(entries, i, e) // within the cached slice's length again
+	}
+	return err
+}
+
+// parent splits the cleaned p into its parent directory and last name;
+// the root has no name.
+func parent(p string) (dir, name string) {
+	c := cleanPath(p)
+	i := strings.LastIndexByte(c, '/')
+	return c[:max(i, 1)], c[i+1:]
+}
+
+// cleanPath is path.Clean("/" + p), which returns a rooted path that is
+// already clean as it is, without allocating.
+func cleanPath(p string) string {
+	if !strings.HasPrefix(p, "/") {
+		p = "/" + p
+	}
+	return path.Clean(p)
 }
 
 // lookup resolves a path to (inode number, inode). The root resolves to
 // RootInode.
 func (fs *FS) lookup(p string) (uint32, inode, error) {
-	parts, err := splitPath(p)
-	if err != nil {
-		return 0, inode{}, err
-	}
 	cur := RootInode
-	for _, part := range parts {
+	for rest := cleanPath(p)[1:]; rest != ""; {
+		var part string
+		part, rest, _ = strings.Cut(rest, "/")
 		entries, _, err := fs.readDirents(cur)
 		if err != nil {
 			return 0, inode{}, err
@@ -699,7 +807,7 @@ func (fs *FS) Exists(p string) bool {
 func (fs *FS) CountFiles(paths []string) int {
 	byDir := map[string][]string{}
 	for _, p := range paths {
-		dir, name := path.Split(path.Clean("/" + p))
+		dir, name := path.Split(cleanPath(p))
 		byDir[dir] = append(byDir[dir], name)
 	}
 	n := 0
@@ -727,17 +835,15 @@ func (fs *FS) Stat(p string) (FileInfo, error) {
 	if err != nil {
 		return FileInfo{}, err
 	}
-	return FileInfo{Path: path.Clean("/" + p), Size: ino.size, IsDir: ino.mode == modeDir}, nil
+	return FileInfo{Path: cleanPath(p), Size: ino.size, IsDir: ino.mode == modeDir}, nil
 }
 
 // MkdirAll creates the directory p and any missing parents.
 func (fs *FS) MkdirAll(p string) error {
-	parts, err := splitPath(p)
-	if err != nil {
-		return err
-	}
 	cur := RootInode
-	for _, part := range parts {
+	for rest := cleanPath(p)[1:]; rest != ""; {
+		var part string
+		part, rest, _ = strings.Cut(rest, "/")
 		entries, ino, err := fs.readDirents(cur)
 		if err != nil {
 			return err
@@ -762,8 +868,7 @@ func (fs *FS) MkdirAll(p string) error {
 			if err := fs.writeInode(num, inode{mode: modeDir}); err != nil {
 				return err
 			}
-			entries = append(slices.Clip(entries), dirent{ino: num, mode: modeDir, name: part})
-			if err := fs.writeDirents(cur, ino, entries); err != nil {
+			if err := fs.addEntry(cur, ino, entries, dirent{ino: num, mode: modeDir, name: part}); err != nil {
 				return err
 			}
 			fs.dirs++
@@ -777,15 +882,10 @@ func (fs *FS) MkdirAll(p string) error {
 // WriteFile creates or replaces the file at p with data. Parent
 // directories must exist (use MkdirAll).
 func (fs *FS) WriteFile(p string, data []byte) error {
-	parts, err := splitPath(p)
-	if err != nil {
-		return err
-	}
-	if len(parts) == 0 {
+	dir, name := parent(p)
+	if name == "" {
 		return fmt.Errorf("fstree: cannot write to /")
 	}
-	dir := "/" + strings.Join(parts[:len(parts)-1], "/")
-	name := parts[len(parts)-1]
 	dirNum, _, err := fs.lookup(dir)
 	if err != nil {
 		return fmt.Errorf("fstree: parent of %s: %w", p, err)
@@ -821,8 +921,7 @@ func (fs *FS) WriteFile(p string, data []byte) error {
 	if err := fs.writeInode(num, ino); err != nil {
 		return err
 	}
-	entries = append(slices.Clip(entries), dirent{ino: num, mode: modeFile, name: name})
-	if err := fs.writeDirents(dirNum, dirIno, entries); err != nil {
+	if err := fs.addEntry(dirNum, dirIno, entries, dirent{ino: num, mode: modeFile, name: name}); err != nil {
 		return err
 	}
 	fs.files++
@@ -854,7 +953,7 @@ func (fs *FS) ReadDir(p string) ([]FileInfo, error) {
 	if err != nil {
 		return nil, err
 	}
-	base := path.Clean("/" + p)
+	base := cleanPath(p)
 	out := make([]FileInfo, 0, len(entries))
 	for _, e := range entries {
 		child, err := fs.readInode(e.ino)
@@ -872,15 +971,10 @@ func (fs *FS) ReadDir(p string) ([]FileInfo, error) {
 
 // Remove deletes the file or empty directory at p.
 func (fs *FS) Remove(p string) error {
-	parts, err := splitPath(p)
-	if err != nil {
-		return err
-	}
-	if len(parts) == 0 {
+	dir, name := parent(p)
+	if name == "" {
 		return fmt.Errorf("fstree: cannot remove /")
 	}
-	dir := "/" + strings.Join(parts[:len(parts)-1], "/")
-	name := parts[len(parts)-1]
 	dirNum, _, err := fs.lookup(dir)
 	if err != nil {
 		return err
@@ -915,7 +1009,7 @@ func (fs *FS) Remove(p string) error {
 		if err := fs.writeInode(e.ino, inode{mode: modeFree}); err != nil {
 			return err
 		}
-		return fs.writeDirents(dirNum, dirIno, slices.Delete(slices.Clone(entries), i, i+1))
+		return fs.removeEntry(dirNum, dirIno, entries, i)
 	}
 	return fmt.Errorf("fstree: %s: no such file or directory", p)
 }
@@ -954,8 +1048,7 @@ func (fs *FS) removeAll(p string, depth int) error {
 			}
 		}
 	}
-	parts, _ := splitPath(p)
-	if len(parts) == 0 {
+	if cleanPath(p) == "/" {
 		return nil // never remove the root itself
 	}
 	return fs.Remove(p)
@@ -963,7 +1056,8 @@ func (fs *FS) removeAll(p string, depth int) error {
 
 // Walk visits every file and directory below root in deterministic
 // (sorted) order, calling fn for each. Returning a non-nil error from fn
-// aborts the walk.
+// aborts the walk. fn may read the filesystem but not change it: the walk
+// holds each directory's listing while it visits the entries.
 func (fs *FS) Walk(root string, fn func(info FileInfo) error) error {
 	return fs.walk(root, 0, fn)
 }
@@ -973,7 +1067,7 @@ func (fs *FS) walk(root string, depth int, fn func(info FileInfo) error) error {
 	if err != nil {
 		return err
 	}
-	base := path.Clean("/" + root)
+	base := cleanPath(root)
 	if ino.mode != modeDir {
 		return fn(FileInfo{Path: base, Size: ino.size, IsDir: false})
 	}

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -54,6 +56,31 @@ func TestBuildExtractRoundTrip(t *testing.T) {
 		if !bytes.Equal(byPath[want.Path], want.Data) {
 			t.Fatalf("file %s corrupted", want.Path)
 		}
+	}
+}
+
+// TestExtractKeepsNoInput: the files Extract returns share no bytes with
+// its input, so a caller may reuse the input buffer for the next package
+// while the files are still in use.
+func TestExtractKeepsNoInput(t *testing.T) {
+	blob, err := Build(samplePkg(), sampleFiles())
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, files, err := Extract(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range blob {
+		blob[i] ^= 0xff
+	}
+	if !reflect.DeepEqual(p, samplePkg()) {
+		t.Fatalf("the package changed with Extract's input: %+v", p)
+	}
+	want := sampleFiles()
+	slices.SortFunc(want, func(a, b File) int { return strings.Compare(a.Path, b.Path) })
+	if !reflect.DeepEqual(files, want) {
+		t.Fatal("the files changed with Extract's input")
 	}
 }
 

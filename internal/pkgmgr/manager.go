@@ -14,14 +14,14 @@
 // through, never ahead of the disk, and the file is written at the moments
 // it always was (a write moves blocks, so when it happens is part of the
 // image). Beside the index the Manager keeps each package's formatted
-// status stanza, filled on the first write and edited with the index, so
-// a write formats only the package it adds and copies the rest into a
-// status buffer the Manager reuses. No one else sees the index's arrays
-// (Installed returns a copy), so an edit inserts or deletes in place. Get,
-// IsInstalled, Installed, OwnedFiles, Remaining and Repack never write the
-// index and may run concurrently; methods that change the guest need
-// exclusive access. The status file is not re-read, so a filesystem has
-// one Manager.
+// status stanza, filled on the first write (or taken from the DB NewFrom
+// starts from) and edited with the index, so a write formats only the
+// package it adds and copies the rest into a status buffer the Manager
+// reuses. No one else sees the index's arrays (Installed returns a copy),
+// so an edit inserts or deletes in place. Get, IsInstalled, Installed,
+// OwnedFiles, Remaining and Repack never write the index and may run
+// concurrently; methods that change the guest need exclusive access. The
+// status file is not re-read, so a filesystem has one Manager.
 package pkgmgr
 
 import (
@@ -53,21 +53,58 @@ type Manager struct {
 // New returns a manager for the guest filesystem, initialising the package
 // database directories if missing and loading the status database.
 func New(fs *fstree.FS) (*Manager, error) {
+	if err := initDB(fs); err != nil {
+		return nil, err
+	}
+	return Load(fs)
+}
+
+// DB is a status database as Load reads it, with every stanza formatted.
+// It is never changed, so any number of Managers may start from one.
+type DB struct {
+	index   []pkgmeta.Package
+	stanzas [][]byte
+}
+
+// ReadDB reads the guest's status database without writing the guest.
+func ReadDB(fs *fstree.FS) (DB, error) {
+	m, err := Load(fs)
+	if err != nil {
+		return DB{}, err
+	}
+	return DB{m.index, m.formatted()}, nil
+}
+
+// NewFrom is New for a filesystem whose status database is db, such as a
+// CloneOnto of the one ReadDB read db from: it makes New's guest writes,
+// then starts from a copy of db instead of reading the file again. The
+// copy shares db's packages and stanza bytes, which no Manager edits in
+// place.
+func NewFrom(fs *fstree.FS, db DB) (*Manager, error) {
+	if err := initDB(fs); err != nil {
+		return nil, err
+	}
+	return &Manager{fs: fs, index: slices.Clone(db.index), stanzas: slices.Clone(db.stanzas)}, nil
+}
+
+// initDB creates the package database directories and an empty status
+// file where they are missing.
+func initDB(fs *fstree.FS) error {
 	if err := fs.MkdirAll(InfoDir); err != nil {
-		return nil, fmt.Errorf("pkgmgr: init: %w", err)
+		return fmt.Errorf("pkgmgr: init: %w", err)
 	}
 	if !fs.Exists(StatusPath) {
 		if err := fs.WriteFile(StatusPath, nil); err != nil {
-			return nil, fmt.Errorf("pkgmgr: init status: %w", err)
+			return fmt.Errorf("pkgmgr: init status: %w", err)
 		}
 	}
-	return Load(fs)
+	return nil
 }
 
 // Load returns a manager over the guest's status database without writing
 // the guest: a guest without one has no packages installed. Its read
 // methods never write either; a method that changes the guest needs a
-// manager from New.
+// manager from New or NewFrom.
 func Load(fs *fstree.FS) (*Manager, error) {
 	m := &Manager{fs: fs}
 	if !fs.Exists(StatusPath) {

@@ -35,12 +35,40 @@ func imageMap(img []byte) (clusters, offsets []int64) {
 }
 
 // modelDisk pairs a disk with the oracle of the clusters it holds itself
-// (local or lazily backed, not discarded); its serialized cluster set is
-// the sorted union of its own and its backing's.
+// (local or lazily backed, not discarded), whose serialized cluster set is
+// the sorted union of its own and its backing's, and of the bytes it reads.
 type modelDisk struct {
 	d       *Disk
 	own     map[int64]bool
+	data    []byte
 	backing *modelDisk
+}
+
+func (m *modelDisk) write(t *testing.T, off int64, p []byte) {
+	t.Helper()
+	if _, err := m.d.WriteAt(p, off); err != nil {
+		t.Fatal(err)
+	}
+	cs := int64(m.d.ClusterSize())
+	for ci := off / cs; ci <= (off+int64(len(p))-1)/cs; ci++ {
+		m.own[ci] = true
+	}
+	copy(m.data[off:], p)
+}
+
+// discard discards [off, off+n); a discarded cluster reads as its backing's
+// or as zeros.
+func (m *modelDisk) discard(off, n int64) {
+	m.d.Discard(off, n)
+	cs := int64(m.d.ClusterSize())
+	for ci := (off + cs - 1) / cs; ci < (off+n)/cs; ci++ {
+		delete(m.own, ci)
+		if m.backing != nil {
+			copy(m.data[ci*cs:(ci+1)*cs], m.backing.data[ci*cs:])
+		} else {
+			clear(m.data[ci*cs : (ci+1)*cs])
+		}
+	}
 }
 
 func (m *modelDisk) want() []int64 {
@@ -60,11 +88,17 @@ func (m *modelDisk) check(t *testing.T, what string) {
 	if got, want := m.d.AllocatedClusters(), len(m.own); got != want {
 		t.Fatalf("%s: AllocatedClusters %d, oracle %d", what, got, want)
 	}
+	read := make([]byte, len(m.data))
+	if _, err := m.d.ReadAt(read, 0); err != nil || !bytes.Equal(read, m.data) {
+		t.Fatalf("%s: the disk reads other bytes than were written (%v)", what, err)
+	}
 }
 
 // TestWalkMatchesSortedOracle: the cluster set a disk serializes — its
 // tables walked in cluster order — is the sorted union of what each layer
-// holds, after random writes, discards, rewrites of discarded clusters,
+// holds, and the disk reads what was written, after random writes,
+// discards, rewrites of discarded clusters, local clusters written,
+// discarded and written elsewhere (so their arena slots are reused),
 // Clones and CloneOvers, on a lazy disk and on a child backed by one. A
 // disk left behind by a clone still serializes as it did.
 func TestWalkMatchesSortedOracle(t *testing.T) {
@@ -76,9 +110,13 @@ func TestWalkMatchesSortedOracle(t *testing.T) {
 		for _, ci := range fixture {
 			lazy.own[ci] = true
 		}
+		lazy.data = make([]byte, lazy.d.VirtualSize())
+		if _, err := lazy.d.ReadAt(lazy.data, 0); err != nil {
+			t.Fatal(err)
+		}
 		m := lazy
 		if round%2 == 1 {
-			m = &modelDisk{d: lazy.d.NewChild("child"), own: map[int64]bool{}, backing: lazy}
+			m = &modelDisk{d: lazy.d.NewChild("child"), own: map[int64]bool{}, data: slices.Clone(lazy.data), backing: lazy}
 		}
 		type left struct {
 			d   *Disk
@@ -88,28 +126,26 @@ func TestWalkMatchesSortedOracle(t *testing.T) {
 		cs := int64(m.d.ClusterSize())
 		for op := range 40 {
 			off := rng.Int64N(m.d.VirtualSize() - 9000)
-			switch k := rng.IntN(6); k {
+			switch k := rng.IntN(7); k {
 			case 0, 1:
-				n := rng.Int64N(20000)
-				m.d.Discard(off, n)
-				for ci := (off + cs - 1) / cs; ci < (off+n)/cs; ci++ {
-					delete(m.own, ci)
-				}
+				m.discard(off, rng.Int64N(20000))
 			case 2:
 				behind = append(behind, left{m.d, m.d.Serialize()})
 				c := m.d.Clone(fmt.Sprint("clone", op))
 				if rng.IntN(2) == 0 {
 					c = m.d.CloneOver(fmt.Sprint("over", op), bytes.NewReader(img))
 				}
-				m = &modelDisk{d: c, own: maps.Clone(m.own), backing: m.backing}
+				m = &modelDisk{d: c, own: maps.Clone(m.own), data: slices.Clone(m.data), backing: m.backing}
+			case 3:
+				// Whole local clusters written, discarded, and written again
+				// here and elsewhere, in part and whole.
+				at, n := off/cs*cs, (1+rng.Int64N(4))*cs
+				m.write(t, at, bytes.Repeat([]byte{byte(op)}, int(n)))
+				m.discard(at, n)
+				m.write(t, rng.Int64N(m.d.VirtualSize()-n)/cs*cs, bytes.Repeat([]byte{byte(op) + 1}, int(n)))
+				m.write(t, at+cs/2, []byte{byte(op) + 2})
 			default:
-				n := 1 + rng.Int64N(9000)
-				if _, err := m.d.WriteAt(bytes.Repeat([]byte{byte(op)}, int(n)), off); err != nil {
-					t.Fatal(err)
-				}
-				for ci := off / cs; ci <= (off+n-1)/cs; ci++ {
-					m.own[ci] = true
-				}
+				m.write(t, off, bytes.Repeat([]byte{byte(op)}, int(1+rng.Int64N(9000))))
 			}
 			m.check(t, fmt.Sprintf("round %d, op %d", round, op))
 		}
@@ -124,7 +160,9 @@ func TestWalkMatchesSortedOracle(t *testing.T) {
 // TestCloneCopyOnWriteIsolation: a template and two clones of it share
 // index pages and arena chunks, yet writes and discards on any one of them
 // — into a shared page, a shared chunk, a lazily backed cluster or a page
-// none had — never show in the others.
+// none had, and writes after discards made before and after the clone —
+// never show in the others, and no shared chunk changes: a slot a discard
+// freed in one is never reused.
 func TestCloneCopyOnWriteIsolation(t *testing.T) {
 	const cs = 256 // 32 clusters per index page, 256 per chunk
 	plain := New("plain", 1<<20, cs)
@@ -134,6 +172,7 @@ func TestCloneCopyOnWriteIsolation(t *testing.T) {
 		}
 	}
 	img := plain.Serialize()
+	plain.Discard(60*cs, 4*cs) // freed before the clones
 	lazy, err := DeserializeLazy("lazy", bytes.NewReader(img), int64(len(img)))
 	if err != nil {
 		t.Fatal(err)
@@ -143,12 +182,20 @@ func TestCloneCopyOnWriteIsolation(t *testing.T) {
 		t.Fatal(err)
 	}
 	lazy.Discard(41*cs, cs)
+	lazy.Discard(40*cs, cs)
+	if _, err := lazy.WriteAt(fill(cs, 'l', 40), 40*cs); err != nil { // a freed slot reused
+		t.Fatal(err)
+	}
 	for _, tmpl := range []*Disk{plain, lazy} {
 		a, b := tmpl.Clone("a"), tmpl.CloneOver("b", bytes.NewReader(img))
 		disks := []*Disk{tmpl, a, b}
 		want := make([][]byte, len(disks))
 		for i, d := range disks {
 			want[i] = d.Serialize()
+		}
+		var shared [][]byte // the bytes of the chunks the three share
+		for _, c := range tmpl.chunks {
+			shared = append(shared, slices.Clone(c.s))
 		}
 		edits := []func(d *Disk, tag byte){
 			func(d *Disk, tag byte) { d.WriteAt([]byte{tag}, 5*cs+7) },        // partial, shared page and chunk
@@ -157,6 +204,11 @@ func TestCloneCopyOnWriteIsolation(t *testing.T) {
 			func(d *Disk, tag byte) { d.Discard(7*cs, 2*cs) },                 // discard lazy or local
 			func(d *Disk, tag byte) { d.WriteAt([]byte{tag}, 41*cs) },         // over a discarded cluster
 			func(d *Disk, tag byte) { d.WriteAt(fill(cs, tag, 900), 900*cs) }, // a page none had
+			func(d *Disk, tag byte) { d.Discard(10*cs, 3*cs) },                // shared local clusters
+			func(d *Disk, tag byte) { d.WriteAt(fill(cs, tag, 70), 70*cs) },   // after both discards
+			func(d *Disk, tag byte) { d.WriteAt([]byte{tag}, 71*cs+3) },
+			func(d *Disk, tag byte) { d.Discard(900*cs, cs) },                 // its own local cluster
+			func(d *Disk, tag byte) { d.WriteAt(fill(cs, tag, 901), 901*cs) }, // takes that slot again
 		}
 		for i, d := range disks {
 			tag := byte('A' + i)
@@ -173,7 +225,63 @@ func TestCloneCopyOnWriteIsolation(t *testing.T) {
 			if _, err := d.ReadAt(got, 5*cs+7); err != nil || got[0] != tag {
 				t.Fatalf("%s: disk %d reads %q at its own write, %v", tmpl.Name(), i, got, err)
 			}
+			for k, c := range shared {
+				if !bytes.Equal(tmpl.chunks[k].s, c) {
+					t.Fatalf("%s: editing disk %d wrote into shared chunk %d", tmpl.Name(), i, k)
+				}
+			}
 		}
+	}
+}
+
+// TestFlattenForgetsFreedSlots: clusters discarded before a Flatten leave
+// no slot behind that a later write could take from under a live cluster.
+func TestFlattenForgetsFreedSlots(t *testing.T) {
+	const cs = 256
+	d := New("flat", 1<<20, cs)
+	for ci := range int64(64) {
+		if _, err := d.WriteAt(fill(cs, 'a', ci), ci*cs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	d.Discard(0, 32*cs)
+	if err := d.Flatten(); err != nil {
+		t.Fatal(err)
+	}
+	for ci := range int64(32) {
+		if _, err := d.WriteAt(fill(cs, 'b', ci), (100+ci)*cs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got := make([]byte, cs)
+	for ci := range int64(64) {
+		want, at := fill(cs, 'a', ci), ci
+		if ci < 32 {
+			want, at = fill(cs, 'b', ci), 100+ci
+		}
+		if _, err := d.ReadAt(got, at*cs); err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("cluster %d reads other bytes after the Flatten and the new writes (%v)", at, err)
+		}
+	}
+}
+
+// TestRewriteReusesArena counts chunks, not bytes: rewriting the same n
+// whole clusters k times, each rewrite a discard and a write as fstree's
+// file rewrites are, takes no more chunks than n clusters need, plus one.
+// (When discarded slots were not reused it took k times that.)
+func TestRewriteReusesArena(t *testing.T) {
+	const cs, n, k = 256, 1000, 8
+	d := New("rewrite", 1<<20, cs)
+	data := bytes.Repeat([]byte{1}, n*cs)
+	for range k {
+		d.Discard(0, n*cs)
+		if _, err := d.WriteAt(data, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	perChunk := arenaChunk / cs
+	if limit := (n+perChunk-1)/perChunk + 1; len(d.chunks) > limit {
+		t.Fatalf("%d rewrites of %d clusters took %d chunks, want at most %d", k, n, len(d.chunks), limit)
 	}
 }
 

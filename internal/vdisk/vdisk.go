@@ -65,7 +65,8 @@ type owned[T int32 | byte] struct {
 // writes (the index into the arena), the lazy source, read on demand and
 // masked by the index so Discard need not materialize, and the backing
 // chain. The index and the source have one page per L2 table present, so
-// they grow with those, not with the virtual size, and walk in order.
+// they grow with those, not with the virtual size, and walk in order. A
+// slot a discard freed is handed out again while the disk owns its chunk.
 type Disk struct {
 	name        string
 	clusterSize int
@@ -75,7 +76,8 @@ type Disk struct {
 	own         atomic.Uint64  // this disk's owner token
 	index       []owned[int32] // per cluster: > 0 its arena slot, < 0 its lazy cluster discarded, 0 neither
 	chunks      []owned[byte]
-	slots       int32 // the last arena slot handed out; slot s is in chunk (s-1) >> chunkBits
+	slots       int32   // the last arena slot handed out; slot s is in chunk (s-1) >> chunkBits
+	free        []int32 // discarded slots, reused while their chunk is still the disk's
 	lazy        *lazySource
 	backing     *Disk
 }
@@ -223,8 +225,18 @@ func (d *Disk) set(ci int64, v int32, own uint64) {
 	d.index[t].s[e] = v
 }
 
-// alloc returns a fresh, zeroed arena slot the disk owns, not yet mapped.
+// alloc returns an arena slot the disk owns that no cluster maps: a
+// discarded one, unless a Clone has shared its chunk since, else a fresh
+// one. Its bytes are not zeroed; WriteAt fills the whole cluster before
+// anything reads it.
 func (d *Disk) alloc(own uint64) (int32, []byte) {
+	for len(d.free) > 0 {
+		s := d.free[len(d.free)-1]
+		d.free = d.free[:len(d.free)-1]
+		if d.chunks[(s-1)>>d.chunkBits].owner == own {
+			return s, d.cluster(s)
+		}
+	}
 	n := len(d.chunks)
 	if n == 0 || d.chunks[n-1].owner != own || d.slots == int32(n)<<d.chunkBits {
 		d.chunks = append(d.chunks, owned[byte]{own, make([]byte, d.clusterSize<<d.chunkBits)})
@@ -234,9 +246,9 @@ func (d *Disk) alloc(own uint64) (int32, []byte) {
 	return d.slots, d.cluster(d.slots)
 }
 
-// WriteAt writes p at offset off, allocating clusters as needed. Partial
-// cluster writes over backed clusters copy the old contents first
-// (copy-on-write).
+// WriteAt writes p at offset off, allocating clusters as needed. A whole
+// cluster write fills its slot; a partial one first fills the slot with
+// the cluster's old contents, local, lazy, backing or zeros (copy-on-write).
 func (d *Disk) WriteAt(p []byte, off int64) (int, error) {
 	if off < 0 || off+int64(len(p)) > d.virtualSize {
 		return 0, fmt.Errorf("vdisk %s: write [%d,%d) out of range [0,%d)", d.name, off, off+int64(len(p)), d.virtualSize)
@@ -255,6 +267,7 @@ func (d *Disk) WriteAt(p []byte, off int64) (int, error) {
 			// Partial write: preserve local/lazy/backing contents (COW).
 			if span != d.clusterSize {
 				if err := d.readSpan(c, ci, 0); err != nil {
+					d.free = append(d.free, s)
 					return n, err
 				}
 			}
@@ -270,7 +283,8 @@ func (d *Disk) WriteAt(p []byte, off int64) (int, error) {
 // reclaiming their space. Reads of discarded clusters return backing data
 // or zeros. This models qemu's discard/unmap support, which the
 // Expelliarmus decomposer relies on when removing packages shrinks an
-// image. A discarded local cluster's arena slot is not reused.
+// image. A discarded local cluster's arena slot goes to the disk's free
+// list when the disk owns its chunk, and the next write reuses it.
 func (d *Disk) Discard(off, length int64) {
 	if length <= 0 {
 		return
@@ -283,10 +297,14 @@ func (d *Disk) Discard(off, length int64) {
 		// then skip it, exactly as if a materialized cluster were deleted.
 		t, e := d.split(ci)
 		slots, offs := d.pages(t)
-		if s, lazy := entry(slots, offs, e); lazy != 0 && s >= 0 {
+		s, lazy := entry(slots, offs, e)
+		if lazy != 0 && s >= 0 {
 			d.set(ci, -1, own)
 		} else if lazy == 0 && s != 0 {
 			d.set(ci, 0, own)
+		}
+		if s > 0 && d.chunks[(s-1)>>d.chunkBits].owner == own {
+			d.free = append(d.free, s)
 		}
 	}
 }
@@ -302,7 +320,8 @@ func (d *Disk) NewChild(name string) *Disk {
 // Clone returns an independent copy of the disk (same backing, same lazy
 // source) that shares its index pages and chunks: both disks get new owner
 // tokens, so each copies a page, or moves a cluster, on its first write to
-// it. Other goroutines may read or clone d meanwhile.
+// it. Other goroutines may read or clone d meanwhile, so d's free list is
+// left alone: its slots are now in chunks d does not own, which alloc skips.
 func (d *Disk) Clone(name string) *Disk {
 	c := New(name, d.virtualSize, d.clusterSize)
 	c.index, c.chunks, c.slots = slices.Clone(d.index), slices.Clip(d.chunks), d.slots
@@ -345,7 +364,7 @@ func (d *Disk) Flatten() error {
 	if err != nil {
 		return err
 	}
-	d.index, d.chunks, d.slots, d.lazy, d.backing = f.index, f.chunks, f.slots, nil, nil
+	d.index, d.chunks, d.slots, d.free, d.lazy, d.backing = f.index, f.chunks, f.slots, nil, nil, nil
 	d.own.Store(own)
 	return nil
 }
