@@ -16,6 +16,28 @@ import (
 	"expelliarmus/internal/vmirepo"
 )
 
+// rebuildByUnion is retire's master rebuild as it was before it took the
+// survivors' primaries in one closure, kept verbatim as the reference: the
+// old master's base subgraph, then each surviving record's primaries'
+// subgraphs clustered one by one. add stands for the loop's
+// AddPrimarySubgraph call, so a caller can route each subgraph through a
+// cross-check on the partly rebuilt master.
+func rebuildByUnion(old *master.Graph, sameBase []vmirepo.VMIRecord, add func(*master.Graph, *semgraph.Graph) error) (*master.Graph, error) {
+	rebuilt := master.New(old.BaseID, old.BaseSubgraph())
+	for _, sv := range sameBase {
+		for _, p := range sv.Primaries {
+			sub, err := old.PrimarySubgraph(p)
+			if err != nil {
+				return nil, err
+			}
+			if err := add(rebuilt, sub); err != nil {
+				return nil, err
+			}
+		}
+	}
+	return rebuilt, nil
+}
+
 // TestBaseLookupMatchesSubgraph checks the master graph's in-place base
 // lookups against the extracted base subgraph as reference:
 // AddPrimarySubgraph rejects as incompatible exactly what
@@ -24,10 +46,10 @@ import (
 // every primary subgraph of every VMI (the master's and the image's own)
 // after publishing the Table II catalog and after each step of a 30-step
 // churn of removals, publishes and republishes under another image's
-// primaries, and replays each Remove's master rebuild. After every step
-// each committed master must also be its base subgraph plus the primary
-// subgraphs of the records clustered on it, and the refcount bucket must
-// equal a fresh survey.
+// primaries, and replays each Remove's master rebuild through
+// rebuildByUnion and checkedAdd. After every step each committed master
+// must also be rebuildByUnion of itself over the records clustered on it,
+// byte for byte, and the refcount bucket must equal a fresh survey.
 func TestBaseLookupMatchesSubgraph(t *testing.T) {
 	names := templateNames(19)
 	imgs := buildCatalog(t, names)
@@ -70,13 +92,13 @@ func TestBaseLookupMatchesSubgraph(t *testing.T) {
 			t.Fatal(err)
 		}
 		var subs []*semgraph.Graph
-		clustered := map[string][]string{}
+		clustered := map[string][]vmirepo.VMIRecord{}
 		for _, name := range s.repo.VMIs() {
 			rec, err := s.repo.GetVMI(name, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			clustered[rec.BaseID] = append(clustered[rec.BaseID], rec.Primaries...)
+			clustered[rec.BaseID] = append(clustered[rec.BaseID], rec)
 			mg, err := s.repo.GetMaster(rec.BaseID, nil)
 			if err != nil {
 				t.Fatal(err)
@@ -108,15 +130,9 @@ func TestBaseLookupMatchesSubgraph(t *testing.T) {
 			for _, ps := range subs {
 				checkedAdd(m.Clone(), ps) //nolint:errcheck
 			}
-			want := master.New(m.BaseID, m.BaseSubgraph())
-			for _, p := range clustered[m.BaseID] {
-				sub, err := m.PrimarySubgraph(p)
-				if err != nil {
-					t.Fatalf("%s: master %s: %v", step, m.BaseID, err)
-				}
-				if err := want.AddPrimarySubgraph(sub); err != nil {
-					t.Fatal(err)
-				}
+			want, err := rebuildByUnion(m, clustered[m.BaseID], (*master.Graph).AddPrimarySubgraph)
+			if err != nil {
+				t.Fatalf("%s: master %s: %v", step, m.BaseID, err)
 			}
 			if !bytes.Equal(m.Marshal(), want.Marshal()) {
 				t.Fatalf("%s: master %s clusters %v, its records %v", step, m.BaseID, m.PrimaryNames(), clustered[m.BaseID])
@@ -130,8 +146,9 @@ func TestBaseLookupMatchesSubgraph(t *testing.T) {
 			t.Fatalf("%s: refcount bucket %v, survey %v", step, got, survey)
 		}
 	}
-	// remove replays retire's master rebuild through checkedAdd and
-	// requires the committed master to marshal to the replay's bytes.
+	// remove replays retire's master rebuild through rebuildByUnion, each
+	// survivor's subgraph added through checkedAdd, and requires the
+	// committed master to marshal to the replay's bytes.
 	remove := func(name string) {
 		t.Helper()
 		rec, err := s.repo.GetVMI(name, nil)
@@ -158,17 +175,9 @@ func TestBaseLookupMatchesSubgraph(t *testing.T) {
 		if len(survivors) == 0 {
 			return
 		}
-		want := master.New(rec.BaseID, old.BaseSubgraph())
-		for _, sv := range survivors {
-			for _, p := range sv.Primaries {
-				sub, err := old.PrimarySubgraph(p)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := checkedAdd(want, sub); err != nil {
-					t.Fatal(err)
-				}
-			}
+		want, err := rebuildByUnion(old, survivors, checkedAdd)
+		if err != nil {
+			t.Fatal(err)
 		}
 		got, err := s.repo.GetMaster(rec.BaseID, nil)
 		if err != nil {

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"maps"
 	"slices"
 
 	"expelliarmus/internal/blobstore"
@@ -43,29 +42,27 @@ func (s *System) surveyPackageRefs() (map[string]int64, error) {
 }
 
 // vmiPackageRefs returns, sorted, the non-base package refs a VMI's
-// assembly pulls from the repository: the union of its primaries'
-// subgraphs within its master graph, minus base-image packages. A package
-// is a base package when the master holds it as a base vertex (the
-// membership test mg.BaseSubgraph().HasVertex answers, without extracting
-// the subgraph).
+// assembly pulls from the repository: the closure of its primaries within
+// its master graph, minus base-image packages. A package is a base package
+// when the master holds it as a base vertex (the membership test
+// mg.BaseSubgraph().HasVertex answers, without extracting the subgraph).
 func (s *System) vmiPackageRefs(rec vmirepo.VMIRecord) ([]string, error) {
 	mg, err := s.repo.GetMaster(rec.BaseID, nil)
 	if err != nil {
 		return nil, err
 	}
-	refs := map[string]bool{}
-	for _, p := range rec.Primaries {
-		sub, err := mg.PrimarySubgraph(p)
-		if err != nil {
-			return nil, err
-		}
-		for _, v := range sub.Vertices() {
-			if _, isBase := mg.G.BaseVertex(v.Pkg.Name); !isBase {
-				refs[v.Pkg.Ref()] = true
-			}
+	sub, err := mg.PrimarySubgraph(rec.Primaries...)
+	if err != nil {
+		return nil, err
+	}
+	var refs []string
+	for _, v := range sub.Vertices() {
+		if _, isBase := mg.G.BaseVertex(v.Pkg.Name); !isBase {
+			refs = append(refs, v.Pkg.Ref())
 		}
 	}
-	return slices.Sorted(maps.Keys(refs)), nil
+	slices.Sort(refs)
+	return slices.Compact(refs), nil
 }
 
 // Remove deletes a published VMI: its user data and record go, and
@@ -123,6 +120,17 @@ func (s *System) Remove(name string) error {
 //     from those records, so the master never advertises a package that
 //     was just collected.
 //
+// The rebuild is the old master's base subgraph united with one closure of
+// every surviving record's primaries. It equals clustering each primary's
+// subgraph into master.New one by one: the closures' union is the closure
+// of all the roots, and a closure's induced edges are every edge leaving
+// it. The union skips AddPrimarySubgraph's checks, none of which can fail
+// here: every vertex the closure brings is the old master's own, so
+// compatibility compares a base package with itself (SimP(p, p) = 1) and
+// a version conflict would need two different Refs for one name. What
+// stays is PrimarySubgraph's error for a survivor's primary that is not a
+// primary vertex of the master.
+//
 // The caller holds the commit and view stripes of the record's class.
 // Every record on the record's base shares that class, so the survivor
 // scan is stable while unrelated classes publish concurrently.
@@ -170,17 +178,15 @@ func (s *System) retire(rec vmirepo.VMIRecord, refs []string, m *simio.Meter) er
 	if err != nil {
 		return err
 	}
-	rebuilt := master.New(rec.BaseID, old.BaseSubgraph())
+	var primaries []string
 	for _, sv := range sameBase {
-		for _, p := range sv.Primaries {
-			sub, err := old.PrimarySubgraph(p)
-			if err != nil {
-				return err
-			}
-			if err := rebuilt.AddPrimarySubgraph(sub); err != nil {
-				return err
-			}
-		}
+		primaries = append(primaries, sv.Primaries...)
 	}
+	sub, err := old.PrimarySubgraph(primaries...)
+	if err != nil {
+		return err
+	}
+	rebuilt := master.New(rec.BaseID, old.BaseSubgraph())
+	rebuilt.G.Union(sub)
 	return s.repo.PutMaster(rebuilt, m)
 }

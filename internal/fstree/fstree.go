@@ -510,29 +510,22 @@ func (fs *FS) findExtents(n uint32) ([]extent, error) {
 	return out, nil
 }
 
-// allocExtents claims the blocks findExtents chooses.
-func (fs *FS) allocExtents(n uint32) ([]extent, error) {
-	out, err := fs.findExtents(n)
-	if err != nil {
-		return nil, err
-	}
-	for _, e := range out {
-		if err := fs.setBlocks(e.start, e.blocks, true); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}
-
-func (fs *FS) freeExtents(extents []extent) error {
+// markExtents marks extents used or free in the bitmap.
+func (fs *FS) markExtents(extents []extent, used bool) error {
 	for _, e := range extents {
-		if err := fs.setBlocks(e.start, e.blocks, false); err != nil {
+		if err := fs.setBlocks(e.start, e.blocks, used); err != nil {
 			return err
 		}
-		// Return the clusters to the disk so its sparse size shrinks.
-		fs.disk.Discard(int64(e.start)*int64(fs.blockSize), int64(e.blocks)*int64(fs.blockSize))
 	}
 	return nil
+}
+
+// discardExtents returns freed extents' clusters to the disk so its sparse
+// size shrinks.
+func (fs *FS) discardExtents(extents []extent) {
+	for _, e := range extents {
+		fs.disk.Discard(int64(e.start)*int64(fs.blockSize), int64(e.blocks)*int64(fs.blockSize))
+	}
 }
 
 // --- data I/O ---
@@ -556,14 +549,23 @@ func (fs *FS) readData(ino inode) ([]byte, error) {
 	return out, nil
 }
 
-// writeData frees ino's extents and writes data to new ones. It returns
-// the inode that describes them.
+// writeData frees ino's extents and writes data to new ones, which may
+// reuse them. It returns the inode that describes them. When no space
+// fits data, ino's extents stay claimed and keep their bytes.
 func (fs *FS) writeData(ino inode, data []byte) (inode, error) {
-	if err := fs.freeExtents(ino.extents()); err != nil {
+	old := ino.extents()
+	if err := fs.markExtents(old, false); err != nil {
 		return inode{}, err
 	}
-	extents, err := fs.allocExtents(uint32((len(data) + fs.blockSize - 1) / fs.blockSize))
+	extents, err := fs.findExtents(uint32((len(data) + fs.blockSize - 1) / fs.blockSize))
 	if err != nil {
+		if cerr := fs.markExtents(old, true); cerr != nil {
+			return inode{}, cerr
+		}
+		return inode{}, err
+	}
+	fs.discardExtents(old)
+	if err := fs.markExtents(extents, true); err != nil {
 		return inode{}, err
 	}
 	out := inode{mode: ino.mode, size: int64(len(data))}
@@ -1003,9 +1005,10 @@ func (fs *FS) Remove(p string) error {
 		} else {
 			fs.files--
 		}
-		if err := fs.freeExtents(ino.extents()); err != nil {
+		if err := fs.markExtents(ino.extents(), false); err != nil {
 			return err
 		}
+		fs.discardExtents(ino.extents())
 		if err := fs.writeInode(e.ino, inode{mode: modeFree}); err != nil {
 			return err
 		}

@@ -87,19 +87,21 @@ func (m *Graph) BaseSubgraph() *semgraph.Graph { return m.G.BaseSubgraph() }
 // PrimaryNames lists the primary packages clustered in the master.
 func (m *Graph) PrimaryNames() []string { return m.G.PrimaryNames() }
 
-// PrimarySubgraph extracts the subgraph of one clustered primary package:
-// the closure of the package within the master (Algorithm 1 line 25 /
-// Algorithm 2 line 9, extractSubGraph(GM, P)). The name must be a vertex
-// of the master, and a primary one.
-func (m *Graph) PrimarySubgraph(primary string) (*semgraph.Graph, error) {
-	v, ok := m.G.Vertex(primary)
-	if !ok {
-		return nil, fmt.Errorf("master %s: no vertex %q", m.BaseID, primary)
+// PrimarySubgraph extracts the subgraph of clustered primary packages:
+// their closure within the master (Algorithm 1 line 25 / Algorithm 2 line
+// 9, extractSubGraph(GM, P)). Each name must be a vertex of the master,
+// and a primary one.
+func (m *Graph) PrimarySubgraph(primaries ...string) (*semgraph.Graph, error) {
+	for _, p := range primaries {
+		v, ok := m.G.Vertex(p)
+		if !ok {
+			return nil, fmt.Errorf("master %s: no vertex %q", m.BaseID, p)
+		}
+		if v.Kind != semgraph.KindPrimary {
+			return nil, fmt.Errorf("master %s: %q is not a primary package", m.BaseID, p)
+		}
 	}
-	if v.Kind != semgraph.KindPrimary {
-		return nil, fmt.Errorf("master %s: %q is not a primary package", m.BaseID, primary)
-	}
-	return m.G.Closure(primary), nil
+	return m.G.Closure(primaries...), nil
 }
 
 // Similarity computes SimG between an uploaded VMI graph and the master.

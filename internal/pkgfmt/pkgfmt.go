@@ -52,7 +52,7 @@ func Build(p pkgmeta.Package, files []File) ([]byte, error) {
 	}
 	tw := tar.NewWriter(gz)
 
-	control := []byte(pkgmeta.FormatControl(p))
+	control := pkgmeta.AppendControl(nil, p)
 	if err := writeMember(tw, controlName, control); err != nil {
 		return nil, err
 	}

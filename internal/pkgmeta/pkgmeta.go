@@ -70,23 +70,41 @@ func (p Package) Clone() Package {
 // --- control stanza encoding ---
 
 // FormatControl renders the package as a Debian-control-style stanza.
-func FormatControl(p Package) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Package: %s\n", p.Name)
-	fmt.Fprintf(&b, "Version: %s\n", p.Version)
-	fmt.Fprintf(&b, "Architecture: %s\n", p.Arch)
-	fmt.Fprintf(&b, "Distribution: %s\n", p.Distro)
+func FormatControl(p Package) string { return string(AppendControl(nil, p)) }
+
+// AppendControl appends the stanza FormatControl renders to dst.
+func AppendControl(dst []byte, p Package) []byte {
+	dst = append(dst, "Package: "...)
+	dst = append(dst, p.Name...)
+	dst = append(dst, "\nVersion: "...)
+	dst = append(dst, p.Version...)
+	dst = append(dst, "\nArchitecture: "...)
+	dst = append(dst, p.Arch...)
+	dst = append(dst, "\nDistribution: "...)
+	dst = append(dst, p.Distro...)
+	dst = append(dst, '\n')
 	if p.Section != "" {
-		fmt.Fprintf(&b, "Section: %s\n", p.Section)
+		dst = append(dst, "Section: "...)
+		dst = append(dst, p.Section...)
+		dst = append(dst, '\n')
 	}
-	fmt.Fprintf(&b, "Installed-Size: %d\n", p.InstalledSize)
+	dst = append(dst, "Installed-Size: "...)
+	dst = strconv.AppendInt(dst, p.InstalledSize, 10)
+	dst = append(dst, '\n')
 	if len(p.Depends) > 0 {
-		fmt.Fprintf(&b, "Depends: %s\n", strings.Join(p.Depends, ", "))
+		dst = append(dst, "Depends: "...)
+		for i, d := range p.Depends {
+			if i > 0 {
+				dst = append(dst, ", "...)
+			}
+			dst = append(dst, d...)
+		}
+		dst = append(dst, '\n')
 	}
 	if p.Essential {
-		b.WriteString("Essential: yes\n")
+		dst = append(dst, "Essential: yes\n"...)
 	}
-	return b.String()
+	return dst
 }
 
 // ParseControl parses a single control stanza. A line may be of any

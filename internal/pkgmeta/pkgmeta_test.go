@@ -198,8 +198,8 @@ func TestQuickControlRoundTrip(t *testing.T) {
 }
 
 // FuzzParseControl: parsing any text returns a package or an error, never
-// a panic, and a package it returns formats to a stanza that parses back
-// to the same package. Control stanzas come from packages repacked out of
+// a panic, and a package it returns formats to the stanza
+// FormatControlFmt writes, which parses back to the same package. Control stanzas come from packages repacked out of
 // uploaded guests.
 func FuzzParseControl(f *testing.F) {
 	f.Add(FormatControl(samplePackage()))
@@ -210,7 +210,11 @@ func FuzzParseControl(f *testing.F) {
 		if err != nil {
 			return
 		}
-		got, err := ParseControl(FormatControl(p))
+		stanza := FormatControl(p)
+		if want := FormatControlFmt(p); stanza != want {
+			t.Fatalf("%+v formats to %q, fmt to %q", p, stanza, want)
+		}
+		got, err := ParseControl(stanza)
 		if err != nil {
 			t.Fatalf("%+v formats to a stanza that does not parse: %v", p, err)
 		}

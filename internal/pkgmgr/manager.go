@@ -155,7 +155,7 @@ func (m *Manager) formatted() [][]byte {
 	if m.stanzas == nil {
 		m.stanzas = make([][]byte, len(m.index))
 		for i, p := range m.index {
-			m.stanzas[i] = []byte(pkgmeta.FormatControl(p))
+			m.stanzas[i] = pkgmeta.AppendControl(nil, p)
 		}
 	}
 	return m.stanzas
@@ -170,7 +170,7 @@ func (m *Manager) writeStatus(at int, add *pkgmeta.Package) error {
 	rest := stanzas[at:]
 	var stanza []byte
 	if add != nil {
-		stanza = []byte(pkgmeta.FormatControl(*add))
+		stanza = pkgmeta.AppendControl(nil, *add)
 	} else {
 		rest = stanzas[at+1:]
 	}

@@ -16,7 +16,9 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 
 	"expelliarmus/internal/pkgmeta"
@@ -236,16 +238,18 @@ func (g *Graph) BaseSubgraph() *Graph {
 // and 2). Cycles are followed once; a root that is not a vertex adds
 // nothing.
 func (g *Graph) Closure(roots ...string) *Graph {
-	names := map[string]bool{}
-	queue := append([]string(nil), roots...)
-	for len(queue) > 0 {
-		n := queue[0]
-		queue = queue[1:]
-		if names[n] {
+	names := make(map[string]bool, len(roots))
+	stack := append([]string(nil), roots...)
+	for len(stack) > 0 {
+		n := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		if names[n] || g.vertices[n] == nil {
 			continue
 		}
 		names[n] = true
-		queue = append(queue, g.Succ(n)...)
+		for to := range g.succ[n] {
+			stack = append(stack, to)
+		}
 	}
 	return g.induced(names)
 }
@@ -330,33 +334,40 @@ var marshalMagic = []byte("SGRF1\n")
 
 // Marshal encodes the graph deterministically.
 func (g *Graph) Marshal() []byte {
-	var buf bytes.Buffer
-	buf.Write(marshalMagic)
-	writeStr := func(s string) {
-		var tmp [binary.MaxVarintLen64]byte
-		n := binary.PutUvarint(tmp[:], uint64(len(s)))
-		buf.Write(tmp[:n])
-		buf.WriteString(s)
-	}
-	writeStr(g.base.Type)
-	writeStr(g.base.Distro)
-	writeStr(g.base.Version)
-	writeStr(g.base.Arch)
+	buf := append([]byte(nil), marshalMagic...)
+	buf = appendField(buf, g.base.Type)
+	buf = appendField(buf, g.base.Distro)
+	buf = appendField(buf, g.base.Version)
+	buf = appendField(buf, g.base.Arch)
 	names := g.Names()
-	writeStr(fmt.Sprintf("%d", len(names)))
+	scratch := strconv.AppendInt(nil, int64(len(names)), 10)
+	buf = appendField(buf, scratch)
 	for _, n := range names {
 		v := g.vertices[n]
-		writeStr(pkgmeta.FormatControl(v.Pkg))
-		buf.WriteByte(byte(v.Kind))
+		scratch = pkgmeta.AppendControl(scratch[:0], v.Pkg)
+		buf = appendField(buf, scratch)
+		buf = append(buf, byte(v.Kind))
 	}
+	var succ []string
 	for _, n := range names {
-		succ := g.Succ(n)
-		writeStr(fmt.Sprintf("%d", len(succ)))
+		succ = succ[:0]
+		for to := range g.succ[n] {
+			succ = append(succ, to)
+		}
+		slices.Sort(succ)
+		scratch = strconv.AppendInt(scratch[:0], int64(len(succ)), 10)
+		buf = appendField(buf, scratch)
 		for _, to := range succ {
-			writeStr(to)
+			buf = appendField(buf, to)
 		}
 	}
-	return buf.Bytes()
+	return buf
+}
+
+// appendField appends s to buf behind its length as a uvarint.
+func appendField[S string | []byte](buf []byte, s S) []byte {
+	buf = binary.AppendUvarint(buf, uint64(len(s)))
+	return append(buf, s...)
 }
 
 // Unmarshal decodes a graph produced by Marshal.

@@ -132,8 +132,11 @@ func TestPrimarySubgraph(t *testing.T) {
 }
 
 // TestClosure: a root's closure follows the libc6/perl-base/dpkg cycle once
-// and keeps its edges, a root that is not a vertex adds nothing, and the
-// closure of the primaries is the primary subgraph.
+// and keeps its edges, a root that is not a vertex adds nothing, the
+// closure of the primaries is the primary subgraph, and the base subgraph
+// united with the closure of several roots is the base subgraph united
+// with each root's closure in turn (the identity core's master rebuild
+// relies on).
 func TestClosure(t *testing.T) {
 	g := paperExample()
 	c := g.Closure("debconf")
@@ -154,6 +157,15 @@ func TestClosure(t *testing.T) {
 	}
 	if !bytes.Equal(g.Closure("tomcat8", "mariadb").Marshal(), g.PrimarySubgraph().Marshal()) {
 		t.Fatal("closure of the primaries differs from the primary subgraph")
+	}
+	roots := []string{"tomcat8", "mariadb", "tomcat8", "libc6", "ghost"}
+	one, each := g.BaseSubgraph(), g.BaseSubgraph()
+	one.Union(g.Closure(roots...))
+	for _, r := range roots {
+		each.Union(g.Closure(r))
+	}
+	if !bytes.Equal(one.Marshal(), each.Marshal()) {
+		t.Fatalf("base subgraph with Closure(%v) differs from it with each root's closure", roots)
 	}
 }
 

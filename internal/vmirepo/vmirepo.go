@@ -559,7 +559,7 @@ func encodePackageRecord(rec PackageRecord) []byte {
 	var tmp [binary.MaxVarintLen64]byte
 	n := binary.PutUvarint(tmp[:], uint64(rec.BlobSize))
 	buf.Write(tmp[:n])
-	buf.WriteString(pkgmeta.FormatControl(rec.Pkg))
+	buf.Write(pkgmeta.AppendControl(buf.AvailableBuffer(), rec.Pkg))
 	return buf.Bytes()
 }
 

@@ -99,14 +99,24 @@ func measure(t *testing.T, op func() error) work {
 	return w
 }
 
-// TestWorkLedger pins what a cold retrieval (the retrieval cache off, the
-// base and package memos warm), a warm retrieval (a cache hit) and an
-// AssembleTo cost in heap allocations, heap bytes and vdisk arena chunks,
-// on the memory backend and on a disk-backed System, against
-// testdata/work.golden: counts exactly, bytes within 5 %. A change that
+// TestWorkLedger pins what an operation costs in heap allocations, heap
+// bytes and vdisk arena chunks, on the memory backend and on a disk-backed
+// System, against testdata/work.golden: counts exactly, bytes within 5 %.
+// The operations are a cold retrieval (the retrieval cache off, the base
+// and package memos warm), a warm retrieval (a cache hit), an AssembleTo,
+// and the removal of a Redis variant whose template survives on its base,
+// followed by a publish of the variant that restores it. A change that
 // moves a row re-records the file with -update and says why.
 func TestWorkLedger(t *testing.T) {
 	images := []string{"Mini", "Redis", "Django", "Desktop"}
+	variant, err := New().BuildImage("Redis")
+	if err != nil {
+		t.Fatal(err)
+	}
+	variant.inner.Name = "Redis-variant"
+	if err := variant.WriteUserFile("/home/user/variant.bin", make([]byte, 64<<10)); err != nil {
+		t.Fatal(err)
+	}
 	backends := []struct {
 		name string
 		open func(t *testing.T) func(cacheBytes int64) *System
@@ -148,12 +158,19 @@ func TestWorkLedger(t *testing.T) {
 	ops := []struct {
 		name       string
 		cacheBytes int64
-		op         func(s *System) error
+		setup, op  func(s *System) error
 	}{
-		{"cold-retrieve", 0, func(s *System) error { _, _, err := s.RetrieveTo(io.Discard, "Desktop"); return err }},
-		{"warm-retrieve", 64 << 20, func(s *System) error { _, _, err := s.RetrieveTo(io.Discard, "Django"); return err }},
-		{"assemble", 0, func(s *System) error {
+		{"cold-retrieve", 0, nil, func(s *System) error { _, _, err := s.RetrieveTo(io.Discard, "Desktop"); return err }},
+		{"warm-retrieve", 64 << 20, nil, func(s *System) error { _, _, err := s.RetrieveTo(io.Discard, "Django"); return err }},
+		{"assemble", 0, nil, func(s *System) error {
 			_, _, err := s.sys.AssembleTo(io.Discard, "custom", []string{"redis-server"}, "Django")
+			return err
+		}},
+		{"remove", 0, func(s *System) error { _, err := s.Publish(variant); return err }, func(s *System) error {
+			if err := s.Remove("Redis-variant"); err != nil {
+				return err
+			}
+			_, err := s.Publish(variant)
 			return err
 		}},
 	}
@@ -162,6 +179,11 @@ func TestWorkLedger(t *testing.T) {
 		open := b.open(t)
 		for _, o := range ops {
 			s := open(o.cacheBytes)
+			if o.setup != nil {
+				if err := o.setup(s); err != nil {
+					t.Fatal(err)
+				}
+			}
 			w := measure(t, func() error { return o.op(s) })
 			if err := s.Close(); err != nil {
 				t.Fatal(err)
