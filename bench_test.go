@@ -181,8 +181,9 @@ func BenchmarkPublishRedis(b *testing.B) {
 // variant carrying 64 KiB of its own user data is decoded from its wire
 // envelope, published onto a disk store that already holds the catalog
 // (so its packages and base dedupe), and synced. Each iteration decodes
-// the envelope afresh and publishes it under a new name, as the
-// benchmark's publish_churn clients do.
+// the envelope afresh into pooled chunks, publishes it under a new name,
+// as the benchmark's publish_churn clients do, and releases the chunks,
+// as the server does.
 func BenchmarkPublishVariant(b *testing.B) {
 	sys, err := OpenAt(b.TempDir(), Options{})
 	if err != nil {
@@ -216,12 +217,14 @@ func BenchmarkPublishVariant(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		img, meta, err := wire.ReadImageMeta(bytes.NewReader(envelope.Bytes()))
+		img, meta, section, err := wire.DecodeImage(bytes.NewReader(envelope.Bytes()))
 		if err != nil {
 			b.Fatal(err)
 		}
 		img.Name = fmt.Sprintf("Redis-variant-%d", i)
-		if _, err := sys.sys.PublishWith(img, meta); err != nil {
+		_, err = sys.sys.PublishWith(img, meta)
+		section.Release()
+		if err != nil {
 			b.Fatal(err)
 		}
 		if _, err := sys.Sync(); err != nil {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"io"
 	"sync/atomic"
 	"testing"
@@ -11,6 +12,7 @@ import (
 	"expelliarmus/internal/builder"
 	"expelliarmus/internal/catalog"
 	"expelliarmus/internal/pkgmgr"
+	"expelliarmus/internal/vdisk"
 	"expelliarmus/internal/vmi"
 	"expelliarmus/internal/vmirepo"
 )
@@ -281,6 +283,84 @@ func TestRetrieveCompletesWhilePublishStreamsBase(t *testing.T) {
 	}
 	if _, _, err := s.RetrieveTo(io.Discard, "Redis"); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// parkingSource serves a serialized disk. Once armed, its next ReadAt
+// closes parked and waits for release; reading is true while it waits.
+type parkingSource struct {
+	ra              io.ReaderAt
+	armed, reading  atomic.Bool
+	parked, release chan struct{}
+}
+
+func (p *parkingSource) ReadAt(b []byte, off int64) (int, error) {
+	if p.armed.CompareAndSwap(true, false) {
+		p.reading.Store(true)
+		defer p.reading.Store(false)
+		close(p.parked)
+		<-p.release
+	}
+	return p.ra.ReadAt(b, off)
+}
+
+var errBasePut = errors.New("base put failed")
+
+// baseStreamFails is a blob backend that fails the put of a serialized
+// disk, the base stream: it reads the header, arms src, lets the stream
+// run on into the disk's lazy reads and fails once src has parked one.
+type baseStreamFails struct {
+	blobstore.Backend
+	src *parkingSource
+}
+
+func (f *baseStreamFails) PutReader(r io.Reader) (blobstore.ID, int64, bool, error) {
+	head := make([]byte, len(vdisk.Magic))
+	n, _ := io.ReadFull(r, head)
+	if !bytes.Equal(head[:n], vdisk.Magic) {
+		return f.Backend.PutReader(io.MultiReader(bytes.NewReader(head[:n]), r))
+	}
+	f.src.armed.Store(true)
+	go io.Copy(io.Discard, r) // ends when the publish closes the stream
+	<-f.src.parked
+	return blobstore.ID{}, 0, false, errBasePut
+}
+
+// TestPublishJoinsBaseStream: a publish whose base put fails after reading
+// part of the stream returns only once the stream's writer has left the
+// lazy read it was in, so a caller may release what backs the image as
+// soon as the publish returns. The parked read is held for a grace period
+// in which the publish must not return; then it is let go, and the publish
+// fails with the backend's error.
+func TestPublishJoinsBaseStream(t *testing.T) {
+	img := buildImage(t, builder.New(catalog.NewUniverse()), "Mini")
+	ser := img.Disk.Serialize()
+	src := &parkingSource{ra: bytes.NewReader(ser), parked: make(chan struct{}), release: make(chan struct{})}
+	disk, err := vdisk.DeserializeLazy(img.Name, src, int64(len(ser)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	img.Disk = disk
+	s := NewSystemWithRepo(vmirepo.NewWithBackend(testDev, &baseStreamFails{Backend: blobstore.New(), src: src}), testDev, Options{})
+
+	published := make(chan error, 1)
+	go func() {
+		_, err := s.Publish(img)
+		published <- err
+	}()
+	<-src.parked
+	select {
+	case <-published:
+		close(src.release)
+		t.Fatal("the publish returned while its base stream was parked in a read of the image")
+	case <-time.After(250 * time.Millisecond):
+	}
+	close(src.release)
+	if err := <-published; !errors.Is(err, errBasePut) {
+		t.Fatalf("publish = %v, want the base put's error", err)
+	}
+	if src.reading.Load() {
+		t.Fatal("the publish returned before its base stream's read did")
 	}
 }
 

@@ -256,7 +256,9 @@ var ErrPrimaryNotInstalled = api.ErrPrimaryNotInstalled
 // (Algorithm 1). Publish never writes img: the package sets come from the
 // image's package index, and the base image, when one is stored, is
 // stripped on a clone of its disk. The caller may keep using the image,
-// and concurrent publishes may share it.
+// and concurrent publishes may share it. Nothing reads img's disk once
+// Publish has returned, on any path, so a caller may then release what
+// backs it.
 func (s *System) Publish(img *vmi.Image) (*PublishReport, error) {
 	return s.PublishWith(img, PublishOpts{})
 }
@@ -440,12 +442,16 @@ func (s *System) PublishWith(img *vmi.Image, popts PublishOpts) (*PublishReport,
 	// user data are untouched.
 	willStoreBase := selected == baseID && !s.repo.HasBase(selected, rep.Meter)
 	charge := storedBytes
-	var base *vdisk.Disk
+	var (
+		base      *vdisk.Disk
+		baseBytes int64
+	)
 	if willStoreBase {
 		if base, err = stripBase(img, gone); err != nil {
 			return nil, fmt.Errorf("core: publish %s: %w", img.Name, err)
 		}
-		charge += base.SerializedBytes()
+		baseBytes = base.SerializedBytes()
+		charge += baseBytes
 	}
 	if quota := s.opts.TenantQuotas[popts.Tenant]; popts.Tenant != "" && quota > 0 {
 		usage := s.repo.TenantUsage(popts.Tenant)
@@ -485,18 +491,22 @@ func (s *System) PublishWith(img *vmi.Image, popts PublishOpts) (*PublishReport,
 		// prices the read (and pins the expected stream length) without
 		// producing a byte. A new base is invisible to readers until a
 		// master graph names it, so the stream runs outside the view window.
-		size := base.SerializedBytes()
-		rep.Meter.Charge(simio.PhaseScan, s.dev.ReadCost(size))
+		rep.Meter.Charge(simio.PhaseScan, s.dev.ReadCost(baseBytes))
 		pr, pw := io.Pipe()
+		written := make(chan struct{})
 		go func() {
+			defer close(written)
 			_, werr := base.WriteTo(pw)
 			pw.CloseWithError(werr)
 		}()
-		err := s.repo.PutBaseReader(baseID, img.Base, pr, size, rep.Meter)
+		err := s.repo.PutBaseReader(baseID, img.Base, pr, baseBytes, rep.Meter)
 		// Closing the read side unblocks the writer goroutine on every
-		// early-return path (e.g. a store fast-failing before consuming
-		// the stream); after a complete consume it is a no-op.
+		// early-return path (e.g. a store failing after part of the
+		// stream); after a complete consume it is a no-op. The writer may
+		// still be inside a lazy read of the image's disk, so the publish
+		// waits for it: nothing may read the image once it has returned.
 		pr.Close()
+		<-written
 		if err != nil {
 			return nil, err
 		}

@@ -86,6 +86,28 @@ func writeMember(tw *tar.Writer, name string, data []byte) error {
 	return err
 }
 
+// maxMemberPrealloc is the most a member's size claim allocates in Extract
+// before its bytes arrive. A gzip'd archive can claim far more than its own
+// length, so the claim is believed only this far; the catalog's largest
+// file is 80 KiB, and a larger member still decodes, growing as it reads.
+const maxMemberPrealloc = 1 << 20
+
+// readMember reads the current member of tr, whose header claims size
+// bytes, into a buffer made for the claim up to limit, appending whatever
+// arrives past limit. A member shorter than its claim fails with
+// io.ErrUnexpectedEOF, so a lying header costs its archive real bytes.
+func readMember(tr *tar.Reader, size, limit int64) ([]byte, error) {
+	data := make([]byte, min(size, limit))
+	if _, err := io.ReadFull(tr, data); err != nil {
+		return nil, err
+	}
+	if size <= limit {
+		return data, nil
+	}
+	rest, err := io.ReadAll(tr)
+	return append(data, rest...), err
+}
+
 // extractor is the reusable state of one Extract: a gzip.Reader, whose
 // decompressor is costly to build, over a bytes.Reader. Reset reuses both.
 type extractor struct {
@@ -118,7 +140,7 @@ func Extract(blob []byte) (pkgmeta.Package, []File, error) {
 		if err != nil {
 			return p, nil, fmt.Errorf("pkgfmt: corrupt archive: %w", err)
 		}
-		data, err := io.ReadAll(tr)
+		data, err := readMember(tr, hdr.Size, maxMemberPrealloc)
 		if err != nil {
 			return p, nil, fmt.Errorf("pkgfmt: read member %q: %w", hdr.Name, err)
 		}

@@ -1,10 +1,13 @@
 package pkgfmt
 
 import (
+	"archive/tar"
 	"bytes"
+	"compress/gzip"
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"slices"
 	"strings"
 	"sync"
@@ -131,6 +134,76 @@ func TestExtractRejectsCorrupt(t *testing.T) {
 	blob, _ := Build(samplePkg(), sampleFiles())
 	if _, _, err := Extract(blob[:len(blob)/2]); err == nil {
 		t.Fatal("accepted truncated blob")
+	}
+}
+
+// TestMembersSizedExactly: Extract and UnpackTar make each file's buffer
+// for the size its header states, so a decoded file keeps no spare
+// capacity (a package memo holds these buffers).
+func TestMembersSizedExactly(t *testing.T) {
+	files := append(sampleFiles(), File{Path: "/opt/big", Data: bytes.Repeat([]byte("0123456789"), 70000)})
+	blob, err := Build(samplePkg(), files)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, got, err := Extract(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	archive, err := PackTar(files)
+	if err != nil {
+		t.Fatal(err)
+	}
+	unpacked, err := UnpackTar(archive)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range append(got, unpacked...) {
+		if cap(f.Data) != len(f.Data) {
+			t.Errorf("%s: %d bytes in a buffer of %d", f.Path, len(f.Data), cap(f.Data))
+		}
+	}
+}
+
+// TestHostileMemberSizeBounded: an archive member whose header claims a
+// terabyte with no body behind it fails, in a package (gzip'd, whose
+// claim is believed up to maxMemberPrealloc) and in a user-data archive
+// (believed up to the archive's length), and neither allocates anything
+// like the claim.
+func TestHostileMemberSizeBounded(t *testing.T) {
+	var plain bytes.Buffer
+	tw := tar.NewWriter(&plain)
+	if err := tw.WriteHeader(&tar.Header{Name: controlName, Mode: 0644, Size: 1 << 40}); err != nil {
+		t.Fatal(err)
+	}
+	if err := tw.Flush(); err == nil {
+		t.Fatal("the tar writer accepted a header without its body")
+	}
+	var gz bytes.Buffer
+	zw := gzip.NewWriter(&gz)
+	if _, err := zw.Write(plain.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	if err := zw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name   string
+		decode func() error
+	}{
+		{"Extract", func() error { _, _, err := Extract(gz.Bytes()); return err }},
+		{"UnpackTar", func() error { _, err := UnpackTar(plain.Bytes()); return err }},
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := tc.decode()
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Fatalf("%s accepted a member claiming 1 TiB with no body", tc.name)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 4<<20 {
+			t.Fatalf("%s: a %d-byte archive claiming 1 TiB allocated %d MiB", tc.name, plain.Len(), grew>>20)
+		}
 	}
 }
 

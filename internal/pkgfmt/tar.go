@@ -35,7 +35,9 @@ func PackTar(files []File) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// UnpackTar decodes an archive produced by PackTar.
+// UnpackTar decodes an archive produced by PackTar. The archive is not
+// compressed, so no member holds more bytes than the archive: a member's
+// size claim is believed up to the archive's length.
 func UnpackTar(blob []byte) ([]File, error) {
 	tr := tar.NewReader(bytes.NewReader(blob))
 	var files []File
@@ -47,9 +49,9 @@ func UnpackTar(blob []byte) ([]File, error) {
 		if err != nil {
 			return nil, fmt.Errorf("pkgfmt: corrupt tar: %w", err)
 		}
-		data, err := io.ReadAll(tr)
+		data, err := readMember(tr, hdr.Size, int64(len(blob)))
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("pkgfmt: read tar member %q: %w", hdr.Name, err)
 		}
 		files = append(files, File{Path: hdr.Name, Data: data})
 	}

@@ -179,12 +179,15 @@ func (s *Server) handleRetrieve(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handlePublish(w http.ResponseWriter, r *http.Request) {
-	img, meta, err := wire.ReadImageMeta(r.Body)
+	img, meta, section, err := wire.DecodeImage(r.Body)
 	if err != nil {
 		http.Error(w, fmt.Sprintf("decode image: %v", err), http.StatusBadRequest)
 		return
 	}
+	// PublishWith reads nothing of the image once it has returned, so its
+	// chunks go back to the pool for the next upload.
 	rep, err := s.sys.PublishWith(img, meta)
+	section.Release()
 	if err != nil {
 		writeError(w, err)
 		return

@@ -18,22 +18,24 @@
 //	                              image's qcow2-like serialized form)
 //
 // The sender produces the disk bytes with Disk.WriteTo — no whole-image
-// buffer on the way out. The receiver must materialize the disk section
-// once (publish mounts and mutates the image, so it needs random
-// access), but hands it to vdisk.DeserializeLazy so clusters are
-// directory-backed rather than copied again; the base image then streams
-// into the blob store via the repository's PutBaseReader without a
-// second materialization.
+// buffer on the way out. The receiver must hold the disk section once
+// (publish mounts and mutates the image, so it needs random access): it
+// reads it into pooled chunks (a chunkpool.Buffer, filled only as bytes
+// arrive) and hands them to vdisk.DeserializeLazy, so clusters are read
+// from the chunks on demand rather than copied again; the base image then
+// streams into the blob store via the repository's PutBaseReader without a
+// second materialization. A receiver that releases the chunks once the
+// publish returns hands them to the next upload.
 package wire
 
 import (
-	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
 
 	"expelliarmus/internal/api"
+	"expelliarmus/internal/chunkpool"
 	"expelliarmus/internal/pkgmeta"
 	"expelliarmus/internal/vdisk"
 	"expelliarmus/internal/vmi"
@@ -47,10 +49,6 @@ const Magic = "EXPWIR1\n"
 // every JSON value a peer sends ahead of validation (the server applies it
 // to an assemble request's body as well).
 const MaxHeaderBytes = 1 << 20
-
-// maxDiskPrealloc is the most a header's DiskBytes claim may allocate
-// before the body bytes backing it have arrived.
-const maxDiskPrealloc = 64 << 20
 
 // maxVirtualBytes bounds the virtual size an uploaded disk may declare. A
 // sparse image needs only its L1 table present, so a few kilobytes can
@@ -122,9 +120,8 @@ func WriteImageMeta(w io.Writer, img *vmi.Image, meta PublishMeta) error {
 	return nil
 }
 
-// ReadImage decodes one image envelope from r into a VMI. The disk
-// section is read into one owned buffer — the single materialization the
-// receiving side needs for random access — and mounted lazily over it.
+// ReadImage decodes one image envelope from r into a VMI: DecodeImage
+// with the section left to the garbage collector.
 func ReadImage(r io.Reader) (*vmi.Image, error) {
 	img, _, err := ReadImageMeta(r)
 	return img, err
@@ -132,44 +129,61 @@ func ReadImage(r io.Reader) (*vmi.Image, error) {
 
 // ReadImageMeta is ReadImage plus the envelope's lifecycle metadata.
 func ReadImageMeta(r io.Reader) (*vmi.Image, PublishMeta, error) {
+	img, meta, _, err := DecodeImage(r)
+	return img, meta, err
+}
+
+// DecodeImage decodes one image envelope from r. The disk section is read
+// into pooled chunks, returned as the Buffer, and the image's disk is
+// mounted lazily over them, so the image reads the Buffer until it is
+// released. A caller done with the image (the server, once its publish has
+// returned) calls Release to hand the chunks to the next upload; one that
+// never does leaves them to the garbage collector. On error nothing is
+// held.
+func DecodeImage(r io.Reader) (*vmi.Image, PublishMeta, *chunkpool.Buffer, error) {
 	var pre [12]byte
 	if _, err := io.ReadFull(r, pre[:]); err != nil {
-		return nil, PublishMeta{}, fmt.Errorf("wire: read envelope: %w", err)
+		return nil, PublishMeta{}, nil, fmt.Errorf("wire: read envelope: %w", err)
 	}
 	if string(pre[:8]) != Magic {
-		return nil, PublishMeta{}, fmt.Errorf("wire: bad magic %q", pre[:8])
+		return nil, PublishMeta{}, nil, fmt.Errorf("wire: bad magic %q", pre[:8])
 	}
 	hlen := binary.LittleEndian.Uint32(pre[8:])
 	if hlen == 0 || hlen > MaxHeaderBytes {
-		return nil, PublishMeta{}, fmt.Errorf("wire: header length %d out of range", hlen)
+		return nil, PublishMeta{}, nil, fmt.Errorf("wire: header length %d out of range", hlen)
 	}
 	hb := make([]byte, hlen)
 	if _, err := io.ReadFull(r, hb); err != nil {
-		return nil, PublishMeta{}, fmt.Errorf("wire: read header: %w", err)
+		return nil, PublishMeta{}, nil, fmt.Errorf("wire: read header: %w", err)
 	}
 	var hdr ImageHeader
 	if err := json.Unmarshal(hb, &hdr); err != nil {
-		return nil, PublishMeta{}, fmt.Errorf("wire: decode header: %w", err)
+		return nil, PublishMeta{}, nil, fmt.Errorf("wire: decode header: %w", err)
 	}
 	if hdr.Name == "" {
-		return nil, PublishMeta{}, fmt.Errorf("wire: envelope names no image")
+		return nil, PublishMeta{}, nil, fmt.Errorf("wire: envelope names no image")
 	}
 	if hdr.DiskBytes < 0 {
-		return nil, PublishMeta{}, fmt.Errorf("wire: negative disk length %d", hdr.DiskBytes)
+		return nil, PublishMeta{}, nil, fmt.Errorf("wire: negative disk length %d", hdr.DiskBytes)
 	}
 	if hdr.ExpiresAt < 0 {
-		return nil, PublishMeta{}, fmt.Errorf("wire: negative expiry timestamp %d", hdr.ExpiresAt)
+		return nil, PublishMeta{}, nil, fmt.Errorf("wire: negative expiry timestamp %d", hdr.ExpiresAt)
 	}
-	buf, err := readDisk(r, hdr.DiskBytes)
+	// DiskBytes comes from the sender, so ReadFull takes a chunk only once
+	// the bytes before it have arrived: a lying header costs its sender
+	// real bytes, not the receiver its memory.
+	section, err := chunkpool.ReadFull(r, hdr.DiskBytes)
 	if err != nil {
-		return nil, PublishMeta{}, fmt.Errorf("wire: read disk (%d bytes): %w", hdr.DiskBytes, err)
+		return nil, PublishMeta{}, nil, fmt.Errorf("wire: read disk (%d bytes): %w", hdr.DiskBytes, err)
 	}
-	disk, err := vdisk.DeserializeLazy(hdr.Name, bytes.NewReader(buf), hdr.DiskBytes)
+	disk, err := vdisk.DeserializeLazy(hdr.Name, section, hdr.DiskBytes)
 	if err != nil {
-		return nil, PublishMeta{}, fmt.Errorf("wire: open disk: %w", err)
+		section.Release()
+		return nil, PublishMeta{}, nil, fmt.Errorf("wire: open disk: %w", err)
 	}
 	if disk.VirtualSize() > maxVirtualBytes {
-		return nil, PublishMeta{}, fmt.Errorf("wire: disk declares virtual size %d, limit %d", disk.VirtualSize(), maxVirtualBytes)
+		section.Release()
+		return nil, PublishMeta{}, nil, fmt.Errorf("wire: disk declares virtual size %d, limit %d", disk.VirtualSize(), maxVirtualBytes)
 	}
 	img := &vmi.Image{
 		Name:      hdr.Name,
@@ -177,28 +191,7 @@ func ReadImageMeta(r io.Reader) (*vmi.Image, PublishMeta, error) {
 		Primaries: hdr.Primaries,
 		Disk:      disk,
 	}
-	return img, PublishMeta{Tenant: hdr.Tenant, ExpiresAt: hdr.ExpiresAt}, nil
-}
-
-// readDisk reads the n-byte disk section into one owned buffer. n comes
-// from the sender's header, so it is believed only up to maxDiskPrealloc:
-// an honest image below the cap gets its single exact-sized allocation,
-// while a larger claim grows the buffer by doubling as body bytes actually
-// arrive — a lying header costs its sender real bytes, not the receiver
-// its memory.
-func readDisk(r io.Reader, n int64) ([]byte, error) {
-	buf := make([]byte, min(n, maxDiskPrealloc))
-	for filled := 0; ; {
-		m, err := io.ReadFull(r, buf[filled:])
-		if err != nil {
-			return nil, err
-		}
-		if filled += m; int64(filled) == n {
-			return buf, nil
-		}
-		buf = append(make([]byte, 0, min(n, 2*int64(filled))), buf...)
-		buf = buf[:cap(buf)]
-	}
+	return img, PublishMeta{Tenant: hdr.Tenant, ExpiresAt: hdr.ExpiresAt}, section, nil
 }
 
 // The bodies an in-process call returns as well: the server's reply to a

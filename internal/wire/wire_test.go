@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"expelliarmus/internal/chunkpool"
 	"expelliarmus/internal/pkgmeta"
 	"expelliarmus/internal/vdisk"
 	"expelliarmus/internal/vmi"
@@ -173,20 +174,29 @@ func TestHostileVirtualSizeRefused(t *testing.T) {
 	}
 }
 
-// TestLargeDiskSectionGrows drives readDisk past its preallocation cap
-// with real bytes behind the claim: the section still arrives whole.
+// TestLargeDiskSectionGrows reads a 96 MiB + 3-byte disk section, with
+// real bytes behind the claim, the way DecodeImage does: the section
+// arrives whole, chunk boundaries and the short last chunk included.
 func TestLargeDiskSectionGrows(t *testing.T) {
-	const n = maxDiskPrealloc + maxDiskPrealloc/2 + 3
+	const n = 96<<20 + 3
 	src := make([]byte, n)
 	for i := range src {
 		src[i] = byte(i * 7)
 	}
-	got, err := readDisk(bytes.NewReader(src), n)
+	got, err := chunkpool.ReadFull(bytes.NewReader(src), n)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(got, src) {
-		t.Fatal("grown disk section differs from what was sent")
+	defer got.Release()
+	buf := make([]byte, 1<<20+5) // not a multiple of the chunk size
+	for off := int64(0); off < n; off += int64(len(buf)) {
+		m, err := got.ReadAt(buf, off)
+		if want := min(int64(len(buf)), n-off); int64(m) != want || (err != nil && m == len(buf)) {
+			t.Fatalf("ReadAt at %d = %d, %v; want %d bytes", off, m, err, want)
+		}
+		if !bytes.Equal(buf[:m], src[off:off+int64(m)]) {
+			t.Fatalf("the section differs from what was sent at %d", off)
+		}
 	}
 }
 

@@ -2,6 +2,8 @@ package expelliarmus
 
 import (
 	"bufio"
+	"bytes"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -11,6 +13,9 @@ import (
 	"runtime/debug"
 	"strings"
 	"testing"
+
+	"expelliarmus/internal/api"
+	"expelliarmus/internal/wire"
 )
 
 var updateWork = flag.Bool("update", false, "re-record testdata/work.golden")
@@ -64,18 +69,29 @@ func arenaChunks(t *testing.T) int64 {
 
 // measure runs op once to warm the memos, pools and cache it uses, then
 // takes the fewest allocations and bytes of five more runs, each with the
-// collector off, and counts the arena chunks of one further run. It runs
-// them all on one P: a sync.Pool keeps an item per P, so a run that moved
-// to another P would miss the item the warm-up left.
-func measure(t *testing.T, op func() error) work {
+// collector off, and counts the arena chunks of one further run. Before
+// every run it calls setup, if any, outside what is counted. It runs them
+// all on one P: a sync.Pool keeps an item per P, so a run that moved to
+// another P would miss the item the warm-up left.
+func measure(t *testing.T, setup, op func() error) work {
 	t.Helper()
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	prepare := func() {
+		if setup == nil {
+			return
+		}
+		if err := setup(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	prepare()
 	if err := op(); err != nil {
 		t.Fatal(err)
 	}
 	w := work{allocs: math.MaxInt64, bytes: math.MaxInt64}
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	for range 5 {
+		prepare()
 		runtime.GC()
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
@@ -87,6 +103,7 @@ func measure(t *testing.T, op func() error) work {
 		w.allocs = min(w.allocs, int64(after.Mallocs-before.Mallocs))
 		w.bytes = min(w.bytes, int64(after.TotalAlloc-before.TotalAlloc))
 	}
+	prepare()
 	before := arenaChunks(t)
 	rate := runtime.MemProfileRate
 	runtime.MemProfileRate = 1
@@ -104,9 +121,12 @@ func measure(t *testing.T, op func() error) work {
 // System, against testdata/work.golden: counts exactly, bytes within 5 %.
 // The operations are a cold retrieval (the retrieval cache off, the base
 // and package memos warm), a warm retrieval (a cache hit), an AssembleTo,
-// and the removal of a Redis variant whose template survives on its base,
-// followed by a publish of the variant that restores it. A change that
-// moves a row re-records the file with -update and says why.
+// the removal of a Redis variant whose template survives on its base,
+// followed by a publish of the variant that restores it, and the server's
+// publish of that variant: its envelope decoded into pooled chunks, the
+// publish, and the chunks released. A row's setup runs before each of its
+// runs, uncounted. A change that moves a row re-records the file with
+// -update and says why.
 func TestWorkLedger(t *testing.T) {
 	images := []string{"Mini", "Redis", "Django", "Desktop"}
 	variant, err := New().BuildImage("Redis")
@@ -115,6 +135,10 @@ func TestWorkLedger(t *testing.T) {
 	}
 	variant.inner.Name = "Redis-variant"
 	if err := variant.WriteUserFile("/home/user/variant.bin", make([]byte, 64<<10)); err != nil {
+		t.Fatal(err)
+	}
+	var envelope bytes.Buffer
+	if err := variant.EncodeWire(&envelope); err != nil {
 		t.Fatal(err)
 	}
 	backends := []struct {
@@ -173,18 +197,31 @@ func TestWorkLedger(t *testing.T) {
 			_, err := s.Publish(variant)
 			return err
 		}},
+		{"publish", 0, func(s *System) error {
+			if err := s.Remove("Redis-variant"); err != nil && !errors.Is(err, api.ErrNotFound) {
+				return err
+			}
+			return nil
+		}, func(s *System) error {
+			img, meta, section, err := wire.DecodeImage(bytes.NewReader(envelope.Bytes()))
+			if err != nil {
+				return err
+			}
+			_, err = s.sys.PublishWith(img, meta)
+			section.Release()
+			return err
+		}},
 	}
 	var got []string
 	for _, b := range backends {
 		open := b.open(t)
 		for _, o := range ops {
 			s := open(o.cacheBytes)
+			var setup func() error
 			if o.setup != nil {
-				if err := o.setup(s); err != nil {
-					t.Fatal(err)
-				}
+				setup = func() error { return o.setup(s) }
 			}
-			w := measure(t, func() error { return o.op(s) })
+			w := measure(t, setup, func() error { return o.op(s) })
 			if err := s.Close(); err != nil {
 				t.Fatal(err)
 			}
