@@ -506,7 +506,7 @@ func (s *Store) replaySegment(n uint32, start int64, last bool) error {
 			// CRC-passing record beyond the failure therefore proves the
 			// damage is real corruption of committed data, which must be
 			// refused, not silently truncated away with everything after it.
-			if tail := nextValidRecord(buf[1:]); tail >= 0 {
+			if tail := recframe.NextValid(buf[1:]); tail >= 0 {
 				return fmt.Errorf("diskstore: segment %d offset %d: %w followed by a valid record at offset %d — refusing to truncate committed data",
 					n, off, err, off+1+int64(tail))
 			}
@@ -525,11 +525,6 @@ func (s *Store) replaySegment(n uint32, start int64, last bool) error {
 	}
 	return nil
 }
-
-// nextValidRecord scans b for any offset at which a whole record parses,
-// returning that offset or -1 — evidence that damage is real corruption
-// of committed data rather than a torn append (see recframe.NextValid).
-func nextValidRecord(b []byte) int { return recframe.NextValid(b) }
 
 // truncateSegment drops the torn tail of segment n and records it.
 func (s *Store) truncateSegment(n uint32, keep, dropped int64) error {

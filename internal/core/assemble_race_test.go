@@ -3,7 +3,9 @@ package core
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -11,65 +13,12 @@ import (
 	"expelliarmus/internal/blobstore"
 	"expelliarmus/internal/builder"
 	"expelliarmus/internal/catalog"
+	"expelliarmus/internal/fsx/fsxtest"
 	"expelliarmus/internal/pkgmgr"
 	"expelliarmus/internal/vdisk"
 	"expelliarmus/internal/vmi"
 	"expelliarmus/internal/vmirepo"
 )
-
-// openHook is a blob backend that runs a callback once, just before the
-// first Open of one blob. A reader opens its blobs under the view lock, so
-// the callback runs while the reader holds it.
-type openHook struct {
-	blobstore.Backend
-	id   blobstore.ID
-	then func()
-}
-
-func (h *openHook) Open(id blobstore.ID) (io.ReadCloser, int64, error) {
-	if id == h.id && h.then != nil {
-		then := h.then
-		h.then = nil
-		then()
-	}
-	return h.Backend.Open(id)
-}
-
-// readHook is a blob backend that runs a callback once, on the first
-// ReadAt of a reader over one blob. By then the reader has opened all its
-// blobs and released the view lock, so the callback can land a whole
-// mutation in the middle of an assembly. opens counts the opens of the
-// blob.
-type readHook struct {
-	blobstore.Backend
-	id    blobstore.ID
-	then  func()
-	opens atomic.Int64
-}
-
-type hookedReader struct {
-	readAtCloser
-	h *readHook
-}
-
-func (h *readHook) arm(id blobstore.ID, then func()) { h.id, h.then = id, then }
-
-func (h *readHook) Open(id blobstore.ID) (io.ReadCloser, int64, error) {
-	rc, size, err := h.Backend.Open(id)
-	if err != nil || id != h.id {
-		return rc, size, err
-	}
-	h.opens.Add(1)
-	return &hookedReader{rc.(readAtCloser), h}, size, nil
-}
-
-func (r *hookedReader) ReadAt(p []byte, off int64) (int, error) {
-	if then := r.h.then; then != nil {
-		r.h.then = nil
-		then()
-	}
-	return r.readAtCloser.ReadAt(p, off)
-}
 
 // buildAs builds template tpl under the given name, with version as the
 // content of a user-data file when it is not empty.
@@ -106,14 +55,73 @@ func baseBlob(t *testing.T, repo *vmirepo.Repo, name string) blobstore.ID {
 	return binfo.BlobID
 }
 
-// TestRetrieveIsolatedFromRepublish: a retrieval of X reads X's base and,
-// at that first read, a republish of X from another template with new
-// user data lands whole. The retrieval resolved and opened everything
-// under the view lock before it read a byte, so it must return X exactly
-// as it was before the republish — with the cache off and on, and for an
-// assembly importing X's user data.
+// viewWaits are the frames a party waits in while another holds the
+// repository's view lock: a reader in ReadView's RLock, a writer in
+// WriteView's Lock.
+var viewWaits = []string{"(*Repo).ReadView", "(*Repo).WriteView"}
+
+// checkReaderHolds checks a sweep that parked a reader at each of its seam
+// calls while a writer ran. A reader opens its blobs under the view lock
+// (System.open) and reads them after it dropped the lock, so parked in
+// open it must make the writer wait in WriteView, and parked anywhere else
+// it must let the writer return.
+func checkReaderHolds(t *testing.T, ins []fsxtest.Interleaving) {
+	t.Helper()
+	held := 0
+	for _, in := range ins {
+		switch open := strings.Contains(in.Parked, "core.(*System).open("); {
+		case open && !strings.Contains(in.Waited, "(*Repo).WriteView"):
+			t.Errorf("call %d (%s %s): the writer did not wait for a reader opening its blobs under the view lock", in.N, in.Call.Op, in.Call.File)
+		case !open && in.Waited != "":
+			t.Errorf("call %d (%s %s): the writer waited on a reader that had dropped the view lock:\n%s", in.N, in.Call.Op, in.Call.File, in.Waited)
+		case open:
+			held++
+		}
+	}
+	if held == 0 || held == len(ins) {
+		t.Errorf("the reader was parked under the view lock at %d of its %d calls, want some but not all", held, len(ins))
+	}
+}
+
+// checkWriterWindow checks a sweep that parked a writer at each of its
+// blob calls while a reader ran. The writer's only blob calls inside its
+// view window are Releases, so the reader must wait in ReadView exactly
+// when the writer was parked at one.
+func checkWriterWindow(t *testing.T, ins []fsxtest.Interleaving) {
+	t.Helper()
+	for _, in := range ins {
+		if waited := strings.Contains(in.Waited, "(*Repo).ReadView"); waited != (in.Call.Op == "Release") {
+			t.Errorf("call %d (%s %s): the reader waited in ReadView: %v, want %v", in.N, in.Call.Op, in.Call.File, waited, !waited)
+		}
+	}
+}
+
+// namedState names img by the first of states whose bytes it equals, as a
+// sweep's party names the committed state it saw.
+func namedState(img []byte, err error, states map[string][]byte) (string, error) {
+	if err != nil {
+		return "", err
+	}
+	for name, want := range states {
+		if bytes.Equal(img, want) {
+			return name, nil
+		}
+	}
+	return fmt.Sprintf("%d bytes of no committed state", len(img)), nil
+}
+
+// TestRetrieveIsolatedFromRepublish sweeps a retrieval of X against a
+// republish of X from another template with new user data, with the cache
+// off and on, and for an assembly importing X's user data. Parked at each
+// of its blob calls, the republish lets the retrieval return X as it was
+// while it exports, and makes it wait and return the new X once its view
+// window opened. Parked at each of its blob calls, the retrieval makes the
+// republish wait while it opens its blobs and returns X as it was. After
+// every trial the system serves the new X: a cached retrieval that the
+// republish overtook did not insert the old one.
 func TestRetrieveIsolatedFromRepublish(t *testing.T) {
 	b := builder.New(catalog.NewUniverse())
+	redis, v1, v2 := buildImage(t, b, "Redis"), buildAs(t, b, "Redis", "X", "v1"), buildAs(t, b, "Django", "X", "v2")
 	for _, leg := range []struct {
 		name     string
 		opts     Options
@@ -124,166 +132,174 @@ func TestRetrieveIsolatedFromRepublish(t *testing.T) {
 		{"assemble", Options{}, true},
 	} {
 		t.Run(leg.name, func(t *testing.T) {
-			hook := &readHook{Backend: blobstore.New()}
-			s := NewSystemWithRepo(vmirepo.NewWithBackend(testDev, hook), testDev, leg.opts)
-			for _, img := range []*vmi.Image{buildImage(t, b, "Redis"), buildAs(t, b, "Redis", "X", "v1")} {
-				if _, err := s.Publish(img); err != nil {
-					t.Fatal(err)
-				}
-			}
-			rec, err := s.repo.GetVMI("X", nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			read := func(s *System) []byte {
+			read := func(s *System) ([]byte, error) {
 				var buf bytes.Buffer
+				var err error
 				if leg.assemble {
-					_, _, err = s.AssembleTo(&buf, "custom", rec.Primaries, "X")
+					_, _, err = s.AssembleTo(&buf, "custom", v1.Primaries, "X")
 				} else {
 					_, _, err = s.RetrieveTo(&buf, "X")
 				}
+				return buf.Bytes(), err
+			}
+			states := map[string][]byte{}
+			ref := NewSystem(testDev, Options{})
+			for _, st := range []struct {
+				name string
+				imgs []*vmi.Image
+			}{{"v1", []*vmi.Image{redis, v1}}, {"v2", []*vmi.Image{v2}}} {
+				publishAll(t, ref, st.imgs...)
+				img, err := read(ref)
 				if err != nil {
 					t.Fatal(err)
 				}
-				return buf.Bytes()
+				states[st.name] = img
 			}
-			uncached := NewSystemWithRepo(s.repo, testDev, Options{})
-			old := read(uncached)
-
-			hook.arm(baseBlob(t, s.repo, "X"), func() {
-				if _, err := s.Publish(buildAs(t, b, "Django", "X", "v2")); err != nil {
-					t.Errorf("republish inside the retrieval: %v", err)
+			var systems []*System
+			sched := func(writerFirst bool) fsxtest.Schedule {
+				return func(t *testing.T, p *fsxtest.Pause) (fsxtest.Party, fsxtest.Party) {
+					s := NewSystemWithRepo(vmirepo.NewWithBackend(testDev, p.Blobs(blobstore.New())), testDev, leg.opts)
+					publishAll(t, s, redis, v1)
+					systems = append(systems, s)
+					reader := func() (string, error) {
+						img, err := read(s)
+						return namedState(img, err, states)
+					}
+					writer := func() (string, error) {
+						_, err := s.Publish(v2)
+						return "", err
+					}
+					if writerFirst {
+						return writer, reader
+					}
+					return reader, writer
 				}
-			})
-			got := read(s)
-			if hook.then != nil {
-				t.Fatal("the retrieval never read X's base")
 			}
-			switch fresh := read(uncached); {
-			case bytes.Equal(got, old):
-			case bytes.Equal(got, fresh):
-				t.Fatal("the racing retrieval returned the republished version")
-			default:
-				t.Fatal("the racing retrieval equals neither the old nor the new version")
+			t.Run("writer-parked", func(t *testing.T) {
+				checkWriterWindow(t, fsxtest.PauseSweep(t, []string{"v1", "v2"}, []fsxtest.Window{
+					{Name: "export", Want: "v1"},
+					{Name: "commit", Op: "Release", Want: "v2"},
+				}, viewWaits, sched(true)))
+			})
+			t.Run("reader-parked", func(t *testing.T) {
+				checkReaderHolds(t, fsxtest.PauseSweep(t, []string{"v1"}, nil, viewWaits, sched(false)))
+			})
+			for _, s := range systems {
+				if img, err := read(s); err != nil || !bytes.Equal(img, states["v2"]) {
+					t.Fatalf("after a trial the system does not serve the republished X (%v)", err)
+				}
 			}
 		})
 	}
 }
 
-// TestAssembleSurvivesBaseReplacedUnderIt: Assemble picks the master that
-// provides redis-server and opens its base, and at the base's first read
-// a publish commit lands whole — Algorithm 2 folds that master into the
-// selected base and releases the old base image. The assembly's reader
-// outlives the release, so it succeeds on its first try, with
-// redis-server installed.
+// TestAssembleSurvivesBaseReplacedUnderIt sweeps an assembly of
+// redis-server against a publish whose commit folds the master providing
+// it into another base and releases the old base image (Algorithm 2).
+// Parked at each of its blob calls, the assembly, which opened that base,
+// outlives the release and installs redis-server on it, on its first try.
+// Parked at each of the publish's, it assembles on the old base or, once
+// the publish's view window opened, on the new one.
 func TestAssembleSurvivesBaseReplacedUnderIt(t *testing.T) {
-	hook := &readHook{Backend: blobstore.New()}
-	s := NewSystemWithRepo(vmirepo.NewWithBackend(testDev, hook), testDev, Options{NoBaseSelection: true})
 	b := builder.New(catalog.NewUniverse())
-	for _, n := range []string{"Mini", "Redis"} {
-		if _, err := s.Publish(buildImage(t, b, n)); err != nil {
+	mini, redis, consolidating := buildImage(t, b, "Mini"), buildImage(t, b, "Redis"), buildImage(t, b, "PostgreSql")
+	assemble := func(s *System) ([]byte, error) {
+		var buf bytes.Buffer
+		_, _, err := s.AssembleTo(&buf, "custom", []string{"redis-server"}, "")
+		return buf.Bytes(), err
+	}
+	// setup publishes Mini and Redis on separate bases and returns the
+	// system, whose next publish may replace bases, and Redis's base.
+	setup := func(t *testing.T, blobs blobstore.Backend) (*System, string) {
+		s := NewSystemWithRepo(vmirepo.NewWithBackend(testDev, blobs), testDev, Options{NoBaseSelection: true})
+		publishAll(t, s, mini, redis)
+		s.opts.NoBaseSelection = false
+		rec, err := s.repo.GetVMI("Redis", nil)
+		if err != nil {
 			t.Fatal(err)
 		}
+		return s, rec.BaseID
 	}
-	s.opts.NoBaseSelection = false
-
-	rec, err := s.repo.GetVMI("Redis", nil)
+	ref, _ := setup(t, blobstore.New())
+	oldBase, err := assemble(ref)
 	if err != nil {
 		t.Fatal(err)
 	}
-	redisBase := rec.BaseID
-	consolidating := buildImage(t, b, "PostgreSql")
-	hook.arm(baseBlob(t, s.repo, "Redis"), func() {
-		rep, err := s.Publish(consolidating)
-		if err != nil {
-			t.Errorf("consolidating publish: %v", err)
-			return
-		}
-		if !hasAll(rep.ReplacedBases, []string{redisBase}) {
-			t.Errorf("publish replaced %v, not the assembly's base %s: the window never opened", rep.ReplacedBases, redisBase)
-		}
-	})
-
-	img, _, err := s.Assemble("custom", []string{"redis-server"}, "")
-	if hook.then != nil {
-		t.Fatal("the assembly never read the base it chose")
-	}
+	publishAll(t, ref, consolidating)
+	newBase, err := assemble(ref)
 	if err != nil {
-		t.Fatalf("assemble across a base replacement: %v", err)
+		t.Fatal(err)
 	}
-	if n := hook.opens.Load(); n != 1 {
-		t.Fatalf("the assembly opened its base %d times, want 1", n)
+	states := map[string][]byte{"old-base": oldBase, "new-base": newBase}
+	img, _, err := decodeImage("custom", oldBase, &RetrieveReport{})
+	if err != nil {
+		t.Fatal(err)
 	}
 	fs, err := img.Mount()
 	if err != nil {
 		t.Fatal(err)
 	}
-	mgr, err := pkgmgr.New(fs)
-	if err != nil {
-		t.Fatal(err)
+	if mgr, err := pkgmgr.New(fs); err != nil || !mgr.IsInstalled("redis-server") {
+		t.Fatalf("assembled image lacks redis-server (%v)", err)
 	}
-	if !mgr.IsInstalled("redis-server") {
-		t.Fatal("assembled image lacks redis-server")
-	}
-}
 
-// parkedPuts is a blob backend whose streamed puts wait, once armed,
-// until the test releases them.
-type parkedPuts struct {
-	blobstore.Backend
-	parked, release chan struct{}
-}
-
-func (p *parkedPuts) PutReader(r io.Reader) (blobstore.ID, int64, bool, error) {
-	if p.parked != nil {
-		close(p.parked)
-		p.parked = nil
-		<-p.release
+	sched := func(writerFirst bool) fsxtest.Schedule {
+		return func(t *testing.T, p *fsxtest.Pause) (fsxtest.Party, fsxtest.Party) {
+			s, redisBase := setup(t, p.Blobs(blobstore.New()))
+			reader := func() (string, error) {
+				img, err := assemble(s)
+				return namedState(img, err, states)
+			}
+			writer := func() (string, error) {
+				rep, err := s.Publish(consolidating)
+				if err == nil && !hasAll(rep.ReplacedBases, []string{redisBase}) {
+					err = fmt.Errorf("publish replaced %v, not the assembly's base %s", rep.ReplacedBases, redisBase)
+				}
+				return "", err
+			}
+			if writerFirst {
+				return writer, reader
+			}
+			return reader, writer
+		}
 	}
-	return p.Backend.PutReader(r)
+	t.Run("writer-parked", func(t *testing.T) {
+		checkWriterWindow(t, fsxtest.PauseSweep(t, []string{"old-base", "new-base"}, []fsxtest.Window{
+			{Name: "export", Want: "old-base"},
+			{Name: "commit", Op: "Release", Want: "new-base"},
+		}, viewWaits, sched(true)))
+	})
+	t.Run("reader-parked", func(t *testing.T) {
+		checkReaderHolds(t, fsxtest.PauseSweep(t, []string{"old-base"}, nil, viewWaits, sched(false)))
+	})
 }
 
 // TestRetrieveCompletesWhilePublishStreamsBase: a publish streams its new
 // base image under its commit lock but before its view window, so a
-// retrieval of another image of the same attribute class completes while
-// that stream is parked.
+// retrieval of another image of the same attribute class, swept against
+// each of the publish's blob calls, returns without waiting on it.
 func TestRetrieveCompletesWhilePublishStreamsBase(t *testing.T) {
-	puts := &parkedPuts{Backend: blobstore.New()}
-	s := NewSystemWithRepo(vmirepo.NewWithBackend(testDev, puts), testDev, Options{NoBaseSelection: true})
 	b := builder.New(catalog.NewUniverse())
-	if _, err := s.Publish(buildImage(t, b, "Mini")); err != nil {
-		t.Fatal(err)
-	}
-	parked := make(chan struct{})
-	puts.parked, puts.release = parked, make(chan struct{})
-	published := make(chan error, 1)
-	redis := buildImage(t, b, "Redis")
-	go func() {
-		_, err := s.Publish(redis)
-		published <- err
-	}()
-	<-parked
-
-	retrieved := make(chan error, 1)
-	go func() {
-		_, _, err := s.RetrieveTo(io.Discard, "Mini")
-		retrieved <- err
-	}()
-	select {
-	case err := <-retrieved:
-		if err != nil {
-			t.Fatal(err)
-		}
-	case <-time.After(30 * time.Second):
-		t.Fatal("a same-class retrieval waited on a publish's base stream")
-	}
-	close(puts.release)
-	if err := <-published; err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := s.RetrieveTo(io.Discard, "Redis"); err != nil {
-		t.Fatal(err)
-	}
+	mini, redis := buildImage(t, b, "Mini"), buildImage(t, b, "Redis")
+	ref := NewSystem(testDev, Options{NoBaseSelection: true})
+	publishAll(t, ref, mini)
+	states := map[string][]byte{"mini": retrieveBytes(t, ref, "Mini")}
+	ins := fsxtest.PauseSweep(t, []string{"mini"}, nil, viewWaits, func(t *testing.T, p *fsxtest.Pause) (fsxtest.Party, fsxtest.Party) {
+		s := NewSystemWithRepo(vmirepo.NewWithBackend(testDev, p.Blobs(blobstore.New())), testDev, Options{NoBaseSelection: true})
+		publishAll(t, s, mini)
+		return func() (string, error) {
+				rep, err := s.Publish(redis)
+				if err == nil && !rep.BaseStored {
+					err = errors.New("the publish stored no base")
+				}
+				return "", err
+			}, func() (string, error) {
+				var buf bytes.Buffer
+				_, _, err := s.RetrieveTo(&buf, "Mini")
+				return namedState(buf.Bytes(), err, states)
+			}
+	})
+	checkWriterWindow(t, ins)
 }
 
 // parkingSource serves a serialized disk. Once armed, its next ReadAt
@@ -404,10 +420,11 @@ func walTail(t *testing.T, w, f *vmirepo.Repo) (uint64, int64, []byte) {
 	return epoch, applied, chunk
 }
 
-// TestFollowerRetrieveIsolatedFromApply: a follower retrieval of X holds
-// the view lock while it opens its blobs, and the WAL batch carrying a
-// republish of X waits for it to let go. The retrieval returns X whole as
-// it was; once the batch lands, the follower serves the republished X.
+// TestFollowerRetrieveIsolatedFromApply sweeps a follower retrieval of X
+// against the WAL batch carrying a republish of X. Parked at each of its
+// blob calls, the retrieval makes the batch wait while it opens its blobs
+// under the view lock, lets it land once it reads, and returns X whole as
+// it was. Once the batch lands, the follower serves the republished X.
 func TestFollowerRetrieveIsolatedFromApply(t *testing.T) {
 	w, err := vmirepo.OpenAt(t.TempDir(), testDev)
 	if err != nil {
@@ -416,81 +433,64 @@ func TestFollowerRetrieveIsolatedFromApply(t *testing.T) {
 	defer w.Close()
 	writer := NewSystemWithRepo(w, testDev, Options{})
 	b := builder.New(catalog.NewUniverse())
-	for _, img := range []*vmi.Image{buildImage(t, b, "Redis"), buildAs(t, b, "Redis", "X", "v1")} {
-		if _, err := writer.Publish(img); err != nil {
-			t.Fatal(err)
-		}
-	}
+	publishAll(t, writer, buildImage(t, b, "Redis"), buildAs(t, b, "Redis", "X", "v1"))
 	if _, err := writer.Sync(); err != nil {
 		t.Fatal(err)
 	}
-
-	hook := &openHook{Backend: &fetchBlobs{Backend: blobstore.New(), writer: w}}
-	f := vmirepo.OpenFollower(testDev, hook)
 	epoch, rc, size, err := w.WAL().SnapshotReader()
 	if err != nil {
 		t.Fatal(err)
 	}
-	err = f.ResetToSnapshotReader(epoch, rc, size)
+	snap, err := io.ReadAll(rc)
 	rc.Close()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.ApplyWAL(walTail(t, w, f)); err != nil {
-		t.Fatal(err)
+	// follower opens a follower of the writer as of the snapshot and the
+	// given WAL chunks, whose blob calls go through wrap. Every follower
+	// keeps the blobs it fetches in local, so the first one, which
+	// retrieves the old X, keeps blobs the writer's republish releases.
+	local := blobstore.New()
+	follower := func(t *testing.T, wrap func(blobstore.Backend) blobstore.Backend, chunks ...[]byte) (*System, *vmirepo.Repo) {
+		f := vmirepo.OpenFollower(testDev, wrap(&fetchBlobs{Backend: local, writer: w}))
+		if err := f.ResetToSnapshotReader(epoch, bytes.NewReader(snap), size); err != nil {
+			t.Fatal(err)
+		}
+		for _, chunk := range chunks {
+			epoch, applied := f.Follower().Position()
+			if _, err := f.ApplyWAL(epoch, applied, chunk); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return NewSystemWithRepo(f, testDev, Options{}), f
 	}
-	follower := NewSystemWithRepo(f, testDev, Options{})
-	var old bytes.Buffer
-	if _, _, err := follower.RetrieveTo(&old, "X"); err != nil {
-		t.Fatal(err)
-	}
+	unwrapped := func(b blobstore.Backend) blobstore.Backend { return b }
+	_, f := follower(t, unwrapped)
+	_, _, published := walTail(t, w, f)
+	s, f := follower(t, unwrapped, published)
+	states := map[string][]byte{"v1": retrieveBytes(t, s, "X")}
 
-	if _, err := writer.Publish(buildAs(t, b, "Django", "X", "v2")); err != nil {
-		t.Fatal(err)
-	}
+	publishAll(t, writer, buildAs(t, b, "Django", "X", "v2"))
 	if _, err := writer.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	epoch, from, chunk := walTail(t, w, f)
-	applied := make(chan error, 1)
-	hook.id = baseBlob(t, f, "X")
-	hook.then = func() {
-		go func() {
-			_, err := f.ApplyWAL(epoch, from, chunk)
-			applied <- err
-		}()
-		// A blocked apply has no event to wait on: give it time to land
-		// if nothing holds it back.
-		time.Sleep(50 * time.Millisecond)
-		select {
-		case err := <-applied:
-			t.Errorf("a WAL batch landed while a reader held the view lock (apply err %v)", err)
-			applied <- err
-		default:
-		}
-	}
-	var got bytes.Buffer
-	if _, _, err := follower.RetrieveTo(&got, "X"); err != nil {
-		t.Fatal(err)
-	}
-	if hook.then != nil {
-		t.Fatal("the follower retrieval never opened X's base")
-	}
-	if err := <-applied; err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got.Bytes(), old.Bytes()) {
-		t.Fatal("the follower retrieval racing the batch is not X as it was before the republish")
-	}
+	_, _, republish := walTail(t, w, f)
+	ins := fsxtest.PauseSweep(t, []string{"v1"}, nil, viewWaits, func(t *testing.T, p *fsxtest.Pause) (fsxtest.Party, fsxtest.Party) {
+		s, f := follower(t, p.Blobs, published)
+		return func() (string, error) {
+				var buf bytes.Buffer
+				_, _, err := s.RetrieveTo(&buf, "X")
+				return namedState(buf.Bytes(), err, states)
+			}, func() (string, error) {
+				epoch, applied := f.Follower().Position()
+				_, err := f.ApplyWAL(epoch, applied, republish)
+				return "", err
+			}
+	})
+	checkReaderHolds(t, ins)
 
-	var fresh, want bytes.Buffer
-	if _, _, err := follower.RetrieveTo(&fresh, "X"); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := writer.RetrieveTo(&want, "X"); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(fresh.Bytes(), want.Bytes()) || bytes.Equal(fresh.Bytes(), old.Bytes()) {
+	s, _ = follower(t, unwrapped, published, republish)
+	if got, want := retrieveBytes(t, s, "X"), retrieveBytes(t, writer, "X"); !bytes.Equal(got, want) || bytes.Equal(got, states["v1"]) {
 		t.Fatal("after the batch the follower does not serve the republished X")
 	}
 }

@@ -2,11 +2,12 @@ package core
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"errors"
+	"fmt"
 	"io"
 	"reflect"
 	"runtime"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -14,6 +15,7 @@ import (
 	"expelliarmus/internal/blobstore"
 	"expelliarmus/internal/builder"
 	"expelliarmus/internal/catalog"
+	"expelliarmus/internal/fsx/fsxtest"
 	"expelliarmus/internal/pkgmgr"
 	"expelliarmus/internal/simio"
 	"expelliarmus/internal/vmirepo"
@@ -213,57 +215,68 @@ func TestBaseMemoHitStillOpensBase(t *testing.T) {
 	retrieveBytes(t, s, "Redis")
 }
 
-// TestBaseMemoConcurrentFill: retrievals released together on a system
-// whose base memo is empty all race to fill it, and each still returns its
-// image's bytes. Run it under -race.
+// TestBaseMemoConcurrentFill sweeps two retrievals of Redis on a system
+// whose memos are empty: the first is parked at each of its blob calls and
+// writes to its caller, between each memo miss's build and its put among
+// them, while the second misses the same base, package and digest memo
+// slots, fills them and returns.
 func TestBaseMemoConcurrentFill(t *testing.T) {
-	s, b := newSystem(t, Options{})
-	names := []string{"Redis", "Django", "Mini", "PostgreSql"}
-	for _, n := range names {
-		if _, err := s.Publish(buildImage(t, b, n)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want := map[string][]byte{}
-	for _, n := range names {
-		want[n] = missBytes(t, s, n)
-	}
-	fillConcurrently(t, NewSystemWithRepo(s.repo, testDev, Options{}), names, want)
+	memoFillSweep(t, func(*System) {})
 }
 
-// fillConcurrently releases 8 goroutines together on s, each retrieving
-// two of names, and requires every image to be its want bytes.
-func fillConcurrently(t *testing.T, s *System, names []string, want map[string][]byte) {
+// memoFillSweep sweeps two retrievals of Redis on one system, whose memos
+// prepare sets up after Redis's publish. The first is parked at each of its
+// blob calls and writes to its caller while the second runs to its end,
+// filling what the first missed; the second never waits. Both must return
+// Redis's bytes, each handing its sink the SHA-256 of what it wrote; so
+// must a third retrieval, which hits what they left, and the package
+// memo's running weight must be what its entries weigh.
+func memoFillSweep(t *testing.T, prepare func(*System)) {
 	t.Helper()
-	start := make(chan struct{})
-	var wg sync.WaitGroup
-	errs := make(chan string, 8)
-	for g := range 8 {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			<-start
-			for i := range 2 {
-				n := names[(g+i)%len(names)]
-				var buf bytes.Buffer
-				if _, _, err := s.RetrieveTo(&buf, n); err != nil {
-					errs <- err.Error()
-					return
-				}
-				if !bytes.Equal(buf.Bytes(), want[n]) {
-					errs <- n + " differs from its memo miss"
-					return
-				}
-			}
-		}()
+	redis := buildImage(t, builder.New(catalog.NewUniverse()), "Redis")
+	ref := NewSystem(testDev, Options{})
+	publishAll(t, ref, redis)
+	states := map[string][]byte{"redis": retrieveBytes(t, ref, "Redis")}
+	var systems []*System
+	retrieve := func(s *System, w io.Writer, sink *digestSink) (string, error) {
+		_, _, err := s.RetrieveTo(w, "Redis")
+		if err == nil && (len(sink.sums) != 1 || sink.sums[0] != sha256.Sum256(sink.Bytes())) {
+			err = fmt.Errorf("the sink of %d bytes was handed digests %x", sink.Len(), sink.sums)
+		}
+		return namedState(sink.Bytes(), err, states)
 	}
-	close(start)
-	wg.Wait()
-	close(errs)
-	for e := range errs {
-		t.Error(e)
+	ins := fsxtest.PauseSweep(t, []string{"redis"}, nil, viewWaits, func(t *testing.T, p *fsxtest.Pause) (fsxtest.Party, fsxtest.Party) {
+		s := NewSystemWithRepo(vmirepo.NewWithBackend(testDev, p.Blobs(blobstore.New())), testDev, Options{})
+		publishAll(t, s, redis)
+		prepare(s)
+		systems = append(systems, s)
+		first, second := &digestSink{}, &digestSink{}
+		first.Grow(len(states["redis"]))
+		second.Grow(len(states["redis"]))
+		return func() (string, error) { return retrieve(s, pausedSink{p.Writer(&first.Buffer), first}, first) },
+			func() (string, error) { return retrieve(s, second, second) }
+	})
+	for _, in := range ins {
+		if in.Waited != "" {
+			t.Fatalf("call %d (%s %s): the second retrieval waited on the first:\n%s", in.N, in.Call.Op, in.Call.File, in.Waited)
+		}
+	}
+	for _, s := range systems {
+		var sink digestSink
+		if st, err := retrieve(s, &sink, &sink); err != nil || st != "redis" {
+			t.Fatalf("a retrieval from the memos the sweep filled saw %q (%v)", st, err)
+		}
+		checkHeld(t, s.packages)
 	}
 }
+
+// pausedSink is a DigestWriter whose writes go through a Pause to sink.
+type pausedSink struct {
+	io.Writer
+	sink *digestSink
+}
+
+func (p pausedSink) SetDigest(sum [sha256.Size]byte) { p.sink.SetDigest(sum) }
 
 // TestBaseMemoMoreBasesThanSlots: with more base blobs than the memo has
 // slots, blobs evict each other, and every retrieval, hit or miss, is

@@ -2,25 +2,37 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"testing"
 
 	"expelliarmus/internal/builder"
 	"expelliarmus/internal/catalog"
+	"expelliarmus/internal/fsx"
+	"expelliarmus/internal/fsx/fsxtest"
 	"expelliarmus/internal/vmirepo"
 )
 
-// openChurnSystem opens a disk-backed system whose blob segments roll at
-// 256 KiB, so a published base spans segments that removing it leaves
-// wholly dead — the next Compact retires them — and publishes Mini.
-func openChurnSystem(t *testing.T) *System {
+// openChurn opens the disk-backed repository in dir on fsys (nil for the
+// real file system), with blob segments that roll at 256 KiB, so a
+// published base spans segments that removing it leaves wholly dead: the
+// next Compact retires them.
+func openChurn(t *testing.T, dir string, fsys fsx.FS) *System {
 	t.Helper()
-	repo, err := vmirepo.OpenAtOpts(t.TempDir(), testDev, vmirepo.OpenOptions{BlobMaxSegmentBytes: 256 << 10})
+	repo, err := vmirepo.OpenAtOpts(dir, testDev, vmirepo.OpenOptions{BlobMaxSegmentBytes: 256 << 10, FS: fsys})
 	if err != nil {
 		t.Fatal(err)
 	}
 	s := NewSystemWithRepo(repo, testDev, Options{})
 	t.Cleanup(func() { s.Close() })
+	return s
+}
+
+// openChurnSystem opens a fresh openChurn system in dir and publishes
+// Mini.
+func openChurnSystem(t *testing.T, dir string) *System {
+	t.Helper()
+	s := openChurn(t, dir, nil)
 	if _, err := s.Publish(buildImage(t, builder.New(catalog.NewUniverse()), "Mini")); err != nil {
 		t.Fatal(err)
 	}
@@ -30,27 +42,24 @@ func openChurnSystem(t *testing.T) *System {
 	return s
 }
 
-// removeAndCompact deletes Mini and compacts, failing the test unless the
+// removeAndCompact deletes Mini and compacts, failing unless the
 // compaction really retired the segments the base lived in.
-func removeAndCompact(t *testing.T, s *System) {
-	t.Helper()
+func removeAndCompact(s *System) error {
 	if err := s.Remove("Mini"); err != nil {
-		t.Fatal(err)
+		return err
 	}
 	st, err := s.Compact()
-	if err != nil {
-		t.Fatal(err)
+	if err == nil && st.SegmentsCompacted == 0 {
+		err = fmt.Errorf("compaction retired no segment (%+v); the test never opened the window", st)
 	}
-	if st.SegmentsCompacted == 0 {
-		t.Fatalf("compaction retired no segment (%+v); the test never opened the window", st)
-	}
+	return err
 }
 
 // TestRetrievedImageSurvivesBaseCompaction pins the lifetime of a
 // caller-held image: once Retrieve has returned, removing the VMI and
 // compacting its base segment away must not invalidate the image.
 func TestRetrievedImageSurvivesBaseCompaction(t *testing.T) {
-	s := openChurnSystem(t)
+	s := openChurnSystem(t, t.TempDir())
 	var want bytes.Buffer
 	if _, _, err := s.RetrieveTo(&want, "Mini"); err != nil {
 		t.Fatal(err)
@@ -59,7 +68,9 @@ func TestRetrievedImageSurvivesBaseCompaction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	removeAndCompact(t, s)
+	if err := removeAndCompact(s); err != nil {
+		t.Fatal(err)
+	}
 	var got bytes.Buffer
 	if _, err := img.Disk.WriteTo(&got); err != nil {
 		t.Fatalf("image held across remove + compact is unreadable: %v", err)
@@ -69,28 +80,12 @@ func TestRetrievedImageSurvivesBaseCompaction(t *testing.T) {
 	}
 }
 
-// churnSink triggers a remove + compaction of the image being streamed
-// right after the stream's first write.
-type churnSink struct {
-	bytes.Buffer
-	t     *testing.T
-	s     *System
-	fired bool
-}
-
-func (c *churnSink) Write(p []byte) (int, error) {
-	n, err := c.Buffer.Write(p)
-	if !c.fired {
-		c.fired = true
-		removeAndCompact(c.t, c.s)
-	}
-	return n, err
-}
-
-// TestStreamSurvivesMidStreamCompaction is the streaming variant: the
-// base segment is compacted away while RetrieveTo (and AssembleTo, the
-// server's assemble path) is mid-body, and the stream must still deliver
-// the pre-removal bytes.
+// TestStreamSurvivesMidStreamCompaction is the streaming variant, swept:
+// RetrieveTo (and AssembleTo, the server's assemble path) is parked at
+// each of its file-system calls and writes to its caller while Mini is
+// removed and its base segments compacted away. Parked while it opens its blobs, under the view
+// lock, it makes the removal wait; parked after, mid-body, it lets it
+// finish, and the stream must still deliver the pre-removal bytes.
 func TestStreamSurvivesMidStreamCompaction(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -106,21 +101,27 @@ func TestStreamSurvivesMidStreamCompaction(t *testing.T) {
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			s := openChurnSystem(t)
+			// Each trial starts from a copy of the closed store.
+			template := t.TempDir()
+			ref := openChurnSystem(t, template)
 			var want bytes.Buffer
-			if err := tc.stream(s, &want); err != nil {
+			if err := tc.stream(ref, &want); err != nil {
 				t.Fatal(err)
 			}
-			got := &churnSink{t: t, s: s}
-			if err := tc.stream(s, got); err != nil {
-				t.Fatalf("stream racing remove + compact failed: %v", err)
+			if err := ref.Close(); err != nil {
+				t.Fatal(err)
 			}
-			if !got.fired {
-				t.Fatal("sink never triggered the compaction")
-			}
-			if !bytes.Equal(got.Bytes(), want.Bytes()) {
-				t.Fatalf("stream racing remove + compact changed: %d bytes, want %d", got.Len(), want.Len())
-			}
+			states := map[string][]byte{"mini": want.Bytes()}
+			checkReaderHolds(t, fsxtest.PauseSweep(t, []string{"mini"}, nil, viewWaits, func(t *testing.T, p *fsxtest.Pause) (fsxtest.Party, fsxtest.Party) {
+				s := openChurn(t, fsxtest.CopyDir(t, template), p.FS(fsx.OS))
+				return func() (string, error) {
+						var got bytes.Buffer
+						err := tc.stream(s, p.Writer(&got))
+						return namedState(got.Bytes(), err, states)
+					}, func() (string, error) {
+						return "", removeAndCompact(s)
+					}
+			}))
 		})
 	}
 }

@@ -7,14 +7,13 @@ import (
 	"io"
 	"reflect"
 	"runtime"
-	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"expelliarmus/internal/blobstore"
 	"expelliarmus/internal/builder"
 	"expelliarmus/internal/catalog"
+	"expelliarmus/internal/fsx/fsxtest"
 	"expelliarmus/internal/pkgmeta"
 	"expelliarmus/internal/retrievecache"
 	"expelliarmus/internal/vmirepo"
@@ -294,64 +293,61 @@ func TestCacheAdmitsByEntryCost(t *testing.T) {
 	}
 }
 
-// TestOversizeMissesCoalesce pins the singleflight path of an image too
-// large to cache: 16 concurrent misses still run exactly one assembly.
-// The leader's base open waits until the other 15 are queued behind it,
-// so none of them can arrive after the flight has landed; with no entry
-// inserted, each would otherwise assemble again.
-func TestOversizeMissesCoalesce(t *testing.T) {
-	hook := &openHook{Backend: blobstore.New()}
-	s := NewSystemWithRepo(vmirepo.NewWithBackend(testDev, hook), testDev, Options{CacheBytes: 1024})
-	if _, err := s.Publish(buildImage(t, builder.New(catalog.NewUniverse()), "Mini")); err != nil {
-		t.Fatal(err)
-	}
-	ref := traceRetrieve(t, s, "Mini")
-	rec, err := s.repo.GetVMI("Mini", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	binfo, err := s.repo.BaseInfo(rec.BaseID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const clients = 16
-	hook.id = binfo.BlobID
-	hook.then = func() {
-		for deadline := time.Now().Add(10 * time.Second); s.flights.stats().Waiting < clients-1; time.Sleep(time.Millisecond) {
-			if time.Now().After(deadline) {
-				t.Errorf("only %d of %d followers queued behind the leader", s.flights.stats().Waiting, clients-1)
-				return
-			}
-		}
-	}
-	before, _ := s.CacheStats()
+// flightWaits is the frame a cache miss waits in for the flight it
+// follows.
+var flightWaits = []string{"core.(*System).RetrieveTo("}
 
-	images := make([][]byte, clients)
-	eachConcurrently(clients, func(i int) {
-		img, _, err := s.Retrieve("Mini")
-		if err != nil {
-			t.Errorf("client %d: %v", i, err)
-			return
+// flightSweep parks a cache miss of Redis, which leads its key's flight, at
+// each of its blob calls and writes to its caller, and runs a second
+// retrieval of Redis while it waits, on a system whose cache holds cacheBytes. Both must return Redis's
+// bytes. It returns the trials and, for each, the cache's counters.
+func flightSweep(t *testing.T, cacheBytes int64) ([]fsxtest.Interleaving, []CacheStats) {
+	t.Helper()
+	redis := buildImage(t, builder.New(catalog.NewUniverse()), "Redis")
+	ref := NewSystem(testDev, Options{})
+	publishAll(t, ref, redis)
+	states := map[string][]byte{"redis": retrieveBytes(t, ref, "Redis")}
+	var systems []*System
+	ins := fsxtest.PauseSweep(t, []string{"redis"}, nil, flightWaits, func(t *testing.T, p *fsxtest.Pause) (fsxtest.Party, fsxtest.Party) {
+		s := NewSystemWithRepo(vmirepo.NewWithBackend(testDev, p.Blobs(blobstore.New())), testDev, Options{CacheBytes: cacheBytes})
+		publishAll(t, s, redis)
+		systems = append(systems, s)
+		retrieve := func(w io.Writer, buf *bytes.Buffer) (string, error) {
+			_, _, err := s.RetrieveTo(w, "Redis")
+			return namedState(buf.Bytes(), err, states)
 		}
-		images[i] = img.Disk.Serialize()
+		var lead, follow bytes.Buffer
+		return func() (string, error) { return retrieve(p.Writer(&lead), &lead) },
+			func() (string, error) { return retrieve(&follow, &follow) }
 	})
-	if t.Failed() {
-		t.FailNow()
+	stats := make([]CacheStats, len(ins))
+	for i := range ins {
+		stats[i], _ = systems[i+1].CacheStats() // systems[0] is the dry run's
 	}
-	for i, img := range images {
-		if !bytes.Equal(img, ref.image) {
-			t.Fatalf("client %d: image bytes differ from a solo retrieval", i)
+	return ins, stats
+}
+
+// TestOversizeMissesCoalesce sweeps the singleflight of an image too large
+// to cache. A miss that joins while the leader assembles follows it and is
+// served the leader's image, so the key is assembled once. Once the
+// leader has left the flight, to stream its image straight to its caller,
+// a miss leads a flight of its own and assembles again; it must never
+// follow a flight nobody will hand an image.
+func TestOversizeMissesCoalesce(t *testing.T) {
+	ins, stats := flightSweep(t, 1024)
+	followed := 0
+	for i, in := range ins {
+		rejected, coalesced := int64(2), int64(0)
+		if in.Waited != "" {
+			followed++
+			rejected, coalesced = 1, 1
+		}
+		if st := stats[i]; st.Rejected != rejected || st.Coalesced != coalesced || st.Puts != 0 || st.Hits != 0 {
+			t.Errorf("call %d (%s %s): stats %+v, want %d rejected and %d coalesced", in.N, in.Call.Op, in.Call.File, st, rejected, coalesced)
 		}
 	}
-	after, _ := s.CacheStats()
-	if d := after.Rejected - before.Rejected; d != 1 {
-		t.Fatalf("%d assemblies (Rejected delta) for %d concurrent misses, want 1 (stats %+v)", d, clients, after)
-	}
-	if d := after.Coalesced - before.Coalesced; d != clients-1 {
-		t.Fatalf("Coalesced delta = %d, want %d (stats %+v)", d, clients-1, after)
-	}
-	if after.Puts != 0 || after.Hits != 0 {
-		t.Fatalf("stats = %+v: an oversize image was cached", after)
+	if followed == 0 || followed == len(ins) {
+		t.Errorf("the second miss followed the leader at %d of its %d calls, want some but not all", followed, len(ins))
 	}
 }
 
@@ -460,68 +456,18 @@ func TestCacheHitIsOneCopy(t *testing.T) {
 }
 
 // TestConcurrentMissesCoalesce is the singleflight contract at the core
-// level: 32 concurrent misses of one cold key run exactly one assembly;
-// everyone gets byte-identical images and reports.
+// level, swept: a miss that joins at any of the leader's blob calls follows
+// its flight and is served the entry it inserts, and one that arrives
+// while the leader writes that entry to its caller hits it, so the key is
+// assembled once.
 func TestConcurrentMissesCoalesce(t *testing.T) {
-	s, b := newSystem(t, Options{CacheBytes: testCacheBytes})
-	if _, err := s.Publish(buildImage(t, b, "Redis")); err != nil {
-		t.Fatal(err)
-	}
-	ref := traceRetrieve(t, s, "Redis") // reference bytes
-	// Move the hot generation (a publish on the shared base) so the key is
-	// cold again, then quiesce before the storm.
-	if _, err := s.Publish(buildImage(t, b, "Mini")); err != nil {
-		t.Fatal(err)
-	}
-	before, _ := s.CacheStats()
-
-	const clients = 32
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	var failures []string
-	seconds := make([]float64, clients)
-	for w := 0; w < clients; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			img, rep, err := s.Retrieve("Redis")
-			if err != nil {
-				mu.Lock()
-				failures = append(failures, fmt.Sprintf("worker %d: %v", w, err))
-				mu.Unlock()
-				return
-			}
-			seconds[w] = rep.Seconds()
-			// The Mini publish grew the shared master graph, so modeled
-			// seconds legitimately differ from ref — but the image bytes
-			// must not, and every worker must agree with every other.
-			if !bytes.Equal(img.Disk.Serialize(), ref.image) {
-				mu.Lock()
-				failures = append(failures, fmt.Sprintf("worker %d: image bytes differ from reference", w))
-				mu.Unlock()
-			}
-		}(w)
-	}
-	wg.Wait()
-	if len(failures) > 0 {
-		t.Fatal(failures[0])
-	}
-	for w := 1; w < clients; w++ {
-		if seconds[w] != seconds[0] {
-			t.Fatalf("worker %d modeled %.9fs, worker 0 %.9fs — coalesced reports diverge", w, seconds[w], seconds[0])
+	ins, stats := flightSweep(t, testCacheBytes)
+	for i, in := range ins {
+		st := stats[i]
+		if followed := in.Waited != ""; st.Puts != 1 || st.Rejected != 0 || st.Hits+st.Coalesced != 1 ||
+			followed != (st.Coalesced == 1) || followed == (in.Call.Op == "Write") {
+			t.Errorf("call %d (%s %s): followed %v, stats %+v: want a follower of the put at a blob call, a hit after", in.N, in.Call.Op, in.Call.File, followed, st)
 		}
-	}
-	after, _ := s.CacheStats()
-	assemblies := (after.Puts - before.Puts) + (after.Rejected - before.Rejected)
-	for i := range after.StripeInvalidations {
-		assemblies += after.StripeInvalidations[i] - before.StripeInvalidations[i]
-	}
-	if assemblies != 1 {
-		t.Fatalf("%d assemblies for %d concurrent misses, want exactly 1 (stats %+v)", assemblies, clients, after)
-	}
-	served := (after.Hits - before.Hits) + after.Coalesced - before.Coalesced
-	if served != clients-1 {
-		t.Fatalf("hits+coalesced = %d, want %d (stats %+v)", served, clients-1, after)
 	}
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sync"
 	"testing"
 
@@ -56,15 +57,14 @@ func eachConcurrently(n int, fn func(i int)) {
 // sequential upload can reach.
 var firstImageRuns struct {
 	once    sync.Once
-	sizes   map[int64]string // repository size → the first image of a run reaching it
-	modeled float64          // modeled publish seconds of the catalog-order run
+	sizes   []int64 // repository size of the run each image leads
+	modeled float64 // modeled publish seconds of the catalog-order run
 	err     error
 }
 
 // sequentialRuns publishes imgs into a fresh System once per choice of
 // first image, the rest following in catalog order.
-func sequentialRuns(imgs []*vmi.Image) (sizes map[int64]string, modeled float64, err error) {
-	sizes = map[int64]string{}
+func sequentialRuns(imgs []*vmi.Image) (sizes []int64, modeled float64, err error) {
 	for first := range imgs {
 		seq := NewSystem(testDev, Options{})
 		order := append([]*vmi.Image{imgs[first]}, imgs[:first]...)
@@ -77,7 +77,7 @@ func sequentialRuns(imgs []*vmi.Image) (sizes map[int64]string, modeled float64,
 				modeled += rep.Seconds()
 			}
 		}
-		sizes[seq.Repo().SizeBytes()] = imgs[first].Name
+		sizes = append(sizes, seq.Repo().SizeBytes())
 	}
 	return sizes, modeled, nil
 }
@@ -85,7 +85,11 @@ func sequentialRuns(imgs []*vmi.Image) (sizes map[int64]string, modeled float64,
 // TestConcurrentPublishSharedRepo publishes the catalog from many
 // goroutines into one System and checks the repository converges to a
 // state a sequential upload reaches: the same stored bytes, every VMI
-// retrievable, every package stored exactly once.
+// retrievable, every package stored exactly once. Which image commits
+// first is scheduling, and it alone decides the stored bytes, so the test
+// then leads with each image in turn and publishes the rest concurrently:
+// each such upload must store exactly the bytes of the sequential upload
+// its first image leads.
 func TestConcurrentPublishSharedRepo(t *testing.T) {
 	names := templateNames(12)
 	imgs := buildCatalog(t, names)
@@ -117,9 +121,9 @@ func TestConcurrentPublishSharedRepo(t *testing.T) {
 	// image committed first. Concurrency may add duplicate repack work
 	// (two publishes racing on one package) but never removes modeled
 	// work wholesale.
-	if size := s.Repo().SizeBytes(); runs.sizes[size] == "" {
-		t.Errorf("concurrent repository %d bytes, no sequential upload reaches it (size → first image: %v)",
-			size, runs.sizes)
+	if size := s.Repo().SizeBytes(); !slices.Contains(runs.sizes, size) {
+		t.Errorf("concurrent repository %d bytes, no sequential upload reaches it (sizes of the uploads %v lead: %v)",
+			size, names, runs.sizes)
 	}
 	if ratio := parModeled / runs.modeled; ratio < 0.95 || ratio > 1.5 {
 		t.Errorf("concurrent modeled %.1fs vs sequential %.1fs (ratio %.3f)", parModeled, runs.modeled, ratio)
@@ -153,6 +157,24 @@ func TestConcurrentPublishSharedRepo(t *testing.T) {
 			t.Errorf("retrieve %s: no modeled cost", names[i])
 		}
 	})
+
+	for first, img := range imgs {
+		led := NewSystem(testDev, Options{})
+		if _, err := led.Publish(img.Clone()); err != nil {
+			t.Fatal(err)
+		}
+		eachConcurrently(len(imgs), func(i int) {
+			if i == first {
+				return
+			}
+			if _, err := led.Publish(imgs[i].Clone()); err != nil {
+				t.Errorf("publish %s after %s: %v", names[i], names[first], err)
+			}
+		})
+		if size := led.Repo().SizeBytes(); size != runs.sizes[first] {
+			t.Errorf("led by %s, the concurrent upload stored %d bytes, the sequential one %d", names[first], size, runs.sizes[first])
+		}
+	}
 }
 
 // TestConcurrentPublishRemoveRetrieve mixes publishes, retrievals and

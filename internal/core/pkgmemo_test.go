@@ -134,27 +134,14 @@ func TestPkgMemoFollowsReplacedBlob(t *testing.T) {
 	}
 }
 
-// TestPkgMemoConcurrentFill: retrievals released together on a system
-// whose package memo is empty, but whose base memo is full, all race to
-// fill the package memo; each still returns its image's bytes, and the
-// memo's running weight is what its entries weigh. Run it under -race.
+// TestPkgMemoConcurrentFill is TestBaseMemoConcurrentFill on a system
+// whose base memo is full and whose package memo is empty: the swept
+// retrievals race to fill the package memo alone.
 func TestPkgMemoConcurrentFill(t *testing.T) {
-	s, b := newSystem(t, Options{})
-	names := []string{"Redis", "Base", "Lapp", "Lemp", "Django", "Tomcat"}
-	for _, n := range names {
-		if _, err := s.Publish(buildImage(t, b, n)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want := map[string][]byte{}
-	for _, n := range names {
+	memoFillSweep(t, func(s *System) {
+		retrieveBytes(t, s, "Redis")
 		s.packages = newTestPkgMemo(pkgMemoBudget)
-		want[n] = retrieveBytes(t, s, n)
-	}
-	fresh := NewSystemWithRepo(s.repo, testDev, Options{})
-	fresh.bases = s.bases
-	fillConcurrently(t, fresh, names, want)
-	checkHeld(t, fresh.packages)
+	})
 }
 
 // TestPkgMemoBudgetHolds: the entries of a budgeted memo never weigh more

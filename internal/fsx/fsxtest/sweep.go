@@ -1,13 +1,15 @@
 // Package fsxtest drives crash sweeps over an fsx.Fault: instead of
 // crashing at hand-picked points, a sweep crashes a scenario at every
-// mutating file-system call of the operation under test, in turn.
+// mutating file-system call of the operation under test, in turn. Pause
+// sweeps enumerate schedules the same way: they park one party at every
+// call it makes at the blob or file seam, in turn, and run another while
+// it waits.
 package fsxtest
 
 import (
 	"os"
 	"path/filepath"
 	"slices"
-	"strings"
 	"testing"
 
 	"expelliarmus/internal/fsx"
@@ -49,18 +51,7 @@ func Sweep(t *testing.T, states []string, windows []Window, trial Trial) {
 	if len(windows) == 0 {
 		windows = []Window{{}}
 	}
-	starts := []int{1}
-	for _, w := range windows[1:] {
-		n := starts[len(starts)-1] + 1
-		for n <= len(calls) && !(strings.HasPrefix(calls[n-1].File, w.From) && (w.Op == "" || calls[n-1].Op == w.Op)) {
-			n++
-		}
-		if n > len(calls) {
-			t.Fatalf("window %s: no %s call on %s* after call %d of %v", w.Name, w.Op, w.From, starts[len(starts)-1], calls)
-		}
-		starts = append(starts, n)
-	}
-	starts = append(starts, len(calls)+1)
+	starts := windowStarts(t, calls, windows)
 
 	last, reached := 0, make([]bool, len(states))
 	for i, w := range windows {

@@ -17,6 +17,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -28,6 +29,8 @@ import (
 	"expelliarmus/internal/client"
 	"expelliarmus/internal/core"
 	"expelliarmus/internal/fstree"
+	"expelliarmus/internal/fsx"
+	"expelliarmus/internal/fsx/fsxtest"
 	"expelliarmus/internal/server"
 	"expelliarmus/internal/vmi"
 	"expelliarmus/internal/vmirepo"
@@ -81,53 +84,9 @@ func startAudited(t *testing.T, sys *core.System) (*client.Client, *digestAudit)
 	return cl, audit
 }
 
-// gatedBlobs is a blob backend that runs a callback once, on the first
-// ReadAt of a reader over one blob, on the reader's goroutine: the
-// retrieval has opened its blobs and released the view lock by then, so
-// the callback may publish.
-type gatedBlobs struct {
-	blobstore.Backend
-	mu   sync.Mutex
-	id   blobstore.ID
-	then func()
-}
-
 type readAtCloser interface {
 	io.ReadCloser
 	io.ReaderAt
-}
-
-type gatedReader struct {
-	readAtCloser
-	g *gatedBlobs
-}
-
-func (g *gatedBlobs) arm(id blobstore.ID, then func()) {
-	g.mu.Lock()
-	g.id, g.then = id, then
-	g.mu.Unlock()
-}
-
-func (g *gatedBlobs) Open(id blobstore.ID) (io.ReadCloser, int64, error) {
-	rc, size, err := g.Backend.Open(id)
-	g.mu.Lock()
-	gated := err == nil && id == g.id && g.then != nil
-	g.mu.Unlock()
-	if !gated {
-		return rc, size, err
-	}
-	return gatedReader{rc.(readAtCloser), g}, size, nil
-}
-
-func (r gatedReader) ReadAt(p []byte, off int64) (int, error) {
-	r.g.mu.Lock()
-	then := r.g.then
-	r.g.then = nil
-	r.g.mu.Unlock()
-	if then != nil {
-		then()
-	}
-	return r.readAtCloser.ReadAt(p, off)
 }
 
 // waitForFollowers blocks until n retrievals are queued behind an
@@ -166,8 +125,9 @@ func TestRetrieveTrailerDigestOnEveryPath(t *testing.T) {
 		name       string
 		cacheBytes int64
 		retrieves  int
-		// gate runs inside the first retrieval's assembly, as it first
-		// reads the base blob.
+		// gate runs while the first retrieval's assembly is parked at its
+		// first blob read, once it opened its blobs and dropped the view
+		// lock.
 		gate  func(t *testing.T, sys *core.System)
 		check func(st core.CacheStats) error
 		// republish is published after the first retrieval; the later
@@ -231,8 +191,8 @@ func TestRetrieveTrailerDigestOnEveryPath(t *testing.T) {
 		{name: "assemble", retrieves: 1, assemble: true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			blobs := &gatedBlobs{Backend: blobstore.New()}
-			sys := core.NewSystemWithRepo(vmirepo.NewWithBackend(testDevice(), blobs), testDevice(), core.Options{CacheBytes: tc.cacheBytes})
+			pause := fsxtest.NewPause()
+			sys := core.NewSystemWithRepo(vmirepo.NewWithBackend(testDevice(), pause.Blobs(blobstore.New())), testDevice(), core.Options{CacheBytes: tc.cacheBytes})
 			if _, err := sys.Publish(img.Clone()); err != nil {
 				t.Fatal(err)
 			}
@@ -250,18 +210,17 @@ func TestRetrieveTrailerDigestOnEveryPath(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
+			pause.Arm(0)
 			reference()
+			firstRead := 1 + slices.IndexFunc(pause.Calls(), func(c fsx.Call) bool { return c.Op == "Read" })
 			cl, audit := startAudited(t, sys)
 			if tc.gate != nil {
-				rec, err := sys.Repo().GetVMI("digest", nil)
-				if err != nil {
-					t.Fatal(err)
-				}
-				base, err := sys.Repo().BaseInfo(rec.BaseID)
-				if err != nil {
-					t.Fatal(err)
-				}
-				blobs.arm(base.BlobID, func() { tc.gate(t, sys) })
+				pause.Arm(firstRead)
+				go func() {
+					<-pause.Parked()
+					tc.gate(t, sys)
+					pause.Resume()
+				}()
 			}
 
 			retrieve := func(i int) {
@@ -300,6 +259,13 @@ func TestRetrieveTrailerDigestOnEveryPath(t *testing.T) {
 			} else {
 				for i := 0; i < tc.retrieves; i++ {
 					retrieve(i)
+				}
+			}
+			if tc.gate != nil {
+				select {
+				case <-pause.Parked():
+				default:
+					t.Fatal("the first retrieval never read a blob")
 				}
 			}
 			if t.Failed() {
