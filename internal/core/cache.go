@@ -79,7 +79,9 @@ func (s *System) CacheStats() (st CacheStats, ok bool) {
 // serveEntry writes a verified cache entry's image to w verbatim — the
 // entry is the serialized image, so serving it is one copy — and replays
 // the cold retrieval's per-phase charges into a fresh meter, so the bytes
-// and the report are identical to the miss that seeded the entry. Hits,
+// and the report are identical to the miss that seeded the entry. The
+// replay is of modeled seconds only: the meter's wall clock times nothing
+// here, so a hit allocates no wall array. Hits,
 // singleflight followers and the leader that built the entry all answer
 // through it. A DigestWriter is then given the SHA-256 the entry took at
 // construction, whether or not the entry was inserted.

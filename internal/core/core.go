@@ -16,6 +16,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"time"
 
 	"expelliarmus/internal/api"
 	"expelliarmus/internal/blobstore"
@@ -960,6 +961,7 @@ func decodeImage(name string, image []byte, rep *RetrieveReport) (*vmi.Image, *R
 // differs.
 func (s *System) RetrieveTo(w io.Writer, name string) (int64, *RetrieveReport, error) {
 	rep := &RetrieveReport{Image: name, Meter: &simio.Meter{}}
+	start := time.Now()
 	unview := sync.OnceFunc(s.repo.ReadView())
 	defer unview()
 	rec, err := s.repo.GetVMI(name, rep.Meter)
@@ -968,6 +970,7 @@ func (s *System) RetrieveTo(w io.Writer, name string) (int64, *RetrieveReport, e
 	}
 	key := retrievecache.NewKey(rec.BaseID, rec.Primaries, name, s.repo.GenerationFor(rec.BaseID, name))
 	if s.cache == nil {
+		rep.Meter.Lap(simio.PhaseDB, start)
 		src, err := s.open(name, rec.BaseID, rec.Primaries, name, rep)
 		unview()
 		if err != nil {
@@ -994,6 +997,7 @@ func (s *System) RetrieveTo(w io.Writer, name string) (int64, *RetrieveReport, e
 		s.cctr.coalesced.Add(1)
 		return serveEntry(w, rec, fl.ent)
 	}
+	rep.Meter.Lap(simio.PhaseDB, start)
 	return s.leadAssembly(w, key, rec, rep, fl, unview)
 }
 
@@ -1100,6 +1104,7 @@ func (src *sources) close() {
 // userDataFrom's user data ("" for none), charging every repository read
 // to rep; the caller holds the view lock.
 func (s *System) open(name, baseID string, primaries []string, userDataFrom string, rep *RetrieveReport) (_ *sources, err error) {
+	start := time.Now()
 	// Line 1: subgraphs from the repository.
 	mg, err := s.repo.GetMaster(baseID, rep.Meter)
 	if err != nil {
@@ -1128,6 +1133,7 @@ func (s *System) open(name, baseID string, primaries []string, userDataFrom stri
 	if src.order, err = pkgmgr.InstallOrder(graphUniverse{src.psUnion}, missing); err != nil {
 		return nil, err
 	}
+	start = rep.Meter.Lap(simio.PhaseDB, start)
 
 	defer func() {
 		if err != nil {
@@ -1155,6 +1161,7 @@ func (s *System) open(name, baseID string, primaries []string, userDataFrom stri
 			src.pkgs = append(src.pkgs, blob{rc, size, rec.BlobID})
 		}
 	}
+	rep.Meter.Lap(simio.PhaseCopy, start)
 	return src, nil
 }
 
@@ -1190,10 +1197,14 @@ func (s *System) resetBase(name string, b blob, m *simio.Meter) (*vdisk.Disk, *f
 		return nil, nil, pkgmgr.DB{}, fmt.Errorf("base reader %T is not an io.ReaderAt", b.rc)
 	}
 	m.Charge(simio.PhaseLaunch, s.dev.LaunchCost())
+	start := time.Now()
 	if e := s.bases.get(b.id); e != nil {
 		m.Charge(simio.PhaseReset, s.dev.ResetCost(e.val.files))
 		disk := e.val.disk.CloneOver(name, ra)
-		return disk, e.val.fs.CloneOnto(disk), e.val.db, nil
+		start = m.Lap(simio.PhaseLaunch, start)
+		fs := e.val.fs.CloneOnto(disk) // the reset's result
+		m.Lap(simio.PhaseReset, start)
+		return disk, fs, e.val.db, nil
 	}
 	disk, err := vdisk.DeserializeLazy(name, ra, b.size)
 	if err != nil {
@@ -1203,6 +1214,7 @@ func (s *System) resetBase(name string, b blob, m *simio.Meter) (*vdisk.Disk, *f
 	if err != nil {
 		return nil, nil, pkgmgr.DB{}, err
 	}
+	start = m.Lap(simio.PhaseLaunch, start)
 	// virt-sysprep scans every file, then clears the reset paths.
 	files := fs.NumFiles()
 	m.Charge(simio.PhaseReset, s.dev.ResetCost(files))
@@ -1217,6 +1229,7 @@ func (s *System) resetBase(name string, b blob, m *simio.Meter) (*vdisk.Disk, *f
 	}
 	tmpl := disk.CloneOver(name, nil)
 	s.bases.put(b.id, resetBase{tmpl, fs.CloneOnto(tmpl), db, files})
+	m.Lap(simio.PhaseReset, start)
 	return disk, fs, db, nil
 }
 
@@ -1284,6 +1297,7 @@ func (s *System) assemble(src *sources, rep *RetrieveReport, sink func(*vdisk.Di
 	if err != nil {
 		return 0, nil, fmt.Errorf("core: assemble %s: %w", name, err)
 	}
+	start := time.Now()
 
 	// Line 5: import the user data.
 	if src.userData.rc != nil {
@@ -1373,6 +1387,7 @@ func (s *System) assemble(src *sources, rep *RetrieveReport, sink func(*vdisk.Di
 	if err := fs.Remove("/etc/apt/sources.list.d/local.list"); err != nil {
 		return 0, nil, err
 	}
+	start = rep.Meter.Lap(simio.PhaseImport, start)
 
 	rep.base, rep.primaries = src.attrs, append([]string(nil), src.primaries...)
 	out := sink(disk)
@@ -1383,6 +1398,7 @@ func (s *System) assemble(src *sources, rep *RetrieveReport, sink func(*vdisk.Di
 	if err != nil {
 		return n, nil, fmt.Errorf("core: assemble %s: stream image: %w", name, err)
 	}
+	rep.Meter.Lap(simio.PhaseCopy, start)
 	return n, rep, nil
 }
 

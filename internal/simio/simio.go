@@ -50,6 +50,12 @@ const (
 	PhaseDecompress Phase = "decompress" // gzip decompression
 )
 
+// phases lists every Phase; a phase's wall-clock time sits at its index.
+var phases = [...]Phase{
+	PhaseLaunch, PhaseCopy, PhaseReset, PhaseImport, PhaseExport, PhaseScan, PhaseHash,
+	PhaseDB, PhaseStore, PhaseFetch, PhaseSimilarity, PhaseCleanup, PhaseCompress, PhaseDecompress,
+}
+
 // Profile describes the modeled testbed. All throughputs are in bytes per
 // second and all latencies are per-operation. The zero value is unusable;
 // construct profiles with PaperProfile (optionally followed by Scaled).
@@ -250,10 +256,20 @@ type PhaseCost struct {
 // use. Meters are safe for concurrent use: charges are commutative sums,
 // so a meter charged from several goroutines accumulates exactly the same
 // totals as a sequential loop, regardless of interleaving.
+//
+// Next to the modeled costs, a meter keeps the wall-clock time the
+// operation spent in each phase (Lap, WallSeconds): what this process
+// took, not what the paper's testbed would. The two are never summed.
 type Meter struct {
 	mu     sync.Mutex
 	phases map[Phase]time.Duration
-	total  time.Duration
+	wall   *wallClock // made by the first Lap: a meter nothing times stays small
+}
+
+// wallClock is a meter's wall-clock time per phase, indexed as phases.
+type wallClock struct {
+	d      [len(phases)]time.Duration
+	lapped uint32 // bit i set once phases[i] was timed
 }
 
 // Charge adds d to the given phase.
@@ -267,14 +283,17 @@ func (m *Meter) Charge(ph Phase, d time.Duration) {
 		m.phases = make(map[Phase]time.Duration)
 	}
 	m.phases[ph] += d
-	m.total += d
 }
 
 // Total returns the sum of all charges.
 func (m *Meter) Total() time.Duration {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.total
+	var total time.Duration
+	for _, c := range m.phases {
+		total += c
+	}
+	return total
 }
 
 // Seconds returns the total as float64 seconds.
@@ -305,12 +324,33 @@ func (m *Meter) Breakdown() []PhaseCost {
 	return out
 }
 
-// Reset clears all charges.
+// Lap adds the wall-clock time since start to phase ph and returns the
+// time it read, which starts the next lap.
+func (m *Meter) Lap(ph Phase, start time.Time) time.Time {
+	now := time.Now()
+	i := 0
+	for i < len(phases) && phases[i] != ph {
+		i++
+	}
+	if i == len(phases) {
+		panic(fmt.Sprintf("simio: unknown phase %q", ph))
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.wall == nil {
+		m.wall = new(wallClock)
+	}
+	m.wall.d[i] += now.Sub(start)
+	m.wall.lapped |= 1 << i
+	return now
+}
+
+// Reset clears all charges and wall-clock times.
 func (m *Meter) Reset() {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.phases = nil
-	m.total = 0
+	m.wall = nil
 }
 
 // Snapshot returns a copy of the per-phase totals.
@@ -332,6 +372,23 @@ func (m *Meter) PhaseSeconds() map[string]float64 {
 	out := make(map[string]float64, len(m.phases))
 	for ph, c := range m.phases {
 		out[string(ph)] = c.Seconds()
+	}
+	return out
+}
+
+// WallSeconds returns the wall-clock time Lap recorded per phase, as
+// float64 seconds keyed by phase name; a phase no lap timed is absent.
+func (m *Meter) WallSeconds() map[string]float64 {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	out := make(map[string]float64)
+	if m.wall == nil {
+		return out
+	}
+	for i, d := range m.wall.d {
+		if m.wall.lapped&(1<<i) != 0 {
+			out[string(phases[i])] = d.Seconds()
+		}
 	}
 	return out
 }

@@ -54,6 +54,30 @@ func TestMeterReset(t *testing.T) {
 	}
 }
 
+// TestMeterWallIsItsOwn: a lap lands in WallSeconds under its phase and
+// nowhere in the modeled totals, Reset clears it, and only a meter's first
+// lap allocates.
+func TestMeterWallIsItsOwn(t *testing.T) {
+	var m Meter
+	m.Charge(PhaseDB, time.Second)
+	start := time.Now().Add(-time.Millisecond)
+	m.Lap(PhaseImport, m.Lap(PhaseCopy, start))
+	wall := m.WallSeconds()
+	if len(wall) != 2 || wall["copy"] < 0.001 || wall["import"] < 0 {
+		t.Fatalf("WallSeconds = %v, want copy >= 1ms and import", wall)
+	}
+	if m.Total() != time.Second || len(m.PhaseSeconds()) != 1 {
+		t.Fatalf("a lap moved the modeled totals: %v", m.String())
+	}
+	if n := testing.AllocsPerRun(100, func() { m.Lap(PhaseDB, start) }); n != 0 {
+		t.Fatalf("Lap allocates %v times", n)
+	}
+	m.Reset()
+	if wall := m.WallSeconds(); len(wall) != 0 {
+		t.Fatalf("WallSeconds after Reset = %v", wall)
+	}
+}
+
 func TestMeterSnapshotIsCopy(t *testing.T) {
 	var m Meter
 	m.Charge(PhaseHash, time.Second)
