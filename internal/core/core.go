@@ -508,6 +508,7 @@ func (s *System) PublishWith(img *vmi.Image, popts PublishOpts) (*PublishReport,
 		// waits for it: nothing may read the image once it has returned.
 		pr.Close()
 		<-written
+		base.Release()
 		if err != nil {
 			return nil, err
 		}
@@ -1288,7 +1289,7 @@ func (s *System) extract(id blobstore.ID, deb []byte) (extracted, error) {
 // from digestTo is settled after the last byte. The disk reads untouched
 // base clusters lazily through the base blob's reader; assemble closes
 // every source before it returns, so nothing lazily backed outlives the
-// call.
+// call, and releases the disk, whose arena chunks go back to the pool.
 func (s *System) assemble(src *sources, rep *RetrieveReport, sink func(*vdisk.Disk) io.Writer) (int64, *RetrieveReport, error) {
 	defer src.close()
 	name := src.name
@@ -1297,6 +1298,7 @@ func (s *System) assemble(src *sources, rep *RetrieveReport, sink func(*vdisk.Di
 	if err != nil {
 		return 0, nil, fmt.Errorf("core: assemble %s: %w", name, err)
 	}
+	defer disk.Release()
 	start := time.Now()
 
 	// Line 5: import the user data.

@@ -162,9 +162,12 @@ func TestWalkMatchesSortedOracle(t *testing.T) {
 // — into a shared page, a shared chunk, a lazily backed cluster or a page
 // none had, and writes after discards made before and after the clone —
 // never show in the others, and no shared chunk changes: a slot a discard
-// freed in one is never reused.
+// freed in one is never reused. Releasing one clone, then the other, and
+// scribbling over what the pool then hands out changes no chunk the
+// template or the remaining sibling holds.
 func TestCloneCopyOnWriteIsolation(t *testing.T) {
-	const cs = 256 // 32 clusters per index page, 256 per chunk
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1)) // the pool returns what a Release put
+	const cs = 256                                  // 32 clusters per index page, 512 per chunk
 	plain := New("plain", 1<<20, cs)
 	for ci := range int64(100) {
 		if _, err := plain.WriteAt(fill(cs, 'p', ci), ci*cs); err != nil {
@@ -195,7 +198,7 @@ func TestCloneCopyOnWriteIsolation(t *testing.T) {
 		}
 		var shared [][]byte // the bytes of the chunks the three share
 		for _, c := range tmpl.chunks {
-			shared = append(shared, slices.Clone(c.s))
+			shared = append(shared, slices.Clone(*c.s))
 		}
 		edits := []func(d *Disk, tag byte){
 			func(d *Disk, tag byte) { d.WriteAt([]byte{tag}, 5*cs+7) },        // partial, shared page and chunk
@@ -226,8 +229,30 @@ func TestCloneCopyOnWriteIsolation(t *testing.T) {
 				t.Fatalf("%s: disk %d reads %q at its own write, %v", tmpl.Name(), i, got, err)
 			}
 			for k, c := range shared {
-				if !bytes.Equal(tmpl.chunks[k].s, c) {
+				if !bytes.Equal(*tmpl.chunks[k].s, c) {
 					t.Fatalf("%s: editing disk %d wrote into shared chunk %d", tmpl.Name(), i, k)
+				}
+			}
+		}
+		for i, gone := range disks[1:] {
+			left := append([]*Disk{tmpl}, disks[i+2:]...)
+			var held [][]byte
+			for _, d := range left {
+				for _, c := range d.chunks {
+					held = append(held, slices.Clone(*c.s))
+				}
+			}
+			gone.Release()
+			scribble(16)
+			for _, d := range left {
+				for _, c := range d.chunks {
+					if !bytes.Equal(*c.s, held[0]) {
+						t.Fatalf("%s: releasing disk %d changed a chunk %s holds", tmpl.Name(), i+1, d.Name())
+					}
+					held = held[1:]
+				}
+				if !bytes.Equal(d.Serialize(), want[slices.Index(disks, d)]) {
+					t.Fatalf("%s: releasing disk %d changed %s", tmpl.Name(), i+1, d.Name())
 				}
 			}
 		}

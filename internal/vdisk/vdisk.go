@@ -34,8 +34,11 @@ var Magic = []byte("QGO1")
 
 const headerSize = 40
 
-// arenaChunk is the byte size of the chunks local clusters are stored in.
-const arenaChunk = 64 << 10
+// arenaChunk is the byte size of the chunks local clusters are stored in:
+// chunkpool's, so a chunk comes from the pool and Release hands it back. A
+// cluster larger than that gets a chunk of its own size, made and never
+// pooled.
+const arenaChunk = chunkpool.Size
 
 // owners issues owner tokens from 1, so a zero page belongs to no disk.
 var owners atomic.Uint64
@@ -49,11 +52,12 @@ type lazySource struct {
 	pages [][]int64 // nil for a table the image lacks
 }
 
-// owned is a page of a disk's index or a chunk of its arena. Only the disk
-// whose token is owner changes it in place; others copy it first.
-type owned[T int32 | byte] struct {
+// owned is a page of a disk's index or a chunk of its arena, the latter
+// held as the pointer chunkpool hands out. Only the disk whose token is
+// owner changes it in place; others copy it first.
+type owned[T []int32 | *[]byte] struct {
 	owner uint64
-	s     []T
+	s     T
 }
 
 // Disk is a sparse virtual disk. The zero value is not usable; construct
@@ -67,19 +71,22 @@ type owned[T int32 | byte] struct {
 // chain. The index and the source have one page per L2 table present, so
 // they grow with those, not with the virtual size, and walk in order. A
 // slot a discard freed is handed out again while the disk owns its chunk.
+// The arena's chunks are chunkpool's until Release hands back the ones the
+// disk owns; a disk never released leaves them to the garbage collector.
 type Disk struct {
 	name        string
 	clusterSize int
 	virtualSize int64
-	l2Bits      uint           // log2 of the clusters one L2 table maps
-	chunkBits   uint           // log2 of the clusters one chunk holds
-	own         atomic.Uint64  // this disk's owner token
-	index       []owned[int32] // per cluster: > 0 its arena slot, < 0 its lazy cluster discarded, 0 neither
-	chunks      []owned[byte]
+	l2Bits      uint             // log2 of the clusters one L2 table maps
+	chunkBits   uint             // log2 of the clusters one chunk holds
+	own         atomic.Uint64    // this disk's owner token
+	index       []owned[[]int32] // per cluster: > 0 its arena slot, < 0 its lazy cluster discarded, 0 neither
+	chunks      []owned[*[]byte]
 	slots       int32   // the last arena slot handed out; slot s is in chunk (s-1) >> chunkBits
 	free        []int32 // discarded slots, reused while their chunk is still the disk's
 	lazy        *lazySource
 	backing     *Disk
+	released    bool
 }
 
 // New creates an empty sparse disk with the given virtual size in bytes.
@@ -129,6 +136,9 @@ func (d *Disk) AllocatedBytes() int64 {
 // chain for unallocated clusters and yielding zeros where nothing was ever
 // written. It implements io.ReaderAt semantics for in-range requests.
 func (d *Disk) ReadAt(p []byte, off int64) (int, error) {
+	if d.released {
+		return 0, d.errReleased()
+	}
 	if off < 0 || off+int64(len(p)) > d.virtualSize {
 		return 0, fmt.Errorf("vdisk %s: read [%d,%d) out of range [0,%d)", d.name, off, off+int64(len(p)), d.virtualSize)
 	}
@@ -175,7 +185,7 @@ func entry(slots []int32, offs []int64, e int64) (s int32, off int64) {
 // cluster returns the bytes of arena slot s.
 func (d *Disk) cluster(s int32) []byte {
 	at := int((s-1)&(1<<d.chunkBits-1)) * d.clusterSize
-	return d.chunks[(s-1)>>d.chunkBits].s[at : at+d.clusterSize : at+d.clusterSize]
+	return (*d.chunks[(s-1)>>d.chunkBits].s)[at : at+d.clusterSize : at+d.clusterSize]
 }
 
 // resolve finds the layer that holds cluster ci — local clusters, then the
@@ -217,7 +227,7 @@ func (d *Disk) readSpan(dst []byte, ci int64, co int) error {
 func (d *Disk) set(ci int64, v int32, own uint64) {
 	t, e := d.split(ci)
 	if n := t + 1 - int64(len(d.index)); n > 0 {
-		d.index = append(d.index, make([]owned[int32], n)...)
+		d.index = append(d.index, make([]owned[[]int32], n)...)
 	}
 	if p := &d.index[t]; p.owner != own {
 		p.owner, p.s = own, append(make([]int32, 0, 1<<d.l2Bits), p.s...)[:1<<d.l2Bits]
@@ -227,8 +237,9 @@ func (d *Disk) set(ci int64, v int32, own uint64) {
 
 // alloc returns an arena slot the disk owns that no cluster maps: a
 // discarded one, unless a Clone has shared its chunk since, else a fresh
-// one. Its bytes are not zeroed; WriteAt fills the whole cluster before
-// anything reads it.
+// one, in a chunk from chunkpool. Its bytes are not zeroed, and a recycled
+// chunk holds another disk's: WriteAt and Flatten fill the whole cluster
+// before anything reads it.
 func (d *Disk) alloc(own uint64) (int32, []byte) {
 	for len(d.free) > 0 {
 		s := d.free[len(d.free)-1]
@@ -239,7 +250,14 @@ func (d *Disk) alloc(own uint64) (int32, []byte) {
 	}
 	n := len(d.chunks)
 	if n == 0 || d.chunks[n-1].owner != own || d.slots == int32(n)<<d.chunkBits {
-		d.chunks = append(d.chunks, owned[byte]{own, make([]byte, d.clusterSize<<d.chunkBits)})
+		var c *[]byte
+		if d.clusterSize <= arenaChunk {
+			c = chunkpool.Get()
+		} else {
+			b := make([]byte, d.clusterSize) // one cluster, never pooled
+			c = &b
+		}
+		d.chunks = append(d.chunks, owned[*[]byte]{own, c})
 		d.slots = int32(n) << d.chunkBits
 	}
 	d.slots++
@@ -250,6 +268,9 @@ func (d *Disk) alloc(own uint64) (int32, []byte) {
 // cluster write fills its slot; a partial one first fills the slot with
 // the cluster's old contents, local, lazy, backing or zeros (copy-on-write).
 func (d *Disk) WriteAt(p []byte, off int64) (int, error) {
+	if d.released {
+		return 0, d.errReleased()
+	}
 	if off < 0 || off+int64(len(p)) > d.virtualSize {
 		return 0, fmt.Errorf("vdisk %s: write [%d,%d) out of range [0,%d)", d.name, off, off+int64(len(p)), d.virtualSize)
 	}
@@ -307,6 +328,28 @@ func (d *Disk) Discard(off, length int64) {
 			d.free = append(d.free, s)
 		}
 	}
+}
+
+// Release hands the arena chunks the disk owns back to chunkpool: those it
+// took since it was made or last cloned, never one a Clone shares with a
+// template or a sibling, which both sides' new tokens disown. It allocates
+// nothing. After it every ReadAt, WriteAt and WriteTo of the disk fails:
+// the pool's next Get hands the chunks out again. So nothing may be
+// reading the disk, or a child it backs, when it is called; a clone does
+// not read the chunks it returns.
+func (d *Disk) Release() {
+	own := d.own.Load()
+	for _, c := range d.chunks {
+		if c.owner == own {
+			chunkpool.Put(c.s)
+		}
+	}
+	d.index, d.chunks, d.slots, d.free, d.lazy, d.backing = nil, nil, 0, nil, nil, nil
+	d.released = true
+}
+
+func (d *Disk) errReleased() error {
+	return fmt.Errorf("vdisk %s: use after Release", d.name)
 }
 
 // NewChild creates a copy-on-write child whose reads fall through to d.
@@ -454,6 +497,9 @@ func (d *Disk) layoutFor() layout {
 // memory does not grow with the data, so a retrieval can serve a gigabyte
 // image straight to a sink without ever holding it.
 func (d *Disk) WriteTo(w io.Writer) (int64, error) {
+	if d.released {
+		return 0, d.errReleased()
+	}
 	lo, cs := d.layoutFor(), int64(d.clusterSize)
 	var written int64
 	emit := func(b []byte) error {

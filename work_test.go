@@ -15,6 +15,7 @@ import (
 	"testing"
 
 	"expelliarmus/internal/api"
+	"expelliarmus/internal/chunkpool"
 	"expelliarmus/internal/wire"
 )
 
@@ -27,16 +28,18 @@ var raceEnabled bool
 const workGolden = "testdata/work.golden"
 
 // work is what one operation costs in memory: heap allocations and bytes,
-// and the 64 KiB arena chunks vdisk cut for its disk's local clusters.
+// and the arena chunks vdisk took for its disk's local clusters that its
+// pool, chunkpool, did not have.
 type work struct {
 	allocs, bytes, chunks int64
 }
 
-// arenaChunkBytes is the size of a vdisk arena chunk.
-const arenaChunkBytes = 64 << 10
+// arenaChunkBytes is the size of a vdisk arena chunk: a pooled chunk.
+const arenaChunkBytes = chunkpool.Size
 
 // arenaChunks counts the arena chunks in the heap profile: allocations of
-// arenaChunkBytes made in vdisk.(*Disk).alloc. The profile samples every
+// arenaChunkBytes made under vdisk.(*Disk).alloc, which are the chunks the
+// pool did not hold when alloc asked for one. The profile samples every
 // allocation made while runtime.MemProfileRate is 1 and publishes it at
 // the next collection.
 func arenaChunks(t *testing.T) int64 {
