@@ -5,7 +5,9 @@
 // Size-byte chunks drawn from one process-wide sync.Pool, so the
 // steady-state allocation rate of a streaming transfer is zero no matter
 // how many bytes flow through it — the property the flat-RSS retrieval
-// gate depends on.
+// gate depends on. The vdisk arena, which holds the clusters a disk
+// writes, is cut from the same chunks: an assembly holds its disk's
+// chunks until it releases the disk, and the next assembly takes them.
 package chunkpool
 
 import (
@@ -17,11 +19,13 @@ import (
 // Size is the chunk granularity of every streaming path. It is the knob
 // that bounds peak streaming memory: a copy holds at most one chunk at a
 // time, so peak streaming RSS is Size × concurrent copies plus fixed
-// per-image metadata. A received upload is the exception: its Buffer holds
-// the whole disk section in chunks until the publish that reads it
-// returns and releases them, so each publish in flight adds its section's
-// length, rounded up to Size. 128 KiB amortizes per-chunk call overhead
-// while staying far below any interesting image size.
+// per-image metadata. Two holders are the exception. A received upload's
+// Buffer holds the whole disk section in chunks until the publish that
+// reads it returns and releases them, so each publish in flight adds its
+// section's length, rounded up to Size. An assembly's disk holds an arena
+// chunk per Size bytes of clusters it wrote until the assembly has
+// streamed the image and releases the disk. 128 KiB amortizes per-chunk
+// call overhead while staying far below any interesting image size.
 const Size = 128 << 10
 
 var pool = sync.Pool{

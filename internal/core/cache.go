@@ -182,5 +182,8 @@ func (s *System) leadAssembly(w io.Writer, key retrievecache.Key, rec vmirepo.VM
 		s.cache.Put(key, ent)
 	}
 	s.flights.finish(key, fl, ent, nil)
-	return serveEntry(w, rec, ent)
+	if n, _, err = serveEntry(w, rec, ent); err != nil {
+		return n, nil, err
+	}
+	return n, rep, nil // what serveEntry reports, with this assembly's wall-clock laps
 }

@@ -9,7 +9,8 @@ import (
 
 // TestWallCoversChargedPhases checks the wall-clock twin's structure, not
 // its readings: every phase a cold retrieval or an assembly charges, with
-// the base memo empty and then full, has a wall entry, and a cache hit's
+// the base memo empty and then full, or a cache miss that seeds an entry
+// charges, has a wall entry, and a cache hit's
 // wall entries are its own, not the replayed phases of the miss that
 // seeded its entry: it replays those and times nothing.
 func TestWallCoversChargedPhases(t *testing.T) {
@@ -41,9 +42,11 @@ func TestWallCoversChargedPhases(t *testing.T) {
 		covers("assembly, "+leg, rep)
 	}
 
-	if _, _, err := s.RetrieveTo(io.Discard, "Redis"); err != nil { // seeds the entry
+	_, miss, err := s.RetrieveTo(io.Discard, "Redis") // seeds the entry
+	if err != nil {
 		t.Fatal(err)
 	}
+	covers("cached miss", miss)
 	_, hit, err := s.RetrieveTo(io.Discard, "Redis")
 	if err != nil {
 		t.Fatal(err)

@@ -438,6 +438,40 @@ func (r *partyRun) waitOrWaiting(frames []string) string {
 	}
 }
 
+// AwaitWaiting returns once a goroutine dump shows n goroutines in a sync
+// or channel wait made in a function whose name contains frame: the first
+// frame of their stack outside the runtime and the sync packages. A
+// goroutine that waits in a function frame calls is not counted. It
+// yields between dumps and never sleeps; with no deadline of its own, the
+// test binary's -timeout bounds it.
+func AwaitWaiting(n int, frame string) {
+	for {
+		for range 64 {
+			runtime.Gosched()
+		}
+		found := 0
+		for _, g := range strings.Split(goroutineStack(true), "\n\n") {
+			_, rest, _ := strings.Cut(g, "[")
+			status, stack, _ := strings.Cut(rest, "]")
+			if !waiting(status) {
+				continue
+			}
+			for _, line := range strings.Split(stack, "\n")[1:] {
+				if !strings.HasPrefix(line, "\t") && !strings.HasPrefix(line, "runtime.") &&
+					!strings.HasPrefix(line, "sync.") && !strings.HasPrefix(line, "internal/") {
+					if strings.Contains(line, frame) {
+						found++
+					}
+					break
+				}
+			}
+		}
+		if found >= n {
+			return
+		}
+	}
+}
+
 // waiting reports whether a goroutine status is a wait on a lock or a
 // channel, one another goroutine must end.
 func waiting(status string) bool {

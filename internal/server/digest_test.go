@@ -89,20 +89,10 @@ type readAtCloser interface {
 	io.ReaderAt
 }
 
-// waitForFollowers blocks until n retrievals are queued behind an
-// in-flight assembly.
-func waitForFollowers(t *testing.T, sys *core.System, n int64) {
-	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
-		st, _ := sys.CacheStats()
-		if st.Flights.Waiting >= n {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Errorf("only %d of %d followers queued behind the leader", st.Flights.Waiting, n)
-			return
-		}
-	}
-}
+// awaitFollowers returns once n retrievals wait on the flight of an
+// in-flight assembly: in RetrieveTo itself, where a follower waits for
+// its leader, not in a blob read under it, where the leader is parked.
+func awaitFollowers(n int) { fsxtest.AwaitWaiting(n, "core.(*System).RetrieveTo(") }
 
 // TestRetrieveTrailerDigestOnEveryPath runs one remote retrieval, or a
 // coalesced storm of them, down each path RetrieveTo can take. Every
@@ -148,7 +138,7 @@ func TestRetrieveTrailerDigestOnEveryPath(t *testing.T) {
 		},
 		{
 			name: "coalesced", cacheBytes: 64 << 20, retrieves: clients,
-			gate: func(t *testing.T, sys *core.System) { waitForFollowers(t, sys, clients-1) },
+			gate: func(*testing.T, *core.System) { awaitFollowers(clients - 1) },
 			check: func(st core.CacheStats) error {
 				if st.Puts != 1 || st.Coalesced != clients-1 {
 					return fmt.Errorf("want 1 put and %d coalesced", clients-1)
@@ -158,7 +148,7 @@ func TestRetrieveTrailerDigestOnEveryPath(t *testing.T) {
 		},
 		{
 			name: "over-budget", cacheBytes: 1024, retrieves: clients,
-			gate: func(t *testing.T, sys *core.System) { waitForFollowers(t, sys, clients-1) },
+			gate: func(*testing.T, *core.System) { awaitFollowers(clients - 1) },
 			check: func(st core.CacheStats) error {
 				if st.Puts != 0 || st.Rejected != 1 || st.Coalesced != clients-1 {
 					return fmt.Errorf("want 0 puts, 1 rejected and %d coalesced", clients-1)

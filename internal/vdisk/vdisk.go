@@ -14,6 +14,7 @@ package vdisk
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -39,6 +40,9 @@ const headerSize = 40
 // cluster larger than that gets a chunk of its own size, made and never
 // pooled.
 const arenaChunk = chunkpool.Size
+
+// errReleased is the error of any read, write or WriteTo after Release.
+var errReleased = errors.New("vdisk: disk used after Release")
 
 // owners issues owner tokens from 1, so a zero page belongs to no disk.
 var owners atomic.Uint64
@@ -137,7 +141,7 @@ func (d *Disk) AllocatedBytes() int64 {
 // written. It implements io.ReaderAt semantics for in-range requests.
 func (d *Disk) ReadAt(p []byte, off int64) (int, error) {
 	if d.released {
-		return 0, d.errReleased()
+		return 0, errReleased
 	}
 	if off < 0 || off+int64(len(p)) > d.virtualSize {
 		return 0, fmt.Errorf("vdisk %s: read [%d,%d) out of range [0,%d)", d.name, off, off+int64(len(p)), d.virtualSize)
@@ -269,7 +273,7 @@ func (d *Disk) alloc(own uint64) (int32, []byte) {
 // the cluster's old contents, local, lazy, backing or zeros (copy-on-write).
 func (d *Disk) WriteAt(p []byte, off int64) (int, error) {
 	if d.released {
-		return 0, d.errReleased()
+		return 0, errReleased
 	}
 	if off < 0 || off+int64(len(p)) > d.virtualSize {
 		return 0, fmt.Errorf("vdisk %s: write [%d,%d) out of range [0,%d)", d.name, off, off+int64(len(p)), d.virtualSize)
@@ -346,10 +350,6 @@ func (d *Disk) Release() {
 	}
 	d.index, d.chunks, d.slots, d.free, d.lazy, d.backing = nil, nil, 0, nil, nil, nil
 	d.released = true
-}
-
-func (d *Disk) errReleased() error {
-	return fmt.Errorf("vdisk %s: use after Release", d.name)
 }
 
 // NewChild creates a copy-on-write child whose reads fall through to d.
@@ -498,7 +498,7 @@ func (d *Disk) layoutFor() layout {
 // image straight to a sink without ever holding it.
 func (d *Disk) WriteTo(w io.Writer) (int64, error) {
 	if d.released {
-		return 0, d.errReleased()
+		return 0, errReleased
 	}
 	lo, cs := d.layoutFor(), int64(d.clusterSize)
 	var written int64
