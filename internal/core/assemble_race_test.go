@@ -8,7 +8,6 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"expelliarmus/internal/blobstore"
 	"expelliarmus/internal/builder"
@@ -345,9 +344,11 @@ func (f *baseStreamFails) PutReader(r io.Reader) (blobstore.ID, int64, bool, err
 // TestPublishJoinsBaseStream: a publish whose base put fails after reading
 // part of the stream returns only once the stream's writer has left the
 // lazy read it was in, so a caller may release what backs the image as
-// soon as the publish returns. The parked read is held for a grace period
-// in which the publish must not return; then it is let go, and the publish
-// fails with the backend's error.
+// soon as the publish returns. The parked read is held until a goroutine
+// dump shows the publish waiting in PublishWith itself, where its only
+// wait is for the stream's writer; a publish that returns first fails the
+// test at once. Then the read is let go, and the publish fails with the
+// backend's error.
 func TestPublishJoinsBaseStream(t *testing.T) {
 	img := buildImage(t, builder.New(catalog.NewUniverse()), "Mini")
 	ser := img.Disk.Serialize()
@@ -359,17 +360,16 @@ func TestPublishJoinsBaseStream(t *testing.T) {
 	img.Disk = disk
 	s := NewSystemWithRepo(vmirepo.NewWithBackend(testDev, &baseStreamFails{Backend: blobstore.New(), src: src}), testDev, Options{})
 
-	published := make(chan error, 1)
+	published, returned := make(chan error, 1), make(chan struct{})
 	go func() {
+		defer close(returned)
 		_, err := s.Publish(img)
 		published <- err
 	}()
 	<-src.parked
-	select {
-	case <-published:
+	if !fsxtest.AwaitWaiting(1, "core.(*System).PublishWith(", returned) {
 		close(src.release)
 		t.Fatal("the publish returned while its base stream was parked in a read of the image")
-	case <-time.After(250 * time.Millisecond):
 	}
 	close(src.release)
 	if err := <-published; !errors.Is(err, errBasePut) {

@@ -127,10 +127,17 @@ func serveEntry(w io.Writer, rec vmirepo.VMIRecord, ent *retrievecache.Entry) (i
 // serialized exactly once, into the entry, and the leader orders the rest:
 // insert, finish the flight (followers get the entry), write the entry to
 // w. An image that is not cached — a stand-down, or one the cache does not
-// Admit, counted Rejected — streams straight to w, through the
-// digest memo, unless followers wait for it: then the leader leaves the
-// flight first, so that no follower can join after the count is read, and
-// serializes an entry for them alone.
+// Admit, counted Rejected — streams straight to w, unless followers wait
+// for it: then the leader leaves the flight first, so that no follower can
+// join after the count is read, and serializes an entry for them alone.
+//
+// Either way the image's digest comes from the digest memo, by the recipe
+// open resolved. An entry's SHA-256 is the memo's when the CRC-32C and
+// length of the serialized image match the recipe's entry, and is hashed
+// once and recorded otherwise; so a re-assembly after a publish on the
+// base, which moved the key's generation but not the image's bytes, hashes
+// nothing. A mismatch fails the retrieval and its followers, and nothing
+// is cached.
 func (s *System) leadAssembly(w io.Writer, key retrievecache.Key, rec vmirepo.VMIRecord, rep *RetrieveReport, fl *flight, unview func()) (int64, *RetrieveReport, error) {
 	ent, err := s.cache.Peek(key)
 	var src *sources
@@ -150,6 +157,7 @@ func (s *System) leadAssembly(w io.Writer, key retrievecache.Key, rec vmirepo.VM
 		return serveEntry(w, rec, ent)
 	}
 	var buf *bytes.Buffer
+	var tee *digestTee
 	insert := false
 	n, _, err := s.assemble(src, rep, func(disk *vdisk.Disk) io.Writer {
 		size := disk.SerializedBytes()
@@ -161,10 +169,11 @@ func (s *System) leadAssembly(w io.Writer, key retrievecache.Key, rec vmirepo.VM
 			insert = true
 		}
 		if !insert && s.flights.leave(key, fl) == 0 {
-			return s.digestTo(w, &key)
+			return s.digestTo(w, src)
 		}
 		buf = bytes.NewBuffer(make([]byte, 0, size))
-		return buf
+		tee = s.tee(buf, src)
+		return tee
 	})
 	if err != nil {
 		s.flights.finish(key, fl, nil, err)
@@ -177,7 +186,7 @@ func (s *System) leadAssembly(w io.Writer, key retrievecache.Key, rec vmirepo.VM
 		s.flights.finish(key, fl, nil, nil)
 		return n, rep, nil
 	}
-	ent = retrievecache.NewEntry(buf.Bytes(), rep.base, rep.Imported, rep.ImportedBytes, rep.Meter.Snapshot())
+	ent = retrievecache.NewEntryWithDigest(buf.Bytes(), tee.got, rep.base, rep.Imported, rep.ImportedBytes, rep.Meter.Snapshot())
 	if insert {
 		s.cache.Put(key, ent)
 	}

@@ -283,12 +283,7 @@ func TestCacheAdmitsByEntryCost(t *testing.T) {
 	if st, _ := s.CacheStats(); st.Puts != 0 || st.Rejected != 2 {
 		t.Fatalf("stats = %+v, want 0 puts and Rejected = 2", st)
 	}
-	rec, err := s.repo.GetVMI("Mini", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	key := retrievecache.NewKey(rec.BaseID, rec.Primaries, "Mini", s.repo.GenerationFor(rec.BaseID, "Mini"))
-	if e := s.memo.get(key); e == nil || e.val.N != size {
+	if e := s.memo.get(recipeOf(t, s, "Mini")); e == nil || e.val.N != size {
 		t.Fatal("an image the cache did not admit skipped the digest memo")
 	}
 }

@@ -99,8 +99,9 @@ type System struct {
 	cache   *retrievecache.Cache
 	flights flightGroup
 	cctr    cacheCounters
-	// memo keeps the digest of images streamed to a DigestWriter, so a
-	// repeat retrieval of one committed state is not hashed again.
+	// memo keeps the digest of every image an assembly owed one, by
+	// recipe, so an image is hashed once per recipe, not once per
+	// generation.
 	memo *digestMemo
 	// bases keeps each recently read base blob copied, launched and reset
 	// (Algorithm 3 lines 3–4), so a retrieval does that once per blob.
@@ -956,10 +957,10 @@ func decodeImage(name string, image []byte, rep *RetrieveReport) (*vmi.Image, *R
 //
 // When w is a DigestWriter it is given the image's SHA-256 after the last
 // byte: a cached image's, taken when its entry was built, or, for an image
-// streamed straight from the assembly, the digest memo's for the key. Only
-// the first such retrieval of a key hashes the image; a repeat checks a
-// CRC-32C against the memo and fails, after its last byte, if the image
-// differs.
+// streamed straight from the assembly, the digest memo's for its recipe.
+// Only the first assembly of a recipe hashes the image, whatever its
+// generation or VMI name; a repeat checks a CRC-32C against the memo and
+// fails, after its last byte, if the image differs.
 func (s *System) RetrieveTo(w io.Writer, name string) (int64, *RetrieveReport, error) {
 	rep := &RetrieveReport{Image: name, Meter: &simio.Meter{}}
 	start := time.Now()
@@ -969,7 +970,6 @@ func (s *System) RetrieveTo(w io.Writer, name string) (int64, *RetrieveReport, e
 	if err != nil {
 		return 0, nil, err
 	}
-	key := retrievecache.NewKey(rec.BaseID, rec.Primaries, name, s.repo.GenerationFor(rec.BaseID, name))
 	if s.cache == nil {
 		rep.Meter.Lap(simio.PhaseDB, start)
 		src, err := s.open(name, rec.BaseID, rec.Primaries, name, rep)
@@ -977,8 +977,9 @@ func (s *System) RetrieveTo(w io.Writer, name string) (int64, *RetrieveReport, e
 		if err != nil {
 			return 0, nil, err
 		}
-		return s.assemble(src, rep, func(*vdisk.Disk) io.Writer { return s.digestTo(w, &key) })
+		return s.assemble(src, rep, func(*vdisk.Disk) io.Writer { return s.digestTo(w, src) })
 	}
+	key := retrievecache.NewKey(rec.BaseID, rec.Primaries, name, s.repo.GenerationFor(rec.BaseID, name))
 	ent, err := s.cache.Get(key)
 	if err != nil {
 		return 0, nil, fmt.Errorf("core: retrieve %s: %w", name, err)
@@ -1023,7 +1024,9 @@ func (s *System) Assemble(name string, primaries []string, userDataFrom string) 
 // master graph provides every requested primary. Like RetrieveTo it picks
 // that master and opens the base, package and user-data blobs under the
 // view lock, so they come from one committed state. A DigestWriter w is
-// given the SHA-256 of the image, hashed as it streams.
+// given the SHA-256 of the image through the digest memo, like
+// RetrieveTo's: an assembly whose recipe a retrieval or an earlier
+// assembly already hashed tees only a CRC-32C.
 func (s *System) AssembleTo(w io.Writer, name string, primaries []string, userDataFrom string) (int64, *RetrieveReport, error) {
 	rep := &RetrieveReport{Image: name, Meter: &simio.Meter{}}
 	unview := sync.OnceFunc(s.repo.ReadView())
@@ -1041,7 +1044,7 @@ func (s *System) AssembleTo(w io.Writer, name string, primaries []string, userDa
 	if err != nil {
 		return 0, nil, err
 	}
-	return s.assemble(src, rep, func(*vdisk.Disk) io.Writer { return s.digestTo(w, nil) })
+	return s.assemble(src, rep, func(*vdisk.Disk) io.Writer { return s.digestTo(w, src) })
 }
 
 func hasAll(have []string, want []string) bool {
@@ -1083,7 +1086,7 @@ type sources struct {
 type blob struct {
 	rc   io.ReadCloser
 	size int64
-	id   blobstore.ID // its content address; zero for user data
+	id   blobstore.ID // its content address
 }
 
 // read reads the whole blob into buf, grown to hold it, and returns it.
@@ -1145,7 +1148,7 @@ func (s *System) open(name, baseID string, primaries []string, userDataFrom stri
 		return nil, err
 	}
 	if userDataFrom != "" {
-		if src.userData.rc, src.userData.size, err = s.repo.OpenUserData(userDataFrom, simio.PhaseImport, rep.Meter); err != nil {
+		if src.userData.id, src.userData.rc, src.userData.size, err = s.repo.OpenUserData(userDataFrom, simio.PhaseImport, rep.Meter); err != nil {
 			return nil, err
 		}
 	}
@@ -1286,7 +1289,7 @@ func (s *System) extract(id blobstore.ID, deb []byte) (extracted, error) {
 // assemble implements Algorithm 3 over sources open resolved, with no lock
 // held, and writes the serialized result to the writer sink picks for the
 // finished disk, returning the bytes written and, on success, rep. A sink
-// from digestTo is settled after the last byte. The disk reads untouched
+// that is a digestTee is settled after the last byte. The disk reads untouched
 // base clusters lazily through the base blob's reader; assemble closes
 // every source before it returns, so nothing lazily backed outlives the
 // call, and releases the disk, whose arena chunks go back to the pool.

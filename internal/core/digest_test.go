@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"expelliarmus/internal/retrievecache"
+	"expelliarmus/internal/simio"
 )
 
 // digestSink is a DigestWriter that keeps the bytes and digests it is given.
@@ -19,8 +20,25 @@ type digestSink struct {
 
 func (d *digestSink) SetDigest(sum [sha256.Size]byte) { d.sums = append(d.sums, sum) }
 
+// recipeOf returns the recipe a retrieval of name assembles now.
+func recipeOf(t *testing.T, s *System, name string) recipe {
+	t.Helper()
+	unview := s.repo.ReadView()
+	defer unview()
+	rec, err := s.repo.GetVMI(name, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src, err := s.open(name, rec.BaseID, rec.Primaries, name, &RetrieveReport{Meter: &simio.Meter{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer src.close()
+	return src.recipe()
+}
+
 // TestDigestMemoSlotMatchesBytesWritten: an uncached retrieval into a
-// DigestWriter fills its key's memo slot with the SHA-256, CRC-32C and
+// DigestWriter fills its recipe's memo slot with the SHA-256, CRC-32C and
 // length of exactly the bytes it wrote, and hands the sink that SHA-256
 // once; a repeat writes the same bytes and is handed the same digest. A
 // plain sink leaves the memo alone.
@@ -29,11 +47,7 @@ func TestDigestMemoSlotMatchesBytesWritten(t *testing.T) {
 	if _, err := s.Publish(buildImage(t, b, "Redis")); err != nil {
 		t.Fatal(err)
 	}
-	rec, err := s.repo.GetVMI("Redis", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	key := retrievecache.NewKey(rec.BaseID, rec.Primaries, "Redis", s.repo.GenerationFor(rec.BaseID, "Redis"))
+	key := recipeOf(t, s, "Redis")
 
 	var plain bytes.Buffer
 	if _, _, err := s.RetrieveTo(&plain, "Redis"); err != nil {
@@ -53,7 +67,7 @@ func TestDigestMemoSlotMatchesBytesWritten(t *testing.T) {
 	case !bytes.Equal(first.Bytes(), plain.Bytes()):
 		t.Fatal("a DigestWriter was written other bytes than a plain writer")
 	case e == nil || e.key != key:
-		t.Fatal("the retrieval left its key's memo slot empty")
+		t.Fatal("the retrieval left its recipe's memo slot empty")
 	case e.val != (retrievecache.Digest{Sum: want, CRC: crc32.Checksum(first.Bytes(), retrievecache.Castagnoli), N: int64(first.Len())}):
 		t.Fatalf("memo slot (%x, %d bytes, crc %08x) does not describe the %d bytes written", e.val.Sum, e.val.N, e.val.CRC, first.Len())
 	case len(first.sums) != 1 || first.sums[0] != want:

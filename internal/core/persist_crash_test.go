@@ -110,7 +110,7 @@ func checkNoDanglingMetadata(t *testing.T, sys *System) {
 		if _, _, err := sys.Retrieve(name); err != nil {
 			t.Fatalf("recovered VMI %s not retrievable: %v", name, err)
 		}
-		rc, _, err := repo.OpenUserData(name, "store", nil)
+		_, rc, _, err := repo.OpenUserData(name, "store", nil)
 		if err == nil && rc != nil {
 			_, err = io.Copy(io.Discard, rc)
 			rc.Close()

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 
@@ -15,7 +16,7 @@ import (
 // restored from a snapshot).
 func NewSystemWithRepo(repo *vmirepo.Repo, dev *simio.Device, opts Options) *System {
 	return &System{repo: repo, dev: dev, opts: opts, cache: newCache(opts), pinned: make(map[string]int),
-		memo:     newSlotMemo[retrievecache.Key, retrievecache.Digest](memoSlots),
+		memo:     newSlotMemo[recipe, retrievecache.Digest](memoSlots),
 		bases:    newSlotMemo[blobstore.ID, resetBase](baseMemoSlots),
 		packages: newBudgetMemo[blobstore.ID, extracted](pkgMemoSlots, pkgMemoBudget)}
 }
@@ -133,7 +134,9 @@ func (s *System) Remove(name string) error {
 //
 // The caller holds the commit and view stripes of the record's class.
 // Every record on the record's base shares that class, so the survivor
-// scan is stable while unrelated classes publish concurrently.
+// scan is stable while unrelated classes publish and remove concurrently;
+// a listed record that another class removed before the scan read it is
+// skipped.
 func (s *System) retire(rec vmirepo.VMIRecord, refs []string, m *simio.Meter) error {
 	dead, err := s.repo.DropPackageRefs(refs, m)
 	if err != nil {
@@ -161,7 +164,9 @@ func (s *System) retire(rec vmirepo.VMIRecord, refs []string, m *simio.Meter) er
 	var sameBase []vmirepo.VMIRecord
 	for _, other := range s.repo.VMIs() {
 		orec, err := s.repo.GetVMI(other, nil)
-		if err != nil {
+		if errors.Is(err, vmirepo.ErrNotFound) {
+			continue
+		} else if err != nil {
 			return err
 		}
 		if orec.BaseID == rec.BaseID {

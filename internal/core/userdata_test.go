@@ -14,7 +14,7 @@ import (
 // userData reads name's user-data archive, nil when none is stored.
 func userData(t *testing.T, s *System, name string) []byte {
 	t.Helper()
-	rc, _, err := s.repo.OpenUserData(name, simio.PhaseImport, nil)
+	_, rc, _, err := s.repo.OpenUserData(name, simio.PhaseImport, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -438,16 +438,22 @@ func (r *partyRun) waitOrWaiting(frames []string) string {
 	}
 }
 
-// AwaitWaiting returns once a goroutine dump shows n goroutines in a sync
-// or channel wait made in a function whose name contains frame: the first
-// frame of their stack outside the runtime and the sync packages. A
+// AwaitWaiting returns true once a goroutine dump shows n goroutines in a
+// sync or channel wait made in a function whose name contains frame: the
+// first frame of their stack outside the runtime and the sync packages. A
 // goroutine that waits in a function frame calls is not counted. It
-// yields between dumps and never sleeps; with no deadline of its own, the
-// test binary's -timeout bounds it.
-func AwaitWaiting(n int, frame string) {
+// returns false as soon as done is closed (a nil done never is): the party
+// it waits for returned instead. It yields between dumps and never sleeps;
+// with no deadline of its own, the test binary's -timeout bounds it.
+func AwaitWaiting(n int, frame string, done <-chan struct{}) bool {
 	for {
 		for range 64 {
-			runtime.Gosched()
+			select {
+			case <-done:
+				return false
+			default:
+				runtime.Gosched()
+			}
 		}
 		found := 0
 		for _, g := range strings.Split(goroutineStack(true), "\n\n") {
@@ -467,7 +473,7 @@ func AwaitWaiting(n int, frame string) {
 			}
 		}
 		if found >= n {
-			return
+			return true
 		}
 	}
 }

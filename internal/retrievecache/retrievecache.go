@@ -18,11 +18,14 @@
 // unreachable, while mutations scoped to other stripes leave them
 // servable.
 //
-// NewEntry digests an entry's serialized image once, at construction, into
-// a Digest: SHA-256, CRC-32C and length. The SHA-256 is the entry's
-// end-to-end digest: a server sends it as the response's digest trailer
-// instead of hashing the body again, and the client's check of that trailer
-// is the one cryptographic pass over a served hit. The CRC-32C is
+// An entry's serialized image is digested once, at construction, into a
+// Digest: SHA-256, CRC-32C and length. NewEntry hashes the image;
+// NewEntryWithDigest takes a digest its caller already holds (core's
+// digest memo, keyed by what the image was assembled from, knows it for an
+// image hashed before under an earlier generation). The SHA-256 is the
+// entry's end-to-end digest: a server sends it as the response's digest
+// trailer instead of hashing the body again, and the client's check of
+// that trailer is the one cryptographic pass over a served hit. The CRC-32C is
 // re-verified on every hit, at a small fraction of SHA-256's cost: a
 // poisoned entry (bit rot, an aliasing bug, a caller scribbling on shared
 // bytes) surfaces as ErrPoisoned instead of wrong image bytes. Put hashes
@@ -51,7 +54,7 @@ import (
 )
 
 // ErrPoisoned marks a cache hit whose stored image bytes no longer match
-// the checksum NewEntry captured. Served bytes would be wrong, so
+// the checksum its entry was built with. Served bytes would be wrong, so
 // the entry is evicted and the error surfaces to the caller.
 var ErrPoisoned = errors.New("retrievecache: cached image failed content verification")
 
@@ -89,8 +92,8 @@ func NewKey(baseID string, primaries []string, userData string, generation uint6
 }
 
 // Digest is what one image hashes to: its SHA-256, its CRC-32C (Castagnoli)
-// and its length. It is the one shape a retrieval key's integrity facts
-// take, on a cache entry and in core's digest memo alike.
+// and its length. It is the one shape an image's integrity facts take, on
+// a cache entry and in core's digest memo alike.
 type Digest struct {
 	Sum [sha256.Size]byte
 	CRC uint32
@@ -107,7 +110,7 @@ var Castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // treat every field as read-only and copy what they keep.
 type Entry struct {
 	// Image is the serialized (qcow2-like) assembled image. Every hit
-	// re-verifies it against the CRC-32C NewEntry took.
+	// re-verifies it against the CRC-32C of its digest.
 	Image []byte
 	// Base is the base-attribute quadruple of the assembled image.
 	Base pkgmeta.BaseAttrs
@@ -120,20 +123,28 @@ type Entry struct {
 	// byte-identical — the cache never changes modeled semantics.
 	Phases map[simio.Phase]time.Duration
 
-	digest Digest // of Image, taken by NewEntry
+	digest Digest // of Image, taken or given at construction
 }
 
-// Digest returns the digest of the entry's image, taken when NewEntry
-// built it — whether or not the entry was ever Put.
+// Digest returns the digest of the entry's image, taken or given when it
+// was built — whether or not the entry was ever Put.
 func (e *Entry) Digest() Digest { return e.digest }
 
-// NewEntry builds an entry and digests its image, copying the imported
-// list and phase map (the image bytes are taken over as-is; callers hand
-// over ownership, so the digest guards them from here on).
+// NewEntry builds an entry and digests its image: NewEntryWithDigest with
+// the image's SHA-256, CRC-32C and length, taken here.
 func NewEntry(image []byte, base pkgmeta.BaseAttrs, imported []string, importedBytes int64, phases map[simio.Phase]time.Duration) *Entry {
+	return NewEntryWithDigest(image, Digest{sha256.Sum256(image), crc32.Checksum(image, Castagnoli), int64(len(image))}, base, imported, importedBytes, phases)
+}
+
+// NewEntryWithDigest builds an entry whose image has the digest d, copying
+// the imported list and phase map (the image bytes are taken over as-is;
+// callers hand over ownership, so the digest guards them from here on). It
+// hashes nothing: the caller vouches for d. Every hit re-verifies its
+// CRC-32C, and the SHA-256 is what a server sends as the entry's digest.
+func NewEntryWithDigest(image []byte, d Digest, base pkgmeta.BaseAttrs, imported []string, importedBytes int64, phases map[simio.Phase]time.Duration) *Entry {
 	ph := make(map[simio.Phase]time.Duration, len(phases))
-	for p, d := range phases {
-		ph[p] = d
+	for p, dur := range phases {
+		ph[p] = dur
 	}
 	return &Entry{
 		Image:         image,
@@ -141,7 +152,7 @@ func NewEntry(image []byte, base pkgmeta.BaseAttrs, imported []string, importedB
 		Imported:      append([]string(nil), imported...),
 		ImportedBytes: importedBytes,
 		Phases:        ph,
-		digest:        Digest{sha256.Sum256(image), crc32.Checksum(image, Castagnoli), int64(len(image))},
+		digest:        d,
 	}
 }
 
@@ -241,8 +252,8 @@ func (c *Cache) removeLocked(n *node) {
 }
 
 // Get returns the entry for key, refreshing its recency, or (nil, nil) on
-// a miss. The stored image is re-verified against the CRC-32C NewEntry
-// took; on mismatch the entry is evicted and ErrPoisoned returned, so
+// a miss. The stored image is re-verified against the CRC-32C of the
+// entry's digest; on mismatch the entry is evicted and ErrPoisoned returned, so
 // damaged bytes can never be served as an assembled image. Get computes no
 // SHA-256: a hit's digest is the entry's own (Entry.Digest).
 func (c *Cache) Get(key Key) (*Entry, error) { return c.get(key, true) }
@@ -306,7 +317,7 @@ func (c *Cache) Admit(key Key, imageBytes int64, imported []string) bool {
 // Put inserts (or replaces) the entry under key and evicts
 // least-recently-used entries until the budget holds. An entry Admit
 // refuses is reported false and leaves the cache unchanged. Put hashes
-// nothing: the entry carries its digest from NewEntry. An entry is Put at
+// nothing: the entry carries its digest from construction. An entry is Put at
 // most once.
 func (c *Cache) Put(key Key, e *Entry) bool {
 	if !c.Admit(key, int64(len(e.Image)), e.Imported) {

@@ -92,7 +92,7 @@ type readAtCloser interface {
 // awaitFollowers returns once n retrievals wait on the flight of an
 // in-flight assembly: in RetrieveTo itself, where a follower waits for
 // its leader, not in a blob read under it, where the leader is parked.
-func awaitFollowers(n int) { fsxtest.AwaitWaiting(n, "core.(*System).RetrieveTo(") }
+func awaitFollowers(n int) { fsxtest.AwaitWaiting(n, "core.(*System).RetrieveTo(", nil) }
 
 // TestRetrieveTrailerDigestOnEveryPath runs one remote retrieval, or a
 // coalesced storm of them, down each path RetrieveTo can take. Every

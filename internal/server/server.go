@@ -14,11 +14,14 @@
 //
 // The server hashes no body. Its response writer is a core.DigestWriter,
 // and core supplies every digest: a cached image's is the one its entry
-// took when it was built, a repeat of an uncached retrieval's comes from core's digest
-// memo (checked by a CRC-32C as it streams), and any other body is hashed
-// by core as it streams. A body core completes without a digest is
-// aborted, never sent with an invented trailer. The client's check of the
-// trailer is the end-to-end verification.
+// took when it was built, and a streamed retrieval's or assembly's comes
+// from core's digest memo, keyed by the image's recipe (its base, user-data
+// and package blobs and install order), so an image is hashed once per
+// recipe, whatever generation or name asks for it; a repeat is checked by a
+// CRC-32C as it streams, and fails rather than vouch for other bytes. A
+// body core completes without a digest is aborted, never sent with an
+// invented trailer. The client's check of the trailer is the end-to-end
+// verification.
 //
 // The repository snapshot carries the same X-Expel-Sha256 and
 // X-Expel-Bytes trailers, hashed as it is sent: its format has no

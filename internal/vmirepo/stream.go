@@ -70,26 +70,27 @@ func (r *Repo) OpenPackage(ref string, ph simio.Phase, m *simio.Meter) (PackageR
 	return rec, rc, size, nil
 }
 
-// OpenUserData returns a streaming reader over a VMI's user-data archive,
-// or a nil reader (with nil error) when none is stored. Callers MUST check
-// the reader against nil
+// OpenUserData returns the blob ID of a VMI's user-data archive and a
+// streaming reader over it, or a zero ID and a nil reader (with nil error)
+// when none is stored. Like a base's, the ID names the archive's content.
+// Callers MUST check the reader against nil
 // before the error: a VMI published without user data is the common case,
 // not a failure, and dereferencing the nil reader is the classic bug here
 // (pinned by the no-user-data wire regression test in internal/server).
-func (r *Repo) OpenUserData(name string, ph simio.Phase, m *simio.Meter) (io.ReadCloser, int64, error) {
+func (r *Repo) OpenUserData(name string, ph simio.Phase, m *simio.Meter) (blobstore.ID, io.ReadCloser, int64, error) {
+	var id blobstore.ID
 	val, ok := r.meta().Bucket(bucketUserData).Get([]byte(name))
 	r.chargeDB(m, 0)
 	if !ok {
-		return nil, 0, nil
+		return id, nil, 0, nil
 	}
-	var id blobstore.ID
 	copy(id[:], val)
 	rc, size, err := r.blobs.Open(id)
 	if err != nil {
-		return nil, 0, fmt.Errorf("vmirepo: user data for %q: %w", name, err)
+		return blobstore.ID{}, nil, 0, fmt.Errorf("vmirepo: user data for %q: %w", name, err)
 	}
 	if m != nil {
 		m.Charge(ph, r.dev.ReadCost(size))
 	}
-	return rc, size, nil
+	return id, rc, size, nil
 }

@@ -52,7 +52,7 @@ func getPackage(r *Repo, ref string, ph simio.Phase, m *simio.Meter) (pkgmeta.Pa
 
 // getUserData returns nil when the VMI stored no archive.
 func getUserData(r *Repo, name string, ph simio.Phase, m *simio.Meter) ([]byte, error) {
-	rc, _, err := r.OpenUserData(name, ph, m)
+	_, rc, _, err := r.OpenUserData(name, ph, m)
 	if rc == nil {
 		return nil, err
 	}

@@ -23,27 +23,26 @@ var updateWork = flag.Bool("update", false, "re-record testdata/work.golden")
 
 // raceEnabled is set by a race-only file: the race detector allocates for
 // its own bookkeeping, and sync.Pool drops a quarter of what is put back
-// under it, so neither heap counts nor arena chunks are checked with it.
+// under it, so neither heap counts nor pool chunks are checked with it.
 var raceEnabled bool
 
 const workGolden = "testdata/work.golden"
 
 // work is what one operation costs in memory: heap allocations and bytes,
-// and the arena chunks vdisk took for its disk's local clusters that its
-// pool, chunkpool, did not have.
+// and the chunks chunkpool had to make for it, whoever asked: the vdisk
+// arena, a serialization's buffer or an upload's section.
 type work struct {
 	allocs, bytes, chunks int64
 }
 
-// arenaChunkBytes is the size of a vdisk arena chunk: a pooled chunk.
-const arenaChunkBytes = chunkpool.Size
-
-// arenaChunks counts the arena chunks in the heap profile: allocations of
-// arenaChunkBytes made under vdisk.(*Disk).alloc, which are the chunks the
-// pool did not hold when alloc asked for one. The profile samples every
-// allocation made while runtime.MemProfileRate is 1 and publishes it at
-// the next collection.
-func arenaChunks(t *testing.T) int64 {
+// poolChunks counts the pool's chunks in the heap profile: allocations of
+// chunkpool.Size bytes made by the pool's New, which are the chunks the
+// pool did not hold when a caller asked for one. Counting where the chunk
+// was made, not who asked, sees a chunk an operation keeps even when the
+// pool hands it out again and the replacement is made under another
+// caller. The profile samples every allocation made while
+// runtime.MemProfileRate is 1 and publishes it at the next collection.
+func poolChunks(t *testing.T) int64 {
 	t.Helper()
 	runtime.GC()
 	n, _ := runtime.MemProfile(nil, true)
@@ -54,12 +53,12 @@ func arenaChunks(t *testing.T) int64 {
 	}
 	var chunks int64
 	for _, r := range recs[:n] {
-		if r.AllocObjects == 0 || r.AllocBytes != r.AllocObjects*arenaChunkBytes {
+		if r.AllocObjects == 0 || r.AllocBytes != r.AllocObjects*chunkpool.Size {
 			continue
 		}
 		for frames := runtime.CallersFrames(r.Stack()); ; {
 			f, more := frames.Next()
-			if f.Function == "expelliarmus/internal/vdisk.(*Disk).alloc" {
+			if strings.HasPrefix(f.Function, "expelliarmus/internal/chunkpool.") {
 				chunks += r.AllocObjects
 				break
 			}
@@ -73,7 +72,7 @@ func arenaChunks(t *testing.T) int64 {
 
 // measure runs op once to warm the memos, pools and cache it uses, then
 // takes the fewest allocations and bytes of five more runs, each with the
-// collector off, and counts the arena chunks of one further run. Before
+// collector off, and counts the pool's chunks of one further run. Before
 // every run it calls setup, if any, outside what is counted. It runs them
 // all on one P: a sync.Pool keeps an item per P, so a run that moved to
 // another P would miss the item the warm-up left.
@@ -108,7 +107,7 @@ func measure(t *testing.T, setup, op func() error) work {
 		w.bytes = min(w.bytes, int64(after.TotalAlloc-before.TotalAlloc))
 	}
 	prepare()
-	before := arenaChunks(t)
+	before := poolChunks(t)
 	rate := runtime.MemProfileRate
 	runtime.MemProfileRate = 1
 	err := op()
@@ -116,12 +115,12 @@ func measure(t *testing.T, setup, op func() error) work {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w.chunks = arenaChunks(t) - before
+	w.chunks = poolChunks(t) - before
 	return w
 }
 
 // TestWorkLedger pins what an operation costs in heap allocations, heap
-// bytes and vdisk arena chunks, on the memory backend and on a disk-backed
+// bytes and chunks the pool made, on the memory backend and on a disk-backed
 // System, against testdata/work.golden: counts exactly, bytes within 5 %.
 // The operations are a cold retrieval (the retrieval cache off, the base
 // and package memos warm), a warm retrieval (a cache hit), an AssembleTo,
@@ -248,13 +247,13 @@ func TestWorkLedger(t *testing.T) {
 		var gb, gop, wb, wop string
 		fmt.Sscan(row, &gb, &gop, &g.allocs, &g.bytes, &g.chunks)
 		fmt.Sscan(want[i], &wb, &wop, &w.allocs, &w.bytes, &w.chunks)
-		t.Logf("%s %s: %d allocations (golden %d), %d bytes (%d), %d arena chunks (%d)", gb, gop, g.allocs, w.allocs, g.bytes, w.bytes, g.chunks, w.chunks)
+		t.Logf("%s %s: %d allocations (golden %d), %d bytes (%d), %d pool chunks (%d)", gb, gop, g.allocs, w.allocs, g.bytes, w.bytes, g.chunks, w.chunks)
 		switch {
 		case gb != wb || gop != wop:
 			t.Errorf("row %d is %s %s, golden %s %s", i, gb, gop, wb, wop)
 		case raceEnabled:
 		case g.chunks != w.chunks:
-			t.Errorf("%s %s: %d arena chunks, golden %d", gb, gop, g.chunks, w.chunks)
+			t.Errorf("%s %s: %d pool chunks, golden %d", gb, gop, g.chunks, w.chunks)
 		case g.allocs != w.allocs:
 			t.Errorf("%s %s: %d allocations, golden %d", gb, gop, g.allocs, w.allocs)
 		case math.Abs(float64(g.bytes-w.bytes)) > 0.05*float64(w.bytes):
